@@ -21,15 +21,16 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import minimize_scalar
-from scipy.stats import norm
+from scipy.special import ndtr, owens_t
 
 from . import _engine
 from .errors import DegenerateDataError, InvalidArgument
 from .losses import AucSquare, LeastSquares, Loss, QNormHinge
 
 _MAX_RESAMPLE_ROUNDS = 64
+# the hinge risk minimum's largest projection scale g (the profile has no
+# minimum when no label flips)
+_HINGE_SCALE_CAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -307,80 +308,95 @@ def empirical_risk(loss: Loss, ds: Dataset, w: np.ndarray) -> float:
     return float(loss.batch_value(W, ds.features, ds.labels).mean())
 
 
-def _hinge_margin_risk(w: np.ndarray, dist: MarginClassif) -> float:
+def _row_forms(W: np.ndarray, A: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """w @ A @ b (b = w when None) for every row w of W.
+
+    One row at a time on purpose: a batched matmul sums in another order, so
+    a row of a batch would not keep the bytes of a single-row call.
+    """
+    return np.array([float(w @ A @ (w if b is None else b)) for w in W])
+
+
+_PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Standard normal density."""
+    return np.exp(-0.5 * x * x) * _PHI0
+
+
+def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     """Population hinge risk E[(1 - y <w, x>)_+] under the margin-flip model.
 
-    Reduces to 1-d integrals over the bivariate normal (u, v) =
-    (<w, x>, <w_star, x>); the sign of v carries the clean label.  Feature
-    truncation is ignored (it is a >4-sigma event).
+    One value per row w of W (R, d).  (u, v) = (<w, x>, <w_star, x>) is
+    bivariate normal with correlation rho, and the sign of v carries the
+    clean label; the symmetry (u, v) -> (-u, -v) folds the risk onto v > 0:
+
+        F = 2 (1 - pf) H(+1) + 2 pf H(-1),   H(s) = E[1{v > 0} (1 - s u)_+].
+
+    With z = s u / s_u ~ N(0, 1), s_u^2 = w' cov w, a = 1 / s_u, r = s rho and
+    lam = r / sqrt(1 - r^2), P(v > 0 | z) = Phi(lam z), so
+
+        H(s) = int_{z < a} phi(z) Phi(lam z) (1 - s_u z) dz
+             = Phi(a) / 2 - T(a, lam)
+               - s_u (-phi(a) Phi(lam a) + r phi(0) Phi(a / sqrt(1 - r^2))),
+
+    where T is Owen's T function (Owen 1956: the first integral is half the
+    skew-normal distribution function) and the second integral follows by
+    parts.  Rows with |rho| = 1 (w parallel to w_star) and rows with
+    s_u = 0 (u = 0 a.s.) take their limits.  Feature truncation is ignored
+    (it is a >4-sigma event).
     """
-    w = np.asarray(w, dtype=np.float64)
     pf = dist.flip_prob
     cov = dist.cov
-    su2 = float(w @ cov @ w)
     sv2 = float(dist.w_star @ cov @ dist.w_star)
     if sv2 <= 0.0:
         raise DegenerateDataError("w_star direction carries no variance")
-    if su2 <= 1e-300:
-        return 1.0  # u == 0 a.s.: both hinge branches evaluate at margin 0
-    su = math.sqrt(su2)
-    c = float(w @ cov @ dist.w_star)
-    rho = min(1.0, max(-1.0, c / (su * math.sqrt(sv2))))
+    su2 = _row_forms(W, cov)
+    # u == 0 a.s.: both hinge branches evaluate at margin 0
+    zero = su2 <= 1e-300
+    su = np.sqrt(np.where(zero, 1.0, su2))
+    rho = np.clip(_row_forms(W, cov, dist.w_star) / (su * math.sqrt(sv2)), -1.0, 1.0)
+    parallel = np.abs(rho) >= 1.0 - 1e-12
+    a = 1.0 / su
 
-    def half_expect(sign_u: float) -> float:
-        # E[ 1_{v > 0} (1 - sign_u * u)_+ ] via closed form when |rho| = 1
-        if abs(rho) >= 1.0 - 1e-12:
-            # u = rho * su * zeta with v > 0 <=> zeta > 0
-            g = math.copysign(su, rho) * sign_u  # slope of sign_u * u in zeta > 0
-            if g > 0.0:
-                return (norm.cdf(1.0 / g) - 0.5) - g * (norm.pdf(0.0) - norm.pdf(1.0 / g))
-            if g == 0.0:
-                return 0.5
-            return 0.5 - g * norm.pdf(0.0)  # integrand (1 + |g| zeta), all zeta > 0
-        lam = rho / math.sqrt(1.0 - rho * rho)
+    def half_expect(sign_u: float) -> np.ndarray:
+        # |rho| = 1: sign_u * u = g zeta with v > 0 <=> zeta > 0
+        g = np.copysign(su, sign_u * rho)
+        edge = np.where(g > 0.0, (ndtr(a) - 0.5) - g * (_PHI0 - _phi(a)),
+                        0.5 - g * _PHI0)  # integrand (1 + |g| zeta), all zeta > 0
+        r = np.where(parallel, 0.0, sign_u * rho)
+        k = np.sqrt((1.0 - r) * (1.0 + r))
+        lam = r / k
+        inner = 0.5 * ndtr(a) - owens_t(a, lam) \
+            - su * (-_phi(a) * ndtr(lam * a) + r * _PHI0 * ndtr(a / k))
+        return np.where(parallel, edge, inner)
 
-        def integrand(u):
-            return (1.0 - sign_u * u) * norm.pdf(u / su) / su * norm.cdf(lam * u / su)
-
-        if sign_u > 0.0:
-            lo, hi = -40.0 * su, min(1.0, 40.0 * su)
-        else:
-            lo, hi = max(-1.0, -40.0 * su), 40.0 * su
-        if lo >= hi:
-            return 0.0
-        val, _ = integrate.quad(integrand, lo, hi, limit=200)
-        return val
-
-    # clean-label and flipped-label contributions; (u,v) -> (-u,-v) symmetry
-    # folds everything onto the half-space v > 0
-    return 2.0 * (1.0 - pf) * half_expect(1.0) + 2.0 * pf * half_expect(-1.0)
-
-
-def _hinge_margin_risk_scalar(g: float, pf: float) -> float:
-    """Hinge risk of w = (g / s) * unit(w_star) under an isotropic margin model."""
-    if g < 0.0:
-        raise InvalidArgument("the scalar profile is defined for g >= 0")
-    if g == 0.0:
-        return 1.0
-    clean = 2.0 * norm.cdf(1.0 / g) - 1.0 - 2.0 * g * (norm.pdf(0.0) - norm.pdf(1.0 / g))
-    flipped = 1.0 + g * math.sqrt(2.0 / math.pi)
-    return (1.0 - pf) * clean + pf * flipped
+    risk = 2.0 * (1.0 - pf) * half_expect(1.0) + 2.0 * pf * half_expect(-1.0)
+    return np.where(zero, 1.0, risk)
 
 
 def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
-                    mc_samples: int = 0, seed: int = 0) -> Tuple[float, float]:
+                    mc_samples: int = 0, seed=0):
     """F(w) = E[f(w; z)] with a standard error.
 
-    Returns an exact value (stderr 0) for the pairs with closed forms:
-    least squares / Gaussian linear regression, the AUC surrogate / two-class
-    Gaussian (requires matching moment parameters), and plain hinge (q = 1) /
-    margin model (1-d quadrature).  Every other pair needs mc_samples > 0.
+    ``w`` is one parameter vector (d,), which gives (float, float), or a
+    batch of rows (R, d), which gives two arrays of R values.  Returns an
+    exact value (stderr 0) for the pairs with closed forms: least squares /
+    Gaussian linear regression, the AUC surrogate / two-class Gaussian
+    (requires matching moment parameters), and plain hinge (q = 1) / margin
+    model (through the bivariate normal, with Owen's T function).  Every
+    other pair needs mc_samples > 0; ``seed`` is then one seed, or one seed
+    per row of a batch, and each row is estimated as a single-row call with
+    its seed would be.
     """
     w = np.asarray(w, dtype=np.float64)
+    W = np.atleast_2d(w)
+    R = W.shape[0]
+    stderr = np.zeros(R)
     if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
-        diff = w - dist.w_star
-        return 0.5 * (float(diff @ dist.cov @ diff) + dist.noise_sd ** 2), 0.0
-    if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
+        val = 0.5 * (_row_forms(W - dist.w_star, dist.cov) + dist.noise_sd ** 2)
+    elif isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
         if not (math.isclose(loss.p, dist.p)
                 and np.allclose(loss.mu_plus, dist.mu_plus)
                 and np.allclose(loss.mu_minus, dist.mu_minus)):
@@ -388,22 +404,32 @@ def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
                 "the AUC surrogate's moment parameters must match the distribution")
         dmu = dist.mu_plus - dist.mu_minus
         M = dist.cov_plus + dist.cov_minus
-        val = dist.p * (1.0 - dist.p) * ((1.0 - float(w @ dmu)) ** 2 + float(w @ M @ w))
-        return val, 0.0
-    if isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
-        return _hinge_margin_risk(w, dist), 0.0
-    if mc_samples <= 0:
+        val = np.array([dist.p * (1.0 - dist.p) * ((1.0 - float(v @ dmu)) ** 2
+                                                    + float(v @ M @ v)) for v in W])
+    elif isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
+        val = _hinge_margin_risk(W, dist)
+    elif mc_samples <= 0:
         raise InvalidArgument(
             f"no closed form for ({loss.kind}, {dist.kind}); pass mc_samples > 0")
-    rng = _engine.philox(_engine.derive_seed(seed, _engine.TAG_POP))
-    ds = dist.sample(mc_samples, rng)
-    W = np.broadcast_to(w, (mc_samples, w.shape[0]))
-    vals = loss.batch_value(W, ds.features, ds.labels)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples))
+    else:
+        seeds = [seed] * R if np.ndim(seed) == 0 else list(seed)
+        if len(seeds) != R:
+            raise InvalidArgument(f"need one seed per row: {len(seeds)} seeds, {R} rows")
+        val = np.empty(R)
+        for i, (v, s) in enumerate(zip(W, seeds)):
+            rng = _engine.philox(_engine.derive_seed(s, _engine.TAG_POP))
+            ds = dist.sample(mc_samples, rng)
+            vals = loss.batch_value(np.broadcast_to(v, (mc_samples, v.shape[0])),
+                                    ds.features, ds.labels)
+            val[i] = vals.mean()
+            stderr[i] = vals.std(ddof=1) / math.sqrt(mc_samples)
+    if w.ndim == 1:
+        return float(val[0]), float(stderr[0])
+    return val, stderr
 
 
 def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Optional[np.ndarray]]:
-    """(min_w F(w), argmin) where a closed form or 1-d reduction exists."""
+    """(min_w F(w), argmin) where a closed form exists."""
     if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
         return 0.5 * dist.noise_sd ** 2, dist.w_star.copy()
     if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
@@ -414,18 +440,24 @@ def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Opti
                                          + float(w_opt @ M @ w_opt))
         return val, w_opt
     if isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
-        # isotropic case only: the minimizer lies along w_star, so the search
-        # is one-dimensional in the projection scale g = ||w|| * sqrt(var)
+        # isotropic case only: the minimizer lies along w_star, and the risk
+        # profile in the projection scale g = ||w|| * sqrt(var) is
+        # h(g) = (1 - pf) (2 Phi(1/g) - 1 - 2 g (phi(0) - phi(1/g)))
+        #        + pf (1 + 2 g phi(0)),
+        # with h'(g) = 2 (1 - pf) (phi(1/g) - phi(0)) + 2 pf phi(0) = 0 at
+        # 1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h decreases
+        # for ever; the scale is capped at _HINGE_SCALE_CAP.
         s2 = dist.cov[0, 0]
         if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
             raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
         pf = dist.flip_prob
-        res = minimize_scalar(lambda g: _hinge_margin_risk_scalar(g, pf),
-                              bounds=(0.0, 1e3), method="bounded",
-                              options={"xatol": 1e-10})
-        g_opt = float(res.x)
+        log_ratio = math.log1p(pf / (1.0 - 2.0 * pf))
+        g_opt = _HINGE_SCALE_CAP
+        if log_ratio > 0.0:
+            g_opt = min(g_opt, 1.0 / math.sqrt(2.0 * log_ratio))
         w_unit = dist.w_star / float(np.linalg.norm(dist.w_star))
-        return float(res.fun), (g_opt / math.sqrt(s2)) * w_unit
+        w_opt = (g_opt / math.sqrt(s2)) * w_unit
+        return float(_hinge_margin_risk(w_opt[None], dist)[0]), w_opt
     raise InvalidArgument(f"no closed-form risk minimum for ({loss.kind}, {dist.kind})")
 
 

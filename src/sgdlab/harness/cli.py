@@ -2,9 +2,13 @@
 
     lab <experiment> --config PATH [--seed U64] [--out DIR] [--threads N]
 
-Exit codes: 0 every gate passed, 1 a gate failed, 2 config error,
-3 resource limit exceeded.  The LAB_THREADS environment variable overrides
---threads.
+Prints one line per gate, ``name n T measured rhs slack_sigma satisfied``
+(``-`` for a gate without n or T), after the CSV is written.
+
+Exit codes: 0 every gate passed, 1 a gate failed, 2 config error or a
+violated precondition of the requested bound, 3 resource limit exceeded,
+4 any other error (an internal fault; one line on stderr names it).  The
+LAB_THREADS environment variable overrides --threads.
 """
 
 from __future__ import annotations
@@ -13,16 +17,17 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..errors import ConfigError, LabError, ResourceLimitExceeded
+from ..errors import ConfigError, LabError, PreconditionViolation, ResourceLimitExceeded
 from .config import EXPERIMENTS, load_config
-from .experiments import run_experiment
+from .experiments import GateLine, run_experiment
 
 EXIT_PASS = 0
 EXIT_GATE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,13 +63,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if threads is not None:
             overrides["threads"] = threads
         cfg = dataclasses.replace(cfg, **overrides)
-        return run_experiment(cfg)
+        gates: List[GateLine] = []
+        code = run_experiment(cfg, gates)
     except ResourceLimitExceeded as e:
         print(f"lab: resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except PreconditionViolation as e:
+        print(f"lab: precondition violated: {e}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except (ConfigError, LabError) as e:
         print(f"lab: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as e:  # the CLI boundary turns any other fault into one line
+        print(f"lab: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    for line in gates:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -253,6 +253,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown T_rule {cfg.T_rule!r}; expected one of {T_RULES}")
     if cfg.T_rule == "n_pow" and (cfg.T_pow is None or cfg.T_pow <= 0.0):
         raise ConfigError("T_rule = n_pow needs a positive T_pow")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
     if cfg.threads < 1:

@@ -29,6 +29,7 @@ import numpy as np
 from .. import _engine
 from ..bounds import (
     BoundInputs,
+    BoundReport,
     default_gamma_holder,
     default_gamma_smooth,
     expand_risk_path,
@@ -55,7 +56,7 @@ from ..data import (
     zero_example_neighbor,
     NeighborFamily,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, PreconditionViolation
 from ..losses import (
     check_cocoercivity,
     check_expansiveness_slack,
@@ -133,11 +134,28 @@ def write_csv(path: str, rows: List[CsvRow]) -> None:
                              _fmt(r.satisfied)])
 
 
+@dataclass(frozen=True)
+class GateLine:
+    """A gate's outcome with the grid point it was measured at."""
+
+    report: BoundReport
+    n: Optional[int]
+    T: Optional[int]
+
+    def __str__(self) -> str:
+        r = self.report
+        n = "-" if self.n is None else self.n
+        T = "-" if self.T is None else self.T
+        return (f"{r.name} {n} {T} {r.measured:.6g} {r.rhs:.6g} "
+                f"{r.slack_sigma:.3g} {int(r.satisfied)}")
+
+
 class _Emitter:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.hash = config_hash(cfg)
         self.rows: List[CsvRow] = []
+        self.gates: List[GateLine] = []
 
     def row(self, metric: str, value: float, *, n=None, T=None, theta=None,
             stderr=None, bound_rhs=None, satisfied=None) -> None:
@@ -148,6 +166,7 @@ class _Emitter:
     def gate_row(self, name: str, rhs: float, measured: float, stderr: float,
                  *, n=None, T=None, theta=None, roundoff=0.0) -> bool:
         rep = gate(name, rhs, measured, stderr, roundoff)
+        self.gates.append(GateLine(rep, n, T))
         self.row(name, rep.measured, n=n, T=T, theta=theta, stderr=stderr,
                  bound_rhs=rep.rhs, satisfied=rep.satisfied)
         return rep.satisfied
@@ -389,9 +408,15 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
+        etas = sched.etas(T)
+        # Theorem 2's step-size condition; beyond it the runs can diverge
+        # with a stderr as large as the mean, and the gates would pass
+        if float(etas.max()) > 2.0 / L:
+            raise PreconditionViolation(
+                f"thm2 needs eta_t <= 2/L = {2.0 / L:.6g}, but the schedule "
+                f"reaches {float(etas.max()):.6g} at n = {n}")
         rep = _stability_with_risks(cfg, loss, dist, n, T, sched, None)
         stats = rep.risk_path
-        etas = sched.etas(T)
         inp = BoundInputs(
             n=n, T=T, etas=etas, L=L, alpha=1.0,
             constants=regularity_constants(1.0, L),
@@ -545,16 +570,19 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
     c1 = math.sqrt(2.0 * (L + lam))
     for n in cfg.n_grid:
         R = cfg.replicates
-        gaps = np.empty(R)
-        fracs = np.empty(R)
+        W = np.empty((R, dist.dim))
+        emp = np.empty(R)
+        sq_norms = np.empty(R)
         for r in range(R):
             seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
             ds = sample_dataset(dist, n, seed_r)
             A = ds.features.T @ ds.features / n + lam * np.eye(dist.dim)
-            w = np.linalg.solve(A, ds.features.T @ ds.labels / n)
-            pop, _ = population_risk(loss, dist, w)
-            gaps[r] = pop - empirical_risk(loss, ds, w)
-            fracs[r] = pop + 0.5 * lam * float(w @ w)
+            W[r] = np.linalg.solve(A, ds.features.T @ ds.labels / n)
+            emp[r] = empirical_risk(loss, ds, W[r])
+            sq_norms[r] = W[r] @ W[r]
+        pop, _ = population_risk(loss, dist, W)
+        gaps = pop - emp
+        fracs = pop + 0.5 * lam * sq_norms
         frac_hat = float(fracs.mean())
         if R > 1:
             frac_hat += float(fracs.std(ddof=1) / math.sqrt(R))
@@ -653,10 +681,17 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run one experiment, write `<out_path>/<experiment>.csv`, return 0/1."""
+def run_experiment(cfg: ExperimentConfig,
+                   gates: Optional[List[GateLine]] = None) -> int:
+    """Run one experiment, write `<out_path>/<experiment>.csv`, return 0/1.
+
+    The outcome of every gate, in CSV order, is appended to ``gates`` when
+    a list is given.
+    """
     validate_config(cfg)
     em = _RUNNERS[cfg.experiment](cfg)
     os.makedirs(cfg.out_path, exist_ok=True)
     write_csv(os.path.join(cfg.out_path, f"{cfg.experiment}.csv"), em.rows)
+    if gates is not None:
+        gates.extend(em.gates)
     return 0 if em.ok() else 1

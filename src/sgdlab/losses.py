@@ -294,20 +294,6 @@ class AucSquare(Loss):
         return _unbatch(quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD, batched)
 
 
-# module-level single-example wrappers
-
-def loss_value(loss: Loss, w: np.ndarray, z: Example) -> float:
-    """f(w; z) for a single example z = (x, y)."""
-    x, y = z
-    return loss.value(w, x, y)
-
-
-def loss_subgradient(loss: Loss, w: np.ndarray, z: Example) -> np.ndarray:
-    """One deterministic element of the subdifferential of f(.; z) at w."""
-    x, y = z
-    return loss.subgradient(w, x, y)
-
-
 # ---------------------------------------------------------------------------
 # regularity constants
 # ---------------------------------------------------------------------------

@@ -483,12 +483,8 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
 
     _run_chunks(worker, R, threads)
 
-    pop = np.empty(R)
-    for r in range(R):
-        val, _ = population_risk(loss, dist, outs[r], mc_samples=mc_pop,
-                                 seed=_engine.derive_seed(master_seed, _engine.TAG_POP, r))
-        pop[r] = val
-
+    seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r) for r in range(R)]
+    pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
     gaps = pop - emp
     try:
         f_star, _ = population_risk_minimum(loss, dist)

@@ -1,5 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.optimize import minimize_scalar
+from scipy.stats import norm
 
 from sgdlab.data import (
     Dataset,
@@ -291,6 +299,183 @@ def test_population_risk_minimum_hinge_isotropic_only():
                           cov=np.array([1.0, 2.0]), flip_prob=0.1)
     with pytest.raises(InvalidArgument):
         population_risk_minimum(loss, aniso)
+
+
+# ---------------------------------------------------------------------------
+# hinge population risk: closed form against the quadrature oracle
+# ---------------------------------------------------------------------------
+
+def _quad_hinge_risk(w, dist):
+    """E[(1 - y <w, x>)_+] by 1-d quadrature over u = <w, x>.
+
+    F = 2 (1 - pf) H(+1) + 2 pf H(-1), H(s) = E[1{v > 0} (1 - s u)_+] with
+    v = <w_star, x> and P(v > 0 | u) = Phi(lam u / s_u); at |rho| = 1 that
+    probability is the indicator of rho u > 0.  Tolerances are set near
+    machine precision, so the oracle is accurate to about 1e-15 relative.
+    """
+    pf, cov = dist.flip_prob, dist.cov
+    su2 = float(w @ cov @ w)
+    if su2 <= 1e-300:
+        return 1.0
+    su = math.sqrt(su2)
+    sv = math.sqrt(float(dist.w_star @ cov @ dist.w_star))
+    rho = min(1.0, max(-1.0, float(w @ cov @ dist.w_star) / (su * sv)))
+    # P(v > 0 | u) steps from 0 to 1 over a width of about s_u / |lam|
+    # around u = 0; quadrature needs break points there to see the step
+    if abs(rho) < 1.0:
+        lam = rho / math.sqrt(1.0 - rho * rho)
+        width = su / max(abs(lam), 1e-300)
+
+        def p_clean(u):
+            return norm.cdf(lam * u / su)
+    else:
+        width = 0.0
+
+        def p_clean(u):
+            return float(rho * u > 0.0)
+    steps = [0.0] + [k * width for k in (-8.0, -1.0, 1.0, 8.0)]
+
+    def half_expect(sign_u):
+        def integrand(u):
+            return (1.0 - sign_u * u) * norm.pdf(u / su) / su * p_clean(u)
+
+        if sign_u > 0.0:
+            lo, hi = -40.0 * su, min(1.0, 40.0 * su)
+        else:
+            lo, hi = max(-1.0, -40.0 * su), 40.0 * su
+        points = sorted({p for p in steps if lo < p < hi})
+        val, _ = integrate.quad(integrand, lo, hi, points=points, limit=400,
+                                epsabs=0.0, epsrel=1e-13)
+        return val
+
+    return 2.0 * (1.0 - pf) * half_expect(1.0) + 2.0 * pf * half_expect(-1.0)
+
+
+_HINGE_DISTS = [
+    MarginClassif(w_star=np.array([1.0, 0.0, 0.0, 0.0]), cov=0.25, flip_prob=0.1),
+    MarginClassif(w_star=np.array([0.6, -0.8, 0.3]), cov=np.array([0.5, 2.0, 0.1]),
+                  flip_prob=0.3),
+    MarginClassif(w_star=np.array([1.0, 2.0]),
+                  cov=np.array([[1.0, 0.6], [0.6, 0.5]]), flip_prob=0.0),
+]
+
+
+@pytest.mark.parametrize("dist", _HINGE_DISTS)
+def test_hinge_risk_closed_form_matches_quadrature(dist):
+    rng = np.random.default_rng(17)
+    # scales from s_u ~ 1e-3 (risk near 1) to s_u ~ 30 (risk linear in |u|)
+    W = rng.standard_normal((12, dist.dim)) * np.logspace(-3, 1.5, 12)[:, None]
+    closed, se = population_risk(QNormHinge(q=1.0), dist, W)
+    assert closed.shape == (12,)
+    np.testing.assert_array_equal(se, 0.0)
+    oracle = [_quad_hinge_risk(w, dist) for w in W]
+    np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0)
+
+
+def _w_at(dist, su, rho):
+    """A w with <w, x> of sd su and correlation rho with <w_star, x>."""
+    L = np.linalg.cholesky(dist.cov)
+    a = L.T @ dist.w_star
+    a /= np.linalg.norm(a)
+    b = np.zeros_like(a)
+    b[np.argmin(np.abs(a))] = 1.0
+    b -= (b @ a) * a
+    b /= np.linalg.norm(b)
+    return np.linalg.solve(L.T, su * (rho * a + math.sqrt(1.0 - rho * rho) * b))
+
+
+@pytest.mark.parametrize("dist", _HINGE_DISTS[:2])
+def test_hinge_risk_edge_cases(dist):
+    loss = QNormHinge(q=1.0)
+
+    def risk(w):
+        return population_risk(loss, dist, w)[0]
+
+    for su in (0.05, 1.0, 20.0):
+        for sign in (1.0, -1.0):
+            # |rho| = 1: w proportional to +-w_star
+            w_par = sign * su * dist.w_star / math.sqrt(dist.w_star @ dist.cov @ dist.w_star)
+            exact = risk(w_par)
+            assert exact == pytest.approx(_quad_hinge_risk(w_par, dist), rel=1e-12)
+            # rho -> +-1 from inside, on both sides of the |rho| = 1 branch
+            for gap in (1e-2, 1e-6, 1e-10):
+                w = _w_at(dist, su, sign * (1.0 - gap))
+                assert risk(w) == pytest.approx(_quad_hinge_risk(w, dist), rel=1e-12)
+            for gap in (1e-11, 1e-13):
+                w = _w_at(dist, su, sign * (1.0 - gap))
+                assert risk(w) == pytest.approx(exact, rel=1e-9)
+    # s_u -> 0: u = 0 a.s. in the limit, where the risk is 1
+    w = np.linspace(0.5, -0.5, dist.dim)
+    for scale in (1e-6, 1e-12, 1e-100):
+        assert risk(scale * w) == pytest.approx(1.0, abs=10.0 * scale)
+    assert risk(1e-160 * w) == 1.0
+    assert risk(np.zeros(dist.dim)) == 1.0
+
+
+def test_population_risk_batch_equals_single_rows():
+    rng = np.random.default_rng(23)
+    dist = _HINGE_DISTS[1]
+    W = rng.standard_normal((9, dist.dim))
+    W[2] = 0.0
+    W[4] = -3.0 * dist.w_star
+    lin = _lin_reg(d=3, noise_sd=0.3, cov=np.array([1.0, 0.5, 0.25]))
+    mu_p, mu_m = np.array([0.5, 0.0, 0.1]), np.array([-0.5, 0.0, 0.0])
+    imb = ImbalancedGauss(p=0.3, mu_plus=mu_p, mu_minus=mu_m, cov_plus=0.2, cov_minus=0.3)
+    for loss, d in ((QNormHinge(q=1.0), dist), (LeastSquares(), lin),
+                    (AucSquare(p=0.3, mu_plus=mu_p, mu_minus=mu_m), imb)):
+        vals, ses = population_risk(loss, d, W)
+        single = [population_risk(loss, d, w) for w in W]
+        np.testing.assert_array_equal(vals, [v for v, _ in single])
+        np.testing.assert_array_equal(ses, [s for _, s in single])
+    # the Monte Carlo fallback takes one seed per row
+    seeds = [5, 6, 2 ** 100, 8, 9, 10, 11, 12, 13]
+    loss = QNormHinge(q=1.5)
+    vals, ses = population_risk(loss, lin, W, mc_samples=500, seed=seeds)
+    single = [population_risk(loss, lin, w, mc_samples=500, seed=s)
+              for w, s in zip(W, seeds)]
+    np.testing.assert_array_equal(vals, [v for v, _ in single])
+    np.testing.assert_array_equal(ses, [s for _, s in single])
+    with pytest.raises(InvalidArgument):
+        population_risk(loss, lin, W, mc_samples=500, seed=seeds[:3])
+
+
+@pytest.mark.parametrize("pf", [0.01, 0.1, 0.25, 0.49])
+def test_hinge_risk_minimizer_matches_numeric_search(pf):
+    s2 = 0.25
+    dist = MarginClassif(w_star=np.array([0.0, 2.0, 0.0]), cov=s2, flip_prob=pf)
+    loss = QNormHinge(q=1.0)
+    unit = dist.w_star / np.linalg.norm(dist.w_star)
+
+    def profile(g):
+        return population_risk(loss, dist, (g / math.sqrt(s2)) * unit)[0]
+
+    val, w_min = population_risk_minimum(loss, dist)
+    g_star = float(np.linalg.norm(w_min)) * math.sqrt(s2)
+    res = minimize_scalar(profile, bounds=(0.0, 1e3), method="bounded",
+                          options={"xatol": 1e-10})
+    assert g_star == pytest.approx(res.x, rel=1e-5)
+    assert val == pytest.approx(profile(g_star), rel=1e-15)
+    assert val <= res.fun + 1e-15
+
+
+def test_hinge_risk_minimizer_without_flips_is_capped():
+    dist = MarginClassif(w_star=np.array([1.0, 0.0]), cov=4.0, flip_prob=0.0)
+    val, w_min = population_risk_minimum(QNormHinge(q=1.0), dist)
+    np.testing.assert_allclose(w_min, [1e3 / 2.0, 0.0], rtol=1e-15)
+    assert 0.0 < val < 1e-3
+
+
+def test_package_import_leaves_heavy_scipy_modules_unloaded():
+    import sgdlab
+    src = os.path.dirname(os.path.dirname(sgdlab.__file__))
+    code = ("import sys, sgdlab.harness\n"
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')"
+            " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,7 @@ def test_validate_config_rules():
         dict(delta=0.0),
         dict(delta=1.0),
         dict(epochs=0),
+        dict(master_seed=-1),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -333,6 +334,69 @@ def test_cli_thread_invariance_bytes(tmp_path):
     b1 = (out1 / "stability-sweep.csv").read_bytes()
     b2 = (out2 / "stability-sweep.csv").read_bytes()
     assert b1 == b2
+
+
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    cfg_path = _write(tmp_path, _properties_text(tmp_path / "res", draws=20))
+    assert main(["properties", "--config", cfg_path, "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "master_seed" in err
+
+
+def test_cli_unexpected_error_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg, gates=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("sgdlab.harness.cli.run_experiment", broken)
+    cfg_path = _write(tmp_path, _properties_text(tmp_path / "res", draws=20))
+    assert main(["properties", "--config", cfg_path]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["lab: internal error: RuntimeError: boom"]
+    assert captured.out == ""
+
+
+_THM2_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm2\nn_grid = 8, 16\n"
+              "T_rule = equal_n\nreplicates = 6\nmaster_seed = 0\n"
+              "[loss]\nkind = least_squares\n"
+              "[distribution]\nkind = gauss_lin_reg\n"
+              "w_star = 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0\n"
+              "cov = 0.125\nnoise_sd = 0.5\n"
+              "[schedule]\nkind = fixed_constant\n")
+
+
+def test_cli_thm2_step_size_precondition_exit_2(tmp_path, capsys):
+    # eta = 50 is far above 2/L = 1/8: the runs diverge with a stderr as
+    # large as the mean, so every gate would pass on noise
+    out = tmp_path / "res"
+    cfg_path = _write(tmp_path, _THM2_TEXT + f"eta1 = 50\n[experiment]\nout_path = {out}\n")
+    assert main(["bound-check", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "eta_t <= 2/L" in err[0]
+    assert not (out / "bound-check.csv").exists()
+    # the boundary step size 2/L itself is allowed
+    cfg = parse_config(_THM2_TEXT + f"eta1 = 0.125\n[experiment]\nout_path = {out}\n")
+    assert run_experiment(cfg) in (0, 1)
+
+
+def test_cli_prints_one_line_per_gate(tmp_path, capsys):
+    out, ref = tmp_path / "cli", tmp_path / "ref"
+    text = _THM2_TEXT + "eta1 = 0.015625\n[experiment]\n"
+    assert main(["bound-check", "--config", _write(tmp_path, text),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [r for r in (out / "bound-check.csv").read_text().splitlines()[1:]
+            if r.split(",")[10] != ""]
+    assert len(lines) == len(rows) == 6
+    for line, row in zip(lines, rows):
+        name, n, T, measured, rhs, slack, satisfied = line.split()
+        cells = row.split(",")
+        assert [name, n, T, satisfied] == [cells[6], cells[3], cells[4], cells[10]]
+        assert float(measured) == pytest.approx(float(cells[7]), rel=1e-5)
+        assert float(rhs) == pytest.approx(float(cells[9]), rel=1e-5)
+        assert float(slack) > 0.0
+    # printing leaves the CSV bytes as run_experiment writes them
+    run_experiment(parse_config(text + f"out_path = {ref}\n"))
+    assert (out / "bound-check.csv").read_bytes() == (ref / "bound-check.csv").read_bytes()
 
 
 def test_console_script_installed(tmp_path):

@@ -16,8 +16,6 @@ from sgdlab.losses import (
     check_self_bounding,
     check_smoothness_upper_bound,
     gradient_bound_on_ball,
-    loss_subgradient,
-    loss_value,
     make_loss,
     regularity_constants,
 )
@@ -173,14 +171,6 @@ def test_batch_matches_scalar_paths():
         assert vals[k] == pytest.approx(loss.value(W[k], X[k], float(y[k])), rel=1e-14)
         np.testing.assert_allclose(grads[k], loss.subgradient(W[k], X[k], float(y[k])),
                                    rtol=1e-14, atol=0)
-
-
-def test_loss_wrappers():
-    loss = LeastSquares()
-    z = (np.array([2.0, 0.0]), 1.0)
-    assert loss_value(loss, np.array([1.0, 0.0]), z) == 0.5
-    np.testing.assert_array_equal(loss_subgradient(loss, np.zeros(2), (np.array([1.0, 0.0]), 1.0)),
-                                  [-1.0, 0.0])
 
 
 def test_loss_parameter_validation():
