@@ -1,17 +1,25 @@
 """Vectorized trajectory engine shared by the public runners and estimators.
 
-Everything here operates on stacked state: ``W`` has shape (R, B, d) where R
-indexes independent replicates (each with its own dataset and index stream)
-and B indexes coupled trajectories inside one replicate (row 0 runs on the
-base dataset, row 1 + j on the dataset whose ``sub_idx[r, j]``-th example is
-replaced by the ghost example at the same position).  All B rows of a
-replicate consume the identical index sequence, which is the coupling the
-stability estimators need.
+``run_core`` runs R replicates (each with its own dataset and index stream),
+each a family of 1 + m coupled trajectories: row 0 runs on the base dataset,
+row 1 + j on the dataset whose ``sub_idx[r, j]``-th example is replaced by
+the ghost example at the same position.  All rows of a replicate consume the
+identical index sequence, which is the coupling the stability estimators
+need.
+
+Neighbours fork lazily.  Neighbour j's iterates equal the base row's, bit
+for bit, until the first step tau at which the stream draws its position,
+so it is copied from its base row at tau and stepped only from then on; a
+neighbour whose position is never drawn is never created.  At T = n a
+neighbour runs about T - n(1 - e^{-T/n}) = 0.37 T steps instead of T.  The
+forked rows are kept in fork order after the R base rows, so the active
+rows are always a prefix of one buffer.  The result is the same as stepping
+all 1 + m rows at every step, because every loss computes each row from that
+row alone.
 
 Determinism contract: given the same seeds, every public quantity is bitwise
-reproducible.  Nothing in this module depends on thread count; callers that
-parallelize do so over replicate chunks of a fixed size and write results
-into preallocated slots.
+reproducible, and a replicate's results do not depend on which other
+replicates share its call.
 """
 
 from __future__ import annotations
@@ -116,6 +124,28 @@ def _apply_post(Wf: np.ndarray, post, eta: float) -> None:
         raise InvalidArgument(f"unknown post-step {post!r}")
 
 
+def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The neighbour pairs that ever leave their base row, in fork order.
+
+    Returns ``(pair_r, pair_j, tau)``: the neighbour whose position is
+    ``sub_idx[pair_r[p], pair_j[p]]`` is first drawn at step ``tau[p]``
+    (1-based), and ``tau`` is nondecreasing.  A pair whose position is never
+    drawn is left out; its iterates equal its base row's at every step.
+    """
+    R, T = indices.shape
+    first = np.full(R * n, T + 1, dtype=np.int64)
+    if T:
+        flat = (indices + n * np.arange(R, dtype=np.int64)[:, None]).ravel()
+        keys, at = np.unique(flat, return_index=True)
+        first[keys] = at % T + 1
+    tau = first.reshape(R, n)[np.arange(R)[:, None], sub_idx]
+    pair_r, pair_j = np.nonzero(tau <= T)
+    tau = tau[pair_r, pair_j]
+    order = np.argsort(tau, kind="stable")
+    return pair_r[order], pair_j[order], tau[order]
+
+
 def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
              t0: int = 1,
              record_every: Optional[int] = None,
@@ -132,7 +162,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     gXs, gys : same shapes or None
         Ghost datasets; required iff ``sub_idx`` is given.
     sub_idx : (R, m) int or None
-        Positions whose example is swapped for the ghost one in rows 1..m.
+        Distinct positions per replicate whose example is swapped for the
+        ghost one in rows 1..m.
     etas : (T,)
     post : None | ("ball", radius) | ("prox_l2", lam) | ("prox_l1", lam)
     indices : (R, T) shared per-replicate index streams.
@@ -144,11 +175,26 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     if etas.shape[0] != T:
         raise InvalidArgument("etas length must equal the step count")
     m = 0 if sub_idx is None else sub_idx.shape[1]
-    B = 1 + m
+    ar = np.arange(R)
 
-    W = np.zeros((R, B, d), dtype=np.float64)
-    acc_eta = np.zeros((R, B, d), dtype=np.float64) if collect_averages else None
-    acc_lin = np.zeros((R, B, d), dtype=np.float64) if collect_averages else None
+    if m:
+        pair_r, pair_j, tau = _fork_schedule(sub_idx, indices, n)
+    else:
+        pair_r = pair_j = tau = np.empty(0, dtype=np.int64)
+    P = tau.shape[0]
+    # buffer row -> its replicate; rows 0..R-1 are the base rows, row R + p
+    # is the p-th pair to fork
+    rep = np.concatenate([ar, pair_r])
+    # (replicate, position) -> buffer row of that neighbour, -1 if none
+    row_of = np.full((R, n), -1, dtype=np.int64)
+    if P:
+        row_of[pair_r, sub_idx[pair_r, pair_j]] = R + np.arange(P)
+    # rows active during step t: the base rows and every pair with tau <= t
+    active = R + np.searchsorted(tau, np.arange(1, T + 1), side="right")
+
+    W = np.zeros((R + P, d), dtype=np.float64)
+    acc_eta = np.zeros_like(W) if collect_averages else None
+    acc_lin = np.zeros_like(W) if collect_averages else None
 
     rec_steps = None
     iterates = None
@@ -168,57 +214,69 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
         risk_path = np.empty((R, risk_ckpt_steps.shape[0]), dtype=np.float64)
         ckpt_pos = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
 
-    ar = np.arange(R)
+    k = R
     for t in range(1, T + 1):
         idx = indices[:, t - 1]
         xa = Xs[ar, idx]                       # (R, d)
         ya = ys[ar, idx]                       # (R,)
-        if m:
-            Xt = np.repeat(xa[:, None, :], B, axis=1)
-            yt = np.repeat(ya[:, None], B, axis=1)
-            hit_r, hit_j = np.nonzero(sub_idx == idx[:, None])
-            if hit_r.size:
-                Xt[hit_r, hit_j + 1] = gXs[hit_r, idx[hit_r]]
-                yt[hit_r, hit_j + 1] = gys[hit_r, idx[hit_r]]
-            Xf = Xt.reshape(R * B, d)
-            yf = yt.reshape(R * B)
+        if active[t - 1] > k:
+            # fork: a neighbour equals its base row until its first hit
+            lo, k = k, active[t - 1]
+            W[lo:k] = W[rep[lo:k]]
+            if collect_averages:
+                acc_eta[lo:k] = acc_eta[rep[lo:k]]
+                acc_lin[lo:k] = acc_lin[rep[lo:k]]
+        if k > R:
+            Xf = xa[rep[:k]]
+            yf = ya[rep[:k]]
+            rows = row_of[ar, idx]
+            hit = np.nonzero(rows >= 0)[0]
+            Xf[rows[hit]] = gXs[hit, idx[hit]]
+            yf[rows[hit]] = gys[hit, idx[hit]]
         else:
             Xf = xa
             yf = ya
 
-        Wf = W.reshape(R * B, d)
+        Wa = W[:k]
         if psr is not None:
-            psr[:, t - 1] = loss.batch_value(Wf, Xf, yf).reshape(R, B)[:, 0]
+            psr[:, t - 1] = loss.batch_value(W[:R], xa, ya)
         if ckpt_pos is not None and t in ckpt_pos:
-            risk_path[:, ckpt_pos[t]] = _batch_empirical_risk(loss, W[:, 0], Xs, ys)
+            risk_path[:, ckpt_pos[t]] = _batch_empirical_risk(loss, W[:R], Xs, ys)
         if rec_steps is not None and t in rec_pos:
-            iterates[:, rec_pos[t]] = W[:, 0]
+            iterates[:, rec_pos[t]] = W[:R]
         if collect_averages:
-            acc_eta += etas[t - 1] * W
-            acc_lin += float(t + t0 - 1) * W
+            acc_eta[:k] += etas[t - 1] * Wa
+            acc_lin[:k] += float(t + t0 - 1) * Wa
 
-        grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
-        W = W - etas[t - 1] * grads
-        _apply_post(W.reshape(R * B, d), post, float(etas[t - 1]))
+        Wa -= etas[t - 1] * loss.batch_grad(Wa, Xf, yf)
+        _apply_post(Wa, post, float(etas[t - 1]))
 
     if rec_steps is not None and (T + 1) in rec_pos:
-        iterates[:, rec_pos[T + 1]] = W[:, 0]
+        iterates[:, rec_pos[T + 1]] = W[:R]
 
     final_emp_risk = None
     if collect_final_risk:
-        final_emp_risk = _batch_empirical_risk(loss, W[:, 0], Xs, ys)
+        final_emp_risk = _batch_empirical_risk(loss, W[:R], Xs, ys)
+
+    def assemble(buf: np.ndarray) -> np.ndarray:
+        """(R, 1 + m, d): every neighbour that never forked is its base row."""
+        out = np.repeat(buf[:R, None, :], 1 + m, axis=1)
+        out[pair_r, 1 + pair_j] = buf[R:]
+        return out
 
     if collect_averages:
         wsum_eta = float(np.sum(etas))
         ts = np.arange(1, T + 1, dtype=np.float64)
         wsum_lin = float(np.sum(ts + t0 - 1.0))
-        avg_eta = acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta)
-        avg_lin = acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin)
+        avg_eta = assemble(acc_eta)
+        avg_lin = assemble(acc_lin)
+        avg_eta = avg_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(avg_eta)
+        avg_lin = avg_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(avg_lin)
     else:
         avg_eta = avg_lin = None
 
     return CoreResult(
-        finals=W,
+        finals=assemble(W),
         avg_eta=avg_eta,
         avg_lin=avg_lin,
         iterates=iterates,

@@ -28,8 +28,8 @@ from .errors import DegenerateDataError, InvalidArgument
 from .losses import AucSquare, LeastSquares, Loss, QNormHinge
 
 _MAX_RESAMPLE_ROUNDS = 64
-# the hinge risk minimum's largest projection scale g (the profile has no
-# minimum when no label flips)
+# the hinge risk minimum's largest projection scale g: the closed form loses
+# accuracy at huge scales, which only flip probabilities below ~5e-7 reach
 _HINGE_SCALE_CAP = 1e3
 
 
@@ -429,7 +429,12 @@ def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
 
 
 def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Optional[np.ndarray]]:
-    """(min_w F(w), argmin) where a closed form exists."""
+    """(min_w F(w), argmin) where a closed form exists.
+
+    For the plain hinge on the margin model without label flips the risk
+    has no minimiser: it falls towards 0 as the scale grows, so the result
+    is the infimum with no argmin, ``(0.0, None)``.
+    """
     if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
         return 0.5 * dist.noise_sd ** 2, dist.w_star.copy()
     if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
@@ -445,16 +450,16 @@ def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Opti
         # h(g) = (1 - pf) (2 Phi(1/g) - 1 - 2 g (phi(0) - phi(1/g)))
         #        + pf (1 + 2 g phi(0)),
         # with h'(g) = 2 (1 - pf) (phi(1/g) - phi(0)) + 2 pf phi(0) = 0 at
-        # 1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h decreases
-        # for ever; the scale is capped at _HINGE_SCALE_CAP.
+        # 1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h(g) ~
+        # phi(0) / g decreases for ever to its infimum 0.
         s2 = dist.cov[0, 0]
         if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
             raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
         pf = dist.flip_prob
+        if pf == 0.0:
+            return 0.0, None
         log_ratio = math.log1p(pf / (1.0 - 2.0 * pf))
-        g_opt = _HINGE_SCALE_CAP
-        if log_ratio > 0.0:
-            g_opt = min(g_opt, 1.0 / math.sqrt(2.0 * log_ratio))
+        g_opt = min(_HINGE_SCALE_CAP, 1.0 / math.sqrt(2.0 * log_ratio))
         w_unit = dist.w_star / float(np.linalg.norm(dist.w_star))
         w_opt = (g_opt / math.sqrt(s2)) * w_unit
         return float(_hinge_margin_risk(w_opt[None], dist)[0]), w_opt

@@ -8,7 +8,9 @@ Prints one line per gate, ``name n T measured rhs slack_sigma satisfied``
 Exit codes: 0 every gate passed, 1 a gate failed, 2 config error or a
 violated precondition of the requested bound, 3 resource limit exceeded,
 4 any other error (an internal fault; one line on stderr names it).  The
-LAB_THREADS environment variable overrides --threads.
+LAB_THREADS environment variable overrides --threads; both are accepted
+and checked but have no effect, as chunks of replicates run one after
+another.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the config's master_seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are thread-count invariant)")
+                        help="accepted for compatibility; has no effect")
     return parser
 
 

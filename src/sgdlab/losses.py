@@ -255,7 +255,9 @@ class AucSquare(Loss):
     def batch_value(self, W, X, y):
         p = self.p
         u = np.einsum("bd,bd->b", W, X)           # <w, x>
-        s = W @ self.diff                          # <w, D>
+        # a row-wise dot: BLAS (W @ D) rounds a row differently depending
+        # on how many rows the batch holds and where the row sits in it
+        s = np.einsum("bd,d->b", W, self.diff)     # <w, D>
         pos = y > 0.0
         a = np.einsum("bd,bd->b", W, X - self.mu_plus)
         b = np.einsum("bd,bd->b", W, X - self.mu_minus)
@@ -266,7 +268,7 @@ class AucSquare(Loss):
     def batch_grad(self, W, X, y):
         p = self.p
         u = np.einsum("bd,bd->b", W, X)
-        s = W @ self.diff
+        s = np.einsum("bd,d->b", W, self.diff)
         kap = self._kappa(y)
         pos = (y > 0.0)[:, None]
         a = np.einsum("bd,bd->b", W, X - self.mu_plus)

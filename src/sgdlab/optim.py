@@ -11,8 +11,7 @@ of an l1/l2 regularizer.  Without-replacement epochs reshuffle the dataset
 each epoch (Fisher-Yates) and chain epochs by warm start.
 
 All runners are deterministic given their seed: same seed, same platform,
-bitwise-identical trajectories regardless of thread count (the engine never
-splits work in a thread-dependent way).
+bitwise-identical trajectories.
 """
 
 from __future__ import annotations

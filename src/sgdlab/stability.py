@@ -12,18 +12,22 @@ dataset from (master_seed, replicate tag, r) and its index stream from
 bitwise-identical base trajectories, which is what lets bound pipelines mix
 stability reports and generalization-gap reports measured "on the same runs".
 
-Work is chunked over replicates with a fixed chunk size and aggregated into
-preallocated arrays in replicate order, so results do not depend on the
-number of worker threads.
+Work runs in chunks of whole replicates, in replicate order, and lands in
+preallocated arrays.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m
+per replicate: the base run and m neighbours) and holds at most
+``EXAMPLES_PER_ROW * ROW_BUDGET`` examples (n per replicate), so few rows
+per replicate make few, long chunks while memory stays bounded.  Every
+replicate's result is bitwise the same for any chunk size.  The ``threads``
+settings are accepted for compatibility but run nothing in parallel: a
+thread pool over chunks made the measured runs slower, not faster.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +39,11 @@ from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
 from .optim import Ball, Schedule
 
-#: fixed chunking of replicates; never depends on the thread count
-REPLICATE_CHUNK = 8
+#: engine rows per chunk of replicates (see the module docstring)
+ROW_BUDGET = 4096
+#: dataset examples per chunk, per engine row of the budget: 2^18 examples,
+#: 16 MiB of features at d = 8
+EXAMPLES_PER_ROW = 64
 
 TAG_REPLICATE = 0x9E
 
@@ -56,7 +63,7 @@ class CouplingConfig:
         consume identical index streams.
     record_risks: record the base-run empirical risk path (needed by the
         bound calculators).
-    threads: worker threads for replicate chunks (output-invariant).
+    threads: accepted and validated for compatibility; it has no effect.
     """
 
     replicates: int
@@ -140,20 +147,17 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / math.sqrt(vals.shape[0]))
 
 
-def _chunks(total: int) -> List[Tuple[int, int]]:
-    return [(lo, min(lo + REPLICATE_CHUNK, total)) for lo in range(0, total, REPLICATE_CHUNK)]
+def _chunk_size(rows: int, n: int) -> int:
+    """Replicates per chunk when each runs ``rows`` engine rows on n examples."""
+    return max(1, min(ROW_BUDGET // rows, EXAMPLES_PER_ROW * ROW_BUDGET // n))
 
 
-def _run_chunks(worker: Callable[[int, int], None], total: int, threads: int) -> None:
-    spans = _chunks(total)
-    if threads <= 1 or len(spans) <= 1:
-        for lo, hi in spans:
-            worker(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in spans]
-        for f in futures:
-            f.result()
+def _run_chunks(worker: Callable[[int, int], None], total: int, rows: int,
+                n: int) -> None:
+    """Call ``worker(lo, hi)`` on consecutive replicate spans, in order."""
+    step = _chunk_size(rows, n)
+    for lo in range(0, total, step):
+        worker(lo, min(lo + step, total))
 
 
 def _post_of(domain: Optional[Ball]):
@@ -305,7 +309,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         if final_risk is not None:
             final_risk[lo:hi] = out.final_emp_risk
 
-    _run_chunks(worker, R, config.threads)
+    _run_chunks(worker, R, 1 + m, n)
 
     stats = None
     if risk_rows is not None:
@@ -349,7 +353,7 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
 
     l1_seq = np.empty(M)
     l2_seq = np.empty(M)
-    step = max(1, 4096 // (n + 1))
+    step = _chunk_size(n + 1, n)
     for lo in range(0, M, step):
         hi = min(lo + step, M)
         Rc = hi - lo
@@ -418,7 +422,7 @@ def uniform_stability_proxy(loss: Loss, ds_a: Dataset, ds_b: Dataset, sched: Sch
         finals_a[lo:hi] = out.finals[:, 0]
         finals_b[lo:hi] = out.finals[:, 1]
 
-    _run_chunks(worker, R, threads=1)
+    _run_chunks(worker, R, 2, n)
 
     worst = 0.0
     for x, y in eval_points:
@@ -445,7 +449,8 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     ((t + t0 - 1)-weighted average); default is "avg_linear" for the
     strongly-convex schedule and "final" otherwise.  Excess risk is reported
     as NaN when no closed-form risk minimum exists for the (loss,
-    distribution) pair.
+    distribution) pair.  ``threads`` is accepted for compatibility and has
+    no effect.
     """
     if not replicates >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
@@ -481,7 +486,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         outs[lo:hi] = w
         emp[lo:hi] = _engine._batch_empirical_risk(loss, w, Xs, ys)
 
-    _run_chunks(worker, R, threads)
+    _run_chunks(worker, R, 1, n)
 
     seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r) for r in range(R)]
     pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
@@ -554,7 +559,7 @@ def estimate_epoch_stability_without_replacement(loss: Loss, dist: Distribution,
         l1_vals[lo:hi] = norms.mean(axis=1)
         l2_vals[lo:hi] = (norms ** 2).mean(axis=1)
 
-    _run_chunks(worker, R, config.threads)
+    _run_chunks(worker, R, 1 + m, n)
 
     return StabilityReport(
         l1_mean=float(l1_vals.mean()), l1_stderr=_stderr(l1_vals),

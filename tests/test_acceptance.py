@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sgdlab import _engine
+from sgdlab import _engine, stability
 from sgdlab.data import GaussLinReg, neighbor, sample_dataset, sample_neighbor_family
 from sgdlab.harness.config import parse_config
 from sgdlab.harness.experiments import run_experiment, run_property_battery
@@ -365,3 +365,18 @@ def test_c13_thread_count_invariance(tmp_path):
             run_experiment(cfg)
             outs[threads] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert outs[1] == outs[4], f"{label}: thread counts changed the output"
+
+
+# next to criterion 13: chunks of replicates are sized by a row budget, and
+# every experiment writes byte-identical CSVs whatever the budget, from one
+# replicate per chunk to all replicates in one chunk
+def test_c13_row_budget_invariance(tmp_path, monkeypatch):
+    for label, text in _C13_CONFIGS.items():
+        outs = {}
+        for budget in (1, 50, stability.ROW_BUDGET, 10**6):
+            monkeypatch.setattr(stability, "ROW_BUDGET", budget)
+            out = tmp_path / f"{label}-b{budget}"
+            cfg = parse_config(text + f"out_path = {out}\n")
+            run_experiment(cfg)
+            outs[budget] = (out / f"{cfg.experiment}.csv").read_bytes()
+        assert len(set(outs.values())) == 1, f"{label}: the row budget changed the output"

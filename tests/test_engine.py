@@ -1,0 +1,153 @@
+"""Lazy forking in the trajectory engine against an eager reference loop.
+
+``_eager_run_core`` advances every coupled row for every step: the direct
+reading of the coupling, kept here as an oracle only.  The engine forks a
+neighbour from its base row at the first step that draws its position and
+never creates one that is never drawn; every output must equal the eager
+loop's bit for bit.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sgdlab import _engine
+from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
+
+
+def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
+                    t0, record_every, risk_ckpt_steps):
+    R, n, d = Xs.shape
+    T = indices.shape[1]
+    m = 0 if sub_idx is None else sub_idx.shape[1]
+    B = 1 + m
+    W = np.zeros((R, B, d))
+    acc_eta = np.zeros((R, B, d))
+    acc_lin = np.zeros((R, B, d))
+    rec = [t for t in range(1, T + 1) if (t - 1) % record_every == 0] + [T + 1]
+    iterates = np.empty((R, len(rec), d))
+    psr = np.empty((R, T))
+    risk_path = np.empty((R, len(risk_ckpt_steps)))
+    ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
+    ar = np.arange(R)
+    for t in range(1, T + 1):
+        idx = indices[:, t - 1]
+        xa = Xs[ar, idx]
+        ya = ys[ar, idx]
+        Xt = np.repeat(xa[:, None, :], B, axis=1)
+        yt = np.repeat(ya[:, None], B, axis=1)
+        if m:
+            hit_r, hit_j = np.nonzero(sub_idx == idx[:, None])
+            Xt[hit_r, hit_j + 1] = gXs[hit_r, idx[hit_r]]
+            yt[hit_r, hit_j + 1] = gys[hit_r, idx[hit_r]]
+        Xf = Xt.reshape(R * B, d)
+        yf = yt.reshape(R * B)
+        Wf = W.reshape(R * B, d)
+        psr[:, t - 1] = loss.batch_value(Wf, Xf, yf).reshape(R, B)[:, 0]
+        if t in ckpt:
+            risk_path[:, ckpt[t]] = _engine._batch_empirical_risk(loss, W[:, 0], Xs, ys)
+        if t in rec:
+            iterates[:, rec.index(t)] = W[:, 0]
+        acc_eta += etas[t - 1] * W
+        acc_lin += float(t + t0 - 1) * W
+        grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
+        W = W - etas[t - 1] * grads
+        _engine._apply_post(W.reshape(R * B, d), post, float(etas[t - 1]))
+    iterates[:, -1] = W[:, 0]
+    wsum_eta = float(np.sum(etas))
+    wsum_lin = float(np.sum(np.arange(1, T + 1, dtype=np.float64) + t0 - 1.0))
+    return dict(
+        finals=W,
+        avg_eta=acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta),
+        avg_lin=acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin),
+        iterates=iterates,
+        per_step_risk=psr,
+        risk_path=risk_path,
+        final_emp_risk=_engine._batch_empirical_risk(loss, W[:, 0], Xs, ys),
+    )
+
+
+def _loss(kind, d, rng):
+    if kind == "least_squares":
+        return LeastSquares()
+    if kind == "hinge1":
+        return QNormHinge(q=1.0)
+    if kind == "hinge1.5":
+        return QNormHinge(q=1.5)
+    return AucSquare(p=0.3, mu_plus=rng.normal(0.0, 0.3, d),
+                     mu_minus=rng.normal(0.0, 0.3, d))
+
+
+POSTS = {"none": None, "ball": ("ball", 0.7), "prox_l2": ("prox_l2", 0.3),
+         "prox_l1": ("prox_l1", 0.05)}
+
+
+def _assert_bitwise(got, want, name):
+    assert got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), f"{name} differs from the eager loop"
+
+
+@settings(max_examples=150, deadline=None)
+@given(loss_kind=st.sampled_from(["least_squares", "hinge1", "hinge1.5", "auc"]),
+       post=st.sampled_from(sorted(POSTS)),
+       R=st.integers(1, 5), n=st.integers(1, 9), d=st.integers(1, 8),
+       steps=st.integers(0, 3), permutation=st.booleans(),
+       m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+# one replicate: before the first fork the engine steps a single row, where
+# the eager loop steps 1 + m
+@example(loss_kind="auc", post="ball", R=1, n=6, d=3, steps=0, permutation=False,
+         m_frac=1.0, seed=307)
+def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
+                                         permutation, m_frac, seed):
+    rng = np.random.default_rng(seed)
+    loss = _loss(loss_kind, d, rng)
+    Xs = rng.normal(size=(R, n, d))
+    ys = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
+    gXs = rng.normal(size=(R, n, d))
+    gys = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
+    if permutation:
+        # per-epoch shuffles, T a whole number of epochs
+        indices = _engine.permutation_matrix(int(rng.integers(2**63)), n, steps, R)
+    else:
+        # T from 0 to 3n; with T < n most positions are never drawn
+        T = int(rng.integers(0, 3 * n + 1))
+        indices = rng.integers(0, n, size=(R, T))
+    T = indices.shape[1]
+    m = int(round(m_frac * n))
+    sub = (np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None)
+    etas = rng.uniform(0.01, 0.3, size=T)
+    ckpt = _engine.checkpoint_steps(T) if T else np.empty(0, dtype=np.int64)
+
+    want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
+                           t0=3, record_every=2, risk_ckpt_steps=ckpt)
+    out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
+                           sub, etas, POSTS[post], indices, t0=3, record_every=2,
+                           collect_per_step_risk=True, risk_ckpt_steps=ckpt,
+                           collect_final_risk=True, collect_averages=True)
+    for name in ("finals", "avg_eta", "avg_lin", "iterates", "per_step_risk",
+                 "risk_path", "final_emp_risk"):
+        _assert_bitwise(getattr(out, name), want[name], name)
+
+
+def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():
+    indices = np.array([[2, 0, 2, 1],
+                        [3, 3, 3, 3]])
+    sub = np.array([[1, 2, 3],
+                    [0, 3, 1]])
+    pair_r, pair_j, tau = _engine._fork_schedule(sub, indices, n=4)
+    # replicate 0: position 2 at step 1, position 1 at step 4, 3 never;
+    # replicate 1: position 3 at step 1, positions 0 and 1 never
+    got = sorted(zip(tau.tolist(), pair_r.tolist(), pair_j.tolist()))
+    assert got == [(1, 0, 1), (1, 1, 1), (4, 0, 0)]
+    assert np.all(np.diff(tau) >= 0)
+
+
+def test_unhit_neighbour_equals_its_base_row():
+    rng = np.random.default_rng(0)
+    Xs, gXs = rng.normal(size=(2, 1, 4, 3))
+    ys, gys = rng.normal(size=(2, 1, 4))
+    indices = np.array([[0, 1, 0, 1, 1]])
+    out = _engine.run_core(LeastSquares(), Xs, ys, gXs, gys, np.array([[3, 1]]),
+                           np.full(5, 0.1), None, indices, collect_averages=False)
+    np.testing.assert_array_equal(out.finals[0, 1], out.finals[0, 0])
+    assert np.any(out.finals[0, 2] != out.finals[0, 0])
