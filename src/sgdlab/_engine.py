@@ -17,6 +17,16 @@ rows are always a prefix of one buffer.  The result is the same as stepping
 all 1 + m rows at every step, because every loss computes each row from that
 row alone.
 
+Steps run in blocks of at most ``BLOCK_ROWS // R`` steps.  A block gathers
+the examples of all its steps at once, and its step loop only advances
+rows: fork, ghost swap, gradient step, post-step, and a copy of the base
+iterates w_t into a (block, R, d) buffer.  What is observed on the base rows
+(the loss at the drawn example, recorded iterates, the weighted averages
+and the empirical risk at checkpoints) is computed from that buffer once
+per block, in the same per-row arithmetic as a step-by-step loop, so the
+bits do not depend on the block length.  The averages are kept for the base
+rows only.
+
 Determinism contract: given the same seeds, every public quantity is bitwise
 reproducible, and a replicate's results do not depend on which other
 replicates share its call.
@@ -38,6 +48,12 @@ TAG_GHOST = 0x60
 TAG_SUBSAMPLE = 0x5B
 TAG_POP = 0xB0
 TAG_PERM = 0xFE
+
+#: base iterates buffered per block of steps: block length * R <= BLOCK_ROWS.
+#: Longer blocks ran no faster and raised the peak memory of a coupled run.
+BLOCK_ROWS = 1024
+#: examples per empirical-risk evaluation at checkpoints: c * R * n <= this
+RISK_EXAMPLES = 2 ** 14
 
 
 def seed_sequence(*path: int) -> np.random.SeedSequence:
@@ -86,8 +102,8 @@ def checkpoint_steps(T: int, max_checkpoints: int = 512) -> np.ndarray:
 @dataclass
 class CoreResult:
     finals: np.ndarray                     # (R, B, d) output iterates w_{T+1}
-    avg_eta: Optional[np.ndarray]          # (R, B, d)
-    avg_lin: Optional[np.ndarray]          # (R, B, d)
+    avg_eta: Optional[np.ndarray]          # (R, d) base row
+    avg_lin: Optional[np.ndarray]          # (R, d) base row
     iterates: Optional[np.ndarray]         # (R, K, d) base-row recorded iterates
     iterate_steps: Optional[np.ndarray]    # (K,)
     per_step_risk: Optional[np.ndarray]    # (R, T) base row, f(w_t; z_{i_t})
@@ -98,10 +114,7 @@ class CoreResult:
 
 def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """F_S(w_r) for each replicate row, on that replicate's own dataset."""
-    R, n, d = Xs.shape
-    WW = np.repeat(Wb, n, axis=0)
-    vals = loss.batch_value(WW, Xs.reshape(R * n, d), np.ascontiguousarray(ys).reshape(R * n))
-    return vals.reshape(R, n).mean(axis=1)
+    return loss.batch_value(Wb[:, None], Xs, ys).mean(axis=1)
 
 
 def _apply_post(Wf: np.ndarray, post, eta: float) -> None:
@@ -144,6 +157,22 @@ def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
     tau = tau[pair_r, pair_j]
     order = np.argsort(tau, kind="stable")
     return pair_r[order], pair_j[order], tau[order]
+
+
+def _in_block(steps: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Positions of the 1-based ``steps`` that fall in the block of steps s+1..e."""
+    return np.nonzero((steps > s) & (steps <= e))[0]
+
+
+def _fold(acc: np.ndarray, weights: np.ndarray, buf: np.ndarray) -> None:
+    """acc += weights[j] * buf[j] for j = 0, 1, ..., in place.
+
+    ``accumulate`` adds in that order, so the bits are those of one ``+=``
+    per step; ``add.reduce`` may sum pairwise instead (it does when the rows
+    are single numbers).
+    """
+    terms = np.concatenate([acc[None], weights[:, None, None] * buf])
+    acc[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
 def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
@@ -189,94 +218,108 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     row_of = np.full((R, n), -1, dtype=np.int64)
     if P:
         row_of[pair_r, sub_idx[pair_r, pair_j]] = R + np.arange(P)
-    # rows active during step t: the base rows and every pair with tau <= t
-    active = R + np.searchsorted(tau, np.arange(1, T + 1), side="right")
 
     W = np.zeros((R + P, d), dtype=np.float64)
-    acc_eta = np.zeros_like(W) if collect_averages else None
-    acc_lin = np.zeros_like(W) if collect_averages else None
 
-    rec_steps = None
-    iterates = None
+    rec_steps = iterates = None
     if record_every is not None:
-        rec = [t for t in range(1, T + 1) if (t - 1) % record_every == 0]
-        rec.append(T + 1)  # the output iterate is always recorded
-        rec_steps = np.asarray(rec, dtype=np.int64)
-        iterates = np.empty((R, len(rec), d), dtype=np.float64)
-        rec_pos = {t: k for k, t in enumerate(rec)}
-
+        # the output iterate is always recorded
+        rec_steps = np.append(np.arange(1, T + 1, record_every, dtype=np.int64), T + 1)
+        iterates = np.empty((R, rec_steps.shape[0], d), dtype=np.float64)
     psr = np.empty((R, T), dtype=np.float64) if collect_per_step_risk else None
-
     risk_path = None
-    ckpt_pos = None
     if risk_ckpt_steps is not None:
         risk_ckpt_steps = np.asarray(risk_ckpt_steps, dtype=np.int64)
         risk_path = np.empty((R, risk_ckpt_steps.shape[0]), dtype=np.float64)
-        ckpt_pos = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
+    acc_eta = np.zeros((R, d)) if collect_averages else None
+    acc_lin = np.zeros((R, d)) if collect_averages else None
+    observed = (rec_steps is not None or psr is not None or risk_path is not None
+                or collect_averages)
 
+    block = max(1, BLOCK_ROWS // R)
+    base = np.empty((min(block, T), R, d)) if observed else None
     k = R
-    for t in range(1, T + 1):
-        idx = indices[:, t - 1]
-        xa = Xs[ar, idx]                       # (R, d)
-        ya = ys[ar, idx]                       # (R,)
-        if active[t - 1] > k:
-            # fork: a neighbour equals its base row until its first hit
-            lo, k = k, active[t - 1]
-            W[lo:k] = W[rep[lo:k]]
-            if collect_averages:
-                acc_eta[lo:k] = acc_eta[rep[lo:k]]
-                acc_lin[lo:k] = acc_lin[rep[lo:k]]
-        if k > R:
-            Xf = xa[rep[:k]]
-            yf = ya[rep[:k]]
+    Wa = Wb = W[:R]                            # the active rows; the base rows
+    for s in range(0, T, block):
+        e = min(s + block, T)
+        idx = indices[:, s:e].T                # (block, R)
+        xb = Xs[ar, idx]                       # (block, R, d)
+        yb = ys[ar, idx]
+        if P:
+            # rows active during each step: the base rows and every pair
+            # with tau <= t
+            active = (R + np.searchsorted(tau, np.arange(s + 1, e + 1),
+                                          side="right")).tolist()
+            # ghost swaps of the block, grouped by step: a drawn position
+            # whose neighbour exists takes the ghost example in that row
             rows = row_of[ar, idx]
-            hit = np.nonzero(rows >= 0)[0]
-            Xf[rows[hit]] = gXs[hit, idx[hit]]
-            yf[rows[hit]] = gys[hit, idx[hit]]
-        else:
-            Xf = xa
-            yf = ya
+            hit_j, hit_r = np.nonzero(rows >= 0)
+            hit_row = rows[hit_j, hit_r]
+            gx = gXs[hit_r, idx[hit_j, hit_r]]
+            gy = gys[hit_r, idx[hit_j, hit_r]]
+            cut = np.searchsorted(hit_j, np.arange(e - s + 1)).tolist()
+        for j, eta in enumerate(etas[s:e].tolist()):
+            if P and active[j] > k:
+                # fork: a neighbour equals its base row until its first hit
+                lo, k = k, active[j]
+                W[lo:k] = W[rep[lo:k]]
+                Wa = W[:k]
+            if observed:
+                base[j] = Wb
+            if k > R:
+                Xf = xb[j][rep[:k]]
+                yf = yb[j][rep[:k]]
+                a, b = cut[j], cut[j + 1]
+                Xf[hit_row[a:b]] = gx[a:b]
+                yf[hit_row[a:b]] = gy[a:b]
+            else:
+                Xf = xb[j]
+                yf = yb[j]
+            Wa -= eta * loss.batch_grad(Wa, Xf, yf)
+            if post is not None:
+                _apply_post(Wa, post, eta)
+        if not observed:
+            continue
 
-        Wa = W[:k]
+        buf = base[:e - s]
         if psr is not None:
-            psr[:, t - 1] = loss.batch_value(W[:R], xa, ya)
-        if ckpt_pos is not None and t in ckpt_pos:
-            risk_path[:, ckpt_pos[t]] = _batch_empirical_risk(loss, W[:R], Xs, ys)
-        if rec_steps is not None and t in rec_pos:
-            iterates[:, rec_pos[t]] = W[:R]
+            psr[:, s:e] = loss.batch_value(buf, xb, yb).T
+        if rec_steps is not None:
+            at = _in_block(rec_steps, s, e)
+            iterates[:, at] = buf[rec_steps[at] - s - 1].swapaxes(0, 1)
+        if risk_path is not None:
+            at = _in_block(risk_ckpt_steps, s, e)
+            chunk = max(1, RISK_EXAMPLES // (R * n))
+            for c in range(0, at.shape[0], chunk):
+                cols = at[c:c + chunk]
+                Wc = buf[risk_ckpt_steps[cols] - s - 1].swapaxes(0, 1)   # (R, c, d)
+                vals = loss.batch_value(Wc[:, :, None], Xs[:, None], ys[:, None])
+                risk_path[:, cols] = vals.mean(axis=2)
         if collect_averages:
-            acc_eta[:k] += etas[t - 1] * Wa
-            acc_lin[:k] += float(t + t0 - 1) * Wa
+            _fold(acc_eta, etas[s:e], buf)
+            _fold(acc_lin, np.arange(s + t0, e + t0, dtype=np.float64), buf)
 
-        Wa -= etas[t - 1] * loss.batch_grad(Wa, Xf, yf)
-        _apply_post(Wa, post, float(etas[t - 1]))
-
-    if rec_steps is not None and (T + 1) in rec_pos:
-        iterates[:, rec_pos[T + 1]] = W[:R]
+    if rec_steps is not None:
+        iterates[:, -1] = Wb
 
     final_emp_risk = None
     if collect_final_risk:
-        final_emp_risk = _batch_empirical_risk(loss, W[:R], Xs, ys)
+        final_emp_risk = _batch_empirical_risk(loss, Wb, Xs, ys)
 
-    def assemble(buf: np.ndarray) -> np.ndarray:
-        """(R, 1 + m, d): every neighbour that never forked is its base row."""
-        out = np.repeat(buf[:R, None, :], 1 + m, axis=1)
-        out[pair_r, 1 + pair_j] = buf[R:]
-        return out
-
+    avg_eta = avg_lin = None
     if collect_averages:
         wsum_eta = float(np.sum(etas))
         ts = np.arange(1, T + 1, dtype=np.float64)
         wsum_lin = float(np.sum(ts + t0 - 1.0))
-        avg_eta = assemble(acc_eta)
-        avg_lin = assemble(acc_lin)
-        avg_eta = avg_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(avg_eta)
-        avg_lin = avg_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(avg_lin)
-    else:
-        avg_eta = avg_lin = None
+        avg_eta = acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta)
+        avg_lin = acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin)
+
+    # (R, 1 + m, d): every neighbour that never forked is its base row
+    finals = np.repeat(W[:R, None, :], 1 + m, axis=1)
+    finals[pair_r, 1 + pair_j] = W[R:]
 
     return CoreResult(
-        finals=assemble(W),
+        finals=finals,
         avg_eta=avg_eta,
         avg_lin=avg_lin,
         iterates=iterates,

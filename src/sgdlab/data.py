@@ -17,20 +17,21 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import erf, ndtr, owens_t
 
 from . import _engine
 from .errors import DegenerateDataError, InvalidArgument
 from .losses import AucSquare, LeastSquares, Loss, QNormHinge
 
 _MAX_RESAMPLE_ROUNDS = 64
-# the hinge risk minimum's largest projection scale g: the closed form loses
-# accuracy at huge scales, which only flip probabilities below ~5e-7 reach
-_HINGE_SCALE_CAP = 1e3
+# below this 1/scale the hinge risk of a row along w_star is taken through
+# erf and expm1 (see _hinge_margin_risk)
+_HINGE_SMALL_A = 0.125
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,14 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     def half_expect(sign_u: float) -> np.ndarray:
         # |rho| = 1: sign_u * u = g zeta with v > 0 <=> zeta > 0
         g = np.copysign(su, sign_u * rho)
-        edge = np.where(g > 0.0, (ndtr(a) - 0.5) - g * (_PHI0 - _phi(a)),
+        # for small a, Phi(a) - 1/2 and phi(0) - phi(a) cancel to a few
+        # digits, so erf and expm1 take over; above the switch the direct
+        # form is as accurate and keeps the bits of earlier results
+        small = a < _HINGE_SMALL_A
+        plus = np.where(small,
+                        0.5 * erf(a / math.sqrt(2.0)) + g * _PHI0 * np.expm1(-0.5 * a * a),
+                        (ndtr(a) - 0.5) - g * (_PHI0 - _phi(a)))
+        edge = np.where(g > 0.0, plus,
                         0.5 - g * _PHI0)  # integrand (1 + |g| zeta), all zeta > 0
         r = np.where(parallel, 0.0, sign_u * rho)
         k = np.sqrt((1.0 - r) * (1.0 + r))
@@ -451,15 +459,21 @@ def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Opti
         #        + pf (1 + 2 g phi(0)),
         # with h'(g) = 2 (1 - pf) (phi(1/g) - phi(0)) + 2 pf phi(0) = 0 at
         # 1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h(g) ~
-        # phi(0) / g decreases for ever to its infimum 0.
+        # phi(0) / g decreases for ever to its infimum 0.  The closed form
+        # stays accurate at g* for every normal pf (checked against mpmath).
         s2 = dist.cov[0, 0]
         if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
             raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
         pf = dist.flip_prob
         if pf == 0.0:
             return 0.0, None
+        if pf < sys.float_info.min:
+            # g* ~ 1 / sqrt(2 pf): for a subnormal pf, g*^2 overflows
+            raise InvalidArgument(
+                f"hinge risk minimum needs flip_prob = 0 or >= {sys.float_info.min:.6g}, "
+                f"got {pf:.6g}")
         log_ratio = math.log1p(pf / (1.0 - 2.0 * pf))
-        g_opt = min(_HINGE_SCALE_CAP, 1.0 / math.sqrt(2.0 * log_ratio))
+        g_opt = 1.0 / math.sqrt(2.0 * log_ratio)
         w_unit = dist.w_star / float(np.linalg.norm(dist.w_star))
         w_opt = (g_opt / math.sqrt(s2)) * w_unit
         return float(_hinge_margin_risk(w_opt[None], dist)[0]), w_opt

@@ -56,7 +56,7 @@ from ..data import (
     zero_example_neighbor,
     NeighborFamily,
 )
-from ..errors import ConfigError, PreconditionViolation
+from ..errors import ConfigError, InvalidArgument, PreconditionViolation
 from ..losses import (
     check_cocoercivity,
     check_expansiveness_slack,
@@ -77,6 +77,7 @@ from ..stability import (
     estimate_epoch_stability_without_replacement,
     estimate_generalization_gap,
     estimate_on_average_stability,
+    gap_from_stability,
 )
 from .config import (
     ExperimentConfig,
@@ -342,6 +343,10 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
     dist = build_distribution(cfg)
     domain = build_domain(cfg)
     output = cfg.output if cfg.output is not None else "avg_eta"
+    try:
+        population_risk_minimum(loss, dist)
+    except InvalidArgument as e:
+        raise ConfigError(f"rate-fit needs the population risk minimum: {e}") from e
     points = []
     theta = None
     for n in cfg.n_grid:
@@ -352,10 +357,6 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
                                           cfg.replicates, cfg.mc_pop,
                                           cfg.master_seed, output=output,
                                           threads=cfg.threads)
-        if math.isnan(rep.excess_mean):
-            raise ConfigError(
-                "rate-fit needs a closed-form population risk minimum for "
-                f"({loss.kind}, {dist.kind})")
         em.row("excess_risk", rep.excess_mean, n=n, T=T, theta=theta,
                stderr=rep.excess_stderr)
         points.append((n, rep.excess_mean))
@@ -430,10 +431,7 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
         em.gate_row("l2_sq_stability", thm2_l2_bound(inp), rep.l2_sq_mean,
                     rep.l2_sq_stderr, n=n, T=T)
         # generalization gap against the smooth-case bound, same runs
-        gap = estimate_generalization_gap(loss, dist, n, T, sched, None,
-                                          cfg.replicates, cfg.mc_pop,
-                                          cfg.master_seed, output="final",
-                                          threads=cfg.threads)
+        gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
         emp_hat = stats.final_mean + stats.final_stderr
         l2_hat = rep.l2_sq_mean + rep.l2_sq_stderr
         gamma = default_gamma_smooth(L, emp_hat, l2_hat)
@@ -463,10 +461,7 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
         )
         em.gate_row("l2_sq_stability", thmD1_nonsmooth_l2_bound(inp),
                     rep.l2_sq_mean, rep.l2_sq_stderr, n=n, T=T, theta=theta)
-        gap = estimate_generalization_gap(loss, dist, n, T, sched, None,
-                                          cfg.replicates, cfg.mc_pop,
-                                          cfg.master_seed, output="final",
-                                          threads=cfg.threads)
+        gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
         frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
         if loss.alpha == 0.0:
             pop_frac = 1.0

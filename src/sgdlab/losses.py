@@ -15,7 +15,9 @@ example or a batch of rows; a single example is a batch of one.
 
 Batch variants (``batch_value`` / ``batch_grad``) evaluate one example per row
 for a whole family of parameter rows at once; the trajectory engine is built
-on top of them.
+on top of them.  ``batch_value`` also takes leading dimensions that broadcast
+(W of shape (R, c, 1, d) against X of shape (R, 1, n, d), say), and gives
+each entry the bits of the same row in a flat (rows, d) call.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class Loss:
     nonnegative: bool = True
 
     def batch_value(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f(w; (x, y)) over the last axis of W and X; leading axes broadcast."""
         raise NotImplementedError
 
     def batch_grad(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -131,7 +134,7 @@ class LeastSquares(Loss):
     nonnegative = True
 
     def batch_value(self, W, X, y):
-        r = np.einsum("bd,bd->b", W, X) - y
+        r = np.einsum("...d,...d->...", W, X) - y
         return 0.5 * r * r
 
     def batch_grad(self, W, X, y):
@@ -162,7 +165,7 @@ class QNormHinge(Loss):
         self.alpha = self.q - 1.0
 
     def batch_value(self, W, X, y):
-        slack = 1.0 - y * np.einsum("bd,bd->b", W, X)
+        slack = 1.0 - y * np.einsum("...d,...d->...", W, X)
         return np.maximum(slack, 0.0) ** self.q
 
     def batch_grad(self, W, X, y):
@@ -200,7 +203,7 @@ class QPowerAbsolute(Loss):
         self.alpha = self.q - 1.0
 
     def batch_value(self, W, X, y):
-        r = y - np.einsum("bd,bd->b", W, X)
+        r = y - np.einsum("...d,...d->...", W, X)
         return np.abs(r) ** self.q
 
     def batch_grad(self, W, X, y):
@@ -254,13 +257,13 @@ class AucSquare(Loss):
 
     def batch_value(self, W, X, y):
         p = self.p
-        u = np.einsum("bd,bd->b", W, X)           # <w, x>
+        u = np.einsum("...d,...d->...", W, X)  # <w, x>
         # a row-wise dot: BLAS (W @ D) rounds a row differently depending
         # on how many rows the batch holds and where the row sits in it
-        s = np.einsum("bd,d->b", W, self.diff)     # <w, D>
+        s = np.einsum("...d,d->...", W, self.diff)  # <w, D>
         pos = y > 0.0
-        a = np.einsum("bd,bd->b", W, X - self.mu_plus)
-        b = np.einsum("bd,bd->b", W, X - self.mu_minus)
+        a = np.einsum("...d,...d->...", W, X - self.mu_plus)
+        b = np.einsum("...d,...d->...", W, X - self.mu_minus)
         out = p * (1.0 - p) + 2.0 * (1.0 + s) * u * self._kappa(y) - p * (1.0 - p) * s * s
         out = out + np.where(pos, (1.0 - p) * a * a, p * b * b)
         return out

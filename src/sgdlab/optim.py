@@ -270,8 +270,8 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
         iterates=out.iterates[0],
         iterate_steps=out.iterate_steps,
         final=out.finals[0, 0],
-        avg_eta=out.avg_eta[0, 0],
-        avg_linear=out.avg_lin[0, 0],
+        avg_eta=out.avg_eta[0],
+        avg_linear=out.avg_lin[0],
         per_step_risk=out.per_step_risk[0],
         index_sequence_seed=int(seed),
     )
@@ -340,8 +340,8 @@ def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: in
         iterates=out.iterates[0],
         iterate_steps=out.iterate_steps,
         final=out.finals[0, 0],
-        avg_eta=out.avg_eta[0, 0],
-        avg_linear=out.avg_lin[0, 0],
+        avg_eta=out.avg_eta[0],
+        avg_linear=out.avg_lin[0],
         per_step_risk=out.per_step_risk[0],
         index_sequence_seed=int(seed),
     )

@@ -7,10 +7,11 @@ stability analysis controls.
 
 Seed discipline: replicate r of a given master seed always derives its
 dataset from (master_seed, replicate tag, r) and its index stream from
-(master_seed, index tag, r).  Two estimators called with the same
-(master_seed, distribution, n, T, schedule, domain) therefore reuse
-bitwise-identical base trajectories, which is what lets bound pipelines mix
-stability reports and generalization-gap reports measured "on the same runs".
+(master_seed, index tag, r).  A stability report keeps the output and the
+empirical risk of each replicate's base run, so ``gap_from_stability``
+measures the generalization gap on the very runs whose stability was
+measured, without running them again; ``estimate_generalization_gap`` runs
+the same base trajectories for callers that need no stability.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
 preallocated arrays.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m
@@ -59,8 +60,6 @@ class CouplingConfig:
     neighbor_subsample: how many replace-one positions to average per
         replicate (None = all n).  Positions are a uniform without-replacement
         subsample, drawn per replicate.
-    shared_index_seed_policy: only "shared" is supported — coupled runs must
-        consume identical index streams.
     record_risks: record the base-run empirical risk path (needed by the
         bound calculators).
     threads: accepted and validated for compatibility; it has no effect.
@@ -68,7 +67,6 @@ class CouplingConfig:
 
     replicates: int
     neighbor_subsample: Optional[int] = None
-    shared_index_seed_policy: str = "shared"
     record_risks: bool = True
     threads: int = 1
 
@@ -78,9 +76,6 @@ class CouplingConfig:
         if self.neighbor_subsample is not None and not self.neighbor_subsample >= 1:
             raise InvalidArgument(
                 f"neighbor_subsample must be >= 1, got {self.neighbor_subsample}")
-        if self.shared_index_seed_policy != "shared":
-            raise InvalidArgument(
-                "only the 'shared' index-seed policy is supported")
         if not self.threads >= 1:
             raise InvalidArgument(f"threads must be >= 1, got {self.threads}")
 
@@ -114,7 +109,8 @@ class StabilityReport:
     """On-average model stability estimates with replicate standard errors.
 
     l1_mean estimates E[(1/m) sum_i ||w - w^(i)||]; l2_sq_mean the same with
-    squared norms.
+    squared norms.  ``base_finals`` holds each replicate's base-run output
+    w_{T+1}, and ``base_emp_risk`` its F_S(w_{T+1}) when risks are recorded.
     """
 
     l1_mean: float
@@ -125,6 +121,8 @@ class StabilityReport:
     n: int
     T: int
     config: CouplingConfig
+    base_finals: Optional[np.ndarray] = None     # (R, d)
+    base_emp_risk: Optional[np.ndarray] = None   # (R,)
 
 
 @dataclass(frozen=True)
@@ -261,14 +259,15 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     # no steps -> no risk path to record (the output is w_1 = 0)
     ckpt = _engine.checkpoint_steps(T) if (config.record_risks and T >= 1) else None
 
+    d = fixed_family.base.dim if fixed_family is not None else dist.dim
     l1_vals = np.empty(R)
     l2_vals = np.empty(R)
+    base_finals = np.empty((R, d))
     risk_rows = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
     final_risk = np.empty(R) if config.record_risks else None
 
     def worker(lo: int, hi: int) -> None:
         Rc = hi - lo
-        d = (fixed_family.base.dim if fixed_family is not None else dist.dim)
         if fixed_family is not None:
             Xs = np.broadcast_to(fixed_family.base.features, (Rc, n, d))
             ys = np.broadcast_to(fixed_family.base.labels, (Rc, n))
@@ -304,6 +303,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         norms = np.linalg.norm(diffs, axis=2)
         l1_vals[lo:hi] = norms.mean(axis=1)
         l2_vals[lo:hi] = (norms ** 2).mean(axis=1)
+        base_finals[lo:hi] = out.finals[:, 0]
         if risk_rows is not None:
             risk_rows[lo:hi] = out.risk_path
         if final_risk is not None:
@@ -318,6 +318,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         l1_mean=float(l1_vals.mean()), l1_stderr=_stderr(l1_vals),
         l2_sq_mean=float(l2_vals.mean()), l2_sq_stderr=_stderr(l2_vals),
         risk_path=stats, n=n, T=T, config=config,
+        base_finals=base_finals, base_emp_risk=final_risk,
     )
 
 
@@ -480,14 +481,38 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         if output == "final":
             w = out.finals[:, 0]
         elif output == "avg_eta":
-            w = out.avg_eta[:, 0]
+            w = out.avg_eta
         else:
-            w = out.avg_lin[:, 0]
+            w = out.avg_lin
         outs[lo:hi] = w
         emp[lo:hi] = _engine._batch_empirical_risk(loss, w, Xs, ys)
 
     _run_chunks(worker, R, 1, n)
+    return _gap_report(loss, dist, outs, emp, mc_pop, master_seed, output, n, T)
 
+
+def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
+                       mc_pop: int, master_seed: int) -> GapReport:
+    """The generalization gap of the base runs of a stability estimate.
+
+    Needs a report with recorded risks, from the ``master_seed`` it was
+    estimated with; the output is w_{T+1}.  The result equals
+    ``estimate_generalization_gap(..., output="final")`` on the same
+    replicates, without running the trajectories again.
+    """
+    if rep.base_emp_risk is None:
+        raise InvalidArgument("the stability report recorded no empirical risks")
+    if not rep.config.replicates >= 2:
+        raise InvalidArgument(f"need at least 2 replicates, got {rep.config.replicates}")
+    return _gap_report(loss, dist, rep.base_finals, rep.base_emp_risk, mc_pop,
+                       master_seed, "final", rep.n, rep.T)
+
+
+def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarray,
+                mc_pop: int, master_seed: int, output: str, n: int, T: int
+                ) -> GapReport:
+    """F(w) - F_S(w) and F(w) - F* over the replicate outputs ``outs`` (R, d)."""
+    R = outs.shape[0]
     seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r) for r in range(R)]
     pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
     gaps = pop - emp
@@ -500,7 +525,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     return GapReport(
         gap_mean=float(gaps.mean()), gap_stderr=_stderr(gaps),
         excess_mean=excess_mean, excess_stderr=excess_stderr,
-        output=output, n=n, T=T, replicates=replicates,
+        output=output, n=n, T=T, replicates=R,
     )
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -456,6 +457,41 @@ def test_hinge_risk_minimizer_matches_numeric_search(pf):
     assert g_star == pytest.approx(res.x, rel=1e-5)
     assert val == pytest.approx(profile(g_star), rel=1e-15)
     assert val <= res.fun + 1e-15
+
+
+def _hinge_profile_mpmath(g, pf):
+    """h(g) of population_risk_minimum's comment, with enough digits for any g."""
+    # phi(0) - phi(1/g) ~ phi(0) pf: resolving it takes -log10(pf) digits more
+    with mpmath.workdps(40 + 2 * int(-math.log10(pf))):
+        g, pf = mpmath.mpf(g), mpmath.mpf(pf)
+        a = 1 / g
+        return float((1 - pf) * (2 * mpmath.ncdf(a) - 1
+                                 - 2 * g * (mpmath.npdf(0) - mpmath.npdf(a)))
+                     + pf * (1 + 2 * g * mpmath.npdf(0)))
+
+
+@pytest.mark.parametrize("pf", [10.0 ** -k for k in range(3, 13)]
+                         + [1e-100, 1e-300, sys.float_info.min])
+def test_hinge_risk_minimum_is_accurate_at_small_flip_probabilities(pf):
+    # g* grows like 1/sqrt(2 pf); the minimum is no longer capped at g = 1e3
+    s2 = 0.25
+    dist = MarginClassif(w_star=np.array([1.0, 0.0, 0.0]), cov=s2, flip_prob=pf)
+    loss = QNormHinge(q=1.0)
+    val, w_min = population_risk_minimum(loss, dist)
+    g_star = float(w_min[0]) * math.sqrt(s2)
+    assert g_star == pytest.approx(1.0 / math.sqrt(2.0 * math.log1p(pf / (1.0 - 2.0 * pf))),
+                                   rel=1e-15)
+    exact = _hinge_profile_mpmath(g_star, pf)
+    assert abs(val - exact) <= 1e-12 * exact
+    for scale in (0.99, 1.01):
+        assert val <= population_risk(loss, dist, scale * w_min)[0]
+
+
+def test_hinge_risk_minimum_rejects_subnormal_flip_probabilities():
+    # g*^2 ~ 1/(2 pf) overflows below the smallest normal double
+    dist = MarginClassif(w_star=np.array([1.0, 0.0]), cov=0.25, flip_prob=5e-324)
+    with pytest.raises(InvalidArgument, match="flip_prob"):
+        population_risk_minimum(QNormHinge(q=1.0), dist)
 
 
 def test_hinge_risk_without_flips_has_infimum_zero_and_no_minimizer():

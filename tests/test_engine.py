@@ -1,13 +1,15 @@
-"""Lazy forking in the trajectory engine against an eager reference loop.
+"""Lazy forking and block stepping in the trajectory engine.
 
-``_eager_run_core`` advances every coupled row for every step: the direct
-reading of the coupling, kept here as an oracle only.  The engine forks a
-neighbour from its base row at the first step that draws its position and
-never creates one that is never drawn; every output must equal the eager
-loop's bit for bit.
+``_eager_run_core`` advances every coupled row for every step and observes
+the base rows step by step: the direct reading of the coupling, kept here as
+an oracle only.  The engine forks a neighbour from its base row at the first
+step that draws its position, never creates one that is never drawn, and
+computes what it observes on the base rows once per block of steps; every
+output must equal the eager loop's bit for bit, for any block length.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,7 +86,7 @@ POSTS = {"none": None, "ball": ("ball", 0.7), "prox_l2": ("prox_l2", 0.3),
 
 def _assert_bitwise(got, want, name):
     assert got.shape == want.shape, name
-    assert got.tobytes() == want.tobytes(), f"{name} differs from the eager loop"
+    assert got.tobytes() == want.tobytes(), f"{name} differs from the reference"
 
 
 @settings(max_examples=150, deadline=None)
@@ -124,9 +126,11 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
                            sub, etas, POSTS[post], indices, t0=3, record_every=2,
                            collect_per_step_risk=True, risk_ckpt_steps=ckpt,
                            collect_final_risk=True, collect_averages=True)
-    for name in ("finals", "avg_eta", "avg_lin", "iterates", "per_step_risk",
-                 "risk_path", "final_emp_risk"):
+    for name in ("finals", "iterates", "per_step_risk", "risk_path", "final_emp_risk"):
         _assert_bitwise(getattr(out, name), want[name], name)
+    # the engine keeps the averages of the base rows only
+    for name in ("avg_eta", "avg_lin"):
+        _assert_bitwise(getattr(out, name), want[name][:, 0], name)
 
 
 def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():
@@ -151,3 +155,48 @@ def test_unhit_neighbour_equals_its_base_row():
                            np.full(5, 0.1), None, indices, collect_averages=False)
     np.testing.assert_array_equal(out.finals[0, 1], out.finals[0, 0])
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
+
+
+FIELDS = ("finals", "avg_eta", "avg_lin", "iterates", "iterate_steps",
+          "per_step_risk", "risk_steps", "risk_path", "final_emp_risk")
+
+
+@pytest.mark.parametrize("loss_kind,post,R,n,d,m,permutation", [
+    ("least_squares", "none", 3, 7, 4, 5, False),
+    ("least_squares", "ball", 1, 1, 1, 0, False),   # single numbers per row
+    ("hinge1.5", "prox_l1", 2, 6, 3, 6, True),
+    ("hinge1", "prox_l2", 4, 5, 2, 0, False),
+    ("auc", "ball", 2, 8, 8, 3, False),
+])
+def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R, n,
+                                                 d, m, permutation):
+    rng = np.random.default_rng(R * 1000 + n * 10 + d)
+    loss = _loss(loss_kind, d, rng)
+    Xs, gXs = rng.normal(size=(2, R, n, d))
+    ys, gys = rng.choice([-1.0, 1.0], size=(2, R, n)) * rng.uniform(0.5, 1.5, (2, R, n))
+    if permutation:
+        indices = _engine.permutation_matrix(int(rng.integers(2**63)), n, 7, R)
+    else:
+        indices = rng.integers(0, n, size=(R, 41))
+    T = indices.shape[1]
+    sub = np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None
+    etas = rng.uniform(0.01, 0.3, size=T)
+
+    def run(block_steps, risk_examples, ckpt):
+        monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
+        monkeypatch.setattr(_engine, "RISK_EXAMPLES", risk_examples)
+        return _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
+                                sub, etas, POSTS[post], indices, t0=4, record_every=3,
+                                collect_per_step_risk=True, risk_ckpt_steps=ckpt,
+                                collect_final_risk=True, collect_averages=True)
+
+    # a checkpoint at every step, and a sparse set that skips whole blocks
+    for ckpt in (_engine.checkpoint_steps(T), _engine.checkpoint_steps(T, 6)):
+        want = run(10**6, 2**14, ckpt)
+        # block lengths 1, 2, 3 and 10^6 steps; checkpoint chunks of one
+        # checkpoint, of two (smaller than a block of 3), and of all
+        for block_steps, risk_examples in ((1, 2**14), (2, 1), (3, 2 * R * n),
+                                           (3, 2**14), (10**6, 1)):
+            got = run(block_steps, risk_examples, ckpt)
+            for name in FIELDS:
+                _assert_bitwise(getattr(got, name), getattr(want, name), name)

@@ -378,6 +378,22 @@ def test_cli_thm2_step_size_precondition_exit_2(tmp_path, capsys):
     assert run_experiment(cfg) in (0, 1)
 
 
+def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):
+    # the hinge risk minimiser's scale g* ~ 1/sqrt(2 pf) overflows when
+    # squared, so there is no F* to measure the excess risk against
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = rate-fit\nn_grid = 4, 8\nreplicates = 4\n"
+            f"master_seed = 1\nout_path = {out}\n"
+            "[loss]\nkind = q_hinge\nq = 1.0\n"
+            "[distribution]\nkind = margin_classif\nw_star = 1.0, 0.0\ncov = 0.25\n"
+            "flip_prob = 1e-320\n"
+            "[schedule]\nkind = fixed_constant\neta1 = 0.05\n")
+    assert main(["rate-fit", "--config", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "flip_prob" in err[0]
+    assert not (out / "rate-fit.csv").exists()
+
+
 def test_cli_prints_one_line_per_gate(tmp_path, capsys):
     out, ref = tmp_path / "cli", tmp_path / "ref"
     text = _THM2_TEXT + "eta1 = 0.015625\n[experiment]\n"

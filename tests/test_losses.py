@@ -173,6 +173,35 @@ def test_batch_matches_scalar_paths():
                                    rtol=1e-14, atol=0)
 
 
+def _all_losses(d, rng):
+    return [LeastSquares(), QNormHinge(q=1.0), QNormHinge(q=1.5), QNormHinge(q=2.0),
+            QPowerAbsolute(q=1.0), QPowerAbsolute(q=1.5),
+            AucSquare(p=0.3, mu_plus=rng.normal(0.0, 0.5, d),
+                      mu_minus=rng.normal(0.0, 0.5, d))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+def test_batch_value_broadcasts_with_the_bits_of_flat_rows(d):
+    # the engine's empirical risk evaluates iterates (R, c, 1, d) against
+    # datasets (R, 1, n, d); every entry must keep the bits of the flat
+    # (rows, d) call that repeats each iterate once per example
+    rng = np.random.default_rng(100 + d)
+    for loss in _all_losses(d, rng):
+        for R, c, n in ((1, 1, 1), (3, 1, 5), (2, 4, 9), (5, 3, 33)):
+            W = rng.normal(size=(R, c, d))
+            X = rng.normal(size=(R, n, d))
+            y = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
+            flat = loss.batch_value(
+                np.repeat(W.reshape(R * c, d), n, axis=0),
+                np.repeat(X[:, None], c, axis=1).reshape(R * c * n, d),
+                np.repeat(y[:, None], c, axis=1).reshape(R * c * n),
+            ).reshape(R, c, n)
+            got = loss.batch_value(W[:, :, None], X[:, None], y[:, None])
+            assert got.tobytes() == flat.tobytes(), (loss.kind, R, c, n, d)
+            one = loss.batch_value(W[:, 0][:, None], X, y)
+            assert one.tobytes() == flat[:, 0].tobytes(), (loss.kind, R, n, d)
+
+
 def test_loss_parameter_validation():
     with pytest.raises(InvalidArgument):
         QNormHinge(q=0.5)

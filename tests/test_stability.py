@@ -18,6 +18,7 @@ from sgdlab.stability import (
     estimate_epoch_stability_without_replacement,
     estimate_generalization_gap,
     estimate_on_average_stability,
+    gap_from_stability,
     uniform_stability_proxy,
     _replicate_dataset_seed,
 )
@@ -50,8 +51,6 @@ def test_coupling_config_validation():
         CouplingConfig(replicates=0)
     with pytest.raises(InvalidArgument):
         CouplingConfig(replicates=2, neighbor_subsample=0)
-    with pytest.raises(InvalidArgument):
-        CouplingConfig(replicates=2, shared_index_seed_policy="fresh")
     with pytest.raises(InvalidArgument):
         CouplingConfig(replicates=2, threads=0)
     cfg = CouplingConfig(replicates=3)
@@ -195,7 +194,7 @@ def test_estimator_determinism_and_seed_sensitivity():
 
 
 def test_estimator_thread_invariance():
-    # more replicates than one chunk so the pool actually splits work
+    # threads is accepted and has no effect; the results must not depend on it
     base_cfg = dict(replicates=20, record_risks=True)
     a = estimate_on_average_stability(
         LeastSquares(), _dist(), 5, 8, FixedConstant(0.1), Ball(1.0),
@@ -353,6 +352,37 @@ def test_gap_excess_nan_without_minimum():
                                       mc_pop=500, master_seed=2)
     assert np.isnan(rep.excess_mean) and np.isnan(rep.excess_stderr)
     assert np.isfinite(rep.gap_mean)
+
+
+@pytest.mark.parametrize("loss,subsample,mc_pop", [
+    (LeastSquares(), None, 0),
+    (QNormHinge(q=1.5), 3, 400),   # no closed form: Monte Carlo population risk
+])
+def test_gap_from_stability_equals_the_gap_estimator(loss, subsample, mc_pop):
+    # the base runs of the stability estimate are the gap estimator's runs
+    sched = FixedConstant(0.1)
+    stab = estimate_on_average_stability(
+        loss, _dist(), 7, 9, sched, None,
+        CouplingConfig(replicates=6, neighbor_subsample=subsample), master_seed=8)
+    got = gap_from_stability(loss, _dist(), stab, mc_pop, master_seed=8)
+    want = estimate_generalization_gap(loss, _dist(), 7, 9, sched, None,
+                                       replicates=6, mc_pop=mc_pop, master_seed=8,
+                                       output="final")
+    assert repr(got) == repr(want)   # floats to the last bit; nan excess alike
+
+
+def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
+    sched = FixedConstant(0.1)
+    no_risks = estimate_on_average_stability(
+        LeastSquares(), _dist(), 4, 4, sched, None,
+        CouplingConfig(replicates=3, record_risks=False), master_seed=1)
+    with pytest.raises(InvalidArgument):
+        gap_from_stability(LeastSquares(), _dist(), no_risks, 0, master_seed=1)
+    one = estimate_on_average_stability(
+        LeastSquares(), _dist(), 4, 4, sched, None,
+        CouplingConfig(replicates=1), master_seed=1)
+    with pytest.raises(InvalidArgument):
+        gap_from_stability(LeastSquares(), _dist(), one, 0, master_seed=1)
 
 
 def test_gap_thread_invariance():
