@@ -27,6 +27,12 @@ per block, in the same per-row arithmetic as a step-by-step loop, so the
 bits do not depend on the block length.  The averages are kept for the base
 rows only.
 
+Step sizes are (T,), shared by every replicate and applied as one Python
+float per step, or (R, T) when they differ between replicates (a schedule
+built from each replicate's own data); then each active row gathers its
+replicate's step, which gives the same bits as a run of that replicate
+alone.
+
 Determinism contract: given the same seeds, every public quantity is bitwise
 reproducible, and a replicate's results do not depend on which other
 replicates share its call.
@@ -35,7 +41,7 @@ replicates share its call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -117,8 +123,11 @@ def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) 
     return loss.batch_value(Wb[:, None], Xs, ys).mean(axis=1)
 
 
-def _apply_post(Wf: np.ndarray, post, eta: float) -> None:
-    """In-place projection / proximal step on flattened rows."""
+def _apply_post(Wf: np.ndarray, post, eta) -> None:
+    """In-place projection / proximal step on flattened rows.
+
+    ``eta`` is the step: a number, or a column with one entry per row.
+    """
     if post is None:
         return
     kind = post[0]
@@ -193,7 +202,9 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     sub_idx : (R, m) int or None
         Distinct positions per replicate whose example is swapped for the
         ghost one in rows 1..m.
-    etas : (T,)
+    etas : (T,), or (R, T) for step sizes per replicate
+        A row steps by ``etas[r, t]`` of its replicate r; the weighted
+        averages are then undefined, so ``collect_averages`` must be False.
     post : None | ("ball", radius) | ("prox_l2", lam) | ("prox_l1", lam)
     indices : (R, T) shared per-replicate index streams.
     """
@@ -201,8 +212,11 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     ys = np.asarray(ys)
     R, n, d = Xs.shape
     T = indices.shape[1]
-    if etas.shape[0] != T:
-        raise InvalidArgument("etas length must equal the step count")
+    per_row = etas.ndim == 2
+    if etas.shape != ((R, T) if per_row else (T,)):
+        raise InvalidArgument("etas must be (T,) or (R, T) for T steps of R replicates")
+    if per_row and collect_averages:
+        raise InvalidArgument("averages need one step size per step, not per replicate")
     m = 0 if sub_idx is None else sub_idx.shape[1]
     ar = np.arange(R)
 
@@ -258,7 +272,9 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             gx = gXs[hit_r, idx[hit_j, hit_r]]
             gy = gys[hit_r, idx[hit_j, hit_r]]
             cut = np.searchsorted(hit_j, np.arange(e - s + 1)).tolist()
-        for j, eta in enumerate(etas[s:e].tolist()):
+        # a Python float per step, or the (block, R) steps of each replicate
+        steps = etas[:, s:e].T if per_row else etas[s:e].tolist()
+        for j, eta in enumerate(steps):
             if P and active[j] > k:
                 # fork: a neighbour equals its base row until its first hit
                 lo, k = k, active[j]
@@ -275,6 +291,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             else:
                 Xf = xb[j]
                 yf = yb[j]
+            if per_row:
+                eta = eta[rep[:k], None]
             Wa -= eta * loss.batch_grad(Wa, Xf, yf)
             if post is not None:
                 _apply_post(Wa, post, eta)

@@ -316,20 +316,6 @@ def thm8_strongly_convex_stability_bound(inp: BoundInputs, t: int, t0: int) -> f
     return 4.0 * inp.G / inp.sigma * (1.0 / math.sqrt(inp.n * (t + t0)) + 1.0 / inp.n)
 
 
-def propC1_nonconvex_recurrence(prev_l2_sq: float, eta_t: float, L: float,
-                                p: float, n: int, risk_t: float) -> float:
-    """One step of the squared-stability recurrence without convexity:
-
-        (1 + p/n)(1 + eta_t L)^2 * prev + 8 (1 + 1/p) L eta_t^2 / n * E[F_S(w_t)].
-    """
-    if not p > 0.0:
-        raise InvalidArgument(f"p must be positive, got {p}")
-    if not (L > 0.0 and n >= 1 and eta_t >= 0.0 and prev_l2_sq >= 0.0):
-        raise InvalidArgument("invalid recurrence inputs")
-    return (1.0 + p / n) * (1.0 + eta_t * L) ** 2 * prev_l2_sq \
-        + 8.0 * (1.0 + 1.0 / p) * L * eta_t ** 2 / n * risk_t
-
-
 # ---------------------------------------------------------------------------
 # generalization via stability
 # ---------------------------------------------------------------------------

@@ -73,11 +73,11 @@ from ..stability import (
     TAG_REPLICATE,
     CouplingConfig,
     brute_force_stability,
-    coupled_pair_run,
-    estimate_epoch_stability_without_replacement,
+    coupled_distances,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
+    standard_error,
 )
 from .config import (
     ExperimentConfig,
@@ -285,7 +285,7 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
         family = sample_neighbor_family(dist, n, cfg.master_seed)
         l1_exact, l2_exact = brute_force_stability(loss, family, sched, domain, T)
         coupling = CouplingConfig(replicates=cfg.replicates, neighbor_subsample=None,
-                                  record_risks=False, threads=cfg.threads)
+                                  record_risks=False)
         rep = estimate_on_average_stability(loss, None, n, T, sched, domain,
                                             coupling, cfg.master_seed,
                                             fixed_family=family)
@@ -326,7 +326,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
         theta = getattr(sched, "theta", None)
         coupling = CouplingConfig(replicates=cfg.replicates,
                                   neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=True, threads=cfg.threads)
+                                  record_risks=True)
         rep = estimate_on_average_stability(loss, dist, n, T, sched, domain,
                                             coupling, cfg.master_seed)
         em.row("l1_stability", rep.l1_mean, n=n, T=T, theta=theta, stderr=rep.l1_stderr)
@@ -355,8 +355,7 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
         theta = getattr(sched, "theta", None)
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
                                           cfg.replicates, cfg.mc_pop,
-                                          cfg.master_seed, output=output,
-                                          threads=cfg.threads)
+                                          cfg.master_seed, output=output)
         em.row("excess_risk", rep.excess_mean, n=n, T=T, theta=theta,
                stderr=rep.excess_stderr)
         points.append((n, rep.excess_mean))
@@ -395,7 +394,7 @@ def _plus_sigma(mean: np.ndarray, stderr: np.ndarray) -> np.ndarray:
 def _stability_with_risks(cfg, loss, dist, n, T, sched, domain):
     coupling = CouplingConfig(replicates=cfg.replicates,
                               neighbor_subsample=cfg.neighbor_subsample,
-                              record_risks=True, threads=cfg.threads)
+                              record_risks=True)
     return estimate_on_average_stability(loss, dist, n, T, sched, domain,
                                          coupling, cfg.master_seed)
 
@@ -493,7 +492,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
         theta = getattr(sched, "theta", None)
         coupling = CouplingConfig(replicates=cfg.replicates,
                                   neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=False, threads=cfg.threads)
+                                  record_risks=False)
         rep = estimate_on_average_stability(loss, dist, n, T, sched, domain,
                                             coupling, cfg.master_seed)
         inp = BoundInputs(n=n, T=T, etas=sched.etas(T), L=L, G=G, alpha=loss.alpha)
@@ -510,7 +509,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
                             _engine.derive_seed(cfg.master_seed, _TAG_UNBIASED, j))
         vals = loss.batch_value(np.broadcast_to(w, (cfg.draws, dist.dim)),
                                 ds.features, ds.labels)
-        mc, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(cfg.draws))
+        mc, se = float(vals.mean()), standard_error(vals)
         analytic, _ = population_risk(loss, dist, w)
         # two-sided agreement at 3 sigma plus the round-off of the mean: at
         # w = 0 every draw equals p (1 - p), so se is itself round-off and
@@ -533,22 +532,22 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         R = cfg.replicates
-        dists = np.empty(R)
+        families = []
+        etas = np.empty((R, T))
         rhss = np.empty(R)
         for r in range(R):
             seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
             ds = sample_dataset(dist, n, seed_r)
             sigma = min_positive_eigenvalue(ds)
             t0 = t0_for_strong_convexity(L, sigma)
-            sched = StronglyConvexDecay(sigma=sigma, t0=t0)
-            family = NeighborFamily(base=ds, ghost=zero_example_neighbor(ds, 0))
-            w, w_bar, _ = coupled_pair_run(loss, family, 0, sched, domain, T, seed_r)
-            dists[r] = float(np.linalg.norm(w - w_bar))
-            inp = BoundInputs(n=n, T=T, etas=sched.etas(T), G=G, sigma=sigma)
+            etas[r] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
+            families.append(NeighborFamily(base=ds, ghost=zero_example_neighbor(ds, 0)))
+            inp = BoundInputs(n=n, T=T, etas=etas[r], G=G, sigma=sigma)
             rhss[r] = thm8_strongly_convex_stability_bound(inp, T, t0)
-        stderr = float(dists.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+        dists = coupled_distances(loss, families.__getitem__, n, etas, domain, R,
+                                  cfg.master_seed)
         em.gate_row("zero_example_stability", float(rhss.mean()),
-                    float(dists.mean()), stderr, n=n, T=T)
+                    float(dists.mean()), standard_error(dists), n=n, T=T)
 
 
 def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
@@ -578,12 +577,9 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
         pop, _ = population_risk(loss, dist, W)
         gaps = pop - emp
         fracs = pop + 0.5 * lam * sq_norms
-        frac_hat = float(fracs.mean())
-        if R > 1:
-            frac_hat += float(fracs.std(ddof=1) / math.sqrt(R))
+        frac_hat = float(fracs.mean()) + standard_error(fracs)
         rhs = propD2_erm_bound(c1, n, lam, frac_hat)
-        stderr = float(gaps.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-        em.gate_row("erm_gap", rhs, float(gaps.mean()), stderr, n=n)
+        em.gate_row("erm_gap", rhs, float(gaps.mean()), standard_error(gaps), n=n)
 
 
 def _require_lipschitz_hinge(loss, target: str) -> None:
@@ -605,9 +601,9 @@ def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
         theta = getattr(sched, "theta", None)
         coupling = CouplingConfig(replicates=cfg.replicates,
                                   neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=False, threads=cfg.threads)
-        rep = estimate_epoch_stability_without_replacement(
-            loss, dist, n, K, sched, coupling, cfg.master_seed)
+                                  record_risks=False)
+        rep = estimate_on_average_stability(loss, dist, n, T, sched, None, coupling,
+                                            cfg.master_seed, without_replacement=True)
         etas = sched.etas(T)
         per_epoch = [etas[k * n:(k + 1) * n] for k in range(K)]
         rhs = propG2_without_replacement_bound(per_epoch, 0.0, L, G, n)
@@ -629,19 +625,16 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
         sched = build_schedule(cfg, T)
         rhs = propG1_high_prob_bound(cfg.c, cfg.theta, 0.0, L, G, T, n, cfg.delta)
         R = cfg.replicates
-        exceed = 0
-        total = np.empty(R)
-        for r in range(R):
-            seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
-            family = sample_neighbor_family(dist, n, seed_r)
-            w, w_i, _ = coupled_pair_run(loss, family, 0, sched, None, T, seed_r)
-            total[r] = float(np.linalg.norm(w - w_i))
-            if total[r] > rhs:
-                exceed += 1
+
+        def families(r):
+            return sample_neighbor_family(
+                dist, n, _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r))
+
+        total = coupled_distances(loss, families, n, sched.etas(T), None, R,
+                                  cfg.master_seed)
+        exceed = int(np.count_nonzero(total > rhs))
         em.row("coupled_distance_mean", float(total.mean()), n=n, T=T,
-               theta=cfg.theta,
-               stderr=float(total.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0,
-               bound_rhs=rhs)
+               theta=cfg.theta, stderr=standard_error(total), bound_rhs=rhs)
         em.gate_row("exceedance_fraction", cfg.delta, exceed / R, 0.0,
                     n=n, T=T, theta=cfg.theta)
 

@@ -5,36 +5,48 @@ run on S and the runs on its replace-one neighbors S^(i) consume the same
 i_t sequence, so the measured distances are exactly the quantities the
 stability analysis controls.
 
-Seed discipline: replicate r of a given master seed always derives its
-dataset from (master_seed, replicate tag, r) and its index stream from
-(master_seed, index tag, r).  A stability report keeps the output and the
-empirical risk of each replicate's base run, so ``gap_from_stability``
-measures the generalization gap on the very runs whose stability was
-measured, without running them again; ``estimate_generalization_gap`` runs
-the same base trajectories for callers that need no stability.
+One skeleton, ``_replicate_batches``, runs the replicates of every estimator.
+It takes the data of each replicate (a family held fixed, or a function of
+the replicate number that samples or looks up its family, or its dataset
+alone when no neighbour runs), the neighbour positions (all n, a subsample
+per replicate, or given ones), the index streams (a function of the
+replicate number: i.i.d. keys or per-epoch permutations; or given
+sequences), the step sizes ((T,), or (R, T) when they differ between
+replicates) and the post-step.  It stacks a chunk of replicates, runs it
+through ``_engine.run_core`` and hands the result to its caller, which
+reduces it before the next chunk runs.
+
+Seed discipline: replicate r of a given master seed derives its dataset from
+(master_seed, replicate tag, r), its position subsample from (master_seed,
+subsample tag, r) and its index stream from (master_seed, index tag, r), or
+from (master_seed, permutation tag, r) for epochs without replacement.
+``coupled_distances`` keys replicate r's stream by the replicate's own seed
+instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
+r).  A stability report keeps the output and the empirical risk of each
+replicate's base run, so ``gap_from_stability`` measures the generalization
+gap on the very runs whose stability was measured, without running them
+again; ``estimate_generalization_gap`` runs the same base trajectories for
+callers that need no stability.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
 preallocated arrays.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m
 per replicate: the base run and m neighbours) and holds at most
 ``EXAMPLES_PER_ROW * ROW_BUDGET`` examples (n per replicate), so few rows
 per replicate make few, long chunks while memory stays bounded.  Every
-replicate's result is bitwise the same for any chunk size.  The ``threads``
-settings are accepted for compatibility but run nothing in parallel: a
-thread pool over chunks made the measured runs slower, not faster.
+replicate's result is bitwise the same for any chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from . import _engine
-from .data import (Dataset, Distribution, NeighborFamily, empirical_risk,
-                   population_risk, population_risk_minimum, sample_dataset,
+from .data import (Distribution, NeighborFamily, population_risk,
+                   population_risk_minimum, sample_dataset,
                    sample_neighbor_family)
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
@@ -62,13 +74,11 @@ class CouplingConfig:
         subsample, drawn per replicate.
     record_risks: record the base-run empirical risk path (needed by the
         bound calculators).
-    threads: accepted and validated for compatibility; it has no effect.
     """
 
     replicates: int
     neighbor_subsample: Optional[int] = None
     record_risks: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if not self.replicates >= 1:
@@ -76,8 +86,6 @@ class CouplingConfig:
         if self.neighbor_subsample is not None and not self.neighbor_subsample >= 1:
             raise InvalidArgument(
                 f"neighbor_subsample must be >= 1, got {self.neighbor_subsample}")
-        if not self.threads >= 1:
-            raise InvalidArgument(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,8 @@ class GapReport:
     replicates: int
 
 
-def _stderr(vals: np.ndarray) -> float:
+def standard_error(vals: np.ndarray) -> float:
+    """The standard error of the mean of ``vals``; 0 for fewer than two values."""
     if vals.shape[0] < 2:
         return 0.0
     return float(vals.std(ddof=1) / math.sqrt(vals.shape[0]))
@@ -148,14 +157,6 @@ def _stderr(vals: np.ndarray) -> float:
 def _chunk_size(rows: int, n: int) -> int:
     """Replicates per chunk when each runs ``rows`` engine rows on n examples."""
     return max(1, min(ROW_BUDGET // rows, EXAMPLES_PER_ROW * ROW_BUDGET // n))
-
-
-def _run_chunks(worker: Callable[[int, int], None], total: int, rows: int,
-                n: int) -> None:
-    """Call ``worker(lo, hi)`` on consecutive replicate spans, in order."""
-    step = _chunk_size(rows, n)
-    for lo in range(0, total, step):
-        worker(lo, min(lo + step, total))
 
 
 def _post_of(domain: Optional[Ball]):
@@ -194,35 +195,104 @@ def _aggregate_risk_stats(loss: Loss, steps: np.ndarray, path: np.ndarray,
         frac_mean=frac_path.mean(axis=0),
         frac_stderr=col_stderr(frac_path),
         final_mean=float(final_risk.mean()),
-        final_stderr=_stderr(final_risk),
+        final_stderr=standard_error(final_risk),
     )
 
 
 # ---------------------------------------------------------------------------
-# single coupled pair
+# the replicate-batch skeleton
 # ---------------------------------------------------------------------------
 
-def coupled_pair_run(loss: Loss, family: NeighborFamily, i: int, sched: Schedule,
-                     domain: Optional[Ball], T: int, master_seed: int
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run SGD on S and on S^(i) with one shared index stream.
+def _arrays(data, ghosts: bool) -> tuple:
+    """(X, y, ghost X, ghost y) of a NeighborFamily, or (X, y) of a Dataset."""
+    if ghosts:
+        return (data.base.features, data.base.labels,
+                data.ghost.features, data.ghost.labels)
+    return data.features, data.labels
 
-    Returns (w_{T+1} on S, w_{T+1} on S^(i), base-run per-step risks).
+
+def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray, post,
+                       families, streams, positions=None,
+                       master_seed: Optional[int] = None,
+                       **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
+                                                    np.ndarray, np.ndarray]]:
+    """Run R replicates chunk by chunk, in order; yield ``(lo, hi, out, Xs, ys)``.
+
+    ``out`` is the ``run_core`` result of replicates lo..hi-1 and ``Xs, ys``
+    are their base datasets.
+
+    families: a NeighborFamily held fixed for every replicate, or a function
+        of r giving replicate r's NeighborFamily; a Dataset in place of a
+        family when ``positions`` is None.
+    positions: None (the base runs only); an int m, for all n positions when
+        m = n and otherwise m positions drawn per replicate from
+        (master_seed, subsample tag, r); or an array of positions given for
+        every replicate.
+    streams: a function of r giving replicate r's (1, T) index stream, or an
+        (R, T) array of given index sequences.
+    etas: (T,), or (R, T) for step sizes per replicate.
+
+    ``collect`` goes to ``run_core``, with ``collect_averages`` False unless
+    given.
     """
-    n = family.base.n
-    if not 0 <= i < n:
-        raise InvalidArgument(f"neighbor position must be in [0, {n}), got {i}")
-    etas = sched.etas(T)
-    indices = _replicate_index_key(master_seed, 0, n, T)
-    out = _engine.run_core(
-        loss,
-        family.base.features[None], family.base.labels[None],
-        family.ghost.features[None], family.ghost.labels[None],
-        np.asarray([[i]], dtype=np.int64),
-        etas, _post_of(domain), indices,
-        collect_per_step_risk=True, collect_averages=False,
-    )
-    return out.finals[0, 0], out.finals[0, 1], out.per_step_risk[0]
+    given = None
+    if positions is None:
+        m = 0
+    elif isinstance(positions, int):
+        m = positions
+        if m == n:
+            given = np.arange(n, dtype=np.int64)
+    else:
+        given = np.asarray(positions, dtype=np.int64)
+        m = given.shape[0]
+        if not np.all((given >= 0) & (given < n)):
+            raise InvalidArgument(f"neighbor positions must be in [0, {n}), got {given}")
+    if m > n:
+        raise InvalidArgument(f"{m} neighbor positions exceed n = {n}")
+    if etas.ndim == 2 and etas.shape[0] != R:
+        raise InvalidArgument(
+            f"step sizes per replicate need {R} rows, got {etas.shape[0]}")
+    collect.setdefault("collect_averages", False)
+
+    step = _chunk_size(1 + m, n)
+    for lo in range(0, R, step):
+        hi = min(lo + step, R)
+        Rc = hi - lo
+        if callable(families):
+            cols = None
+            for k, r in enumerate(range(lo, hi)):
+                row = _arrays(families(r), m > 0)
+                if cols is None:
+                    cols = [np.empty((Rc,) + a.shape) for a in row]
+                for col, a in zip(cols, row):
+                    col[k] = a
+        else:
+            cols = [np.broadcast_to(a, (Rc,) + a.shape) for a in _arrays(families, m > 0)]
+        Xs, ys, gXs, gys = cols if m else cols + [None, None]
+
+        if given is not None:
+            sub = np.broadcast_to(given, (Rc, m))
+        elif m:
+            sub = np.stack([
+                _engine.philox(_engine.derive_seed(master_seed, _engine.TAG_SUBSAMPLE, r))
+                .permutation(n)[:m] for r in range(lo, hi)])
+        else:
+            sub = None
+
+        if isinstance(streams, np.ndarray):
+            indices = streams[lo:hi]
+        else:
+            indices = np.vstack([streams(r) for r in range(lo, hi)])
+        out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
+                               etas[lo:hi] if etas.ndim == 2 else etas, post,
+                               indices, **collect)
+        yield lo, hi, out, Xs, ys
+
+
+def _distance_means(out: _engine.CoreResult) -> Tuple[np.ndarray, np.ndarray]:
+    """Per replicate, the means of ||w - w^(i)|| and of its square over the neighbours."""
+    norms = np.linalg.norm(out.finals[:, 1:] - out.finals[:, :1], axis=2)
+    return norms.mean(axis=1), (norms ** 2).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +302,8 @@ def coupled_pair_run(loss: Loss, family: NeighborFamily, i: int, sched: Schedule
 def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: int,
                                   T: int, sched: Schedule, domain: Optional[Ball],
                                   config: CouplingConfig, master_seed: int,
-                                  fixed_family: Optional[NeighborFamily] = None
+                                  fixed_family: Optional[NeighborFamily] = None,
+                                  without_replacement: bool = False
                                   ) -> StabilityReport:
     """Estimate the l1/l2 on-average model stability of projected SGD.
 
@@ -241,21 +312,21 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     sampled positions; means and standard errors are then taken over
     replicates.  With ``fixed_family`` the datasets are held fixed and only
     the index stream varies (the conditional expectation the enumeration
-    oracle computes exactly).
+    oracle computes exactly).  With ``without_replacement`` the runs are
+    epoch SGD: the stream is a fresh shuffle of the n examples per epoch,
+    and T must be a whole number of epochs (T = 0 gives exactly 0).
     """
     if not (n >= 1 and T >= 0):
         raise InvalidArgument("n must be >= 1 and T >= 0")
-    m = config.neighbor_subsample if config.neighbor_subsample is not None else n
-    if m > n:
-        raise InvalidArgument(f"neighbor_subsample {m} exceeds n = {n}")
+    if without_replacement and T % n:
+        raise InvalidArgument(f"epochs without replacement need T = {T} "
+                              f"to be a multiple of n = {n}")
     if fixed_family is None and dist is None:
         raise InvalidArgument("either a distribution or a fixed family is required")
     if fixed_family is not None and fixed_family.base.n != n:
         raise InvalidArgument("fixed family size differs from n")
 
     R = config.replicates
-    etas = sched.etas(T)
-    post = _post_of(domain)
     # no steps -> no risk path to record (the output is w_1 = 0)
     ckpt = _engine.checkpoint_steps(T) if (config.record_risks and T >= 1) else None
 
@@ -266,60 +337,63 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     risk_rows = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
     final_risk = np.empty(R) if config.record_risks else None
 
-    def worker(lo: int, hi: int) -> None:
-        Rc = hi - lo
-        if fixed_family is not None:
-            Xs = np.broadcast_to(fixed_family.base.features, (Rc, n, d))
-            ys = np.broadcast_to(fixed_family.base.labels, (Rc, n))
-            gXs = np.broadcast_to(fixed_family.ghost.features, (Rc, n, d))
-            gys = np.broadcast_to(fixed_family.ghost.labels, (Rc, n))
-        else:
-            Xs = np.empty((Rc, n, d))
-            ys = np.empty((Rc, n))
-            gXs = np.empty((Rc, n, d))
-            gys = np.empty((Rc, n))
-            for k, r in enumerate(range(lo, hi)):
-                fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
-                Xs[k], ys[k] = fam.base.features, fam.base.labels
-                gXs[k], gys[k] = fam.ghost.features, fam.ghost.labels
+    if fixed_family is not None:
+        families = fixed_family
+    else:
+        def families(r):
+            seed = _replicate_dataset_seed(master_seed, r)
+            return sample_neighbor_family(dist, n, seed)
+    if without_replacement:
+        def streams(r):
+            key = _engine.derive_seed(master_seed, _engine.TAG_PERM, r)
+            return _engine.permutation_matrix(key, n, T // n, 1)
+    else:
+        def streams(r):
+            return _replicate_index_key(master_seed, r, n, T)
+    m = config.neighbor_subsample if config.neighbor_subsample is not None else n
 
-        if m == n:
-            sub = np.broadcast_to(np.arange(n, dtype=np.int64), (Rc, n))
-        else:
-            sub = np.empty((Rc, m), dtype=np.int64)
-            for k, r in enumerate(range(lo, hi)):
-                rng = _engine.philox(_engine.derive_seed(master_seed, _engine.TAG_SUBSAMPLE, r))
-                sub[k] = rng.permutation(n)[:m]
-
-        indices = np.vstack([_replicate_index_key(master_seed, r, n, T)
-                             for r in range(lo, hi)])
-        out = _engine.run_core(
-            loss, Xs, ys, gXs, gys, sub, etas, post, indices,
-            collect_averages=False,
-            risk_ckpt_steps=ckpt,
-            collect_final_risk=config.record_risks,
-        )
-        diffs = out.finals[:, 1:] - out.finals[:, :1]
-        norms = np.linalg.norm(diffs, axis=2)
-        l1_vals[lo:hi] = norms.mean(axis=1)
-        l2_vals[lo:hi] = (norms ** 2).mean(axis=1)
+    for lo, hi, out, _, _ in _replicate_batches(
+            loss, R, n, sched.etas(T), _post_of(domain), families, streams, m,
+            master_seed, risk_ckpt_steps=ckpt, collect_final_risk=config.record_risks):
+        l1_vals[lo:hi], l2_vals[lo:hi] = _distance_means(out)
         base_finals[lo:hi] = out.finals[:, 0]
         if risk_rows is not None:
             risk_rows[lo:hi] = out.risk_path
         if final_risk is not None:
             final_risk[lo:hi] = out.final_emp_risk
 
-    _run_chunks(worker, R, 1 + m, n)
-
     stats = None
     if risk_rows is not None:
         stats = _aggregate_risk_stats(loss, ckpt, risk_rows, final_risk)
     return StabilityReport(
-        l1_mean=float(l1_vals.mean()), l1_stderr=_stderr(l1_vals),
-        l2_sq_mean=float(l2_vals.mean()), l2_sq_stderr=_stderr(l2_vals),
+        l1_mean=float(l1_vals.mean()), l1_stderr=standard_error(l1_vals),
+        l2_sq_mean=float(l2_vals.mean()), l2_sq_stderr=standard_error(l2_vals),
         risk_path=stats, n=n, T=T, config=config,
         base_finals=base_finals, base_emp_risk=final_risk,
     )
+
+
+def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
+                      domain: Optional[Ball], replicates: int, master_seed: int
+                      ) -> np.ndarray:
+    """||w_{T+1} - w^(0)_{T+1}|| for each replicate r = 0 .. replicates - 1.
+
+    Replicate r runs SGD on ``families(r).base`` and on its neighbour at
+    position 0 with one shared i.i.d. index stream, keyed (seed_r, index tag,
+    0) with seed_r = (master_seed, replicate tag, r).  ``etas`` is (T,), or
+    (replicates, T) for step sizes per replicate.
+    """
+    T = etas.shape[-1]
+    dists = np.empty(replicates)
+
+    def streams(r):
+        return _replicate_index_key(_replicate_dataset_seed(master_seed, r), 0, n, T)
+
+    for lo, hi, out, _, _ in _replicate_batches(
+            loss, replicates, n, etas, _post_of(domain), families, streams,
+            np.zeros(1, dtype=np.int64)):
+        dists[lo:hi] = _distance_means(out)[0]
+    return dists
 
 
 # ---------------------------------------------------------------------------
@@ -347,91 +421,13 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     if M > BRUTE_FORCE_MAX_SEQUENCES:
         raise ResourceLimitExceeded(
             f"enumeration needs {M} sequences; budget is {BRUTE_FORCE_MAX_SEQUENCES}")
-    etas = sched.etas(T)
-    post = _post_of(domain)
-    seqs = _all_index_sequences(n, T)
-    d = family.base.dim
-
     l1_seq = np.empty(M)
     l2_seq = np.empty(M)
-    step = _chunk_size(n + 1, n)
-    for lo in range(0, M, step):
-        hi = min(lo + step, M)
-        Rc = hi - lo
-        out = _engine.run_core(
-            loss,
-            np.broadcast_to(family.base.features, (Rc, n, d)),
-            np.broadcast_to(family.base.labels, (Rc, n)),
-            np.broadcast_to(family.ghost.features, (Rc, n, d)),
-            np.broadcast_to(family.ghost.labels, (Rc, n)),
-            np.broadcast_to(np.arange(n, dtype=np.int64), (Rc, n)),
-            etas, post, seqs[lo:hi],
-            collect_averages=False,
-        )
-        norms = np.linalg.norm(out.finals[:, 1:] - out.finals[:, :1], axis=2)
-        l1_seq[lo:hi] = norms.mean(axis=1)
-        l2_seq[lo:hi] = (norms ** 2).mean(axis=1)
+    for lo, hi, out, _, _ in _replicate_batches(
+            loss, M, n, sched.etas(T), _post_of(domain), family,
+            _all_index_sequences(n, T), n):
+        l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)
     return float(l1_seq.mean()), float(l2_seq.mean())
-
-
-# ---------------------------------------------------------------------------
-# uniform-stability proxy
-# ---------------------------------------------------------------------------
-
-def uniform_stability_proxy(loss: Loss, ds_a: Dataset, ds_b: Dataset, sched: Schedule,
-                            domain: Optional[Ball], T: int,
-                            eval_points: Sequence[Tuple[np.ndarray, float]],
-                            replicates: int, master_seed: int) -> float:
-    """max over eval points of |E[f(w; z) - f(w~; z)]| for one neighbor pair.
-
-    ds_a and ds_b must differ in exactly one example.  Runs coupled pairs
-    over ``replicates`` index streams.  With no eval points the proxy is 0
-    (with a warning) — there is nothing to evaluate at.
-    """
-    if ds_a.features.shape != ds_b.features.shape:
-        raise InvalidArgument("datasets must have identical shapes")
-    differs = np.any(ds_a.features != ds_b.features, axis=1) | (ds_a.labels != ds_b.labels)
-    where = np.nonzero(differs)[0]
-    if where.shape[0] != 1:
-        raise InvalidArgument(
-            f"datasets must differ in exactly one example, found {where.shape[0]}")
-    if len(eval_points) == 0:
-        warnings.warn("uniform_stability_proxy called with no evaluation points; returning 0")
-        return 0.0
-    i = int(where[0])
-    fam = NeighborFamily(base=ds_a, ghost=ds_b)
-    n = ds_a.n
-    etas = sched.etas(T)
-    R = replicates
-    finals_a = np.empty((R, ds_a.dim))
-    finals_b = np.empty((R, ds_a.dim))
-
-    def worker(lo, hi):
-        Rc = hi - lo
-        indices = np.vstack([_replicate_index_key(master_seed, r, n, T)
-                             for r in range(lo, hi)])
-        out = _engine.run_core(
-            loss,
-            np.broadcast_to(fam.base.features, (Rc, n, ds_a.dim)),
-            np.broadcast_to(fam.base.labels, (Rc, n)),
-            np.broadcast_to(fam.ghost.features, (Rc, n, ds_a.dim)),
-            np.broadcast_to(fam.ghost.labels, (Rc, n)),
-            np.full((Rc, 1), i, dtype=np.int64),
-            etas, _post_of(domain), indices,
-            collect_averages=False,
-        )
-        finals_a[lo:hi] = out.finals[:, 0]
-        finals_b[lo:hi] = out.finals[:, 1]
-
-    _run_chunks(worker, R, 2, n)
-
-    worst = 0.0
-    for x, y in eval_points:
-        x = np.asarray(x, dtype=np.float64)
-        va = loss.batch_value(finals_a, np.broadcast_to(x, finals_a.shape), np.full(R, y))
-        vb = loss.batch_value(finals_b, np.broadcast_to(x, finals_b.shape), np.full(R, y))
-        worst = max(worst, abs(float((va - vb).mean())))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +437,7 @@ def uniform_stability_proxy(loss: Loss, ds_a: Dataset, ds_b: Dataset, sched: Sch
 def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
                                 sched: Schedule, domain: Optional[Ball],
                                 replicates: int, mc_pop: int, master_seed: int,
-                                output: Optional[str] = None,
-                                threads: int = 1) -> GapReport:
+                                output: Optional[str] = None) -> GapReport:
     """Monte-Carlo E[F(w_out) - F_S(w_out)] and E[F(w_out) - F*].
 
     ``output`` selects the algorithm output: "final" (w_{T+1}),
@@ -450,8 +445,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     ((t + t0 - 1)-weighted average); default is "avg_linear" for the
     strongly-convex schedule and "final" otherwise.  Excess risk is reported
     as NaN when no closed-form risk minimum exists for the (loss,
-    distribution) pair.  ``threads`` is accepted for compatibility and has
-    no effect.
+    distribution) pair.
     """
     if not replicates >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
@@ -460,24 +454,19 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     if output not in ("final", "avg_eta", "avg_linear"):
         raise InvalidArgument(f"unknown output selector {output!r}")
 
-    etas = sched.etas(T)
-    post = _post_of(domain)
     R = replicates
-    d = dist.dim
-    outs = np.empty((R, d))
+    outs = np.empty((R, dist.dim))
     emp = np.empty(R)
 
-    def worker(lo, hi):
-        Rc = hi - lo
-        Xs = np.empty((Rc, n, d))
-        ys = np.empty((Rc, n))
-        for k, r in enumerate(range(lo, hi)):
-            ds = sample_dataset(dist, n, _replicate_dataset_seed(master_seed, r))
-            Xs[k], ys[k] = ds.features, ds.labels
-        indices = np.vstack([_replicate_index_key(master_seed, r, n, T)
-                             for r in range(lo, hi)])
-        out = _engine.run_core(loss, Xs, ys, None, None, None, etas, post, indices,
-                               t0=sched.t0, collect_averages=True)
+    def datasets(r):
+        return sample_dataset(dist, n, _replicate_dataset_seed(master_seed, r))
+
+    def streams(r):
+        return _replicate_index_key(master_seed, r, n, T)
+
+    for lo, hi, out, Xs, ys in _replicate_batches(
+            loss, R, n, sched.etas(T), _post_of(domain), datasets, streams,
+            t0=sched.t0, collect_averages=True):
         if output == "final":
             w = out.finals[:, 0]
         elif output == "avg_eta":
@@ -486,8 +475,6 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
             w = out.avg_lin
         outs[lo:hi] = w
         emp[lo:hi] = _engine._batch_empirical_risk(loss, w, Xs, ys)
-
-    _run_chunks(worker, R, 1, n)
     return _gap_report(loss, dist, outs, emp, mc_pop, master_seed, output, n, T)
 
 
@@ -519,75 +506,11 @@ def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarra
     try:
         f_star, _ = population_risk_minimum(loss, dist)
         excess = pop - f_star
-        excess_mean, excess_stderr = float(excess.mean()), _stderr(excess)
+        excess_mean, excess_stderr = float(excess.mean()), standard_error(excess)
     except InvalidArgument:
         excess_mean, excess_stderr = float("nan"), float("nan")
     return GapReport(
-        gap_mean=float(gaps.mean()), gap_stderr=_stderr(gaps),
+        gap_mean=float(gaps.mean()), gap_stderr=standard_error(gaps),
         excess_mean=excess_mean, excess_stderr=excess_stderr,
         output=output, n=n, T=T, replicates=R,
-    )
-
-
-# ---------------------------------------------------------------------------
-# without-replacement epochs
-# ---------------------------------------------------------------------------
-
-def estimate_epoch_stability_without_replacement(loss: Loss, dist: Distribution,
-                                                 n: int, epochs: int, sched: Schedule,
-                                                 config: CouplingConfig,
-                                                 master_seed: int) -> StabilityReport:
-    """On-average stability of epoch SGD (fresh shuffle per epoch, no projection).
-
-    Couples base and neighbor runs through identical permutation streams and
-    measures ||w_1^{K+1} - w^(i)_1^{K+1}|| averaged over positions and
-    replicates, mirroring the with-replacement estimator.  K = 0 is legal
-    and gives exactly 0 (both outputs are w_1 = 0).
-    """
-    if not epochs >= 0:
-        raise InvalidArgument(f"epochs must be >= 0, got {epochs}")
-    m = config.neighbor_subsample if config.neighbor_subsample is not None else n
-    if m > n:
-        raise InvalidArgument(f"neighbor_subsample {m} exceeds n = {n}")
-    T = epochs * n
-    etas = sched.etas(T)
-    R = config.replicates
-    d = dist.dim
-
-    l1_vals = np.empty(R)
-    l2_vals = np.empty(R)
-
-    def worker(lo, hi):
-        Rc = hi - lo
-        Xs = np.empty((Rc, n, d))
-        ys = np.empty((Rc, n))
-        gXs = np.empty((Rc, n, d))
-        gys = np.empty((Rc, n))
-        for k, r in enumerate(range(lo, hi)):
-            fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
-            Xs[k], ys[k] = fam.base.features, fam.base.labels
-            gXs[k], gys[k] = fam.ghost.features, fam.ghost.labels
-        if m == n:
-            sub = np.broadcast_to(np.arange(n, dtype=np.int64), (Rc, n))
-        else:
-            sub = np.empty((Rc, m), dtype=np.int64)
-            for k, r in enumerate(range(lo, hi)):
-                rng = _engine.philox(_engine.derive_seed(master_seed, _engine.TAG_SUBSAMPLE, r))
-                sub[k] = rng.permutation(n)[:m]
-        indices = np.vstack([
-            _engine.permutation_matrix(
-                _engine.derive_seed(master_seed, _engine.TAG_PERM, r), n, epochs, 1)
-            for r in range(lo, hi)])
-        out = _engine.run_core(loss, Xs, ys, gXs, gys, sub, etas, None, indices,
-                               collect_averages=False)
-        norms = np.linalg.norm(out.finals[:, 1:] - out.finals[:, :1], axis=2)
-        l1_vals[lo:hi] = norms.mean(axis=1)
-        l2_vals[lo:hi] = (norms ** 2).mean(axis=1)
-
-    _run_chunks(worker, R, 1 + m, n)
-
-    return StabilityReport(
-        l1_mean=float(l1_vals.mean()), l1_stderr=_stderr(l1_vals),
-        l2_sq_mean=float(l2_vals.mean()), l2_sq_stderr=_stderr(l2_vals),
-        risk_path=None, n=n, T=T, config=config,
     )

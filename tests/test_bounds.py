@@ -16,7 +16,6 @@ from sgdlab.bounds import (
     lemmaA2a_opt_bound,
     lemmaA2c_weighted_opt_bound,
     lemmaA2d_holder_opt_bound,
-    propC1_nonconvex_recurrence,
     propD2_erm_bound,
     propG1_high_prob_bound,
     propG2_without_replacement_bound,
@@ -250,19 +249,6 @@ def test_thm8_decreases_with_horizon_and_n():
     assert b2 < b1
     inp_bigger_n = BoundInputs(n=256, T=1, etas=np.array([0.1]), G=2.0, sigma=0.5)
     assert thm8_strongly_convex_stability_bound(inp_bigger_n, t=10, t0=0) < b1
-
-
-def test_propC1_frozen():
-    assert propC1_nonconvex_recurrence(1.0, 0.0, L=1.0, p=1.0, n=4,
-                                       risk_t=7.0) == pytest.approx(1.25)
-    # one nonzero step, hand-evaluated
-    got = propC1_nonconvex_recurrence(0.5, 0.1, L=2.0, p=1.0, n=2, risk_t=1.5)
-    expected = 1.5 * 1.2 ** 2 * 0.5 + 8 * 2 * 2 * 0.01 / 2 * 1.5
-    assert got == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(InvalidArgument):
-        propC1_nonconvex_recurrence(1.0, 0.1, L=1.0, p=0.0, n=4, risk_t=1.0)
-    with pytest.raises(InvalidArgument):
-        propC1_nonconvex_recurrence(-1.0, 0.1, L=1.0, p=1.0, n=4, risk_t=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdlab import _engine
+from sgdlab.errors import InvalidArgument
 from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
 
 
@@ -33,6 +34,8 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
     ar = np.arange(R)
     for t in range(1, T + 1):
+        # one step for all, or each replicate's own step
+        eta = etas[t - 1] if etas.ndim == 1 else etas[:, t - 1, None, None]
         idx = indices[:, t - 1]
         xa = Xs[ar, idx]
         ya = ys[ar, idx]
@@ -50,11 +53,13 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             risk_path[:, ckpt[t]] = _engine._batch_empirical_risk(loss, W[:, 0], Xs, ys)
         if t in rec:
             iterates[:, rec.index(t)] = W[:, 0]
-        acc_eta += etas[t - 1] * W
+        acc_eta += eta * W
         acc_lin += float(t + t0 - 1) * W
         grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
-        W = W - etas[t - 1] * grads
-        _engine._apply_post(W.reshape(R * B, d), post, float(etas[t - 1]))
+        W = W - eta * grads
+        row_eta = (float(eta) if etas.ndim == 1
+                   else np.broadcast_to(eta, (R, B, 1)).reshape(R * B, 1))
+        _engine._apply_post(W.reshape(R * B, d), post, row_eta)
     iterates[:, -1] = W[:, 0]
     wsum_eta = float(np.sum(etas))
     wsum_lin = float(np.sum(np.arange(1, T + 1, dtype=np.float64) + t0 - 1.0))
@@ -94,13 +99,18 @@ def _assert_bitwise(got, want, name):
        post=st.sampled_from(sorted(POSTS)),
        R=st.integers(1, 5), n=st.integers(1, 9), d=st.integers(1, 8),
        steps=st.integers(0, 3), permutation=st.booleans(),
-       m_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+       m_frac=st.floats(0.0, 1.0), per_replicate_etas=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 # one replicate: before the first fork the engine steps a single row, where
 # the eager loop steps 1 + m
 @example(loss_kind="auc", post="ball", R=1, n=6, d=3, steps=0, permutation=False,
-         m_frac=1.0, seed=307)
+         m_frac=1.0, per_replicate_etas=False, seed=307)
+# different steps per replicate, several replicates, a proximal post-step
+@example(loss_kind="least_squares", post="prox_l1", R=4, n=5, d=3, steps=2,
+         permutation=True, m_frac=0.6, per_replicate_etas=True, seed=11)
 def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
-                                         permutation, m_frac, seed):
+                                         permutation, m_frac, per_replicate_etas,
+                                         seed):
     rng = np.random.default_rng(seed)
     loss = _loss(loss_kind, d, rng)
     Xs = rng.normal(size=(R, n, d))
@@ -117,7 +127,8 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     T = indices.shape[1]
     m = int(round(m_frac * n))
     sub = (np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None)
-    etas = rng.uniform(0.01, 0.3, size=T)
+    # (R, T) steps differ between replicates; they take no averages
+    etas = rng.uniform(0.01, 0.3, size=(R, T) if per_replicate_etas else T)
     ckpt = _engine.checkpoint_steps(T) if T else np.empty(0, dtype=np.int64)
 
     want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
@@ -125,12 +136,28 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
                            sub, etas, POSTS[post], indices, t0=3, record_every=2,
                            collect_per_step_risk=True, risk_ckpt_steps=ckpt,
-                           collect_final_risk=True, collect_averages=True)
+                           collect_final_risk=True,
+                           collect_averages=not per_replicate_etas)
     for name in ("finals", "iterates", "per_step_risk", "risk_path", "final_emp_risk"):
         _assert_bitwise(getattr(out, name), want[name], name)
+    if per_replicate_etas:
+        return
     # the engine keeps the averages of the base rows only
     for name in ("avg_eta", "avg_lin"):
         _assert_bitwise(getattr(out, name), want[name][:, 0], name)
+
+
+def test_per_replicate_steps_reject_averages_and_wrong_shapes():
+    rng = np.random.default_rng(1)
+    Xs, ys = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3))
+    indices = rng.integers(0, 3, size=(2, 4))
+    with pytest.raises(InvalidArgument):
+        _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
+                         np.full((2, 4), 0.1), None, indices, collect_averages=True)
+    for etas in (np.full((3, 4), 0.1), np.full((2, 5), 0.1), np.full(5, 0.1)):
+        with pytest.raises(InvalidArgument):
+            _engine.run_core(LeastSquares(), Xs, ys, None, None, None, etas, None,
+                             indices, collect_averages=False)
 
 
 def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():

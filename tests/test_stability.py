@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgdlab import _engine
+from sgdlab import _engine, stability
 from sgdlab.data import (
     Dataset,
     GaussLinReg,
@@ -14,12 +14,11 @@ from sgdlab.optim import Ball, FixedConstant, PolyDecay, StronglyConvexDecay
 from sgdlab.stability import (
     CouplingConfig,
     brute_force_stability,
-    coupled_pair_run,
-    estimate_epoch_stability_without_replacement,
+    coupled_distances,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
-    uniform_stability_proxy,
+    standard_error,
     _replicate_dataset_seed,
 )
 
@@ -43,63 +42,90 @@ def _run_seq(ds, seq, etas):
 
 
 # ---------------------------------------------------------------------------
-# config
+# config and helpers
 # ---------------------------------------------------------------------------
+
+def test_standard_error():
+    assert standard_error(np.array([3.0])) == 0.0
+    vals = np.array([1.0, 2.0, 4.0, 7.0])
+    assert standard_error(vals) == pytest.approx(np.std(vals, ddof=1) / 2.0, rel=1e-15)
+
 
 def test_coupling_config_validation():
     with pytest.raises(InvalidArgument):
         CouplingConfig(replicates=0)
     with pytest.raises(InvalidArgument):
         CouplingConfig(replicates=2, neighbor_subsample=0)
-    with pytest.raises(InvalidArgument):
-        CouplingConfig(replicates=2, threads=0)
     cfg = CouplingConfig(replicates=3)
     assert cfg.neighbor_subsample is None and cfg.record_risks
 
 
 # ---------------------------------------------------------------------------
-# coupled pair
+# coupled pairs at position 0, through the replicate-batch skeleton
 # ---------------------------------------------------------------------------
 
 def test_coupled_pair_identical_ghost_gives_zero():
     ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 2.0]]),
                  labels=np.array([1.0, -1.0]))
     fam = NeighborFamily(base=ds, ghost=ds)
-    w, w_i, risks = coupled_pair_run(LeastSquares(), fam, 1, FixedConstant(0.3),
-                                     None, T=7, master_seed=5)
-    np.testing.assert_array_equal(w, w_i)
-    assert risks.shape == (7,)
+    dists = coupled_distances(LeastSquares(), lambda r: fam, 2,
+                              FixedConstant(0.3).etas(7), None, 3, master_seed=5)
+    np.testing.assert_array_equal(dists, np.zeros(3))
 
 
 def test_coupled_pair_one_step_distance():
     # n = 1: the only index is the replaced one, so after one step the
-    # distance is eta * ||grad gap at w_1 = 0||
+    # distance is eta * ||grad gap at w_1 = 0||, with each replicate's eta
     base = Dataset(features=np.array([[2.0, 0.0]]), labels=np.array([1.0]))
     ghost = Dataset(features=np.array([[0.0, 1.0]]), labels=np.array([3.0]))
     fam = NeighborFamily(base=base, ghost=ghost)
-    w, w_i, _ = coupled_pair_run(LeastSquares(), fam, 0, FixedConstant(0.25),
-                                 None, T=1, master_seed=0)
     g_base = _ls_grad(np.zeros(2), base.features[0], base.labels[0])
     g_ghost = _ls_grad(np.zeros(2), ghost.features[0], ghost.labels[0])
-    np.testing.assert_allclose(w, -0.25 * g_base, atol=1e-15)
-    np.testing.assert_allclose(w_i, -0.25 * g_ghost, atol=1e-15)
-    expected = 0.25 * np.linalg.norm(g_base - g_ghost)
-    assert np.linalg.norm(w - w_i) == pytest.approx(expected, rel=1e-14)
+    gap = np.linalg.norm(g_base - g_ghost)
+    shared = coupled_distances(LeastSquares(), lambda r: fam, 1, np.array([0.25]),
+                               None, 2, master_seed=0)
+    np.testing.assert_allclose(shared, 0.25 * gap, rtol=1e-14)
+    per_replicate = coupled_distances(LeastSquares(), lambda r: fam, 1,
+                                      np.array([[0.25], [0.5]]), None, 2, master_seed=0)
+    np.testing.assert_allclose(per_replicate, [0.25 * gap, 0.5 * gap], rtol=1e-14)
 
 
 def test_coupled_pair_t0_zero_steps():
     fam = sample_neighbor_family(_dist(), 3, seed=1)
-    w, w_i, risks = coupled_pair_run(LeastSquares(), fam, 0, FixedConstant(0.1),
-                                     None, T=0, master_seed=0)
-    np.testing.assert_array_equal(w, np.zeros(2))
-    np.testing.assert_array_equal(w_i, np.zeros(2))
-    assert risks.shape == (0,)
+    dists = coupled_distances(LeastSquares(), lambda r: fam, 3,
+                              FixedConstant(0.1).etas(0), None, 2, master_seed=0)
+    np.testing.assert_array_equal(dists, np.zeros(2))
 
 
 def test_coupled_pair_position_validation():
     fam = sample_neighbor_family(_dist(), 3, seed=1)
-    with pytest.raises(InvalidArgument):
-        coupled_pair_run(LeastSquares(), fam, 3, FixedConstant(0.1), None, 2, 0)
+    etas = FixedConstant(0.1).etas(2)
+    seqs = np.zeros((1, 2), dtype=np.int64)
+    # a given position outside [0, n), and more positions than examples
+    for positions in (np.array([3]), np.array([-1]), 4):
+        with pytest.raises(InvalidArgument):
+            next(stability._replicate_batches(LeastSquares(), 1, 3, etas, None, fam,
+                                              seqs, positions))
+
+
+def test_coupled_distances_key_each_stream_by_the_replicate_seed():
+    # replicate r's stream is keyed (seed_r, index tag, 0), seed_r =
+    # (master seed, replicate tag, r); one run per replicate gives the same bits
+    dist, n, T, master_seed = _dist(), 5, 9, 21
+    etas = np.stack([FixedConstant(0.1 * (r + 1)).etas(T) for r in range(4)])
+    fams = [sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
+            for r in range(4)]
+    got = coupled_distances(LeastSquares(), fams.__getitem__, n, etas, Ball(0.5), 4,
+                            master_seed)
+    for r, fam in enumerate(fams):
+        key = _engine.derive_seed(_replicate_dataset_seed(master_seed, r),
+                                  _engine.TAG_INDEX, 0)
+        out = _engine.run_core(
+            LeastSquares(), fam.base.features[None], fam.base.labels[None],
+            fam.ghost.features[None], fam.ghost.labels[None], np.array([[0]]),
+            etas[r], ("ball", 0.5), _engine.index_matrix(key, n, T, 1),
+            collect_averages=False)
+        assert got[r] == np.linalg.norm(out.finals[:, 1] - out.finals[:, 0], axis=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +219,6 @@ def test_estimator_determinism_and_seed_sensitivity():
     assert a.l1_mean != c.l1_mean
 
 
-def test_estimator_thread_invariance():
-    # threads is accepted and has no effect; the results must not depend on it
-    base_cfg = dict(replicates=20, record_risks=True)
-    a = estimate_on_average_stability(
-        LeastSquares(), _dist(), 5, 8, FixedConstant(0.1), Ball(1.0),
-        CouplingConfig(threads=1, **base_cfg), master_seed=4)
-    b = estimate_on_average_stability(
-        LeastSquares(), _dist(), 5, 8, FixedConstant(0.1), Ball(1.0),
-        CouplingConfig(threads=4, **base_cfg), master_seed=4)
-    assert a.l1_mean == b.l1_mean
-    assert a.l2_sq_mean == b.l2_sq_mean
-    np.testing.assert_array_equal(a.risk_path.mean, b.risk_path.mean)
-    np.testing.assert_array_equal(a.risk_path.frac_mean, b.risk_path.frac_mean)
-
-
 def test_estimator_zero_steps():
     cfg = CouplingConfig(replicates=3)
     rep = estimate_on_average_stability(LeastSquares(), _dist(), 4, 0,
@@ -260,45 +271,6 @@ def test_estimator_requires_source_of_data():
     with pytest.raises(InvalidArgument):
         estimate_on_average_stability(LeastSquares(), None, 4, 2,
                                       FixedConstant(0.1), None, cfg, master_seed=0)
-
-
-# ---------------------------------------------------------------------------
-# uniform-stability proxy
-# ---------------------------------------------------------------------------
-
-def test_proxy_hand_value_n1():
-    ds_a = Dataset(features=np.array([[1.0]]), labels=np.array([1.0]))
-    ds_b = Dataset(features=np.array([[1.0]]), labels=np.array([0.0]))
-    pts = [(np.array([1.0]), 1.0), (np.array([2.0]), -1.0)]
-    got = uniform_stability_proxy(LeastSquares(), ds_a, ds_b, FixedConstant(0.5),
-                                  None, T=1, eval_points=pts, replicates=4,
-                                  master_seed=0)
-    # n = 1: every stream picks example 0, so w_a = 0.5 and w_b = 0.0 always
-    loss = LeastSquares()
-    expected = max(
-        abs(loss.value(np.array([0.5]), np.array([1.0]), 1.0)
-            - loss.value(np.array([0.0]), np.array([1.0]), 1.0)),
-        abs(loss.value(np.array([0.5]), np.array([2.0]), -1.0)
-            - loss.value(np.array([0.0]), np.array([2.0]), -1.0)),
-    )
-    assert got == pytest.approx(expected, rel=1e-14)
-
-
-def test_proxy_validation_and_warning():
-    ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([1.0, 0.0]))
-    same = Dataset(features=ds.features.copy(), labels=ds.labels.copy())
-    with pytest.raises(InvalidArgument):
-        uniform_stability_proxy(LeastSquares(), ds, same, FixedConstant(0.1),
-                                None, 1, [(np.array([1.0]), 1.0)], 2, 0)
-    both = Dataset(features=ds.features + 1.0, labels=ds.labels)
-    with pytest.raises(InvalidArgument):
-        uniform_stability_proxy(LeastSquares(), ds, both, FixedConstant(0.1),
-                                None, 1, [(np.array([1.0]), 1.0)], 2, 0)
-    one = Dataset(features=np.array([[1.0], [3.0]]), labels=np.array([1.0, 0.0]))
-    with pytest.warns(UserWarning):
-        out = uniform_stability_proxy(LeastSquares(), ds, one, FixedConstant(0.1),
-                                      None, 1, [], 2, 0)
-    assert out == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +357,15 @@ def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
         gap_from_stability(LeastSquares(), _dist(), one, 0, master_seed=1)
 
 
-def test_gap_thread_invariance():
-    a = estimate_generalization_gap(LeastSquares(), _dist(), 8, 8,
-                                    FixedConstant(0.1), None, replicates=20,
-                                    mc_pop=0, master_seed=7, threads=1)
-    b = estimate_generalization_gap(LeastSquares(), _dist(), 8, 8,
-                                    FixedConstant(0.1), None, replicates=20,
-                                    mc_pop=0, master_seed=7, threads=4)
-    assert a.gap_mean == b.gap_mean and a.excess_mean == b.excess_mean
-
-
 # ---------------------------------------------------------------------------
 # without-replacement epochs
 # ---------------------------------------------------------------------------
 
 def test_epoch_estimator_zero_epochs():
     cfg = CouplingConfig(replicates=3)
-    rep = estimate_epoch_stability_without_replacement(
-        LeastSquares(), _dist(), 4, 0, FixedConstant(0.1), cfg, master_seed=0)
+    rep = estimate_on_average_stability(LeastSquares(), _dist(), 4, 0,
+                                        FixedConstant(0.1), None, cfg, master_seed=0,
+                                        without_replacement=True)
     assert rep.l1_mean == 0.0 and rep.l2_sq_mean == 0.0
 
 
@@ -412,8 +375,9 @@ def test_epoch_estimator_hand_rolled_single_replicate():
     n, epochs = 2, 2
     cfg = CouplingConfig(replicates=1, record_risks=False)
     sched = FixedConstant(0.2)
-    rep = estimate_epoch_stability_without_replacement(
-        LeastSquares(), dist, n, epochs, sched, cfg, master_seed=master_seed)
+    rep = estimate_on_average_stability(LeastSquares(), dist, n, n * epochs, sched, None,
+                                        cfg, master_seed=master_seed,
+                                        without_replacement=True)
 
     fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, 0))
     perm = _engine.permutation_matrix(
@@ -434,5 +398,10 @@ def test_epoch_estimator_hand_rolled_single_replicate():
 def test_epoch_estimator_validation():
     cfg = CouplingConfig(replicates=2, neighbor_subsample=9)
     with pytest.raises(InvalidArgument):
-        estimate_epoch_stability_without_replacement(
-            LeastSquares(), _dist(), 4, 1, FixedConstant(0.1), cfg, master_seed=0)
+        estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, FixedConstant(0.1),
+                                      None, cfg, master_seed=0, without_replacement=True)
+    # T must be a whole number of epochs
+    with pytest.raises(InvalidArgument):
+        estimate_on_average_stability(LeastSquares(), _dist(), 4, 6, FixedConstant(0.1),
+                                      None, CouplingConfig(replicates=2), master_seed=0,
+                                      without_replacement=True)
