@@ -23,9 +23,15 @@ rows: fork, ghost swap, gradient step, post-step, and a copy of the base
 iterates w_t into a (block, R, d) buffer.  What is observed on the base rows
 (the loss at the drawn example, recorded iterates, the weighted averages
 and the empirical risk at checkpoints) is computed from that buffer once
-per block, in the same per-row arithmetic as a step-by-step loop, so the
-bits do not depend on the block length.  The averages are kept for the base
-rows only.
+per block, in per-row arithmetic, so the bits do not depend on the block
+length.  The averages are kept for the base rows only.
+
+The empirical risk F_S(w_j) at checkpoints comes from the loss's
+``risk_evaluator``, set up once per call: for least squares it is
+||R [w_j; -1]||^2 / (2n) from one QR factor R of each replicate's [X | y],
+O(d^2) per checkpoint; for the other losses it is the mean of the loss over
+the n examples, O(n d).  The output iterate's F_S(w_{T+1}) is one
+evaluation per call and always takes the mean over the examples.
 
 Step sizes are (T,), shared by every replicate and applied as one Python
 float per step, or (R, T) when they differ between replicates (a schedule
@@ -58,7 +64,9 @@ TAG_PERM = 0xFE
 #: base iterates buffered per block of steps: block length * R <= BLOCK_ROWS.
 #: Longer blocks ran no faster and raised the peak memory of a coupled run.
 BLOCK_ROWS = 1024
-#: examples per empirical-risk evaluation at checkpoints: c * R * n <= this
+#: (iterate, example) pairs per empirical-risk evaluation at checkpoints,
+#: c * R * n <= this, for a loss that averages over the examples (least
+#: squares evaluates from its QR factors and needs no bound)
 RISK_EXAMPLES = 2 ** 14
 
 
@@ -245,6 +253,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     if risk_ckpt_steps is not None:
         risk_ckpt_steps = np.asarray(risk_ckpt_steps, dtype=np.int64)
         risk_path = np.empty((R, risk_ckpt_steps.shape[0]), dtype=np.float64)
+        risks = loss.risk_evaluator(Xs, ys, RISK_EXAMPLES)
     acc_eta = np.zeros((R, d)) if collect_averages else None
     acc_lin = np.zeros((R, d)) if collect_averages else None
     observed = (rec_steps is not None or psr is not None or risk_path is not None
@@ -307,12 +316,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             iterates[:, at] = buf[rec_steps[at] - s - 1].swapaxes(0, 1)
         if risk_path is not None:
             at = _in_block(risk_ckpt_steps, s, e)
-            chunk = max(1, RISK_EXAMPLES // (R * n))
-            for c in range(0, at.shape[0], chunk):
-                cols = at[c:c + chunk]
-                Wc = buf[risk_ckpt_steps[cols] - s - 1].swapaxes(0, 1)   # (R, c, d)
-                vals = loss.batch_value(Wc[:, :, None], Xs[:, None], ys[:, None])
-                risk_path[:, cols] = vals.mean(axis=2)
+            risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
         if collect_averages:
             _fold(acc_eta, etas[s:e], buf)
             _fold(acc_lin, np.arange(s + t0, e + t0, dtype=np.float64), buf)

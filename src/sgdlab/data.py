@@ -301,14 +301,6 @@ def zero_example_neighbor(ds: Dataset, i: int = 0) -> Dataset:
 # risks
 # ---------------------------------------------------------------------------
 
-def empirical_risk(loss: Loss, ds: Dataset, w: np.ndarray) -> float:
-    """F_S(w) = (1/n) sum_i f(w; z_i)."""
-    w = np.asarray(w, dtype=np.float64)
-    n = ds.n
-    W = np.broadcast_to(w, (n, w.shape[0]))
-    return float(loss.batch_value(W, ds.features, ds.labels).mean())
-
-
 def _row_forms(W: np.ndarray, A: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """w @ A @ b (b = w when None) for every row w of W.
 

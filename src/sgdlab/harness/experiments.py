@@ -47,7 +47,6 @@ from ..bounds import (
     thmD1_nonsmooth_l2_bound,
 )
 from ..data import (
-    empirical_risk,
     min_positive_eigenvalue,
     population_risk,
     population_risk_minimum,
@@ -564,16 +563,18 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
     c1 = math.sqrt(2.0 * (L + lam))
     for n in cfg.n_grid:
         R = cfg.replicates
-        W = np.empty((R, dist.dim))
-        emp = np.empty(R)
-        sq_norms = np.empty(R)
+        Xs = np.empty((R, n, dist.dim))
+        ys = np.empty((R, n))
         for r in range(R):
             seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
             ds = sample_dataset(dist, n, seed_r)
-            A = ds.features.T @ ds.features / n + lam * np.eye(dist.dim)
-            W[r] = np.linalg.solve(A, ds.features.T @ ds.labels / n)
-            emp[r] = empirical_risk(loss, ds, W[r])
-            sq_norms[r] = W[r] @ W[r]
+            Xs[r], ys[r] = ds.features, ds.labels
+        # the R ridge systems (X'X/n + lam I) w = X'y/n, solved as one stack
+        Xt = Xs.swapaxes(1, 2)
+        A = Xt @ Xs / n + lam * np.eye(dist.dim)
+        W = np.linalg.solve(A, Xt @ ys[..., None] / n)[..., 0]
+        emp = _engine._batch_empirical_risk(loss, W, Xs, ys)
+        sq_norms = (W[:, None] @ W[..., None])[:, 0, 0]     # the bits of w @ w
         pop, _ = population_risk(loss, dist, W)
         gaps = pop - emp
         fracs = pop + 0.5 * lam * sq_norms

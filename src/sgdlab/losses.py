@@ -18,6 +18,13 @@ for a whole family of parameter rows at once; the trajectory engine is built
 on top of them.  ``batch_value`` also takes leading dimensions that broadcast
 (W of shape (R, c, 1, d) against X of shape (R, 1, n, d), say), and gives
 each entry the bits of the same row in a flat (rows, d) call.
+
+``risk_evaluator`` gives the empirical risk F_S of many iterates on each
+replicate's own dataset, as the engine records it at checkpoints.  By
+default it is the mean of ``batch_value`` over the n examples, O(n d) per
+iterate.  Least squares instead factors [X | y] = Q R once per replicate and
+takes F_S(w) = ||R [w; -1]||^2 / (2n), O(d^2) per iterate: a sum of squares,
+so never negative, with no cancellation of y'y against the other terms.
 """
 
 from __future__ import annotations
@@ -92,6 +99,29 @@ class Loss:
     def batch_grad(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def risk_evaluator(self, Xs: np.ndarray, ys: np.ndarray, max_examples: int):
+        """The empirical risk on each replicate's dataset, as a function of iterates.
+
+        Xs, ys are (R, n, d), (R, n) (broadcast views are fine).  Returns a
+        function mapping (R, c, d) iterates to their (R, c) risks F_S(w), the
+        mean of ``batch_value`` over the n examples, evaluated on at most
+        ``max_examples`` (iterate, example) pairs at once.  An entry has the
+        bits of a call with its replicate alone and one iterate, whatever the
+        memory order of the iterates.
+        """
+        R, n = ys.shape
+        chunk = max(1, max_examples // (R * n))
+
+        def risks(W: np.ndarray) -> np.ndarray:
+            W = np.ascontiguousarray(W)
+            out = np.empty(W.shape[:2])
+            for c in range(0, W.shape[1], chunk):
+                vals = self.batch_value(W[:, c:c + chunk, None], Xs[:, None], ys[:, None])
+                out[:, c:c + chunk] = vals.mean(axis=2)
+            return out
+
+        return risks
+
     # -- scalar convenience wrappers -------------------------------------
 
     def value(self, w: np.ndarray, x: np.ndarray, y: float) -> float:
@@ -140,6 +170,32 @@ class LeastSquares(Loss):
     def batch_grad(self, W, X, y):
         r = np.einsum("bd,bd->b", W, X) - y
         return r[:, None] * X
+
+    def risk_evaluator(self, Xs, ys, max_examples):
+        """F_S(w) = ||R [w; -1]||^2 / (2n), with R the triangular factor of [X | y].
+
+        [X | y] = Q R, so ||[X | y] [w; -1]|| = ||R [w; -1]||.  One QR per
+        replicate costs O(n d^2); each iterate then costs O(d^2), not O(n d),
+        and needs no chunking (``max_examples`` is not used).
+
+        The contractions are ``einsum``s on C-ordered operands: a BLAS matmul
+        rounds a row differently depending on the batch it sits in, and
+        ``einsum`` does when an operand's last axis is not contiguous (the QR
+        factor takes the memory order of its input, and a broadcast family
+        concatenates into replicate-fastest order).
+        """
+        R, n, d = Xs.shape
+        Xy = np.empty((R, n, d + 1))
+        Xy[..., :d] = Xs
+        Xy[..., d] = ys
+        Rf = np.linalg.qr(Xy, mode="r")
+        A, b = Rf[..., :d], Rf[..., d]
+
+        def risks(W):
+            v = np.einsum("rkd,rcd->rck", A, np.ascontiguousarray(W)) - b[:, None]
+            return np.einsum("rck,rck->rc", v, v) / (2 * n)
+
+        return risks
 
     def holder_constant(self, x, y):
         batched, X, _ = _batch((x, y))

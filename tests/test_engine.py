@@ -6,6 +6,11 @@ an oracle only.  The engine forks a neighbour from its base row at the first
 step that draws its position, never creates one that is never drawn, and
 computes what it observes on the base rows once per block of steps; every
 output must equal the eager loop's bit for bit, for any block length.
+
+The oracle tests the forking and the blocks, not the formula for F_S: at
+each checkpoint it takes the risk from the loss's ``risk_evaluator`` (the QR
+form for least squares, tested against the per-example mean in
+``test_losses.py``), one checkpoint at a time.
 """
 
 import numpy as np
@@ -32,6 +37,7 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     psr = np.empty((R, T))
     risk_path = np.empty((R, len(risk_ckpt_steps)))
     ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
+    risks = loss.risk_evaluator(Xs, ys, _engine.RISK_EXAMPLES)
     ar = np.arange(R)
     for t in range(1, T + 1):
         # one step for all, or each replicate's own step
@@ -50,7 +56,7 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
         Wf = W.reshape(R * B, d)
         psr[:, t - 1] = loss.batch_value(Wf, Xf, yf).reshape(R, B)[:, 0]
         if t in ckpt:
-            risk_path[:, ckpt[t]] = _engine._batch_empirical_risk(loss, W[:, 0], Xs, ys)
+            risk_path[:, ckpt[t]] = risks(W[:, :1])[:, 0]
         if t in rec:
             iterates[:, rec.index(t)] = W[:, 0]
         acc_eta += eta * W

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgdlab.bounds import _pairwise_sum_depth
 from sgdlab.errors import InvalidArgument, PreconditionViolation
 from sgdlab.losses import (
     AucSquare,
@@ -200,6 +201,109 @@ def test_batch_value_broadcasts_with_the_bits_of_flat_rows(d):
             assert got.tobytes() == flat.tobytes(), (loss.kind, R, c, n, d)
             one = loss.batch_value(W[:, 0][:, None], X, y)
             assert one.tobytes() == flat[:, 0].tobytes(), (loss.kind, R, n, d)
+
+
+# ---------------------------------------------------------------------------
+# empirical risk at checkpoints: the least-squares QR form
+# ---------------------------------------------------------------------------
+
+def _per_example_mean(loss, W, X, y):
+    return loss.batch_value(W[:, :, None], X[:, None], y[:, None]).mean(axis=2)
+
+
+def _qr_risk_allowance(W, X, y):
+    """Round-off allowance for |QR form - per-example mean| of F_S(w), per entry.
+
+    With A = [X | y] (n rows, p = d + 1 columns) and u = [w; -1], let
+    s = sum_j |u_j| ||a_j||.  It bounds ||A u|| and, by Minkowski, the
+    2-norm of the row magnitudes t_i = sum_j |A_ij u_j|; so s^2 / (2n)
+    bounds both F_S(w) and the mean of the terms t_i^2 / 2.
+    - Householder QR returns the R of some A + dA with ||da_j|| <=
+      gamma_{c n p} ||a_j|| (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., Thm 19.4), so ||R u|| is within gamma_{c n p} s
+      of ||A u||; forming R u and its squared norm adds 2p roundings.
+    - The mean computes each residual within gamma_p t_i and squares it,
+      and its pairwise sum adds ``_pairwise_sum_depth(n)`` roundings.
+    With gamma = h * eps (eps = 2u, so c = 2) and h = n p + 2 p +
+    ``_pairwise_sum_depth(n)``, each side is within (2 gamma + gamma^2) s^2
+    / (2n) of the exact F_S(w), and their difference within twice that.
+    """
+    R, n, d = X.shape
+    p = d + 1
+    A = np.concatenate([X, y[..., None]], axis=2)                    # (R, n, p)
+    U = np.concatenate([W, -np.ones(W.shape[:2] + (1,))], axis=2)    # (R, c, p)
+    s = np.abs(U) @ np.linalg.norm(A, axis=1)[..., None]             # (R, c, 1)
+    gamma = (n * p + 2 * p + _pairwise_sum_depth(n)) * np.finfo(np.float64).eps
+    return 2.0 * (2.0 * gamma + gamma * gamma) * s[..., 0] ** 2 / (2 * n)
+
+
+@pytest.mark.parametrize("n,d", [(40, 8), (3, 6), (1, 4), (1, 1), (9, 1), (64, 16)])
+def test_least_squares_qr_risk_matches_per_example_mean(n, d):
+    # n < d (a wide [X | y] with a (n, d + 1) factor), n = 1 and d = 1
+    rng = np.random.default_rng(1000 * n + d)
+    loss = LeastSquares()
+    R, c = 3, 5
+    X = rng.normal(size=(R, n, d))
+    y = rng.normal(size=(R, n))
+    W = rng.normal(scale=2.0, size=(R, c, d))
+    got = loss.risk_evaluator(X, y, 2 ** 14)(W)
+    want = _per_example_mean(loss, W, X, y)
+    assert got.shape == (R, c)
+    assert np.all(np.abs(got - want) <= _qr_risk_allowance(W, X, y))
+
+
+def test_least_squares_qr_risk_on_broadcast_fixed_family():
+    # a NeighborFamily held fixed reaches the engine as (R, n, d) views of
+    # one dataset, with stride 0 along the replicates
+    rng = np.random.default_rng(7)
+    loss = LeastSquares()
+    R, n, d = 4, 12, 3
+    X0, y0 = rng.normal(size=(n, d)), rng.normal(size=n)
+    X, y = np.broadcast_to(X0, (R, n, d)), np.broadcast_to(y0, (R, n))
+    W = rng.normal(size=(R, 6, d))
+    got = loss.risk_evaluator(X, y, 2 ** 14)(W)
+    assert got.tobytes() == loss.risk_evaluator(X.copy(), y.copy(), 2 ** 14)(W).tobytes()
+    want = _per_example_mean(loss, W, X, y)
+    assert np.all(np.abs(got - want) <= _qr_risk_allowance(W, X, y))
+
+
+@pytest.mark.parametrize("n,d", [(50, 8), (5, 8), (1, 3), (30, 1)])
+def test_least_squares_qr_risk_is_nonnegative_on_realizable_data(n, d):
+    # y = X w* exactly (up to the rounding of X w*): F_S(w*) is a tiny
+    # number, and a sum of squares cannot round below zero
+    rng = np.random.default_rng(n + 100 * d)
+    loss = LeastSquares()
+    R = 6
+    X = rng.normal(size=(R, n, d))
+    w_star = rng.normal(size=(R, 1, d))
+    y = np.einsum("rnd,rd->rn", X, w_star[:, 0])
+    got = loss.risk_evaluator(X, y, 2 ** 14)(w_star)
+    assert np.all(got >= 0.0)
+    assert np.all(got <= _qr_risk_allowance(w_star, X, y))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+def test_risk_evaluator_bits_do_not_depend_on_the_batch(d):
+    # a replicate's risks are the same alone or among others, and for one
+    # checkpoint or many; the engine hands over (c, R, d) buffers swapped to
+    # (R, c, d)
+    rng = np.random.default_rng(200 + d)
+    R, c, n = 4, 7, 11
+    X = rng.normal(size=(R, n, d))
+    y = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
+    W = rng.normal(size=(c, R, d)).swapaxes(0, 1)
+    for loss in _all_losses(d, rng):
+        # a budget of 2 n examples: the averaging losses take two iterates at a time
+        full = loss.risk_evaluator(X, y, 2 * n)(W)
+        assert full.tobytes() == loss.risk_evaluator(X, y, 2 ** 14)(W).tobytes()
+        for layout in (np.ascontiguousarray(W), np.asfortranarray(W)):
+            assert full.tobytes() == loss.risk_evaluator(X, y, 1)(layout).tobytes()
+        for r in range(R):
+            alone = loss.risk_evaluator(X[r:r + 1], y[r:r + 1], 2 ** 14)
+            assert alone(W[r:r + 1]).tobytes() == full[r:r + 1].tobytes(), (loss.kind, r)
+            for j in range(c):
+                one = alone(W[r:r + 1, j:j + 1])
+                assert one.tobytes() == full[r:r + 1, j:j + 1].tobytes(), (loss.kind, r, j)
 
 
 def test_loss_parameter_validation():
