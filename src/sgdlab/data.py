@@ -11,6 +11,10 @@ A ``NeighborFamily`` carries a base sample S and an independent ghost sample
 S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
 with the i-th example of S~.  This is the object the stability estimators
 couple trajectories over.
+
+The exact hinge risk on the margin model (``_hinge_margin_risk``) is the one
+use of scipy in the package; it imports ``scipy.special`` when it is first
+called, so a run that never evaluates it does not load scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erf, ndtr, owens_t
 
 from . import _engine
 from .errors import DegenerateDataError, InvalidArgument
@@ -340,6 +343,9 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     s_u = 0 (u = 0 a.s.) take their limits.  Feature truncation is ignored
     (it is a >4-sigma event).
     """
+    # the one use of scipy in the package (see the module docstring)
+    from scipy.special import erf, ndtr, owens_t
+
     pf = dist.flip_prob
     cov = dist.cov
     sv2 = float(dist.w_star @ cov @ dist.w_star)

@@ -5,12 +5,12 @@
 Prints one line per gate, ``name n T measured rhs slack_sigma satisfied``
 (``-`` for a gate without n or T), after the CSV is written.
 
-Exit codes: 0 every gate passed, 1 a gate failed, 2 config error or a
-violated precondition of the requested bound, 3 resource limit exceeded,
-4 any other error (an internal fault; one line on stderr names it).  The
-LAB_THREADS environment variable overrides --threads; both are accepted
-and checked but have no effect, as chunks of replicates run one after
-another.
+Exit codes: 0 every gate passed, 1 a gate failed, 2 config error (a bad
+argument included) or a violated precondition of the requested bound, 3
+resource limit exceeded, 4 any other error (an internal fault; one line on
+stderr names it).  The LAB_THREADS environment variable overrides
+--threads; both are accepted and checked but have no effect, as chunks of
+replicates run one after another.
 """
 
 from __future__ import annotations
@@ -32,8 +32,15 @@ EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad argument as a config error, so it gets the one-line exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lab",
         description="stability/generalization experiments for projected SGD")
     parser.add_argument("experiment", choices=EXPERIMENTS)
@@ -47,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         overrides = {"experiment": args.experiment}
         if args.seed is not None:

@@ -17,7 +17,9 @@ Batch variants (``batch_value`` / ``batch_grad``) evaluate one example per row
 for a whole family of parameter rows at once; the trajectory engine is built
 on top of them.  ``batch_value`` also takes leading dimensions that broadcast
 (W of shape (R, c, 1, d) against X of shape (R, 1, n, d), say), and gives
-each entry the bits of the same row in a flat (rows, d) call.
+each entry the bits of the same row in a flat (rows, d) call.  Both give the
+same bits whatever the memory order of W and X: every row dot goes through
+``_rowdot``.
 
 ``risk_evaluator`` gives the empirical risk F_S of many iterates on each
 replicate's own dataset, as the engine records it at checkpoints.  By
@@ -34,6 +36,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+
+try:  # the kernel behind np.einsum(..., optimize=False), without its dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _einsum
 
 from .errors import InvalidArgument, PreconditionViolation
 
@@ -64,7 +71,20 @@ def _unbatch(v: np.ndarray, batched: bool):
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("bd,bd->b", a, b)
+    """<a, b> over the last axis; leading axes broadcast.
+
+    ``einsum`` rounds a row by one kernel when both last axes are contiguous
+    and by another when one is not, so such an operand is copied first.
+    Any other view, a broadcast one included, is used as it is.  This runs
+    once per engine step, so it calls einsum's kernel directly: the
+    ``np.einsum`` wrapper adds about 1 us of dispatch per call, more than a
+    small step's row dot costs.
+    """
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    if b.strides[-1] != b.itemsize:
+        b = np.ascontiguousarray(b)
+    return _einsum("...d,...d->...", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +133,6 @@ class Loss:
         chunk = max(1, max_examples // (R * n))
 
         def risks(W: np.ndarray) -> np.ndarray:
-            W = np.ascontiguousarray(W)
             out = np.empty(W.shape[:2])
             for c in range(0, W.shape[1], chunk):
                 vals = self.batch_value(W[:, c:c + chunk, None], Xs[:, None], ys[:, None])
@@ -164,11 +183,11 @@ class LeastSquares(Loss):
     nonnegative = True
 
     def batch_value(self, W, X, y):
-        r = np.einsum("...d,...d->...", W, X) - y
+        r = _rowdot(W, X) - y
         return 0.5 * r * r
 
     def batch_grad(self, W, X, y):
-        r = np.einsum("bd,bd->b", W, X) - y
+        r = _rowdot(W, X) - y
         return r[:, None] * X
 
     def risk_evaluator(self, Xs, ys, max_examples):
@@ -178,13 +197,13 @@ class LeastSquares(Loss):
         replicate costs O(n d^2); each iterate then costs O(d^2), not O(n d),
         and needs no chunking (``max_examples`` is not used).
 
-        The contractions are ``einsum``s on C-ordered operands: a BLAS matmul
-        rounds a row differently depending on the batch it sits in, and
-        ``einsum`` does when an operand's last axis is not contiguous (the QR
-        factor takes the memory order of its input, and a broadcast family
-        concatenates into replicate-fastest order).
+        The contractions are row dots (``_rowdot``), not a BLAS matmul, which
+        rounds a row differently depending on the batch it sits in.
         """
         R, n, d = Xs.shape
+        # filled in C order, not concatenated: the factor takes the memory
+        # order of its input, and ``_rowdot`` would copy a factor whose last
+        # axis is not contiguous at every checkpoint
         Xy = np.empty((R, n, d + 1))
         Xy[..., :d] = Xs
         Xy[..., d] = ys
@@ -192,8 +211,8 @@ class LeastSquares(Loss):
         A, b = Rf[..., :d], Rf[..., d]
 
         def risks(W):
-            v = np.einsum("rkd,rcd->rck", A, np.ascontiguousarray(W)) - b[:, None]
-            return np.einsum("rck,rck->rc", v, v) / (2 * n)
+            v = _rowdot(A[:, None], W[:, :, None]) - b[:, None]
+            return _rowdot(v, v) / (2 * n)
 
         return risks
 
@@ -221,11 +240,11 @@ class QNormHinge(Loss):
         self.alpha = self.q - 1.0
 
     def batch_value(self, W, X, y):
-        slack = 1.0 - y * np.einsum("...d,...d->...", W, X)
+        slack = 1.0 - y * _rowdot(W, X)
         return np.maximum(slack, 0.0) ** self.q
 
     def batch_grad(self, W, X, y):
-        slack = 1.0 - y * np.einsum("bd,bd->b", W, X)
+        slack = 1.0 - y * _rowdot(W, X)
         active = slack > 0.0  # kink at slack == 0 resolves to the zero vector
         coef = np.where(active, self.q * np.maximum(slack, 0.0) ** (self.q - 1.0), 0.0)
         return (-coef * y)[:, None] * X
@@ -259,11 +278,11 @@ class QPowerAbsolute(Loss):
         self.alpha = self.q - 1.0
 
     def batch_value(self, W, X, y):
-        r = y - np.einsum("...d,...d->...", W, X)
+        r = y - _rowdot(W, X)
         return np.abs(r) ** self.q
 
     def batch_grad(self, W, X, y):
-        r = y - np.einsum("bd,bd->b", W, X)
+        r = y - _rowdot(W, X)
         coef = np.where(r != 0.0, self.q * np.sign(r) * np.abs(r) ** (self.q - 1.0), 0.0)
         return (-coef)[:, None] * X
 
@@ -313,25 +332,25 @@ class AucSquare(Loss):
 
     def batch_value(self, W, X, y):
         p = self.p
-        u = np.einsum("...d,...d->...", W, X)  # <w, x>
+        u = _rowdot(W, X)  # <w, x>
         # a row-wise dot: BLAS (W @ D) rounds a row differently depending
         # on how many rows the batch holds and where the row sits in it
-        s = np.einsum("...d,d->...", W, self.diff)  # <w, D>
+        s = _rowdot(W, self.diff)  # <w, D>
         pos = y > 0.0
-        a = np.einsum("...d,...d->...", W, X - self.mu_plus)
-        b = np.einsum("...d,...d->...", W, X - self.mu_minus)
+        a = _rowdot(W, X - self.mu_plus)
+        b = _rowdot(W, X - self.mu_minus)
         out = p * (1.0 - p) + 2.0 * (1.0 + s) * u * self._kappa(y) - p * (1.0 - p) * s * s
         out = out + np.where(pos, (1.0 - p) * a * a, p * b * b)
         return out
 
     def batch_grad(self, W, X, y):
         p = self.p
-        u = np.einsum("bd,bd->b", W, X)
-        s = np.einsum("bd,d->b", W, self.diff)
+        u = _rowdot(W, X)
+        s = _rowdot(W, self.diff)
         kap = self._kappa(y)
         pos = (y > 0.0)[:, None]
-        a = np.einsum("bd,bd->b", W, X - self.mu_plus)
-        b = np.einsum("bd,bd->b", W, X - self.mu_minus)
+        a = _rowdot(W, X - self.mu_plus)
+        b = _rowdot(W, X - self.mu_minus)
         grad = 2.0 * kap[:, None] * ((1.0 + s)[:, None] * X + u[:, None] * self.diff[None, :])
         grad = grad - (2.0 * p * (1.0 - p) * s)[:, None] * self.diff[None, :]
         grad = grad + np.where(

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -413,6 +414,63 @@ def test_cli_prints_one_line_per_gate(tmp_path, capsys):
     # printing leaves the CSV bytes as run_experiment writes them
     run_experiment(parse_config(text + f"out_path = {ref}\n"))
     assert (out / "bound-check.csv").read_bytes() == (ref / "bound-check.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus", "--config", "x"], "invalid choice: 'bogus'"),
+    (["rate-fit", "--config", "x", "--seed", "abc"], "invalid int value: 'abc'"),
+])
+def test_cli_argument_error_prints_one_line_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lab: config error: ") and message in err[0]
+    assert captured.out == ""
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "bound-check" in capsys.readouterr().out
+
+
+def _lab_in_fresh_process(tmp_path, argv):
+    """Run ``main(argv)`` in a new interpreter; return its exit code and the scipy modules it loaded."""
+    import sgdlab
+    src = os.path.dirname(os.path.dirname(sgdlab.__file__))
+    code = ("import sys\n"
+            "from sgdlab.harness.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+    return int(exit_code), modules
+
+
+def test_least_squares_run_leaves_scipy_unloaded(tmp_path):
+    cfg_path = _write(tmp_path, _THM2_TEXT + "eta1 = 0.015625\n[experiment]\n")
+    code, modules = _lab_in_fresh_process(
+        tmp_path, ["bound-check", "--config", cfg_path, "--out", str(tmp_path / "res")])
+    assert code == 0
+    assert modules == "[]"
+
+
+def test_hinge_margin_run_loads_scipy_special(tmp_path):
+    # the exact hinge population risk on the margin model needs Owen's T
+    text = ("[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 8\n"
+            "T_rule = equal_n\nreplicates = 4\nmaster_seed = 0\n"
+            "[loss]\nkind = q_hinge\nq = 1.0\n"
+            "[distribution]\nkind = margin_classif\nw_star = 1.0, 0.0\ncov = 0.25\n"
+            "flip_prob = 0.1\n"
+            "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n")
+    code, modules = _lab_in_fresh_process(
+        tmp_path, ["bound-check", "--config", _write(tmp_path, text),
+                   "--out", str(tmp_path / "res")])
+    assert code == 0
+    assert "'scipy.special'" in modules
 
 
 def test_console_script_installed(tmp_path):
