@@ -1,15 +1,20 @@
 """Explicit right-hand sides of the stability/generalization inequalities.
 
-Each calculator evaluates one closed-form bound from measured trajectory
-statistics (risk paths, step sizes, regularity constants) and returns the
+Each calculator evaluates one closed-form bound and returns the
 right-hand-side value; ``gate`` then compares a measured quantity against it
 one-sidedly at 3 standard errors, plus an optional round-off allowance for
-two-sided agreement checks (``roundoff_allowance``).  Calculator names follow
-the laboratory's experiment contract.
+two-sided agreement checks (``roundoff_allowance``).  A calculator takes the
+quantities its statement names and nothing else: n, the step sizes etas
+(eta_1 .. eta_T, so T = len(etas)), the constants L, G, sigma or c1/c2/c3,
+and measured risk paths.  Calculator names follow the laboratory's
+experiment contract.
 
 Conventions shared by all calculators:
 - the bound is evaluated at the output iterate w_{T+1}, so sums run over
-  steps j = 1..T and risk paths are indexed by the pre-update iterate w_j;
+  steps j = 1..T and risk paths are indexed by the pre-update iterate w_j:
+  risk_path[j-1] estimates E[F_S(w_j)], sqrt_risk_path[j-1] estimates
+  E[sqrt(F_S(w_j))] and frac_risk_path[j-1] estimates
+  E[F_S(w_j)^(2 alpha / (1 + alpha))], each of length T;
 - risk paths recorded at a subset of steps are expanded conservatively (an
   unrecorded step gets the max of the bracketing recorded values);
 - the parameter p defaults to n/t wherever it appears.
@@ -24,59 +29,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation
-from .losses import RegularityConstants
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Measured/derived quantities a bound right-hand side may consume.
-
-    All paths have length T after expansion: risk_path[j-1] estimates
-    E[F_S(w_j)], sqrt_risk_path[j-1] estimates E[sqrt(F_S(w_j))] and
-    frac_risk_path[j-1] estimates E[F_S(w_j)^(2 alpha / (1 + alpha))].
-    Unused fields may be None; each calculator validates what it needs.
-    """
-
-    n: int
-    T: int
-    etas: np.ndarray
-    L: Optional[float] = None
-    G: Optional[float] = None
-    sigma: Optional[float] = None
-    alpha: Optional[float] = None
-    constants: Optional[RegularityConstants] = None
-    risk_path: Optional[np.ndarray] = None
-    sqrt_risk_path: Optional[np.ndarray] = None
-    frac_risk_path: Optional[np.ndarray] = None
-    pop_risk_at_opt: Optional[float] = None
-    w_star_norm_sq: Optional[float] = None
-    gamma: Optional[float] = None
-    p: Optional[float] = None
-
-    def __post_init__(self):
-        if not (self.n >= 1 and self.T >= 1):
-            raise InvalidArgument("n and T must be >= 1")
-        if np.asarray(self.etas).shape != (self.T,):
-            raise InvalidArgument(f"etas must have length T = {self.T}")
-
-    @property
-    def c1(self) -> float:
-        self._need_constants()
-        return self.constants.c1
-
-    @property
-    def c2(self) -> Optional[float]:
-        self._need_constants()
-        return self.constants.c2
-
-    @property
-    def c3(self) -> Optional[float]:
-        self._need_constants()
-        return self.constants.c3
-
-    def _need_constants(self):
-        if self.constants is None:
-            raise InvalidArgument("regularity constants are required for this bound")
 
 
 @dataclass(frozen=True)
@@ -217,6 +169,29 @@ def default_gamma_holder(c1: float, pop_risk_frac: float, l2_sq: float) -> float
 
 
 # ---------------------------------------------------------------------------
+# step sizes and paths
+# ---------------------------------------------------------------------------
+
+def _etas(etas) -> np.ndarray:
+    etas = np.asarray(etas, dtype=np.float64)
+    if etas.ndim != 1 or etas.size == 0:
+        raise InvalidArgument("etas must be a nonempty 1-d array (T >= 1)")
+    return etas
+
+
+def _steps(n: int, etas, *paths) -> list:
+    """Check n >= 1, T = len(etas) >= 1 and that every path has length T;
+    return etas and the paths as float64 arrays."""
+    if not n >= 1:
+        raise InvalidArgument(f"n must be >= 1, got {n}")
+    etas = _etas(etas)
+    paths = [np.asarray(path, dtype=np.float64) for path in paths]
+    if any(path.shape != etas.shape for path in paths):
+        raise InvalidArgument(f"every path must have length T = {etas.size}")
+    return [etas, *paths]
+
+
+# ---------------------------------------------------------------------------
 # stability bounds
 # ---------------------------------------------------------------------------
 
@@ -226,128 +201,121 @@ def _growth_weights(p: float, n: int, T: int, final_exponent: int) -> np.ndarray
     return (1.0 + p / n) ** expo
 
 
-def thm2_l1_bound(inp: BoundInputs) -> float:
+def _p_or_default(p: Optional[float], n: int, T: int) -> float:
+    p = p if p is not None else default_p(n, T)
+    if not p > 0.0:
+        raise InvalidArgument(f"p must be positive, got {p}")
+    return p
+
+
+def thm2_l1_bound(n: int, etas, L: float, sqrt_risk_path) -> float:
     """l1 on-average stability of the output iterate, smooth convex case:
 
         (2 sqrt(2 L) / n) * sum_j eta_j E[sqrt(F_S(w_j))].
     """
-    if inp.sqrt_risk_path is None:
-        raise InvalidArgument("sqrt_risk_path is required")
-    if inp.L is None or not inp.L > 0.0:
+    etas, path = _steps(n, etas, sqrt_risk_path)
+    if not L > 0.0:
         raise InvalidArgument("positive L is required")
-    path = np.asarray(inp.sqrt_risk_path, dtype=np.float64)
-    if path.shape != (inp.T,):
-        raise InvalidArgument("sqrt_risk_path must have length T")
-    return float(2.0 * math.sqrt(2.0 * inp.L) / inp.n * np.sum(inp.etas * path))
+    return float(2.0 * math.sqrt(2.0 * L) / n * np.sum(etas * path))
 
 
-def thm2_l2_bound(inp: BoundInputs) -> float:
+def thm2_l2_bound(n: int, etas, L: float, risk_path, p: Optional[float] = None) -> float:
     """Squared l2 on-average stability, smooth convex case:
 
         (8 (1 + 1/p) L / n) * sum_j (1 + p/n)^(T-j) eta_j^2 E[F_S(w_j)].
     """
-    if inp.risk_path is None:
-        raise InvalidArgument("risk_path is required")
-    if inp.L is None or not inp.L > 0.0:
+    etas, path = _steps(n, etas, risk_path)
+    if not L > 0.0:
         raise InvalidArgument("positive L is required")
-    p = inp.p if inp.p is not None else default_p(inp.n, inp.T)
-    if not p > 0.0:
-        raise InvalidArgument(f"p must be positive, got {p}")
-    path = np.asarray(inp.risk_path, dtype=np.float64)
-    if path.shape != (inp.T,):
-        raise InvalidArgument("risk_path must have length T")
-    w = _growth_weights(p, inp.n, inp.T, 0)
-    return float(8.0 * (1.0 + 1.0 / p) * inp.L / inp.n
-                 * np.sum(w * inp.etas ** 2 * path))
+    T = etas.size
+    p = _p_or_default(p, n, T)
+    w = _growth_weights(p, n, T, 0)
+    return float(8.0 * (1.0 + 1.0 / p) * L / n * np.sum(w * etas ** 2 * path))
 
 
-def thmD1_nonsmooth_l2_bound(inp: BoundInputs) -> float:
+def thmD1_nonsmooth_l2_bound(n: int, etas, alpha: float, c1: float, c3: float,
+                             frac_risk_path, p: Optional[float] = None) -> float:
     """Squared l2 on-average stability for convex losses with alpha < 1:
 
         c3^2 sum_j (1+p/n)^(T+1-j) eta_j^(2/(1-alpha))
         + 4 (1 + 1/p) c1^2 sum_j (1+p/n)^(T-j) (eta_j^2 / n)
               * E[F_S(w_j)^(2 alpha/(1+alpha))].
     """
-    if inp.alpha is None or inp.alpha >= 1.0:
+    etas, path = _steps(n, etas, frac_risk_path)
+    if not alpha < 1.0:
         raise InvalidArgument("this bound needs alpha < 1 (use thm2_l2_bound at alpha = 1)")
-    if inp.frac_risk_path is None:
-        raise InvalidArgument("frac_risk_path is required")
-    p = inp.p if inp.p is not None else default_p(inp.n, inp.T)
-    if not p > 0.0:
-        raise InvalidArgument(f"p must be positive, got {p}")
-    c1, c3 = inp.c1, inp.c3
-    path = np.asarray(inp.frac_risk_path, dtype=np.float64)
-    if path.shape != (inp.T,):
-        raise InvalidArgument("frac_risk_path must have length T")
-    slack = c3 ** 2 * np.sum(_growth_weights(p, inp.n, inp.T, 1)
-                             * inp.etas ** (2.0 / (1.0 - inp.alpha)))
+    T = etas.size
+    p = _p_or_default(p, n, T)
+    slack = c3 ** 2 * np.sum(_growth_weights(p, n, T, 1) * etas ** (2.0 / (1.0 - alpha)))
     risk = 4.0 * (1.0 + 1.0 / p) * c1 ** 2 \
-        * np.sum(_growth_weights(p, inp.n, inp.T, 0) * inp.etas ** 2 / inp.n * path)
+        * np.sum(_growth_weights(p, n, T, 0) * etas ** 2 / n * path)
     return float(slack + risk)
 
 
-def thm6_convex_stability_bound(inp: BoundInputs) -> float:
+def thm6_convex_stability_bound(n: int, etas, L: float, G: float) -> float:
     """l1 stability when only the empirical objective is convex:
 
         4 G C_T sum_j eta_j / n + 2 G sqrt(C_T sum_j eta_j^2 / n),
         C_T = prod_j (1 + L^2 eta_j^2).
     """
-    if inp.G is None or not inp.G >= 0.0:
+    [etas] = _steps(n, etas)
+    if not G >= 0.0:
         raise InvalidArgument("nonnegative G is required")
-    if inp.L is None or not inp.L > 0.0:
+    if not L > 0.0:
         raise InvalidArgument("positive L is required")
-    C = float(np.prod(1.0 + inp.L ** 2 * inp.etas ** 2))
-    s1 = float(np.sum(inp.etas))
-    s2 = float(np.sum(inp.etas ** 2))
-    return 4.0 * inp.G * C * s1 / inp.n + 2.0 * inp.G * math.sqrt(C * s2 / inp.n)
+    C = float(np.prod(1.0 + L ** 2 * etas ** 2))
+    s1 = float(np.sum(etas))
+    s2 = float(np.sum(etas ** 2))
+    return 4.0 * G * C * s1 / n + 2.0 * G * math.sqrt(C * s2 / n)
 
 
-def thm8_strongly_convex_stability_bound(inp: BoundInputs, t: int, t0: int) -> float:
+def thm8_strongly_convex_stability_bound(n: int, G: float, sigma: float,
+                                         t: int, t0: int) -> float:
     """l1 stability with a strongly convex empirical objective:
 
         (4 G / sigma) * (1 / sqrt(n (t + t0)) + 1 / n).
     """
-    if inp.sigma is None or not inp.sigma > 0.0:
+    if not sigma > 0.0:
         raise InvalidArgument("positive sigma is required")
-    if inp.G is None or not inp.G >= 0.0:
+    if not G >= 0.0:
         raise InvalidArgument("nonnegative G is required")
-    if not (t >= 1 and t0 >= 0):
-        raise InvalidArgument("t must be >= 1 and t0 >= 0")
-    return 4.0 * inp.G / inp.sigma * (1.0 / math.sqrt(inp.n * (t + t0)) + 1.0 / inp.n)
+    if not (n >= 1 and t >= 1 and t0 >= 0):
+        raise InvalidArgument("n and t must be >= 1 and t0 >= 0")
+    return 4.0 * G / sigma * (1.0 / math.sqrt(n * (t + t0)) + 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
 # generalization via stability
 # ---------------------------------------------------------------------------
 
-def thm1b_generalization_bound(inp: BoundInputs, l2_sq: float, emp_risk: float) -> float:
+def thm1b_generalization_bound(L: float, gamma: float, l2_sq: float,
+                               emp_risk: float) -> float:
     """Gap bound for nonnegative smooth losses:
 
         (L / gamma) * E[F_S(A(S))] + ((L + gamma) / 2) * l2_sq,
 
     where l2_sq already carries the Def-5 average over neighbors.
     """
-    gamma = inp.gamma
-    if gamma is None or not gamma > 0.0:
+    if not gamma > 0.0:
         raise InvalidArgument("positive gamma is required")
-    if inp.L is None or not inp.L > 0.0:
+    if not L > 0.0:
         raise InvalidArgument("positive L is required")
     if l2_sq < 0.0 or emp_risk < 0.0:
         raise InvalidArgument("l2_sq and emp_risk must be nonnegative")
-    return inp.L / gamma * emp_risk + 0.5 * (inp.L + gamma) * l2_sq
+    return L / gamma * emp_risk + 0.5 * (L + gamma) * l2_sq
 
 
-def thm1c_generalization_bound(inp: BoundInputs, l2_sq: float, pop_risk_frac: float) -> float:
+def thm1c_generalization_bound(c1: float, gamma: float, l2_sq: float,
+                               pop_risk_frac: float) -> float:
     """Gap bound for nonnegative convex losses with Hölder subgradients:
 
         c1^2 / (2 gamma) * E[F^(2a/(1+a))(A(S))] + (gamma / 2) * l2_sq.
     """
-    gamma = inp.gamma
-    if gamma is None or not gamma > 0.0:
+    if not gamma > 0.0:
         raise InvalidArgument("positive gamma is required")
     if l2_sq < 0.0 or pop_risk_frac < 0.0:
         raise InvalidArgument("l2_sq and pop_risk_frac must be nonnegative")
-    return inp.c1 ** 2 / (2.0 * gamma) * pop_risk_frac + 0.5 * gamma * l2_sq
+    return c1 ** 2 / (2.0 * gamma) * pop_risk_frac + 0.5 * gamma * l2_sq
 
 
 def propD2_erm_bound(c1: float, n: int, sigma: float, pop_risk_frac: float) -> float:
@@ -366,20 +334,21 @@ def propD2_erm_bound(c1: float, n: int, sigma: float, pop_risk_frac: float) -> f
 # optimization-error bounds
 # ---------------------------------------------------------------------------
 
-def lemmaA2a_opt_bound(inp: BoundInputs) -> float:
+def lemmaA2a_opt_bound(etas, G: float, w_star_norm_sq: float) -> float:
     """Averaged-iterate optimization error with bounded gradients:
 
         (G^2 sum_j eta_j^2 + ||w*||^2) / (2 sum_j eta_j).
     """
-    if inp.G is None or not inp.G >= 0.0:
+    etas = _etas(etas)
+    if not G >= 0.0:
         raise InvalidArgument("nonnegative G is required")
-    if inp.w_star_norm_sq is None or inp.w_star_norm_sq < 0.0:
-        raise InvalidArgument("w_star_norm_sq is required")
-    s1 = float(np.sum(inp.etas))
+    if not w_star_norm_sq >= 0.0:
+        raise InvalidArgument("w_star_norm_sq must be nonnegative")
+    s1 = float(np.sum(etas))
     if s1 <= 0.0:
         raise InvalidArgument("sum of step sizes must be positive")
-    s2 = float(np.sum(inp.etas ** 2))
-    return (inp.G ** 2 * s2 + inp.w_star_norm_sq) / (2.0 * s1)
+    s2 = float(np.sum(etas ** 2))
+    return (G ** 2 * s2 + w_star_norm_sq) / (2.0 * s1)
 
 
 def _require_nonincreasing(etas: np.ndarray) -> None:
@@ -387,45 +356,42 @@ def _require_nonincreasing(etas: np.ndarray) -> None:
         raise PreconditionViolation("step sizes must be nonincreasing")
 
 
-def lemmaA2c_weighted_opt_bound(inp: BoundInputs) -> float:
+def lemmaA2c_weighted_opt_bound(etas, L: float, w_star_norm_sq: float,
+                                risk_at_opt: float) -> float:
     """Bound on sum_j eta_j E[F_S(w_j) - F_S(w*)] for smooth nonneg losses:
 
         (1/2 + L eta_1) ||w*||^2 + 2 L sum_j eta_j^2 F_S(w*),
 
     valid for nonincreasing steps with eta_t <= 1/(2L).
     """
-    if inp.L is None or not inp.L > 0.0:
+    etas = _etas(etas)
+    if not L > 0.0:
         raise InvalidArgument("positive L is required")
-    if inp.w_star_norm_sq is None or inp.pop_risk_at_opt is None:
-        raise InvalidArgument("w_star_norm_sq and the risk at the minimizer are required")
-    _require_nonincreasing(inp.etas)
-    if np.any(inp.etas > 1.0 / (2.0 * inp.L) + 1e-15):
+    _require_nonincreasing(etas)
+    if np.any(etas > 1.0 / (2.0 * L) + 1e-15):
         raise PreconditionViolation("steps must satisfy eta_t <= 1/(2L)")
-    s2 = float(np.sum(inp.etas ** 2))
-    return (0.5 + inp.L * float(inp.etas[0])) * inp.w_star_norm_sq \
-        + 2.0 * inp.L * s2 * inp.pop_risk_at_opt
+    s2 = float(np.sum(etas ** 2))
+    return (0.5 + L * float(etas[0])) * w_star_norm_sq + 2.0 * L * s2 * risk_at_opt
 
 
-def lemmaA2d_holder_opt_bound(inp: BoundInputs) -> float:
+def lemmaA2d_holder_opt_bound(etas, alpha: float, c1: float, c2: float,
+                              w_star_norm_sq: float, risk_at_opt: float) -> float:
     """Bound on 2 sum_j eta_j E[F_S(w_j) - F_S(w*)], Hölder case alpha < 1:
 
         ||w*||^2 + c1^2 (sum eta^2)^((1-a)/(1+a))
           * (eta_1 ||w*||^2 + 2 sum eta^2 F_S(w*) + c2 sum eta^((3-a)/(1-a)))^(2a/(1+a)).
     """
-    if inp.alpha is None or inp.alpha >= 1.0:
+    etas = _etas(etas)
+    if not alpha < 1.0:
         raise InvalidArgument("this bound needs alpha < 1")
-    if inp.w_star_norm_sq is None or inp.pop_risk_at_opt is None:
-        raise InvalidArgument("w_star_norm_sq and the risk at the minimizer are required")
-    _require_nonincreasing(inp.etas)
-    a = inp.alpha
-    s2 = float(np.sum(inp.etas ** 2))
+    _require_nonincreasing(etas)
+    a = alpha
+    s2 = float(np.sum(etas ** 2))
     if s2 <= 0.0:
         raise InvalidArgument("sum of squared step sizes must be positive")
-    c1, c2 = inp.c1, inp.c2
-    bracket = float(inp.etas[0]) * inp.w_star_norm_sq \
-        + 2.0 * s2 * inp.pop_risk_at_opt \
-        + c2 * float(np.sum(inp.etas ** ((3.0 - a) / (1.0 - a))))
-    return inp.w_star_norm_sq \
+    bracket = float(etas[0]) * w_star_norm_sq + 2.0 * s2 * risk_at_opt \
+        + c2 * float(np.sum(etas ** ((3.0 - a) / (1.0 - a))))
+    return w_star_norm_sq \
         + c1 ** 2 * s2 ** ((1.0 - a) / (1.0 + a)) * bracket ** (2.0 * a / (1.0 + a))
 
 
@@ -433,15 +399,14 @@ def lemmaA2d_holder_opt_bound(inp: BoundInputs) -> float:
 # high-probability / without-replacement extensions
 # ---------------------------------------------------------------------------
 
-def _c3_of(alpha: float, L: float) -> float:
+def _check_alpha_c3(alpha: float, c3: float) -> None:
     if not 0.0 <= alpha < 1.0:
         raise InvalidArgument(f"alpha must be in [0, 1), got {alpha}")
-    if not L > 0.0:
-        raise InvalidArgument(f"L must be positive, got {L}")
-    return math.sqrt((1.0 - alpha) / (1.0 + alpha)) * (2.0 ** (-alpha) * L) ** (1.0 / (1.0 - alpha))
+    if not c3 > 0.0:
+        raise InvalidArgument(f"c3 must be positive, got {c3}")
 
 
-def propG1_high_prob_bound(c: float, theta: float, alpha: float, L: float, G: float,
+def propG1_high_prob_bound(c: float, theta: float, alpha: float, c3: float, G: float,
                            t: int, n: int, delta: float) -> float:
     """With probability >= 1 - delta, the coupled distance after t constant
     steps eta_j = c * t^(-theta) is at most
@@ -453,14 +418,14 @@ def propG1_high_prob_bound(c: float, theta: float, alpha: float, L: float, G: fl
         raise InvalidArgument(f"delta must be in (0, 1), got {delta}")
     if not (c > 0.0 and 0.0 <= theta <= 1.0 and t >= 1 and n >= 1 and G >= 0.0):
         raise InvalidArgument("invalid inputs")
-    c3 = _c3_of(alpha, L)
+    _check_alpha_c3(alpha, c3)
     first = c3 * c ** (1.0 / (1.0 - alpha)) * t ** (1.0 - theta / (1.0 - alpha))
     second = 2.0 * G * c / n * (1.0 + math.sqrt(3.0 * n * math.log(1.0 / delta) / t)) \
         * t ** (1.0 - theta)
     return first + second
 
 
-def propG2_without_replacement_bound(etas_per_epoch, alpha: float, L: float,
+def propG2_without_replacement_bound(etas_per_epoch, alpha: float, c3: float,
                                      G: float, n: int) -> float:
     """l1 stability of epoch SGD (fresh shuffle per epoch):
 
@@ -468,7 +433,7 @@ def propG2_without_replacement_bound(etas_per_epoch, alpha: float, L: float,
     """
     if not (G >= 0.0 and n >= 1):
         raise InvalidArgument("invalid inputs")
-    c3 = _c3_of(alpha, L)
+    _check_alpha_c3(alpha, c3)
     total = 0.0
     for epoch in etas_per_epoch:
         epoch = np.asarray(epoch, dtype=np.float64)

@@ -1,6 +1,7 @@
 """Experiment configs: plain `key = value` files with [section] headers.
 
 Sections are [experiment], [loss], [distribution], [schedule] and [domain].
+`#` starts a comment anywhere on a line, so no value can contain one.
 Unknown sections or keys are hard errors so a typo'd experiment never runs
 silently with defaults.  serialize_config/parse_config round-trip exactly
 (floats are written with repr, which Python reads back bit-for-bit).
@@ -177,8 +178,8 @@ def parse_config(text: str) -> ExperimentConfig:
     values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
@@ -350,14 +351,8 @@ def build_distribution(cfg: ExperimentConfig) -> Distribution:
         raise ConfigError(f"bad distribution parameters: {e}") from None
 
 
-def build_schedule(cfg: ExperimentConfig, horizon: int,
-                   sigma: Optional[float] = None,
-                   t0: Optional[int] = None) -> Schedule:
-    """Instantiate the configured schedule for a run of `horizon` steps.
-
-    `sigma`/`t0` override the config (the strongly-convex target derives them
-    from each sampled dataset).
-    """
+def build_schedule(cfg: ExperimentConfig, horizon: int) -> Schedule:
+    """Instantiate the configured schedule for a run of `horizon` steps."""
     kind = cfg.sched_kind
     if kind is None:
         raise ConfigError("missing key 'kind' in [schedule]")
@@ -370,8 +365,8 @@ def build_schedule(cfg: ExperimentConfig, horizon: int,
     }[kind]
     kw = {field: _need(cfg, field) for field in need}
     if kind == "strongly_convex":
-        kw["sigma"] = sigma if sigma is not None else _need(cfg, "sigma")
-        kw["t0"] = t0 if t0 is not None else (cfg.t0 if cfg.t0 is not None else 0)
+        kw["sigma"] = _need(cfg, "sigma")
+        kw["t0"] = cfg.t0 if cfg.t0 is not None else 0
     if kind in ("horizon_constant", "horizon_poly"):
         kw["horizon"] = horizon
     try:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .. import _engine
 from ..bounds import (
-    BoundInputs,
     BoundReport,
     default_gamma_holder,
     default_gamma_smooth,
@@ -314,6 +313,17 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
 # stability sweep / rate fit
 # ---------------------------------------------------------------------------
 
+def _stability(cfg, loss, dist, n, T, sched, domain, record_risks,
+               without_replacement=False):
+    """The configured on-average stability estimate at one grid point."""
+    coupling = CouplingConfig(replicates=cfg.replicates,
+                              neighbor_subsample=cfg.neighbor_subsample,
+                              record_risks=record_risks)
+    return estimate_on_average_stability(loss, dist, n, T, sched, domain,
+                                         coupling, cfg.master_seed,
+                                         without_replacement=without_replacement)
+
+
 def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
     em = _Emitter(cfg)
     loss = build_loss(cfg)
@@ -323,11 +333,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
-        coupling = CouplingConfig(replicates=cfg.replicates,
-                                  neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=True)
-        rep = estimate_on_average_stability(loss, dist, n, T, sched, domain,
-                                            coupling, cfg.master_seed)
+        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=True)
         em.row("l1_stability", rep.l1_mean, n=n, T=T, theta=theta, stderr=rep.l1_stderr)
         em.row("l2_sq_stability", rep.l2_sq_mean, n=n, T=T, theta=theta,
                stderr=rep.l2_sq_stderr)
@@ -390,14 +396,6 @@ def _plus_sigma(mean: np.ndarray, stderr: np.ndarray) -> np.ndarray:
     return np.asarray(mean) + np.asarray(stderr)
 
 
-def _stability_with_risks(cfg, loss, dist, n, T, sched, domain):
-    coupling = CouplingConfig(replicates=cfg.replicates,
-                              neighbor_subsample=cfg.neighbor_subsample,
-                              record_risks=True)
-    return estimate_on_average_stability(loss, dist, n, T, sched, domain,
-                                         coupling, cfg.master_seed)
-
-
 def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
@@ -414,27 +412,21 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
             raise PreconditionViolation(
                 f"thm2 needs eta_t <= 2/L = {2.0 / L:.6g}, but the schedule "
                 f"reaches {float(etas.max()):.6g} at n = {n}")
-        rep = _stability_with_risks(cfg, loss, dist, n, T, sched, None)
+        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
         stats = rep.risk_path
-        inp = BoundInputs(
-            n=n, T=T, etas=etas, L=L, alpha=1.0,
-            constants=regularity_constants(1.0, L),
-            risk_path=expand_risk_path(stats.steps,
-                                       _plus_sigma(stats.mean, stats.stderr), T),
-            sqrt_risk_path=expand_risk_path(stats.steps,
-                                            _plus_sigma(stats.sqrt_mean, stats.sqrt_stderr), T),
-        )
-        em.gate_row("l1_stability", thm2_l1_bound(inp), rep.l1_mean,
-                    rep.l1_stderr, n=n, T=T)
-        em.gate_row("l2_sq_stability", thm2_l2_bound(inp), rep.l2_sq_mean,
-                    rep.l2_sq_stderr, n=n, T=T)
+        risk_path = expand_risk_path(stats.steps, _plus_sigma(stats.mean, stats.stderr), T)
+        sqrt_risk_path = expand_risk_path(
+            stats.steps, _plus_sigma(stats.sqrt_mean, stats.sqrt_stderr), T)
+        em.gate_row("l1_stability", thm2_l1_bound(n, etas, L, sqrt_risk_path),
+                    rep.l1_mean, rep.l1_stderr, n=n, T=T)
+        em.gate_row("l2_sq_stability", thm2_l2_bound(n, etas, L, risk_path),
+                    rep.l2_sq_mean, rep.l2_sq_stderr, n=n, T=T)
         # generalization gap against the smooth-case bound, same runs
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
         emp_hat = stats.final_mean + stats.final_stderr
         l2_hat = rep.l2_sq_mean + rep.l2_sq_stderr
         gamma = default_gamma_smooth(L, emp_hat, l2_hat)
-        ginp = BoundInputs(n=n, T=T, etas=etas, L=L, alpha=1.0, gamma=gamma)
-        rhs = thm1b_generalization_bound(ginp, l2_hat, emp_hat)
+        rhs = thm1b_generalization_bound(L, gamma, l2_hat, emp_hat)
         em.gate_row("generalization_gap", rhs, gap.gap_mean, gap.gap_stderr, n=n, T=T)
 
 
@@ -449,16 +441,14 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
-        rep = _stability_with_risks(cfg, loss, dist, n, T, sched, None)
+        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
         stats = rep.risk_path
-        etas = sched.etas(T)
-        inp = BoundInputs(
-            n=n, T=T, etas=etas, L=L, alpha=loss.alpha, constants=consts,
-            frac_risk_path=expand_risk_path(stats.steps,
-                                            _plus_sigma(stats.frac_mean, stats.frac_stderr), T),
-        )
-        em.gate_row("l2_sq_stability", thmD1_nonsmooth_l2_bound(inp),
-                    rep.l2_sq_mean, rep.l2_sq_stderr, n=n, T=T, theta=theta)
+        frac_risk_path = expand_risk_path(
+            stats.steps, _plus_sigma(stats.frac_mean, stats.frac_stderr), T)
+        rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1,
+                                       consts.c3, frac_risk_path)
+        em.gate_row("l2_sq_stability", rhs, rep.l2_sq_mean, rep.l2_sq_stderr,
+                    n=n, T=T, theta=theta)
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
         frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
         if loss.alpha == 0.0:
@@ -470,9 +460,7 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
             pop_frac = max(pop_mean, 0.0) ** frac_expo
         l2_hat = rep.l2_sq_mean + rep.l2_sq_stderr
         gamma = default_gamma_holder(consts.c1, pop_frac, l2_hat)
-        ginp = BoundInputs(n=n, T=T, etas=etas, alpha=loss.alpha,
-                           constants=consts, gamma=gamma)
-        rhs = thm1c_generalization_bound(ginp, l2_hat, pop_frac)
+        rhs = thm1c_generalization_bound(consts.c1, gamma, l2_hat, pop_frac)
         em.gate_row("generalization_gap", rhs, gap.gap_mean, gap.gap_stderr,
                     n=n, T=T, theta=theta)
 
@@ -489,13 +477,8 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
-        coupling = CouplingConfig(replicates=cfg.replicates,
-                                  neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=False)
-        rep = estimate_on_average_stability(loss, dist, n, T, sched, domain,
-                                            coupling, cfg.master_seed)
-        inp = BoundInputs(n=n, T=T, etas=sched.etas(T), L=L, G=G, alpha=loss.alpha)
-        em.gate_row("l1_stability", thm6_convex_stability_bound(inp),
+        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
+        em.gate_row("l1_stability", thm6_convex_stability_bound(n, sched.etas(T), L, G),
                     rep.l1_mean, rep.l1_stderr, n=n, T=T, theta=theta)
     # the surrogate's expectation must reproduce the closed-form population
     # objective: Monte-Carlo check at the origin and at an interior point
@@ -541,8 +524,7 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
             t0 = t0_for_strong_convexity(L, sigma)
             etas[r] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
             families.append(NeighborFamily(base=ds, ghost=zero_example_neighbor(ds, 0)))
-            inp = BoundInputs(n=n, T=T, etas=etas[r], G=G, sigma=sigma)
-            rhss[r] = thm8_strongly_convex_stability_bound(inp, T, t0)
+            rhss[r] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
         dists = coupled_distances(loss, families.__getitem__, n, etas, domain, R,
                                   cfg.master_seed)
         em.gate_row("zero_example_stability", float(rhss.mean()),
@@ -593,21 +575,19 @@ def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
     _require_lipschitz_hinge(loss, "propG2")
-    X, L, _ = _sup_holder(loss, dist)
+    X, L, g0 = _sup_holder(loss, dist)
     G = X  # hinge subgradient is -y x or 0
+    c3 = regularity_constants(loss.alpha, L, g0).c3
     K = cfg.epochs
     for n in cfg.n_grid:
         T = K * n
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
-        coupling = CouplingConfig(replicates=cfg.replicates,
-                                  neighbor_subsample=cfg.neighbor_subsample,
-                                  record_risks=False)
-        rep = estimate_on_average_stability(loss, dist, n, T, sched, None, coupling,
-                                            cfg.master_seed, without_replacement=True)
+        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=False,
+                         without_replacement=True)
         etas = sched.etas(T)
         per_epoch = [etas[k * n:(k + 1) * n] for k in range(K)]
-        rhs = propG2_without_replacement_bound(per_epoch, 0.0, L, G, n)
+        rhs = propG2_without_replacement_bound(per_epoch, loss.alpha, c3, G, n)
         em.gate_row("epoch_l1_stability", rhs, rep.l1_mean, rep.l1_stderr,
                     n=n, T=T, theta=theta)
 
@@ -616,15 +596,17 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
     _require_lipschitz_hinge(loss, "propG1")
-    X, L, _ = _sup_holder(loss, dist)
+    X, L, g0 = _sup_holder(loss, dist)
     G = X
+    c3 = regularity_constants(loss.alpha, L, g0).c3
     if cfg.sched_kind != "horizon_poly":
         raise ConfigError("target propG1 is stated for constant steps "
                           "c * T^(-theta); use a horizon_poly schedule")
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
-        rhs = propG1_high_prob_bound(cfg.c, cfg.theta, 0.0, L, G, T, n, cfg.delta)
+        rhs = propG1_high_prob_bound(cfg.c, cfg.theta, loss.alpha, c3, G, T, n,
+                                     cfg.delta)
         R = cfg.replicates
 
         def families(r):

@@ -247,21 +247,24 @@ def _index_seed(rng_seed: int) -> int:
     return _engine.derive_seed(rng_seed, _engine.TAG_INDEX)
 
 
+def _dataset_arrays(dataset) -> Tuple[np.ndarray, np.ndarray]:
+    features = np.asarray(dataset.features, dtype=np.float64)
+    if features.shape[0] < 1:
+        raise InvalidArgument("dataset must contain at least one example")
+    return features, np.asarray(dataset.labels, dtype=np.float64)
+
+
 def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
-         post, T: int, rng_seed: int, record_every: int) -> Trajectory:
+         post, T: int, seed: int, indices: np.ndarray,
+         record_every: int) -> Trajectory:
+    """One trajectory of T steps along ``indices``, drawn from index seed ``seed``."""
     if not record_every >= 1:
         raise InvalidArgument(f"record_every must be >= 1, got {record_every}")
-    n, d = features.shape
-    if n < 1:
-        raise InvalidArgument("dataset must contain at least one example")
-    etas = sched.etas(T)
-    seed = _index_seed(rng_seed)
-    indices = _engine.index_matrix(seed, n, T, replicates=1)
     out = _engine.run_core(
         loss,
         features[None, :, :], labels[None, :],
         None, None, None,
-        etas, post, indices,
+        sched.etas(T), post, indices,
         t0=sched.t0,
         record_every=record_every,
         collect_per_step_risk=True,
@@ -277,18 +280,25 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
     )
 
 
+def _iid_run(loss: Loss, dataset, sched: Schedule, post, T: int, rng_seed: int,
+             record_every: int) -> Trajectory:
+    # T steps on indices drawn i.i.d. uniform from the n examples
+    if not T >= 1:
+        raise InvalidArgument(f"T must be >= 1, got {T}")
+    features, labels = _dataset_arrays(dataset)
+    seed = _index_seed(rng_seed)
+    indices = _engine.index_matrix(seed, features.shape[0], T, replicates=1)
+    return _run(loss, features, labels, sched, post, T, seed, indices, record_every)
+
+
 def sgd_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
             T: int, rng_seed: int, record_every: int = 1) -> Trajectory:
     """Projected SGD from w_1 = 0 for T steps on the given dataset.
 
     ``dataset`` is any object with ``features`` (n, d) and ``labels`` (n,).
     """
-    if not T >= 1:
-        raise InvalidArgument(f"T must be >= 1, got {T}")
     post = ("ball", domain.radius) if domain is not None else None
-    return _run(loss, np.asarray(dataset.features, dtype=np.float64),
-                np.asarray(dataset.labels, dtype=np.float64), sched, post, T,
-                rng_seed, record_every)
+    return _iid_run(loss, dataset, sched, post, T, rng_seed, record_every)
 
 
 def spgd_run(loss: Loss, reg: Optional[Regularizer], dataset, sched: Schedule,
@@ -298,17 +308,13 @@ def spgd_run(loss: Loss, reg: Optional[Regularizer], dataset, sched: Schedule,
     With ``reg is None`` this is, bit for bit, the same computation as
     ``sgd_run`` without a domain (identical code path and index stream).
     """
-    if not T >= 1:
-        raise InvalidArgument(f"T must be >= 1, got {T}")
     if reg is None:
         post = None
     elif reg.kind == "l2":
         post = ("prox_l2", reg.strength)
     else:
         post = ("prox_l1", reg.strength)
-    return _run(loss, np.asarray(dataset.features, dtype=np.float64),
-                np.asarray(dataset.labels, dtype=np.float64), sched, post, T,
-                rng_seed, record_every)
+    return _iid_run(loss, dataset, sched, post, T, rng_seed, record_every)
 
 
 def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: int,
@@ -320,28 +326,9 @@ def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: in
     """
     if not epochs >= 1:
         raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
-    features = np.asarray(dataset.features, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.float64)
+    features, labels = _dataset_arrays(dataset)
     n = features.shape[0]
-    if n < 1:
-        raise InvalidArgument("dataset must contain at least one example")
-    T = epochs * n
-    etas = sched.etas(T)
     seed = _index_seed(rng_seed)
     indices = _engine.permutation_matrix(seed, n, epochs, replicates=1)
-    out = _engine.run_core(
-        loss, features[None, :, :], labels[None, :],
-        None, None, None,
-        etas, None, indices,
-        t0=sched.t0, record_every=n,
-        collect_per_step_risk=True,
-    )
-    return Trajectory(
-        iterates=out.iterates[0],
-        iterate_steps=out.iterate_steps,
-        final=out.finals[0, 0],
-        avg_eta=out.avg_eta[0],
-        avg_linear=out.avg_lin[0],
-        per_step_risk=out.per_step_risk[0],
-        index_sequence_seed=int(seed),
-    )
+    return _run(loss, features, labels, sched, None, epochs * n, seed, indices,
+                record_every=n)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlab.bounds import (
-    BoundInputs,
     chernoff_exceedance_threshold,
     default_gamma_holder,
     default_gamma_smooth,
@@ -29,28 +28,45 @@ from sgdlab.bounds import (
     thmD1_nonsmooth_l2_bound,
 )
 from sgdlab.errors import InvalidArgument, PreconditionViolation
-from sgdlab.losses import RegularityConstants, regularity_constants
+from sgdlab.losses import regularity_constants
 
 
-def _inputs(**kw):
-    base = dict(n=1, T=1, etas=np.array([1.0]))
-    base.update(kw)
-    return BoundInputs(**base)
+ONE = np.array([1.0])
 
 
 # ---------------------------------------------------------------------------
-# inputs and gate
+# step validation and gate
 # ---------------------------------------------------------------------------
 
-def test_bound_inputs_validation():
+def test_step_based_bounds_validate_n_and_lengths():
+    # T = len(etas); n >= 1, T >= 1 and every path of length T are checked
+    with_path = [
+        lambda n, etas, path: thm2_l1_bound(n, etas, 1.0, path),
+        lambda n, etas, path: thm2_l2_bound(n, etas, 1.0, path),
+        lambda n, etas, path: thmD1_nonsmooth_l2_bound(n, etas, 0.0, 2.0, 1.0, path),
+    ]
+    no_path = lambda n, etas, path: thm6_convex_stability_bound(n, etas, 1.0, 1.0)
+    for bound in with_path + [no_path]:
+        assert bound(1, ONE, ONE) > 0.0
+        with pytest.raises(InvalidArgument):
+            bound(0, ONE, ONE)
+        with pytest.raises(InvalidArgument):
+            bound(1, np.array([]), np.array([]))
+        with pytest.raises(InvalidArgument):
+            bound(1, np.ones((1, 1)), ONE)
+    for bound in with_path:
+        with pytest.raises(InvalidArgument):
+            bound(1, np.array([1.0, 1.0, 1.0]), ONE)
+        with pytest.raises(InvalidArgument):
+            bound(1, ONE, np.array([1.0, 1.0]))
     with pytest.raises(InvalidArgument):
-        BoundInputs(n=0, T=1, etas=np.array([1.0]))
+        lemmaA2a_opt_bound(np.array([]), G=1.0, w_star_norm_sq=1.0)
     with pytest.raises(InvalidArgument):
-        BoundInputs(n=1, T=0, etas=np.array([]))
+        lemmaA2c_weighted_opt_bound(np.array([]), L=1.0, w_star_norm_sq=1.0,
+                                    risk_at_opt=0.0)
     with pytest.raises(InvalidArgument):
-        BoundInputs(n=1, T=3, etas=np.array([1.0]))
-    with pytest.raises(InvalidArgument):
-        _inputs().c1  # constants not supplied
+        lemmaA2d_holder_opt_bound(np.array([]), alpha=0.0, c1=2.0, c2=4.0,
+                                  w_star_norm_sq=0.0, risk_at_opt=0.0)
 
 
 def test_gate_semantics():
@@ -167,46 +183,43 @@ def test_default_gammas():
 # ---------------------------------------------------------------------------
 
 def test_thm2_l1_frozen():
-    inp = _inputs(L=0.5, sqrt_risk_path=np.array([1.0]))
-    assert thm2_l1_bound(inp) == pytest.approx(2.0, rel=1e-15)
+    assert thm2_l1_bound(1, ONE, 0.5, np.array([1.0])) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(InvalidArgument):
-        thm2_l1_bound(_inputs(L=0.5))  # missing path
-    with pytest.raises(InvalidArgument):
-        thm2_l1_bound(_inputs(sqrt_risk_path=np.array([1.0])))  # missing L
+        thm2_l1_bound(1, ONE, 0.0, np.array([1.0]))  # non-positive L
 
 
 def test_thm2_l2_frozen():
-    inp = _inputs(L=1.0, risk_path=np.array([1.0]), p=1.0)
-    assert thm2_l2_bound(inp) == pytest.approx(16.0, rel=1e-15)
+    assert thm2_l2_bound(1, ONE, 1.0, np.array([1.0]), p=1.0) == pytest.approx(16.0, rel=1e-15)
     # default p = n/T gives the same here
-    inp2 = _inputs(L=1.0, risk_path=np.array([1.0]))
-    assert thm2_l2_bound(inp2) == pytest.approx(16.0, rel=1e-15)
+    assert thm2_l2_bound(1, ONE, 1.0, np.array([1.0])) == pytest.approx(16.0, rel=1e-15)
+    with pytest.raises(InvalidArgument):
+        thm2_l2_bound(1, ONE, -1.0, np.array([1.0]))  # non-positive L
+    with pytest.raises(InvalidArgument):
+        thm2_l2_bound(1, ONE, 1.0, np.array([1.0]), p=0.0)
 
 
 def test_thm2_l2_hand_unrolled_sum():
     T, n, L, p = 4, 3, 2.0, 0.75
     etas = np.array([0.4, 0.3, 0.2, 0.1])
     path = np.array([1.0, 0.5, 0.25, 0.125])
-    inp = BoundInputs(n=n, T=T, etas=etas, L=L, risk_path=path, p=p)
     acc = 0.0
     for j in range(1, T + 1):
         acc += (1 + p / n) ** (T - j) * etas[j - 1] ** 2 * path[j - 1]
     expected = 8 * (1 + 1 / p) * L / n * acc
-    assert thm2_l2_bound(inp) == pytest.approx(expected, rel=1e-12)
+    assert thm2_l2_bound(n, etas, L, path, p=p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_thmD1_frozen_alpha0():
     consts = regularity_constants(0.0, 1.0, g0=1.0)
     assert (consts.c1, consts.c2, consts.c3) == (2.0, 4.0, 1.0)
     eta = 0.5
-    inp = _inputs(etas=np.array([eta]), alpha=0.0, constants=consts,
-                  frac_risk_path=np.array([1.0]), p=1.0)
+    got = thmD1_nonsmooth_l2_bound(1, np.array([eta]), 0.0, consts.c1, consts.c3,
+                                   np.array([1.0]), p=1.0)
     # T = 1, n = 1: c3^2 (1+p)^1 eta^2 + 4 (1 + 1/p) c1^2 eta^2 * 1
     expected = 1.0 * 2.0 * eta ** 2 + 4.0 * 2.0 * 4.0 * eta ** 2
-    assert thmD1_nonsmooth_l2_bound(inp) == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(InvalidArgument):
-        thmD1_nonsmooth_l2_bound(_inputs(alpha=1.0, constants=consts,
-                                         frac_risk_path=np.array([1.0])))
+        thmD1_nonsmooth_l2_bound(1, ONE, 1.0, consts.c1, consts.c3, np.array([1.0]))
 
 
 def test_thmD1_hand_unrolled_mid_alpha():
@@ -215,40 +228,39 @@ def test_thmD1_hand_unrolled_mid_alpha():
     T, n, p = 3, 4, 2.0
     etas = np.array([0.3, 0.2, 0.1])
     path = np.array([0.9, 0.7, 0.6])
-    inp = BoundInputs(n=n, T=T, etas=etas, alpha=a, constants=consts,
-                      frac_risk_path=path, p=p)
     slack = sum(consts.c3 ** 2 * (1 + p / n) ** (T + 1 - j)
                 * etas[j - 1] ** (2 / (1 - a)) for j in range(1, T + 1))
     risk = sum(4 * (1 + 1 / p) * consts.c1 ** 2 * (1 + p / n) ** (T - j)
                * etas[j - 1] ** 2 / n * path[j - 1] for j in range(1, T + 1))
-    assert thmD1_nonsmooth_l2_bound(inp) == pytest.approx(slack + risk, rel=1e-12)
+    got = thmD1_nonsmooth_l2_bound(n, etas, a, consts.c1, consts.c3, path, p=p)
+    assert got == pytest.approx(slack + risk, rel=1e-12)
 
 
 def test_thm6_frozen():
-    inp = _inputs(L=1.0, G=1.0)
-    assert thm6_convex_stability_bound(inp) == pytest.approx(8.0 + 2.0 * math.sqrt(2.0),
-                                                             rel=1e-15)
+    assert thm6_convex_stability_bound(1, ONE, L=1.0, G=1.0) \
+        == pytest.approx(8.0 + 2.0 * math.sqrt(2.0), rel=1e-15)
     with pytest.raises(InvalidArgument):
-        thm6_convex_stability_bound(_inputs(L=1.0))
+        thm6_convex_stability_bound(1, ONE, L=0.0, G=1.0)
+    with pytest.raises(InvalidArgument):
+        thm6_convex_stability_bound(1, ONE, L=1.0, G=-1.0)
 
 
 def test_thm8_frozen():
-    inp = BoundInputs(n=100, T=1, etas=np.array([0.1]), G=1.0, sigma=1.0)
-    assert thm8_strongly_convex_stability_bound(inp, t=50, t0=50) == pytest.approx(0.08)
+    assert thm8_strongly_convex_stability_bound(100, G=1.0, sigma=1.0, t=50, t0=50) \
+        == pytest.approx(0.08)
     with pytest.raises(InvalidArgument):
-        thm8_strongly_convex_stability_bound(inp, t=0, t0=0)
+        thm8_strongly_convex_stability_bound(100, G=1.0, sigma=1.0, t=0, t0=0)
     with pytest.raises(InvalidArgument):
-        thm8_strongly_convex_stability_bound(
-            BoundInputs(n=100, T=1, etas=np.array([0.1]), G=1.0), t=1, t0=0)
+        thm8_strongly_convex_stability_bound(0, G=1.0, sigma=1.0, t=1, t0=0)
+    with pytest.raises(InvalidArgument):
+        thm8_strongly_convex_stability_bound(100, G=1.0, sigma=0.0, t=1, t0=0)
 
 
 def test_thm8_decreases_with_horizon_and_n():
-    inp = BoundInputs(n=64, T=1, etas=np.array([0.1]), G=2.0, sigma=0.5)
-    b1 = thm8_strongly_convex_stability_bound(inp, t=10, t0=0)
-    b2 = thm8_strongly_convex_stability_bound(inp, t=100, t0=0)
+    b1 = thm8_strongly_convex_stability_bound(64, G=2.0, sigma=0.5, t=10, t0=0)
+    b2 = thm8_strongly_convex_stability_bound(64, G=2.0, sigma=0.5, t=100, t0=0)
     assert b2 < b1
-    inp_bigger_n = BoundInputs(n=256, T=1, etas=np.array([0.1]), G=2.0, sigma=0.5)
-    assert thm8_strongly_convex_stability_bound(inp_bigger_n, t=10, t0=0) < b1
+    assert thm8_strongly_convex_stability_bound(256, G=2.0, sigma=0.5, t=10, t0=0) < b1
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +268,27 @@ def test_thm8_decreases_with_horizon_and_n():
 # ---------------------------------------------------------------------------
 
 def test_thm1b_frozen():
-    inp = _inputs(L=1.0, gamma=1.0)
-    assert thm1b_generalization_bound(inp, l2_sq=0.0, emp_risk=1.0) == pytest.approx(1.0)
+    assert thm1b_generalization_bound(1.0, 1.0, l2_sq=0.0, emp_risk=1.0) == pytest.approx(1.0)
     # full two-term evaluation
-    inp2 = _inputs(L=2.0, gamma=4.0)
-    got = thm1b_generalization_bound(inp2, l2_sq=0.5, emp_risk=3.0)
+    got = thm1b_generalization_bound(2.0, 4.0, l2_sq=0.5, emp_risk=3.0)
     assert got == pytest.approx(2.0 / 4.0 * 3.0 + 0.5 * 6.0 * 0.5, rel=1e-15)
     with pytest.raises(InvalidArgument):
-        thm1b_generalization_bound(_inputs(L=1.0), 0.0, 1.0)  # no gamma
+        thm1b_generalization_bound(1.0, 0.0, 0.0, 1.0)  # non-positive gamma
     with pytest.raises(InvalidArgument):
-        thm1b_generalization_bound(inp, -0.1, 1.0)
+        thm1b_generalization_bound(0.0, 1.0, 0.0, 1.0)  # non-positive L
+    with pytest.raises(InvalidArgument):
+        thm1b_generalization_bound(1.0, 1.0, -0.1, 1.0)
 
 
 def test_thm1c_frozen():
-    consts = RegularityConstants(c1=2.0, c2=None, c3=None)
-    inp = _inputs(gamma=2.0, constants=consts)
-    assert thm1c_generalization_bound(inp, l2_sq=0.0, pop_risk_frac=1.0) == pytest.approx(1.0)
-    got = thm1c_generalization_bound(inp, l2_sq=0.3, pop_risk_frac=0.5)
+    assert thm1c_generalization_bound(2.0, 2.0, l2_sq=0.0, pop_risk_frac=1.0) \
+        == pytest.approx(1.0)
+    got = thm1c_generalization_bound(2.0, 2.0, l2_sq=0.3, pop_risk_frac=0.5)
     assert got == pytest.approx(4.0 / 4.0 * 0.5 + 1.0 * 0.3, rel=1e-15)
     with pytest.raises(InvalidArgument):
-        thm1c_generalization_bound(_inputs(gamma=1.0), 0.0, 1.0)  # no constants
+        thm1c_generalization_bound(2.0, 0.0, 0.0, 1.0)  # non-positive gamma
+    with pytest.raises(InvalidArgument):
+        thm1c_generalization_bound(2.0, 2.0, -0.1, 1.0)
 
 
 def test_propD2_frozen():
@@ -293,60 +306,58 @@ def test_propD2_frozen():
 # ---------------------------------------------------------------------------
 
 def test_lemmaA2a_frozen():
-    inp = _inputs(G=1.0, w_star_norm_sq=1.0)
-    assert lemmaA2a_opt_bound(inp) == pytest.approx(1.0)
-    inp2 = BoundInputs(n=1, T=3, etas=np.array([0.5, 0.25, 0.25]), G=2.0,
-                       w_star_norm_sq=4.0)
+    assert lemmaA2a_opt_bound(ONE, G=1.0, w_star_norm_sq=1.0) == pytest.approx(1.0)
+    got = lemmaA2a_opt_bound(np.array([0.5, 0.25, 0.25]), G=2.0, w_star_norm_sq=4.0)
     s1, s2 = 1.0, 0.375
-    assert lemmaA2a_opt_bound(inp2) == pytest.approx((4 * s2 + 4) / (2 * s1), rel=1e-15)
+    assert got == pytest.approx((4 * s2 + 4) / (2 * s1), rel=1e-15)
     with pytest.raises(InvalidArgument):
-        lemmaA2a_opt_bound(_inputs(G=1.0))
+        lemmaA2a_opt_bound(ONE, G=1.0, w_star_norm_sq=-1.0)
 
 
 def test_lemmaA2c_frozen():
-    inp = _inputs(etas=np.array([0.25]), L=1.0, w_star_norm_sq=1.0,
-                  pop_risk_at_opt=0.0)
-    assert lemmaA2c_weighted_opt_bound(inp) == pytest.approx(0.75)
+    got = lemmaA2c_weighted_opt_bound(np.array([0.25]), L=1.0, w_star_norm_sq=1.0,
+                                      risk_at_opt=0.0)
+    assert got == pytest.approx(0.75)
     # steps above 1/(2L) violate the precondition
     with pytest.raises(PreconditionViolation):
-        lemmaA2c_weighted_opt_bound(_inputs(etas=np.array([0.75]), L=1.0,
-                                            w_star_norm_sq=1.0, pop_risk_at_opt=0.0))
+        lemmaA2c_weighted_opt_bound(np.array([0.75]), L=1.0, w_star_norm_sq=1.0,
+                                    risk_at_opt=0.0)
     # increasing steps violate monotonicity
     with pytest.raises(PreconditionViolation):
-        lemmaA2c_weighted_opt_bound(
-            BoundInputs(n=1, T=2, etas=np.array([0.1, 0.2]), L=1.0,
-                        w_star_norm_sq=1.0, pop_risk_at_opt=0.0))
+        lemmaA2c_weighted_opt_bound(np.array([0.1, 0.2]), L=1.0, w_star_norm_sq=1.0,
+                                    risk_at_opt=0.0)
+    with pytest.raises(InvalidArgument):
+        lemmaA2c_weighted_opt_bound(np.array([0.25]), L=0.0, w_star_norm_sq=1.0,
+                                    risk_at_opt=0.0)
     # boundary eta = 1/(2L) exactly is allowed
-    ok = lemmaA2c_weighted_opt_bound(_inputs(etas=np.array([0.5]), L=1.0,
-                                             w_star_norm_sq=2.0, pop_risk_at_opt=0.5))
+    ok = lemmaA2c_weighted_opt_bound(np.array([0.5]), L=1.0, w_star_norm_sq=2.0,
+                                     risk_at_opt=0.5)
     assert ok == pytest.approx((0.5 + 0.5) * 2.0 + 2 * 1 * 0.25 * 0.5, rel=1e-14)
 
 
 def test_lemmaA2d_frozen_alpha0():
     consts = regularity_constants(0.0, 1.0, g0=1.0)
-    inp = _inputs(alpha=0.0, constants=consts, w_star_norm_sq=0.0,
-                  pop_risk_at_opt=0.0)
     # alpha = 0: the bracket power is 0, so the bound collapses to c1^2 * s2
-    assert lemmaA2d_holder_opt_bound(inp) == pytest.approx(4.0)
+    assert lemmaA2d_holder_opt_bound(ONE, 0.0, consts.c1, consts.c2, w_star_norm_sq=0.0,
+                                     risk_at_opt=0.0) == pytest.approx(4.0)
     with pytest.raises(InvalidArgument):
-        lemmaA2d_holder_opt_bound(_inputs(etas=np.array([0.0]), alpha=0.0,
-                                          constants=consts, w_star_norm_sq=0.0,
-                                          pop_risk_at_opt=0.0))
+        lemmaA2d_holder_opt_bound(np.array([0.0]), 0.0, consts.c1, consts.c2,
+                                  w_star_norm_sq=0.0, risk_at_opt=0.0)
     with pytest.raises(InvalidArgument):
-        lemmaA2d_holder_opt_bound(_inputs(alpha=1.0, constants=consts,
-                                          w_star_norm_sq=0.0, pop_risk_at_opt=0.0))
+        lemmaA2d_holder_opt_bound(ONE, 1.0, consts.c1, consts.c2,
+                                  w_star_norm_sq=0.0, risk_at_opt=0.0)
 
 
 def test_lemmaA2d_hand_unrolled_mid_alpha():
     a, L = 0.5, 2.0
     consts = regularity_constants(a, L)
     etas = np.array([0.3, 0.2])
-    inp = BoundInputs(n=1, T=2, etas=etas, alpha=a, constants=consts,
-                      w_star_norm_sq=1.5, pop_risk_at_opt=0.4)
     s2 = float(np.sum(etas ** 2))
     bracket = 0.3 * 1.5 + 2 * s2 * 0.4 + consts.c2 * float(np.sum(etas ** 5.0))
     expected = 1.5 + consts.c1 ** 2 * s2 ** (1 / 3) * bracket ** (2 / 3)
-    assert lemmaA2d_holder_opt_bound(inp) == pytest.approx(expected, rel=1e-12)
+    got = lemmaA2d_holder_opt_bound(etas, a, consts.c1, consts.c2, w_star_norm_sq=1.5,
+                                    risk_at_opt=0.4)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +370,19 @@ def test_propG1_frozen_shape():
     theta = 1 - a
     c3 = math.sqrt((1 - a) / (1 + a)) * (2 ** -a * L) ** (1 / (1 - a))
     for t in (10, 1000):
-        val = propG1_high_prob_bound(c, theta, a, L, G=0.0, t=t, n=8, delta=0.1)
+        val = propG1_high_prob_bound(c, theta, a, c3, G=0.0, t=t, n=8, delta=0.1)
         assert val == pytest.approx(c3 * c ** 2, rel=1e-12)
     with pytest.raises(InvalidArgument):
-        propG1_high_prob_bound(c, theta, a, L, G=1.0, t=10, n=8, delta=0.0)
+        propG1_high_prob_bound(c, theta, a, c3, G=1.0, t=10, n=8, delta=0.0)
     with pytest.raises(InvalidArgument):
-        propG1_high_prob_bound(c, theta, a, L, G=1.0, t=10, n=8, delta=1.0)
+        propG1_high_prob_bound(c, theta, a, c3, G=1.0, t=10, n=8, delta=1.0)
+    with pytest.raises(InvalidArgument):
+        propG1_high_prob_bound(c, theta, a, 0.0, G=1.0, t=10, n=8, delta=0.1)
 
 
 def test_propG1_hand_value():
-    got = propG1_high_prob_bound(c=0.5, theta=0.75, alpha=0.0, L=1.0, G=2.0,
+    # at alpha = 0, c3 = L = 1
+    got = propG1_high_prob_bound(c=0.5, theta=0.75, alpha=0.0, c3=1.0, G=2.0,
                                  t=16, n=4, delta=0.1)
     first = 1.0 * 0.5 * 16 ** (1 - 0.75)
     second = 2 * 2 * 0.5 / 4 * (1 + math.sqrt(3 * 4 * math.log(10.0) / 16)) \
@@ -378,16 +392,20 @@ def test_propG1_hand_value():
 
 def test_propG2_frozen():
     for L in (0.5, 1.0, 2.0):
-        got = propG2_without_replacement_bound([[1.0]], alpha=0.0, L=L, G=1.0, n=1)
+        c3 = regularity_constants(0.0, L, g0=1.0).c3  # = L at alpha = 0
+        got = propG2_without_replacement_bound([[1.0]], alpha=0.0, c3=c3, G=1.0, n=1)
         assert got == pytest.approx(2.0 + L, rel=1e-14)
     # two epochs add up
-    one = propG2_without_replacement_bound([[0.1, 0.2]], 0.5, 1.0, 1.0, 2)
-    two = propG2_without_replacement_bound([[0.1, 0.2], [0.1, 0.2]], 0.5, 1.0, 1.0, 2)
+    c3 = regularity_constants(0.5, 1.0).c3
+    one = propG2_without_replacement_bound([[0.1, 0.2]], 0.5, c3, 1.0, 2)
+    two = propG2_without_replacement_bound([[0.1, 0.2], [0.1, 0.2]], 0.5, c3, 1.0, 2)
     assert two == pytest.approx(2 * one, rel=1e-13)
     with pytest.raises(InvalidArgument):
         propG2_without_replacement_bound([[-0.1]], 0.0, 1.0, 1.0, 1)
     with pytest.raises(InvalidArgument):
         propG2_without_replacement_bound([[0.1]], 1.0, 1.0, 1.0, 1)  # alpha = 1
+    with pytest.raises(InvalidArgument):
+        propG2_without_replacement_bound([[0.1]], 0.0, 0.0, 1.0, 1)  # c3 = 0
 
 
 def test_chernoff_frozen():
@@ -419,8 +437,7 @@ def test_chernoff_binomial_simulation():
 @settings(max_examples=60, deadline=None)
 def test_thm6_product_below_exponential(eta_list, L):
     etas = np.array(eta_list)
-    inp = BoundInputs(n=5, T=etas.size, etas=etas, L=L, G=1.0)
-    val = thm6_convex_stability_bound(inp)
+    val = thm6_convex_stability_bound(5, etas, L, G=1.0)
     C_exp = math.exp(L ** 2 * float(np.sum(etas ** 2)))
     loose = 4 * C_exp * float(np.sum(etas)) / 5 + 2 * math.sqrt(C_exp * float(np.sum(etas ** 2)) / 5)
     assert 0.0 < val <= loose * (1 + 1e-12)
@@ -434,12 +451,8 @@ def test_thm2_bounds_monotone_in_path(T, eta, L):
     etas = np.full(T, eta)
     lo = np.full(T, 0.5)
     hi = np.full(T, 0.7)
-    inp_lo = BoundInputs(n=4, T=T, etas=etas, L=L, risk_path=lo,
-                         sqrt_risk_path=np.sqrt(lo))
-    inp_hi = BoundInputs(n=4, T=T, etas=etas, L=L, risk_path=hi,
-                         sqrt_risk_path=np.sqrt(hi))
-    assert thm2_l1_bound(inp_lo) <= thm2_l1_bound(inp_hi)
-    assert thm2_l2_bound(inp_lo) <= thm2_l2_bound(inp_hi)
+    assert thm2_l1_bound(4, etas, L, np.sqrt(lo)) <= thm2_l1_bound(4, etas, L, np.sqrt(hi))
+    assert thm2_l2_bound(4, etas, L, lo) <= thm2_l2_bound(4, etas, L, hi)
 
 
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=1000))

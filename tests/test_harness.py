@@ -115,6 +115,28 @@ def test_parse_error_line_numbers():
         parse_config("[loss]\nkind = least_squares\n")  # missing experiment kind
 
 
+def test_parse_cuts_comments_after_values():
+    cfg = parse_config("[experiment]  # header comment\n"
+                       "kind = properties   # the battery\n"
+                       "draws = 12# no space\n"
+                       "  # an indented comment line\n")
+    assert cfg.experiment == "properties" and cfg.draws == 12
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    blocks = text.split("```ini\n")
+    assert len(blocks) == 2, "README.md should hold exactly one ini block"
+    cfg = parse_config(blocks[1].split("```")[0])
+    assert (cfg.experiment, cfg.target, cfg.n_grid) == ("bound-check", "thm2", (64, 256))
+    assert cfg.T_rule == "equal_n" and cfg.cov == (0.125,)
+    assert (cfg.loss_kind, cfg.sched_kind, cfg.domain_kind) == \
+        ("least_squares", "fixed_constant", "none")
+
+
 def test_config_hash_identity():
     cfg = parse_config(FULL_TEXT)
     h = config_hash(cfg)
