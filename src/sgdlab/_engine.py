@@ -1,11 +1,13 @@
-"""Vectorized trajectory engine shared by the public runners and estimators.
+"""Vectorized trajectory engine of the stability and gap estimators.
 
 ``run_core`` runs R replicates (each with its own dataset and index stream),
 each a family of 1 + m coupled trajectories: row 0 runs on the base dataset,
 row 1 + j on the dataset whose ``sub_idx[r, j]``-th example is replaced by
 the ghost example at the same position.  All rows of a replicate consume the
 identical index sequence, which is the coupling the stability estimators
-need.
+need.  Each step is a gradient step followed, when a radius is given, by the
+Euclidean projection onto the centered ball of that radius
+(``project_rows``, which the single-trajectory runners in ``optim`` share).
 
 Neighbours fork lazily.  Neighbour j's iterates equal the base row's, bit
 for bit, until the first step tau at which the stream draws its position,
@@ -19,19 +21,17 @@ row alone.
 
 Steps run in blocks of at most ``BLOCK_ROWS // R`` steps.  A block gathers
 the examples of all its steps at once, and its step loop only advances
-rows: fork, ghost swap, gradient step, post-step, and a copy of the base
+rows: fork, ghost swap, gradient step, projection, and a copy of the base
 iterates w_t into a (block, R, d) buffer.  What is observed on the base rows
-(the loss at the drawn example, recorded iterates, the weighted averages
-and the empirical risk at checkpoints) is computed from that buffer once
-per block, in per-row arithmetic, so the bits do not depend on the block
-length.  The averages are kept for the base rows only.
+(the weighted averages and the empirical risk at checkpoints) is computed
+from that buffer once per block, in per-row arithmetic, so the bits do not
+depend on the block length.  The averages are kept for the base rows only.
 
 The empirical risk F_S(w_j) at checkpoints comes from the loss's
 ``risk_evaluator``, set up once per call: for least squares it is
 ||R [w_j; -1]||^2 / (2n) from one QR factor R of each replicate's [X | y],
 O(d^2) per checkpoint; for the other losses it is the mean of the loss over
-the n examples, O(n d).  The output iterate's F_S(w_{T+1}) is one
-evaluation per call and always takes the mean over the examples.
+the n examples, O(n d).
 
 Step sizes are (T,), shared by every replicate and applied as one Python
 float per step, or (R, T) when they differ between replicates (a schedule
@@ -118,12 +118,8 @@ class CoreResult:
     finals: np.ndarray                     # (R, B, d) output iterates w_{T+1}
     avg_eta: Optional[np.ndarray]          # (R, d) base row
     avg_lin: Optional[np.ndarray]          # (R, d) base row
-    iterates: Optional[np.ndarray]         # (R, K, d) base-row recorded iterates
-    iterate_steps: Optional[np.ndarray]    # (K,)
-    per_step_risk: Optional[np.ndarray]    # (R, T) base row, f(w_t; z_{i_t})
     risk_steps: Optional[np.ndarray]       # (C,)
     risk_path: Optional[np.ndarray]        # (R, C) base row F_S(w_j)
-    final_emp_risk: Optional[np.ndarray]   # (R,) base row F_S(w_{T+1})
 
 
 def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -131,27 +127,12 @@ def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) 
     return loss.batch_value(Wb[:, None], Xs, ys).mean(axis=1)
 
 
-def _apply_post(Wf: np.ndarray, post, eta) -> None:
-    """In-place projection / proximal step on flattened rows.
-
-    ``eta`` is the step: a number, or a column with one entry per row.
-    """
-    if post is None:
-        return
-    kind = post[0]
-    if kind == "ball":
-        radius = post[1]
-        nrm = np.linalg.norm(Wf, axis=1)
-        over = nrm > radius
-        if np.any(over):
-            Wf[over] *= (radius / nrm[over])[:, None]
-    elif kind == "prox_l2":
-        Wf *= 1.0 / (1.0 + eta * post[1])
-    elif kind == "prox_l1":
-        thr = eta * post[1]
-        np.multiply(np.sign(Wf), np.maximum(np.abs(Wf) - thr, 0.0), out=Wf)
-    else:
-        raise InvalidArgument(f"unknown post-step {post!r}")
+def project_rows(W: np.ndarray, radius: float) -> None:
+    """Project each row of W onto the centered ball of ``radius``, in place."""
+    nrm = np.linalg.norm(W, axis=1)
+    over = nrm > radius
+    if np.any(over):
+        W[over] *= (radius / nrm[over])[:, None]
 
 
 def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
@@ -192,14 +173,26 @@ def _fold(acc: np.ndarray, weights: np.ndarray, buf: np.ndarray) -> None:
     acc[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
-def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
+def averages(acc_eta: np.ndarray, acc_lin: np.ndarray, etas: np.ndarray, t0: int
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """The eta_t- and (t + t0 - 1)-weighted averages of w_1..w_T from their sums.
+
+    ``acc_eta`` is sum_t eta_t w_t and ``acc_lin`` sum_t (t + t0 - 1) w_t; an
+    average over weights that sum to zero is 0.
+    """
+    wsum_eta = float(np.sum(etas))
+    ts = np.arange(1, etas.shape[-1] + 1, dtype=np.float64)
+    wsum_lin = float(np.sum(ts + t0 - 1.0))
+    avg_eta = acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta)
+    avg_lin = acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin)
+    return avg_eta, avg_lin
+
+
+def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
              t0: int = 1,
-             record_every: Optional[int] = None,
-             collect_per_step_risk: bool = False,
              risk_ckpt_steps: Optional[np.ndarray] = None,
-             collect_final_risk: bool = False,
-             collect_averages: bool = True) -> CoreResult:
-    """Run R coupled families of SGD/SPGD trajectories for T steps.
+             collect_averages: bool = False) -> CoreResult:
+    """Run R coupled families of projected SGD trajectories for T steps.
 
     Parameters
     ----------
@@ -213,7 +206,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     etas : (T,), or (R, T) for step sizes per replicate
         A row steps by ``etas[r, t]`` of its replicate r; the weighted
         averages are then undefined, so ``collect_averages`` must be False.
-    post : None | ("ball", radius) | ("prox_l2", lam) | ("prox_l1", lam)
+    radius : the ball every step projects onto, or None for no projection.
     indices : (R, T) shared per-replicate index streams.
     """
     Xs = np.asarray(Xs)
@@ -243,12 +236,6 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
 
     W = np.zeros((R + P, d), dtype=np.float64)
 
-    rec_steps = iterates = None
-    if record_every is not None:
-        # the output iterate is always recorded
-        rec_steps = np.append(np.arange(1, T + 1, record_every, dtype=np.int64), T + 1)
-        iterates = np.empty((R, rec_steps.shape[0], d), dtype=np.float64)
-    psr = np.empty((R, T), dtype=np.float64) if collect_per_step_risk else None
     risk_path = None
     if risk_ckpt_steps is not None:
         risk_ckpt_steps = np.asarray(risk_ckpt_steps, dtype=np.int64)
@@ -256,8 +243,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
         risks = loss.risk_evaluator(Xs, ys, RISK_EXAMPLES)
     acc_eta = np.zeros((R, d)) if collect_averages else None
     acc_lin = np.zeros((R, d)) if collect_averages else None
-    observed = (rec_steps is not None or psr is not None or risk_path is not None
-                or collect_averages)
+    observed = risk_path is not None or collect_averages
 
     block = max(1, BLOCK_ROWS // R)
     base = np.empty((min(block, T), R, d)) if observed else None
@@ -303,17 +289,12 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             if per_row:
                 eta = eta[rep[:k], None]
             Wa -= eta * loss.batch_grad(Wa, Xf, yf)
-            if post is not None:
-                _apply_post(Wa, post, eta)
+            if radius is not None:
+                project_rows(Wa, radius)
         if not observed:
             continue
 
         buf = base[:e - s]
-        if psr is not None:
-            psr[:, s:e] = loss.batch_value(buf, xb, yb).T
-        if rec_steps is not None:
-            at = _in_block(rec_steps, s, e)
-            iterates[:, at] = buf[rec_steps[at] - s - 1].swapaxes(0, 1)
         if risk_path is not None:
             at = _in_block(risk_ckpt_steps, s, e)
             risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
@@ -321,20 +302,9 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
             _fold(acc_eta, etas[s:e], buf)
             _fold(acc_lin, np.arange(s + t0, e + t0, dtype=np.float64), buf)
 
-    if rec_steps is not None:
-        iterates[:, -1] = Wb
-
-    final_emp_risk = None
-    if collect_final_risk:
-        final_emp_risk = _batch_empirical_risk(loss, Wb, Xs, ys)
-
     avg_eta = avg_lin = None
     if collect_averages:
-        wsum_eta = float(np.sum(etas))
-        ts = np.arange(1, T + 1, dtype=np.float64)
-        wsum_lin = float(np.sum(ts + t0 - 1.0))
-        avg_eta = acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta)
-        avg_lin = acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin)
+        avg_eta, avg_lin = averages(acc_eta, acc_lin, etas, t0)
 
     # (R, 1 + m, d): every neighbour that never forked is its base row
     finals = np.repeat(W[:R, None, :], 1 + m, axis=1)
@@ -344,10 +314,6 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
         finals=finals,
         avg_eta=avg_eta,
         avg_lin=avg_lin,
-        iterates=iterates,
-        iterate_steps=rec_steps,
-        per_step_risk=psr,
         risk_steps=risk_ckpt_steps,
         risk_path=risk_path,
-        final_emp_risk=final_emp_risk,
     )

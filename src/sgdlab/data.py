@@ -19,7 +19,6 @@ called, so a run that never evaluates it does not load scipy.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -499,32 +498,3 @@ def min_positive_eigenvalue(ds: Dataset, threshold_ratio: float = 1e-10) -> floa
     if pos.size == 0:
         raise DegenerateDataError("no eigenvalue above the positivity threshold")
     return float(pos[0])
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-def export_dataset_csv(ds: Dataset, path: str) -> None:
-    """Write the sample as CSV: header y,x1,...,xd; 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(ds.dim)])
-        for i in range(ds.n):
-            writer.writerow([f"{ds.labels[i]:.17g}"]
-                            + [f"{v:.17g}" for v in ds.features[i]])
-
-
-def import_dataset_csv(path: str) -> Dataset:
-    """Inverse of export_dataset_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "y" \
-                or header[1:] != [f"x{j + 1}" for j in range(len(header) - 1)]:
-            raise InvalidArgument(f"unexpected CSV header {header!r}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise InvalidArgument("empty dataset file")
-    arr = np.asarray(rows, dtype=np.float64)
-    return Dataset(features=arr[:, 1:], labels=arr[:, 0])

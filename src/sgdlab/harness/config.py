@@ -87,9 +87,13 @@ def _parse_int(s: str) -> int:
 
 def _parse_float(s: str) -> float:
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
         raise ConfigError(f"expected a number, got {s!r}") from None
+    # no key takes an infinite or undefined value; 1e400 overflows to inf
+    if not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _parse_int_tuple(s: str) -> Tuple[int, ...]:

@@ -42,17 +42,6 @@ class Ball:
             raise InvalidArgument(f"ball radius must be positive, got {self.radius}")
 
 
-def project(domain: Optional[Ball], w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of w onto the domain (None means all of R^d)."""
-    w = np.asarray(w, dtype=np.float64)
-    if domain is None:
-        return w.copy()
-    nrm = float(np.linalg.norm(w))
-    if nrm <= domain.radius:
-        return w.copy()
-    return w * (domain.radius / nrm)
-
-
 @dataclass(frozen=True)
 class Regularizer:
     """Penalty lam * ||w||_1 or (lam/2) * ||w||_2^2, applied proximally."""
@@ -255,32 +244,54 @@ def _dataset_arrays(dataset) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
-         post, T: int, seed: int, indices: np.ndarray,
-         record_every: int) -> Trajectory:
-    """One trajectory of T steps along ``indices``, drawn from index seed ``seed``."""
+         domain: Optional[Ball], reg: Optional[Regularizer], seed: int,
+         indices: np.ndarray, record_every: int) -> Trajectory:
+    """One trajectory along the (1, T) ``indices``, drawn from index seed ``seed``.
+
+    A plain loop over the steps of one (1, d) row.  Its gradient step, ball
+    projection and averages do the engine's arithmetic, so ``final`` and the
+    averages equal those of ``_engine.run_core`` bit for bit.
+    """
     if not record_every >= 1:
         raise InvalidArgument(f"record_every must be >= 1, got {record_every}")
-    out = _engine.run_core(
-        loss,
-        features[None, :, :], labels[None, :],
-        None, None, None,
-        sched.etas(T), post, indices,
-        t0=sched.t0,
-        record_every=record_every,
-        collect_per_step_risk=True,
-    )
+    T = indices.shape[1]
+    etas = sched.etas(T)
+    # the output iterate is always recorded
+    rec_steps = np.append(np.arange(1, T + 1, record_every, dtype=np.int64), T + 1)
+    iterates = np.empty((rec_steps.shape[0], features.shape[1]))
+    per_step_risk = np.empty(T)
+    w = np.zeros((1, features.shape[1]))
+    acc_eta = np.zeros_like(w)
+    acc_lin = np.zeros_like(w)
+    for t, (i, eta) in enumerate(zip(indices[0].tolist(), etas.tolist())):
+        if t % record_every == 0:
+            iterates[t // record_every] = w[0]
+        x, y = features[i:i + 1], labels[i:i + 1]
+        per_step_risk[t] = loss.batch_value(w, x, y)[0]
+        acc_eta += eta * w
+        acc_lin += float(t + sched.t0) * w      # step t + 1 weighs (t + 1) + t0 - 1
+        w -= eta * loss.batch_grad(w, x, y)
+        if domain is not None:
+            _engine.project_rows(w, domain.radius)
+        elif reg is not None and reg.kind == "l2":
+            w *= 1.0 / (1.0 + eta * reg.strength)
+        elif reg is not None:
+            np.multiply(np.sign(w), np.maximum(np.abs(w) - eta * reg.strength, 0.0), out=w)
+    iterates[-1] = w[0]
+    avg_eta, avg_lin = _engine.averages(acc_eta, acc_lin, etas, sched.t0)
     return Trajectory(
-        iterates=out.iterates[0],
-        iterate_steps=out.iterate_steps,
-        final=out.finals[0, 0],
-        avg_eta=out.avg_eta[0],
-        avg_linear=out.avg_lin[0],
-        per_step_risk=out.per_step_risk[0],
+        iterates=iterates,
+        iterate_steps=rec_steps,
+        final=w[0],
+        avg_eta=avg_eta[0],
+        avg_linear=avg_lin[0],
+        per_step_risk=per_step_risk,
         index_sequence_seed=int(seed),
     )
 
 
-def _iid_run(loss: Loss, dataset, sched: Schedule, post, T: int, rng_seed: int,
+def _iid_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
+             reg: Optional[Regularizer], T: int, rng_seed: int,
              record_every: int) -> Trajectory:
     # T steps on indices drawn i.i.d. uniform from the n examples
     if not T >= 1:
@@ -288,7 +299,7 @@ def _iid_run(loss: Loss, dataset, sched: Schedule, post, T: int, rng_seed: int,
     features, labels = _dataset_arrays(dataset)
     seed = _index_seed(rng_seed)
     indices = _engine.index_matrix(seed, features.shape[0], T, replicates=1)
-    return _run(loss, features, labels, sched, post, T, seed, indices, record_every)
+    return _run(loss, features, labels, sched, domain, reg, seed, indices, record_every)
 
 
 def sgd_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
@@ -297,8 +308,7 @@ def sgd_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
 
     ``dataset`` is any object with ``features`` (n, d) and ``labels`` (n,).
     """
-    post = ("ball", domain.radius) if domain is not None else None
-    return _iid_run(loss, dataset, sched, post, T, rng_seed, record_every)
+    return _iid_run(loss, dataset, sched, domain, None, T, rng_seed, record_every)
 
 
 def spgd_run(loss: Loss, reg: Optional[Regularizer], dataset, sched: Schedule,
@@ -308,13 +318,7 @@ def spgd_run(loss: Loss, reg: Optional[Regularizer], dataset, sched: Schedule,
     With ``reg is None`` this is, bit for bit, the same computation as
     ``sgd_run`` without a domain (identical code path and index stream).
     """
-    if reg is None:
-        post = None
-    elif reg.kind == "l2":
-        post = ("prox_l2", reg.strength)
-    else:
-        post = ("prox_l1", reg.strength)
-    return _iid_run(loss, dataset, sched, post, T, rng_seed, record_every)
+    return _iid_run(loss, dataset, sched, None, reg, T, rng_seed, record_every)
 
 
 def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: int,
@@ -330,5 +334,5 @@ def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: in
     n = features.shape[0]
     seed = _index_seed(rng_seed)
     indices = _engine.permutation_matrix(seed, n, epochs, replicates=1)
-    return _run(loss, features, labels, sched, None, epochs * n, seed, indices,
+    return _run(loss, features, labels, sched, None, None, seed, indices,
                 record_every=n)

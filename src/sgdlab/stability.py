@@ -12,9 +12,9 @@ alone when no neighbour runs), the neighbour positions (all n, a subsample
 per replicate, or given ones), the index streams (a function of the
 replicate number: i.i.d. keys or per-epoch permutations; or given
 sequences), the step sizes ((T,), or (R, T) when they differ between
-replicates) and the post-step.  It stacks a chunk of replicates, runs it
-through ``_engine.run_core`` and hands the result to its caller, which
-reduces it before the next chunk runs.
+replicates) and the radius of the ball each step projects onto, if any.  It
+stacks a chunk of replicates, runs it through ``_engine.run_core`` and hands
+the result to its caller, which reduces it before the next chunk runs.
 
 Seed discipline: replicate r of a given master seed derives its dataset from
 (master_seed, replicate tag, r), its position subsample from (master_seed,
@@ -159,8 +159,8 @@ def _chunk_size(rows: int, n: int) -> int:
     return max(1, min(ROW_BUDGET // rows, EXAMPLES_PER_ROW * ROW_BUDGET // n))
 
 
-def _post_of(domain: Optional[Ball]):
-    return ("ball", domain.radius) if domain is not None else None
+def _radius(domain: Optional[Ball]) -> Optional[float]:
+    return domain.radius if domain is not None else None
 
 
 def _replicate_dataset_seed(master_seed: int, r: int) -> int:
@@ -211,8 +211,8 @@ def _arrays(data, ghosts: bool) -> tuple:
     return data.features, data.labels
 
 
-def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray, post,
-                       families, streams, positions=None,
+def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
+                       radius: Optional[float], families, streams, positions=None,
                        master_seed: Optional[int] = None,
                        **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
                                                     np.ndarray, np.ndarray]]:
@@ -231,9 +231,9 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray, post,
     streams: a function of r giving replicate r's (1, T) index stream, or an
         (R, T) array of given index sequences.
     etas: (T,), or (R, T) for step sizes per replicate.
+    radius: the ball each step projects onto, or None for no projection.
 
-    ``collect`` goes to ``run_core``, with ``collect_averages`` False unless
-    given.
+    ``collect`` goes to ``run_core``.
     """
     given = None
     if positions is None:
@@ -252,7 +252,6 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray, post,
     if etas.ndim == 2 and etas.shape[0] != R:
         raise InvalidArgument(
             f"step sizes per replicate need {R} rows, got {etas.shape[0]}")
-    collect.setdefault("collect_averages", False)
 
     step = _chunk_size(1 + m, n)
     for lo in range(0, R, step):
@@ -284,7 +283,7 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray, post,
         else:
             indices = np.vstack([streams(r) for r in range(lo, hi)])
         out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
-                               etas[lo:hi] if etas.ndim == 2 else etas, post,
+                               etas[lo:hi] if etas.ndim == 2 else etas, radius,
                                indices, **collect)
         yield lo, hi, out, Xs, ys
 
@@ -352,15 +351,15 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
             return _replicate_index_key(master_seed, r, n, T)
     m = config.neighbor_subsample if config.neighbor_subsample is not None else n
 
-    for lo, hi, out, _, _ in _replicate_batches(
-            loss, R, n, sched.etas(T), _post_of(domain), families, streams, m,
-            master_seed, risk_ckpt_steps=ckpt, collect_final_risk=config.record_risks):
+    for lo, hi, out, Xs, ys in _replicate_batches(
+            loss, R, n, sched.etas(T), _radius(domain), families, streams, m,
+            master_seed, risk_ckpt_steps=ckpt):
         l1_vals[lo:hi], l2_vals[lo:hi] = _distance_means(out)
         base_finals[lo:hi] = out.finals[:, 0]
         if risk_rows is not None:
             risk_rows[lo:hi] = out.risk_path
         if final_risk is not None:
-            final_risk[lo:hi] = out.final_emp_risk
+            final_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
 
     stats = None
     if risk_rows is not None:
@@ -390,7 +389,7 @@ def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
         return _replicate_index_key(_replicate_dataset_seed(master_seed, r), 0, n, T)
 
     for lo, hi, out, _, _ in _replicate_batches(
-            loss, replicates, n, etas, _post_of(domain), families, streams,
+            loss, replicates, n, etas, _radius(domain), families, streams,
             np.zeros(1, dtype=np.int64)):
         dists[lo:hi] = _distance_means(out)[0]
     return dists
@@ -424,7 +423,7 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     l1_seq = np.empty(M)
     l2_seq = np.empty(M)
     for lo, hi, out, _, _ in _replicate_batches(
-            loss, M, n, sched.etas(T), _post_of(domain), family,
+            loss, M, n, sched.etas(T), _radius(domain), family,
             _all_index_sequences(n, T), n):
         l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)
     return float(l1_seq.mean()), float(l2_seq.mean())
@@ -465,7 +464,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         return _replicate_index_key(master_seed, r, n, T)
 
     for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, sched.etas(T), _post_of(domain), datasets, streams,
+            loss, R, n, sched.etas(T), _radius(domain), datasets, streams,
             t0=sched.t0, collect_averages=True):
         if output == "final":
             w = out.finals[:, 0]

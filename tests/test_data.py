@@ -17,8 +17,6 @@ from sgdlab.data import (
     ImbalancedGauss,
     MarginClassif,
     RealizableLinReg,
-    export_dataset_csv,
-    import_dataset_csv,
     make_distribution,
     min_positive_eigenvalue,
     neighbor,
@@ -560,21 +558,6 @@ def test_min_positive_eigenvalue_degenerate():
     ds = Dataset(features=np.zeros((3, 2)), labels=np.zeros(3))
     with pytest.raises(DegenerateDataError):
         min_positive_eigenvalue(ds)
-
-
-# ---------------------------------------------------------------------------
-# csv round trip
-# ---------------------------------------------------------------------------
-
-def test_csv_round_trip_exact(tmp_path):
-    ds = sample_dataset(_lin_reg(d=3), 17, seed=14)
-    path = tmp_path / "ds.csv"
-    export_dataset_csv(ds, path)
-    back = import_dataset_csv(path)
-    np.testing.assert_array_equal(back.features, ds.features)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    header = path.read_text().splitlines()[0]
-    assert header == "y,x1,x2,x3"
 
 
 def test_dataset_validation():

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgdlab import _engine
+from sgdlab import _engine, optim
+from sgdlab.data import Dataset
 from sgdlab.errors import InvalidArgument
 from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
+from sgdlab.optim import Ball, StronglyConvexDecay, sgd_run, sgd_without_replacement_run
 
 
-def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
-                    t0, record_every, risk_ckpt_steps):
+def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
+                    t0, risk_ckpt_steps):
     R, n, d = Xs.shape
     T = indices.shape[1]
     m = 0 if sub_idx is None else sub_idx.shape[1]
@@ -32,9 +34,6 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
     W = np.zeros((R, B, d))
     acc_eta = np.zeros((R, B, d))
     acc_lin = np.zeros((R, B, d))
-    rec = [t for t in range(1, T + 1) if (t - 1) % record_every == 0] + [T + 1]
-    iterates = np.empty((R, len(rec), d))
-    psr = np.empty((R, T))
     risk_path = np.empty((R, len(risk_ckpt_steps)))
     ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
     risks = loss.risk_evaluator(Xs, ys, _engine.RISK_EXAMPLES)
@@ -54,29 +53,21 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, post, indices, *,
         Xf = Xt.reshape(R * B, d)
         yf = yt.reshape(R * B)
         Wf = W.reshape(R * B, d)
-        psr[:, t - 1] = loss.batch_value(Wf, Xf, yf).reshape(R, B)[:, 0]
         if t in ckpt:
             risk_path[:, ckpt[t]] = risks(W[:, :1])[:, 0]
-        if t in rec:
-            iterates[:, rec.index(t)] = W[:, 0]
         acc_eta += eta * W
         acc_lin += float(t + t0 - 1) * W
         grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
         W = W - eta * grads
-        row_eta = (float(eta) if etas.ndim == 1
-                   else np.broadcast_to(eta, (R, B, 1)).reshape(R * B, 1))
-        _engine._apply_post(W.reshape(R * B, d), post, row_eta)
-    iterates[:, -1] = W[:, 0]
+        if radius is not None:
+            _engine.project_rows(W.reshape(R * B, d), radius)
     wsum_eta = float(np.sum(etas))
     wsum_lin = float(np.sum(np.arange(1, T + 1, dtype=np.float64) + t0 - 1.0))
     return dict(
         finals=W,
         avg_eta=acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta),
         avg_lin=acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin),
-        iterates=iterates,
-        per_step_risk=psr,
         risk_path=risk_path,
-        final_emp_risk=_engine._batch_empirical_risk(loss, W[:, 0], Xs, ys),
     )
 
 
@@ -91,8 +82,7 @@ def _loss(kind, d, rng):
                      mu_minus=rng.normal(0.0, 0.3, d))
 
 
-POSTS = {"none": None, "ball": ("ball", 0.7), "prox_l2": ("prox_l2", 0.3),
-         "prox_l1": ("prox_l1", 0.05)}
+POSTS = {"none": None, "ball": 0.7}
 
 
 def _assert_bitwise(got, want, name):
@@ -111,8 +101,8 @@ def _assert_bitwise(got, want, name):
 # the eager loop steps 1 + m
 @example(loss_kind="auc", post="ball", R=1, n=6, d=3, steps=0, permutation=False,
          m_frac=1.0, per_replicate_etas=False, seed=307)
-# different steps per replicate, several replicates, a proximal post-step
-@example(loss_kind="least_squares", post="prox_l1", R=4, n=5, d=3, steps=2,
+# different steps per replicate, several replicates, a projection
+@example(loss_kind="least_squares", post="ball", R=4, n=5, d=3, steps=2,
          permutation=True, m_frac=0.6, per_replicate_etas=True, seed=11)
 def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
                                          permutation, m_frac, per_replicate_etas,
@@ -138,13 +128,12 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     ckpt = _engine.checkpoint_steps(T) if T else np.empty(0, dtype=np.int64)
 
     want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
-                           t0=3, record_every=2, risk_ckpt_steps=ckpt)
+                           t0=3, risk_ckpt_steps=ckpt)
     out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                           sub, etas, POSTS[post], indices, t0=3, record_every=2,
-                           collect_per_step_risk=True, risk_ckpt_steps=ckpt,
-                           collect_final_risk=True,
+                           sub, etas, POSTS[post], indices, t0=3,
+                           risk_ckpt_steps=ckpt,
                            collect_averages=not per_replicate_etas)
-    for name in ("finals", "iterates", "per_step_risk", "risk_path", "final_emp_risk"):
+    for name in ("finals", "risk_path"):
         _assert_bitwise(getattr(out, name), want[name], name)
     if per_replicate_etas:
         return
@@ -163,7 +152,7 @@ def test_per_replicate_steps_reject_averages_and_wrong_shapes():
     for etas in (np.full((3, 4), 0.1), np.full((2, 5), 0.1), np.full(5, 0.1)):
         with pytest.raises(InvalidArgument):
             _engine.run_core(LeastSquares(), Xs, ys, None, None, None, etas, None,
-                             indices, collect_averages=False)
+                             indices)
 
 
 def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():
@@ -185,20 +174,19 @@ def test_unhit_neighbour_equals_its_base_row():
     ys, gys = rng.normal(size=(2, 1, 4))
     indices = np.array([[0, 1, 0, 1, 1]])
     out = _engine.run_core(LeastSquares(), Xs, ys, gXs, gys, np.array([[3, 1]]),
-                           np.full(5, 0.1), None, indices, collect_averages=False)
+                           np.full(5, 0.1), None, indices)
     np.testing.assert_array_equal(out.finals[0, 1], out.finals[0, 0])
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
 
 
-FIELDS = ("finals", "avg_eta", "avg_lin", "iterates", "iterate_steps",
-          "per_step_risk", "risk_steps", "risk_path", "final_emp_risk")
+FIELDS = ("finals", "avg_eta", "avg_lin", "risk_steps", "risk_path")
 
 
 @pytest.mark.parametrize("loss_kind,post,R,n,d,m,permutation", [
     ("least_squares", "none", 3, 7, 4, 5, False),
     ("least_squares", "ball", 1, 1, 1, 0, False),   # single numbers per row
-    ("hinge1.5", "prox_l1", 2, 6, 3, 6, True),
-    ("hinge1", "prox_l2", 4, 5, 2, 0, False),
+    ("hinge1.5", "ball", 2, 6, 3, 6, True),
+    ("hinge1", "none", 4, 5, 2, 0, False),
     ("auc", "ball", 2, 8, 8, 3, False),
 ])
 def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R, n,
@@ -219,9 +207,8 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
         monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
         monkeypatch.setattr(_engine, "RISK_EXAMPLES", risk_examples)
         return _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                                sub, etas, POSTS[post], indices, t0=4, record_every=3,
-                                collect_per_step_risk=True, risk_ckpt_steps=ckpt,
-                                collect_final_risk=True, collect_averages=True)
+                                sub, etas, POSTS[post], indices, t0=4,
+                                risk_ckpt_steps=ckpt, collect_averages=True)
 
     # a checkpoint at every step, and a sparse set that skips whole blocks
     for ckpt in (_engine.checkpoint_steps(T), _engine.checkpoint_steps(T, 6)):
@@ -233,3 +220,36 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
             got = run(block_steps, risk_examples, ckpt)
             for name in FIELDS:
                 _assert_bitwise(getattr(got, name), getattr(want, name), name)
+
+
+@pytest.mark.parametrize("permutation", [False, True], ids=["iid", "permutation"])
+@pytest.mark.parametrize("radius", [None, 0.3], ids=["none", "ball"])
+@pytest.mark.parametrize("loss_kind", ["least_squares", "hinge1", "hinge1.5", "auc"])
+def test_runners_step_like_the_engine(loss_kind, radius, permutation):
+    # the single-trajectory runners keep a step loop of their own; on the same
+    # index matrix and step sizes it must give the engine's bits
+    n, d, seed, epochs = 7, 3, 5, 4
+    rng = np.random.default_rng(17)
+    loss = _loss(loss_kind, d, rng)
+    ds = Dataset(features=rng.normal(size=(n, d)),
+                 labels=rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 1.5, n))
+    sched = StronglyConvexDecay(sigma=4.0, t0=3)
+    domain = Ball(radius) if radius is not None else None
+    key = _engine.derive_seed(seed, _engine.TAG_INDEX)
+    if not permutation:
+        indices = _engine.index_matrix(key, n, 40, replicates=1)
+        traj = sgd_run(loss, ds, sched, domain, indices.shape[1], seed)
+    elif domain is None:
+        indices = _engine.permutation_matrix(key, n, epochs, replicates=1)
+        traj = sgd_without_replacement_run(loss, ds, sched, epochs, seed)
+    else:
+        # no public runner takes epochs and a ball: call their shared loop
+        indices = _engine.permutation_matrix(key, n, epochs, replicates=1)
+        traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, key,
+                          indices, record_every=n)
+    out = _engine.run_core(loss, ds.features[None], ds.labels[None], None, None, None,
+                           sched.etas(indices.shape[1]), radius, indices,
+                           t0=sched.t0, collect_averages=True)
+    _assert_bitwise(traj.final, out.finals[0, 0], "final")
+    _assert_bitwise(traj.avg_eta, out.avg_eta[0], "avg_eta")
+    _assert_bitwise(traj.avg_linear, out.avg_lin[0], "avg_linear")

@@ -115,6 +115,14 @@ def test_parse_error_line_numbers():
         parse_config("[loss]\nkind = least_squares\n")  # missing experiment kind
 
 
+def test_parse_rejects_non_finite_numbers():
+    for value in ("inf", "-inf", "nan", "1e400"):
+        with pytest.raises(ConfigError, match=r"line 2: eta1: expected a finite number"):
+            parse_config(f"[schedule]\neta1 = {value}\n[experiment]\nkind = properties\n")
+    with pytest.raises(ConfigError, match=r"line 2: w_star: expected a finite number.*nan"):
+        parse_config("[distribution]\nw_star = 1.0, nan\n[experiment]\nkind = properties\n")
+
+
 def test_parse_cuts_comments_after_values():
     cfg = parse_config("[experiment]  # header comment\n"
                        "kind = properties   # the battery\n"
@@ -399,6 +407,20 @@ def test_cli_thm2_step_size_precondition_exit_2(tmp_path, capsys):
     # the boundary step size 2/L itself is allowed
     cfg = parse_config(_THM2_TEXT + f"eta1 = 0.125\n[experiment]\nout_path = {out}\n")
     assert run_experiment(cfg) in (0, 1)
+
+
+def test_cli_infinite_step_size_exits_2_before_running(tmp_path, capsys):
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 8\n"
+            f"T_rule = equal_n\nreplicates = 4\nout_path = {out}\n"
+            "[loss]\nkind = q_hinge\nq = 1.0\n"
+            "[distribution]\nkind = margin_classif\nw_star = 1.0, 0.0\ncov = 0.25\n"
+            "flip_prob = 0.1\n"
+            "[schedule]\nkind = fixed_constant\neta1 = inf\n")
+    assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "eta1: expected a finite number" in err[0]
+    assert not out.exists()
 
 
 def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):

@@ -14,7 +14,6 @@ from sgdlab.optim import (
     Regularizer,
     StronglyConvexDecay,
     make_schedule,
-    project,
     sgd_run,
     sgd_without_replacement_run,
     spgd_run,
@@ -32,17 +31,15 @@ def _single_example_dataset(x, y):
 # ---------------------------------------------------------------------------
 
 def test_project_on_boundary_unchanged():
-    np.testing.assert_array_equal(project(Ball(5.0), np.array([3.0, 4.0])), [3.0, 4.0])
+    w = np.array([[3.0, 4.0]])
+    _engine.project_rows(w, Ball(5.0).radius)
+    np.testing.assert_array_equal(w, [[3.0, 4.0]])
 
 
 def test_project_radial_scaling():
-    np.testing.assert_allclose(project(Ball(1.0), np.array([3.0, 4.0])), [0.6, 0.8],
-                               rtol=0, atol=1e-15)
-
-
-def test_project_unconstrained_identity():
-    w = np.array([10.0, -3.0])
-    np.testing.assert_array_equal(project(None, w), w)
+    w = np.array([[3.0, 4.0], [0.3, 0.4]])
+    _engine.project_rows(w, Ball(1.0).radius)
+    np.testing.assert_allclose(w, [[0.6, 0.8], [0.3, 0.4]], rtol=0, atol=1e-15)
 
 
 def test_ball_validation():

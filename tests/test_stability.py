@@ -123,8 +123,7 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
         out = _engine.run_core(
             LeastSquares(), fam.base.features[None], fam.base.labels[None],
             fam.ghost.features[None], fam.ghost.labels[None], np.array([[0]]),
-            etas[r], ("ball", 0.5), _engine.index_matrix(key, n, T, 1),
-            collect_averages=False)
+            etas[r], 0.5, _engine.index_matrix(key, n, T, 1))
         assert got[r] == np.linalg.norm(out.finals[:, 1] - out.finals[:, 0], axis=1)[0]
 
 
