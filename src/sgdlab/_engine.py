@@ -22,10 +22,16 @@ row alone.
 Steps run in blocks of at most ``BLOCK_ROWS // R`` steps.  A block gathers
 the examples of all its steps at once, and its step loop only advances
 rows: fork, ghost swap, gradient step, projection, and a copy of the base
-iterates w_t into a (block, R, d) buffer.  What is observed on the base rows
-(the weighted averages and the empirical risk at checkpoints) is computed
-from that buffer once per block, in per-row arithmetic, so the bits do not
-depend on the block length.  The averages are kept for the base rows only.
+iterates w_t into a (block, R, d) buffer.  Once neighbours have forked, a
+step gathers the example of each active row from its replicate's block of
+examples with ``np.take`` (the same copy as fancy indexing, several times
+faster on (rows, d) features) and swaps in the ghost examples that step
+draws.  What is observed on the base rows (one weighted average and the
+empirical risk at checkpoints) is computed from that buffer once per block,
+in per-row arithmetic, so the bits do not depend on the block length.  The
+average is the one whose weights the caller passes (the step sizes, or the
+linear weights t + t0 - 1), of the base rows only; a caller that reads no
+average passes none and pays for none.
 
 The empirical risk F_S(w_j) at checkpoints comes from the loss's
 ``risk_evaluator``, set up once per call: for least squares it is
@@ -116,8 +122,7 @@ def checkpoint_steps(T: int, max_checkpoints: int = 512) -> np.ndarray:
 @dataclass
 class CoreResult:
     finals: np.ndarray                     # (R, B, d) output iterates w_{T+1}
-    avg_eta: Optional[np.ndarray]          # (R, d) base row
-    avg_lin: Optional[np.ndarray]          # (R, d) base row
+    avg: Optional[np.ndarray]              # (R, d) base row
     risk_steps: Optional[np.ndarray]       # (C,)
     risk_path: Optional[np.ndarray]        # (R, C) base row F_S(w_j)
 
@@ -165,33 +170,37 @@ def _in_block(steps: np.ndarray, s: int, e: int) -> np.ndarray:
 def _fold(acc: np.ndarray, weights: np.ndarray, buf: np.ndarray) -> None:
     """acc += weights[j] * buf[j] for j = 0, 1, ..., in place.
 
-    ``accumulate`` adds in that order, so the bits are those of one ``+=``
-    per step; ``add.reduce`` may sum pairwise instead (it does when the rows
-    are single numbers).
+    The bits must be those of one ``+=`` per step, whatever the block
+    length, so the sum runs in step order.  ``add.reduce`` over axis 0 of a
+    C-ordered (1 + B, R d) array adds whole rows in that order when R d > 1,
+    as its inner loop runs along a row; when R d = 1 the rows are single
+    numbers, the inner loop is the reduction itself and numpy sums it
+    pairwise, so that case takes ``accumulate``, which always adds in order.
     """
-    terms = np.concatenate([acc[None], weights[:, None, None] * buf])
-    acc[...] = np.add.accumulate(terms, axis=0)[-1]
+    B = buf.shape[0]
+    terms = np.empty((1 + B, acc.size))
+    terms[0] = acc.ravel()
+    np.multiply(weights[:, None], buf.reshape(B, acc.size), out=terms[1:])
+    if acc.size > 1:
+        acc[...] = np.add.reduce(terms, axis=0).reshape(acc.shape)
+    else:
+        acc[...] = np.add.accumulate(terms, axis=0)[-1].reshape(acc.shape)
 
 
-def averages(acc_eta: np.ndarray, acc_lin: np.ndarray, etas: np.ndarray, t0: int
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """The eta_t- and (t + t0 - 1)-weighted averages of w_1..w_T from their sums.
+def linear_weights(T: int, t0: int) -> np.ndarray:
+    """The weights t + t0 - 1 of steps t = 1..T of the linearly weighted average."""
+    return np.arange(t0, T + t0, dtype=np.float64)
 
-    ``acc_eta`` is sum_t eta_t w_t and ``acc_lin`` sum_t (t + t0 - 1) w_t; an
-    average over weights that sum to zero is 0.
-    """
-    wsum_eta = float(np.sum(etas))
-    ts = np.arange(1, etas.shape[-1] + 1, dtype=np.float64)
-    wsum_lin = float(np.sum(ts + t0 - 1.0))
-    avg_eta = acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta)
-    avg_lin = acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin)
-    return avg_eta, avg_lin
+
+def weighted_average(acc: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The average whose weighted sum is ``acc``; 0 when the weights sum to zero."""
+    wsum = float(np.sum(weights))
+    return acc / wsum if wsum > 0.0 else np.zeros_like(acc)
 
 
 def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
-             t0: int = 1,
              risk_ckpt_steps: Optional[np.ndarray] = None,
-             collect_averages: bool = False) -> CoreResult:
+             average_weights: Optional[np.ndarray] = None) -> CoreResult:
     """Run R coupled families of projected SGD trajectories for T steps.
 
     Parameters
@@ -204,10 +213,14 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         Distinct positions per replicate whose example is swapped for the
         ghost one in rows 1..m.
     etas : (T,), or (R, T) for step sizes per replicate
-        A row steps by ``etas[r, t]`` of its replicate r; the weighted
-        averages are then undefined, so ``collect_averages`` must be False.
+        A row steps by ``etas[r, t]`` of its replicate r.
     radius : the ball every step projects onto, or None for no projection.
     indices : (R, T) shared per-replicate index streams.
+    risk_ckpt_steps : (C,) 1-based steps at which F_S(w_t) of the base rows
+        is recorded, or None.
+    average_weights : (T,) or None
+        Weights of w_1..w_T in the average of each base row (``avg``), or
+        None for no average.
     """
     Xs = np.asarray(Xs)
     ys = np.asarray(ys)
@@ -216,8 +229,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     per_row = etas.ndim == 2
     if etas.shape != ((R, T) if per_row else (T,)):
         raise InvalidArgument("etas must be (T,) or (R, T) for T steps of R replicates")
-    if per_row and collect_averages:
-        raise InvalidArgument("averages need one step size per step, not per replicate")
+    if average_weights is not None and average_weights.shape != (T,):
+        raise InvalidArgument("average weights must be (T,) for T steps")
     m = 0 if sub_idx is None else sub_idx.shape[1]
     ar = np.arange(R)
 
@@ -241,9 +254,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         risk_ckpt_steps = np.asarray(risk_ckpt_steps, dtype=np.int64)
         risk_path = np.empty((R, risk_ckpt_steps.shape[0]), dtype=np.float64)
         risks = loss.risk_evaluator(Xs, ys, RISK_EXAMPLES)
-    acc_eta = np.zeros((R, d)) if collect_averages else None
-    acc_lin = np.zeros((R, d)) if collect_averages else None
-    observed = risk_path is not None or collect_averages
+    acc = np.zeros((R, d)) if average_weights is not None else None
+    observed = risk_path is not None or acc is not None
 
     block = max(1, BLOCK_ROWS // R)
     base = np.empty((min(block, T), R, d)) if observed else None
@@ -278,7 +290,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
             if observed:
                 base[j] = Wb
             if k > R:
-                Xf = xb[j][rep[:k]]
+                Xf = np.take(xb[j], rep[:k], axis=0)
                 yf = yb[j][rep[:k]]
                 a, b = cut[j], cut[j + 1]
                 Xf[hit_row[a:b]] = gx[a:b]
@@ -298,13 +310,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         if risk_path is not None:
             at = _in_block(risk_ckpt_steps, s, e)
             risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
-        if collect_averages:
-            _fold(acc_eta, etas[s:e], buf)
-            _fold(acc_lin, np.arange(s + t0, e + t0, dtype=np.float64), buf)
-
-    avg_eta = avg_lin = None
-    if collect_averages:
-        avg_eta, avg_lin = averages(acc_eta, acc_lin, etas, t0)
+        if acc is not None:
+            _fold(acc, average_weights[s:e], buf)
 
     # (R, 1 + m, d): every neighbour that never forked is its base row
     finals = np.repeat(W[:R, None, :], 1 + m, axis=1)
@@ -312,8 +319,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
 
     return CoreResult(
         finals=finals,
-        avg_eta=avg_eta,
-        avg_lin=avg_lin,
+        avg=None if acc is None else weighted_average(acc, average_weights),
         risk_steps=risk_ckpt_steps,
         risk_path=risk_path,
     )

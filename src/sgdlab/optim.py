@@ -256,6 +256,7 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
         raise InvalidArgument(f"record_every must be >= 1, got {record_every}")
     T = indices.shape[1]
     etas = sched.etas(T)
+    lin = _engine.linear_weights(T, sched.t0)
     # the output iterate is always recorded
     rec_steps = np.append(np.arange(1, T + 1, record_every, dtype=np.int64), T + 1)
     iterates = np.empty((rec_steps.shape[0], features.shape[1]))
@@ -263,13 +264,14 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
     w = np.zeros((1, features.shape[1]))
     acc_eta = np.zeros_like(w)
     acc_lin = np.zeros_like(w)
-    for t, (i, eta) in enumerate(zip(indices[0].tolist(), etas.tolist())):
+    for t, (i, eta, lw) in enumerate(zip(indices[0].tolist(), etas.tolist(),
+                                         lin.tolist())):
         if t % record_every == 0:
             iterates[t // record_every] = w[0]
         x, y = features[i:i + 1], labels[i:i + 1]
         per_step_risk[t] = loss.batch_value(w, x, y)[0]
         acc_eta += eta * w
-        acc_lin += float(t + sched.t0) * w      # step t + 1 weighs (t + 1) + t0 - 1
+        acc_lin += lw * w
         w -= eta * loss.batch_grad(w, x, y)
         if domain is not None:
             _engine.project_rows(w, domain.radius)
@@ -278,13 +280,12 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
         elif reg is not None:
             np.multiply(np.sign(w), np.maximum(np.abs(w) - eta * reg.strength, 0.0), out=w)
     iterates[-1] = w[0]
-    avg_eta, avg_lin = _engine.averages(acc_eta, acc_lin, etas, sched.t0)
     return Trajectory(
         iterates=iterates,
         iterate_steps=rec_steps,
         final=w[0],
-        avg_eta=avg_eta[0],
-        avg_linear=avg_lin[0],
+        avg_eta=_engine.weighted_average(acc_eta[0], etas),
+        avg_linear=_engine.weighted_average(acc_lin[0], lin),
         per_step_risk=per_step_risk,
         index_sequence_seed=int(seed),
     )

@@ -26,14 +26,14 @@ from sgdlab.optim import Ball, StronglyConvexDecay, sgd_run, sgd_without_replace
 
 
 def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
-                    t0, risk_ckpt_steps):
+                    risk_ckpt_steps, weightings):
+    # ``weightings``: the (T,) weights of each average to take, of all rows
     R, n, d = Xs.shape
     T = indices.shape[1]
     m = 0 if sub_idx is None else sub_idx.shape[1]
     B = 1 + m
     W = np.zeros((R, B, d))
-    acc_eta = np.zeros((R, B, d))
-    acc_lin = np.zeros((R, B, d))
+    accs = [np.zeros((R, B, d)) for _ in weightings]
     risk_path = np.empty((R, len(risk_ckpt_steps)))
     ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
     risks = loss.risk_evaluator(Xs, ys, _engine.RISK_EXAMPLES)
@@ -55,20 +55,17 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         Wf = W.reshape(R * B, d)
         if t in ckpt:
             risk_path[:, ckpt[t]] = risks(W[:, :1])[:, 0]
-        acc_eta += eta * W
-        acc_lin += float(t + t0 - 1) * W
+        for acc, weights in zip(accs, weightings):
+            acc += weights[t - 1] * W
         grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
         W = W - eta * grads
         if radius is not None:
             _engine.project_rows(W.reshape(R * B, d), radius)
-    wsum_eta = float(np.sum(etas))
-    wsum_lin = float(np.sum(np.arange(1, T + 1, dtype=np.float64) + t0 - 1.0))
-    return dict(
-        finals=W,
-        avg_eta=acc_eta / wsum_eta if wsum_eta > 0.0 else np.zeros_like(acc_eta),
-        avg_lin=acc_lin / wsum_lin if wsum_lin > 0.0 else np.zeros_like(acc_lin),
-        risk_path=risk_path,
-    )
+    avgs = []
+    for acc, weights in zip(accs, weightings):
+        wsum = float(np.sum(weights))
+        avgs.append(acc / wsum if wsum > 0.0 else np.zeros_like(acc))
+    return dict(finals=W, avgs=avgs, risk_path=risk_path)
 
 
 def _loss(kind, d, rng):
@@ -127,32 +124,46 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     etas = rng.uniform(0.01, 0.3, size=(R, T) if per_replicate_etas else T)
     ckpt = _engine.checkpoint_steps(T) if T else np.empty(0, dtype=np.int64)
 
+    # the step sizes weigh an average only when every replicate shares them
+    weightings = [_engine.linear_weights(T, 3)]
+    if not per_replicate_etas:
+        weightings.append(etas)
     want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
-                           t0=3, risk_ckpt_steps=ckpt)
-    out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                           sub, etas, POSTS[post], indices, t0=3,
-                           risk_ckpt_steps=ckpt,
-                           collect_averages=not per_replicate_etas)
-    for name in ("finals", "risk_path"):
-        _assert_bitwise(getattr(out, name), want[name], name)
-    if per_replicate_etas:
-        return
-    # the engine keeps the averages of the base rows only
-    for name in ("avg_eta", "avg_lin"):
-        _assert_bitwise(getattr(out, name), want[name][:, 0], name)
+                           risk_ckpt_steps=ckpt, weightings=weightings)
+    for weights, avg in zip(weightings + [None], want["avgs"] + [None]):
+        out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
+                               sub, etas, POSTS[post], indices, risk_ckpt_steps=ckpt,
+                               average_weights=weights)
+        for name in ("finals", "risk_path"):
+            _assert_bitwise(getattr(out, name), want[name], name)
+        if weights is None:
+            assert out.avg is None
+        else:
+            # the engine keeps the average of the base rows only
+            _assert_bitwise(out.avg, avg[:, 0], "avg")
 
 
 def test_per_replicate_steps_reject_averages_and_wrong_shapes():
     rng = np.random.default_rng(1)
     Xs, ys = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3))
     indices = rng.integers(0, 3, size=(2, 4))
-    with pytest.raises(InvalidArgument):
-        _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
-                         np.full((2, 4), 0.1), None, indices, collect_averages=True)
+    # per-replicate steps are no weights of one average, nor are weights of
+    # another length than the run
+    for weights in (np.full((2, 4), 0.1), np.full(5, 0.1), np.full(3, 0.1)):
+        with pytest.raises(InvalidArgument):
+            _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
+                             np.full((2, 4), 0.1), None, indices,
+                             average_weights=weights)
     for etas in (np.full((3, 4), 0.1), np.full((2, 5), 0.1), np.full(5, 0.1)):
         with pytest.raises(InvalidArgument):
             _engine.run_core(LeastSquares(), Xs, ys, None, None, None, etas, None,
                              indices)
+    # per-replicate steps with the linear weights (one average) or none are fine
+    for weights in (_engine.linear_weights(4, 2), None):
+        out = _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
+                               np.full((2, 4), 0.1), None, indices,
+                               average_weights=weights)
+        assert (out.avg is None) == (weights is None)
 
 
 def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():
@@ -179,9 +190,6 @@ def test_unhit_neighbour_equals_its_base_row():
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
 
 
-FIELDS = ("finals", "avg_eta", "avg_lin", "risk_steps", "risk_path")
-
-
 @pytest.mark.parametrize("loss_kind,post,R,n,d,m,permutation", [
     ("least_squares", "none", 3, 7, 4, 5, False),
     ("least_squares", "ball", 1, 1, 1, 0, False),   # single numbers per row
@@ -203,23 +211,34 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
     sub = np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None
     etas = rng.uniform(0.01, 0.3, size=T)
 
-    def run(block_steps, risk_examples, ckpt):
+    def run(block_steps, risk_examples, ckpt, weights):
         monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
         monkeypatch.setattr(_engine, "RISK_EXAMPLES", risk_examples)
         return _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                                sub, etas, POSTS[post], indices, t0=4,
-                                risk_ckpt_steps=ckpt, collect_averages=True)
+                                sub, etas, POSTS[post], indices,
+                                risk_ckpt_steps=ckpt, average_weights=weights)
 
+    weightings = (etas, _engine.linear_weights(T, 4))
     # a checkpoint at every step, and a sparse set that skips whole blocks
-    for ckpt in (_engine.checkpoint_steps(T), _engine.checkpoint_steps(T, 6)):
-        want = run(10**6, 2**14, ckpt)
+    ckpts = (_engine.checkpoint_steps(T), _engine.checkpoint_steps(T, 6))
+    want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
+                           risk_ckpt_steps=ckpts[0], weightings=weightings)
+    for ckpt in ckpts:
         # block lengths 1, 2, 3 and 10^6 steps; checkpoint chunks of one
         # checkpoint, of two (smaller than a block of 3), and of all
-        for block_steps, risk_examples in ((1, 2**14), (2, 1), (3, 2 * R * n),
-                                           (3, 2**14), (10**6, 1)):
-            got = run(block_steps, risk_examples, ckpt)
-            for name in FIELDS:
-                _assert_bitwise(getattr(got, name), getattr(want, name), name)
+        for block_steps, risk_examples in ((10**6, 2**14), (1, 2**14), (2, 1),
+                                           (3, 2 * R * n), (3, 2**14), (10**6, 1)):
+            for weights, avg in zip(weightings + (None,), want["avgs"] + [None]):
+                got = run(block_steps, risk_examples, ckpt, weights)
+                _assert_bitwise(got.finals, want["finals"], "finals")
+                _assert_bitwise(got.risk_steps, ckpt, "risk_steps")
+                _assert_bitwise(got.risk_path,
+                                want["risk_path"][:, np.searchsorted(ckpts[0], ckpt)],
+                                "risk_path")
+                if weights is None:
+                    assert got.avg is None
+                else:
+                    _assert_bitwise(got.avg, avg[:, 0], "avg")
 
 
 @pytest.mark.parametrize("permutation", [False, True], ids=["iid", "permutation"])
@@ -247,9 +266,15 @@ def test_runners_step_like_the_engine(loss_kind, radius, permutation):
         indices = _engine.permutation_matrix(key, n, epochs, replicates=1)
         traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, key,
                           indices, record_every=n)
-    out = _engine.run_core(loss, ds.features[None], ds.labels[None], None, None, None,
-                           sched.etas(indices.shape[1]), radius, indices,
-                           t0=sched.t0, collect_averages=True)
-    _assert_bitwise(traj.final, out.finals[0, 0], "final")
-    _assert_bitwise(traj.avg_eta, out.avg_eta[0], "avg_eta")
-    _assert_bitwise(traj.avg_linear, out.avg_lin[0], "avg_linear")
+    T = indices.shape[1]
+    etas = sched.etas(T)
+    for weights, got in ((etas, traj.avg_eta),
+                         (_engine.linear_weights(T, sched.t0), traj.avg_linear),
+                         (None, None)):
+        out = _engine.run_core(loss, ds.features[None], ds.labels[None], None, None,
+                               None, etas, radius, indices, average_weights=weights)
+        _assert_bitwise(traj.final, out.finals[0, 0], "final")
+        if weights is None:
+            assert out.avg is None
+        else:
+            _assert_bitwise(got, out.avg[0], "avg")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sgdlab.errors import ConfigError, InvalidArgument
+from sgdlab.harness import experiments
 from sgdlab.harness.cli import main
 from sgdlab.harness.config import (
     ExperimentConfig,
@@ -421,6 +422,24 @@ def test_cli_infinite_step_size_exits_2_before_running(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "eta1: expected a finite number" in err[0]
     assert not out.exists()
+
+
+def test_cli_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    cfg_path = _write(tmp_path, _properties_text(tmp_path / "ignored"))
+
+    def fail(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(experiments._RUNNERS, "properties", fail)
+    # the file itself, or a directory to be made below it
+    for out in (taken, taken / "sub"):
+        assert main(["properties", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not a directory" in err[0]
+    assert taken.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "taken"]
 
 
 def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):

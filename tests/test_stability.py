@@ -265,6 +265,35 @@ def test_estimator_risk_path_structure():
     assert rp.final_mean >= 0.0 and rp.final_stderr >= 0.0
 
 
+def _count_engine_calls(monkeypatch):
+    """Replicates per ``run_core`` call, in call order, from a counting wrapper."""
+    sizes = []
+    run_core = _engine.run_core
+
+    def counting(*args, **kwargs):
+        sizes.append(args[8].shape[0])      # the (R, T) index streams
+        return run_core(*args, **kwargs)
+
+    monkeypatch.setattr(_engine, "run_core", counting)
+    return sizes
+
+
+def test_chunks_run_a_grid_point_in_as_few_engine_calls_as_the_budgets_allow(monkeypatch):
+    sizes = _count_engine_calls(monkeypatch)
+    # every neighbour of 16 replicates at n = 512: 16 * 513 rows fit the row
+    # budget, so one call runs them all
+    estimate_on_average_stability(LeastSquares(), _dist(), 512, 8, FixedConstant(0.1),
+                                  None, CouplingConfig(replicates=16, record_risks=False),
+                                  master_seed=0)
+    assert sizes == [16]
+    # base runs alone at n = 4096: the example budget holds 2^18 / 4096 = 64
+    # datasets per chunk
+    sizes.clear()
+    estimate_generalization_gap(LeastSquares(), _dist(), 4096, 4, FixedConstant(0.1),
+                                None, replicates=100, mc_pop=0, master_seed=0)
+    assert sizes == [64, 36]
+
+
 def test_estimator_requires_source_of_data():
     cfg = CouplingConfig(replicates=2)
     with pytest.raises(InvalidArgument):
