@@ -170,21 +170,12 @@ def _in_block(steps: np.ndarray, s: int, e: int) -> np.ndarray:
 def _fold(acc: np.ndarray, weights: np.ndarray, buf: np.ndarray) -> None:
     """acc += weights[j] * buf[j] for j = 0, 1, ..., in place.
 
-    The bits must be those of one ``+=`` per step, whatever the block
-    length, so the sum runs in step order.  ``add.reduce`` over axis 0 of a
-    C-ordered (1 + B, R d) array adds whole rows in that order when R d > 1,
-    as its inner loop runs along a row; when R d = 1 the rows are single
-    numbers, the inner loop is the reduction itself and numpy sums it
-    pairwise, so that case takes ``accumulate``, which always adds in order.
+    ``accumulate`` adds in that order, so the bits are those of one ``+=``
+    per step, whatever the block length; ``add.reduce`` may sum pairwise
+    instead (it does when the rows are single numbers).
     """
-    B = buf.shape[0]
-    terms = np.empty((1 + B, acc.size))
-    terms[0] = acc.ravel()
-    np.multiply(weights[:, None], buf.reshape(B, acc.size), out=terms[1:])
-    if acc.size > 1:
-        acc[...] = np.add.reduce(terms, axis=0).reshape(acc.shape)
-    else:
-        acc[...] = np.add.accumulate(terms, axis=0)[-1].reshape(acc.shape)
+    terms = np.concatenate([acc[None], weights[:, None, None] * buf])
+    acc[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
 def linear_weights(T: int, t0: int) -> np.ndarray:

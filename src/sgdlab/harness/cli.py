@@ -6,7 +6,7 @@ Prints one line per gate, ``name n T measured rhs slack_sigma satisfied``
 (``-`` for a gate without n or T), after the CSV is written.
 
 Exit codes: 0 every gate passed, 1 a gate failed, 2 config error (a bad
-argument, and an output path that is a file or lies below one,
+argument, and an output path that cannot be made a directory,
 included) or a violated precondition of the requested bound, 3
 resource limit exceeded, 4 any other error (an internal fault; one line on
 stderr names it).  The LAB_THREADS environment variable overrides

@@ -660,15 +660,13 @@ def run_experiment(cfg: ExperimentConfig,
     a list is given.
     """
     validate_config(cfg)
-    # the CSV's directory must be creatable before any work runs: its nearest
-    # existing ancestor, if any, must be a directory
-    existing = cfg.out_path
-    while existing and not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if existing and not os.path.isdir(existing):
-        raise ConfigError(f"out_path {cfg.out_path!r}: {existing!r} is not a directory")
+    # the CSV's directory is made before any work runs, so a path that cannot
+    # be one fails at once
+    try:
+        os.makedirs(cfg.out_path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out_path {cfg.out_path!r}: {e.strerror}") from None
     em = _RUNNERS[cfg.experiment](cfg)
-    os.makedirs(cfg.out_path, exist_ok=True)
     write_csv(os.path.join(cfg.out_path, f"{cfg.experiment}.csv"), em.rows)
     if gates is not None:
         gates.extend(em.gates)

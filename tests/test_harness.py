@@ -433,13 +433,15 @@ def test_cli_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypa
         raise AssertionError("the experiment ran")
 
     monkeypatch.setitem(experiments._RUNNERS, "properties", fail)
-    # the file itself, or a directory to be made below it
-    for out in (taken, taken / "sub"):
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "missing")
+    # the file itself, a directory to be made below it, a dangling symlink
+    for out in (taken, taken / "sub", dangling):
         assert main(["properties", "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "not a directory" in err[0]
+        assert len(err) == 1 and f"out_path {str(out)!r}" in err[0]
     assert taken.read_text() == "keep me\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "taken"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.ini", "dangling", "taken"]
 
 
 def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):
