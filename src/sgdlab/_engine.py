@@ -74,6 +74,8 @@ BLOCK_ROWS = 1024
 #: c * R * n <= this, for a loss that averages over the examples (least
 #: squares evaluates from its QR factors and needs no bound)
 RISK_EXAMPLES = 2 ** 14
+#: empirical-risk checkpoints per run at most (see ``checkpoint_steps``)
+MAX_CHECKPOINTS = 512
 
 
 def seed_sequence(*path: int) -> np.random.SeedSequence:
@@ -107,24 +109,23 @@ def permutation_matrix(key: int, n: int, epochs: int, replicates: int) -> np.nda
     return out
 
 
-def checkpoint_steps(T: int, max_checkpoints: int = 512) -> np.ndarray:
+def checkpoint_steps(T: int) -> np.ndarray:
     """Sorted subset of {1..T} at which empirical risk is recorded.
 
-    Always contains 1 and T; at most ``max_checkpoints`` entries, evenly
+    Always contains 1 and T; at most ``MAX_CHECKPOINTS`` entries, evenly
     spread.  Consumers reconstruct in-between values conservatively (max of
     the bracketing recorded values).
     """
-    if T <= max_checkpoints:
+    if T <= MAX_CHECKPOINTS:
         return np.arange(1, T + 1, dtype=np.int64)
-    return np.unique(np.linspace(1, T, max_checkpoints).round().astype(np.int64))
+    return np.unique(np.linspace(1, T, MAX_CHECKPOINTS).round().astype(np.int64))
 
 
 @dataclass
 class CoreResult:
     finals: np.ndarray                     # (R, B, d) output iterates w_{T+1}
     avg: Optional[np.ndarray]              # (R, d) base row
-    risk_steps: Optional[np.ndarray]       # (C,)
-    risk_path: Optional[np.ndarray]        # (R, C) base row F_S(w_j)
+    risk_path: Optional[np.ndarray]        # (R, C) base row F_S(w_j) at risk_ckpt_steps
 
 
 def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -311,6 +312,5 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     return CoreResult(
         finals=finals,
         avg=None if acc is None else weighted_average(acc, average_weights),
-        risk_steps=risk_ckpt_steps,
         risk_path=risk_path,
     )

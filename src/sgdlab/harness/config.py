@@ -230,9 +230,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             v = getattr(cfg, field)
             if v is None:
                 continue
-            if field == "neighbor_subsample":
-                lines.append(f"{key} = {v}")
-                continue
             lines.append(f"{key} = {_show(v)}")
         lines.append("")
     return "\n".join(lines)

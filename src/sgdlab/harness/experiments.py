@@ -69,13 +69,11 @@ from ..losses import (
 from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
     TAG_REPLICATE,
-    CouplingConfig,
     brute_force_stability,
     coupled_distances,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
-    standard_error,
 )
 from .config import (
     ExperimentConfig,
@@ -110,6 +108,27 @@ class CsvRow:
     stderr: Optional[float]
     bound_rhs: Optional[float]
     satisfied: Optional[bool]
+
+
+def standard_error(vals: np.ndarray):
+    """The standard error of the mean over axis 0; 0 for fewer than two rows.
+
+    A float for (R,) values, one value per column for (R, C).
+    """
+    R = vals.shape[0]
+    se = vals.std(axis=0, ddof=1) / math.sqrt(R) if R >= 2 else np.zeros(vals.shape[1:])
+    return float(se) if vals.ndim == 1 else se
+
+
+def _mean_se(vals: np.ndarray) -> Tuple[float, float]:
+    """The mean of (R,) replicate values and its standard error."""
+    return float(vals.mean()), standard_error(vals)
+
+
+def _upper(vals: np.ndarray):
+    """Mean plus one standard error over axis 0: the conservative direction
+    for a measured quantity that feeds a bound's right-hand side."""
+    return vals.mean(axis=0) + standard_error(vals)
 
 
 def _fmt(x) -> str:
@@ -282,12 +301,12 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
         theta = getattr(sched, "theta", None)
         family = sample_neighbor_family(dist, n, cfg.master_seed)
         l1_exact, l2_exact = brute_force_stability(loss, family, sched, domain, T)
-        coupling = CouplingConfig(replicates=cfg.replicates, neighbor_subsample=None,
-                                  record_risks=False)
         rep = estimate_on_average_stability(loss, None, n, T, sched, domain,
-                                            coupling, cfg.master_seed,
-                                            fixed_family=family)
-        em.row("l1_mc", rep.l1_mean, n=n, T=T, theta=theta, stderr=rep.l1_stderr)
+                                            cfg.replicates, cfg.master_seed,
+                                            record_risks=False, fixed_family=family)
+        l1, l1_se = _mean_se(rep.l1)
+        l2_sq, l2_sq_se = _mean_se(rep.l2_sq)
+        em.row("l1_mc", l1, n=n, T=T, theta=theta, stderr=l1_se)
         em.row("l1_exact", l1_exact, n=n, T=T, theta=theta)
         # each side is a mean over R replicates (or the n^T index sequences)
         # of per-row means over the n neighbours, all of nonnegative terms;
@@ -298,14 +317,12 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
         def roundoff(exact, mc):
             return roundoff_allowance(exact, mc, n) + roundoff_allowance(exact, mc, count)
 
-        em.gate_row("l1_agreement", 0.0, abs(rep.l1_mean - l1_exact),
-                    rep.l1_stderr, n=n, T=T, theta=theta,
-                    roundoff=roundoff(l1_exact, rep.l1_mean))
-        em.row("l2_sq_mc", rep.l2_sq_mean, n=n, T=T, theta=theta, stderr=rep.l2_sq_stderr)
+        em.gate_row("l1_agreement", 0.0, abs(l1 - l1_exact), l1_se, n=n, T=T,
+                    theta=theta, roundoff=roundoff(l1_exact, l1))
+        em.row("l2_sq_mc", l2_sq, n=n, T=T, theta=theta, stderr=l2_sq_se)
         em.row("l2_sq_exact", l2_exact, n=n, T=T, theta=theta)
-        em.gate_row("l2_sq_agreement", 0.0, abs(rep.l2_sq_mean - l2_exact),
-                    rep.l2_sq_stderr, n=n, T=T, theta=theta,
-                    roundoff=roundoff(l2_exact, rep.l2_sq_mean))
+        em.gate_row("l2_sq_agreement", 0.0, abs(l2_sq - l2_exact), l2_sq_se, n=n, T=T,
+                    theta=theta, roundoff=roundoff(l2_exact, l2_sq))
     return em
 
 
@@ -316,11 +333,10 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
 def _stability(cfg, loss, dist, n, T, sched, domain, record_risks,
                without_replacement=False):
     """The configured on-average stability estimate at one grid point."""
-    coupling = CouplingConfig(replicates=cfg.replicates,
-                              neighbor_subsample=cfg.neighbor_subsample,
-                              record_risks=record_risks)
     return estimate_on_average_stability(loss, dist, n, T, sched, domain,
-                                         coupling, cfg.master_seed,
+                                         cfg.replicates, cfg.master_seed,
+                                         neighbor_subsample=cfg.neighbor_subsample,
+                                         record_risks=record_risks,
                                          without_replacement=without_replacement)
 
 
@@ -334,11 +350,10 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=True)
-        em.row("l1_stability", rep.l1_mean, n=n, T=T, theta=theta, stderr=rep.l1_stderr)
-        em.row("l2_sq_stability", rep.l2_sq_mean, n=n, T=T, theta=theta,
-               stderr=rep.l2_sq_stderr)
-        em.row("final_emp_risk", rep.risk_path.final_mean, n=n, T=T, theta=theta,
-               stderr=rep.risk_path.final_stderr)
+        for metric, vals in (("l1_stability", rep.l1), ("l2_sq_stability", rep.l2_sq),
+                             ("final_emp_risk", rep.emp_risk)):
+            mean, se = _mean_se(vals)
+            em.row(metric, mean, n=n, T=T, theta=theta, stderr=se)
     return em
 
 
@@ -361,9 +376,9 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
                                           cfg.replicates, cfg.mc_pop,
                                           cfg.master_seed, output=output)
-        em.row("excess_risk", rep.excess_mean, n=n, T=T, theta=theta,
-               stderr=rep.excess_stderr)
-        points.append((n, rep.excess_mean))
+        excess, excess_se = _mean_se(rep.excess)
+        em.row("excess_risk", excess, n=n, T=T, theta=theta, stderr=excess_se)
+        points.append((n, excess))
     fit = fit_loglog_slope(points)
     if cfg.slope_gate is not None:
         em.gate_row("slope", cfg.slope_gate, fit.slope, 0.0, theta=theta)
@@ -391,11 +406,6 @@ def _sup_holder(loss, dist) -> Tuple[float, float, float]:
     return X, L, g0
 
 
-def _plus_sigma(mean: np.ndarray, stderr: np.ndarray) -> np.ndarray:
-    # conservative direction for measured paths that feed a bound RHS
-    return np.asarray(mean) + np.asarray(stderr)
-
-
 def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
@@ -413,21 +423,20 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
                 f"thm2 needs eta_t <= 2/L = {2.0 / L:.6g}, but the schedule "
                 f"reaches {float(etas.max()):.6g} at n = {n}")
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
-        stats = rep.risk_path
-        risk_path = expand_risk_path(stats.steps, _plus_sigma(stats.mean, stats.stderr), T)
+        risk_path = expand_risk_path(rep.risk_steps, _upper(rep.risk), T)
         sqrt_risk_path = expand_risk_path(
-            stats.steps, _plus_sigma(stats.sqrt_mean, stats.sqrt_stderr), T)
+            rep.risk_steps, _upper(np.sqrt(np.maximum(rep.risk, 0.0))), T)
         em.gate_row("l1_stability", thm2_l1_bound(n, etas, L, sqrt_risk_path),
-                    rep.l1_mean, rep.l1_stderr, n=n, T=T)
+                    *_mean_se(rep.l1), n=n, T=T)
         em.gate_row("l2_sq_stability", thm2_l2_bound(n, etas, L, risk_path),
-                    rep.l2_sq_mean, rep.l2_sq_stderr, n=n, T=T)
+                    *_mean_se(rep.l2_sq), n=n, T=T)
         # generalization gap against the smooth-case bound, same runs
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
-        emp_hat = stats.final_mean + stats.final_stderr
-        l2_hat = rep.l2_sq_mean + rep.l2_sq_stderr
+        emp_hat = _upper(rep.emp_risk)
+        l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_smooth(L, emp_hat, l2_hat)
         rhs = thm1b_generalization_bound(L, gamma, l2_hat, emp_hat)
-        em.gate_row("generalization_gap", rhs, gap.gap_mean, gap.gap_stderr, n=n, T=T)
+        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap), n=n, T=T)
 
 
 def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
@@ -437,31 +446,31 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
         raise ConfigError("target thmD1 needs a non-smooth loss (alpha < 1)")
     _, L, g0 = _sup_holder(loss, dist)
     consts = regularity_constants(loss.alpha, L, g0 if loss.alpha == 0.0 else None)
+    frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         sched = build_schedule(cfg, T)
         theta = getattr(sched, "theta", None)
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
-        stats = rep.risk_path
-        frac_risk_path = expand_risk_path(
-            stats.steps, _plus_sigma(stats.frac_mean, stats.frac_stderr), T)
+        # F_S^frac_expo per replicate, 0**0 == 1 by convention
+        frac_risk = np.power(np.maximum(rep.risk, 0.0), frac_expo)
+        frac_risk_path = expand_risk_path(rep.risk_steps, _upper(frac_risk), T)
         rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1,
                                        consts.c3, frac_risk_path)
-        em.gate_row("l2_sq_stability", rhs, rep.l2_sq_mean, rep.l2_sq_stderr,
+        em.gate_row("l2_sq_stability", rhs, *_mean_se(rep.l2_sq),
                     n=n, T=T, theta=theta)
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
-        frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
         if loss.alpha == 0.0:
             pop_frac = 1.0
         else:
             # E[F^frac] <= (E F)^frac by concavity; conservative for the RHS
             f_star, _ = population_risk_minimum(loss, dist)
-            pop_mean = gap.excess_mean + gap.excess_stderr + f_star
+            pop_mean = _upper(gap.excess) + f_star
             pop_frac = max(pop_mean, 0.0) ** frac_expo
-        l2_hat = rep.l2_sq_mean + rep.l2_sq_stderr
+        l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_holder(consts.c1, pop_frac, l2_hat)
         rhs = thm1c_generalization_bound(consts.c1, gamma, l2_hat, pop_frac)
-        em.gate_row("generalization_gap", rhs, gap.gap_mean, gap.gap_stderr,
+        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap),
                     n=n, T=T, theta=theta)
 
 
@@ -479,7 +488,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
         theta = getattr(sched, "theta", None)
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
         em.gate_row("l1_stability", thm6_convex_stability_bound(n, sched.etas(T), L, G),
-                    rep.l1_mean, rep.l1_stderr, n=n, T=T, theta=theta)
+                    *_mean_se(rep.l1), n=n, T=T, theta=theta)
     # the surrogate's expectation must reproduce the closed-form population
     # objective: Monte-Carlo check at the origin and at an interior point
     probes = [np.zeros(dist.dim)]
@@ -491,7 +500,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
                             _engine.derive_seed(cfg.master_seed, _TAG_UNBIASED, j))
         vals = loss.batch_value(np.broadcast_to(w, (cfg.draws, dist.dim)),
                                 ds.features, ds.labels)
-        mc, se = float(vals.mean()), standard_error(vals)
+        mc, se = _mean_se(vals)
         analytic, _ = population_risk(loss, dist, w)
         # two-sided agreement at 3 sigma plus the round-off of the mean: at
         # w = 0 every draw equals p (1 - p), so se is itself round-off and
@@ -527,8 +536,8 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
             rhss[r] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
         dists = coupled_distances(loss, families.__getitem__, n, etas, domain, R,
                                   cfg.master_seed)
-        em.gate_row("zero_example_stability", float(rhss.mean()),
-                    float(dists.mean()), standard_error(dists), n=n, T=T)
+        em.gate_row("zero_example_stability", float(rhss.mean()), *_mean_se(dists),
+                    n=n, T=T)
 
 
 def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
@@ -560,9 +569,8 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
         pop, _ = population_risk(loss, dist, W)
         gaps = pop - emp
         fracs = pop + 0.5 * lam * sq_norms
-        frac_hat = float(fracs.mean()) + standard_error(fracs)
-        rhs = propD2_erm_bound(c1, n, lam, frac_hat)
-        em.gate_row("erm_gap", rhs, float(gaps.mean()), standard_error(gaps), n=n)
+        rhs = propD2_erm_bound(c1, n, lam, _upper(fracs))
+        em.gate_row("erm_gap", rhs, *_mean_se(gaps), n=n)
 
 
 def _require_lipschitz_hinge(loss, target: str) -> None:
@@ -588,7 +596,7 @@ def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
         etas = sched.etas(T)
         per_epoch = [etas[k * n:(k + 1) * n] for k in range(K)]
         rhs = propG2_without_replacement_bound(per_epoch, loss.alpha, c3, G, n)
-        em.gate_row("epoch_l1_stability", rhs, rep.l1_mean, rep.l1_stderr,
+        em.gate_row("epoch_l1_stability", rhs, *_mean_se(rep.l1),
                     n=n, T=T, theta=theta)
 
 
@@ -616,8 +624,9 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
         total = coupled_distances(loss, families, n, sched.etas(T), None, R,
                                   cfg.master_seed)
         exceed = int(np.count_nonzero(total > rhs))
-        em.row("coupled_distance_mean", float(total.mean()), n=n, T=T,
-               theta=cfg.theta, stderr=standard_error(total), bound_rhs=rhs)
+        mean, se = _mean_se(total)
+        em.row("coupled_distance_mean", mean, n=n, T=T, theta=cfg.theta, stderr=se,
+               bound_rhs=rhs)
         em.gate_row("exceedance_fraction", cfg.delta, exceed / R, 0.0,
                     n=n, T=T, theta=cfg.theta)
 

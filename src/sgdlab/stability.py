@@ -14,7 +14,13 @@ replicate number: i.i.d. keys or per-epoch permutations; or given
 sequences), the step sizes ((T,), or (R, T) when they differ between
 replicates) and the radius of the ball each step projects onto, if any.  It
 stacks a chunk of replicates, runs it through ``_engine.run_core`` and hands
-the result to its caller, which reduces it before the next chunk runs.
+the result to its caller, which stores each replicate's values before the
+next chunk runs.
+
+The estimators return those per-replicate values and take no mean or
+standard error over replicates; the caller reduces them.  The exception is
+``brute_force_stability``, whose result is the exact average over all index
+sequences.
 
 Seed discipline: replicate r of a given master seed derives its dataset from
 (master_seed, replicate tag, r), its position subsample from (master_seed,
@@ -40,7 +46,6 @@ result is bitwise the same for any chunk size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
@@ -70,93 +75,32 @@ BRUTE_FORCE_MAX_SEQUENCES = 1_000_000
 
 
 @dataclass(frozen=True)
-class CouplingConfig:
-    """How a stability estimate is sampled.
-
-    replicates: independent (S, ghost, index-stream) draws.
-    neighbor_subsample: how many replace-one positions to average per
-        replicate (None = all n).  Positions are a uniform without-replacement
-        subsample, drawn per replicate.
-    record_risks: record the base-run empirical risk path (needed by the
-        bound calculators).
-    """
-
-    replicates: int
-    neighbor_subsample: Optional[int] = None
-    record_risks: bool = True
-
-    def __post_init__(self):
-        if not self.replicates >= 1:
-            raise InvalidArgument(f"replicates must be >= 1, got {self.replicates}")
-        if self.neighbor_subsample is not None and not self.neighbor_subsample >= 1:
-            raise InvalidArgument(
-                f"neighbor_subsample must be >= 1, got {self.neighbor_subsample}")
-
-
-@dataclass(frozen=True)
-class RiskPathStats:
-    """Replicate-aggregated empirical-risk statistics along the base run.
-
-    ``steps`` are the recorded 1-based step numbers (always include 1 and T);
-    ``mean[k]`` estimates E[F_S(w_steps[k])].  ``sqrt_*`` aggregates
-    sqrt(F_S) and ``frac_*`` aggregates F_S^frac_exponent, both averaged per
-    replicate before the power is taken — i.e. the expectations the bound
-    right-hand sides actually consume.  ``final_*`` is F_S at the output
-    iterate w_{T+1}.
-    """
-
-    steps: np.ndarray
-    mean: np.ndarray
-    stderr: np.ndarray
-    sqrt_mean: np.ndarray
-    sqrt_stderr: np.ndarray
-    frac_exponent: float
-    frac_mean: np.ndarray
-    frac_stderr: np.ndarray
-    final_mean: float
-    final_stderr: float
-
-
-@dataclass(frozen=True)
 class StabilityReport:
-    """On-average model stability estimates with replicate standard errors.
+    """Per-replicate measurements of a stability estimate.
 
-    l1_mean estimates E[(1/m) sum_i ||w - w^(i)||]; l2_sq_mean the same with
-    squared norms.  ``base_finals`` holds each replicate's base-run output
-    w_{T+1}, and ``base_emp_risk`` its F_S(w_{T+1}) when risks are recorded.
+    ``l1[r]`` is replicate r's (1/m) sum_i ||w - w^(i)|| over its m
+    neighbour positions, ``l2_sq[r]`` the same with squared norms, and
+    ``finals[r]`` its base-run output w_{T+1}.  With risks recorded,
+    ``risk[r, k]`` is F_S(w_j) of the base run at step j = ``risk_steps[k]``
+    (both None at T = 0) and ``emp_risk[r]`` is F_S(w_{T+1}); without, all
+    three are None.
     """
 
-    l1_mean: float
-    l1_stderr: float
-    l2_sq_mean: float
-    l2_sq_stderr: float
-    risk_path: Optional[RiskPathStats]
-    n: int
-    T: int
-    config: CouplingConfig
-    base_finals: Optional[np.ndarray] = None     # (R, d)
-    base_emp_risk: Optional[np.ndarray] = None   # (R,)
+    l1: np.ndarray                          # (R,)
+    l2_sq: np.ndarray                       # (R,)
+    finals: np.ndarray                      # (R, d)
+    risk_steps: Optional[np.ndarray]        # (C,)
+    risk: Optional[np.ndarray]              # (R, C)
+    emp_risk: Optional[np.ndarray]          # (R,)
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Generalization gap F(w_out) - F_S(w_out) and excess risk F(w_out) - F*."""
+    """Per replicate, the gap F(w_out) - F_S(w_out) and the excess risk
+    F(w_out) - F*, NaN when F* has no closed form."""
 
-    gap_mean: float
-    gap_stderr: float
-    excess_mean: float
-    excess_stderr: float
-    output: str
-    n: int
-    T: int
-    replicates: int
-
-
-def standard_error(vals: np.ndarray) -> float:
-    """The standard error of the mean of ``vals``; 0 for fewer than two values."""
-    if vals.shape[0] < 2:
-        return 0.0
-    return float(vals.std(ddof=1) / math.sqrt(vals.shape[0]))
+    gap: np.ndarray                         # (R,)
+    excess: np.ndarray                      # (R,)
 
 
 def _chunk_size(rows: int, n: int) -> int:
@@ -175,33 +119,6 @@ def _replicate_dataset_seed(master_seed: int, r: int) -> int:
 def _replicate_index_key(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
     key = _engine.derive_seed(master_seed, _engine.TAG_INDEX, r)
     return _engine.index_matrix(key, n, T, replicates=1)
-
-
-def _aggregate_risk_stats(loss: Loss, steps: np.ndarray, path: np.ndarray,
-                          final_risk: np.ndarray) -> RiskPathStats:
-    alpha = loss.alpha
-    frac = 2.0 * alpha / (1.0 + alpha)
-    sqrt_path = np.sqrt(np.maximum(path, 0.0))
-    frac_path = np.power(np.maximum(path, 0.0), frac)  # 0**0 == 1 by convention
-    R = path.shape[0]
-
-    def col_stderr(mat):
-        if R < 2:
-            return np.zeros(mat.shape[1])
-        return mat.std(axis=0, ddof=1) / math.sqrt(R)
-
-    return RiskPathStats(
-        steps=steps,
-        mean=path.mean(axis=0),
-        stderr=col_stderr(path),
-        sqrt_mean=sqrt_path.mean(axis=0),
-        sqrt_stderr=col_stderr(sqrt_path),
-        frac_exponent=frac,
-        frac_mean=frac_path.mean(axis=0),
-        frac_stderr=col_stderr(frac_path),
-        final_mean=float(final_risk.mean()),
-        final_stderr=standard_error(final_risk),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +222,29 @@ def _distance_means(out: _engine.CoreResult) -> Tuple[np.ndarray, np.ndarray]:
 
 def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: int,
                                   T: int, sched: Schedule, domain: Optional[Ball],
-                                  config: CouplingConfig, master_seed: int,
+                                  replicates: int, master_seed: int, *,
+                                  neighbor_subsample: Optional[int] = None,
+                                  record_risks: bool = True,
                                   fixed_family: Optional[NeighborFamily] = None,
                                   without_replacement: bool = False
                                   ) -> StabilityReport:
-    """Estimate the l1/l2 on-average model stability of projected SGD.
+    """Measure the l1/l2 on-average model stability of projected SGD per replicate.
 
     Each replicate draws (S, ghost, index stream, position subsample), runs
-    the coupled family, and averages ||w - w^(i)|| (and its square) over the
-    sampled positions; means and standard errors are then taken over
-    replicates.  With ``fixed_family`` the datasets are held fixed and only
-    the index stream varies (the conditional expectation the enumeration
-    oracle computes exactly).  With ``without_replacement`` the runs are
-    epoch SGD: the stream is a fresh shuffle of the n examples per epoch,
-    and T must be a whole number of epochs (T = 0 gives exactly 0).
+    the coupled family, and averages ||w - w^(i)|| (and its square) over
+    ``neighbor_subsample`` positions drawn without replacement (None = all
+    n).  ``record_risks`` records the empirical risk of each base run along
+    its path and at its output.  With ``fixed_family`` the datasets are held
+    fixed and only the index stream varies (the conditional expectation the
+    enumeration oracle computes exactly).  With ``without_replacement`` the
+    runs are epoch SGD: the stream is a fresh shuffle of the n examples per
+    epoch, and T must be a whole number of epochs (T = 0 gives exactly 0).
     """
+    if not replicates >= 1:
+        raise InvalidArgument(f"replicates must be >= 1, got {replicates}")
+    if neighbor_subsample is not None and not neighbor_subsample >= 1:
+        raise InvalidArgument(
+            f"neighbor_subsample must be >= 1, got {neighbor_subsample}")
     if not (n >= 1 and T >= 0):
         raise InvalidArgument("n must be >= 1 and T >= 0")
     if without_replacement and T % n:
@@ -330,16 +255,16 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     if fixed_family is not None and fixed_family.base.n != n:
         raise InvalidArgument("fixed family size differs from n")
 
-    R = config.replicates
+    R = replicates
     # no steps -> no risk path to record (the output is w_1 = 0)
-    ckpt = _engine.checkpoint_steps(T) if (config.record_risks and T >= 1) else None
+    ckpt = _engine.checkpoint_steps(T) if (record_risks and T >= 1) else None
 
     d = fixed_family.base.dim if fixed_family is not None else dist.dim
-    l1_vals = np.empty(R)
-    l2_vals = np.empty(R)
-    base_finals = np.empty((R, d))
-    risk_rows = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
-    final_risk = np.empty(R) if config.record_risks else None
+    l1 = np.empty(R)
+    l2_sq = np.empty(R)
+    finals = np.empty((R, d))
+    risk = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
+    emp_risk = np.empty(R) if record_risks else None
 
     if fixed_family is not None:
         families = fixed_family
@@ -354,27 +279,19 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     else:
         def streams(r):
             return _replicate_index_key(master_seed, r, n, T)
-    m = config.neighbor_subsample if config.neighbor_subsample is not None else n
+    m = neighbor_subsample if neighbor_subsample is not None else n
 
     for lo, hi, out, Xs, ys in _replicate_batches(
             loss, R, n, sched.etas(T), _radius(domain), families, streams, m,
             master_seed, risk_ckpt_steps=ckpt):
-        l1_vals[lo:hi], l2_vals[lo:hi] = _distance_means(out)
-        base_finals[lo:hi] = out.finals[:, 0]
-        if risk_rows is not None:
-            risk_rows[lo:hi] = out.risk_path
-        if final_risk is not None:
-            final_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
-
-    stats = None
-    if risk_rows is not None:
-        stats = _aggregate_risk_stats(loss, ckpt, risk_rows, final_risk)
-    return StabilityReport(
-        l1_mean=float(l1_vals.mean()), l1_stderr=standard_error(l1_vals),
-        l2_sq_mean=float(l2_vals.mean()), l2_sq_stderr=standard_error(l2_vals),
-        risk_path=stats, n=n, T=T, config=config,
-        base_finals=base_finals, base_emp_risk=final_risk,
-    )
+        l1[lo:hi], l2_sq[lo:hi] = _distance_means(out)
+        finals[lo:hi] = out.finals[:, 0]
+        if risk is not None:
+            risk[lo:hi] = out.risk_path
+        if emp_risk is not None:
+            emp_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
+    return StabilityReport(l1=l1, l2_sq=l2_sq, finals=finals, risk_steps=ckpt,
+                           risk=risk, emp_risk=emp_risk)
 
 
 def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
@@ -441,20 +358,15 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
 def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
                                 sched: Schedule, domain: Optional[Ball],
                                 replicates: int, mc_pop: int, master_seed: int,
-                                output: Optional[str] = None) -> GapReport:
-    """Monte-Carlo E[F(w_out) - F_S(w_out)] and E[F(w_out) - F*].
+                                output: str) -> GapReport:
+    """Per replicate, F(w_out) - F_S(w_out) and F(w_out) - F*.
 
     ``output`` selects the algorithm output: "final" (w_{T+1}),
     "avg_eta" (step-size-weighted average) or "avg_linear"
-    ((t + t0 - 1)-weighted average); default is "avg_linear" for the
-    strongly-convex schedule and "final" otherwise.  Excess risk is reported
-    as NaN when no closed-form risk minimum exists for the (loss,
-    distribution) pair.
+    ((t + t0 - 1)-weighted average).
     """
     if not replicates >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
-    if output is None:
-        output = "avg_linear" if sched.kind == "strongly_convex" else "final"
     if output not in ("final", "avg_eta", "avg_linear"):
         raise InvalidArgument(f"unknown output selector {output!r}")
 
@@ -477,7 +389,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         w = out.finals[:, 0] if weights is None else out.avg
         outs[lo:hi] = w
         emp[lo:hi] = _engine._batch_empirical_risk(loss, w, Xs, ys)
-    return _gap_report(loss, dist, outs, emp, mc_pop, master_seed, output, n, T)
+    return _gap_report(loss, dist, outs, emp, mc_pop, master_seed)
 
 
 def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
@@ -489,30 +401,21 @@ def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
     ``estimate_generalization_gap(..., output="final")`` on the same
     replicates, without running the trajectories again.
     """
-    if rep.base_emp_risk is None:
+    if rep.emp_risk is None:
         raise InvalidArgument("the stability report recorded no empirical risks")
-    if not rep.config.replicates >= 2:
-        raise InvalidArgument(f"need at least 2 replicates, got {rep.config.replicates}")
-    return _gap_report(loss, dist, rep.base_finals, rep.base_emp_risk, mc_pop,
-                       master_seed, "final", rep.n, rep.T)
+    if not rep.finals.shape[0] >= 2:
+        raise InvalidArgument(f"need at least 2 replicates, got {rep.finals.shape[0]}")
+    return _gap_report(loss, dist, rep.finals, rep.emp_risk, mc_pop, master_seed)
 
 
 def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarray,
-                mc_pop: int, master_seed: int, output: str, n: int, T: int
-                ) -> GapReport:
+                mc_pop: int, master_seed: int) -> GapReport:
     """F(w) - F_S(w) and F(w) - F* over the replicate outputs ``outs`` (R, d)."""
-    R = outs.shape[0]
-    seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r) for r in range(R)]
+    seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r)
+             for r in range(outs.shape[0])]
     pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
-    gaps = pop - emp
     try:
         f_star, _ = population_risk_minimum(loss, dist)
-        excess = pop - f_star
-        excess_mean, excess_stderr = float(excess.mean()), standard_error(excess)
     except InvalidArgument:
-        excess_mean, excess_stderr = float("nan"), float("nan")
-    return GapReport(
-        gap_mean=float(gaps.mean()), gap_stderr=standard_error(gaps),
-        excess_mean=excess_mean, excess_stderr=excess_stderr,
-        output=output, n=n, T=T, replicates=R,
-    )
+        f_star = float("nan")
+    return GapReport(gap=pop - emp, excess=pop - f_star)

@@ -21,7 +21,7 @@ from sgdlab.harness.config import (
     steps_for,
     validate_config,
 )
-from sgdlab.harness.experiments import CsvRow, run_experiment, write_csv
+from sgdlab.harness.experiments import CsvRow, run_experiment, standard_error, write_csv
 from sgdlab.harness.ratefit import fit_loglog_slope
 
 FULL_TEXT = """
@@ -238,6 +238,22 @@ def test_fit_loglog_validation():
         fit_loglog_slope([(1.0, 1.0), (2.0, 0.0), (4.0, 0.25)])
     with pytest.raises(InvalidArgument):
         fit_loglog_slope([(0.0, 1.0), (2.0, 0.5), (4.0, 0.25)])
+
+
+def test_standard_error():
+    # one replicate: no spread to measure
+    assert standard_error(np.array([3.0])) == 0.0
+    np.testing.assert_array_equal(standard_error(np.array([[3.0, 1.0]])), [0.0, 0.0])
+    vals = np.array([1.0, 2.0, 4.0, 7.0])
+    se = standard_error(vals)
+    assert isinstance(se, float)
+    assert se == pytest.approx(np.std(vals, ddof=1) / 2.0, rel=1e-15)
+    # (R, C): one value per column, each that of the column alone
+    mat = np.stack([vals, 3.0 * vals[::-1], np.full(4, 0.5)], axis=1)
+    got = standard_error(mat)
+    assert got.shape == (3,)
+    for c in range(3):
+        assert got[c] == standard_error(mat[:, c].copy())
 
 
 # ---------------------------------------------------------------------------

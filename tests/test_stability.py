@@ -12,13 +12,11 @@ from sgdlab.errors import InvalidArgument, ResourceLimitExceeded
 from sgdlab.losses import LeastSquares, QNormHinge
 from sgdlab.optim import Ball, FixedConstant, PolyDecay, StronglyConvexDecay
 from sgdlab.stability import (
-    CouplingConfig,
     brute_force_stability,
     coupled_distances,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
-    standard_error,
     _replicate_dataset_seed,
 )
 
@@ -39,25 +37,6 @@ def _run_seq(ds, seq, etas):
     for t, i in enumerate(seq):
         w = w - etas[t] * _ls_grad(w, ds.features[i], ds.labels[i])
     return w
-
-
-# ---------------------------------------------------------------------------
-# config and helpers
-# ---------------------------------------------------------------------------
-
-def test_standard_error():
-    assert standard_error(np.array([3.0])) == 0.0
-    vals = np.array([1.0, 2.0, 4.0, 7.0])
-    assert standard_error(vals) == pytest.approx(np.std(vals, ddof=1) / 2.0, rel=1e-15)
-
-
-def test_coupling_config_validation():
-    with pytest.raises(InvalidArgument):
-        CouplingConfig(replicates=0)
-    with pytest.raises(InvalidArgument):
-        CouplingConfig(replicates=2, neighbor_subsample=0)
-    cfg = CouplingConfig(replicates=3)
-    assert cfg.neighbor_subsample is None and cfg.record_risks
 
 
 # ---------------------------------------------------------------------------
@@ -199,70 +178,75 @@ def test_mc_agrees_with_enumeration():
     fam = sample_neighbor_family(_dist(), 2, seed=3)
     sched = FixedConstant(0.2)
     exact_l1, exact_l2 = brute_force_stability(LeastSquares(), fam, sched, None, 2)
-    cfg = CouplingConfig(replicates=3000, record_risks=False)
-    rep = estimate_on_average_stability(LeastSquares(), None, 2, 2, sched, None,
-                                        cfg, master_seed=17, fixed_family=fam)
-    assert abs(rep.l1_mean - exact_l1) <= 3 * rep.l1_stderr
-    assert abs(rep.l2_sq_mean - exact_l2) <= 3 * rep.l2_sq_stderr
-    assert rep.l1_stderr > 0.0
+    rep = estimate_on_average_stability(LeastSquares(), None, 2, 2, sched, None, 3000,
+                                        master_seed=17, record_risks=False,
+                                        fixed_family=fam)
+    for vals, exact in ((rep.l1, exact_l1), (rep.l2_sq, exact_l2)):
+        se = vals.std(ddof=1) / np.sqrt(vals.shape[0])
+        assert abs(vals.mean() - exact) <= 3 * se
+    assert np.ptp(rep.l1) > 0.0
+
+
+def test_estimator_argument_validation():
+    args = (LeastSquares(), _dist(), 4, 2, FixedConstant(0.1), None)
+    with pytest.raises(InvalidArgument):
+        estimate_on_average_stability(*args, 0, master_seed=0)
+    with pytest.raises(InvalidArgument):
+        estimate_on_average_stability(*args, 2, master_seed=0, neighbor_subsample=0)
 
 
 def test_estimator_determinism_and_seed_sensitivity():
-    cfg = CouplingConfig(replicates=12)
-    args = (LeastSquares(), _dist(), 6, 10, FixedConstant(0.1), None, cfg)
+    args = (LeastSquares(), _dist(), 6, 10, FixedConstant(0.1), None, 12)
     a = estimate_on_average_stability(*args, master_seed=9)
     b = estimate_on_average_stability(*args, master_seed=9)
-    assert (a.l1_mean, a.l2_sq_mean, a.l1_stderr) == (b.l1_mean, b.l2_sq_mean, b.l1_stderr)
-    np.testing.assert_array_equal(a.risk_path.mean, b.risk_path.mean)
+    for name in ("l1", "l2_sq", "finals", "risk_steps", "risk", "emp_risk"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     c = estimate_on_average_stability(*args, master_seed=10)
-    assert a.l1_mean != c.l1_mean
+    assert np.all(a.l1 != c.l1)
 
 
 def test_estimator_zero_steps():
-    cfg = CouplingConfig(replicates=3)
     rep = estimate_on_average_stability(LeastSquares(), _dist(), 4, 0,
-                                        FixedConstant(0.1), None, cfg, master_seed=0)
-    assert rep.l1_mean == 0.0 and rep.l2_sq_mean == 0.0
-    assert rep.risk_path is None
+                                        FixedConstant(0.1), None, 3, master_seed=0)
+    np.testing.assert_array_equal(rep.l1, np.zeros(3))
+    np.testing.assert_array_equal(rep.l2_sq, np.zeros(3))
+    np.testing.assert_array_equal(rep.finals, np.zeros((3, 2)))
+    assert rep.risk_steps is None and rep.risk is None
+    # the output w_1 = 0 still has an empirical risk
+    assert rep.emp_risk.shape == (3,) and np.all(rep.emp_risk > 0.0)
 
 
 def test_estimator_jensen_consistency():
-    cfg = CouplingConfig(replicates=16, record_risks=False)
     rep = estimate_on_average_stability(LeastSquares(), _dist(), 6, 12,
-                                        FixedConstant(0.15), None, cfg, master_seed=2)
-    assert rep.l1_mean ** 2 <= rep.l2_sq_mean * (1 + 1e-12)
-    assert rep.l1_mean > 0.0
+                                        FixedConstant(0.15), None, 16, master_seed=2,
+                                        record_risks=False)
+    # per replicate, the mean distance squared is at most the mean squared distance
+    assert np.all(rep.l1 ** 2 <= rep.l2_sq * (1 + 1e-12))
+    assert np.all(rep.l1 > 0.0)
+    assert rep.risk_steps is None and rep.risk is None and rep.emp_risk is None
 
 
 def test_estimator_subsample_paths():
-    cfg_all = CouplingConfig(replicates=10, record_risks=False)
-    cfg_sub = CouplingConfig(replicates=10, neighbor_subsample=2, record_risks=False)
-    full = estimate_on_average_stability(LeastSquares(), _dist(), 5, 6,
-                                         FixedConstant(0.1), None, cfg_all, master_seed=1)
-    sub = estimate_on_average_stability(LeastSquares(), _dist(), 5, 6,
-                                        FixedConstant(0.1), None, cfg_sub, master_seed=1)
-    # subsampling changes the variance, not the scale
-    assert sub.l1_mean == pytest.approx(full.l1_mean, rel=1.0)
+    args = (LeastSquares(), _dist(), 5, 6, FixedConstant(0.1), None, 10)
+    full = estimate_on_average_stability(*args, master_seed=1, record_risks=False)
+    sub = estimate_on_average_stability(*args, master_seed=1, record_risks=False,
+                                        neighbor_subsample=2)
+    # subsampling changes the variance, not the scale, and not the base runs
+    assert sub.l1.mean() == pytest.approx(full.l1.mean(), rel=1.0)
+    np.testing.assert_array_equal(sub.finals, full.finals)
     with pytest.raises(InvalidArgument):
-        estimate_on_average_stability(
-            LeastSquares(), _dist(), 5, 6, FixedConstant(0.1), None,
-            CouplingConfig(replicates=2, neighbor_subsample=6), master_seed=0)
+        estimate_on_average_stability(*args[:6], 2, master_seed=0, neighbor_subsample=6)
 
 
 def test_estimator_risk_path_structure():
-    cfg = CouplingConfig(replicates=5)
     rep = estimate_on_average_stability(LeastSquares(), _dist(), 4, 9,
-                                        FixedConstant(0.1), None, cfg, master_seed=8)
-    rp = rep.risk_path
-    np.testing.assert_array_equal(rp.steps, _engine.checkpoint_steps(9))
-    assert rp.steps[0] == 1 and rp.steps[-1] == 9
-    assert rp.mean.shape == rp.steps.shape == rp.sqrt_mean.shape == rp.frac_mean.shape
-    assert np.all(rp.mean >= 0.0)
-    # least squares is smooth (alpha = 1): the fractional exponent is 1
-    assert rp.frac_exponent == pytest.approx(1.0)
-    np.testing.assert_allclose(rp.frac_mean, rp.mean, rtol=1e-12)
-    np.testing.assert_allclose(rp.sqrt_mean ** 2 <= rp.mean * (1 + 1e-12), True)
-    assert rp.final_mean >= 0.0 and rp.final_stderr >= 0.0
+                                        FixedConstant(0.1), None, 5, master_seed=8)
+    np.testing.assert_array_equal(rep.risk_steps, _engine.checkpoint_steps(9))
+    assert rep.risk_steps[0] == 1 and rep.risk_steps[-1] == 9
+    assert rep.l1.shape == rep.l2_sq.shape == rep.emp_risk.shape == (5,)
+    assert rep.finals.shape == (5, 2)
+    assert rep.risk.shape == (5, 9)
+    assert np.all(rep.risk >= 0.0) and np.all(rep.emp_risk >= 0.0)
 
 
 def _count_engine_calls(monkeypatch):
@@ -283,22 +267,21 @@ def test_chunks_run_a_grid_point_in_as_few_engine_calls_as_the_budgets_allow(mon
     # every neighbour of 16 replicates at n = 512: 16 * 513 rows fit the row
     # budget, so one call runs them all
     estimate_on_average_stability(LeastSquares(), _dist(), 512, 8, FixedConstant(0.1),
-                                  None, CouplingConfig(replicates=16, record_risks=False),
-                                  master_seed=0)
+                                  None, 16, master_seed=0, record_risks=False)
     assert sizes == [16]
     # base runs alone at n = 4096: the example budget holds 2^18 / 4096 = 64
     # datasets per chunk
     sizes.clear()
     estimate_generalization_gap(LeastSquares(), _dist(), 4096, 4, FixedConstant(0.1),
-                                None, replicates=100, mc_pop=0, master_seed=0)
+                                None, replicates=100, mc_pop=0, master_seed=0,
+                                output="final")
     assert sizes == [64, 36]
 
 
 def test_estimator_requires_source_of_data():
-    cfg = CouplingConfig(replicates=2)
     with pytest.raises(InvalidArgument):
         estimate_on_average_stability(LeastSquares(), None, 4, 2,
-                                      FixedConstant(0.1), None, cfg, master_seed=0)
+                                      FixedConstant(0.1), None, 2, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,35 +289,33 @@ def test_estimator_requires_source_of_data():
 # ---------------------------------------------------------------------------
 
 def test_gap_determinism_and_fields():
-    rep = estimate_generalization_gap(LeastSquares(), _dist(), 8, 8,
-                                      FixedConstant(0.1), None, replicates=16,
-                                      mc_pop=0, master_seed=3)
-    rep2 = estimate_generalization_gap(LeastSquares(), _dist(), 8, 8,
-                                       FixedConstant(0.1), None, replicates=16,
-                                       mc_pop=0, master_seed=3)
-    assert rep.gap_mean == rep2.gap_mean and rep.gap_stderr == rep2.gap_stderr
-    assert rep.output == "final"
-    assert rep.n == 8 and rep.T == 8 and rep.replicates == 16
-    assert np.isfinite(rep.excess_mean) and rep.excess_mean > 0.0
+    args = (LeastSquares(), _dist(), 8, 8, FixedConstant(0.1), None)
+    rep = estimate_generalization_gap(*args, replicates=16, mc_pop=0, master_seed=3,
+                                      output="final")
+    rep2 = estimate_generalization_gap(*args, replicates=16, mc_pop=0, master_seed=3,
+                                       output="final")
+    assert rep.gap.tobytes() == rep2.gap.tobytes()
+    assert rep.excess.tobytes() == rep2.excess.tobytes()
+    assert rep.gap.shape == rep.excess.shape == (16,)
+    assert np.all(np.isfinite(rep.excess)) and np.all(rep.excess >= 0.0)
 
 
 def test_gap_output_selection():
     sc = StronglyConvexDecay(sigma=1.0, t0=4)
-    rep = estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
-                                      replicates=4, mc_pop=0, master_seed=1)
-    assert rep.output == "avg_linear"
-    rep2 = estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
-                                       replicates=4, mc_pop=0, master_seed=1,
-                                       output="avg_eta")
-    assert rep2.output == "avg_eta"
-    assert rep.gap_mean != rep2.gap_mean
+    args = (LeastSquares(), _dist(), 6, 6, sc, None)
+    gaps = {output: estimate_generalization_gap(*args, replicates=4, mc_pop=0,
+                                                master_seed=1, output=output).gap
+            for output in ("final", "avg_eta", "avg_linear")}
+    assert np.all(gaps["avg_linear"] != gaps["avg_eta"])
+    assert np.all(gaps["avg_linear"] != gaps["final"])
     with pytest.raises(InvalidArgument):
         estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
                                     replicates=4, mc_pop=0, master_seed=1,
                                     output="median")
     with pytest.raises(InvalidArgument):
         estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
-                                    replicates=1, mc_pop=0, master_seed=1)
+                                    replicates=1, mc_pop=0, master_seed=1,
+                                    output="avg_linear")
 
 
 def test_gap_zero_steps_is_zero_gap():
@@ -342,16 +323,17 @@ def test_gap_zero_steps_is_zero_gap():
     # expectation and the gap is 0 up to sampling noise in F_S(0)
     rep = estimate_generalization_gap(LeastSquares(), _dist(), 64, 0,
                                       FixedConstant(0.1), None, replicates=64,
-                                      mc_pop=0, master_seed=5)
-    assert abs(rep.gap_mean) <= 4 * rep.gap_stderr + 1e-12
+                                      mc_pop=0, master_seed=5, output="final")
+    se = rep.gap.std(ddof=1) / np.sqrt(rep.gap.shape[0])
+    assert abs(rep.gap.mean()) <= 4 * se + 1e-12
 
 
 def test_gap_excess_nan_without_minimum():
     rep = estimate_generalization_gap(QNormHinge(q=1.5), _dist(), 6, 6,
                                       FixedConstant(0.05), None, replicates=4,
-                                      mc_pop=500, master_seed=2)
-    assert np.isnan(rep.excess_mean) and np.isnan(rep.excess_stderr)
-    assert np.isfinite(rep.gap_mean)
+                                      mc_pop=500, master_seed=2, output="final")
+    assert np.all(np.isnan(rep.excess)) and rep.excess.shape == (4,)
+    assert np.all(np.isfinite(rep.gap))
 
 
 @pytest.mark.parametrize("loss,subsample,mc_pop", [
@@ -361,26 +343,25 @@ def test_gap_excess_nan_without_minimum():
 def test_gap_from_stability_equals_the_gap_estimator(loss, subsample, mc_pop):
     # the base runs of the stability estimate are the gap estimator's runs
     sched = FixedConstant(0.1)
-    stab = estimate_on_average_stability(
-        loss, _dist(), 7, 9, sched, None,
-        CouplingConfig(replicates=6, neighbor_subsample=subsample), master_seed=8)
+    stab = estimate_on_average_stability(loss, _dist(), 7, 9, sched, None, 6,
+                                         master_seed=8, neighbor_subsample=subsample)
     got = gap_from_stability(loss, _dist(), stab, mc_pop, master_seed=8)
     want = estimate_generalization_gap(loss, _dist(), 7, 9, sched, None,
                                        replicates=6, mc_pop=mc_pop, master_seed=8,
                                        output="final")
-    assert repr(got) == repr(want)   # floats to the last bit; nan excess alike
+    # floats to the last bit; nan excess alike
+    assert got.gap.tobytes() == want.gap.tobytes()
+    assert got.excess.tobytes() == want.excess.tobytes()
 
 
 def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
     sched = FixedConstant(0.1)
-    no_risks = estimate_on_average_stability(
-        LeastSquares(), _dist(), 4, 4, sched, None,
-        CouplingConfig(replicates=3, record_risks=False), master_seed=1)
+    no_risks = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
+                                             3, master_seed=1, record_risks=False)
     with pytest.raises(InvalidArgument):
         gap_from_stability(LeastSquares(), _dist(), no_risks, 0, master_seed=1)
-    one = estimate_on_average_stability(
-        LeastSquares(), _dist(), 4, 4, sched, None,
-        CouplingConfig(replicates=1), master_seed=1)
+    one = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
+                                        1, master_seed=1)
     with pytest.raises(InvalidArgument):
         gap_from_stability(LeastSquares(), _dist(), one, 0, master_seed=1)
 
@@ -390,21 +371,20 @@ def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
 # ---------------------------------------------------------------------------
 
 def test_epoch_estimator_zero_epochs():
-    cfg = CouplingConfig(replicates=3)
     rep = estimate_on_average_stability(LeastSquares(), _dist(), 4, 0,
-                                        FixedConstant(0.1), None, cfg, master_seed=0,
+                                        FixedConstant(0.1), None, 3, master_seed=0,
                                         without_replacement=True)
-    assert rep.l1_mean == 0.0 and rep.l2_sq_mean == 0.0
+    np.testing.assert_array_equal(rep.l1, np.zeros(3))
+    np.testing.assert_array_equal(rep.l2_sq, np.zeros(3))
 
 
 def test_epoch_estimator_hand_rolled_single_replicate():
     dist = _dist()
     master_seed = 13
     n, epochs = 2, 2
-    cfg = CouplingConfig(replicates=1, record_risks=False)
     sched = FixedConstant(0.2)
     rep = estimate_on_average_stability(LeastSquares(), dist, n, n * epochs, sched, None,
-                                        cfg, master_seed=master_seed,
+                                        1, master_seed=master_seed, record_risks=False,
                                         without_replacement=True)
 
     fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, 0))
@@ -419,17 +399,16 @@ def test_epoch_estimator_hand_rolled_single_replicate():
         w = _run_seq(fam.base, perm, etas)
         w_i = _run_seq(nb, perm, etas)
         dists.append(np.linalg.norm(w - w_i))
-    assert rep.l1_mean == pytest.approx(np.mean(dists), abs=1e-12)
-    assert rep.l2_sq_mean == pytest.approx(np.mean(np.array(dists) ** 2), abs=1e-12)
+    assert rep.l1[0] == pytest.approx(np.mean(dists), abs=1e-12)
+    assert rep.l2_sq[0] == pytest.approx(np.mean(np.array(dists) ** 2), abs=1e-12)
 
 
 def test_epoch_estimator_validation():
-    cfg = CouplingConfig(replicates=2, neighbor_subsample=9)
     with pytest.raises(InvalidArgument):
         estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, FixedConstant(0.1),
-                                      None, cfg, master_seed=0, without_replacement=True)
+                                      None, 2, master_seed=0, neighbor_subsample=9,
+                                      without_replacement=True)
     # T must be a whole number of epochs
     with pytest.raises(InvalidArgument):
         estimate_on_average_stability(LeastSquares(), _dist(), 4, 6, FixedConstant(0.1),
-                                      None, CouplingConfig(replicates=2), master_seed=0,
-                                      without_replacement=True)
+                                      None, 2, master_seed=0, without_replacement=True)
