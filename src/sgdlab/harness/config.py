@@ -25,6 +25,8 @@ from ..optim import Ball, Schedule, make_schedule
 EXPERIMENTS = ("properties", "oracle", "stability-sweep", "rate-fit", "bound-check")
 T_RULES = ("equal_n", "n_squared", "n_pow")
 TARGETS = ("thm2", "thmD1", "thm6", "thm8", "propD2", "propG2", "propG1")
+#: the targets whose runs project onto a [domain] ball; the others run unprojected
+BALL_TARGETS = ("thm6", "thm8")
 LOSS_KINDS = ("least_squares", "q_hinge", "q_power_abs", "auc_square")
 DIST_KINDS = ("gauss_lin_reg", "realizable_lin_reg", "margin_classif", "imbalanced_gauss")
 SCHEDULE_KINDS = ("fixed_constant", "horizon_constant", "horizon_poly",
@@ -175,9 +177,6 @@ _FIELD_TO_KEY = {field: (section, key)
                  for section, keys in _SCHEMA.items()
                  for key, (field, _) in keys.items()}
 
-_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     values = {}
     section = None
@@ -266,6 +265,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "bound-check":
         if cfg.target not in TARGETS:
             raise ConfigError(f"bound-check needs target in {TARGETS}, got {cfg.target!r}")
+        if cfg.domain_kind == "ball" and cfg.target not in BALL_TARGETS:
+            raise ConfigError(f"target {cfg.target} runs without projection; "
+                              f"a ball domain is used only by {BALL_TARGETS}")
     if cfg.output is not None and cfg.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {OUTPUTS}, got {cfg.output!r}")
     if cfg.loss_kind not in LOSS_KINDS:

@@ -68,12 +68,13 @@ from ..losses import (
 )
 from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
-    TAG_REPLICATE,
     brute_force_stability,
     coupled_distances,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
+    replicate_dataset,
+    replicate_family,
 )
 from .config import (
     ExperimentConfig,
@@ -193,6 +194,15 @@ class _Emitter:
         return all(r.satisfied is not False for r in self.rows)
 
 
+def _grid(cfg: ExperimentConfig, steps=steps_for):
+    """Yield ``(n, T, schedule, theta)`` over the n grid, with T = steps(cfg, n)
+    and the schedule built for T (theta is None for schedules without one)."""
+    for n in cfg.n_grid:
+        T = steps(cfg, n)
+        sched = build_schedule(cfg, T)
+        yield n, T, sched, getattr(sched, "theta", None)
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -295,10 +305,7 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
     domain = build_domain(cfg)
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg):
         family = sample_neighbor_family(dist, n, cfg.master_seed)
         l1_exact, l2_exact = brute_force_stability(loss, family, sched, domain, T)
         rep = estimate_on_average_stability(loss, None, n, T, sched, domain,
@@ -345,10 +352,7 @@ def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
     loss = build_loss(cfg)
     dist = build_distribution(cfg)
     domain = build_domain(cfg)
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=True)
         for metric, vals in (("l1_stability", rep.l1), ("l2_sq_stability", rep.l2_sq),
                              ("final_emp_risk", rep.emp_risk)):
@@ -364,19 +368,15 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
     domain = build_domain(cfg)
     output = cfg.output if cfg.output is not None else "avg_eta"
     try:
-        population_risk_minimum(loss, dist)
+        f_star, _ = population_risk_minimum(loss, dist)
     except InvalidArgument as e:
         raise ConfigError(f"rate-fit needs the population risk minimum: {e}") from e
     points = []
-    theta = None
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg):
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
                                           cfg.replicates, cfg.mc_pop,
                                           cfg.master_seed, output=output)
-        excess, excess_se = _mean_se(rep.excess)
+        excess, excess_se = _mean_se(rep.pop - f_star)
         em.row("excess_risk", excess, n=n, T=T, theta=theta, stderr=excess_se)
         points.append((n, excess))
     fit = fit_loglog_slope(points)
@@ -412,9 +412,7 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
     if loss.alpha != 1.0:
         raise ConfigError("target thm2 needs a smooth loss")
     _, L, _ = _sup_holder(loss, dist)
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
+    for n, T, sched, theta in _grid(cfg):
         etas = sched.etas(T)
         # Theorem 2's step-size condition; beyond it the runs can diverge
         # with a stderr as large as the mean, and the gates would pass
@@ -427,16 +425,17 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
         sqrt_risk_path = expand_risk_path(
             rep.risk_steps, _upper(np.sqrt(np.maximum(rep.risk, 0.0))), T)
         em.gate_row("l1_stability", thm2_l1_bound(n, etas, L, sqrt_risk_path),
-                    *_mean_se(rep.l1), n=n, T=T)
+                    *_mean_se(rep.l1), n=n, T=T, theta=theta)
         em.gate_row("l2_sq_stability", thm2_l2_bound(n, etas, L, risk_path),
-                    *_mean_se(rep.l2_sq), n=n, T=T)
+                    *_mean_se(rep.l2_sq), n=n, T=T, theta=theta)
         # generalization gap against the smooth-case bound, same runs
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
         emp_hat = _upper(rep.emp_risk)
         l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_smooth(L, emp_hat, l2_hat)
         rhs = thm1b_generalization_bound(L, gamma, l2_hat, emp_hat)
-        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap), n=n, T=T)
+        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap), n=n, T=T,
+                    theta=theta)
 
 
 def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
@@ -447,10 +446,7 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
     _, L, g0 = _sup_holder(loss, dist)
     consts = regularity_constants(loss.alpha, L, g0 if loss.alpha == 0.0 else None)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
         # F_S^frac_expo per replicate, 0**0 == 1 by convention
         frac_risk = np.power(np.maximum(rep.risk, 0.0), frac_expo)
@@ -460,13 +456,9 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
         em.gate_row("l2_sq_stability", rhs, *_mean_se(rep.l2_sq),
                     n=n, T=T, theta=theta)
         gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
-        if loss.alpha == 0.0:
-            pop_frac = 1.0
-        else:
-            # E[F^frac] <= (E F)^frac by concavity; conservative for the RHS
-            f_star, _ = population_risk_minimum(loss, dist)
-            pop_mean = _upper(gap.excess) + f_star
-            pop_frac = max(pop_mean, 0.0) ** frac_expo
+        # E[F^frac] <= (E F)^frac by concavity, so (E F + stderr)^frac is
+        # conservative for the rhs; at alpha = 0 the exponent is 0 and it is 1
+        pop_frac = max(_upper(gap.pop), 0.0) ** frac_expo
         l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_holder(consts.c1, pop_frac, l2_hat)
         rhs = thm1c_generalization_bound(consts.c1, gamma, l2_hat, pop_frac)
@@ -482,10 +474,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
         raise ConfigError("target thm6 needs a ball domain (bounded gradients)")
     X, L, _ = _sup_holder(loss, dist)
     G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
         em.gate_row("l1_stability", thm6_convex_stability_bound(n, sched.etas(T), L, G),
                     *_mean_se(rep.l1), n=n, T=T, theta=theta)
@@ -527,8 +516,7 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
         etas = np.empty((R, T))
         rhss = np.empty(R)
         for r in range(R):
-            seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
-            ds = sample_dataset(dist, n, seed_r)
+            ds = replicate_dataset(dist, n, cfg.master_seed, r)
             sigma = min_positive_eigenvalue(ds)
             t0 = t0_for_strong_convexity(L, sigma)
             etas[r] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
@@ -557,8 +545,7 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
         Xs = np.empty((R, n, dist.dim))
         ys = np.empty((R, n))
         for r in range(R):
-            seed_r = _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r)
-            ds = sample_dataset(dist, n, seed_r)
+            ds = replicate_dataset(dist, n, cfg.master_seed, r)
             Xs[r], ys[r] = ds.features, ds.labels
         # the R ridge systems (X'X/n + lam I) w = X'y/n, solved as one stack
         Xt = Xs.swapaxes(1, 2)
@@ -587,10 +574,7 @@ def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
     G = X  # hinge subgradient is -y x or 0
     c3 = regularity_constants(loss.alpha, L, g0).c3
     K = cfg.epochs
-    for n in cfg.n_grid:
-        T = K * n
-        sched = build_schedule(cfg, T)
-        theta = getattr(sched, "theta", None)
+    for n, T, sched, theta in _grid(cfg, steps=lambda cfg, n: K * n):
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=False,
                          without_replacement=True)
         etas = sched.etas(T)
@@ -610,25 +594,22 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
     if cfg.sched_kind != "horizon_poly":
         raise ConfigError("target propG1 is stated for constant steps "
                           "c * T^(-theta); use a horizon_poly schedule")
-    for n in cfg.n_grid:
-        T = steps_for(cfg, n)
-        sched = build_schedule(cfg, T)
-        rhs = propG1_high_prob_bound(cfg.c, cfg.theta, loss.alpha, c3, G, T, n,
+    for n, T, sched, theta in _grid(cfg):
+        rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, c3, G, T, n,
                                      cfg.delta)
         R = cfg.replicates
 
         def families(r):
-            return sample_neighbor_family(
-                dist, n, _engine.derive_seed(cfg.master_seed, TAG_REPLICATE, r))
+            return replicate_family(dist, n, cfg.master_seed, r)
 
         total = coupled_distances(loss, families, n, sched.etas(T), None, R,
                                   cfg.master_seed)
         exceed = int(np.count_nonzero(total > rhs))
         mean, se = _mean_se(total)
-        em.row("coupled_distance_mean", mean, n=n, T=T, theta=cfg.theta, stderr=se,
+        em.row("coupled_distance_mean", mean, n=n, T=T, theta=theta, stderr=se,
                bound_rhs=rhs)
         em.gate_row("exceedance_fraction", cfg.delta, exceed / R, 0.0,
-                    n=n, T=T, theta=cfg.theta)
+                    n=n, T=T, theta=theta)
 
 
 _TARGET_RUNNERS = {

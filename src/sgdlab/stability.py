@@ -26,6 +26,8 @@ Seed discipline: replicate r of a given master seed derives its dataset from
 (master_seed, replicate tag, r), its position subsample from (master_seed,
 subsample tag, r) and its index stream from (master_seed, index tag, r), or
 from (master_seed, permutation tag, r) for epochs without replacement.
+``replicate_dataset`` and ``replicate_family`` draw replicate r's data; the
+harness uses them too for the replicates it runs outside the estimators.
 ``coupled_distances`` keys replicate r's stream by the replicate's own seed
 instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
 r).  A stability report keeps the output and the empirical risk of each
@@ -52,9 +54,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import _engine
-from .data import (Distribution, NeighborFamily, population_risk,
-                   population_risk_minimum, sample_dataset,
-                   sample_neighbor_family)
+from .data import (Dataset, Distribution, NeighborFamily, population_risk,
+                   sample_dataset, sample_neighbor_family)
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
 from .optim import Ball, Schedule
@@ -96,11 +97,11 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Per replicate, the gap F(w_out) - F_S(w_out) and the excess risk
-    F(w_out) - F*, NaN when F* has no closed form."""
+    """Per replicate, the population risk F(w_out) and the gap
+    F(w_out) - F_S(w_out)."""
 
+    pop: np.ndarray                         # (R,)
     gap: np.ndarray                         # (R,)
-    excess: np.ndarray                      # (R,)
 
 
 def _chunk_size(rows: int, n: int) -> int:
@@ -114,6 +115,17 @@ def _radius(domain: Optional[Ball]) -> Optional[float]:
 
 def _replicate_dataset_seed(master_seed: int, r: int) -> int:
     return _engine.derive_seed(master_seed, TAG_REPLICATE, r)
+
+
+def replicate_dataset(dist: Distribution, n: int, master_seed: int, r: int) -> Dataset:
+    """Replicate r's dataset S of size n under ``master_seed``."""
+    return sample_dataset(dist, n, _replicate_dataset_seed(master_seed, r))
+
+
+def replicate_family(dist: Distribution, n: int, master_seed: int,
+                     r: int) -> NeighborFamily:
+    """Replicate r's (S, ghost) family; its base is ``replicate_dataset``'s S."""
+    return sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
 
 
 def _replicate_index_key(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
@@ -270,8 +282,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         families = fixed_family
     else:
         def families(r):
-            seed = _replicate_dataset_seed(master_seed, r)
-            return sample_neighbor_family(dist, n, seed)
+            return replicate_family(dist, n, master_seed, r)
     if without_replacement:
         def streams(r):
             key = _engine.derive_seed(master_seed, _engine.TAG_PERM, r)
@@ -359,7 +370,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
                                 sched: Schedule, domain: Optional[Ball],
                                 replicates: int, mc_pop: int, master_seed: int,
                                 output: str) -> GapReport:
-    """Per replicate, F(w_out) - F_S(w_out) and F(w_out) - F*.
+    """Per replicate, F(w_out) and F(w_out) - F_S(w_out).
 
     ``output`` selects the algorithm output: "final" (w_{T+1}),
     "avg_eta" (step-size-weighted average) or "avg_linear"
@@ -375,7 +386,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     emp = np.empty(R)
 
     def datasets(r):
-        return sample_dataset(dist, n, _replicate_dataset_seed(master_seed, r))
+        return replicate_dataset(dist, n, master_seed, r)
 
     def streams(r):
         return _replicate_index_key(master_seed, r, n, T)
@@ -410,12 +421,8 @@ def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
 
 def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarray,
                 mc_pop: int, master_seed: int) -> GapReport:
-    """F(w) - F_S(w) and F(w) - F* over the replicate outputs ``outs`` (R, d)."""
+    """F(w) and F(w) - F_S(w) over the replicate outputs ``outs`` (R, d)."""
     seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r)
              for r in range(outs.shape[0])]
     pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
-    try:
-        f_star, _ = population_risk_minimum(loss, dist)
-    except InvalidArgument:
-        f_star = float("nan")
-    return GapReport(gap=pop - emp, excess=pop - f_star)
+    return GapReport(pop=pop, gap=pop - emp)

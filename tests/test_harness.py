@@ -440,6 +440,60 @@ def test_cli_infinite_step_size_exits_2_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["thm2", "thmD1", "propD2", "propG1", "propG2"])
+def test_cli_ball_domain_on_an_unprojected_target_exits_2(tmp_path, capsys, monkeypatch,
+                                                          target):
+    # these targets run without projection, so a ball would be named in the
+    # config hash and ignored by the runs
+    def fail(cfg, em):
+        raise AssertionError("the target ran")
+
+    monkeypatch.setitem(experiments._TARGET_RUNNERS, target, fail)
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nout_path = {out}\n"
+            "[domain]\nkind = ball\nradius = 0.01\n")
+    assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"target {target} runs without projection" in err[0]
+    assert not out.exists()
+
+
+# alpha = 0.5 pairs with no closed-form population risk or risk minimum
+_HOLDER_PAIRS = {
+    "q_hinge": ("[loss]\nkind = q_hinge\nq = 1.5\n"
+                "[distribution]\nkind = margin_classif\nw_star = 1.0, 0.0, 0.0, 0.0\n"
+                "cov = 0.25\nflip_prob = 0.1\n"),
+    "q_power_abs": ("[loss]\nkind = q_power_abs\nq = 1.5\n"
+                    "[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\n"
+                    "cov = 0.25\nnoise_sd = 0.25\n"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_HOLDER_PAIRS))
+def test_cli_thmD1_holder_interior_uses_monte_carlo_risk(tmp_path, capsys, pair):
+    # the gap gate needs E F(A(S)) only, not F*, so the Monte-Carlo
+    # population risk lets thmD1 run for 0 < alpha < 1
+    def text(out, mc_pop):
+        return (f"[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 16\n"
+                f"T_rule = equal_n\nreplicates = 20\nmc_pop = {mc_pop}\n"
+                f"out_path = {out}\n" + _HOLDER_PAIRS[pair]
+                + "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n")
+
+    out = tmp_path / "mc"
+    assert main(["bound-check", "--config", _write(tmp_path, text(out, 2000))]) == 0
+    rows = [r.split(",") for r in (out / "bound-check.csv").read_text().splitlines()[1:]]
+    assert [(r[3], r[6], r[10]) for r in rows] == [
+        ("16", "l2_sq_stability", "1"), ("16", "generalization_gap", "1")]
+    assert all(np.isfinite(float(r[k])) for r in rows for k in (7, 8, 9))
+    capsys.readouterr()
+    # with no Monte-Carlo samples there is no population risk to take
+    none = tmp_path / "none"
+    assert main(["bound-check", "--config", _write(tmp_path, text(none, 0))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no closed form" in err[0] and "mc_samples > 0" in err[0]
+    assert not (none / "bound-check.csv").exists()
+
+
 def test_cli_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("keep me\n")

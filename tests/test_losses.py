@@ -532,21 +532,6 @@ def test_checkers_random_sweep():
                 assert check_smoothness_upper_bound(loss, w, w2, z)
 
 
-def _check(name, loss, w, w2, z, eta, tol):
-    if name == "self_bounding":
-        return check_self_bounding(loss, w, z, tol)
-    if name == "gradient_monotonicity":
-        return check_gradient_monotonicity(loss, w, w2, z, tol)
-    if name == "cocoercivity":
-        return check_cocoercivity(loss, w, w2, z, tol)
-    if name == "nonexpansive":
-        return check_nonexpansive(loss, w, w2, z, eta, tol)
-    if name == "expansiveness_slack":
-        return check_expansiveness_slack(loss, w, w2, z, eta, tol)
-    assert name == "smoothness_upper_bound"
-    return check_smoothness_upper_bound(loss, w, w2, z, tol)
-
-
 def _ref_holder(loss, x, y):
     """Hölder constant of one example, from the scalar formula of each kind."""
     nx = math.sqrt(sum(v * v for v in x))

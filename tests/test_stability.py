@@ -6,6 +6,9 @@ from sgdlab.data import (
     Dataset,
     GaussLinReg,
     NeighborFamily,
+    population_risk,
+    population_risk_minimum,
+    sample_dataset,
     sample_neighbor_family,
 )
 from sgdlab.errors import InvalidArgument, ResourceLimitExceeded
@@ -17,6 +20,8 @@ from sgdlab.stability import (
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
+    replicate_dataset,
+    replicate_family,
     _replicate_dataset_seed,
 )
 
@@ -104,6 +109,22 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
             fam.ghost.features[None], fam.ghost.labels[None], np.array([[0]]),
             etas[r], 0.5, _engine.index_matrix(key, n, T, 1))
         assert got[r] == np.linalg.norm(out.finals[:, 1] - out.finals[:, 0], axis=1)[0]
+
+
+def test_replicate_data_is_keyed_by_the_replicate_seed():
+    # replicate r draws from seed (master seed, replicate tag, r); its
+    # family's base is its dataset
+    dist, n, master_seed = _dist(), 6, 4
+    for r in range(3):
+        seed = _replicate_dataset_seed(master_seed, r)
+        ds = replicate_dataset(dist, n, master_seed, r)
+        fam = replicate_family(dist, n, master_seed, r)
+        want = sample_neighbor_family(dist, n, seed)
+        assert ds.features.tobytes() == sample_dataset(dist, n, seed).features.tobytes()
+        assert fam.base.features.tobytes() == ds.features.tobytes()
+        assert fam.base.labels.tobytes() == ds.labels.tobytes()
+        assert fam.ghost.features.tobytes() == want.ghost.features.tobytes()
+        assert fam.ghost.labels.tobytes() == want.ghost.labels.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +315,12 @@ def test_gap_determinism_and_fields():
                                       output="final")
     rep2 = estimate_generalization_gap(*args, replicates=16, mc_pop=0, master_seed=3,
                                        output="final")
+    assert rep.pop.tobytes() == rep2.pop.tobytes()
     assert rep.gap.tobytes() == rep2.gap.tobytes()
-    assert rep.excess.tobytes() == rep2.excess.tobytes()
-    assert rep.gap.shape == rep.excess.shape == (16,)
-    assert np.all(np.isfinite(rep.excess)) and np.all(rep.excess >= 0.0)
+    assert rep.pop.shape == rep.gap.shape == (16,)
+    # no output beats the risk minimum 0.5 noise_sd^2
+    f_star, _ = population_risk_minimum(LeastSquares(), _dist())
+    assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop >= f_star)
 
 
 def test_gap_output_selection():
@@ -328,11 +351,16 @@ def test_gap_zero_steps_is_zero_gap():
     assert abs(rep.gap.mean()) <= 4 * se + 1e-12
 
 
-def test_gap_excess_nan_without_minimum():
+def test_gap_runs_without_risk_minimum():
+    # the gap needs F(w) only: a pair with no closed-form F* runs on the
+    # Monte-Carlo population risk
+    with pytest.raises(InvalidArgument):
+        population_risk_minimum(QNormHinge(q=1.5), _dist())
     rep = estimate_generalization_gap(QNormHinge(q=1.5), _dist(), 6, 6,
                                       FixedConstant(0.05), None, replicates=4,
                                       mc_pop=500, master_seed=2, output="final")
-    assert np.all(np.isnan(rep.excess)) and rep.excess.shape == (4,)
+    assert rep.pop.shape == rep.gap.shape == (4,)
+    assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop > 0.0)
     assert np.all(np.isfinite(rep.gap))
 
 
@@ -349,9 +377,15 @@ def test_gap_from_stability_equals_the_gap_estimator(loss, subsample, mc_pop):
     want = estimate_generalization_gap(loss, _dist(), 7, 9, sched, None,
                                        replicates=6, mc_pop=mc_pop, master_seed=8,
                                        output="final")
-    # floats to the last bit; nan excess alike
+    # floats to the last bit
+    assert got.pop.tobytes() == want.pop.tobytes()
     assert got.gap.tobytes() == want.gap.tobytes()
-    assert got.excess.tobytes() == want.excess.tobytes()
+    # pop is F at each base output, with replicate r's population seed, and
+    # gap is pop - F_S
+    seeds = [_engine.derive_seed(8, _engine.TAG_POP, r) for r in range(6)]
+    pop, _ = population_risk(loss, _dist(), stab.finals, mc_samples=mc_pop, seed=seeds)
+    assert got.pop.tobytes() == pop.tobytes()
+    assert got.gap.tobytes() == (pop - stab.emp_risk).tobytes()
 
 
 def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
