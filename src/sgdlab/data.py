@@ -385,16 +385,40 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     return np.where(zero, 1.0, risk)
 
 
+def closed_form_risk(loss: Loss, dist: Distribution):
+    """The pair's exact population risk as a function of rows W (R, d), or None.
+
+    The pairs with closed forms: least squares / Gaussian linear regression,
+    the AUC surrogate / two-class Gaussian (requires matching moment
+    parameters, else it raises), and plain hinge (q = 1) / margin model
+    (through the bivariate normal, with Owen's T function).  No risk is
+    evaluated here.
+    """
+    if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
+        return lambda W: 0.5 * (_row_forms(W - dist.w_star, dist.cov) + dist.noise_sd ** 2)
+    if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
+        if not (math.isclose(loss.p, dist.p)
+                and np.allclose(loss.mu_plus, dist.mu_plus)
+                and np.allclose(loss.mu_minus, dist.mu_minus)):
+            raise InvalidArgument(
+                "the AUC surrogate's moment parameters must match the distribution")
+        dmu = dist.mu_plus - dist.mu_minus
+        M = dist.cov_plus + dist.cov_minus
+        return lambda W: np.array([dist.p * (1.0 - dist.p) * ((1.0 - float(v @ dmu)) ** 2
+                                                               + float(v @ M @ v))
+                                   for v in W])
+    if isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
+        return lambda W: _hinge_margin_risk(W, dist)
+    return None
+
+
 def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
                     mc_samples: int = 0, seed=0):
     """F(w) = E[f(w; z)] with a standard error.
 
     ``w`` is one parameter vector (d,), which gives (float, float), or a
     batch of rows (R, d), which gives two arrays of R values.  Returns an
-    exact value (stderr 0) for the pairs with closed forms: least squares /
-    Gaussian linear regression, the AUC surrogate / two-class Gaussian
-    (requires matching moment parameters), and plain hinge (q = 1) / margin
-    model (through the bivariate normal, with Owen's T function).  Every
+    exact value (stderr 0) for the pairs with a ``closed_form_risk``.  Every
     other pair needs mc_samples > 0; ``seed`` is then one seed, or one seed
     per row of a batch, and each row is estimated as a single-row call with
     its seed would be.
@@ -403,20 +427,9 @@ def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
     W = np.atleast_2d(w)
     R = W.shape[0]
     stderr = np.zeros(R)
-    if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
-        val = 0.5 * (_row_forms(W - dist.w_star, dist.cov) + dist.noise_sd ** 2)
-    elif isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
-        if not (math.isclose(loss.p, dist.p)
-                and np.allclose(loss.mu_plus, dist.mu_plus)
-                and np.allclose(loss.mu_minus, dist.mu_minus)):
-            raise InvalidArgument(
-                "the AUC surrogate's moment parameters must match the distribution")
-        dmu = dist.mu_plus - dist.mu_minus
-        M = dist.cov_plus + dist.cov_minus
-        val = np.array([dist.p * (1.0 - dist.p) * ((1.0 - float(v @ dmu)) ** 2
-                                                    + float(v @ M @ v)) for v in W])
-    elif isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
-        val = _hinge_margin_risk(W, dist)
+    closed = closed_form_risk(loss, dist)
+    if closed is not None:
+        val = closed(W)
     elif mc_samples <= 0:
         raise InvalidArgument(
             f"no closed form for ({loss.kind}, {dist.kind}); pass mc_samples > 0")

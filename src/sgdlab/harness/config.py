@@ -25,8 +25,6 @@ from ..optim import Ball, Schedule, make_schedule
 EXPERIMENTS = ("properties", "oracle", "stability-sweep", "rate-fit", "bound-check")
 T_RULES = ("equal_n", "n_squared", "n_pow")
 TARGETS = ("thm2", "thmD1", "thm6", "thm8", "propD2", "propG2", "propG1")
-#: the targets whose runs project onto a [domain] ball; the others run unprojected
-BALL_TARGETS = ("thm6", "thm8")
 LOSS_KINDS = ("least_squares", "q_hinge", "q_power_abs", "auc_square")
 DIST_KINDS = ("gauss_lin_reg", "realizable_lin_reg", "margin_classif", "imbalanced_gauss")
 SCHEDULE_KINDS = ("fixed_constant", "horizon_constant", "horizon_poly",
@@ -42,7 +40,6 @@ class ExperimentConfig:
     T_rule: str = "equal_n"
     T_pow: Optional[float] = None
     replicates: int = 100
-    neighbor_subsample: Optional[int] = None  # None = every position
     master_seed: int = 0
     out_path: str = "out"
     threads: int = 1
@@ -110,10 +107,6 @@ def _parse_str(s: str) -> str:
     return s
 
 
-def _parse_subsample(s: str) -> Optional[int]:
-    return None if s == "all" else _parse_int(s)
-
-
 def _show(v) -> str:
     if isinstance(v, tuple):
         return ", ".join(repr(x) for x in v)
@@ -130,7 +123,6 @@ _SCHEMA = {
         "T_rule": ("T_rule", _parse_str),
         "T_pow": ("T_pow", _parse_float),
         "replicates": ("replicates", _parse_int),
-        "neighbor_subsample": ("neighbor_subsample", _parse_subsample),
         "master_seed": ("master_seed", _parse_int),
         "out_path": ("out_path", _parse_str),
         "threads": ("threads", _parse_int),
@@ -265,9 +257,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "bound-check":
         if cfg.target not in TARGETS:
             raise ConfigError(f"bound-check needs target in {TARGETS}, got {cfg.target!r}")
-        if cfg.domain_kind == "ball" and cfg.target not in BALL_TARGETS:
-            raise ConfigError(f"target {cfg.target} runs without projection; "
-                              f"a ball domain is used only by {BALL_TARGETS}")
     if cfg.output is not None and cfg.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {OUTPUTS}, got {cfg.output!r}")
     if cfg.loss_kind not in LOSS_KINDS:

@@ -22,7 +22,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from ..bounds import (
     thmD1_nonsmooth_l2_bound,
 )
 from ..data import (
+    closed_form_risk,
     min_positive_eigenvalue,
     population_risk,
     population_risk_minimum,
@@ -288,23 +289,17 @@ def run_property_battery(draws: int, master_seed: int):
     return results
 
 
-def _run_properties(cfg: ExperimentConfig) -> _Emitter:
-    em = _Emitter(cfg)
+def _run_properties(cfg: ExperimentConfig, em: _Emitter) -> None:
     for name, label, draws, failures in run_property_battery(cfg.draws, cfg.master_seed):
         em.row(f"{name}:{label}", float(failures), bound_rhs=0.0,
                satisfied=(failures == 0))
-    return em
 
 
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
 
-def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
-    em = _Emitter(cfg)
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    domain = build_domain(cfg)
+def _run_oracle(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     for n, T, sched, theta in _grid(cfg):
         family = sample_neighbor_family(dist, n, cfg.master_seed)
         l1_exact, l2_exact = brute_force_stability(loss, family, sched, domain, T)
@@ -330,7 +325,6 @@ def _run_oracle(cfg: ExperimentConfig) -> _Emitter:
         em.row("l2_sq_exact", l2_exact, n=n, T=T, theta=theta)
         em.gate_row("l2_sq_agreement", 0.0, abs(l2_sq - l2_exact), l2_sq_se, n=n, T=T,
                     theta=theta, roundoff=roundoff(l2_exact, l2_sq))
-    return em
 
 
 # ---------------------------------------------------------------------------
@@ -342,35 +336,23 @@ def _stability(cfg, loss, dist, n, T, sched, domain, record_risks,
     """The configured on-average stability estimate at one grid point."""
     return estimate_on_average_stability(loss, dist, n, T, sched, domain,
                                          cfg.replicates, cfg.master_seed,
-                                         neighbor_subsample=cfg.neighbor_subsample,
                                          record_risks=record_risks,
                                          without_replacement=without_replacement)
 
 
-def _run_stability_sweep(cfg: ExperimentConfig) -> _Emitter:
-    em = _Emitter(cfg)
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    domain = build_domain(cfg)
+def _run_stability_sweep(cfg: ExperimentConfig, em: _Emitter, loss, dist,
+                         domain) -> None:
     for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=True)
         for metric, vals in (("l1_stability", rep.l1), ("l2_sq_stability", rep.l2_sq),
                              ("final_emp_risk", rep.emp_risk)):
             mean, se = _mean_se(vals)
             em.row(metric, mean, n=n, T=T, theta=theta, stderr=se)
-    return em
 
 
-def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
-    em = _Emitter(cfg)
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    domain = build_domain(cfg)
+def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain,
+                  f_star: float) -> None:
     output = cfg.output if cfg.output is not None else "avg_eta"
-    try:
-        f_star, _ = population_risk_minimum(loss, dist)
-    except InvalidArgument as e:
-        raise ConfigError(f"rate-fit needs the population risk minimum: {e}") from e
     points = []
     for n, T, sched, theta in _grid(cfg):
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
@@ -385,7 +367,6 @@ def _run_rate_fit(cfg: ExperimentConfig) -> _Emitter:
     else:
         em.row("slope", fit.slope, theta=theta)
     em.row("r_squared", fit.r_squared, theta=theta)
-    return em
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +387,10 @@ def _sup_holder(loss, dist) -> Tuple[float, float, float]:
     return X, L, g0
 
 
-def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    if loss.alpha != 1.0:
-        raise ConfigError("target thm2 needs a smooth loss")
+def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     _, L, _ = _sup_holder(loss, dist)
     for n, T, sched, theta in _grid(cfg):
         etas = sched.etas(T)
-        # Theorem 2's step-size condition; beyond it the runs can diverge
-        # with a stderr as large as the mean, and the gates would pass
-        if float(etas.max()) > 2.0 / L:
-            raise PreconditionViolation(
-                f"thm2 needs eta_t <= 2/L = {2.0 / L:.6g}, but the schedule "
-                f"reaches {float(etas.max()):.6g} at n = {n}")
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
         risk_path = expand_risk_path(rep.risk_steps, _upper(rep.risk), T)
         sqrt_risk_path = expand_risk_path(
@@ -438,13 +409,9 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter) -> None:
                     theta=theta)
 
 
-def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    if not loss.alpha < 1.0:
-        raise ConfigError("target thmD1 needs a non-smooth loss (alpha < 1)")
+def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     _, L, g0 = _sup_holder(loss, dist)
-    consts = regularity_constants(loss.alpha, L, g0 if loss.alpha == 0.0 else None)
+    consts = regularity_constants(loss.alpha, L, g0)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
     for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
@@ -466,12 +433,7 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter) -> None:
                     n=n, T=T, theta=theta)
 
 
-def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    domain = build_domain(cfg)
-    if domain is None:
-        raise ConfigError("target thm6 needs a ball domain (bounded gradients)")
+def _check_thm6(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     X, L, _ = _sup_holder(loss, dist)
     G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
     for n, T, sched, theta in _grid(cfg):
@@ -499,14 +461,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter) -> None:
                     roundoff=roundoff)
 
 
-def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    domain = build_domain(cfg)
-    if loss.kind != "least_squares":
-        raise ConfigError("target thm8 is defined for least squares")
-    if domain is None:
-        raise ConfigError("target thm8 needs a ball domain")
+def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     X, L, _ = _sup_holder(loss, dist)
     G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
     for n in cfg.n_grid:
@@ -528,14 +483,7 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter) -> None:
                     n=n, T=T)
 
 
-def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    if loss.kind != "least_squares":
-        raise ConfigError("target propD2 uses the closed-form ridge minimizer "
-                          "(least squares only)")
-    if cfg.sigma is None or cfg.sigma <= 0.0:
-        raise ConfigError("target propD2 needs sigma (= the ridge strength) > 0")
+def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     lam = cfg.sigma
     X, L, _ = _sup_holder(loss, dist)
     # per-example objective f + (lam/2)||w||^2 is smooth with constant L + lam
@@ -560,16 +508,7 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter) -> None:
         em.gate_row("erm_gap", rhs, *_mean_se(gaps), n=n)
 
 
-def _require_lipschitz_hinge(loss, target: str) -> None:
-    if not (loss.kind == "q_hinge" and loss.alpha == 0.0):
-        raise ConfigError(f"target {target} needs the plain hinge (q = 1), "
-                          f"whose gradients are globally bounded")
-
-
-def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    _require_lipschitz_hinge(loss, "propG2")
+def _check_propG2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     X, L, g0 = _sup_holder(loss, dist)
     G = X  # hinge subgradient is -y x or 0
     c3 = regularity_constants(loss.alpha, L, g0).c3
@@ -584,16 +523,10 @@ def _check_propG2(cfg: ExperimentConfig, em: _Emitter) -> None:
                     n=n, T=T, theta=theta)
 
 
-def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
-    loss = build_loss(cfg)
-    dist = build_distribution(cfg)
-    _require_lipschitz_hinge(loss, "propG1")
+def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     X, L, g0 = _sup_holder(loss, dist)
     G = X
     c3 = regularity_constants(loss.alpha, L, g0).c3
-    if cfg.sched_kind != "horizon_poly":
-        raise ConfigError("target propG1 is stated for constant steps "
-                          "c * T^(-theta); use a horizon_poly schedule")
     for n, T, sched, theta in _grid(cfg):
         rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, c3, G, T, n,
                                      cfg.delta)
@@ -612,21 +545,75 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter) -> None:
                     n=n, T=T, theta=theta)
 
 
-_TARGET_RUNNERS = {
-    "thm2": _check_thm2,
-    "thmD1": _check_thmD1,
-    "thm6": _check_thm6,
-    "thm8": _check_thm8,
-    "propD2": _check_propD2,
-    "propG2": _check_propG2,
-    "propG1": _check_propG1,
+# ---------------------------------------------------------------------------
+# what each target needs: rules checked before anything runs
+# ---------------------------------------------------------------------------
+
+def _rule(holds, what: str):
+    """A need that ``holds(cfg, loss)``; otherwise the target needs ``what``."""
+    def need(cfg, loss, dist) -> None:
+        if not holds(cfg, loss):
+            raise ConfigError(f"target {cfg.target} needs {what}")
+    return need
+
+
+_SMOOTH = _rule(lambda cfg, loss: loss.alpha == 1.0, "a smooth loss")
+_HOLDER = _rule(lambda cfg, loss: loss.alpha < 1.0, "a non-smooth loss (alpha < 1)")
+_LEAST_SQUARES = _rule(lambda cfg, loss: loss.kind == "least_squares", "least squares")
+_PLAIN_HINGE = _rule(lambda cfg, loss: loss.kind == "q_hinge" and loss.alpha == 0.0,
+                     "the plain hinge (q = 1), whose gradients are globally bounded")
+_RIDGE = _rule(lambda cfg, loss: cfg.sigma is not None and cfg.sigma > 0.0,
+               "sigma (= the ridge strength) > 0")
+_HORIZON_POLY = _rule(lambda cfg, loss: cfg.sched_kind == "horizon_poly",
+                      "a horizon_poly schedule (constant steps c * T^(-theta))")
+
+
+def _steps_within_2_over_L(cfg, loss, dist) -> None:
+    # Theorem 2's step-size condition at every n of the grid; beyond it the
+    # runs can diverge with a stderr as large as the mean, and the gates
+    # would pass
+    _, L, _ = _sup_holder(loss, dist)
+    for n, T, sched, _ in _grid(cfg):
+        top = float(sched.etas(T).max())
+        if top > 2.0 / L:
+            raise PreconditionViolation(
+                f"thm2 needs eta_t <= 2/L = {2.0 / L:.6g}, but the schedule "
+                f"reaches {top:.6g} at n = {n}")
+
+
+def _risk_closed_or_sampled(cfg, loss, dist) -> None:
+    # the gap gates take F(w) in closed form or from mc_pop samples
+    if cfg.mc_pop <= 0 and closed_form_risk(loss, dist) is None:
+        raise ConfigError(f"no closed form for ({loss.kind}, {dist.kind}); "
+                          f"pass mc_samples > 0 (mc_pop in [experiment])")
+
+
+def _risk_closed_form(cfg, loss, dist) -> None:
+    if closed_form_risk(loss, dist) is None:
+        raise ConfigError(f"target {cfg.target} needs a closed-form population "
+                          f"risk, and ({loss.kind}, {dist.kind}) has none")
+
+
+class _Target(NamedTuple):
+    """A bound-check target: its runner, whether its runs project onto the
+    [domain] ball (one that does not rejects a ball), and its needs, each a
+    function of (cfg, loss, dist) that raises when the config misses it."""
+
+    run: Callable[..., None]
+    ball: bool
+    needs: Tuple[Callable[..., None], ...]
+
+
+_TARGETS = {
+    "thm2": _Target(_check_thm2, False,
+                    (_SMOOTH, _steps_within_2_over_L, _risk_closed_or_sampled)),
+    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _risk_closed_or_sampled)),
+    "thm6": _Target(_check_thm6, True, (_risk_closed_form,)),
+    "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES,)),
+    "propD2": _Target(_check_propD2, False, (_LEAST_SQUARES, _RIDGE, _risk_closed_form)),
+    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE,)),
+    "propG1": _Target(_check_propG1, False, (_PLAIN_HINGE, _HORIZON_POLY)),
 }
-
-
-def _run_bound_check(cfg: ExperimentConfig) -> _Emitter:
-    em = _Emitter(cfg)
-    _TARGET_RUNNERS[cfg.target](cfg, em)
-    return em
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +625,57 @@ _RUNNERS = {
     "oracle": _run_oracle,
     "stability-sweep": _run_stability_sweep,
     "rate-fit": _run_rate_fit,
-    "bound-check": _run_bound_check,
 }
+
+
+def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
+    """The configured runner and its arguments after (cfg, emitter).
+
+    Builds the loss, distribution and domain once and checks every rule that
+    needs no run: a bound-check target's ``_TARGETS`` entry, and rate-fit's
+    F*.  No population risk is evaluated.
+    """
+    if cfg.experiment == "properties":
+        return _RUNNERS["properties"], ()
+    target = _TARGETS[cfg.target] if cfg.experiment == "bound-check" else None
+    if target is not None and target.ball != (cfg.domain_kind == "ball"):
+        if target.ball:
+            raise ConfigError(f"target {cfg.target} needs a ball domain")
+        balls = tuple(name for name, t in _TARGETS.items() if t.ball)
+        raise ConfigError(f"target {cfg.target} runs without projection; "
+                          f"a ball domain is used only by {balls}")
+    loss, dist, domain = build_loss(cfg), build_distribution(cfg), build_domain(cfg)
+    if target is not None:
+        for need in target.needs:
+            need(cfg, loss, dist)
+        return target.run, (loss, dist, domain)
+    if cfg.experiment != "rate-fit":
+        return _RUNNERS[cfg.experiment], (loss, dist, domain)
+    try:
+        f_star, _ = population_risk_minimum(loss, dist)
+    except InvalidArgument as e:
+        raise ConfigError(f"rate-fit needs the population risk minimum: {e}") from e
+    return _RUNNERS["rate-fit"], (loss, dist, domain, f_star)
 
 
 def run_experiment(cfg: ExperimentConfig,
                    gates: Optional[List[GateLine]] = None) -> int:
     """Run one experiment, write `<out_path>/<experiment>.csv`, return 0/1.
 
-    The outcome of every gate, in CSV order, is appended to ``gates`` when
-    a list is given.
+    Every rule on the config is checked before the CSV's directory is made
+    and before anything runs.  The outcome of every gate, in CSV order, is
+    appended to ``gates`` when a list is given.
     """
     validate_config(cfg)
+    runner, parts = _prepare(cfg)
     # the CSV's directory is made before any work runs, so a path that cannot
     # be one fails at once
     try:
         os.makedirs(cfg.out_path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"out_path {cfg.out_path!r}: {e.strerror}") from None
-    em = _RUNNERS[cfg.experiment](cfg)
+    em = _Emitter(cfg)
+    runner(cfg, em, *parts)
     write_csv(os.path.join(cfg.out_path, f"{cfg.experiment}.csv"), em.rows)
     if gates is not None:
         gates.extend(em.gates)

@@ -8,14 +8,13 @@ stability analysis controls.
 One skeleton, ``_replicate_batches``, runs the replicates of every estimator.
 It takes the data of each replicate (a family held fixed, or a function of
 the replicate number that samples or looks up its family, or its dataset
-alone when no neighbour runs), the neighbour positions (all n, a subsample
-per replicate, or given ones), the index streams (a function of the
-replicate number: i.i.d. keys or per-epoch permutations; or given
-sequences), the step sizes ((T,), or (R, T) when they differ between
-replicates) and the radius of the ball each step projects onto, if any.  It
-stacks a chunk of replicates, runs it through ``_engine.run_core`` and hands
-the result to its caller, which stores each replicate's values before the
-next chunk runs.
+alone when no neighbour runs), the neighbour positions, if any, the index
+streams (a function of the replicate number: i.i.d. keys or per-epoch
+permutations; or given sequences), the step sizes ((T,), or (R, T) when
+they differ between replicates) and the radius of the ball each step
+projects onto, if any.  It stacks a chunk of replicates, runs it through
+``_engine.run_core`` and hands the result to its caller, which stores each
+replicate's values before the next chunk runs.
 
 The estimators return those per-replicate values and take no mean or
 standard error over replicates; the caller reduces them.  The exception is
@@ -23,9 +22,9 @@ standard error over replicates; the caller reduces them.  The exception is
 sequences.
 
 Seed discipline: replicate r of a given master seed derives its dataset from
-(master_seed, replicate tag, r), its position subsample from (master_seed,
-subsample tag, r) and its index stream from (master_seed, index tag, r), or
-from (master_seed, permutation tag, r) for epochs without replacement.
+(master_seed, replicate tag, r) and its index stream from (master_seed,
+index tag, r), or from (master_seed, permutation tag, r) for epochs without
+replacement.
 ``replicate_dataset`` and ``replicate_family`` draw replicate r's data; the
 harness uses them too for the replicates it runs outside the estimators.
 ``coupled_distances`` keys replicate r's stream by the replicate's own seed
@@ -147,7 +146,6 @@ def _arrays(data, ghosts: bool) -> tuple:
 
 def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
                        radius: Optional[float], families, streams, positions=None,
-                       master_seed: Optional[int] = None,
                        **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
                                                     np.ndarray, np.ndarray]]:
     """Run R replicates chunk by chunk, in order; yield ``(lo, hi, out, Xs, ys)``.
@@ -158,10 +156,8 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
     families: a NeighborFamily held fixed for every replicate, or a function
         of r giving replicate r's NeighborFamily; a Dataset in place of a
         family when ``positions`` is None.
-    positions: None (the base runs only); an int m, for all n positions when
-        m = n and otherwise m positions drawn per replicate from
-        (master_seed, subsample tag, r); or an array of positions given for
-        every replicate.
+    positions: None (the base runs only), or the array of neighbour positions
+        every replicate runs.
     streams: a function of r giving replicate r's (1, T) index stream, or an
         (R, T) array of given index sequences.
     etas: (T,), or (R, T) for step sizes per replicate.
@@ -169,20 +165,13 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
 
     ``collect`` goes to ``run_core``.
     """
-    given = None
     if positions is None:
         m = 0
-    elif isinstance(positions, int):
-        m = positions
-        if m == n:
-            given = np.arange(n, dtype=np.int64)
     else:
         given = np.asarray(positions, dtype=np.int64)
         m = given.shape[0]
         if not np.all((given >= 0) & (given < n)):
             raise InvalidArgument(f"neighbor positions must be in [0, {n}), got {given}")
-    if m > n:
-        raise InvalidArgument(f"{m} neighbor positions exceed n = {n}")
     if etas.ndim == 2 and etas.shape[0] != R:
         raise InvalidArgument(
             f"step sizes per replicate need {R} rows, got {etas.shape[0]}")
@@ -203,14 +192,7 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
             cols = [np.broadcast_to(a, (Rc,) + a.shape) for a in _arrays(families, m > 0)]
         Xs, ys, gXs, gys = cols if m else cols + [None, None]
 
-        if given is not None:
-            sub = np.broadcast_to(given, (Rc, m))
-        elif m:
-            sub = np.stack([
-                _engine.philox(_engine.derive_seed(master_seed, _engine.TAG_SUBSAMPLE, r))
-                .permutation(n)[:m] for r in range(lo, hi)])
-        else:
-            sub = None
+        sub = np.broadcast_to(given, (Rc, m)) if m else None
 
         if isinstance(streams, np.ndarray):
             indices = streams[lo:hi]
@@ -235,17 +217,15 @@ def _distance_means(out: _engine.CoreResult) -> Tuple[np.ndarray, np.ndarray]:
 def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: int,
                                   T: int, sched: Schedule, domain: Optional[Ball],
                                   replicates: int, master_seed: int, *,
-                                  neighbor_subsample: Optional[int] = None,
                                   record_risks: bool = True,
                                   fixed_family: Optional[NeighborFamily] = None,
                                   without_replacement: bool = False
                                   ) -> StabilityReport:
     """Measure the l1/l2 on-average model stability of projected SGD per replicate.
 
-    Each replicate draws (S, ghost, index stream, position subsample), runs
-    the coupled family, and averages ||w - w^(i)|| (and its square) over
-    ``neighbor_subsample`` positions drawn without replacement (None = all
-    n).  ``record_risks`` records the empirical risk of each base run along
+    Each replicate draws (S, ghost, index stream), runs the coupled family,
+    and averages ||w - w^(i)|| (and its square) over all n positions.
+    ``record_risks`` records the empirical risk of each base run along
     its path and at its output.  With ``fixed_family`` the datasets are held
     fixed and only the index stream varies (the conditional expectation the
     enumeration oracle computes exactly).  With ``without_replacement`` the
@@ -254,9 +234,6 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     """
     if not replicates >= 1:
         raise InvalidArgument(f"replicates must be >= 1, got {replicates}")
-    if neighbor_subsample is not None and not neighbor_subsample >= 1:
-        raise InvalidArgument(
-            f"neighbor_subsample must be >= 1, got {neighbor_subsample}")
     if not (n >= 1 and T >= 0):
         raise InvalidArgument("n must be >= 1 and T >= 0")
     if without_replacement and T % n:
@@ -290,11 +267,10 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     else:
         def streams(r):
             return _replicate_index_key(master_seed, r, n, T)
-    m = neighbor_subsample if neighbor_subsample is not None else n
 
     for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, sched.etas(T), _radius(domain), families, streams, m,
-            master_seed, risk_ckpt_steps=ckpt):
+            loss, R, n, sched.etas(T), _radius(domain), families, streams,
+            np.arange(n), risk_ckpt_steps=ckpt):
         l1[lo:hi], l2_sq[lo:hi] = _distance_means(out)
         finals[lo:hi] = out.finals[:, 0]
         if risk is not None:
@@ -357,7 +333,7 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     l2_seq = np.empty(M)
     for lo, hi, out, _, _ in _replicate_batches(
             loss, M, n, sched.etas(T), _radius(domain), family,
-            _all_index_sequences(n, T), n):
+            _all_index_sequences(n, T), np.arange(n)):
         l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)
     return float(l1_seq.mean()), float(l2_seq.mean())
 

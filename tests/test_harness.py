@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from sgdlab import _engine, stability
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness import experiments
 from sgdlab.harness.cli import main
 from sgdlab.harness.config import (
+    TARGETS,
     ExperimentConfig,
     build_distribution,
     build_domain,
@@ -32,7 +34,6 @@ n_grid = 8, 16, 32
 T_rule = n_pow
 T_pow = 1.5
 replicates = 40
-neighbor_subsample = 4
 master_seed = 11
 threads = 2
 mc_pop = 1000
@@ -81,7 +82,7 @@ def test_parse_round_trip():
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert cfg.n_grid == (8, 16, 32)
-    assert cfg.T_pow == 1.5 and cfg.neighbor_subsample == 4
+    assert cfg.T_pow == 1.5
     assert cfg.loss_q == 1.5 and cfg.w_star == (1.0, 0.0, 0.0)
     assert cfg.domain_kind == "ball" and cfg.radius == 2.5
 
@@ -92,11 +93,6 @@ def test_parse_repr_floats_round_trip():
     cfg = dataclasses.replace(cfg, eta1=0.1 + 2e-17, T_pow=1 / 3)
     again = parse_config(serialize_config(cfg))
     assert again.eta1 == cfg.eta1 and again.T_pow == cfg.T_pow
-
-
-def test_parse_subsample_all_keyword():
-    text = _properties_text("out") + "neighbor_subsample = all\n"
-    assert parse_config(text).neighbor_subsample is None
 
 
 def test_parse_error_line_numbers():
@@ -445,16 +441,93 @@ def test_cli_ball_domain_on_an_unprojected_target_exits_2(tmp_path, capsys, monk
                                                           target):
     # these targets run without projection, so a ball would be named in the
     # config hash and ignored by the runs
-    def fail(cfg, em):
+    def fail(*args):
         raise AssertionError("the target ran")
 
-    monkeypatch.setitem(experiments._TARGET_RUNNERS, target, fail)
+    monkeypatch.setitem(experiments._TARGETS, target,
+                        experiments._TARGETS[target]._replace(run=fail))
     out = tmp_path / "res"
     text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nout_path = {out}\n"
             "[domain]\nkind = ball\nradius = 0.01\n")
     assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"target {target} runs without projection" in err[0]
+    assert not out.exists()
+
+
+def test_target_table_names_every_target():
+    assert list(experiments._TARGETS) == list(TARGETS)
+
+
+_PAIRS = {
+    "lsq": ("[loss]\nkind = least_squares\n[distribution]\nkind = gauss_lin_reg\n"
+            "w_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\nnoise_sd = 0.25\n"),
+    "hinge": ("[loss]\nkind = q_hinge\nq = 1.0\n[distribution]\nkind = margin_classif\n"
+              "w_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\nflip_prob = 0.1\n"),
+    "q_hinge_1.5": ("[loss]\nkind = q_hinge\nq = 1.5\n[distribution]\n"
+                    "kind = margin_classif\nw_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\n"
+                    "flip_prob = 0.1\n"),
+    "lsq_margin": ("[loss]\nkind = least_squares\n[distribution]\nkind = margin_classif\n"
+                   "w_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\nflip_prob = 0.1\n"),
+    "power_1.5": ("[loss]\nkind = q_power_abs\nq = 1.5\n[distribution]\n"
+                  "kind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\n"
+                  "noise_sd = 0.25\n"),
+    "power_2": ("[loss]\nkind = q_power_abs\nq = 2.0\n[distribution]\n"
+                "kind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\n"
+                "noise_sd = 0.25\n"),
+}
+_POLY = "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n"
+_SMALL_STEP = "[schedule]\nkind = fixed_constant\neta1 = 0.001\n"
+_BALL = "[domain]\nkind = ball\nradius = 2.0\n"
+
+
+# one config per rule of each target: (target, pair, rest of the config, message)
+_VIOLATIONS = {
+    "thm2-smooth": ("thm2", "hinge", _SMALL_STEP, "needs a smooth loss"),
+    "thm2-2/L": ("thm2", "lsq", "[schedule]\nkind = fixed_constant\neta1 = 50\n",
+                 "eta_t <= 2/L"),
+    "thm2-risk": ("thm2", "power_2", _SMALL_STEP,
+                  "no closed form for (q_power_abs, gauss_lin_reg); pass mc_samples > 0"),
+    "thm2-ball": ("thm2", "lsq", _SMALL_STEP + _BALL, "runs without projection"),
+    "thmD1-holder": ("thmD1", "lsq", _POLY, "needs a non-smooth loss"),
+    "thmD1-risk": ("thmD1", "power_1.5", _POLY,
+                   "no closed form for (q_power_abs, gauss_lin_reg); pass mc_samples > 0"),
+    "thm6-ball": ("thm6", "hinge", _POLY, "needs a ball domain"),
+    "thm6-risk": ("thm6", "q_hinge_1.5", _POLY + _BALL, "closed-form population risk"),
+    "thm8-lsq": ("thm8", "hinge", _BALL, "needs least squares"),
+    "thm8-ball": ("thm8", "lsq", "", "needs a ball domain"),
+    "propD2-lsq": ("propD2", "hinge", "[schedule]\nsigma = 0.1\n", "needs least squares"),
+    "propD2-ridge": ("propD2", "lsq", "", "sigma (= the ridge strength) > 0"),
+    "propD2-risk": ("propD2", "lsq_margin", "[schedule]\nsigma = 0.1\n",
+                    "closed-form population risk"),
+    "propD2-ball": ("propD2", "lsq", "[schedule]\nsigma = 0.1\n" + _BALL,
+                    "runs without projection"),
+    "propG2-hinge": ("propG2", "q_hinge_1.5", _POLY, "needs the plain hinge"),
+    "propG1-hinge": ("propG1", "lsq", _POLY, "needs the plain hinge"),
+    "propG1-poly": ("propG1", "hinge", "[schedule]\nkind = fixed_constant\neta1 = 0.1\n",
+                    "needs a horizon_poly schedule"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+def test_cli_target_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch, case):
+    # a config that misses one of its target's rules exits 2 before the
+    # output directory is made, before the engine runs and before any
+    # population risk is evaluated
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the rules were checked")
+
+    monkeypatch.setattr(_engine, "run_core", fail)
+    monkeypatch.setattr(experiments, "population_risk", fail)
+    monkeypatch.setattr(stability, "population_risk", fail)
+    target, pair, rest, message = _VIOLATIONS[case]
+    out = tmp_path / "res"
+    # sizes at which a check after the first grid point would cost seconds
+    text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 64, 512\n"
+            f"replicates = 200\nmc_pop = 0\nout_path = {out}\n" + _PAIRS[pair] + rest)
+    assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
     assert not out.exists()
 
 
@@ -527,7 +600,7 @@ def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):
     assert main(["rate-fit", "--config", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "flip_prob" in err[0]
-    assert not (out / "rate-fit.csv").exists()
+    assert not out.exists()
 
 
 def test_cli_prints_one_line_per_gate(tmp_path, capsys):
