@@ -53,8 +53,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import _engine
-from .data import (Dataset, Distribution, NeighborFamily, population_risk,
-                   sample_dataset, sample_neighbor_family)
+from .data import (Dataset, Distribution, NeighborFamily, closed_form_risk,
+                   population_risk, sample_dataset, sample_neighbor_family)
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
 from .optim import Ball, Schedule
@@ -398,7 +398,9 @@ def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
 def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarray,
                 mc_pop: int, master_seed: int) -> GapReport:
     """F(w) and F(w) - F_S(w) over the replicate outputs ``outs`` (R, d)."""
-    seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r)
-             for r in range(outs.shape[0])]
+    seeds = 0  # a closed-form risk draws nothing
+    if closed_form_risk(loss, dist) is None:
+        seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r)
+                 for r in range(outs.shape[0])]
     pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
     return GapReport(pop=pop, gap=pop - emp)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.optimize import minimize_scalar
+from scipy.special import erf, ndtr, owens_t
 from scipy.stats import norm
 
 from sgdlab import _engine
@@ -26,6 +27,7 @@ from sgdlab.data import (
     sample_neighbor_family,
     zero_example_neighbor,
 )
+from sgdlab.data import _elementwise, _ndtr, _owens_t
 from sgdlab.errors import DegenerateDataError, InvalidArgument
 from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
 
@@ -311,6 +313,51 @@ def test_population_risk_minimum_hinge_isotropic_only():
 
 
 # ---------------------------------------------------------------------------
+# Phi, erf and Owen's T against scipy.special
+# ---------------------------------------------------------------------------
+
+# h runs past 38.6, where T underflows to 0; a straddles the reflection at
+# |a| = 1 and reaches the |lam| of rows within 1e-12 of parallel to w_star
+_OWEN_H = np.unique(np.concatenate([
+    [0.0, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0, 12.0, 20.0, 30.0,
+     37.0, 38.5, 39.0, 40.0],
+    np.linspace(0.0, 40.0, 81)]))
+_OWEN_A = np.unique(np.concatenate([
+    [0.0, 1e-8, 1e-4, 0.1, 0.5, 0.9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.1, 2.0,
+     10.0, 1e3, 1e7],
+    np.logspace(-8.0, 7.0, 61)]))
+_NORMAL_X = np.unique(np.concatenate([
+    [0.0, 1e-12, -1e-12, -37.0, -37.5, -38.0, -38.5, 37.0, 40.0, -40.0],
+    np.linspace(-40.0, 40.0, 8001), np.logspace(-12.0, 1.6, 401),
+    -np.logspace(-12.0, 1.6, 401)]))
+
+
+def test_owens_t_matches_scipy():
+    H, A = np.meshgrid(_OWEN_H, np.concatenate([_OWEN_A, -_OWEN_A]))
+    H, A = H.ravel(), A.ravel()
+    got = _owens_t(H, A)
+    err = np.abs(got - owens_t(H, A))
+    worst = int(np.argmax(err))
+    assert err[worst] <= 4.5e-16, (H[worst], A[worst], err[worst])
+    # even in h, odd in a, bit for bit
+    np.testing.assert_array_equal(_owens_t(-H, A), got)
+    np.testing.assert_array_equal(_owens_t(H, -A), -got)
+    # an entry of a batch keeps the bits of a one-entry call
+    for i in range(0, H.size, 97):
+        assert _owens_t(H[i:i + 1], A[i:i + 1])[0] == got[i]
+
+
+def test_normal_distribution_function_and_erf_match_scipy():
+    x = _NORMAL_X
+    ref = ndtr(x)
+    got = _ndtr(x)
+    assert np.max(np.abs(got - ref)) <= 2.3e-16
+    tail = ref >= 1e-300
+    assert np.max(np.abs(got[tail] - ref[tail]) / ref[tail]) <= 1e-12
+    assert np.max(np.abs(_elementwise(math.erf, x) - erf(x))) <= 2.3e-16
+
+
+# ---------------------------------------------------------------------------
 # hinge population risk: closed form against the quadrature oracle
 # ---------------------------------------------------------------------------
 
@@ -511,7 +558,8 @@ def test_hinge_risk_without_flips_has_infimum_zero_and_no_minimizer():
 def test_package_import_leaves_heavy_scipy_modules_unloaded():
     import sgdlab
     src = os.path.dirname(os.path.dirname(sgdlab.__file__))
-    # scipy is loaded only by the hinge risk on the margin model
+    # importing the harness loads no part of scipy; runs do not either
+    # (tests/test_harness.py runs them in fresh processes)
     code = ("import sys, sgdlab.harness.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     env = dict(os.environ, PYTHONPATH=src)
