@@ -234,19 +234,6 @@ class ImbalancedGauss(Distribution):
         return Dataset(features=X, labels=y)
 
 
-def make_distribution(kind: str, **params) -> Distribution:
-    """Factory used by the harness config layer."""
-    table = {
-        "gauss_lin_reg": GaussLinReg,
-        "realizable_lin_reg": RealizableLinReg,
-        "margin_classif": MarginClassif,
-        "imbalanced_gauss": ImbalancedGauss,
-    }
-    if kind not in table:
-        raise InvalidArgument(f"unknown distribution kind {kind!r}")
-    return table[kind](**params)
-
-
 # ---------------------------------------------------------------------------
 # sampling ops
 # ---------------------------------------------------------------------------

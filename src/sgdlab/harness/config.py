@@ -1,6 +1,8 @@
 """Experiment configs: plain `key = value` files with [section] headers.
 
 Sections are [experiment], [loss], [distribution], [schedule] and [domain].
+Each section but [experiment] names a kind, and ``BUILDERS`` maps the kinds
+of a section to the objects they build.
 `#` starts a comment anywhere on a line, so no value can contain one.
 Unknown sections or keys are hard errors so a typo'd experiment never runs
 silently with defaults.  serialize_config/parse_config round-trip exactly
@@ -18,17 +20,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..losses import Loss, make_loss
-from ..data import Distribution, make_distribution
-from ..optim import Ball, Schedule, make_schedule
+from ..losses import AucSquare, LeastSquares, QNormHinge, QPowerAbsolute
+from ..data import GaussLinReg, ImbalancedGauss, MarginClassif, RealizableLinReg
+from ..optim import (Ball, FixedConstant, HorizonConstant, HorizonPoly, PolyDecay,
+                     StronglyConvexDecay)
 
 EXPERIMENTS = ("properties", "oracle", "stability-sweep", "rate-fit", "bound-check")
 T_RULES = ("equal_n", "n_squared", "n_pow")
 TARGETS = ("thm2", "thmD1", "thm6", "thm8", "propD2", "propG2", "propG1")
-LOSS_KINDS = ("least_squares", "q_hinge", "q_power_abs", "auc_square")
-DIST_KINDS = ("gauss_lin_reg", "realizable_lin_reg", "margin_classif", "imbalanced_gauss")
-SCHEDULE_KINDS = ("fixed_constant", "horizon_constant", "horizon_poly",
-                  "poly_decay", "strongly_convex")
 OUTPUTS = ("final", "avg_eta", "avg_linear")
 
 
@@ -259,14 +258,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"bound-check needs target in {TARGETS}, got {cfg.target!r}")
     if cfg.output is not None and cfg.output not in OUTPUTS:
         raise ConfigError(f"output must be one of {OUTPUTS}, got {cfg.output!r}")
-    if cfg.loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {cfg.loss_kind!r}")
-    if cfg.dist_kind not in DIST_KINDS:
-        raise ConfigError(f"unknown distribution kind {cfg.dist_kind!r}")
-    if cfg.sched_kind is not None and cfg.sched_kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"unknown schedule kind {cfg.sched_kind!r}")
-    if cfg.domain_kind not in ("none", "ball"):
-        raise ConfigError(f"domain kind must be none or ball, got {cfg.domain_kind!r}")
+    for section, table in BUILDERS.items():
+        kind = getattr(cfg, _KIND_FIELD[section])
+        # [schedule] may be left out by the runs that read none
+        if kind is not None and kind not in table:
+            raise ConfigError(f"unknown {section} kind {kind!r}; "
+                              f"expected one of {tuple(table)}")
     if cfg.domain_kind == "ball" and (cfg.radius is None or cfg.radius <= 0.0):
         raise ConfigError("a ball domain needs a positive radius")
     if not 0.0 < cfg.delta < 1.0:
@@ -299,75 +296,63 @@ def _cov_of(value: Optional[Tuple[float, ...]]):
     return np.asarray(value, dtype=np.float64)
 
 
-def build_loss(cfg: ExperimentConfig) -> Loss:
-    if cfg.loss_kind in ("q_hinge", "q_power_abs"):
-        try:
-            return make_loss(cfg.loss_kind, q=cfg.loss_q) if cfg.loss_q is not None \
-                else make_loss(cfg.loss_kind)
-        except Exception as e:
-            raise ConfigError(f"bad loss parameters: {e}") from None
-    if cfg.loss_kind == "auc_square":
+# section -> kind -> builder of the section's object from the config; a
+# schedule's builder also takes the horizon T of the run it is for
+BUILDERS = {
+    "loss": {
+        "least_squares": lambda cfg: LeastSquares(),
+        "q_hinge": lambda cfg: QNormHinge(1.0 if cfg.loss_q is None else cfg.loss_q),
+        "q_power_abs": lambda cfg: QPowerAbsolute(2.0 if cfg.loss_q is None else cfg.loss_q),
         # the surrogate's moment parameters are the distribution's
-        p = _need(cfg, "p_plus")
-        mu_p = np.asarray(_need(cfg, "mu_plus"), dtype=np.float64)
-        mu_m = np.asarray(_need(cfg, "mu_minus"), dtype=np.float64)
-        return make_loss("auc_square", p=p, mu_plus=mu_p, mu_minus=mu_m)
-    return make_loss("least_squares")
+        "auc_square": lambda cfg: AucSquare(p=_need(cfg, "p_plus"),
+                                            mu_plus=_need(cfg, "mu_plus"),
+                                            mu_minus=_need(cfg, "mu_minus")),
+    },
+    "distribution": {
+        "gauss_lin_reg": lambda cfg: GaussLinReg(
+            w_star=_need(cfg, "w_star"), cov=_cov_of(cfg.cov),
+            noise_sd=_need(cfg, "noise_sd"), x_bound=cfg.x_bound),
+        "realizable_lin_reg": lambda cfg: RealizableLinReg(
+            w_star=_need(cfg, "w_star"), cov=_cov_of(cfg.cov), x_bound=cfg.x_bound),
+        "margin_classif": lambda cfg: MarginClassif(
+            w_star=_need(cfg, "w_star"), cov=_cov_of(cfg.cov),
+            flip_prob=_need(cfg, "flip_prob"), x_bound=cfg.x_bound),
+        "imbalanced_gauss": lambda cfg: ImbalancedGauss(
+            p=_need(cfg, "p_plus"), mu_plus=_need(cfg, "mu_plus"),
+            mu_minus=_need(cfg, "mu_minus"), cov_plus=_cov_of(cfg.cov_plus),
+            cov_minus=_cov_of(cfg.cov_minus), x_bound=cfg.x_bound),
+    },
+    "schedule": {
+        "fixed_constant": lambda cfg, T: FixedConstant(eta1=_need(cfg, "eta1")),
+        "horizon_constant": lambda cfg, T: HorizonConstant(c=_need(cfg, "c"), horizon=T),
+        "horizon_poly": lambda cfg, T: HorizonPoly(c=_need(cfg, "c"),
+                                                   theta=_need(cfg, "theta"), horizon=T),
+        "poly_decay": lambda cfg, T: PolyDecay(eta1=_need(cfg, "eta1"),
+                                               theta=_need(cfg, "theta")),
+        "strongly_convex": lambda cfg, T: StronglyConvexDecay(
+            sigma=_need(cfg, "sigma"), t0=0 if cfg.t0 is None else cfg.t0),
+    },
+    "domain": {
+        "none": lambda cfg: None,
+        "ball": lambda cfg: Ball(radius=_need(cfg, "radius")),
+    },
+}
+
+_KIND_FIELD = {section: _SCHEMA[section]["kind"][0] for section in BUILDERS}
 
 
-def build_distribution(cfg: ExperimentConfig) -> Distribution:
-    kind = cfg.dist_kind
+def build(section: str, cfg: ExperimentConfig, *args):
+    """The object that [section] of ``cfg`` configures, from its ``BUILDERS``
+    entry; ``args`` is the horizon T for a schedule.
+
+    A missing key raises ``ConfigError("missing key ... in [section]")``, and
+    any error of the constructor becomes ``ConfigError("bad <section>
+    parameters: ...")``.
+    """
+    kind = _need(cfg, _KIND_FIELD[section])
     try:
-        if kind == "gauss_lin_reg":
-            return make_distribution(kind, w_star=_need(cfg, "w_star"),
-                                     cov=_cov_of(cfg.cov),
-                                     noise_sd=_need(cfg, "noise_sd"),
-                                     x_bound=cfg.x_bound)
-        if kind == "realizable_lin_reg":
-            return make_distribution(kind, w_star=_need(cfg, "w_star"),
-                                     cov=_cov_of(cfg.cov), x_bound=cfg.x_bound)
-        if kind == "margin_classif":
-            return make_distribution(kind, w_star=_need(cfg, "w_star"),
-                                     cov=_cov_of(cfg.cov),
-                                     flip_prob=_need(cfg, "flip_prob"),
-                                     x_bound=cfg.x_bound)
-        return make_distribution(kind, p=_need(cfg, "p_plus"),
-                                 mu_plus=_need(cfg, "mu_plus"),
-                                 mu_minus=_need(cfg, "mu_minus"),
-                                 cov_plus=_cov_of(cfg.cov_plus),
-                                 cov_minus=_cov_of(cfg.cov_minus),
-                                 x_bound=cfg.x_bound)
+        return BUILDERS[section][kind](cfg, *args)
     except ConfigError:
         raise
     except Exception as e:
-        raise ConfigError(f"bad distribution parameters: {e}") from None
-
-
-def build_schedule(cfg: ExperimentConfig, horizon: int) -> Schedule:
-    """Instantiate the configured schedule for a run of `horizon` steps."""
-    kind = cfg.sched_kind
-    if kind is None:
-        raise ConfigError("missing key 'kind' in [schedule]")
-    need = {
-        "fixed_constant": ("eta1",),
-        "horizon_constant": ("c",),
-        "horizon_poly": ("c", "theta"),
-        "poly_decay": ("eta1", "theta"),
-        "strongly_convex": (),
-    }[kind]
-    kw = {field: _need(cfg, field) for field in need}
-    if kind == "strongly_convex":
-        kw["sigma"] = _need(cfg, "sigma")
-        kw["t0"] = cfg.t0 if cfg.t0 is not None else 0
-    if kind in ("horizon_constant", "horizon_poly"):
-        kw["horizon"] = horizon
-    try:
-        return make_schedule(kind, **kw)
-    except Exception as e:
-        raise ConfigError(f"bad schedule parameters: {e}") from None
-
-
-def build_domain(cfg: ExperimentConfig) -> Optional[Ball]:
-    if cfg.domain_kind == "none":
-        return None
-    return Ball(radius=cfg.radius)
+        raise ConfigError(f"bad {section} parameters: {e}") from None

@@ -64,8 +64,11 @@ from ..losses import (
     check_self_bounding,
     check_smoothness_upper_bound,
     gradient_bound_on_ball,
-    make_loss,
     regularity_constants,
+    AucSquare,
+    LeastSquares,
+    QNormHinge,
+    QPowerAbsolute,
 )
 from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
@@ -79,10 +82,7 @@ from ..stability import (
 )
 from .config import (
     ExperimentConfig,
-    build_domain,
-    build_distribution,
-    build_loss,
-    build_schedule,
+    build,
     config_hash,
     steps_for,
     validate_config,
@@ -200,7 +200,7 @@ def _grid(cfg: ExperimentConfig, steps=steps_for):
     and the schedule built for T (theta is None for schedules without one)."""
     for n in cfg.n_grid:
         T = steps(cfg, n)
-        sched = build_schedule(cfg, T)
+        sched = build("schedule", cfg, T)
         yield n, T, sched, getattr(sched, "theta", None)
 
 
@@ -214,13 +214,12 @@ _BATTERY_MU = np.array([0.1, 0.0, 0.0, 0.0, 0.0])
 def property_battery():
     """Loss instances the properties experiment exercises (label, loss)."""
     return [
-        ("least_squares", make_loss("least_squares")),
-        ("q_hinge_1.0", make_loss("q_hinge", q=1.0)),
-        ("q_hinge_1.5", make_loss("q_hinge", q=1.5)),
-        ("q_power_abs_1.5", make_loss("q_power_abs", q=1.5)),
-        ("q_power_abs_2.0", make_loss("q_power_abs", q=2.0)),
-        ("auc_square", make_loss("auc_square", p=0.3,
-                                 mu_plus=_BATTERY_MU, mu_minus=-_BATTERY_MU)),
+        ("least_squares", LeastSquares()),
+        ("q_hinge_1.0", QNormHinge(q=1.0)),
+        ("q_hinge_1.5", QNormHinge(q=1.5)),
+        ("q_power_abs_1.5", QPowerAbsolute(q=1.5)),
+        ("q_power_abs_2.0", QPowerAbsolute(q=2.0)),
+        ("auc_square", AucSquare(p=0.3, mu_plus=_BATTERY_MU, mu_minus=-_BATTERY_MU)),
     ]
 
 
@@ -343,7 +342,7 @@ def _stability(cfg, loss, dist, n, T, sched, domain, record_risks,
 def _run_stability_sweep(cfg: ExperimentConfig, em: _Emitter, loss, dist,
                          domain) -> None:
     for n, T, sched, theta in _grid(cfg):
-        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=True)
+        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
         for metric, vals in (("l1_stability", rep.l1), ("l2_sq_stability", rep.l2_sq),
                              ("final_emp_risk", rep.emp_risk)):
             mean, se = _mean_se(vals)
@@ -374,7 +373,12 @@ def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain,
 # ---------------------------------------------------------------------------
 
 def _sup_holder(loss, dist) -> Tuple[float, float, float]:
-    """(x_bound, sup-over-z Hölder constant, sup-over-z gradient norm at 0)."""
+    """(x_bound, sup-over-z Hölder constant, sup-over-z gradient norm at 0).
+
+    The probe x = x_bound e_1 reaches each sup whose value depends on ||x||
+    and |y| only; the AUC surrogate's constant grows with ||x - mu_y|| and
+    takes its own sup over the ball.
+    """
     X = dist.x_bound
     probe = np.zeros(dist.dim)
     probe[0] = X
@@ -382,7 +386,10 @@ def _sup_holder(loss, dist) -> Tuple[float, float, float]:
         ys = (1.0, -1.0)
     else:
         ys = (dist.y_bound if dist.y_bound is not None else 1.0,)
-    L = max(loss.holder_constant(probe, y) for y in ys)
+    if loss.kind == "auc_square":
+        L = max(loss.holder_constant_on_ball(X))
+    else:
+        L = max(loss.holder_constant(probe, y) for y in ys)
     g0 = max(loss.grad_norm_at_zero(probe, y) for y in ys)
     return X, L, g0
 
@@ -568,6 +575,12 @@ _HORIZON_POLY = _rule(lambda cfg, loss: cfg.sched_kind == "horizon_poly",
                       "a horizon_poly schedule (constant steps c * T^(-theta))")
 
 
+def _schedule(cfg, loss, dist) -> None:
+    # a run of one step is valid for every kind, so this checks the
+    # [schedule] keys of a run of any length
+    build("schedule", cfg, 1)
+
+
 def _steps_within_2_over_L(cfg, loss, dist) -> None:
     # Theorem 2's step-size condition at every n of the grid; beyond it the
     # runs can diverge with a stderr as large as the mean, and the gates
@@ -606,13 +619,13 @@ class _Target(NamedTuple):
 
 _TARGETS = {
     "thm2": _Target(_check_thm2, False,
-                    (_SMOOTH, _steps_within_2_over_L, _risk_closed_or_sampled)),
-    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _risk_closed_or_sampled)),
-    "thm6": _Target(_check_thm6, True, (_risk_closed_form,)),
+                    (_SMOOTH, _schedule, _steps_within_2_over_L, _risk_closed_or_sampled)),
+    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _schedule, _risk_closed_or_sampled)),
+    "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES,)),
     "propD2": _Target(_check_propD2, False, (_LEAST_SQUARES, _RIDGE, _risk_closed_form)),
-    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE,)),
-    "propG1": _Target(_check_propG1, False, (_PLAIN_HINGE, _HORIZON_POLY)),
+    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE, _schedule)),
+    "propG1": _Target(_check_propG1, False, (_PLAIN_HINGE, _schedule, _HORIZON_POLY)),
 }
 
 
@@ -632,8 +645,8 @@ def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
     """The configured runner and its arguments after (cfg, emitter).
 
     Builds the loss, distribution and domain once and checks every rule that
-    needs no run: a bound-check target's ``_TARGETS`` entry, and rate-fit's
-    F*.  No population risk is evaluated.
+    needs no run: a bound-check target's ``_TARGETS`` entry, the [schedule]
+    of the other runs, and rate-fit's F*.  No population risk is evaluated.
     """
     if cfg.experiment == "properties":
         return _RUNNERS["properties"], ()
@@ -644,11 +657,12 @@ def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
         balls = tuple(name for name, t in _TARGETS.items() if t.ball)
         raise ConfigError(f"target {cfg.target} runs without projection; "
                           f"a ball domain is used only by {balls}")
-    loss, dist, domain = build_loss(cfg), build_distribution(cfg), build_domain(cfg)
+    loss, dist, domain = (build(s, cfg) for s in ("loss", "distribution", "domain"))
     if target is not None:
         for need in target.needs:
             need(cfg, loss, dist)
         return target.run, (loss, dist, domain)
+    _schedule(cfg, loss, dist)
     if cfg.experiment != "rate-fit":
         return _RUNNERS[cfg.experiment], (loss, dist, domain)
     try:

@@ -373,6 +373,21 @@ class AucSquare(Loss):
                         2.0 * p * np.linalg.norm(X - self.mu_minus, axis=1) ** 2)
         return _unbatch(quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD, batched)
 
+    def holder_constant_on_ball(self, x_bound: float) -> Tuple[float, float]:
+        """The sup of ``holder_constant`` over ||x|| <= x_bound, for y = +1
+        and for y = -1.
+
+        Every term of the constant grows with ||x||, and ||x - mu_y|| is
+        largest at x = -x_bound mu_y / ||mu_y||, where it is x_bound + ||mu_y||.
+        """
+        p = self.p
+        nD = float(np.linalg.norm(self.diff))
+        L_pos = 2.0 * (1.0 - p) * (x_bound + float(np.linalg.norm(self.mu_plus))) ** 2 \
+            + 4.0 * (1.0 - p) * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
+        L_neg = 2.0 * p * (x_bound + float(np.linalg.norm(self.mu_minus))) ** 2 \
+            + 4.0 * p * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
+        return L_pos, L_neg
+
 
 # ---------------------------------------------------------------------------
 # regularity constants
@@ -597,25 +612,8 @@ def gradient_bound_on_ball(loss: Loss, radius: float, x_bound: float,
         # ||df(w)|| <= ||df(0)|| + L(z) * ||w|| with df(0; z) = 2 kappa(y) x;
         # take the worse of the two label branches
         p = loss.p
-        nD = float(np.linalg.norm(loss.diff))
-        L_pos = 2.0 * (1.0 - p) * (x_bound + float(np.linalg.norm(loss.mu_plus))) ** 2 \
-            + 4.0 * (1.0 - p) * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
-        L_neg = 2.0 * p * (x_bound + float(np.linalg.norm(loss.mu_minus))) ** 2 \
-            + 4.0 * p * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
+        L_pos, L_neg = loss.holder_constant_on_ball(x_bound)
         g_pos = 2.0 * (1.0 - p) * x_bound + L_pos * radius
         g_neg = 2.0 * p * x_bound + L_neg * radius
         return max(g_pos, g_neg)
     raise InvalidArgument(f"no gradient bound known for loss kind {loss.kind!r}")
-
-
-def make_loss(kind: str, **params) -> Loss:
-    """Factory used by the harness config layer."""
-    if kind == "least_squares":
-        return LeastSquares()
-    if kind == "q_hinge":
-        return QNormHinge(q=params.get("q", 1.0))
-    if kind == "q_power_abs":
-        return QPowerAbsolute(q=params.get("q", 2.0))
-    if kind == "auc_square":
-        return AucSquare(p=params["p"], mu_plus=params["mu_plus"], mu_minus=params["mu_minus"])
-    raise InvalidArgument(f"unknown loss kind {kind!r}")

@@ -191,22 +191,6 @@ def t0_for_strong_convexity(L: float, sigma: float) -> int:
     return int(math.ceil(4.0 * L * L / (sigma * sigma)))
 
 
-def make_schedule(kind: str, *, c=None, theta=None, eta1=None, sigma=None,
-                  t0=None, horizon=None) -> Schedule:
-    """Factory used by the harness config layer."""
-    if kind == "fixed_constant":
-        return FixedConstant(eta1=eta1)
-    if kind == "horizon_constant":
-        return HorizonConstant(c=c, horizon=horizon)
-    if kind == "horizon_poly":
-        return HorizonPoly(c=c, theta=theta, horizon=horizon)
-    if kind == "poly_decay":
-        return PolyDecay(eta1=eta1, theta=theta)
-    if kind == "strongly_convex":
-        return StronglyConvexDecay(sigma=sigma, t0=t0)
-    raise InvalidArgument(f"unknown schedule kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------

@@ -80,10 +80,9 @@ class StabilityReport:
 
     ``l1[r]`` is replicate r's (1/m) sum_i ||w - w^(i)|| over its m
     neighbour positions, ``l2_sq[r]`` the same with squared norms, and
-    ``finals[r]`` its base-run output w_{T+1}.  With risks recorded,
-    ``risk[r, k]`` is F_S(w_j) of the base run at step j = ``risk_steps[k]``
-    (both None at T = 0) and ``emp_risk[r]`` is F_S(w_{T+1}); without, all
-    three are None.
+    ``finals[r]`` its base-run output w_{T+1} and ``emp_risk[r]`` is
+    F_S(w_{T+1}).  With risks recorded, ``risk[r, k]`` is F_S(w_j) of the base
+    run at step j = ``risk_steps[k]``; without, and at T = 0, both are None.
     """
 
     l1: np.ndarray                          # (R,)
@@ -91,7 +90,7 @@ class StabilityReport:
     finals: np.ndarray                      # (R, d)
     risk_steps: Optional[np.ndarray]        # (C,)
     risk: Optional[np.ndarray]              # (R, C)
-    emp_risk: Optional[np.ndarray]          # (R,)
+    emp_risk: np.ndarray                    # (R,)
 
 
 @dataclass(frozen=True)
@@ -225,10 +224,10 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
 
     Each replicate draws (S, ghost, index stream), runs the coupled family,
     and averages ||w - w^(i)|| (and its square) over all n positions.
-    ``record_risks`` records the empirical risk of each base run along
-    its path and at its output.  With ``fixed_family`` the datasets are held
-    fixed and only the index stream varies (the conditional expectation the
-    enumeration oracle computes exactly).  With ``without_replacement`` the
+    The empirical risk of each base run's output is always recorded;
+    ``record_risks`` also records it along the path.  With ``fixed_family``
+    the datasets are held fixed and only the index stream varies (the
+    conditional expectation the enumeration oracle computes exactly).  With ``without_replacement`` the
     runs are epoch SGD: the stream is a fresh shuffle of the n examples per
     epoch, and T must be a whole number of epochs (T = 0 gives exactly 0).
     """
@@ -253,7 +252,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     l2_sq = np.empty(R)
     finals = np.empty((R, d))
     risk = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
-    emp_risk = np.empty(R) if record_risks else None
+    emp_risk = np.empty(R)
 
     if fixed_family is not None:
         families = fixed_family
@@ -275,8 +274,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         finals[lo:hi] = out.finals[:, 0]
         if risk is not None:
             risk[lo:hi] = out.risk_path
-        if emp_risk is not None:
-            emp_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
+        emp_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
     return StabilityReport(l1=l1, l2_sq=l2_sq, finals=finals, risk_steps=ckpt,
                            risk=risk, emp_risk=emp_risk)
 
@@ -383,13 +381,11 @@ def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
                        mc_pop: int, master_seed: int) -> GapReport:
     """The generalization gap of the base runs of a stability estimate.
 
-    Needs a report with recorded risks, from the ``master_seed`` it was
-    estimated with; the output is w_{T+1}.  The result equals
+    Needs the ``master_seed`` the report was estimated with; the output is
+    w_{T+1}.  The result equals
     ``estimate_generalization_gap(..., output="final")`` on the same
     replicates, without running the trajectories again.
     """
-    if rep.emp_risk is None:
-        raise InvalidArgument("the stability report recorded no empirical risks")
     if not rep.finals.shape[0] >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {rep.finals.shape[0]}")
     return _gap_report(loss, dist, rep.finals, rep.emp_risk, mc_pop, master_seed)

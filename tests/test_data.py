@@ -18,7 +18,6 @@ from sgdlab.data import (
     ImbalancedGauss,
     MarginClassif,
     RealizableLinReg,
-    make_distribution,
     min_positive_eigenvalue,
     neighbor,
     population_risk,
@@ -28,7 +27,8 @@ from sgdlab.data import (
     zero_example_neighbor,
 )
 from sgdlab.data import _elementwise, _ndtr, _owens_t
-from sgdlab.errors import DegenerateDataError, InvalidArgument
+from sgdlab.errors import ConfigError, DegenerateDataError, InvalidArgument
+from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
 
 
@@ -127,11 +127,12 @@ def test_distribution_validation():
 
 
 def test_make_distribution_factory():
-    d = make_distribution("gauss_lin_reg", w_star=np.array([1.0]), cov=1.0,
-                          noise_sd=0.1)
-    assert isinstance(d, GaussLinReg)
-    with pytest.raises(InvalidArgument):
-        make_distribution("unknown")
+    # a [distribution] kind is built by its config.BUILDERS entry
+    cfg = ExperimentConfig(experiment="oracle", dist_kind="gauss_lin_reg", w_star=(1.0,),
+                           noise_sd=0.1)
+    assert isinstance(build("distribution", cfg), GaussLinReg)
+    with pytest.raises(ConfigError):
+        validate_config(ExperimentConfig(experiment="oracle", dist_kind="unknown"))
 
 
 # ---------------------------------------------------------------------------

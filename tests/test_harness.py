@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -8,15 +9,13 @@ import pytest
 
 from sgdlab import _engine, stability
 from sgdlab.errors import ConfigError, InvalidArgument
-from sgdlab.harness import experiments
+from sgdlab.harness import config, experiments
 from sgdlab.harness.cli import main
 from sgdlab.harness.config import (
+    BUILDERS,
     TARGETS,
     ExperimentConfig,
-    build_distribution,
-    build_domain,
-    build_loss,
-    build_schedule,
+    build,
     config_hash,
     parse_config,
     serialize_config,
@@ -194,24 +193,76 @@ def test_steps_for_rules():
     assert steps_for(half, 17) == 5  # ceil
 
 
+# (section, kind) -> the fields its builder needs, each with a value no
+# other field shares, so a builder that swaps two of them is caught
+_BUILDER_NEEDS = {
+    ("loss", "least_squares"): {},
+    ("loss", "q_hinge"): {},
+    ("loss", "q_power_abs"): {},
+    ("loss", "auc_square"): dict(p_plus=0.3, mu_plus=(0.1, 0.0), mu_minus=(-0.2, 0.0)),
+    ("distribution", "gauss_lin_reg"): dict(w_star=(1.0, 0.5), noise_sd=0.25),
+    ("distribution", "realizable_lin_reg"): dict(w_star=(1.0, 0.5)),
+    ("distribution", "margin_classif"): dict(w_star=(1.0, 0.5), flip_prob=0.125),
+    ("distribution", "imbalanced_gauss"): dict(p_plus=0.3, mu_plus=(0.1, 0.0),
+                                               mu_minus=(-0.2, 0.0)),
+    ("schedule", "fixed_constant"): dict(eta1=0.1),
+    ("schedule", "horizon_constant"): dict(c=1.25),
+    ("schedule", "horizon_poly"): dict(c=1.25, theta=0.5),
+    ("schedule", "poly_decay"): dict(eta1=0.1, theta=0.5),
+    ("schedule", "strongly_convex"): dict(sigma=2.0),
+    ("domain", "none"): {},
+    ("domain", "ball"): dict(radius=2.5),
+}
+_KIND_FIELDS = {"loss": "loss_kind", "distribution": "dist_kind",
+                "schedule": "sched_kind", "domain": "domain_kind"}
+# per section, a config whose constructor rejects a parameter
+_BAD_PARAMETERS = {
+    "loss": dict(loss_kind="q_hinge", loss_q=7.0),
+    "distribution": dict(dist_kind="gauss_lin_reg", w_star=(1.0,), noise_sd=-1.0),
+    "schedule": dict(sched_kind="fixed_constant", eta1=-0.1),
+    "domain": dict(domain_kind="ball", radius=-1.0),
+}
+
+
 def test_builders():
-    cfg = parse_config(FULL_TEXT)
-    loss = build_loss(cfg)
-    assert loss.kind == "q_hinge" and loss.alpha == 0.5
-    dist = build_distribution(cfg)
-    assert dist.kind == "margin_classif" and dist.dim == 3
-    dom = build_domain(cfg)
-    assert dom is not None and dom.radius == 2.5
-    sched = build_schedule(cfg, horizon=32)
-    np.testing.assert_allclose(sched.etas(3), 0.1 * np.arange(1, 4) ** -0.6)
-    # omitting q falls back to the plain hinge
-    assert build_loss(dataclasses.replace(cfg, loss_q=None)).alpha == 0.0
-    with pytest.raises(ConfigError, match="bad loss parameters"):
-        build_loss(dataclasses.replace(cfg, loss_q=7.0))
-    with pytest.raises(ConfigError, match=r"\[schedule\]"):
-        build_schedule(dataclasses.replace(cfg, sched_kind=None), horizon=8)
-    with pytest.raises(ConfigError, match="w_star"):
-        build_distribution(dataclasses.replace(cfg, w_star=None))
+    assert set(_BUILDER_NEEDS) == {(section, kind) for section, table in BUILDERS.items()
+                                   for kind in table}
+    horizon = {"schedule": (32,)}
+    for (section, kind), needs in _BUILDER_NEEDS.items():
+        # the least config: the kind and the fields its builder needs
+        cfg = ExperimentConfig(experiment="oracle", **{_KIND_FIELDS[section]: kind},
+                               **needs)
+        obj = build(section, cfg, *horizon.get(section, ()))
+        if section == "domain":
+            assert (obj is None) == (kind == "none")
+        else:
+            assert obj.kind == kind
+        for field, value in needs.items():
+            got = getattr(obj, "p" if field == "p_plus" else field)
+            assert np.array_equal(got, value), (section, kind, field)
+            # each needed field is named when it is missing
+            section_of, key = config._FIELD_TO_KEY[field]
+            with pytest.raises(ConfigError, match=fr"missing key '{key}' in \[{section_of}\]"):
+                build(section, dataclasses.replace(cfg, **{field: None}),
+                      *horizon.get(section, ()))
+        # every kind of a section is listed when the kind is not one of them
+        message = f"unknown {section} kind 'nope'; expected one of {tuple(BUILDERS[section])}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(dataclasses.replace(cfg, **{_KIND_FIELDS[section]: "nope"}))
+    for section, overrides in _BAD_PARAMETERS.items():
+        cfg = ExperimentConfig(experiment="oracle", **overrides)
+        with pytest.raises(ConfigError, match=f"bad {section} parameters"):
+            build(section, cfg, *horizon.get(section, ()))
+    # a horizon-tied schedule is built for the horizon it is given
+    cfg = ExperimentConfig(experiment="oracle", sched_kind="horizon_poly", c=1.25, theta=0.5)
+    assert build("schedule", cfg, 32).horizon == 32
+    # the q-losses default to the plain hinge and the squared residual
+    for kind, q in (("q_hinge", 1.0), ("q_power_abs", 2.0)):
+        cfg = ExperimentConfig(experiment="oracle", loss_kind=kind)
+        assert build("loss", cfg).q == q
+        assert build("loss", dataclasses.replace(cfg, loss_q=1.5)).q == 1.5
+    with pytest.raises(ConfigError, match=r"missing key 'kind' in \[schedule\]"):
+        build("schedule", ExperimentConfig(experiment="oracle"), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +557,14 @@ _VIOLATIONS = {
     "propG1-hinge": ("propG1", "lsq", _POLY, "needs the plain hinge"),
     "propG1-poly": ("propG1", "hinge", "[schedule]\nkind = fixed_constant\neta1 = 0.1\n",
                     "needs a horizon_poly schedule"),
+    "thm2-schedule": ("thm2", "lsq", "", "missing key 'kind' in [schedule]"),
+    "thmD1-schedule": ("thmD1", "hinge", "[schedule]\nkind = fixed_constant\neta1 = -0.1\n",
+                       "bad schedule parameters"),
+    "thm6-schedule": ("thm6", "hinge", "[schedule]\nkind = poly_decay\neta1 = 0.1\n" + _BALL,
+                      "missing key 'theta' in [schedule]"),
+    "propG2-schedule": ("propG2", "hinge", "", "missing key 'kind' in [schedule]"),
+    "propG1-schedule": ("propG1", "hinge", "[schedule]\nkind = horizon_poly\nc = 1.0\n",
+                        "missing key 'theta' in [schedule]"),
 }
 
 
@@ -526,6 +585,26 @@ def test_cli_target_rules_are_checked_before_any_run(tmp_path, capsys, monkeypat
     text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 64, 512\n"
             f"replicates = 200\nmc_pop = 0\nout_path = {out}\n" + _PAIRS[pair] + rest)
     assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["oracle", "stability-sweep", "rate-fit"])
+@pytest.mark.parametrize("schedule, message", [
+    ("", "missing key 'kind' in [schedule]"),
+    ("[schedule]\nkind = fixed_constant\neta1 = -0.1\n", "bad schedule parameters"),
+])
+def test_cli_schedule_is_checked_before_any_run(tmp_path, capsys, monkeypatch, experiment,
+                                                schedule, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran before the schedule was checked")
+
+    monkeypatch.setattr(_engine, "run_core", fail)
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = {experiment}\nn_grid = 2, 3\nreplicates = 4\n"
+            f"out_path = {out}\n" + _PAIRS["lsq"] + schedule)
+    assert main([experiment, "--config", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]
     assert not out.exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgdlab.bounds import _pairwise_sum_depth
-from sgdlab.errors import InvalidArgument, PreconditionViolation
+from sgdlab.errors import ConfigError, InvalidArgument, PreconditionViolation
 from sgdlab.losses import (
     AucSquare,
     LeastSquares,
@@ -19,10 +19,12 @@ from sgdlab.losses import (
     check_self_bounding,
     check_smoothness_upper_bound,
     gradient_bound_on_ball,
-    make_loss,
     regularity_constants,
 )
+from sgdlab.data import GaussLinReg, ImbalancedGauss, MarginClassif
+from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.harness.experiments import (
+    _sup_holder,
     applicable_checks,
     battery_draws,
     property_battery,
@@ -370,13 +372,16 @@ def test_loss_parameter_validation():
 
 
 def test_make_loss_factory():
-    assert make_loss("least_squares").kind == "least_squares"
-    assert make_loss("q_hinge", q=1.5).alpha == 0.5
-    assert make_loss("q_power_abs", q=2.0).alpha == 1.0
-    auc = make_loss("auc_square", p=0.2, mu_plus=np.zeros(2), mu_minus=np.zeros(2))
+    # a [loss] kind is built by its config.BUILDERS entry
+    def loss(kind, **fields):
+        return build("loss", ExperimentConfig(experiment="oracle", loss_kind=kind, **fields))
+    assert loss("least_squares").kind == "least_squares"
+    assert loss("q_hinge", loss_q=1.5).alpha == 0.5
+    assert loss("q_power_abs", loss_q=2.0).alpha == 1.0
+    auc = loss("auc_square", p_plus=0.2, mu_plus=(0.0, 0.0), mu_minus=(0.0, 0.0))
     assert auc.kind == "auc_square"
-    with pytest.raises(InvalidArgument):
-        make_loss("logistic")
+    with pytest.raises(ConfigError):
+        validate_config(ExperimentConfig(experiment="oracle", loss_kind="logistic"))
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +712,47 @@ def test_gradient_bound_requires_y_bound_for_regression():
         gradient_bound_on_ball(QPowerAbsolute(q=1.5), 1.0, 1.0)
     with pytest.raises(InvalidArgument):
         gradient_bound_on_ball(LeastSquares(), -1.0, 1.0, 1.0)
+
+
+def _battery_distribution(loss, x_bound):
+    """A distribution on the feature ball of radius x_bound for a battery loss."""
+    w_star = (1.0, 0.0, 0.0, 0.0)
+    if loss.kind == "auc_square":
+        return ImbalancedGauss(loss.p, loss.mu_plus, loss.mu_minus, 0.09, 0.09, x_bound)
+    if loss.kind == "q_hinge":
+        return MarginClassif(w_star, 0.25, flip_prob=0.1, x_bound=x_bound)
+    return GaussLinReg(w_star, 0.25, noise_sd=0.5, x_bound=x_bound)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in property_battery()])
+def test_sup_holder_dominates_the_feature_ball(label):
+    # the L that the bound checks use must hold at every example the
+    # distribution can draw: no point of the ball has a larger constant
+    loss = dict(property_battery())[label]
+    x_bound, draws = 3.0, 100_000
+    dist = _battery_distribution(loss, x_bound)
+    _, L, _ = _sup_holder(loss, dist)
+    rng = np.random.default_rng(606)
+    X = rng.standard_normal((draws, dist.dim))
+    X *= (x_bound * rng.random(draws) ** (1.0 / dist.dim)
+          / np.linalg.norm(X, axis=1))[:, None]
+    if loss.kind in ("q_hinge", "auc_square"):
+        Y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
+    else:
+        Y = dist.y_bound * (2.0 * rng.random(draws) - 1.0)
+    e1 = np.zeros(dist.dim)
+    e1[0] = x_bound
+    extremes = [(e1, y) for y in (1.0, -1.0, dist.y_bound)]
+    if loss.kind == "auc_square":
+        # its sup: ||x|| = x_bound, with x against the class mean
+        extremes += [(-x_bound * mu / np.linalg.norm(mu), y)
+                     for mu, y in ((loss.mu_plus, 1.0), (loss.mu_minus, -1.0))]
+    # the closed-form sup and the per-example constant round apart by an
+    # ulp or two (AUC at its extreme point: 15.150800000000004 vs 15.1508)
+    top = L * (1.0 + 4.0 * np.finfo(np.float64).eps)
+    assert np.max(loss.holder_constant(X, Y)) <= top
+    for x, y in extremes:
+        assert loss.holder_constant(x, y) <= top, (x, y)
 
 
 def test_gradient_bound_dominates_samples():

@@ -3,7 +3,8 @@ import pytest
 
 from sgdlab import _engine
 from sgdlab.data import Dataset
-from sgdlab.errors import InvalidArgument
+from sgdlab.errors import ConfigError, InvalidArgument
+from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.losses import LeastSquares, QNormHinge
 from sgdlab.optim import (
     Ball,
@@ -13,7 +14,6 @@ from sgdlab.optim import (
     PolyDecay,
     Regularizer,
     StronglyConvexDecay,
-    make_schedule,
     sgd_run,
     sgd_without_replacement_run,
     spgd_run,
@@ -109,13 +109,17 @@ def test_schedule_validation():
 
 
 def test_make_schedule_factory():
-    assert make_schedule("fixed_constant", eta1=0.1).kind == "fixed_constant"
-    assert make_schedule("horizon_constant", c=1.0, horizon=4).kind == "horizon_constant"
-    assert make_schedule("horizon_poly", c=1.0, theta=0.5, horizon=4).kind == "horizon_poly"
-    assert make_schedule("poly_decay", eta1=0.1, theta=0.5).kind == "poly_decay"
-    assert make_schedule("strongly_convex", sigma=1.0, t0=2).kind == "strongly_convex"
-    with pytest.raises(InvalidArgument):
-        make_schedule("cosine")
+    # a [schedule] kind is built by its config.BUILDERS entry, for horizon T
+    def schedule(kind, **fields):
+        return build("schedule", ExperimentConfig(experiment="oracle", sched_kind=kind,
+                                                  **fields), 4)
+    assert schedule("fixed_constant", eta1=0.1).kind == "fixed_constant"
+    assert schedule("horizon_constant", c=1.0).kind == "horizon_constant"
+    assert schedule("horizon_poly", c=1.0, theta=0.5).kind == "horizon_poly"
+    assert schedule("poly_decay", eta1=0.1, theta=0.5).kind == "poly_decay"
+    assert schedule("strongly_convex", sigma=1.0, t0=2).kind == "strongly_convex"
+    with pytest.raises(ConfigError):
+        validate_config(ExperimentConfig(experiment="oracle", sched_kind="cosine"))
 
 
 def test_t0_for_strong_convexity():

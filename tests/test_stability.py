@@ -242,7 +242,8 @@ def test_estimator_jensen_consistency():
     # per replicate, the mean distance squared is at most the mean squared distance
     assert np.all(rep.l1 ** 2 <= rep.l2_sq * (1 + 1e-12))
     assert np.all(rep.l1 > 0.0)
-    assert rep.risk_steps is None and rep.risk is None and rep.emp_risk is None
+    assert rep.risk_steps is None and rep.risk is None
+    assert rep.emp_risk.shape == (16,)
 
 
 def test_estimator_risk_path_structure():
@@ -375,12 +376,17 @@ def test_gap_from_stability_equals_the_gap_estimator(loss, radius, mc_pop):
     assert got.gap.tobytes() == (pop - stab.emp_risk).tobytes()
 
 
-def test_gap_from_stability_needs_recorded_risks_and_two_replicates():
+def test_gap_from_stability_needs_two_replicates_not_the_risk_path():
     sched = FixedConstant(0.1)
-    no_risks = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
-                                             3, master_seed=1, record_risks=False)
-    with pytest.raises(InvalidArgument):
-        gap_from_stability(LeastSquares(), _dist(), no_risks, 0, master_seed=1)
+    path = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
+                                         3, master_seed=1)
+    no_path = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
+                                            3, master_seed=1, record_risks=False)
+    # the output's empirical risk is recorded either way, to the last bit
+    assert no_path.emp_risk.tobytes() == path.emp_risk.tobytes()
+    got = gap_from_stability(LeastSquares(), _dist(), no_path, 0, master_seed=1)
+    want = gap_from_stability(LeastSquares(), _dist(), path, 0, master_seed=1)
+    assert got.gap.tobytes() == want.gap.tobytes()
     one = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
                                         1, master_seed=1)
     with pytest.raises(InvalidArgument):
