@@ -6,8 +6,8 @@ row 1 + j on the dataset whose ``sub_idx[r, j]``-th example is replaced by
 the ghost example at the same position.  All rows of a replicate consume the
 identical index sequence, which is the coupling the stability estimators
 need.  Each step is a gradient step followed, when a radius is given, by the
-Euclidean projection onto the centered ball of that radius
-(``project_rows``, which the single-trajectory runners in ``optim`` share).
+Euclidean projection onto the centered ball of that radius; the engine takes
+every step through the loss's step kernel, ``Loss.descend``.
 
 Neighbours fork lazily.  Neighbour j's iterates equal the base row's, bit
 for bit, until the first step tau at which the stream draws its position,
@@ -19,19 +19,27 @@ rows are always a prefix of one buffer.  The result is the same as stepping
 all 1 + m rows at every step, because every loss computes each row from that
 row alone.
 
-Steps run in blocks of at most ``BLOCK_ROWS // R`` steps.  A block gathers
-the examples of all its steps at once, and its step loop only advances
-rows: fork, ghost swap, gradient step, projection, and a copy of the base
-iterates w_t into a (block, R, d) buffer.  Once neighbours have forked, a
-step gathers the example of each active row from its replicate's block of
-examples with ``np.take`` (the same copy as fancy indexing, several times
-faster on (rows, d) features) and swaps in the ghost examples that step
-draws.  What is observed on the base rows (one weighted average and the
-empirical risk at checkpoints) is computed from that buffer once per block,
-in per-row arithmetic, so the bits do not depend on the block length.  The
-average is the one whose weights the caller passes (the step sizes, or the
-linear weights t + t0 - 1), of the base rows only; a caller that reads no
-average passes none and pays for none.
+Steps run in blocks of at most ``BLOCK_ROWS // R`` steps, and a block
+gathers the examples of all its steps at once.  The base iterates w_t of a
+block land in a (block + 1, R, d) observation buffer, and what is observed
+on the base rows (one weighted average and the empirical risk at
+checkpoints) is computed from it once per block, in per-row arithmetic, so
+the bits do not depend on the block length.  The average is the one whose
+weights the caller passes (the step sizes, or the linear weights
+t + t0 - 1), of the base rows only; a caller that reads no average passes
+none and pays for none.
+
+- When no neighbour forks (no neighbours, or none drawn), the block is one
+  ``descend`` call whose iterates are the buffer's slots: slot j holds
+  w_{s+1+j}, the steps write slots 1.., and the last slot carries over to
+  slot 0 once the block's checkpoints and average have read the buffer.
+  With nothing to observe the rows step in place.
+- Otherwise a step loop forks, swaps in ghost examples, copies the base
+  rows into the buffer and calls ``descend`` for one step on the active
+  rows.  Once neighbours have forked, a step gathers the example of each
+  active row from its replicate's block of examples with ``np.take`` (the
+  same copy as fancy indexing, several times faster on (rows, d) features)
+  and swaps in the ghost examples that step draws.
 
 The empirical risk F_S(w_j) at checkpoints comes from the loss's
 ``risk_evaluator``, set up once per call: for least squares it is
@@ -92,6 +100,16 @@ def philox(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def path_generator(*path: int) -> np.random.Generator:
+    """The generator ``philox(derive_seed(*path))``, built from the path directly.
+
+    Philox keys itself from a seed sequence with the two words that
+    ``derive_seed`` packs, so the stream is the same; built this way it
+    draws no OS entropy for a seed it then ignores, and costs less.
+    """
+    return np.random.Generator(np.random.Philox(seed_sequence(*path)))
+
+
 def index_matrix(key: int, n: int, T: int, replicates: int) -> np.ndarray:
     """(replicates, T) i.i.d. uniform indices in [0, n)."""
     rng = philox(key)
@@ -132,14 +150,6 @@ def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) 
     return loss.batch_value(Wb[:, None], Xs, ys).mean(axis=1)
 
 
-def project_rows(W: np.ndarray, radius: float) -> None:
-    """Project each row of W onto the centered ball of ``radius``, in place."""
-    nrm = np.linalg.norm(W, axis=1)
-    over = nrm > radius
-    if np.any(over):
-        W[over] *= (radius / nrm[over])[:, None]
-
-
 def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The neighbour pairs that ever leave their base row, in fork order.
@@ -170,12 +180,18 @@ def _in_block(steps: np.ndarray, s: int, e: int) -> np.ndarray:
 def _fold(acc: np.ndarray, weights: np.ndarray, buf: np.ndarray) -> None:
     """acc += weights[j] * buf[j] for j = 0, 1, ..., in place.
 
-    ``accumulate`` adds in that order, so the bits are those of one ``+=``
-    per step, whatever the block length; ``add.reduce`` may sum pairwise
-    instead (it does when the rows are single numbers).
+    The terms are added in that order, so the bits are those of one ``+=``
+    per step, whatever the block length.  ``add.reduce`` over the leading
+    axis adds whole rows in order, and is several times faster than
+    ``accumulate``; but when the rows are single numbers it sums pairwise,
+    so there ``accumulate`` keeps the order.
     """
-    terms = np.concatenate([acc[None], weights[:, None, None] * buf])
-    acc[...] = np.add.accumulate(terms, axis=0)[-1]
+    terms = weights[:, None, None] * buf
+    terms[0] += acc
+    if acc.size > 1:
+        np.add.reduce(terms, axis=0, out=acc)
+    else:
+        acc[...] = np.add.accumulate(terms, axis=0)[-1]
 
 
 def linear_weights(T: int, t0: int) -> np.ndarray:
@@ -249,7 +265,11 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     observed = risk_path is not None or acc is not None
 
     block = max(1, BLOCK_ROWS // R)
-    base = np.empty((min(block, T), R, d)) if observed else None
+    # slot j holds w_{s+1+j} of the block of steps s+1..e
+    base = np.zeros((min(block, T) + 1, R, d)) if observed else None
+    if not P:
+        # the iterates of a ``descend`` call: the slots, or W stepped in place
+        ws = list(base) if observed else [W] * (min(block, T) + 1)
     k = R
     Wa = Wb = W[:R]                            # the active rows; the base rows
     for s in range(0, T, block):
@@ -257,7 +277,12 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         idx = indices[:, s:e].T                # (block, R)
         xb = Xs[ar, idx]                       # (block, R, d)
         yb = ys[ar, idx]
-        if P:
+        if not P:
+            # no neighbour forks: the base rows step the block in one call
+            loss.descend(ws[:e - s + 1], xb, yb,
+                         etas[:, s:e, None].swapaxes(0, 1) if per_row
+                         else etas[s:e].tolist(), radius)
+        else:
             # rows active during each step: the base rows and every pair
             # with tau <= t
             active = (R + np.searchsorted(tau, np.arange(s + 1, e + 1),
@@ -270,30 +295,28 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
             gx = gXs[hit_r, idx[hit_j, hit_r]]
             gy = gys[hit_r, idx[hit_j, hit_r]]
             cut = np.searchsorted(hit_j, np.arange(e - s + 1)).tolist()
-        # a Python float per step, or the (block, R) steps of each replicate
-        steps = etas[:, s:e].T if per_row else etas[s:e].tolist()
-        for j, eta in enumerate(steps):
-            if P and active[j] > k:
-                # fork: a neighbour equals its base row until its first hit
-                lo, k = k, active[j]
-                W[lo:k] = W[rep[lo:k]]
-                Wa = W[:k]
-            if observed:
-                base[j] = Wb
-            if k > R:
-                Xf = np.take(xb[j], rep[:k], axis=0)
-                yf = yb[j][rep[:k]]
-                a, b = cut[j], cut[j + 1]
-                Xf[hit_row[a:b]] = gx[a:b]
-                yf[hit_row[a:b]] = gy[a:b]
-            else:
-                Xf = xb[j]
-                yf = yb[j]
-            if per_row:
-                eta = eta[rep[:k], None]
-            Wa -= eta * loss.batch_grad(Wa, Xf, yf)
-            if radius is not None:
-                project_rows(Wa, radius)
+            # a Python float per step, or the (block, R) steps of each replicate
+            steps = etas[:, s:e].T if per_row else etas[s:e].tolist()
+            for j, eta in enumerate(steps):
+                if active[j] > k:
+                    # fork: a neighbour equals its base row until its first hit
+                    lo, k = k, active[j]
+                    W[lo:k] = W[rep[lo:k]]
+                    Wa = W[:k]
+                if observed:
+                    base[j] = Wb
+                if k > R:
+                    Xf = np.take(xb[j], rep[:k], axis=0)
+                    yf = yb[j][rep[:k]]
+                    a, b = cut[j], cut[j + 1]
+                    Xf[hit_row[a:b]] = gx[a:b]
+                    yf[hit_row[a:b]] = gy[a:b]
+                else:
+                    Xf = xb[j]
+                    yf = yb[j]
+                if per_row:
+                    eta = eta[rep[:k], None]
+                loss.descend((Wa, Wa), Xf[None], yf[None], (eta,), radius)
         if not observed:
             continue
 
@@ -303,6 +326,12 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
             risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
         if acc is not None:
             _fold(acc, average_weights[s:e], buf)
+        if not P:
+            # w_{e+1} starts the next block; slot 0 (w_{s+1}) is overwritten
+            # only after the checkpoints and the fold have read it
+            base[0] = base[e - s]
+    if observed and not P:
+        W[...] = base[0]
 
     # (R, 1 + m, d): every neighbour that never forked is its base row
     finals = np.repeat(W[:R, None, :], 1 + m, axis=1)

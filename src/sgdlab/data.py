@@ -242,7 +242,7 @@ def sample_dataset(dist: Distribution, n: int, seed: int) -> Dataset:
     """Draw n examples with a counter-based generator keyed by (seed, data tag)."""
     if not n >= 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
-    rng = _engine.philox(_engine.derive_seed(seed, _engine.TAG_DATA))
+    rng = _engine.path_generator(seed, _engine.TAG_DATA)
     return dist.sample(n, rng)
 
 
@@ -262,8 +262,8 @@ def sample_neighbor_family(dist: Distribution, n: int, seed: int) -> NeighborFam
     """Draw S and an independent ghost S~ from per-purpose derived seeds."""
     if not n >= 1:
         raise InvalidArgument(f"n must be >= 1, got {n}")
-    base = dist.sample(n, _engine.philox(_engine.derive_seed(seed, _engine.TAG_DATA)))
-    ghost = dist.sample(n, _engine.philox(_engine.derive_seed(seed, _engine.TAG_GHOST)))
+    base = dist.sample(n, _engine.path_generator(seed, _engine.TAG_DATA))
+    ghost = dist.sample(n, _engine.path_generator(seed, _engine.TAG_GHOST))
     return NeighborFamily(base=base, ghost=ghost)
 
 
@@ -496,7 +496,7 @@ def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
             raise InvalidArgument(f"need one seed per row: {len(seeds)} seeds, {R} rows")
         val = np.empty(R)
         for i, (v, s) in enumerate(zip(W, seeds)):
-            rng = _engine.philox(_engine.derive_seed(s, _engine.TAG_POP))
+            rng = _engine.path_generator(s, _engine.TAG_POP)
             ds = dist.sample(mc_samples, rng)
             vals = loss.batch_value(np.broadcast_to(v, (mc_samples, v.shape[0])),
                                     ds.features, ds.labels)

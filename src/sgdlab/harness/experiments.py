@@ -255,7 +255,7 @@ def battery_draws(index: int, label: str, loss, draws: int, master_seed: int):
     """
     x_bound = 3.0
     d = _BATTERY_MU.shape[0] if label == "auc_square" else 4
-    rng = _engine.philox(_engine.derive_seed(master_seed, _TAG_BATTERY, index))
+    rng = _engine.path_generator(master_seed, _TAG_BATTERY, index)
     W = 2.0 * rng.standard_normal((draws, d))
     W2 = 2.0 * rng.standard_normal((draws, d))
     X = rng.standard_normal((draws, d))

@@ -14,12 +14,18 @@ The checkers, ``holder_constant`` and ``grad_norm_at_zero`` take either one
 example or a batch of rows; a single example is a batch of one.
 
 Batch variants (``batch_value`` / ``batch_grad``) evaluate one example per row
-for a whole family of parameter rows at once; the trajectory engine is built
-on top of them.  ``batch_value`` also takes leading dimensions that broadcast
-(W of shape (R, c, 1, d) against X of shape (R, 1, n, d), say), and gives
-each entry the bits of the same row in a flat (rows, d) call.  Both give the
-same bits whatever the memory order of W and X: every row dot goes through
-``_rowdot``.
+for a whole family of parameter rows at once.  ``batch_value`` also takes
+leading dimensions that broadcast (W of shape (R, c, 1, d) against X of
+shape (R, 1, n, d), say), and gives each entry the bits of the same row in a
+flat (rows, d) call.  Both give the same bits whatever the memory order of W
+and X: every row dot goes through ``_rowdot``.
+
+The trajectory engine steps through ``descend``, one call per block of
+steps: ws[j + 1] = P(ws[j] - etas[j] * batch_grad(ws[j], X[j], y[j])), with P
+the projection onto a centered ball (``project_rows``) or the identity.  The
+base class runs exactly that loop, so every loss has the kernel.  Least
+squares overrides it with a loop over two buffers allocated once per call,
+five numpy calls and no allocation per step, and the same bits.
 
 ``risk_evaluator`` gives the empirical risk F_S of many iterates on each
 replicate's own dataset, as the engine records it at checkpoints.  By
@@ -87,6 +93,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _einsum("...d,...d->...", a, b)
 
 
+def project_rows(W: np.ndarray, radius: float) -> None:
+    """Project each row of W onto the centered ball of ``radius``, in place."""
+    nrm = np.linalg.norm(W, axis=1)
+    over = nrm > radius
+    if np.any(over):
+        W[over] *= (radius / nrm[over])[:, None]
+
+
 # ---------------------------------------------------------------------------
 # loss classes
 # ---------------------------------------------------------------------------
@@ -117,7 +131,28 @@ class Loss:
         raise NotImplementedError
 
     def batch_grad(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """df(w; (x, y)) of each row: W, X of shape (rows, d), y of shape (rows,).
+
+        Returns a new (rows, d) array; row k is the (sub)gradient of row k of
+        W at the example in row k of X and y.
+        """
         raise NotImplementedError
+
+    def descend(self, ws, X: np.ndarray, y: np.ndarray, etas, radius: Optional[float]) -> None:
+        """Projected gradient steps: ws[j + 1] = P(ws[j] - etas[j] * df(ws[j])).
+
+        ws is a sequence of len(etas) + 1 arrays of shape (rows, d); step j
+        reads ws[j] and writes ws[j + 1], at the examples X[j] and y[j] of
+        the arrays X (steps, rows, d) and y (steps, rows).  Entries of ws may
+        be the same array, which then steps in place.  etas[j] is a float, or a (rows, 1) array of per-row steps.
+        P projects each row onto the centered ball of ``radius``, or is the
+        identity when ``radius`` is None.  Each step has the bits of
+        ``w - eta * batch_grad(w, x, y)`` followed by ``project_rows``.
+        """
+        for eta, x, yj, w, nxt in zip(etas, X, y, ws, ws[1:]):
+            np.subtract(w, eta * self.batch_grad(w, x, yj), out=nxt)
+            if radius is not None:
+                project_rows(nxt, radius)
 
     def risk_evaluator(self, Xs: np.ndarray, ys: np.ndarray, max_examples: int):
         """The empirical risk on each replicate's dataset, as a function of iterates.
@@ -190,6 +225,23 @@ class LeastSquares(Loss):
         r = _rowdot(W, X) - y
         return r[:, None] * X
 
+    def descend(self, ws, X, y, etas, radius):
+        # batch_grad's arithmetic into buffers held for the call; an operand
+        # whose rows ``_rowdot`` would copy first goes the generic way instead
+        if any(a.strides[-1] != a.itemsize for a in (X, *ws)):
+            return super().descend(ws, X, y, etas, radius)
+        r = np.empty(ws[0].shape[0])
+        g = np.empty(ws[0].shape)
+        rc = r[:, None]
+        for eta, x, yj, w, nxt in zip(etas, X, y, ws, ws[1:]):
+            _einsum("...d,...d->...", w, x, out=r)
+            np.subtract(r, yj, out=r)
+            np.multiply(rc, x, out=g)
+            np.multiply(g, eta, out=g)
+            np.subtract(w, g, out=nxt)
+            if radius is not None:
+                project_rows(nxt, radius)
+
     def risk_evaluator(self, Xs, ys, max_examples):
         """F_S(w) = ||R [w; -1]||^2 / (2n), with R the triangular factor of [X | y].
 
@@ -245,6 +297,10 @@ class QNormHinge(Loss):
 
     def batch_grad(self, W, X, y):
         slack = 1.0 - y * _rowdot(W, X)
+        if self.q == 1.0:
+            # -y on the active rows and -(y * 0.0) on the others: the bits,
+            # signed zeros included, of the general formula below at q = 1
+            return (-(y * (slack > 0.0)))[:, None] * X
         active = slack > 0.0  # kink at slack == 0 resolves to the zero vector
         coef = np.where(active, self.q * np.maximum(slack, 0.0) ** (self.q - 1.0), 0.0)
         return (-coef * y)[:, None] * X

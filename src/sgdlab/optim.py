@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _engine
 from .errors import InvalidArgument
-from .losses import Loss
+from .losses import Loss, project_rows
 
 # ---------------------------------------------------------------------------
 # domains and regularizers
@@ -258,7 +258,7 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
         acc_lin += lw * w
         w -= eta * loss.batch_grad(w, x, y)
         if domain is not None:
-            _engine.project_rows(w, domain.radius)
+            project_rows(w, domain.radius)
         elif reg is not None and reg.kind == "l2":
             w *= 1.0 / (1.0 + eta * reg.strength)
         elif reg is not None:

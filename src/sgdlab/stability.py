@@ -196,7 +196,9 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
         if isinstance(streams, np.ndarray):
             indices = streams[lo:hi]
         else:
-            indices = np.vstack([streams(r) for r in range(lo, hi)])
+            indices = np.empty((Rc, etas.shape[-1]), dtype=np.int64)
+            for k, r in enumerate(range(lo, hi)):
+                indices[k] = streams(r)
         out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
                                etas[lo:hi] if etas.ndim == 2 else etas, radius,
                                indices, **collect)

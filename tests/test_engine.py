@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sgdlab import _engine, optim
 from sgdlab.data import Dataset
 from sgdlab.errors import InvalidArgument
-from sgdlab.losses import AucSquare, LeastSquares, QNormHinge
+from sgdlab.losses import AucSquare, LeastSquares, QNormHinge, project_rows
 from sgdlab.optim import Ball, StronglyConvexDecay, sgd_run, sgd_without_replacement_run
 
 
@@ -60,7 +60,7 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         grads = loss.batch_grad(Wf, Xf, yf).reshape(R, B, d)
         W = W - eta * grads
         if radius is not None:
-            _engine.project_rows(W.reshape(R * B, d), radius)
+            project_rows(W.reshape(R * B, d), radius)
     avgs = []
     for acc, weights in zip(accs, weightings):
         wsum = float(np.sum(weights))
@@ -190,15 +190,30 @@ def test_unhit_neighbour_equals_its_base_row():
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
 
 
-@pytest.mark.parametrize("loss_kind,post,R,n,d,m,permutation", [
+_BLOCK_CASES = [
     ("least_squares", "none", 3, 7, 4, 5, False),
     ("least_squares", "ball", 1, 1, 1, 0, False),   # single numbers per row
     ("hinge1.5", "ball", 2, 6, 3, 6, True),
     ("hinge1", "none", 4, 5, 2, 0, False),
     ("auc", "ball", 2, 8, 8, 3, False),
+    ("least_squares", "none", 16, 9, 8, 0, False),  # a rate-fit's uncoupled rows
+    ("least_squares", "none", 1, 5, 1, 0, False),   # averages of single numbers
+]
+# the same with steps per replicate, uncoupled and coupled
+_PER_ROW_CASES = [
+    ("least_squares", "none", 3, 5, 4, 0, False),
+    ("hinge1", "ball", 2, 6, 3, 0, True),
+    ("least_squares", "ball", 2, 5, 3, 3, False),
+]
+
+
+@pytest.mark.parametrize("loss_kind,post,R,n,d,m,permutation,per_row", [
+    pytest.param(*case, per_row, id="-".join(map(str, case)) + ("-per_row" if per_row else ""))
+    for cases, per_row in ((_BLOCK_CASES, False), (_PER_ROW_CASES, True))
+    for case in cases
 ])
 def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R, n,
-                                                 d, m, permutation):
+                                                 d, m, permutation, per_row):
     rng = np.random.default_rng(R * 1000 + n * 10 + d)
     loss = _loss(loss_kind, d, rng)
     Xs, gXs = rng.normal(size=(2, R, n, d))
@@ -209,7 +224,7 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
         indices = rng.integers(0, n, size=(R, 41))
     T = indices.shape[1]
     sub = np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None
-    etas = rng.uniform(0.01, 0.3, size=T)
+    etas = rng.uniform(0.01, 0.3, size=(R, T) if per_row else T)
 
     def run(block_steps, risk_examples, ckpt, weights):
         monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
@@ -218,7 +233,8 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
                                 sub, etas, POSTS[post], indices,
                                 risk_ckpt_steps=ckpt, average_weights=weights)
 
-    weightings = (etas, _engine.linear_weights(T, 4))
+    # steps per replicate weigh no average
+    weightings = ((() if per_row else (etas,)) + (_engine.linear_weights(T, 4),))
     # a checkpoint at every step, and a sparse set that skips whole blocks
     dense = _engine.checkpoint_steps(T)
     monkeypatch.setattr(_engine, "MAX_CHECKPOINTS", 6)
@@ -240,6 +256,16 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
                     assert got.avg is None
                 else:
                     _assert_bitwise(got.avg, avg[:, 0], "avg")
+
+
+def test_path_generator_is_the_derived_key_stream():
+    for path in ((0, _engine.TAG_DATA), (2**70 + 3, _engine.TAG_GHOST),
+                 (5, 0x9E, 17), (8, _engine.TAG_POP)):
+        got = _engine.path_generator(*path).bit_generator
+        want = _engine.philox(_engine.derive_seed(*path)).bit_generator
+        for part in ("key", "counter"):
+            np.testing.assert_array_equal(got.state["state"][part], want.state["state"][part])
+        np.testing.assert_array_equal(got.random_raw(64), want.random_raw(64))
 
 
 @pytest.mark.parametrize("permutation", [False, True], ids=["iid", "permutation"])

@@ -19,6 +19,7 @@ from sgdlab.losses import (
     check_self_bounding,
     check_smoothness_upper_bound,
     gradient_bound_on_ball,
+    project_rows,
     regularity_constants,
 )
 from sgdlab.data import GaussLinReg, ImbalancedGauss, MarginClassif
@@ -253,6 +254,74 @@ def test_row_dots_use_broadcast_views_as_they_are():
         tracemalloc.stop()
     assert out.shape == (R, 1, n)
     assert peak < 4 * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the step kernel
+# ---------------------------------------------------------------------------
+
+_KERNEL_LOSSES = [LeastSquares(), QNormHinge(1.0), QNormHinge(1.5), QNormHinge(2.0),
+                  QPowerAbsolute(1.0), QPowerAbsolute(1.5), QPowerAbsolute(2.0),
+                  _auc_loss(5)]
+
+
+def _stepwise(loss, w, X, y, etas, radius):
+    # w - eta * batch_grad, then the projection: one step at a time
+    path = [w.copy()]
+    for eta, x, yj in zip(etas, X, y):
+        w = w - eta * loss.batch_grad(w, x, yj)
+        if radius is not None:
+            project_rows(w, radius)
+        path.append(w.copy())
+    return path
+
+
+@pytest.mark.parametrize("radius", [None, 0.6], ids=["none", "ball"])
+@pytest.mark.parametrize("loss", _KERNEL_LOSSES, ids=lambda l: f"{l.kind}-{l.alpha}")
+def test_descend_steps_with_the_bits_of_batch_grad(loss, radius):
+    # into a buffer, each slot holds its step's iterate; in place, the one
+    # array ends at the last; per-row steps and strided views included
+    rng = np.random.default_rng(7)
+    steps, rows, d = 6, 4, 5
+    wide = rng.normal(size=(steps, rows, 2 * d))
+    y = rng.choice([-1.0, 1.0], size=(steps, rows)) * rng.uniform(0.5, 1.5, (steps, rows))
+    w0 = 0.3 * rng.normal(size=(rows, d))
+    for X in (wide[..., :d].copy(), wide[..., ::2]):
+        for etas in (rng.uniform(0.05, 0.4, steps).tolist(),
+                     rng.uniform(0.05, 0.4, (rows, steps, 1)).swapaxes(0, 1)):
+            want = _stepwise(loss, w0, X, y, etas, radius)
+            buf = np.empty((steps + 1, rows, d))
+            buf[0] = w0
+            loss.descend(list(buf), X, y, etas, radius)
+            for j, w in enumerate(want):
+                assert buf[j].tobytes() == w.tobytes(), (X.strides, j)
+            w = w0.copy()
+            loss.descend([w] * (steps + 1), X, y, etas, radius)
+            assert w.tobytes() == want[-1].tobytes(), X.strides
+
+
+def test_hinge_q1_keeps_the_signed_zeros_of_the_general_formula():
+    # inactive examples (margin >= 1) give a zero gradient whose sign is
+    # that of -0.0 * y; a step then leaves +0 or -0 entries of w as the
+    # general q formula's step does
+    loss = QNormHinge(1.0)
+    w = np.array([[0.0, -0.0, 2.0], [-0.0, 0.0, -2.0], [0.0, -0.0, 0.5],
+                  [-0.0, -0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, 0.0]])
+    X = np.array([[1.0, -1.0, 1.0], [-2.0, 0.5, 1.0], [1.0, 1.0, 1.0],
+                  [-0.0, 0.0, 1.0], [0.0, -3.0, 1.0], [1.0, -1.0, 0.0]])
+    y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    slack = 1.0 - y * _rowdot(w, X)
+    # two rows past the margin, two at the kink, two active
+    assert slack.tolist() == [-1.0, -1.0, 0.5, 0.0, 0.0, 1.0]
+    active = slack > 0.0
+    coef = np.where(active, 1.0 * np.maximum(slack, 0.0) ** 0.0, 0.0)
+    general = (-coef * y)[:, None] * X
+    assert np.signbit(general).any() and np.signbit(-general).any()
+    assert loss.batch_grad(w, X, y).tobytes() == general.tobytes()
+    for eta in (0.25, 0.0):
+        nxt = np.empty_like(w)
+        loss.descend([w, nxt], X[None], y[None], [eta], None)
+        assert nxt.tobytes() == (w - eta * general).tobytes()
 
 
 # ---------------------------------------------------------------------------

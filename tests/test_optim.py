@@ -5,7 +5,7 @@ from sgdlab import _engine
 from sgdlab.data import Dataset
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness.config import ExperimentConfig, build, validate_config
-from sgdlab.losses import LeastSquares, QNormHinge
+from sgdlab.losses import LeastSquares, QNormHinge, project_rows
 from sgdlab.optim import (
     Ball,
     FixedConstant,
@@ -32,13 +32,13 @@ def _single_example_dataset(x, y):
 
 def test_project_on_boundary_unchanged():
     w = np.array([[3.0, 4.0]])
-    _engine.project_rows(w, Ball(5.0).radius)
+    project_rows(w, Ball(5.0).radius)
     np.testing.assert_array_equal(w, [[3.0, 4.0]])
 
 
 def test_project_radial_scaling():
     w = np.array([[3.0, 4.0], [0.3, 0.4]])
-    _engine.project_rows(w, Ball(1.0).radius)
+    project_rows(w, Ball(1.0).radius)
     np.testing.assert_allclose(w, [[0.6, 0.8], [0.3, 0.4]], rtol=0, atol=1e-15)
 
 
