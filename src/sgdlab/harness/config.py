@@ -296,8 +296,7 @@ def _cov_of(value: Optional[Tuple[float, ...]]):
     return np.asarray(value, dtype=np.float64)
 
 
-# section -> kind -> builder of the section's object from the config; a
-# schedule's builder also takes the horizon T of the run it is for
+# section -> kind -> builder of the section's object from the config
 BUILDERS = {
     "loss": {
         "least_squares": lambda cfg: LeastSquares(),
@@ -323,13 +322,11 @@ BUILDERS = {
             cov_minus=_cov_of(cfg.cov_minus), x_bound=cfg.x_bound),
     },
     "schedule": {
-        "fixed_constant": lambda cfg, T: FixedConstant(eta1=_need(cfg, "eta1")),
-        "horizon_constant": lambda cfg, T: HorizonConstant(c=_need(cfg, "c"), horizon=T),
-        "horizon_poly": lambda cfg, T: HorizonPoly(c=_need(cfg, "c"),
-                                                   theta=_need(cfg, "theta"), horizon=T),
-        "poly_decay": lambda cfg, T: PolyDecay(eta1=_need(cfg, "eta1"),
-                                               theta=_need(cfg, "theta")),
-        "strongly_convex": lambda cfg, T: StronglyConvexDecay(
+        "fixed_constant": lambda cfg: FixedConstant(eta1=_need(cfg, "eta1")),
+        "horizon_constant": lambda cfg: HorizonConstant(c=_need(cfg, "c")),
+        "horizon_poly": lambda cfg: HorizonPoly(c=_need(cfg, "c"), theta=_need(cfg, "theta")),
+        "poly_decay": lambda cfg: PolyDecay(eta1=_need(cfg, "eta1"), theta=_need(cfg, "theta")),
+        "strongly_convex": lambda cfg: StronglyConvexDecay(
             sigma=_need(cfg, "sigma"), t0=0 if cfg.t0 is None else cfg.t0),
     },
     "domain": {
@@ -341,9 +338,9 @@ BUILDERS = {
 _KIND_FIELD = {section: _SCHEMA[section]["kind"][0] for section in BUILDERS}
 
 
-def build(section: str, cfg: ExperimentConfig, *args):
+def build(section: str, cfg: ExperimentConfig):
     """The object that [section] of ``cfg`` configures, from its ``BUILDERS``
-    entry; ``args`` is the horizon T for a schedule.
+    entry.
 
     A missing key raises ``ConfigError("missing key ... in [section]")``, and
     any error of the constructor becomes ``ConfigError("bad <section>
@@ -351,7 +348,7 @@ def build(section: str, cfg: ExperimentConfig, *args):
     """
     kind = _need(cfg, _KIND_FIELD[section])
     try:
-        return BUILDERS[section][kind](cfg, *args)
+        return BUILDERS[section][kind](cfg)
     except ConfigError:
         raise
     except Exception as e:

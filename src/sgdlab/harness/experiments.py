@@ -55,7 +55,7 @@ from ..data import (
     zero_example_neighbor,
     NeighborFamily,
 )
-from ..errors import ConfigError, InvalidArgument, PreconditionViolation
+from ..errors import ConfigError, PreconditionViolation
 from ..losses import (
     check_cocoercivity,
     check_expansiveness_slack,
@@ -74,6 +74,7 @@ from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
     brute_force_stability,
     coupled_distances,
+    enumeration_count,
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
@@ -197,11 +198,11 @@ class _Emitter:
 
 def _grid(cfg: ExperimentConfig, steps=steps_for):
     """Yield ``(n, T, schedule, theta)`` over the n grid, with T = steps(cfg, n)
-    and the schedule built for T (theta is None for schedules without one)."""
+    and one schedule, a rule in T (theta is None for schedules without one)."""
+    sched = build("schedule", cfg)
+    theta = getattr(sched, "theta", None)
     for n in cfg.n_grid:
-        T = steps(cfg, n)
-        sched = build("schedule", cfg, T)
-        yield n, T, sched, getattr(sched, "theta", None)
+        yield n, steps(cfg, n), sched, theta
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +350,9 @@ def _run_stability_sweep(cfg: ExperimentConfig, em: _Emitter, loss, dist,
             em.row(metric, mean, n=n, T=T, theta=theta, stderr=se)
 
 
-def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain,
-                  f_star: float) -> None:
+def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     output = cfg.output if cfg.output is not None else "avg_eta"
+    f_star, _ = population_risk_minimum(loss, dist)
     points = []
     for n, T, sched, theta in _grid(cfg):
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
@@ -553,14 +554,15 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
 
 
 # ---------------------------------------------------------------------------
-# what each target needs: rules checked before anything runs
+# what each run needs: rules checked before anything runs
 # ---------------------------------------------------------------------------
 
 def _rule(holds, what: str):
-    """A need that ``holds(cfg, loss)``; otherwise the target needs ``what``."""
+    """A need that ``holds(cfg, loss)``; otherwise the run needs ``what``."""
     def need(cfg, loss, dist) -> None:
         if not holds(cfg, loss):
-            raise ConfigError(f"target {cfg.target} needs {what}")
+            run = f"target {cfg.target}" if cfg.experiment == "bound-check" else cfg.experiment
+            raise ConfigError(f"{run} needs {what}")
     return need
 
 
@@ -573,12 +575,23 @@ _RIDGE = _rule(lambda cfg, loss: cfg.sigma is not None and cfg.sigma > 0.0,
                "sigma (= the ridge strength) > 0")
 _HORIZON_POLY = _rule(lambda cfg, loss: cfg.sched_kind == "horizon_poly",
                       "a horizon_poly schedule (constant steps c * T^(-theta))")
+# a log-log line through two points fits them exactly and has no residual
+_THREE_POINTS = _rule(lambda cfg, loss: len(cfg.n_grid) >= 3,
+                      "at least 3 n values in n_grid to fit a slope")
 
 
 def _schedule(cfg, loss, dist) -> None:
-    # a run of one step is valid for every kind, so this checks the
-    # [schedule] keys of a run of any length
-    build("schedule", cfg, 1)
+    build("schedule", cfg)
+
+
+def _enumerable(cfg, loss, dist) -> None:
+    # the oracle enumerates all n^T index sequences at every n
+    for n in cfg.n_grid:
+        enumeration_count(n, steps_for(cfg, n))
+
+
+def _risk_minimum(cfg, loss, dist) -> None:
+    population_risk_minimum(loss, dist)   # F*; raises where it has no closed form
 
 
 def _steps_within_2_over_L(cfg, loss, dist) -> None:
@@ -608,16 +621,19 @@ def _risk_closed_form(cfg, loss, dist) -> None:
 
 
 class _Target(NamedTuple):
-    """A bound-check target: its runner, whether its runs project onto the
-    [domain] ball (one that does not rejects a ball), and its needs, each a
+    """A run kind: its runner, whether its runs project onto the [domain] ball
+    (True: need one, False: reject one, None: either), and its needs, each a
     function of (cfg, loss, dist) that raises when the config misses it."""
 
     run: Callable[..., None]
-    ball: bool
+    ball: Optional[bool]
     needs: Tuple[Callable[..., None], ...]
 
 
 _TARGETS = {
+    "oracle": _Target(_run_oracle, None, (_schedule, _enumerable)),
+    "stability-sweep": _Target(_run_stability_sweep, None, (_schedule,)),
+    "rate-fit": _Target(_run_rate_fit, None, (_schedule, _risk_minimum, _THREE_POINTS)),
     "thm2": _Target(_check_thm2, False,
                     (_SMOOTH, _schedule, _steps_within_2_over_L, _risk_closed_or_sampled)),
     "thmD1": _Target(_check_thmD1, False, (_HOLDER, _schedule, _risk_closed_or_sampled)),
@@ -633,43 +649,26 @@ _TARGETS = {
 # entry point
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "properties": _run_properties,
-    "oracle": _run_oracle,
-    "stability-sweep": _run_stability_sweep,
-    "rate-fit": _run_rate_fit,
-}
-
-
 def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
     """The configured runner and its arguments after (cfg, emitter).
 
-    Builds the loss, distribution and domain once and checks every rule that
-    needs no run: a bound-check target's ``_TARGETS`` entry, the [schedule]
-    of the other runs, and rate-fit's F*.  No population risk is evaluated.
+    Builds the loss, distribution and domain once and checks every need of
+    the run's ``_TARGETS`` entry; none of them runs the engine, and none but
+    rate-fit's closed-form F* evaluates a population risk.
     """
     if cfg.experiment == "properties":
-        return _RUNNERS["properties"], ()
-    target = _TARGETS[cfg.target] if cfg.experiment == "bound-check" else None
-    if target is not None and target.ball != (cfg.domain_kind == "ball"):
+        return _run_properties, ()
+    target = _TARGETS[cfg.target if cfg.experiment == "bound-check" else cfg.experiment]
+    if target.ball is not None and target.ball != (cfg.domain_kind == "ball"):
         if target.ball:
             raise ConfigError(f"target {cfg.target} needs a ball domain")
         balls = tuple(name for name, t in _TARGETS.items() if t.ball)
         raise ConfigError(f"target {cfg.target} runs without projection; "
                           f"a ball domain is used only by {balls}")
     loss, dist, domain = (build(s, cfg) for s in ("loss", "distribution", "domain"))
-    if target is not None:
-        for need in target.needs:
-            need(cfg, loss, dist)
-        return target.run, (loss, dist, domain)
-    _schedule(cfg, loss, dist)
-    if cfg.experiment != "rate-fit":
-        return _RUNNERS[cfg.experiment], (loss, dist, domain)
-    try:
-        f_star, _ = population_risk_minimum(loss, dist)
-    except InvalidArgument as e:
-        raise ConfigError(f"rate-fit needs the population risk minimum: {e}") from e
-    return _RUNNERS["rate-fit"], (loss, dist, domain, f_star)
+    for need in target.needs:
+        need(cfg, loss, dist)
+    return target.run, (loss, dist, domain)
 
 
 def run_experiment(cfg: ExperimentConfig,

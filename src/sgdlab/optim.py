@@ -64,7 +64,8 @@ class Schedule:
     """Base class.  ``etas(T)`` returns the step sizes (eta_1 .. eta_T).
 
     Schedules are nonincreasing in t by construction (validated parameters).
-    Horizon-tied schedules know their run length and refuse a different one.
+    A horizon-tied schedule is a rule in T: its one step size is computed
+    from the T that ``etas`` is given, so one object serves runs of any length.
     """
 
     kind: str = "abstract"
@@ -99,33 +100,27 @@ class FixedConstant(Schedule):
 
 @dataclass(frozen=True)
 class HorizonConstant(Schedule):
-    """eta_t = c / sqrt(T) for a run of exactly T steps."""
+    """eta_t = c / sqrt(T), constant over a run of T steps."""
 
     c: float
-    horizon: int
     kind: str = field(default="horizon_constant", init=False)
 
     def __post_init__(self):
         if not self.c > 0.0:
             raise InvalidArgument(f"c must be positive, got {self.c}")
-        if not self.horizon >= 1:
-            raise InvalidArgument(f"horizon must be >= 1, got {self.horizon}")
 
     def etas(self, T):
         self._check_T(T)
-        if T != self.horizon:
-            raise InvalidArgument(
-                f"schedule was built for horizon {self.horizon}, run has T = {T}")
-        return np.full(T, self.c / math.sqrt(self.horizon), dtype=np.float64)
+        # an empty run has no step to size; max keeps sqrt(0) out of the divisor
+        return np.full(T, self.c / math.sqrt(max(T, 1)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class HorizonPoly(Schedule):
-    """eta_t = c * T^(-theta), constant within a run of exactly T steps."""
+    """eta_t = c * T^(-theta), constant over a run of T steps."""
 
     c: float
     theta: float
-    horizon: int
     kind: str = field(default="horizon_poly", init=False)
 
     def __post_init__(self):
@@ -133,15 +128,11 @@ class HorizonPoly(Schedule):
             raise InvalidArgument(f"c must be positive, got {self.c}")
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidArgument(f"theta must be in [0, 1], got {self.theta}")
-        if not self.horizon >= 1:
-            raise InvalidArgument(f"horizon must be >= 1, got {self.horizon}")
 
     def etas(self, T):
         self._check_T(T)
-        if T != self.horizon:
-            raise InvalidArgument(
-                f"schedule was built for horizon {self.horizon}, run has T = {T}")
-        return np.full(T, self.c * self.horizon ** (-self.theta), dtype=np.float64)
+        # as above: 0 ** -theta raises, and an empty run needs no step size
+        return np.full(T, self.c * max(T, 1) ** (-self.theta), dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,16 @@ def _all_index_sequences(n: int, T: int) -> np.ndarray:
     return seqs
 
 
+def enumeration_count(n: int, T: int) -> int:
+    """The n^T index sequences that full enumeration walks; raises
+    ``ResourceLimitExceeded`` beyond ``BRUTE_FORCE_MAX_SEQUENCES``."""
+    M = n ** T
+    if M > BRUTE_FORCE_MAX_SEQUENCES:
+        raise ResourceLimitExceeded(
+            f"enumeration needs {M} sequences; budget is {BRUTE_FORCE_MAX_SEQUENCES}")
+    return M
+
+
 def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
                           domain: Optional[Ball], T: int) -> Tuple[float, float]:
     """Exact on-average stability for a fixed (S, ghost) by full enumeration.
@@ -325,10 +335,7 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     positions.  Returns (l1, l2 squared).  Refuses n^T beyond the budget.
     """
     n = family.base.n
-    M = n ** T
-    if M > BRUTE_FORCE_MAX_SEQUENCES:
-        raise ResourceLimitExceeded(
-            f"enumeration needs {M} sequences; budget is {BRUTE_FORCE_MAX_SEQUENCES}")
+    M = enumeration_count(n, T)
     l1_seq = np.empty(M)
     l2_seq = np.empty(M)
     for lo, hi, out, _, _ in _replicate_batches(

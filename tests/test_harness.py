@@ -227,12 +227,11 @@ _BAD_PARAMETERS = {
 def test_builders():
     assert set(_BUILDER_NEEDS) == {(section, kind) for section, table in BUILDERS.items()
                                    for kind in table}
-    horizon = {"schedule": (32,)}
     for (section, kind), needs in _BUILDER_NEEDS.items():
         # the least config: the kind and the fields its builder needs
         cfg = ExperimentConfig(experiment="oracle", **{_KIND_FIELDS[section]: kind},
                                **needs)
-        obj = build(section, cfg, *horizon.get(section, ()))
+        obj = build(section, cfg)
         if section == "domain":
             assert (obj is None) == (kind == "none")
         else:
@@ -243,8 +242,7 @@ def test_builders():
             # each needed field is named when it is missing
             section_of, key = config._FIELD_TO_KEY[field]
             with pytest.raises(ConfigError, match=fr"missing key '{key}' in \[{section_of}\]"):
-                build(section, dataclasses.replace(cfg, **{field: None}),
-                      *horizon.get(section, ()))
+                build(section, dataclasses.replace(cfg, **{field: None}))
         # every kind of a section is listed when the kind is not one of them
         message = f"unknown {section} kind 'nope'; expected one of {tuple(BUILDERS[section])}"
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -252,17 +250,14 @@ def test_builders():
     for section, overrides in _BAD_PARAMETERS.items():
         cfg = ExperimentConfig(experiment="oracle", **overrides)
         with pytest.raises(ConfigError, match=f"bad {section} parameters"):
-            build(section, cfg, *horizon.get(section, ()))
-    # a horizon-tied schedule is built for the horizon it is given
-    cfg = ExperimentConfig(experiment="oracle", sched_kind="horizon_poly", c=1.25, theta=0.5)
-    assert build("schedule", cfg, 32).horizon == 32
+            build(section, cfg)
     # the q-losses default to the plain hinge and the squared residual
     for kind, q in (("q_hinge", 1.0), ("q_power_abs", 2.0)):
         cfg = ExperimentConfig(experiment="oracle", loss_kind=kind)
         assert build("loss", cfg).q == q
         assert build("loss", dataclasses.replace(cfg, loss_q=1.5)).q == 1.5
     with pytest.raises(ConfigError, match=r"missing key 'kind' in \[schedule\]"):
-        build("schedule", ExperimentConfig(experiment="oracle"), 8)
+        build("schedule", ExperimentConfig(experiment="oracle"))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +502,9 @@ def test_cli_ball_domain_on_an_unprojected_target_exits_2(tmp_path, capsys, monk
 
 
 def test_target_table_names_every_target():
-    assert list(experiments._TARGETS) == list(TARGETS)
+    # one entry per run kind that reads a [schedule], then every target
+    assert list(experiments._TARGETS) == ["oracle", "stability-sweep", "rate-fit",
+                                          *TARGETS]
 
 
 _PAIRS = {
@@ -610,6 +607,27 @@ def test_cli_schedule_is_checked_before_any_run(tmp_path, capsys, monkeypatch, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, n_grid, code, message", [
+    # 9^9 index sequences at n = T = 9 exceed the enumeration budget
+    ("oracle", "3, 4, 9", 3, "enumeration needs 387420489 sequences"),
+    ("rate-fit", "64, 128", 2, "rate-fit needs at least 3 n values in n_grid"),
+])
+def test_cli_run_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch, experiment,
+                                                  n_grid, code, message):
+    # a rule that a later grid point breaks stops the run before the first
+    def fail(*args, **kwargs):
+        raise AssertionError("the engine ran before the rules were checked")
+
+    monkeypatch.setattr(_engine, "run_core", fail)
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = {experiment}\nn_grid = {n_grid}\nreplicates = 4\n"
+            f"out_path = {out}\n" + _PAIRS["lsq"] + _SMALL_STEP)
+    assert main([experiment, "--config", _write(tmp_path, text)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not out.exists()
+
+
 # alpha = 0.5 pairs with no closed-form population risk or risk minimum
 _HOLDER_PAIRS = {
     "q_hinge": ("[loss]\nkind = q_hinge\nq = 1.5\n"
@@ -654,7 +672,7 @@ def test_cli_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypa
     def fail(cfg):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setitem(experiments._RUNNERS, "properties", fail)
+    monkeypatch.setattr(experiments, "_run_properties", fail)
     dangling = tmp_path / "dangling"
     dangling.symlink_to(tmp_path / "missing")
     # the file itself, a directory to be made below it, a dangling symlink

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,17 +60,31 @@ def test_fixed_constant_schedule():
 
 
 def test_horizon_constant_schedule():
-    s = HorizonConstant(c=1.0, horizon=4)
+    s = HorizonConstant(c=1.0)
     np.testing.assert_array_equal(s.etas(4), np.full(4, 0.5))
-    with pytest.raises(InvalidArgument):
-        s.etas(3)  # horizon mismatch
+    # one object is the rule c / sqrt(T) for every T
+    np.testing.assert_array_equal(s.etas(16), np.full(16, 0.25))
 
 
 def test_horizon_poly_schedule():
-    s = HorizonPoly(c=2.0, theta=0.5, horizon=16)
+    s = HorizonPoly(c=2.0, theta=0.5)
     np.testing.assert_array_equal(s.etas(16), np.full(16, 0.5))
-    with pytest.raises(InvalidArgument):
-        s.etas(8)
+    np.testing.assert_array_equal(s.etas(4), np.full(4, 1.0))
+
+
+@pytest.mark.parametrize("T", [128, 512])
+def test_horizon_schedules_compute_their_step_from_T(T):
+    # bit for bit the formulas the configs name: c / sqrt(T) is not
+    # c * T^(-1/2) in the last bit at these T, so the two kinds stay apart
+    c = 0.5
+    np.testing.assert_array_equal(HorizonConstant(c).etas(T), np.full(T, c / math.sqrt(T)))
+    for theta in (0.5, 0.75):
+        np.testing.assert_array_equal(HorizonPoly(c, theta).etas(T), np.full(T, c * T ** -theta))
+
+
+def test_horizon_schedules_of_an_empty_run_are_empty():
+    for s in (HorizonConstant(0.5), HorizonPoly(0.5, 0.75)):
+        assert s.etas(0).shape == (0,)
 
 
 def test_poly_decay_schedule():
@@ -83,10 +99,9 @@ def test_strongly_convex_schedule():
 
 
 def test_schedules_nonincreasing():
-    for s in (FixedConstant(0.1), HorizonConstant(1.0, 50), HorizonPoly(1.0, 0.3, 50),
+    for s in (FixedConstant(0.1), HorizonConstant(1.0), HorizonPoly(1.0, 0.3),
               PolyDecay(0.5, 0.9), StronglyConvexDecay(0.5, 0)):
-        T = getattr(s, "horizon", 50)
-        etas = s.etas(T)
+        etas = s.etas(50)
         assert np.all(etas > 0.0)
         assert np.all(np.diff(etas) <= 0.0)
 
@@ -95,9 +110,9 @@ def test_schedule_validation():
     with pytest.raises(InvalidArgument):
         FixedConstant(0.0)
     with pytest.raises(InvalidArgument):
-        HorizonConstant(c=-1.0, horizon=4)
+        HorizonConstant(c=-1.0)
     with pytest.raises(InvalidArgument):
-        HorizonPoly(c=1.0, theta=1.5, horizon=4)
+        HorizonPoly(c=1.0, theta=1.5)
     with pytest.raises(InvalidArgument):
         PolyDecay(eta1=1.0, theta=-0.1)
     with pytest.raises(InvalidArgument):
@@ -109,10 +124,10 @@ def test_schedule_validation():
 
 
 def test_make_schedule_factory():
-    # a [schedule] kind is built by its config.BUILDERS entry, for horizon T
+    # a [schedule] kind is built by its config.BUILDERS entry
     def schedule(kind, **fields):
         return build("schedule", ExperimentConfig(experiment="oracle", sched_kind=kind,
-                                                  **fields), 4)
+                                                  **fields))
     assert schedule("fixed_constant", eta1=0.1).kind == "fixed_constant"
     assert schedule("horizon_constant", c=1.0).kind == "horizon_constant"
     assert schedule("horizon_poly", c=1.0, theta=0.5).kind == "horizon_poly"
