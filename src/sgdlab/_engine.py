@@ -95,30 +95,26 @@ def derive_seed(*path: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
-def philox(key: int) -> np.random.Generator:
-    """Counter-based generator from a derived 128-bit key."""
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def path_generator(*path: int) -> np.random.Generator:
-    """The generator ``philox(derive_seed(*path))``, built from the path directly.
+    """The counter-based generator of a seed path.
 
-    Philox keys itself from a seed sequence with the two words that
-    ``derive_seed`` packs, so the stream is the same; built this way it
-    draws no OS entropy for a seed it then ignores, and costs less.
+    Philox keys itself from the path's seed sequence with the two words
+    that ``derive_seed`` packs, so the stream equals that of
+    ``Generator(Philox(key=derive_seed(*path)))``.
     """
     return np.random.Generator(np.random.Philox(seed_sequence(*path)))
 
 
-def index_matrix(key: int, n: int, T: int, replicates: int) -> np.ndarray:
-    """(replicates, T) i.i.d. uniform indices in [0, n)."""
-    rng = philox(key)
+def index_matrix(rng: np.random.Generator, n: int, T: int,
+                 replicates: int) -> np.ndarray:
+    """(replicates, T) i.i.d. uniform indices in [0, n), drawn from ``rng``."""
     return rng.integers(0, n, size=(replicates, T), dtype=np.int64)
 
 
-def permutation_matrix(key: int, n: int, epochs: int, replicates: int) -> np.ndarray:
-    """(replicates, epochs * n) indices: a fresh shuffle per epoch per replicate."""
-    rng = philox(key)
+def permutation_matrix(rng: np.random.Generator, n: int, epochs: int,
+                       replicates: int) -> np.ndarray:
+    """(replicates, epochs * n) indices drawn from ``rng``: a fresh shuffle
+    per epoch per replicate."""
     out = np.empty((replicates, epochs * n), dtype=np.int64)
     for r in range(replicates):
         for k in range(epochs):

@@ -243,8 +243,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_grid must be ascending positive integers, got {cfg.n_grid}")
     if cfg.T_rule not in T_RULES:
         raise ConfigError(f"unknown T_rule {cfg.T_rule!r}; expected one of {T_RULES}")
-    if cfg.T_rule == "n_pow" and (cfg.T_pow is None or cfg.T_pow <= 0.0):
-        raise ConfigError("T_rule = n_pow needs a positive T_pow")
+    if cfg.T_rule == "n_pow":
+        if cfg.T_pow is None or cfg.T_pow <= 0.0:
+            raise ConfigError("T_rule = n_pow needs a positive T_pow")
+        for n in cfg.n_grid:
+            try:
+                steps_for(cfg, n)
+            except OverflowError:
+                raise ConfigError(f"T = ceil(n^T_pow) overflows at n = {n}, "
+                                  f"T_pow = {cfg.T_pow}") from None
     if cfg.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
     if cfg.replicates < 1:

@@ -422,10 +422,16 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> Non
     consts = regularity_constants(loss.alpha, L, g0)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
     for n, T, sched, theta in _grid(cfg):
-        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
-        # F_S^frac_expo per replicate, 0**0 == 1 by convention
-        frac_risk = np.power(np.maximum(rep.risk, 0.0), frac_expo)
-        frac_risk_path = expand_risk_path(rep.risk_steps, _upper(frac_risk), T)
+        # the rhs weights step j by E[F_S(w_j)^frac_expo]; at alpha = 0 the
+        # exponent is 0, every F^0 is 1 (0 and NaN included), and the mean
+        # plus stderr of ones is exactly 1, so the runs record no risk path
+        rep = _stability(cfg, loss, dist, n, T, sched, None,
+                         record_risks=frac_expo > 0.0)
+        if frac_expo > 0.0:
+            frac_risk = np.power(np.maximum(rep.risk, 0.0), frac_expo)
+            frac_risk_path = expand_risk_path(rep.risk_steps, _upper(frac_risk), T)
+        else:
+            frac_risk_path = np.ones(T)
         rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1,
                                        consts.c3, frac_risk_path)
         em.gate_row("l2_sq_stability", rhs, *_mean_se(rep.l2_sq),
@@ -575,6 +581,8 @@ _RIDGE = _rule(lambda cfg, loss: cfg.sigma is not None and cfg.sigma > 0.0,
                "sigma (= the ridge strength) > 0")
 _HORIZON_POLY = _rule(lambda cfg, loss: cfg.sched_kind == "horizon_poly",
                       "a horizon_poly schedule (constant steps c * T^(-theta))")
+# the gap estimates take a standard error, which needs two replicates
+_TWO_REPLICATES = _rule(lambda cfg, loss: cfg.replicates >= 2, "at least 2 replicates")
 # a log-log line through two points fits them exactly and has no residual
 _THREE_POINTS = _rule(lambda cfg, loss: len(cfg.n_grid) >= 3,
                       "at least 3 n values in n_grid to fit a slope")
@@ -633,10 +641,13 @@ class _Target(NamedTuple):
 _TARGETS = {
     "oracle": _Target(_run_oracle, None, (_schedule, _enumerable)),
     "stability-sweep": _Target(_run_stability_sweep, None, (_schedule,)),
-    "rate-fit": _Target(_run_rate_fit, None, (_schedule, _risk_minimum, _THREE_POINTS)),
+    "rate-fit": _Target(_run_rate_fit, None,
+                        (_schedule, _risk_minimum, _THREE_POINTS, _TWO_REPLICATES)),
     "thm2": _Target(_check_thm2, False,
-                    (_SMOOTH, _schedule, _steps_within_2_over_L, _risk_closed_or_sampled)),
-    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _schedule, _risk_closed_or_sampled)),
+                    (_SMOOTH, _schedule, _steps_within_2_over_L, _risk_closed_or_sampled,
+                     _TWO_REPLICATES)),
+    "thmD1": _Target(_check_thmD1, False,
+                     (_HOLDER, _schedule, _risk_closed_or_sampled, _TWO_REPLICATES)),
     "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES,)),
     "propD2": _Target(_check_propD2, False, (_LEAST_SQUARES, _RIDGE, _risk_closed_form)),

@@ -211,6 +211,11 @@ def _index_seed(rng_seed: int) -> int:
     return _engine.derive_seed(rng_seed, _engine.TAG_INDEX)
 
 
+def _index_stream(rng_seed: int) -> np.random.Generator:
+    """The generator of the index stream that ``_index_seed`` names."""
+    return _engine.path_generator(rng_seed, _engine.TAG_INDEX)
+
+
 def _dataset_arrays(dataset) -> Tuple[np.ndarray, np.ndarray]:
     features = np.asarray(dataset.features, dtype=np.float64)
     if features.shape[0] < 1:
@@ -273,9 +278,10 @@ def _iid_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
     if not T >= 1:
         raise InvalidArgument(f"T must be >= 1, got {T}")
     features, labels = _dataset_arrays(dataset)
-    seed = _index_seed(rng_seed)
-    indices = _engine.index_matrix(seed, features.shape[0], T, replicates=1)
-    return _run(loss, features, labels, sched, domain, reg, seed, indices, record_every)
+    indices = _engine.index_matrix(_index_stream(rng_seed), features.shape[0], T,
+                                   replicates=1)
+    return _run(loss, features, labels, sched, domain, reg, _index_seed(rng_seed),
+                indices, record_every)
 
 
 def sgd_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
@@ -308,7 +314,6 @@ def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: in
         raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
     features, labels = _dataset_arrays(dataset)
     n = features.shape[0]
-    seed = _index_seed(rng_seed)
-    indices = _engine.permutation_matrix(seed, n, epochs, replicates=1)
-    return _run(loss, features, labels, sched, None, None, seed, indices,
+    indices = _engine.permutation_matrix(_index_stream(rng_seed), n, epochs, replicates=1)
+    return _run(loss, features, labels, sched, None, None, _index_seed(rng_seed), indices,
                 record_every=n)

@@ -126,9 +126,10 @@ def replicate_family(dist: Distribution, n: int, master_seed: int,
     return sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
 
 
-def _replicate_index_key(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
-    key = _engine.derive_seed(master_seed, _engine.TAG_INDEX, r)
-    return _engine.index_matrix(key, n, T, replicates=1)
+def _replicate_stream(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
+    """Replicate r's (1, T) i.i.d. index stream, drawn from its seed path."""
+    rng = _engine.path_generator(master_seed, _engine.TAG_INDEX, r)
+    return _engine.index_matrix(rng, n, T, replicates=1)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,11 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
             return replicate_family(dist, n, master_seed, r)
     if without_replacement:
         def streams(r):
-            key = _engine.derive_seed(master_seed, _engine.TAG_PERM, r)
-            return _engine.permutation_matrix(key, n, T // n, 1)
+            rng = _engine.path_generator(master_seed, _engine.TAG_PERM, r)
+            return _engine.permutation_matrix(rng, n, T // n, 1)
     else:
         def streams(r):
-            return _replicate_index_key(master_seed, r, n, T)
+            return _replicate_stream(master_seed, r, n, T)
 
     for lo, hi, out, Xs, ys in _replicate_batches(
             loss, R, n, sched.etas(T), _radius(domain), families, streams,
@@ -295,7 +296,7 @@ def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
     dists = np.empty(replicates)
 
     def streams(r):
-        return _replicate_index_key(_replicate_dataset_seed(master_seed, r), 0, n, T)
+        return _replicate_stream(_replicate_dataset_seed(master_seed, r), 0, n, T)
 
     for lo, hi, out, _, _ in _replicate_batches(
             loss, replicates, n, etas, _radius(domain), families, streams,
@@ -372,7 +373,7 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         return replicate_dataset(dist, n, master_seed, r)
 
     def streams(r):
-        return _replicate_index_key(master_seed, r, n, T)
+        return _replicate_stream(master_seed, r, n, T)
 
     etas = sched.etas(T)
     weights = {"final": None, "avg_eta": etas,

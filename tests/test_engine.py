@@ -112,7 +112,9 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     gys = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
     if permutation:
         # per-epoch shuffles, T a whole number of epochs
-        indices = _engine.permutation_matrix(int(rng.integers(2**63)), n, steps, R)
+        key = int(rng.integers(2**63))
+        indices = _engine.permutation_matrix(
+            np.random.Generator(np.random.Philox(key=key)), n, steps, R)
     else:
         # T from 0 to 3n; with T < n most positions are never drawn
         T = int(rng.integers(0, 3 * n + 1))
@@ -219,7 +221,9 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
     Xs, gXs = rng.normal(size=(2, R, n, d))
     ys, gys = rng.choice([-1.0, 1.0], size=(2, R, n)) * rng.uniform(0.5, 1.5, (2, R, n))
     if permutation:
-        indices = _engine.permutation_matrix(int(rng.integers(2**63)), n, 7, R)
+        key = int(rng.integers(2**63))
+        indices = _engine.permutation_matrix(
+            np.random.Generator(np.random.Philox(key=key)), n, 7, R)
     else:
         indices = rng.integers(0, n, size=(R, 41))
     T = indices.shape[1]
@@ -262,7 +266,7 @@ def test_path_generator_is_the_derived_key_stream():
     for path in ((0, _engine.TAG_DATA), (2**70 + 3, _engine.TAG_GHOST),
                  (5, 0x9E, 17), (8, _engine.TAG_POP)):
         got = _engine.path_generator(*path).bit_generator
-        want = _engine.philox(_engine.derive_seed(*path)).bit_generator
+        want = np.random.Philox(key=_engine.derive_seed(*path))
         for part in ("key", "counter"):
             np.testing.assert_array_equal(got.state["state"][part], want.state["state"][part])
         np.testing.assert_array_equal(got.random_raw(64), want.random_raw(64))
@@ -282,15 +286,16 @@ def test_runners_step_like_the_engine(loss_kind, radius, permutation):
     sched = StronglyConvexDecay(sigma=4.0, t0=3)
     domain = Ball(radius) if radius is not None else None
     key = _engine.derive_seed(seed, _engine.TAG_INDEX)
+    stream = np.random.Generator(np.random.Philox(key=key))
     if not permutation:
-        indices = _engine.index_matrix(key, n, 40, replicates=1)
+        indices = _engine.index_matrix(stream, n, 40, replicates=1)
         traj = sgd_run(loss, ds, sched, domain, indices.shape[1], seed)
     elif domain is None:
-        indices = _engine.permutation_matrix(key, n, epochs, replicates=1)
+        indices = _engine.permutation_matrix(stream, n, epochs, replicates=1)
         traj = sgd_without_replacement_run(loss, ds, sched, epochs, seed)
     else:
         # no public runner takes epochs and a ball: call their shared loop
-        indices = _engine.permutation_matrix(key, n, epochs, replicates=1)
+        indices = _engine.permutation_matrix(stream, n, epochs, replicates=1)
         traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, key,
                           indices, record_every=n)
     T = indices.shape[1]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sgdlab import _engine, stability
+from sgdlab.bounds import expand_risk_path, thmD1_nonsmooth_l2_bound
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness import config, experiments
 from sgdlab.harness.cli import main
@@ -24,6 +25,7 @@ from sgdlab.harness.config import (
 )
 from sgdlab.harness.experiments import CsvRow, run_experiment, standard_error, write_csv
 from sgdlab.harness.ratefit import fit_loglog_slope
+from sgdlab.losses import regularity_constants
 
 FULL_TEXT = """
 # exercises every section
@@ -529,7 +531,19 @@ _SMALL_STEP = "[schedule]\nkind = fixed_constant\neta1 = 0.001\n"
 _BALL = "[domain]\nkind = ball\nradius = 2.0\n"
 
 
-# one config per rule of each target: (target, pair, rest of the config, message)
+# the [experiment] keys of the rule checks: sizes at which a check after the
+# first grid point would cost seconds
+_EXPERIMENT = {"n_grid": "64, 512", "replicates": "200", "mc_pop": "0"}
+_ONE_REPLICATE = {"replicates": "1"}
+_OVERFLOWING_T = {"n_grid": "8, 16", "T_rule": "n_pow", "T_pow": "400"}
+
+
+def _experiment_keys(changes=None) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in {**_EXPERIMENT, **(changes or {})}.items())
+
+
+# one config per rule of each target: (target, pair, rest of the config,
+# message[, changed [experiment] keys])
 _VIOLATIONS = {
     "thm2-smooth": ("thm2", "hinge", _SMALL_STEP, "needs a smooth loss"),
     "thm2-2/L": ("thm2", "lsq", "[schedule]\nkind = fixed_constant\neta1 = 50\n",
@@ -562,6 +576,14 @@ _VIOLATIONS = {
     "propG2-schedule": ("propG2", "hinge", "", "missing key 'kind' in [schedule]"),
     "propG1-schedule": ("propG1", "hinge", "[schedule]\nkind = horizon_poly\nc = 1.0\n",
                         "missing key 'theta' in [schedule]"),
+    "thm2-replicates": ("thm2", "lsq", _SMALL_STEP, "target thm2 needs at least 2 replicates",
+                        _ONE_REPLICATE),
+    "thmD1-replicates": ("thmD1", "hinge", _POLY, "target thmD1 needs at least 2 replicates",
+                         _ONE_REPLICATE),
+    "thm2-T-overflow": ("thm2", "lsq", _SMALL_STEP,
+                        "T = ceil(n^T_pow) overflows at n = 8, T_pow = 400", _OVERFLOWING_T),
+    "thmD1-T-overflow": ("thmD1", "hinge", _POLY,
+                         "T = ceil(n^T_pow) overflows at n = 8, T_pow = 400", _OVERFLOWING_T),
 }
 
 
@@ -576,11 +598,10 @@ def test_cli_target_rules_are_checked_before_any_run(tmp_path, capsys, monkeypat
     monkeypatch.setattr(_engine, "run_core", fail)
     monkeypatch.setattr(experiments, "population_risk", fail)
     monkeypatch.setattr(stability, "population_risk", fail)
-    target, pair, rest, message = _VIOLATIONS[case]
+    target, pair, rest, message, *changes = _VIOLATIONS[case]
     out = tmp_path / "res"
-    # sizes at which a check after the first grid point would cost seconds
-    text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 64, 512\n"
-            f"replicates = 200\nmc_pop = 0\nout_path = {out}\n" + _PAIRS[pair] + rest)
+    text = (f"[experiment]\nkind = bound-check\ntarget = {target}\n"
+            + _experiment_keys(*changes) + f"out_path = {out}\n" + _PAIRS[pair] + rest)
     assert main(["bound-check", "--config", _write(tmp_path, text)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]
@@ -611,6 +632,12 @@ def test_cli_schedule_is_checked_before_any_run(tmp_path, capsys, monkeypatch, e
     # 9^9 index sequences at n = T = 9 exceed the enumeration budget
     ("oracle", "3, 4, 9", 3, "enumeration needs 387420489 sequences"),
     ("rate-fit", "64, 128", 2, "rate-fit needs at least 3 n values in n_grid"),
+    # (n_grid, the other [experiment] keys)
+    pytest.param("rate-fit", ("64, 128, 256", "replicates = 1\n"), 2,
+                 "rate-fit needs at least 2 replicates", id="rate-fit-one-replicate"),
+    pytest.param("rate-fit", ("1, 8, 16", "replicates = 4\nT_rule = n_pow\nT_pow = 400\n"),
+                 2, "T = ceil(n^T_pow) overflows at n = 8, T_pow = 400",
+                 id="rate-fit-T-overflow"),
 ])
 def test_cli_run_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch, experiment,
                                                   n_grid, code, message):
@@ -619,8 +646,9 @@ def test_cli_run_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch,
         raise AssertionError("the engine ran before the rules were checked")
 
     monkeypatch.setattr(_engine, "run_core", fail)
+    n_grid, keys = n_grid if isinstance(n_grid, tuple) else (n_grid, "replicates = 4\n")
     out = tmp_path / "res"
-    text = (f"[experiment]\nkind = {experiment}\nn_grid = {n_grid}\nreplicates = 4\n"
+    text = (f"[experiment]\nkind = {experiment}\nn_grid = {n_grid}\n{keys}"
             f"out_path = {out}\n" + _PAIRS["lsq"] + _SMALL_STEP)
     assert main([experiment, "--config", _write(tmp_path, text)]) == code
     err = capsys.readouterr().err.splitlines()
@@ -662,6 +690,59 @@ def test_cli_thmD1_holder_interior_uses_monte_carlo_risk(tmp_path, capsys, pair)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "no closed form" in err[0] and "mc_samples > 0" in err[0]
     assert not (none / "bound-check.csv").exists()
+
+
+def _thmD1_text(out, pair: str, mc_pop: int) -> str:
+    return (f"[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 16\n"
+            f"T_rule = equal_n\nreplicates = 20\nmc_pop = {mc_pop}\nout_path = {out}\n"
+            + pair + _POLY)
+
+
+@pytest.mark.parametrize("pair, mc_pop, records", [
+    (_PAIRS["hinge"], 0, False), (_HOLDER_PAIRS["q_hinge"], 2000, True)],
+    ids=["alpha-0", "alpha-0.5"])
+def test_cli_thmD1_records_risks_only_where_its_bound_reads_them(tmp_path, monkeypatch,
+                                                                  pair, mc_pop, records):
+    # the rhs weights step j by E[F_S(w_j)^(2 alpha / (1 + alpha))]; at
+    # alpha = 0 that is 1 whatever the risks are, so the runs record none
+    calls = []
+    run_core = _engine.run_core
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return run_core(*args, **kwargs)
+
+    monkeypatch.setattr(_engine, "run_core", spy)
+    cfg_path = _write(tmp_path, _thmD1_text(tmp_path / "res", pair, mc_pop))
+    assert main(["bound-check", "--config", cfg_path]) == 0
+    assert calls
+    for kwargs in calls:
+        assert (kwargs.get("risk_ckpt_steps") is not None) == records
+        assert kwargs.get("average_weights") is None
+
+
+def test_cli_thmD1_hinge_rhs_equals_the_bound_on_the_recorded_risks(tmp_path):
+    # the rhs on a recorded risk path: F_S at every step raised to the power
+    # 0, then mean + stderr per step; a run that records no path has its bits
+    out = tmp_path / "res"
+    text = _thmD1_text(out, _PAIRS["hinge"], 0)
+    assert main(["bound-check", "--config", _write(tmp_path, text)]) == 0
+    rows = [r.split(",") for r in (out / "bound-check.csv").read_text().splitlines()[1:]]
+    [l2] = [r for r in rows if r[6] == "l2_sq_stability"]
+
+    cfg = parse_config(text)
+    loss, dist, sched = (build(s, cfg) for s in ("loss", "distribution", "schedule"))
+    n = T = 16
+    rep = stability.estimate_on_average_stability(loss, dist, n, T, sched, None,
+                                                  cfg.replicates, cfg.master_seed,
+                                                  record_risks=True)
+    _, L, g0 = experiments._sup_holder(loss, dist)
+    consts = regularity_constants(loss.alpha, L, g0)
+    path = expand_risk_path(
+        rep.risk_steps, experiments._upper(np.power(np.maximum(rep.risk, 0.0), 0.0)), T)
+    rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1, consts.c3, path)
+    assert float(l2[9]) == rhs
+    assert float(l2[7]) == float(rep.l2_sq.mean())
 
 
 def test_cli_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch):

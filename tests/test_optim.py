@@ -325,8 +325,9 @@ def test_without_replacement_hand_rolled_oracle():
     seed = 7
     traj = sgd_without_replacement_run(loss, ds, FixedConstant(0.25), epochs=3,
                                        rng_seed=seed)
+    key = _engine.derive_seed(seed, _engine.TAG_INDEX)
     perm = _engine.permutation_matrix(
-        _engine.derive_seed(seed, _engine.TAG_INDEX), n=2, epochs=3, replicates=1)[0]
+        np.random.Generator(np.random.Philox(key=key)), n=2, epochs=3, replicates=1)[0]
     w = 0.0
     for t, i in enumerate(perm):
         x, y = float(ds.features[i, 0]), float(ds.labels[i])
@@ -335,7 +336,8 @@ def test_without_replacement_hand_rolled_oracle():
 
 
 def test_permutation_matrix_is_per_epoch_shuffle():
-    perms = _engine.permutation_matrix(123, n=5, epochs=4, replicates=6)
+    perms = _engine.permutation_matrix(np.random.Generator(np.random.Philox(key=123)),
+                                       n=5, epochs=4, replicates=6)
     assert perms.shape == (6, 20)
     for r in range(6):
         for k in range(4):
@@ -345,7 +347,8 @@ def test_permutation_matrix_is_per_epoch_shuffle():
 
 def test_without_replacement_zero_etas_engine_path():
     ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([1.0, -1.0]))
-    indices = _engine.permutation_matrix(5, n=2, epochs=2, replicates=1)
+    indices = _engine.permutation_matrix(np.random.Generator(np.random.Philox(key=5)),
+                                         n=2, epochs=2, replicates=1)
     out = _engine.run_core(LeastSquares(), ds.features[None], ds.labels[None],
                            None, None, None, np.zeros(4), None, indices)
     np.testing.assert_array_equal(out.finals[0, 0], [0.0])

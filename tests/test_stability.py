@@ -107,7 +107,8 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
         out = _engine.run_core(
             LeastSquares(), fam.base.features[None], fam.base.labels[None],
             fam.ghost.features[None], fam.ghost.labels[None], np.array([[0]]),
-            etas[r], 0.5, _engine.index_matrix(key, n, T, 1))
+            etas[r], 0.5,
+            _engine.index_matrix(np.random.Generator(np.random.Philox(key=key)), n, T, 1))
         assert got[r] == np.linalg.norm(out.finals[:, 1] - out.finals[:, 0], axis=1)[0]
 
 
@@ -415,8 +416,9 @@ def test_epoch_estimator_hand_rolled_single_replicate():
                                         without_replacement=True)
 
     fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, 0))
+    key = _engine.derive_seed(master_seed, _engine.TAG_PERM, 0)
     perm = _engine.permutation_matrix(
-        _engine.derive_seed(master_seed, _engine.TAG_PERM, 0), n, epochs, 1)[0]
+        np.random.Generator(np.random.Philox(key=key)), n, epochs, 1)[0]
     etas = sched.etas(n * epochs)
     dists = []
     for i in range(n):
