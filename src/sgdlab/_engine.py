@@ -71,7 +71,6 @@ from .errors import InvalidArgument
 TAG_INDEX = 0x1D
 TAG_DATA = 0xDA
 TAG_GHOST = 0x60
-TAG_POP = 0xB0
 TAG_PERM = 0xFE
 
 #: base iterates buffered per block of steps: block length * R <= BLOCK_ROWS.

@@ -14,6 +14,11 @@ S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
 with the i-th example of S~.  This is the object the stability estimators
 couple trajectories over.
 
+Population risks here are exact, for the (loss, distribution) pairs with a
+``closed_form_risk``.  Nothing here samples a risk: for the other pairs the
+stability estimates take E F(A(S)) from their neighbour runs, each run's loss
+at the example its dataset left out.
+
 The exact hinge risk on the margin model (``_hinge_margin_risk``) needs the
 normal distribution function and Owen's T function.  Both are package code
 (``_ndtr``, ``_owens_t``) on the stdlib's ``math.erf`` and ``math.erfc``, so
@@ -469,61 +474,37 @@ def closed_form_risk(loss: Loss, dist: Distribution):
     return None
 
 
-def population_risk(loss: Loss, dist: Distribution, w: np.ndarray,
-                    mc_samples: int = 0, seed=0):
-    """F(w) = E[f(w; z)] with a standard error.
+def population_risk(loss: Loss, dist: Distribution, w: np.ndarray):
+    """F(w) = E[f(w; z)], exact, for the pairs with a ``closed_form_risk``.
 
-    ``w`` is one parameter vector (d,), which gives (float, float), or a
-    batch of rows (R, d), which gives two arrays of R values.  Returns an
-    exact value (stderr 0) for the pairs with a ``closed_form_risk``.  Every
-    other pair needs mc_samples > 0; ``seed`` is then one seed, or one seed
-    per row of a batch, and each row is estimated as a single-row call with
-    its seed would be.
+    ``w`` is one parameter vector (d,), which gives a float, or a batch of
+    rows (R, d), which gives R values.  A pair without a closed form raises
+    ``InvalidArgument``; the stability estimates measure its E F(A(S)) from
+    their neighbour runs instead (``StabilityReport.held_out``).
     """
-    w = np.asarray(w, dtype=np.float64)
-    W = np.atleast_2d(w)
-    R = W.shape[0]
-    stderr = np.zeros(R)
     closed = closed_form_risk(loss, dist)
-    if closed is not None:
-        val = closed(W)
-    elif mc_samples <= 0:
-        raise InvalidArgument(
-            f"no closed form for ({loss.kind}, {dist.kind}); pass mc_samples > 0")
-    else:
-        seeds = [seed] * R if np.ndim(seed) == 0 else list(seed)
-        if len(seeds) != R:
-            raise InvalidArgument(f"need one seed per row: {len(seeds)} seeds, {R} rows")
-        val = np.empty(R)
-        for i, (v, s) in enumerate(zip(W, seeds)):
-            rng = _engine.path_generator(s, _engine.TAG_POP)
-            ds = dist.sample(mc_samples, rng)
-            vals = loss.batch_value(np.broadcast_to(v, (mc_samples, v.shape[0])),
-                                    ds.features, ds.labels)
-            val[i] = vals.mean()
-            stderr[i] = vals.std(ddof=1) / math.sqrt(mc_samples)
-    if w.ndim == 1:
-        return float(val[0]), float(stderr[0])
-    return val, stderr
+    if closed is None:
+        raise InvalidArgument(f"no closed-form population risk for ({loss.kind}, {dist.kind})")
+    w = np.asarray(w, dtype=np.float64)
+    val = closed(np.atleast_2d(w))
+    return float(val[0]) if w.ndim == 1 else val
 
 
 def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Optional[np.ndarray]]:
     """(min_w F(w), argmin) where a closed form exists.
 
-    For the plain hinge on the margin model without label flips the risk
-    has no minimiser: it falls towards 0 as the scale grows, so the result
-    is the infimum with no argmin, ``(0.0, None)``.
+    The minimum is ``closed_form_risk`` at the argmin.  For the plain hinge
+    on the margin model without label flips the risk has no minimiser: it
+    falls towards 0 as the scale grows, so the result is the infimum with no
+    argmin, ``(0.0, None)``.
     """
     if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
-        return 0.5 * dist.noise_sd ** 2, dist.w_star.copy()
-    if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
+        w_opt = dist.w_star.copy()
+    elif isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
         dmu = dist.mu_plus - dist.mu_minus
         M = dist.cov_plus + dist.cov_minus
         w_opt = np.linalg.solve(M + np.outer(dmu, dmu), dmu)
-        val = dist.p * (1.0 - dist.p) * ((1.0 - float(w_opt @ dmu)) ** 2
-                                         + float(w_opt @ M @ w_opt))
-        return val, w_opt
-    if isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
+    elif isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
         # isotropic case only: the minimizer lies along w_star, and the risk
         # profile in the projection scale g = ||w|| * sqrt(var) is
         # h(g) = (1 - pf) (2 Phi(1/g) - 1 - 2 g (phi(0) - phi(1/g)))
@@ -547,8 +528,9 @@ def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Opti
         g_opt = 1.0 / math.sqrt(2.0 * log_ratio)
         w_unit = dist.w_star / float(np.linalg.norm(dist.w_star))
         w_opt = (g_opt / math.sqrt(s2)) * w_unit
-        return float(_hinge_margin_risk(w_opt[None], dist)[0]), w_opt
-    raise InvalidArgument(f"no closed-form risk minimum for ({loss.kind}, {dist.kind})")
+    else:
+        raise InvalidArgument(f"no closed-form risk minimum for ({loss.kind}, {dist.kind})")
+    return float(closed_form_risk(loss, dist)(w_opt[None])[0]), w_opt
 
 
 # ---------------------------------------------------------------------------

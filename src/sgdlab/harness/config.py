@@ -28,7 +28,6 @@ from ..optim import (Ball, FixedConstant, HorizonConstant, HorizonPoly, PolyDeca
 EXPERIMENTS = ("properties", "oracle", "stability-sweep", "rate-fit", "bound-check")
 T_RULES = ("equal_n", "n_squared", "n_pow")
 TARGETS = ("thm2", "thmD1", "thm6", "thm8", "propD2", "propG2", "propG1")
-OUTPUTS = ("final", "avg_eta", "avg_linear")
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,10 @@ class ExperimentConfig:
     out_path: str = "out"
     threads: int = 1
     target: Optional[str] = None        # bound-check only
-    mc_pop: int = 0                     # 0 = analytic population risk only
     slope_gate: Optional[float] = None  # rate-fit only
     delta: float = 0.1                  # propG1 tail level
     epochs: int = 4                     # propG2 passes over the data
     draws: int = 10_000                 # properties draws per checker
-    output: Optional[str] = None        # iterate selector for rate-fit
     # [loss]
     loss_kind: str = "least_squares"
     loss_q: Optional[float] = None
@@ -126,12 +123,10 @@ _SCHEMA = {
         "out_path": ("out_path", _parse_str),
         "threads": ("threads", _parse_int),
         "target": ("target", _parse_str),
-        "mc_pop": ("mc_pop", _parse_int),
         "slope_gate": ("slope_gate", _parse_float),
         "delta": ("delta", _parse_float),
         "epochs": ("epochs", _parse_int),
         "draws": ("draws", _parse_int),
-        "output": ("output", _parse_str),
     },
     "loss": {
         "kind": ("loss_kind", _parse_str),
@@ -263,8 +258,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "bound-check":
         if cfg.target not in TARGETS:
             raise ConfigError(f"bound-check needs target in {TARGETS}, got {cfg.target!r}")
-    if cfg.output is not None and cfg.output not in OUTPUTS:
-        raise ConfigError(f"output must be one of {OUTPUTS}, got {cfg.output!r}")
     for section, table in BUILDERS.items():
         kind = getattr(cfg, _KIND_FIELD[section])
         # [schedule] may be left out by the runs that read none

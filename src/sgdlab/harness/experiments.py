@@ -351,13 +351,11 @@ def _run_stability_sweep(cfg: ExperimentConfig, em: _Emitter, loss, dist,
 
 
 def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    output = cfg.output if cfg.output is not None else "avg_eta"
     f_star, _ = population_risk_minimum(loss, dist)
     points = []
     for n, T, sched, theta in _grid(cfg):
         rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
-                                          cfg.replicates, cfg.mc_pop,
-                                          cfg.master_seed, output=output)
+                                          cfg.replicates, cfg.master_seed)
         excess, excess_se = _mean_se(rep.pop - f_star)
         em.row("excess_risk", excess, n=n, T=T, theta=theta, stderr=excess_se)
         points.append((n, excess))
@@ -408,7 +406,7 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
         em.gate_row("l2_sq_stability", thm2_l2_bound(n, etas, L, risk_path),
                     *_mean_se(rep.l2_sq), n=n, T=T, theta=theta)
         # generalization gap against the smooth-case bound, same runs
-        gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
+        gap = gap_from_stability(loss, dist, rep)
         emp_hat = _upper(rep.emp_risk)
         l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_smooth(L, emp_hat, l2_hat)
@@ -436,9 +434,11 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> Non
                                        consts.c3, frac_risk_path)
         em.gate_row("l2_sq_stability", rhs, *_mean_se(rep.l2_sq),
                     n=n, T=T, theta=theta)
-        gap = gap_from_stability(loss, dist, rep, cfg.mc_pop, cfg.master_seed)
+        gap = gap_from_stability(loss, dist, rep)
         # E[F^frac] <= (E F)^frac by concavity, so (E F + stderr)^frac is
-        # conservative for the rhs; at alpha = 0 the exponent is 0 and it is 1
+        # conservative for the rhs; at alpha = 0 the exponent is 0 and it is 1.
+        # Without a closed form gap.pop is the held-out loss, whose mean is
+        # E F(A(S)) because A(S^(i)) has the law of A(S) and is independent of z_i
         pop_frac = max(_upper(gap.pop), 0.0) ** frac_expo
         l2_hat = _upper(rep.l2_sq)
         gamma = default_gamma_holder(consts.c1, pop_frac, l2_hat)
@@ -466,7 +466,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
         vals = loss.batch_value(np.broadcast_to(w, (cfg.draws, dist.dim)),
                                 ds.features, ds.labels)
         mc, se = _mean_se(vals)
-        analytic, _ = population_risk(loss, dist, w)
+        analytic = population_risk(loss, dist, w)
         # two-sided agreement at 3 sigma plus the round-off of the mean: at
         # w = 0 every draw equals p (1 - p), so se is itself round-off and
         # the mean can miss the closed form by a few ulp
@@ -515,7 +515,7 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         W = np.linalg.solve(A, Xt @ ys[..., None] / n)[..., 0]
         emp = _engine._batch_empirical_risk(loss, W, Xs, ys)
         sq_norms = (W[:, None] @ W[..., None])[:, 0, 0]     # the bits of w @ w
-        pop, _ = population_risk(loss, dist, W)
+        pop = population_risk(loss, dist, W)
         gaps = pop - emp
         fracs = pop + 0.5 * lam * sq_norms
         rhs = propD2_erm_bound(c1, n, lam, _upper(fracs))
@@ -574,6 +574,9 @@ def _rule(holds, what: str):
 
 _SMOOTH = _rule(lambda cfg, loss: loss.alpha == 1.0, "a smooth loss")
 _HOLDER = _rule(lambda cfg, loss: loss.alpha < 1.0, "a non-smooth loss (alpha < 1)")
+# Theorem 2's hypotheses
+_CONVEX_NONNEGATIVE = _rule(lambda cfg, loss: loss.convex_per_example and loss.nonnegative,
+                            "a convex, nonnegative loss")
 _LEAST_SQUARES = _rule(lambda cfg, loss: loss.kind == "least_squares", "least squares")
 _PLAIN_HINGE = _rule(lambda cfg, loss: loss.kind == "q_hinge" and loss.alpha == 0.0,
                      "the plain hinge (q = 1), whose gradients are globally bounded")
@@ -615,13 +618,6 @@ def _steps_within_2_over_L(cfg, loss, dist) -> None:
                 f"reaches {top:.6g} at n = {n}")
 
 
-def _risk_closed_or_sampled(cfg, loss, dist) -> None:
-    # the gap gates take F(w) in closed form or from mc_pop samples
-    if cfg.mc_pop <= 0 and closed_form_risk(loss, dist) is None:
-        raise ConfigError(f"no closed form for ({loss.kind}, {dist.kind}); "
-                          f"pass mc_samples > 0 (mc_pop in [experiment])")
-
-
 def _risk_closed_form(cfg, loss, dist) -> None:
     if closed_form_risk(loss, dist) is None:
         raise ConfigError(f"target {cfg.target} needs a closed-form population "
@@ -644,10 +640,9 @@ _TARGETS = {
     "rate-fit": _Target(_run_rate_fit, None,
                         (_schedule, _risk_minimum, _THREE_POINTS, _TWO_REPLICATES)),
     "thm2": _Target(_check_thm2, False,
-                    (_SMOOTH, _schedule, _steps_within_2_over_L, _risk_closed_or_sampled,
+                    (_SMOOTH, _CONVEX_NONNEGATIVE, _schedule, _steps_within_2_over_L,
                      _TWO_REPLICATES)),
-    "thmD1": _Target(_check_thmD1, False,
-                     (_HOLDER, _schedule, _risk_closed_or_sampled, _TWO_REPLICATES)),
+    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _schedule, _TWO_REPLICATES)),
     "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES,)),
     "propD2": _Target(_check_propD2, False, (_LEAST_SQUARES, _RIDGE, _risk_closed_form)),

@@ -30,10 +30,14 @@ harness uses them too for the replicates it runs outside the estimators.
 ``coupled_distances`` keys replicate r's stream by the replicate's own seed
 instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
 r).  A stability report keeps the output and the empirical risk of each
-replicate's base run, so ``gap_from_stability`` measures the generalization
-gap on the very runs whose stability was measured, without running them
-again; ``estimate_generalization_gap`` runs the same base trajectories for
-callers that need no stability.
+replicate's base run, and the mean loss of each neighbour run at the example
+it left out, so ``gap_from_stability`` measures the generalization gap on the
+very runs whose stability was measured, without running them again.  Where
+the (loss, distribution) pair has a closed-form population risk the gap takes
+it at the base outputs; elsewhere it takes the held-out loss, an unbiased
+estimate of E F(A(S)) by the replace-one identity (see ``StabilityReport``).
+``estimate_generalization_gap`` runs the same base trajectories, without
+neighbours, for the excess risk of the step-size-weighted average.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
 preallocated arrays.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m
@@ -83,6 +87,15 @@ class StabilityReport:
     ``finals[r]`` its base-run output w_{T+1} and ``emp_risk[r]`` is
     F_S(w_{T+1}).  With risks recorded, ``risk[r, k]`` is F_S(w_j) of the base
     run at step j = ``risk_steps[k]``; without, and at T = 0, both are None.
+
+    ``held_out[r]`` is (1/n) sum_i f(w^(i)_{T+1}; z_i): each neighbour run's
+    loss at the example z_i of S that its dataset S^(i) replaced.  S^(i)
+    swaps z_i for an independent ghost example, and the index stream does not
+    depend on the data, so A(S^(i)) has the law of A(S) and is independent of
+    z_i.  Each term is then the loss on a fresh example, and E held_out =
+    E F(A(S)): the replace-one identity (Shalev-Shwartz, Shamir, Srebro and
+    Sridharan, JMLR 2010).  With a fixed family the expectation is over the
+    index stream alone.
     """
 
     l1: np.ndarray                          # (R,)
@@ -91,12 +104,13 @@ class StabilityReport:
     risk_steps: Optional[np.ndarray]        # (C,)
     risk: Optional[np.ndarray]              # (R, C)
     emp_risk: np.ndarray                    # (R,)
+    held_out: np.ndarray                    # (R,)
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Per replicate, the population risk F(w_out) and the gap
-    F(w_out) - F_S(w_out)."""
+    """Per replicate, the population risk F(w_out), or an unbiased estimate
+    of it, and the gap F(w_out) - F_S(w_out)."""
 
     pop: np.ndarray                         # (R,)
     gap: np.ndarray                         # (R,)
@@ -227,8 +241,9 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
 
     Each replicate draws (S, ghost, index stream), runs the coupled family,
     and averages ||w - w^(i)|| (and its square) over all n positions.
-    The empirical risk of each base run's output is always recorded;
-    ``record_risks`` also records it along the path.  With ``fixed_family``
+    The empirical risk of each base run's output and the held-out loss of its
+    neighbour runs are always recorded; ``record_risks`` also records the
+    empirical risk along the path.  With ``fixed_family``
     the datasets are held fixed and only the index stream varies (the
     conditional expectation the enumeration oracle computes exactly).  With ``without_replacement`` the
     runs are epoch SGD: the stream is a fresh shuffle of the n examples per
@@ -256,6 +271,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     finals = np.empty((R, d))
     risk = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
     emp_risk = np.empty(R)
+    held_out = np.empty(R)
 
     if fixed_family is not None:
         families = fixed_family
@@ -278,8 +294,10 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
         if risk is not None:
             risk[lo:hi] = out.risk_path
         emp_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
+        # neighbour row 1 + i replaced position i, so it meets example i
+        held_out[lo:hi] = loss.batch_value(out.finals[:, 1:], Xs, ys).mean(axis=1)
     return StabilityReport(l1=l1, l2_sq=l2_sq, finals=finals, risk_steps=ckpt,
-                           risk=risk, emp_risk=emp_risk)
+                           risk=risk, emp_risk=emp_risk, held_out=held_out)
 
 
 def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
@@ -352,18 +370,16 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
 
 def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
                                 sched: Schedule, domain: Optional[Ball],
-                                replicates: int, mc_pop: int, master_seed: int,
-                                output: str) -> GapReport:
-    """Per replicate, F(w_out) and F(w_out) - F_S(w_out).
+                                replicates: int, master_seed: int) -> GapReport:
+    """Per replicate, F(w_out) and F(w_out) - F_S(w_out), where w_out is the
+    step-size-weighted average of w_1 .. w_T.
 
-    ``output`` selects the algorithm output: "final" (w_{T+1}),
-    "avg_eta" (step-size-weighted average) or "avg_linear"
-    ((t + t0 - 1)-weighted average).
+    Runs the base trajectories of ``estimate_on_average_stability`` (same
+    datasets and index streams) without neighbours.  Needs the pair's
+    closed-form population risk.
     """
     if not replicates >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
-    if output not in ("final", "avg_eta", "avg_linear"):
-        raise InvalidArgument(f"unknown output selector {output!r}")
 
     R = replicates
     outs = np.empty((R, dist.dim))
@@ -376,37 +392,25 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
         return _replicate_stream(master_seed, r, n, T)
 
     etas = sched.etas(T)
-    weights = {"final": None, "avg_eta": etas,
-               "avg_linear": _engine.linear_weights(T, sched.t0)}[output]
     for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, etas, _radius(domain), datasets, streams,
-            average_weights=weights):
-        w = out.finals[:, 0] if weights is None else out.avg
-        outs[lo:hi] = w
-        emp[lo:hi] = _engine._batch_empirical_risk(loss, w, Xs, ys)
-    return _gap_report(loss, dist, outs, emp, mc_pop, master_seed)
+            loss, R, n, etas, _radius(domain), datasets, streams, average_weights=etas):
+        outs[lo:hi] = out.avg
+        emp[lo:hi] = _engine._batch_empirical_risk(loss, out.avg, Xs, ys)
+    pop = population_risk(loss, dist, outs)
+    return GapReport(pop=pop, gap=pop - emp)
 
 
-def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport,
-                       mc_pop: int, master_seed: int) -> GapReport:
+def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport) -> GapReport:
     """The generalization gap of the base runs of a stability estimate.
 
-    Needs the ``master_seed`` the report was estimated with; the output is
-    w_{T+1}.  The result equals
-    ``estimate_generalization_gap(..., output="final")`` on the same
-    replicates, without running the trajectories again.
+    The output is w_{T+1}.  Where the pair has a closed-form population risk,
+    ``pop`` is F at each base output, which is exact; elsewhere it is the
+    report's ``held_out``, whose mean is E F(A(S)) (see ``StabilityReport``).
     """
     if not rep.finals.shape[0] >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {rep.finals.shape[0]}")
-    return _gap_report(loss, dist, rep.finals, rep.emp_risk, mc_pop, master_seed)
-
-
-def _gap_report(loss: Loss, dist: Distribution, outs: np.ndarray, emp: np.ndarray,
-                mc_pop: int, master_seed: int) -> GapReport:
-    """F(w) and F(w) - F_S(w) over the replicate outputs ``outs`` (R, d)."""
-    seeds = 0  # a closed-form risk draws nothing
     if closed_form_risk(loss, dist) is None:
-        seeds = [_engine.derive_seed(master_seed, _engine.TAG_POP, r)
-                 for r in range(outs.shape[0])]
-    pop, _ = population_risk(loss, dist, outs, mc_samples=mc_pop, seed=seeds)
-    return GapReport(pop=pop, gap=pop - emp)
+        pop = rep.held_out
+    else:
+        pop = population_risk(loss, dist, rep.finals)
+    return GapReport(pop=pop, gap=pop - rep.emp_risk)

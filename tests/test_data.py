@@ -215,19 +215,18 @@ def _mc_risk(loss, dist, w, n, seed):
 def test_population_risk_least_squares_closed_form():
     dist = _lin_reg(noise_sd=0.4)
     # at w* the residual is pure noise: risk = sd^2 / 2
-    r, se = population_risk(LeastSquares(), dist, dist.w_star)
-    assert se == 0.0
+    r = population_risk(LeastSquares(), dist, dist.w_star)
     assert r == pytest.approx(0.4 ** 2 / 2, rel=1e-12)
     # against Monte Carlo at an arbitrary point (truncation bias is tiny)
     w = np.array([0.3, -0.2, 1.0])
-    r_closed, _ = population_risk(LeastSquares(), dist, w)
+    r_closed = population_risk(LeastSquares(), dist, w)
     mc, mc_se = _mc_risk(LeastSquares(), dist, w, 300000, 123)
     assert abs(r_closed - mc) <= 3.5 * mc_se
 
 
 def test_population_risk_realizable_zero_at_w_star():
     dist = RealizableLinReg(w_star=np.array([1.0, -2.0]), cov=0.3)
-    val, _ = population_risk(LeastSquares(), dist, dist.w_star)
+    val = population_risk(LeastSquares(), dist, dist.w_star)
     assert val == pytest.approx(0.0, abs=1e-18)
 
 
@@ -237,8 +236,7 @@ def test_population_risk_auc_closed_form():
                            cov_plus=0.2, cov_minus=0.2)
     loss = AucSquare(p=0.3, mu_plus=mu_p, mu_minus=mu_m)
     w = np.array([0.4, -0.1])
-    closed, se = population_risk(loss, dist, w)
-    assert se == 0.0
+    closed = population_risk(loss, dist, w)
     # direct formula: p(1-p) * [(1 - <w, mu_p - mu_m>)^2 + w' (S+ + S-) w]
     delta = mu_p - mu_m
     direct = 0.3 * 0.7 * ((1 - w @ delta) ** 2 + w @ (0.4 * np.eye(2)) @ w)
@@ -257,21 +255,15 @@ def test_population_risk_hinge_quadrature_vs_mc():
     dist = MarginClassif(w_star=w_star, cov=0.5, flip_prob=0.1)
     loss = QNormHinge(q=1.0)
     w = np.array([0.5, 0.2])
-    closed, _ = population_risk(loss, dist, w)
+    closed = population_risk(loss, dist, w)
     mc, mc_se = _mc_risk(loss, dist, w, 400000, 7)
     assert abs(closed - mc) <= 3.5 * mc_se
 
 
-def test_population_risk_mc_fallback():
-    dist = _lin_reg()
-    loss = QNormHinge(q=1.5)
-    w = np.array([0.1, 0.0, 0.0])
-    with pytest.raises(InvalidArgument):
-        population_risk(loss, dist, w)  # no closed form, no samples
-    r1, se1 = population_risk(loss, dist, w, mc_samples=20000, seed=5)
-    r2, se2 = population_risk(loss, dist, w, mc_samples=20000, seed=5)
-    assert (r1, se1) == (r2, se2)
-    assert np.isfinite(r1) and se1 > 0.0
+def test_population_risk_has_no_fallback():
+    # a pair without a closed form has no population risk to take here
+    with pytest.raises(InvalidArgument, match="no closed-form population risk"):
+        population_risk(QNormHinge(q=1.5), _lin_reg(), np.array([0.1, 0.0, 0.0]))
 
 
 def test_population_risk_minimum_least_squares():
@@ -288,13 +280,13 @@ def test_population_risk_minimum_auc():
     loss = AucSquare(p=0.4, mu_plus=mu_p, mu_minus=mu_m)
     val, w_min = population_risk_minimum(loss, dist)
     # the closed-form risk is stationary at the reported minimizer
-    base, _ = population_risk(loss, dist, w_min)
+    base = population_risk(loss, dist, w_min)
     assert val == pytest.approx(base, rel=1e-12)
     for k in range(2):
         e = np.zeros(2)
         e[k] = 1e-4
-        assert population_risk(loss, dist, w_min + e)[0] >= base - 1e-12
-        assert population_risk(loss, dist, w_min - e)[0] >= base - 1e-12
+        assert population_risk(loss, dist, w_min + e) >= base - 1e-12
+        assert population_risk(loss, dist, w_min - e) >= base - 1e-12
 
 
 def test_population_risk_minimum_hinge_isotropic_only():
@@ -302,11 +294,11 @@ def test_population_risk_minimum_hinge_isotropic_only():
     loss = QNormHinge(q=1.0)
     val, w_min = population_risk_minimum(loss, dist)
     assert np.isfinite(val) and val >= 0.0
-    base, _ = population_risk(loss, dist, w_min)
+    base = population_risk(loss, dist, w_min)
     assert val == pytest.approx(base, rel=1e-9)
     # nearby rescalings of the minimizer do not beat it
     for scale in (0.99, 1.01):
-        assert population_risk(loss, dist, scale * w_min)[0] >= val - 1e-10
+        assert population_risk(loss, dist, scale * w_min) >= val - 1e-10
     aniso = MarginClassif(w_star=np.array([1.0, 0.0]),
                           cov=np.array([1.0, 2.0]), flip_prob=0.1)
     with pytest.raises(InvalidArgument):
@@ -422,9 +414,8 @@ def test_hinge_risk_closed_form_matches_quadrature(dist):
     rng = np.random.default_rng(17)
     # scales from s_u ~ 1e-3 (risk near 1) to s_u ~ 30 (risk linear in |u|)
     W = rng.standard_normal((12, dist.dim)) * np.logspace(-3, 1.5, 12)[:, None]
-    closed, se = population_risk(QNormHinge(q=1.0), dist, W)
+    closed = population_risk(QNormHinge(q=1.0), dist, W)
     assert closed.shape == (12,)
-    np.testing.assert_array_equal(se, 0.0)
     oracle = [_quad_hinge_risk(w, dist) for w in W]
     np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=0)
 
@@ -446,7 +437,7 @@ def test_hinge_risk_edge_cases(dist):
     loss = QNormHinge(q=1.0)
 
     def risk(w):
-        return population_risk(loss, dist, w)[0]
+        return population_risk(loss, dist, w)
 
     for su in (0.05, 1.0, 20.0):
         for sign in (1.0, -1.0):
@@ -480,20 +471,10 @@ def test_population_risk_batch_equals_single_rows():
     imb = ImbalancedGauss(p=0.3, mu_plus=mu_p, mu_minus=mu_m, cov_plus=0.2, cov_minus=0.3)
     for loss, d in ((QNormHinge(q=1.0), dist), (LeastSquares(), lin),
                     (AucSquare(p=0.3, mu_plus=mu_p, mu_minus=mu_m), imb)):
-        vals, ses = population_risk(loss, d, W)
+        vals = population_risk(loss, d, W)
         single = [population_risk(loss, d, w) for w in W]
-        np.testing.assert_array_equal(vals, [v for v, _ in single])
-        np.testing.assert_array_equal(ses, [s for _, s in single])
-    # the Monte Carlo fallback takes one seed per row
-    seeds = [5, 6, 2 ** 100, 8, 9, 10, 11, 12, 13]
-    loss = QNormHinge(q=1.5)
-    vals, ses = population_risk(loss, lin, W, mc_samples=500, seed=seeds)
-    single = [population_risk(loss, lin, w, mc_samples=500, seed=s)
-              for w, s in zip(W, seeds)]
-    np.testing.assert_array_equal(vals, [v for v, _ in single])
-    np.testing.assert_array_equal(ses, [s for _, s in single])
-    with pytest.raises(InvalidArgument):
-        population_risk(loss, lin, W, mc_samples=500, seed=seeds[:3])
+        assert all(isinstance(v, float) for v in single)
+        np.testing.assert_array_equal(vals, single)
 
 
 @pytest.mark.parametrize("pf", [0.01, 0.1, 0.25, 0.49])
@@ -504,7 +485,7 @@ def test_hinge_risk_minimizer_matches_numeric_search(pf):
     unit = dist.w_star / np.linalg.norm(dist.w_star)
 
     def profile(g):
-        return population_risk(loss, dist, (g / math.sqrt(s2)) * unit)[0]
+        return population_risk(loss, dist, (g / math.sqrt(s2)) * unit)
 
     val, w_min = population_risk_minimum(loss, dist)
     g_star = float(np.linalg.norm(w_min)) * math.sqrt(s2)
@@ -540,7 +521,7 @@ def test_hinge_risk_minimum_is_accurate_at_small_flip_probabilities(pf):
     exact = _hinge_profile_mpmath(g_star, pf)
     assert abs(val - exact) <= 1e-12 * exact
     for scale in (0.99, 1.01):
-        assert val <= population_risk(loss, dist, scale * w_min)[0]
+        assert val <= population_risk(loss, dist, scale * w_min)
 
 
 def test_hinge_risk_minimum_rejects_subnormal_flip_probabilities():

@@ -264,7 +264,7 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
 
 def test_path_generator_is_the_derived_key_stream():
     for path in ((0, _engine.TAG_DATA), (2**70 + 3, _engine.TAG_GHOST),
-                 (5, 0x9E, 17), (8, _engine.TAG_POP)):
+                 (5, 0x9E, 17), (8, _engine.TAG_PERM)):
         got = _engine.path_generator(*path).bit_generator
         want = np.random.Philox(key=_engine.derive_seed(*path))
         for part in ("key", "counter"):

@@ -37,7 +37,6 @@ T_pow = 1.5
 replicates = 40
 master_seed = 11
 threads = 2
-mc_pop = 1000
 delta = 0.05
 epochs = 3
 draws = 500
@@ -169,7 +168,6 @@ def test_validate_config_rules():
         dict(draws=0),
         dict(experiment="bound-check", target=None),
         dict(experiment="bound-check", target="thm99"),
-        dict(output="median"),
         dict(loss_kind="l0"),
         dict(dist_kind="cauchy"),
         dict(sched_kind="cosine"),
@@ -519,12 +517,12 @@ _PAIRS = {
                     "flip_prob = 0.1\n"),
     "lsq_margin": ("[loss]\nkind = least_squares\n[distribution]\nkind = margin_classif\n"
                    "w_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\nflip_prob = 0.1\n"),
-    "power_1.5": ("[loss]\nkind = q_power_abs\nq = 1.5\n[distribution]\n"
-                  "kind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\n"
-                  "noise_sd = 0.25\n"),
     "power_2": ("[loss]\nkind = q_power_abs\nq = 2.0\n[distribution]\n"
                 "kind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\n"
                 "noise_sd = 0.25\n"),
+    "auc": ("[loss]\nkind = auc_square\n[distribution]\nkind = imbalanced_gauss\n"
+            "p_plus = 0.3\nmu_plus = 0.5, 0.0\nmu_minus = -0.5, 0.0\ncov_plus = 0.2\n"
+            "cov_minus = 0.2\n"),
 }
 _POLY = "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n"
 _SMALL_STEP = "[schedule]\nkind = fixed_constant\neta1 = 0.001\n"
@@ -533,7 +531,7 @@ _BALL = "[domain]\nkind = ball\nradius = 2.0\n"
 
 # the [experiment] keys of the rule checks: sizes at which a check after the
 # first grid point would cost seconds
-_EXPERIMENT = {"n_grid": "64, 512", "replicates": "200", "mc_pop": "0"}
+_EXPERIMENT = {"n_grid": "64, 512", "replicates": "200"}
 _ONE_REPLICATE = {"replicates": "1"}
 _OVERFLOWING_T = {"n_grid": "8, 16", "T_rule": "n_pow", "T_pow": "400"}
 
@@ -548,12 +546,9 @@ _VIOLATIONS = {
     "thm2-smooth": ("thm2", "hinge", _SMALL_STEP, "needs a smooth loss"),
     "thm2-2/L": ("thm2", "lsq", "[schedule]\nkind = fixed_constant\neta1 = 50\n",
                  "eta_t <= 2/L"),
-    "thm2-risk": ("thm2", "power_2", _SMALL_STEP,
-                  "no closed form for (q_power_abs, gauss_lin_reg); pass mc_samples > 0"),
+    "thm2-convex": ("thm2", "auc", _SMALL_STEP, "target thm2 needs a convex, nonnegative loss"),
     "thm2-ball": ("thm2", "lsq", _SMALL_STEP + _BALL, "runs without projection"),
     "thmD1-holder": ("thmD1", "lsq", _POLY, "needs a non-smooth loss"),
-    "thmD1-risk": ("thmD1", "power_1.5", _POLY,
-                   "no closed form for (q_power_abs, gauss_lin_reg); pass mc_samples > 0"),
     "thm6-ball": ("thm6", "hinge", _POLY, "needs a ball domain"),
     "thm6-risk": ("thm6", "q_hinge_1.5", _POLY + _BALL, "closed-form population risk"),
     "thm8-lsq": ("thm8", "hinge", _BALL, "needs least squares"),
@@ -667,42 +662,62 @@ _HOLDER_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("pair", sorted(_HOLDER_PAIRS))
-def test_cli_thmD1_holder_interior_uses_monte_carlo_risk(tmp_path, capsys, pair):
-    # the gap gate needs E F(A(S)) only, not F*, so the Monte-Carlo
-    # population risk lets thmD1 run for 0 < alpha < 1
-    def text(out, mc_pop):
-        return (f"[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 16\n"
-                f"T_rule = equal_n\nreplicates = 20\nmc_pop = {mc_pop}\n"
-                f"out_path = {out}\n" + _HOLDER_PAIRS[pair]
-                + "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n")
+@pytest.mark.parametrize("target, pair, schedule", [
+    ("thmD1", _HOLDER_PAIRS["q_hinge"], _POLY),
+    ("thmD1", _HOLDER_PAIRS["q_power_abs"], _POLY),
+    ("thm2", _PAIRS["power_2"], _SMALL_STEP),
+], ids=["thmD1-q_hinge", "thmD1-q_power_abs", "thm2-q_power_abs"])
+def test_cli_gap_without_closed_form_risk_uses_the_neighbour_runs(tmp_path, monkeypatch,
+                                                                  target, pair, schedule):
+    # with no closed-form population risk the gap gate takes E F(A(S)) from
+    # the held-out loss of the neighbour runs, and no population risk is
+    # evaluated
+    def fail(*args, **kwargs):
+        raise AssertionError("a population risk was evaluated")
 
-    out = tmp_path / "mc"
-    assert main(["bound-check", "--config", _write(tmp_path, text(out, 2000))]) == 0
+    monkeypatch.setattr(experiments, "population_risk", fail)
+    monkeypatch.setattr(stability, "population_risk", fail)
+    out = tmp_path / "res"
+    text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 16\n"
+            f"T_rule = equal_n\nreplicates = 20\nout_path = {out}\n" + pair + schedule)
+    assert main(["bound-check", "--config", _write(tmp_path, text)]) == 0
     rows = [r.split(",") for r in (out / "bound-check.csv").read_text().splitlines()[1:]]
-    assert [(r[3], r[6], r[10]) for r in rows] == [
-        ("16", "l2_sq_stability", "1"), ("16", "generalization_gap", "1")]
+    assert all(r[3] == "16" and r[10] == "1" for r in rows)
     assert all(np.isfinite(float(r[k])) for r in rows for k in (7, 8, 9))
-    capsys.readouterr()
-    # with no Monte-Carlo samples there is no population risk to take
-    none = tmp_path / "none"
-    assert main(["bound-check", "--config", _write(tmp_path, text(none, 0))]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "no closed form" in err[0] and "mc_samples > 0" in err[0]
-    assert not (none / "bound-check.csv").exists()
+    [gap] = [r for r in rows if r[6] == "generalization_gap"]
+
+    cfg = parse_config(text)
+    loss, dist, sched = (build(s, cfg) for s in ("loss", "distribution", "schedule"))
+    rep = stability.estimate_on_average_stability(loss, dist, 16, 16, sched, None,
+                                                  cfg.replicates, cfg.master_seed,
+                                                  record_risks=False)
+    diff = rep.held_out - rep.emp_risk
+    assert float(gap[7]) == float(diff.mean())
+    assert float(gap[8]) == standard_error(diff)
 
 
-def _thmD1_text(out, pair: str, mc_pop: int) -> str:
+def test_cli_rejects_the_removed_keys(tmp_path, capsys):
+    # mc_pop (Monte-Carlo population risk) and output (rate-fit's iterate
+    # selector) are gone, not ignored
+    for key, value in (("mc_pop", "1000"), ("output", "final")):
+        text = (f"[experiment]\nkind = stability-sweep\n{key} = {value}\n"
+                f"out_path = {tmp_path / key}\n" + _PAIRS["lsq"] + _SMALL_STEP)
+        assert main(["stability-sweep", "--config", _write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"unknown key '{key}'" in err[0]
+        assert not (tmp_path / key).exists()
+
+
+def _thmD1_text(out, pair: str) -> str:
     return (f"[experiment]\nkind = bound-check\ntarget = thmD1\nn_grid = 16\n"
-            f"T_rule = equal_n\nreplicates = 20\nmc_pop = {mc_pop}\nout_path = {out}\n"
-            + pair + _POLY)
+            f"T_rule = equal_n\nreplicates = 20\nout_path = {out}\n" + pair + _POLY)
 
 
-@pytest.mark.parametrize("pair, mc_pop, records", [
-    (_PAIRS["hinge"], 0, False), (_HOLDER_PAIRS["q_hinge"], 2000, True)],
+@pytest.mark.parametrize("pair, records", [
+    (_PAIRS["hinge"], False), (_HOLDER_PAIRS["q_hinge"], True)],
     ids=["alpha-0", "alpha-0.5"])
 def test_cli_thmD1_records_risks_only_where_its_bound_reads_them(tmp_path, monkeypatch,
-                                                                  pair, mc_pop, records):
+                                                                  pair, records):
     # the rhs weights step j by E[F_S(w_j)^(2 alpha / (1 + alpha))]; at
     # alpha = 0 that is 1 whatever the risks are, so the runs record none
     calls = []
@@ -713,7 +728,7 @@ def test_cli_thmD1_records_risks_only_where_its_bound_reads_them(tmp_path, monke
         return run_core(*args, **kwargs)
 
     monkeypatch.setattr(_engine, "run_core", spy)
-    cfg_path = _write(tmp_path, _thmD1_text(tmp_path / "res", pair, mc_pop))
+    cfg_path = _write(tmp_path, _thmD1_text(tmp_path / "res", pair))
     assert main(["bound-check", "--config", cfg_path]) == 0
     assert calls
     for kwargs in calls:
@@ -725,7 +740,7 @@ def test_cli_thmD1_hinge_rhs_equals_the_bound_on_the_recorded_risks(tmp_path):
     # the rhs on a recorded risk path: F_S at every step raised to the power
     # 0, then mean + stderr per step; a run that records no path has its bits
     out = tmp_path / "res"
-    text = _thmD1_text(out, _PAIRS["hinge"], 0)
+    text = _thmD1_text(out, _PAIRS["hinge"])
     assert main(["bound-check", "--config", _write(tmp_path, text)]) == 0
     rows = [r.split(",") for r in (out / "bound-check.csv").read_text().splitlines()[1:]]
     [l2] = [r for r in rows if r[6] == "l2_sq_stability"]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from sgdlab import _engine, stability
+from sgdlab import _engine, optim, stability
 from sgdlab.data import (
     Dataset,
     GaussLinReg,
+    MarginClassif,
     NeighborFamily,
+    closed_form_risk,
+    neighbor,
     population_risk,
     population_risk_minimum,
     sample_dataset,
@@ -13,7 +16,7 @@ from sgdlab.data import (
 )
 from sgdlab.errors import InvalidArgument, ResourceLimitExceeded
 from sgdlab.losses import LeastSquares, QNormHinge
-from sgdlab.optim import Ball, FixedConstant, PolyDecay, StronglyConvexDecay
+from sgdlab.optim import Ball, FixedConstant, PolyDecay
 from sgdlab.stability import (
     brute_force_stability,
     coupled_distances,
@@ -23,6 +26,7 @@ from sgdlab.stability import (
     replicate_dataset,
     replicate_family,
     _replicate_dataset_seed,
+    _replicate_stream,
 )
 
 
@@ -282,8 +286,7 @@ def test_chunks_run_a_grid_point_in_as_few_engine_calls_as_the_budgets_allow(mon
     # datasets per chunk
     sizes.clear()
     estimate_generalization_gap(LeastSquares(), _dist(), 4096, 4, FixedConstant(0.1),
-                                None, replicates=100, mc_pop=0, master_seed=0,
-                                output="final")
+                                None, replicates=100, master_seed=0)
     assert sizes == [64, 36]
 
 
@@ -299,10 +302,8 @@ def test_estimator_requires_source_of_data():
 
 def test_gap_determinism_and_fields():
     args = (LeastSquares(), _dist(), 8, 8, FixedConstant(0.1), None)
-    rep = estimate_generalization_gap(*args, replicates=16, mc_pop=0, master_seed=3,
-                                      output="final")
-    rep2 = estimate_generalization_gap(*args, replicates=16, mc_pop=0, master_seed=3,
-                                       output="final")
+    rep = estimate_generalization_gap(*args, replicates=16, master_seed=3)
+    rep2 = estimate_generalization_gap(*args, replicates=16, master_seed=3)
     assert rep.pop.tobytes() == rep2.pop.tobytes()
     assert rep.gap.tobytes() == rep2.gap.tobytes()
     assert rep.pop.shape == rep.gap.shape == (16,)
@@ -311,22 +312,29 @@ def test_gap_determinism_and_fields():
     assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop >= f_star)
 
 
-def test_gap_output_selection():
-    sc = StronglyConvexDecay(sigma=1.0, t0=4)
-    args = (LeastSquares(), _dist(), 6, 6, sc, None)
-    gaps = {output: estimate_generalization_gap(*args, replicates=4, mc_pop=0,
-                                                master_seed=1, output=output).gap
-            for output in ("final", "avg_eta", "avg_linear")}
-    assert np.all(gaps["avg_linear"] != gaps["avg_eta"])
-    assert np.all(gaps["avg_linear"] != gaps["final"])
+def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
+    # replicate r's output is the step-size-weighted average of a run on
+    # replicate r's dataset along replicate r's index stream, as the
+    # single-trajectory runner computes it
+    loss, sched, domain = LeastSquares(), PolyDecay(eta1=0.3, theta=0.6), Ball(radius=0.5)
+    n, T, R = 7, 9, 4
+    rep = estimate_generalization_gap(loss, _dist(), n, T, sched, domain,
+                                      replicates=R, master_seed=6)
+    outs = np.empty((R, 2))
+    emp = np.empty(R)
+    for r in range(R):
+        ds = replicate_dataset(_dist(), n, 6, r)
+        traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, 0,
+                          _replicate_stream(6, r, n, T), record_every=1)
+        outs[r] = traj.avg_eta
+        emp[r] = _engine._batch_empirical_risk(loss, traj.avg_eta[None],
+                                               ds.features[None], ds.labels[None])[0]
+    pop = population_risk(loss, _dist(), outs)
+    np.testing.assert_array_equal(rep.pop, pop)
+    np.testing.assert_array_equal(rep.gap, pop - emp)
     with pytest.raises(InvalidArgument):
-        estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
-                                    replicates=4, mc_pop=0, master_seed=1,
-                                    output="median")
-    with pytest.raises(InvalidArgument):
-        estimate_generalization_gap(LeastSquares(), _dist(), 6, 6, sc, None,
-                                    replicates=1, mc_pop=0, master_seed=1,
-                                    output="avg_linear")
+        estimate_generalization_gap(loss, _dist(), n, T, sched, domain, replicates=1,
+                                    master_seed=6)
 
 
 def test_gap_zero_steps_is_zero_gap():
@@ -334,47 +342,80 @@ def test_gap_zero_steps_is_zero_gap():
     # expectation and the gap is 0 up to sampling noise in F_S(0)
     rep = estimate_generalization_gap(LeastSquares(), _dist(), 64, 0,
                                       FixedConstant(0.1), None, replicates=64,
-                                      mc_pop=0, master_seed=5, output="final")
+                                      master_seed=5)
     se = rep.gap.std(ddof=1) / np.sqrt(rep.gap.shape[0])
     assert abs(rep.gap.mean()) <= 4 * se + 1e-12
 
 
 def test_gap_runs_without_risk_minimum():
-    # the gap needs F(w) only: a pair with no closed-form F* runs on the
-    # Monte-Carlo population risk
+    # the gap needs E F(A(S)) only: a pair with no closed-form F or F* takes
+    # it from the held-out loss of the neighbour runs
+    loss = QNormHinge(q=1.5)
     with pytest.raises(InvalidArgument):
-        population_risk_minimum(QNormHinge(q=1.5), _dist())
-    rep = estimate_generalization_gap(QNormHinge(q=1.5), _dist(), 6, 6,
-                                      FixedConstant(0.05), None, replicates=4,
-                                      mc_pop=500, master_seed=2, output="final")
+        population_risk_minimum(loss, _dist())
+    with pytest.raises(InvalidArgument):
+        population_risk(loss, _dist(), np.zeros(2))
+    with pytest.raises(InvalidArgument):
+        estimate_generalization_gap(loss, _dist(), 6, 6, FixedConstant(0.05), None,
+                                    replicates=4, master_seed=2)
+    stab = estimate_on_average_stability(loss, _dist(), 6, 6, FixedConstant(0.05), None,
+                                         4, master_seed=2)
+    rep = gap_from_stability(loss, _dist(), stab)
     assert rep.pop.shape == rep.gap.shape == (4,)
     assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop > 0.0)
     assert np.all(np.isfinite(rep.gap))
 
 
-@pytest.mark.parametrize("loss,radius,mc_pop", [
-    (LeastSquares(), None, 0),
-    (QNormHinge(q=1.5), 3, 400),   # no closed form: Monte Carlo population risk
-])
-def test_gap_from_stability_equals_the_gap_estimator(loss, radius, mc_pop):
-    # the base runs of the stability estimate are the gap estimator's runs
-    sched = FixedConstant(0.1)
+@pytest.mark.parametrize("loss,radius", [(LeastSquares(), None), (QNormHinge(q=1.5), 3)],
+                         ids=["closed_form", "held_out"])
+def test_gap_from_stability_takes_the_closed_form_or_the_held_out_loss(loss, radius):
+    # pop is F at each base output where the pair has a closed form, and the
+    # neighbour runs' held-out loss elsewhere; gap is pop - F_S
     domain = None if radius is None else Ball(radius=float(radius))
-    stab = estimate_on_average_stability(loss, _dist(), 7, 9, sched, domain, 6,
-                                         master_seed=8)
-    got = gap_from_stability(loss, _dist(), stab, mc_pop, master_seed=8)
-    want = estimate_generalization_gap(loss, _dist(), 7, 9, sched, domain,
-                                       replicates=6, mc_pop=mc_pop, master_seed=8,
-                                       output="final")
-    # floats to the last bit
-    assert got.pop.tobytes() == want.pop.tobytes()
-    assert got.gap.tobytes() == want.gap.tobytes()
-    # pop is F at each base output, with replicate r's population seed, and
-    # gap is pop - F_S
-    seeds = [_engine.derive_seed(8, _engine.TAG_POP, r) for r in range(6)]
-    pop, _ = population_risk(loss, _dist(), stab.finals, mc_samples=mc_pop, seed=seeds)
-    assert got.pop.tobytes() == pop.tobytes()
-    assert got.gap.tobytes() == (pop - stab.emp_risk).tobytes()
+    stab = estimate_on_average_stability(loss, _dist(), 7, 9, FixedConstant(0.1), domain,
+                                         6, master_seed=8)
+    got = gap_from_stability(loss, _dist(), stab)
+    if closed_form_risk(loss, _dist()) is None:
+        want = stab.held_out
+    else:
+        want = population_risk(loss, _dist(), stab.finals)
+    assert got.pop.tobytes() == want.tobytes()
+    assert got.gap.tobytes() == (want - stab.emp_risk).tobytes()
+
+
+def test_held_out_is_each_neighbour_runs_loss_at_its_left_out_example():
+    # held_out[r] is the mean over i of f(w^(i)_{T+1}; z_i), with w^(i) a
+    # plain run on S^(i) along replicate r's index stream
+    loss, sched = QNormHinge(q=1.5), FixedConstant(0.3)
+    dist = MarginClassif(w_star=np.array([1.0, 0.0, 0.0]), cov=0.5, flip_prob=0.1)
+    n = T = 5
+    R = 3
+    rep = estimate_on_average_stability(loss, dist, n, T, sched, None, R, master_seed=4)
+    want = np.empty(R)
+    for r in range(R):
+        family = replicate_family(dist, n, 4, r)
+        stream = _replicate_stream(4, r, n, T)
+        vals = np.empty(n)
+        for i in range(n):
+            ds = neighbor(family, i)
+            final = optim._run(loss, ds.features, ds.labels, sched, None, None, 0,
+                               stream, record_every=1).final
+            z = family.base
+            vals[i] = loss.batch_value(final[None], z.features[i:i + 1], z.labels[i:i + 1])[0]
+        want[r] = vals.mean()
+    np.testing.assert_array_equal(rep.held_out, want)
+
+
+def test_held_out_is_unbiased_for_the_population_risk():
+    # A(S^(i)) has the law of A(S) and is independent of z_i, so the
+    # held-out loss has mean E F(A(S)); c03's thm2 runs at n = 64
+    dist = GaussLinReg(w_star=np.eye(8)[0], cov=0.125, noise_sd=0.5)
+    rep = estimate_on_average_stability(LeastSquares(), dist, 64, 64,
+                                        FixedConstant(0.015625), None, 200, master_seed=0,
+                                        record_risks=False)
+    diff = rep.held_out - population_risk(LeastSquares(), dist, rep.finals)
+    se = diff.std(ddof=1) / np.sqrt(diff.shape[0])
+    assert abs(diff.mean()) <= 3.0 * se
 
 
 def test_gap_from_stability_needs_two_replicates_not_the_risk_path():
@@ -385,13 +426,13 @@ def test_gap_from_stability_needs_two_replicates_not_the_risk_path():
                                             3, master_seed=1, record_risks=False)
     # the output's empirical risk is recorded either way, to the last bit
     assert no_path.emp_risk.tobytes() == path.emp_risk.tobytes()
-    got = gap_from_stability(LeastSquares(), _dist(), no_path, 0, master_seed=1)
-    want = gap_from_stability(LeastSquares(), _dist(), path, 0, master_seed=1)
+    got = gap_from_stability(LeastSquares(), _dist(), no_path)
+    want = gap_from_stability(LeastSquares(), _dist(), path)
     assert got.gap.tobytes() == want.gap.tobytes()
     one = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
                                         1, master_seed=1)
     with pytest.raises(InvalidArgument):
-        gap_from_stability(LeastSquares(), _dist(), one, 0, master_seed=1)
+        gap_from_stability(LeastSquares(), _dist(), one)
 
 
 # ---------------------------------------------------------------------------
