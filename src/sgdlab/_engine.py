@@ -20,7 +20,9 @@ all 1 + m rows at every step, because every loss computes each row from that
 row alone.
 
 Steps run in blocks of at most ``BLOCK_ROWS // R`` steps, and a block
-gathers the examples of all its steps at once.  The base iterates w_t of a
+gathers the examples of all its steps at once, with one ``np.take`` from
+the rows of all replicates' datasets (a dataset broadcast to every
+replicate is read in place).  The base iterates w_t of a
 block land in a (block + 1, R, d) observation buffer, and what is observed
 on the base rows (one weighted average and the empirical risk at
 checkpoints) is computed from it once per block, in per-row arithmetic, so
@@ -167,6 +169,20 @@ def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
     return pair_r[order], pair_j[order], tau[order]
 
 
+def _row_table(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows of an (R, n, ...) array A as one table, and where each
+    replicate's rows start in it: A[r, i] is ``table[start[r] + i]``.
+
+    A replicate axis of stride 0 (one dataset broadcast to every replicate)
+    is not copied: its table is A[0] and every start is 0.
+    """
+    R, n = A.shape[:2]
+    if A.strides[0] == 0:
+        return A[0], np.zeros(R, dtype=np.int64)
+    return (np.ascontiguousarray(A).reshape((R * n,) + A.shape[2:]),
+            n * np.arange(R, dtype=np.int64))
+
+
 def _in_block(steps: np.ndarray, s: int, e: int) -> np.ndarray:
     """Positions of the 1-based ``steps`` that fall in the block of steps s+1..e."""
     return np.nonzero((steps > s) & (steps <= e))[0]
@@ -235,6 +251,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
         raise InvalidArgument("average weights must be (T,) for T steps")
     m = 0 if sub_idx is None else sub_idx.shape[1]
     ar = np.arange(R)
+    Xtab, x_start = _row_table(Xs)
+    ytab, y_start = _row_table(ys)
 
     if m:
         pair_r, pair_j, tau = _fork_schedule(sub_idx, indices, n)
@@ -270,8 +288,8 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     for s in range(0, T, block):
         e = min(s + block, T)
         idx = indices[:, s:e].T                # (block, R)
-        xb = Xs[ar, idx]                       # (block, R, d)
-        yb = ys[ar, idx]
+        xb = np.take(Xtab, idx + x_start, axis=0)  # (block, R, d)
+        yb = np.take(ytab, idx + y_start)
         if not P:
             # no neighbour forks: the base rows step the block in one call
             loss.descend(ws[:e - s + 1], xb, yb,

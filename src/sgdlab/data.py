@@ -9,6 +9,15 @@ are bounded.  That lowers the noise's second moment by 2c phi(c) /
 ignore: at noise_sd 0.5 the least-squares closed form overstates the risk
 by 1.34e-4.
 
+Each distribution samples in one batched pass, ``sample_batch``: given B
+generators it returns B samples stacked as (B, n, d) features and (B, n)
+labels.  Each generator draws what it would draw alone, in the same order
+(its normals, then its own resample rounds for rows outside the ball, then
+its label noise or flips), and the arithmetic (the covariance transform,
+the norm test, the labels) runs once on the stack, so each sample keeps the
+bits of a lone draw.  ``sample`` is the batch of one generator, and
+``sample_datasets`` draws the samples of many seeds in one batch.
+
 A ``NeighborFamily`` carries a base sample S and an independent ghost sample
 S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
 with the i-th example of S~.  This is the object the stability estimators
@@ -31,7 +40,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,32 +97,74 @@ def _chol_of(cov: np.ndarray) -> np.ndarray:
         raise InvalidArgument("covariance must be symmetric positive definite") from None
 
 
-def _truncated_gauss_rows(rng: np.random.Generator, n: int, mean: np.ndarray,
-                          chol: np.ndarray, bound: float) -> np.ndarray:
-    """n rows of N(mean, chol chol^T), resampled until ||row|| <= bound."""
+def _normals(rngs, shape) -> np.ndarray:
+    """(B,) + shape standard normals: slice b is ``rngs[b].standard_normal(shape)``."""
+    out = np.empty((len(rngs),) + shape)
+    for rng, z in zip(rngs, out):
+        rng.standard_normal(out=z)
+    return out
+
+
+def _uniforms(rngs, n: int) -> np.ndarray:
+    """(B, n) uniforms on [0, 1): row b is ``rngs[b].random(n)``."""
+    out = np.empty((len(rngs), n))
+    for rng, u in zip(rngs, out):
+        rng.random(out=u)
+    return out
+
+
+def _resampled(rngs, out: np.ndarray, redraw, rejected, what: str) -> np.ndarray:
+    """``out`` with each generator's rejected entries drawn again until none is.
+
+    ``out[b]`` is generator b's first draw.  Each generator then runs its own
+    resample rounds, ``redraw(rng, k)`` for its k rejected entries, so it
+    makes the draws of a lone generator; ``rejected`` tests a slice or the
+    whole stack.
+    """
+    bad = rejected(out)
+    for b in np.flatnonzero(bad.any(axis=1)).tolist():
+        entries, redo = out[b], bad[b]
+        for _ in range(_MAX_RESAMPLE_ROUNDS):
+            k = int(redo.sum())
+            if k == 0:
+                break
+            entries[redo] = redraw(rngs[b], k)
+            redo = rejected(entries)
+        else:
+            raise DegenerateDataError(what)
+    return out
+
+
+def _truncated_gauss_rows(rngs, n: int, mean: np.ndarray, chol: np.ndarray,
+                          bound: float) -> np.ndarray:
+    """(B, n, d): for each generator, n rows of N(mean, chol chol^T), each
+    resampled until ||row|| <= bound; the transform and the norm test run
+    once on the stack."""
     d = mean.shape[0]
-    out = mean + rng.standard_normal((n, d)) @ chol.T
-    for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = np.linalg.norm(out, axis=1) > bound
-        k = int(bad.sum())
-        if k == 0:
-            return out
-        out[bad] = mean + rng.standard_normal((k, d)) @ chol.T
-    raise DegenerateDataError(
-        f"feature truncation at {bound} keeps rejecting samples; bound too tight")
+    return _resampled(rngs, mean + _normals(rngs, (n, d)) @ chol.T,
+                      lambda rng, k: mean + rng.standard_normal((k, d)) @ chol.T,
+                      lambda rows: np.linalg.norm(rows, axis=-1) > bound,
+                      f"feature truncation at {bound} keeps rejecting samples; "
+                      "bound too tight")
 
 
-def _truncated_noise(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
+def _truncated_noise(rngs, n: int, sd: float) -> np.ndarray:
+    """(B, n): for each generator, n N(0, sd^2) draws resampled into +-4 sd."""
     if sd == 0.0:
-        return np.zeros(n)
-    out = sd * rng.standard_normal(n)
-    for _ in range(_MAX_RESAMPLE_ROUNDS):
-        bad = np.abs(out) > 4.0 * sd
-        k = int(bad.sum())
-        if k == 0:
-            return out
-        out[bad] = sd * rng.standard_normal(k)
-    raise DegenerateDataError("noise truncation keeps rejecting samples")
+        return np.zeros((len(rngs), n))
+    return _resampled(rngs, sd * _normals(rngs, (n,)),
+                      lambda rng, k: sd * rng.standard_normal(k),
+                      lambda e: np.abs(e) > 4.0 * sd,
+                      "noise truncation keeps rejecting samples")
+
+
+def _checked_x_bound(x_bound: Optional[float], default: float) -> float:
+    if x_bound is None:
+        return default
+    x_bound = float(x_bound)
+    if not 0.0 < x_bound < math.inf:
+        raise InvalidArgument(f"x_bound must be positive and finite, got {x_bound}")
+    return x_bound
 
 
 class Distribution:
@@ -131,8 +182,18 @@ class Distribution:
 
     kind = "abstract"
 
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
+    def sample_batch(self, rngs: Sequence[np.random.Generator],
+                     n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One sample of n examples per generator: features (B, n, d), labels (B, n).
+
+        Generator b makes the draws of a lone ``sample(n, rngs[b])``, in the
+        same order, and sample b keeps its bits whatever else is in the batch.
+        """
         raise NotImplementedError
+
+    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
+        X, y = self.sample_batch([rng], n)
+        return Dataset(features=X[0], labels=y[0])
 
 
 class GaussLinReg(Distribution):
@@ -153,14 +214,12 @@ class GaussLinReg(Distribution):
             raise InvalidArgument(f"noise_sd must be nonnegative, got {noise_sd}")
         self.noise_sd = float(noise_sd)
         self._chol = _chol_of(self.cov)
-        self.x_bound = float(x_bound) if x_bound is not None \
-            else 4.0 * math.sqrt(float(np.trace(self.cov)))
+        self.x_bound = _checked_x_bound(x_bound, 4.0 * math.sqrt(float(np.trace(self.cov))))
         self.y_bound = self.x_bound * float(np.linalg.norm(self.w_star)) + 4.0 * self.noise_sd
 
-    def sample(self, n, rng):
-        X = _truncated_gauss_rows(rng, n, np.zeros(self.dim), self._chol, self.x_bound)
-        y = X @ self.w_star + _truncated_noise(rng, n, self.noise_sd)
-        return Dataset(features=X, labels=y)
+    def sample_batch(self, rngs, n):
+        X = _truncated_gauss_rows(rngs, n, np.zeros(self.dim), self._chol, self.x_bound)
+        return X, X @ self.w_star + _truncated_noise(rngs, n, self.noise_sd)
 
 
 class RealizableLinReg(GaussLinReg):
@@ -187,17 +246,14 @@ class MarginClassif(Distribution):
             raise InvalidArgument(f"flip_prob must be in [0, 0.5), got {flip_prob}")
         self.flip_prob = float(flip_prob)
         self._chol = _chol_of(self.cov)
-        self.x_bound = float(x_bound) if x_bound is not None \
-            else 4.0 * math.sqrt(float(np.trace(self.cov)))
+        self.x_bound = _checked_x_bound(x_bound, 4.0 * math.sqrt(float(np.trace(self.cov))))
         self.y_bound = 1.0
 
-    def sample(self, n, rng):
-        X = _truncated_gauss_rows(rng, n, np.zeros(self.dim), self._chol, self.x_bound)
-        margin = X @ self.w_star
-        y = np.where(margin >= 0.0, 1.0, -1.0)
-        flip = rng.random(n) < self.flip_prob
-        y[flip] *= -1.0
-        return Dataset(features=X, labels=y)
+    def sample_batch(self, rngs, n):
+        X = _truncated_gauss_rows(rngs, n, np.zeros(self.dim), self._chol, self.x_bound)
+        y = np.where(X @ self.w_star >= 0.0, 1.0, -1.0)
+        y[_uniforms(rngs, n) < self.flip_prob] *= -1.0
+        return X, y
 
 
 class ImbalancedGauss(Distribution):
@@ -219,24 +275,26 @@ class ImbalancedGauss(Distribution):
         self.cov_minus = _as_cov(cov_minus, self.dim)
         self._chol_plus = _chol_of(self.cov_plus)
         self._chol_minus = _chol_of(self.cov_minus)
-        if x_bound is not None:
-            self.x_bound = float(x_bound)
-        else:
-            self.x_bound = max(
-                float(np.linalg.norm(self.mu_plus)) + 4.0 * math.sqrt(float(np.trace(self.cov_plus))),
-                float(np.linalg.norm(self.mu_minus)) + 4.0 * math.sqrt(float(np.trace(self.cov_minus))),
-            )
+        self.x_bound = _checked_x_bound(x_bound, max(
+            float(np.linalg.norm(self.mu_plus)) + 4.0 * math.sqrt(float(np.trace(self.cov_plus))),
+            float(np.linalg.norm(self.mu_minus)) + 4.0 * math.sqrt(float(np.trace(self.cov_minus))),
+        ))
         self.y_bound = 1.0
 
-    def sample(self, n, rng):
-        y = np.where(rng.random(n) < self.p, 1.0, -1.0)
-        X = np.empty((n, self.dim))
-        pos = y > 0.0
-        npos = int(pos.sum())
-        # sample the two classes in a fixed order so the draw is reproducible
-        X[pos] = _truncated_gauss_rows(rng, npos, self.mu_plus, self._chol_plus, self.x_bound)
-        X[~pos] = _truncated_gauss_rows(rng, n - npos, self.mu_minus, self._chol_minus, self.x_bound)
-        return Dataset(features=X, labels=y)
+    def sample_batch(self, rngs, n):
+        # the class sizes differ between generators, so each draws alone
+        X = np.empty((len(rngs), n, self.dim))
+        y = np.empty((len(rngs), n))
+        for rng, Xb, yb in zip(rngs, X, y):
+            yb[...] = np.where(rng.random(n) < self.p, 1.0, -1.0)
+            pos = yb > 0.0
+            npos = int(pos.sum())
+            # sample the two classes in a fixed order so the draw is reproducible
+            Xb[pos] = _truncated_gauss_rows([rng], npos, self.mu_plus, self._chol_plus,
+                                            self.x_bound)[0]
+            Xb[~pos] = _truncated_gauss_rows([rng], n - npos, self.mu_minus,
+                                             self._chol_minus, self.x_bound)[0]
+        return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +307,25 @@ def sample_dataset(dist: Distribution, n: int, seed: int) -> Dataset:
         raise InvalidArgument(f"n must be >= 1, got {n}")
     rng = _engine.path_generator(seed, _engine.TAG_DATA)
     return dist.sample(n, rng)
+
+
+def sample_datasets(dist: Distribution, n: int, seeds: Sequence[int],
+                    ghosts: bool = False) -> tuple:
+    """The samples of many seeds, drawn in one batched pass of ``dist``.
+
+    Returns the features (B, n, d) and labels (B, n) of
+    ``sample_dataset(dist, n, seeds[b])`` for each b and, with ``ghosts``,
+    then the features and labels of the ghost samples of
+    ``sample_neighbor_family(dist, n, seeds[b])``.
+    """
+    if not n >= 1:
+        raise InvalidArgument(f"n must be >= 1, got {n}")
+    rngs = [_engine.path_generator(s, _engine.TAG_DATA) for s in seeds]
+    if ghosts:
+        rngs += [_engine.path_generator(s, _engine.TAG_GHOST) for s in seeds]
+    X, y = dist.sample_batch(rngs, n)
+    B = len(seeds)
+    return (X[:B], y[:B], X[B:], y[B:]) if ghosts else (X, y)
 
 
 @dataclass(frozen=True)
@@ -265,11 +342,9 @@ class NeighborFamily:
 
 def sample_neighbor_family(dist: Distribution, n: int, seed: int) -> NeighborFamily:
     """Draw S and an independent ghost S~ from per-purpose derived seeds."""
-    if not n >= 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
-    base = dist.sample(n, _engine.path_generator(seed, _engine.TAG_DATA))
-    ghost = dist.sample(n, _engine.path_generator(seed, _engine.TAG_GHOST))
-    return NeighborFamily(base=base, ghost=ghost)
+    X, y, gX, gy = sample_datasets(dist, n, [seed], ghosts=True)
+    return NeighborFamily(base=Dataset(features=X[0], labels=y[0]),
+                          ghost=Dataset(features=gX[0], labels=gy[0]))
 
 
 def neighbor(family: NeighborFamily, i: int) -> Dataset:
@@ -281,18 +356,6 @@ def neighbor(family: NeighborFamily, i: int) -> Dataset:
     y = family.base.labels.copy()
     X[i] = family.ghost.features[i]
     y[i] = family.ghost.labels[i]
-    return Dataset(features=X, labels=y)
-
-
-def zero_example_neighbor(ds: Dataset, i: int = 0) -> Dataset:
-    """Dataset with example i replaced by the zero example (x = 0, y = 0)."""
-    n = ds.n
-    if not 0 <= i < n:
-        raise InvalidArgument(f"position must be in [0, {n}), got {i}")
-    X = ds.features.copy()
-    y = ds.labels.copy()
-    X[i] = 0.0
-    y[i] = 0.0
     return Dataset(features=X, labels=y)
 
 

@@ -52,8 +52,7 @@ from ..data import (
     population_risk_minimum,
     sample_dataset,
     sample_neighbor_family,
-    zero_example_neighbor,
-    NeighborFamily,
+    Dataset,
 )
 from ..errors import ConfigError, PreconditionViolation
 from ..losses import (
@@ -78,8 +77,7 @@ from ..stability import (
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
-    replicate_dataset,
-    replicate_family,
+    replicate_data,
 )
 from .config import (
     ExperimentConfig,
@@ -481,18 +479,21 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         R = cfg.replicates
-        families = []
+        Xs, ys = replicate_data(dist, n, cfg.master_seed, ghosts=False)(0, R)
         etas = np.empty((R, T))
         rhss = np.empty(R)
         for r in range(R):
-            ds = replicate_dataset(dist, n, cfg.master_seed, r)
-            sigma = min_positive_eigenvalue(ds)
+            sigma = min_positive_eigenvalue(Dataset(features=Xs[r], labels=ys[r]))
             t0 = t0_for_strong_convexity(L, sigma)
             etas[r] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
-            families.append(NeighborFamily(base=ds, ghost=zero_example_neighbor(ds, 0)))
             rhss[r] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
-        dists = coupled_distances(loss, families.__getitem__, n, etas, domain, R,
-                                  cfg.master_seed)
+        # each ghost sample is its dataset with example 0 replaced by the zero example
+        gXs, gys = Xs.copy(), ys.copy()
+        gXs[:, 0] = 0.0
+        gys[:, 0] = 0.0
+        dists = coupled_distances(loss, lambda lo, hi: (Xs[lo:hi], ys[lo:hi], gXs[lo:hi],
+                                                        gys[lo:hi]),
+                                  n, etas, domain, R, cfg.master_seed)
         em.gate_row("zero_example_stability", float(rhss.mean()), *_mean_se(dists),
                     n=n, T=T)
 
@@ -504,11 +505,7 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
     c1 = math.sqrt(2.0 * (L + lam))
     for n in cfg.n_grid:
         R = cfg.replicates
-        Xs = np.empty((R, n, dist.dim))
-        ys = np.empty((R, n))
-        for r in range(R):
-            ds = replicate_dataset(dist, n, cfg.master_seed, r)
-            Xs[r], ys[r] = ds.features, ds.labels
+        Xs, ys = replicate_data(dist, n, cfg.master_seed, ghosts=False)(0, R)
         # the R ridge systems (X'X/n + lam I) w = X'y/n, solved as one stack
         Xt = Xs.swapaxes(1, 2)
         A = Xt @ Xs / n + lam * np.eye(dist.dim)
@@ -545,12 +542,8 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, c3, G, T, n,
                                      cfg.delta)
         R = cfg.replicates
-
-        def families(r):
-            return replicate_family(dist, n, cfg.master_seed, r)
-
-        total = coupled_distances(loss, families, n, sched.etas(T), None, R,
-                                  cfg.master_seed)
+        total = coupled_distances(loss, replicate_data(dist, n, cfg.master_seed), n,
+                                  sched.etas(T), None, R, cfg.master_seed)
         exceed = int(np.count_nonzero(total > rhs))
         mean, se = _mean_se(total)
         em.row("coupled_distance_mean", mean, n=n, T=T, theta=theta, stderr=se,

@@ -6,27 +6,32 @@ i_t sequence, so the measured distances are exactly the quantities the
 stability analysis controls.
 
 One skeleton, ``_replicate_batches``, runs the replicates of every estimator.
-It takes the data of each replicate (a family held fixed, or a function of
-the replicate number that samples or looks up its family, or its dataset
-alone when no neighbour runs), the neighbour positions, if any, the index
-streams (a function of the replicate number: i.i.d. keys or per-epoch
-permutations; or given sequences), the step sizes ((T,), or (R, T) when
-they differ between replicates) and the radius of the ball each step
-projects onto, if any.  It stacks a chunk of replicates, runs it through
-``_engine.run_core`` and hands the result to its caller, which stores each
-replicate's values before the next chunk runs.
+It takes the replicates' data (a family held fixed and broadcast to every
+replicate, or a chunk function that gives the stacked arrays of replicates
+lo..hi-1: datasets and ghost samples, or datasets alone when no neighbour
+runs), the neighbour positions, if any, the index streams (a function of
+the replicate number: i.i.d. keys or per-epoch permutations; or given
+sequences), the step sizes ((T,), or (R, T) when they differ between
+replicates) and the radius of the ball each step projects onto, if any.
+It runs a chunk of replicates through ``_engine.run_core`` and hands the
+result to its caller, which stores each replicate's values before the next
+chunk runs.
 
 The estimators return those per-replicate values and take no mean or
 standard error over replicates; the caller reduces them.  The exception is
 ``brute_force_stability``, whose result is the exact average over all index
 sequences.
 
-Seed discipline: replicate r of a given master seed derives its dataset from
-(master_seed, replicate tag, r) and its index stream from (master_seed,
-index tag, r), or from (master_seed, permutation tag, r) for epochs without
-replacement.
-``replicate_dataset`` and ``replicate_family`` draw replicate r's data; the
-harness uses them too for the replicates it runs outside the estimators.
+Seed discipline: replicate r of a given master seed derives its data seed
+seed_r from (master_seed, replicate tag, r), its dataset and ghost sample
+from (seed_r, data tag) and (seed_r, ghost tag), and its index stream from
+(master_seed, index tag, r), or from (master_seed, permutation tag, r) for
+epochs without replacement.  ``replicate_data`` gives the chunk function of
+the replicates' data: it draws a chunk's datasets, and their ghost samples,
+in one batched pass of the distribution (``data.sample_datasets``), where
+each replicate's generators make the draws they would make alone, so a
+replicate's data do not depend on the chunk it is drawn in.  The harness
+uses it too for the replicates it runs outside the estimators.
 ``coupled_distances`` keys replicate r's stream by the replicate's own seed
 instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
 r).  A stability report keeps the output and the empirical risk of each
@@ -57,8 +62,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from . import _engine
-from .data import (Dataset, Distribution, NeighborFamily, closed_form_risk,
-                   population_risk, sample_dataset, sample_neighbor_family)
+from .data import (Distribution, NeighborFamily, closed_form_risk, population_risk,
+                   sample_datasets)
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
 from .optim import Ball, Schedule
@@ -129,15 +134,17 @@ def _replicate_dataset_seed(master_seed: int, r: int) -> int:
     return _engine.derive_seed(master_seed, TAG_REPLICATE, r)
 
 
-def replicate_dataset(dist: Distribution, n: int, master_seed: int, r: int) -> Dataset:
-    """Replicate r's dataset S of size n under ``master_seed``."""
-    return sample_dataset(dist, n, _replicate_dataset_seed(master_seed, r))
+def replicate_data(dist: Distribution, n: int, master_seed: int, ghosts: bool = True):
+    """The chunk function of the replicates' data under ``master_seed``.
 
-
-def replicate_family(dist: Distribution, n: int, master_seed: int,
-                     r: int) -> NeighborFamily:
-    """Replicate r's (S, ghost) family; its base is ``replicate_dataset``'s S."""
-    return sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
+    ``chunk(lo, hi)`` gives the stacked datasets S (features (B, n, d),
+    labels (B, n)) of replicates lo..hi-1 and, with ``ghosts``, then their
+    ghost samples, all drawn in one batched pass from the replicate seeds.
+    """
+    def chunk(lo: int, hi: int) -> tuple:
+        seeds = [_replicate_dataset_seed(master_seed, r) for r in range(lo, hi)]
+        return sample_datasets(dist, n, seeds, ghosts)
+    return chunk
 
 
 def _replicate_stream(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
@@ -159,7 +166,7 @@ def _arrays(data, ghosts: bool) -> tuple:
 
 
 def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
-                       radius: Optional[float], families, streams, positions=None,
+                       radius: Optional[float], data, streams, positions=None,
                        **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
                                                     np.ndarray, np.ndarray]]:
     """Run R replicates chunk by chunk, in order; yield ``(lo, hi, out, Xs, ys)``.
@@ -167,9 +174,10 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
     ``out`` is the ``run_core`` result of replicates lo..hi-1 and ``Xs, ys``
     are their base datasets.
 
-    families: a NeighborFamily held fixed for every replicate, or a function
-        of r giving replicate r's NeighborFamily; a Dataset in place of a
-        family when ``positions`` is None.
+    data: a NeighborFamily held fixed for every replicate (a Dataset when
+        ``positions`` is None), or a chunk function: ``data(lo, hi)`` gives
+        the stacked (X, y, ghost X, ghost y) of replicates lo..hi-1, or
+        (X, y) when ``positions`` is None (see ``replicate_data``).
     positions: None (the base runs only), or the array of neighbour positions
         every replicate runs.
     streams: a function of r giving replicate r's (1, T) index stream, or an
@@ -194,17 +202,11 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
     for lo in range(0, R, step):
         hi = min(lo + step, R)
         Rc = hi - lo
-        if callable(families):
-            cols = None
-            for k, r in enumerate(range(lo, hi)):
-                row = _arrays(families(r), m > 0)
-                if cols is None:
-                    cols = [np.empty((Rc,) + a.shape) for a in row]
-                for col, a in zip(cols, row):
-                    col[k] = a
+        if callable(data):
+            cols = data(lo, hi)
         else:
-            cols = [np.broadcast_to(a, (Rc,) + a.shape) for a in _arrays(families, m > 0)]
-        Xs, ys, gXs, gys = cols if m else cols + [None, None]
+            cols = [np.broadcast_to(a, (Rc,) + a.shape) for a in _arrays(data, m > 0)]
+        Xs, ys, gXs, gys = cols if m else (*cols, None, None)
 
         sub = np.broadcast_to(given, (Rc, m)) if m else None
 
@@ -273,11 +275,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     emp_risk = np.empty(R)
     held_out = np.empty(R)
 
-    if fixed_family is not None:
-        families = fixed_family
-    else:
-        def families(r):
-            return replicate_family(dist, n, master_seed, r)
+    data = fixed_family if fixed_family is not None else replicate_data(dist, n, master_seed)
     if without_replacement:
         def streams(r):
             rng = _engine.path_generator(master_seed, _engine.TAG_PERM, r)
@@ -287,7 +285,7 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
             return _replicate_stream(master_seed, r, n, T)
 
     for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, sched.etas(T), _radius(domain), families, streams,
+            loss, R, n, sched.etas(T), _radius(domain), data, streams,
             np.arange(n), risk_ckpt_steps=ckpt):
         l1[lo:hi], l2_sq[lo:hi] = _distance_means(out)
         finals[lo:hi] = out.finals[:, 0]
@@ -300,14 +298,16 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
                            risk=risk, emp_risk=emp_risk, held_out=held_out)
 
 
-def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
+def coupled_distances(loss: Loss, data, n: int, etas: np.ndarray,
                       domain: Optional[Ball], replicates: int, master_seed: int
                       ) -> np.ndarray:
     """||w_{T+1} - w^(0)_{T+1}|| for each replicate r = 0 .. replicates - 1.
 
-    Replicate r runs SGD on ``families(r).base`` and on its neighbour at
-    position 0 with one shared i.i.d. index stream, keyed (seed_r, index tag,
-    0) with seed_r = (master_seed, replicate tag, r).  ``etas`` is (T,), or
+    Replicate r runs SGD on its dataset and on its neighbour at position 0
+    with one shared i.i.d. index stream, keyed (seed_r, index tag, 0) with
+    seed_r = (master_seed, replicate tag, r).  ``data`` is a NeighborFamily
+    held fixed or a chunk function of the replicates' (X, y, ghost X,
+    ghost y), as in ``_replicate_batches``.  ``etas`` is (T,), or
     (replicates, T) for step sizes per replicate.
     """
     T = etas.shape[-1]
@@ -317,7 +317,7 @@ def coupled_distances(loss: Loss, families, n: int, etas: np.ndarray,
         return _replicate_stream(_replicate_dataset_seed(master_seed, r), 0, n, T)
 
     for lo, hi, out, _, _ in _replicate_batches(
-            loss, replicates, n, etas, _radius(domain), families, streams,
+            loss, replicates, n, etas, _radius(domain), data, streams,
             np.zeros(1, dtype=np.int64)):
         dists[lo:hi] = _distance_means(out)[0]
     return dists
@@ -385,15 +385,13 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     outs = np.empty((R, dist.dim))
     emp = np.empty(R)
 
-    def datasets(r):
-        return replicate_dataset(dist, n, master_seed, r)
-
     def streams(r):
         return _replicate_stream(master_seed, r, n, T)
 
     etas = sched.etas(T)
     for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, etas, _radius(domain), datasets, streams, average_weights=etas):
+            loss, R, n, etas, _radius(domain), replicate_data(dist, n, master_seed, False),
+            streams, average_weights=etas):
         outs[lo:hi] = out.avg
         emp[lo:hi] = _engine._batch_empirical_risk(loss, out.avg, Xs, ys)
     pop = population_risk(loss, dist, outs)

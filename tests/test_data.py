@@ -24,7 +24,6 @@ from sgdlab.data import (
     population_risk_minimum,
     sample_dataset,
     sample_neighbor_family,
-    zero_example_neighbor,
 )
 from sgdlab.data import _elementwise, _ndtr, _owens_t
 from sgdlab.errors import ConfigError, DegenerateDataError, InvalidArgument
@@ -126,6 +125,138 @@ def test_distribution_validation():
         sample_dataset(_lin_reg(), 0, seed=0)
 
 
+@pytest.mark.parametrize("x_bound", [0.0, -1.0, math.nan, math.inf])
+def test_x_bound_must_be_positive_and_finite(x_bound):
+    # a bound that no feature vector can meet fails at construction, not
+    # after 64 rounds of resampling
+    w = np.array([1.0, 0.0])
+    for make in (lambda: GaussLinReg(w_star=w, cov=1.0, noise_sd=0.1, x_bound=x_bound),
+                 lambda: RealizableLinReg(w_star=w, cov=1.0, x_bound=x_bound),
+                 lambda: MarginClassif(w_star=w, cov=1.0, flip_prob=0.1, x_bound=x_bound),
+                 lambda: ImbalancedGauss(p=0.5, mu_plus=w, mu_minus=-w, cov_plus=1.0,
+                                         cov_minus=1.0, x_bound=x_bound)):
+        with pytest.raises(InvalidArgument, match="x_bound"):
+            make()
+
+
+# ---------------------------------------------------------------------------
+# batched sampling against a per-generator reference
+# ---------------------------------------------------------------------------
+
+class _Reference:
+    """Per-generator sampling, one generator and one dataset at a time.
+
+    ``rounds`` counts the resample rounds of features and of noise, so a
+    test can tell that its case resampled.
+    """
+
+    def __init__(self):
+        self.rounds = {"features": 0, "noise": 0}
+
+    def gauss_rows(self, rng, n, mean, chol, bound):
+        d = mean.shape[0]
+        out = mean + rng.standard_normal((n, d)) @ chol.T
+        for _ in range(64):
+            bad = np.linalg.norm(out, axis=1) > bound
+            k = int(bad.sum())
+            if k == 0:
+                return out
+            self.rounds["features"] += 1
+            out[bad] = mean + rng.standard_normal((k, d)) @ chol.T
+        raise DegenerateDataError("feature truncation keeps rejecting samples")
+
+    def noise(self, rng, n, sd):
+        if sd == 0.0:
+            return np.zeros(n)
+        out = sd * rng.standard_normal(n)
+        for _ in range(64):
+            bad = np.abs(out) > 4.0 * sd
+            k = int(bad.sum())
+            if k == 0:
+                return out
+            self.rounds["noise"] += 1
+            out[bad] = sd * rng.standard_normal(k)
+        raise DegenerateDataError("noise truncation keeps rejecting samples")
+
+    def sample(self, dist, n, rng):
+        if isinstance(dist, GaussLinReg):
+            X = self.gauss_rows(rng, n, np.zeros(dist.dim), dist._chol, dist.x_bound)
+            return X, X @ dist.w_star + self.noise(rng, n, dist.noise_sd)
+        if isinstance(dist, MarginClassif):
+            X = self.gauss_rows(rng, n, np.zeros(dist.dim), dist._chol, dist.x_bound)
+            y = np.where(X @ dist.w_star >= 0.0, 1.0, -1.0)
+            y[rng.random(n) < dist.flip_prob] *= -1.0
+            return X, y
+        y = np.where(rng.random(n) < dist.p, 1.0, -1.0)
+        X = np.empty((n, dist.dim))
+        pos = y > 0.0
+        npos = int(pos.sum())
+        X[pos] = self.gauss_rows(rng, npos, dist.mu_plus, dist._chol_plus, dist.x_bound)
+        X[~pos] = self.gauss_rows(rng, n - npos, dist.mu_minus, dist._chol_minus,
+                                  dist.x_bound)
+        return X, y
+
+
+def _sampler_dists(x_bound=None):
+    w4 = np.array([1.0, 0.0, -0.5, 0.0])
+    return {
+        "gauss_lin_reg": GaussLinReg(w_star=w4, cov=0.25, noise_sd=0.5, x_bound=x_bound),
+        # d > 8: the norm sums its squares pairwise
+        "gauss_lin_reg_12": GaussLinReg(w_star=np.linspace(-1.0, 1.0, 12),
+                                        cov=np.linspace(0.1, 0.3, 12), noise_sd=0.2,
+                                        x_bound=None if x_bound is None else 1.7 * x_bound),
+        "realizable_lin_reg": RealizableLinReg(w_star=w4, cov=[0.5, 0.25, 0.25, 0.1],
+                                               x_bound=x_bound),
+        "margin_classif": MarginClassif(w_star=w4, cov=0.25, flip_prob=0.1, x_bound=x_bound),
+        "imbalanced_gauss": ImbalancedGauss(p=0.3, mu_plus=[0.5, 0.0, 0.0, 0.0],
+                                            mu_minus=[-0.5, 0.0, 0.0, 0.0], cov_plus=0.2,
+                                            cov_minus=0.1, x_bound=x_bound),
+    }
+
+
+def _generators(B, seed):
+    return [_engine.path_generator(seed, b) for b in range(B)]
+
+
+@pytest.mark.parametrize("kind", sorted(_sampler_dists()))
+@pytest.mark.parametrize("B, n, x_bound", [
+    (1, 1, None), (1, 64, None), (7, 64, None), (3, 5, None),
+    # a tight ball: most draws resample their features, some several times
+    (4, 300, 1.2),
+    # enough noise draws that some fall beyond 4 sd and resample
+    (3, 20000, None),
+], ids=["one-generator-one-row", "one-generator", "batch", "small-n", "tight-ball",
+        "large-n"])
+def test_batched_sampler_matches_per_generator_reference(kind, B, n, x_bound):
+    dist = _sampler_dists(x_bound)[kind]
+    X, y = dist.sample_batch(_generators(B, 17), n)
+    assert X.shape == (B, n, dist.dim) and y.shape == (B, n)
+    ref = _Reference()
+    for b, rng in enumerate(_generators(B, 17)):
+        want_X, want_y = ref.sample(dist, n, rng)
+        assert X[b].tobytes() == want_X.tobytes()
+        assert y[b].tobytes() == want_y.tobytes()
+    if x_bound is not None:
+        assert ref.rounds["features"] > 0
+    if n == 20000 and getattr(dist, "noise_sd", 0.0) > 0.0:
+        assert ref.rounds["noise"] > 0
+    # one-generator sampling is the batched sampler's first slice
+    one = dist.sample(n, _generators(B, 17)[0])
+    assert one.features.tobytes() == X[0].tobytes()
+    assert one.labels.tobytes() == y[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_sampler_dists()))
+def test_batched_sampler_gives_up_after_the_resample_rounds(kind):
+    # a ball that almost no draw meets: every generator gives up after its
+    # rounds, batched or alone
+    dist = _sampler_dists(0.05)[kind]
+    with pytest.raises(DegenerateDataError):
+        _Reference().sample(dist, 64, _generators(1, 3)[0])
+    with pytest.raises(DegenerateDataError):
+        dist.sample_batch(_generators(3, 3), 64)
+
+
 def test_make_distribution_factory():
     # a [distribution] kind is built by its config.BUILDERS entry
     cfg = ExperimentConfig(experiment="oracle", dist_kind="gauss_lin_reg", w_star=(1.0,),
@@ -169,19 +300,6 @@ def test_neighbor_family_base_matches_sample_dataset():
 def test_ghost_differs_from_base():
     fam = sample_neighbor_family(_lin_reg(), 5, seed=2)
     assert not np.array_equal(fam.base.features, fam.ghost.features)
-
-
-def test_zero_example_neighbor():
-    ds = sample_dataset(_lin_reg(d=2), 4, seed=0)
-    nb = zero_example_neighbor(ds, 2)
-    np.testing.assert_array_equal(nb.features[2], [0.0, 0.0])
-    assert nb.labels[2] == 0.0
-    mask = np.arange(4) != 2
-    np.testing.assert_array_equal(nb.features[mask], ds.features[mask])
-    # original is untouched
-    assert not np.array_equal(ds.features[2], np.zeros(2))
-    with pytest.raises(InvalidArgument):
-        zero_example_neighbor(ds, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,33 @@ def test_unhit_neighbour_equals_its_base_row():
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
 
 
+def test_block_gather_reads_broadcast_and_stacked_datasets_alike():
+    # a block gathers its examples from one table of rows per array; a
+    # dataset broadcast to every replicate is read in place, not copied
+    rng = np.random.default_rng(3)
+    R, n, T = 4, 6, 9
+    X, gX = rng.normal(size=(2, n, 3))
+    y, gy = rng.normal(size=(2, n))
+    indices = rng.integers(0, n, size=(R, T))
+    sub = np.tile(np.arange(n), (R, 1))
+
+    def finals(arrays):
+        return _engine.run_core(LeastSquares(), *arrays, sub, np.full(T, 0.1), None,
+                                indices).finals
+
+    broadcast = [np.broadcast_to(a, (R,) + a.shape) for a in (X, y, gX, gy)]
+    stacked = [np.ascontiguousarray(a) for a in broadcast]
+    mixed = [broadcast[0], stacked[1], stacked[2], broadcast[3]]
+    want = finals(stacked)
+    for arrays in (broadcast, mixed):
+        assert finals(arrays).tobytes() == want.tobytes()
+    for A, own in ((broadcast[0], X), (stacked[1], stacked[1])):
+        table, start = _engine._row_table(A)
+        assert np.shares_memory(table, own)
+        for r, i in np.ndindex(R, n):
+            assert table[start[r] + i].tobytes() == A[r, i].tobytes()
+
+
 _BLOCK_CASES = [
     ("least_squares", "none", 3, 7, 4, 5, False),
     ("least_squares", "ball", 1, 1, 1, 0, False),   # single numbers per row

@@ -633,6 +633,9 @@ def test_cli_schedule_is_checked_before_any_run(tmp_path, capsys, monkeypatch, e
     pytest.param("rate-fit", ("1, 8, 16", "replicates = 4\nT_rule = n_pow\nT_pow = 400\n"),
                  2, "T = ceil(n^T_pow) overflows at n = 8, T_pow = 400",
                  id="rate-fit-T-overflow"),
+    # (n_grid, the other [experiment] keys, more [distribution] keys)
+    pytest.param("stability-sweep", ("8, 16", "replicates = 4\n", "x_bound = -1.0\n"), 2,
+                 "x_bound must be positive and finite, got -1.0", id="x-bound-negative"),
 ])
 def test_cli_run_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch, experiment,
                                                   n_grid, code, message):
@@ -641,10 +644,11 @@ def test_cli_run_rules_are_checked_before_any_run(tmp_path, capsys, monkeypatch,
         raise AssertionError("the engine ran before the rules were checked")
 
     monkeypatch.setattr(_engine, "run_core", fail)
-    n_grid, keys = n_grid if isinstance(n_grid, tuple) else (n_grid, "replicates = 4\n")
+    n_grid = n_grid if isinstance(n_grid, tuple) else (n_grid, "replicates = 4\n")
+    n_grid, keys, dist_keys = n_grid + ("",) * (3 - len(n_grid))
     out = tmp_path / "res"
     text = (f"[experiment]\nkind = {experiment}\nn_grid = {n_grid}\n{keys}"
-            f"out_path = {out}\n" + _PAIRS["lsq"] + _SMALL_STEP)
+            f"out_path = {out}\n" + _PAIRS["lsq"] + dist_keys + _SMALL_STEP)
     assert main([experiment, "--config", _write(tmp_path, text)]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]

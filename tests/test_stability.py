@@ -23,8 +23,7 @@ from sgdlab.stability import (
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
-    replicate_dataset,
-    replicate_family,
+    replicate_data,
     _replicate_dataset_seed,
     _replicate_stream,
 )
@@ -56,7 +55,7 @@ def test_coupled_pair_identical_ghost_gives_zero():
     ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 2.0]]),
                  labels=np.array([1.0, -1.0]))
     fam = NeighborFamily(base=ds, ghost=ds)
-    dists = coupled_distances(LeastSquares(), lambda r: fam, 2,
+    dists = coupled_distances(LeastSquares(), fam, 2,
                               FixedConstant(0.3).etas(7), None, 3, master_seed=5)
     np.testing.assert_array_equal(dists, np.zeros(3))
 
@@ -70,17 +69,17 @@ def test_coupled_pair_one_step_distance():
     g_base = _ls_grad(np.zeros(2), base.features[0], base.labels[0])
     g_ghost = _ls_grad(np.zeros(2), ghost.features[0], ghost.labels[0])
     gap = np.linalg.norm(g_base - g_ghost)
-    shared = coupled_distances(LeastSquares(), lambda r: fam, 1, np.array([0.25]),
+    shared = coupled_distances(LeastSquares(), fam, 1, np.array([0.25]),
                                None, 2, master_seed=0)
     np.testing.assert_allclose(shared, 0.25 * gap, rtol=1e-14)
-    per_replicate = coupled_distances(LeastSquares(), lambda r: fam, 1,
+    per_replicate = coupled_distances(LeastSquares(), fam, 1,
                                       np.array([[0.25], [0.5]]), None, 2, master_seed=0)
     np.testing.assert_allclose(per_replicate, [0.25 * gap, 0.5 * gap], rtol=1e-14)
 
 
 def test_coupled_pair_t0_zero_steps():
     fam = sample_neighbor_family(_dist(), 3, seed=1)
-    dists = coupled_distances(LeastSquares(), lambda r: fam, 3,
+    dists = coupled_distances(LeastSquares(), fam, 3,
                               FixedConstant(0.1).etas(0), None, 2, master_seed=0)
     np.testing.assert_array_equal(dists, np.zeros(2))
 
@@ -103,8 +102,8 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
     etas = np.stack([FixedConstant(0.1 * (r + 1)).etas(T) for r in range(4)])
     fams = [sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
             for r in range(4)]
-    got = coupled_distances(LeastSquares(), fams.__getitem__, n, etas, Ball(0.5), 4,
-                            master_seed)
+    got = coupled_distances(LeastSquares(), replicate_data(dist, n, master_seed), n, etas,
+                            Ball(0.5), 4, master_seed)
     for r, fam in enumerate(fams):
         key = _engine.derive_seed(_replicate_dataset_seed(master_seed, r),
                                   _engine.TAG_INDEX, 0)
@@ -117,19 +116,25 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
 
 
 def test_replicate_data_is_keyed_by_the_replicate_seed():
-    # replicate r draws from seed (master seed, replicate tag, r); its
-    # family's base is its dataset
-    dist, n, master_seed = _dist(), 6, 4
-    for r in range(3):
-        seed = _replicate_dataset_seed(master_seed, r)
-        ds = replicate_dataset(dist, n, master_seed, r)
-        fam = replicate_family(dist, n, master_seed, r)
-        want = sample_neighbor_family(dist, n, seed)
-        assert ds.features.tobytes() == sample_dataset(dist, n, seed).features.tobytes()
-        assert fam.base.features.tobytes() == ds.features.tobytes()
-        assert fam.base.labels.tobytes() == ds.labels.tobytes()
-        assert fam.ghost.features.tobytes() == want.ghost.features.tobytes()
-        assert fam.ghost.labels.tobytes() == want.ghost.labels.tobytes()
+    # replicate r draws from seed (master seed, replicate tag, r), whatever
+    # chunk it is drawn in; its family's base is its dataset
+    n, master_seed = 6, 4
+    for dist in (_dist(), MarginClassif(w_star=np.array([1.0, 0.0, 0.0]), cov=0.5,
+                                        flip_prob=0.1)):
+        families = replicate_data(dist, n, master_seed)
+        datasets = replicate_data(dist, n, master_seed, ghosts=False)
+        for lo, hi in ((0, 1), (0, 5), (2, 5), (4, 5)):
+            X, y, gX, gy = families(lo, hi)
+            Xd, yd = datasets(lo, hi)
+            assert X.shape == gX.shape == Xd.shape == (hi - lo, n, dist.dim)
+            for k, r in enumerate(range(lo, hi)):
+                seed = _replicate_dataset_seed(master_seed, r)
+                ds = sample_dataset(dist, n, seed)
+                fam = sample_neighbor_family(dist, n, seed)
+                assert Xd[k].tobytes() == X[k].tobytes() == ds.features.tobytes()
+                assert yd[k].tobytes() == y[k].tobytes() == ds.labels.tobytes()
+                assert gX[k].tobytes() == fam.ghost.features.tobytes()
+                assert gy[k].tobytes() == fam.ghost.labels.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +328,7 @@ def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
     outs = np.empty((R, 2))
     emp = np.empty(R)
     for r in range(R):
-        ds = replicate_dataset(_dist(), n, 6, r)
+        ds = sample_dataset(_dist(), n, _replicate_dataset_seed(6, r))
         traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, 0,
                           _replicate_stream(6, r, n, T), record_every=1)
         outs[r] = traj.avg_eta
@@ -393,7 +398,7 @@ def test_held_out_is_each_neighbour_runs_loss_at_its_left_out_example():
     rep = estimate_on_average_stability(loss, dist, n, T, sched, None, R, master_seed=4)
     want = np.empty(R)
     for r in range(R):
-        family = replicate_family(dist, n, 4, r)
+        family = sample_neighbor_family(dist, n, _replicate_dataset_seed(4, r))
         stream = _replicate_stream(4, r, n, T)
         vals = np.empty(n)
         for i in range(n):
