@@ -9,15 +9,27 @@ need.  Each step is a gradient step followed, when a radius is given, by the
 Euclidean projection onto the centered ball of that radius; the engine takes
 every step through the loss's step kernel, ``Loss.descend``.
 
+The index streams come as an ``IndexStream``, read front to back in chunks
+of ``STREAM_STEPS`` steps (rounded down to whole blocks), so the engine
+holds R * STREAM_STEPS indices at a time, not R * T.  The streams draw as
+the read reaches them: i.i.d. indices (``iid_stream``) and per-epoch
+shuffles (``epoch_stream``) from each replicate's own generator, or slices
+of given sequences (``given_stream``).  A counter-based generator drawn in
+pieces gives the draws of one call, so the indices, and every output, do
+not depend on the chunk length.
+
 Neighbours fork lazily.  Neighbour j's iterates equal the base row's, bit
 for bit, until the first step tau at which the stream draws its position,
 so it is copied from its base row at tau and stepped only from then on; a
 neighbour whose position is never drawn is never created.  At T = n a
 neighbour runs about T - n(1 - e^{-T/n}) = 0.37 T steps instead of T.  The
-forked rows are kept in fork order after the R base rows, so the active
-rows are always a prefix of one buffer.  The result is the same as stepping
-all 1 + m rows at every step, because every loss computes each row from that
-row alone.
+forks are found chunk by chunk: each chunk's first hits join those of
+earlier chunks in step order, ties in (replicate, neighbour) order, so the
+forked rows are kept in fork order after the R base rows and the active
+rows are always a prefix of one buffer.  A stream that fits in one chunk
+(every run with T = n <= STREAM_STEPS) finds them all at once.  The result
+is the same as stepping all 1 + m rows at every step, because every loss
+computes each row from that row alone.
 
 Steps run in blocks of at most ``BLOCK_ROWS // R`` steps, and a block
 gathers the examples of all its steps at once, with one ``np.take`` from
@@ -31,11 +43,12 @@ weights the caller passes (the step sizes, or the linear weights
 t + t0 - 1), of the base rows only; a caller that reads no average passes
 none and pays for none.
 
-- When no neighbour forks (no neighbours, or none drawn), the block is one
-  ``descend`` call whose iterates are the buffer's slots: slot j holds
-  w_{s+1+j}, the steps write slots 1.., and the last slot carries over to
-  slot 0 once the block's checkpoints and average have read the buffer.
-  With nothing to observe the rows step in place.
+- While no neighbour forks up to the end of the chunk read last (no
+  neighbours, or none drawn yet), the block is one ``descend`` call whose
+  iterates are the buffer's slots: slot j holds w_{s+1+j}, the steps write
+  slots 1.., and the last slot carries over to slot 0 once the block's
+  checkpoints and average have read the buffer.  With nothing to observe
+  the rows step in place.
 - Otherwise a step loop forks, swaps in ghost examples, copies the base
   rows into the buffer and calls ``descend`` for one step on the active
   rows.  Once neighbours have forked, a step gathers the example of each
@@ -63,7 +76,7 @@ replicates share its call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +91,16 @@ TAG_PERM = 0xFE
 #: base iterates buffered per block of steps: block length * R <= BLOCK_ROWS.
 #: Longer blocks ran no faster and raised the peak memory of a coupled run.
 BLOCK_ROWS = 1024
+#: steps of the index streams read per chunk, rounded down to whole blocks
+#: (at least one): a chunk holds about R * STREAM_STEPS indices.  A read costs
+#: about 10 us per replicate beyond its draws, so a fixed step count costs
+#: under 1% of a run for any R, where a fixed count of indices (R * steps <=
+#: 2^16) would read c08's 100 replicates at n = 256 in 10100 calls, not 1600
+#: (180 ms, not 80 ms).  On the long-horizon benchmark (16 replicates, T up
+#: to 16384) chunks of 4096 steps lowered the peak memory from 52.5 to 51.5
+#: MiB, 1024 to 51.4 MiB, and 8192 did not lower it; c08 peaks at 45 MiB
+#: (90 MiB with whole streams).
+STREAM_STEPS = 4096
 #: (iterate, example) pairs per empirical-risk evaluation at checkpoints,
 #: c * R * n <= this, for a loss that averages over the examples (least
 #: squares evaluates from its QR factors and needs no bound)
@@ -106,21 +129,70 @@ def path_generator(*path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(*path)))
 
 
-def index_matrix(rng: np.random.Generator, n: int, T: int,
-                 replicates: int) -> np.ndarray:
-    """(replicates, T) i.i.d. uniform indices in [0, n), drawn from ``rng``."""
-    return rng.integers(0, n, size=(replicates, T), dtype=np.int64)
+@dataclass(frozen=True)
+class IndexStream:
+    """The index streams of R replicates, T steps each, read front to back.
+
+    ``read(count)`` gives the (R, count) indices of every replicate's next
+    ``count`` steps.  A stream is read once.
+    """
+
+    shape: Tuple[int, int]                  # (R, T)
+    read: Callable[[int], np.ndarray]
+
+    def chunks(self, size: int) -> Iterator[Tuple[int, np.ndarray]]:
+        """Yield ``(s, idx)`` for s = 0, size, 2 size, ...: idx is the (R, e - s)
+        indices of steps s+1..e, e = min(s + size, T)."""
+        T = self.shape[1]
+        for s in range(0, T, size):
+            yield s, self.read(min(size, T - s))
 
 
-def permutation_matrix(rng: np.random.Generator, n: int, epochs: int,
-                       replicates: int) -> np.ndarray:
-    """(replicates, epochs * n) indices drawn from ``rng``: a fresh shuffle
-    per epoch per replicate."""
-    out = np.empty((replicates, epochs * n), dtype=np.int64)
-    for r in range(replicates):
-        for k in range(epochs):
-            out[r, k * n:(k + 1) * n] = rng.permutation(n)
-    return out
+def iid_stream(gens: Sequence[np.random.Generator], n: int, T: int) -> IndexStream:
+    """Replicate r's T indices, i.i.d. uniform on [0, n), drawn from ``gens[r]``.
+
+    A read of c steps is one ``integers(0, n, size=c)`` per generator.  The
+    bit generator keeps the unused half of a 64-bit word between calls, so
+    consecutive reads draw the indices of one draw of T, whatever the chunk
+    lengths.
+    """
+    def read(count: int) -> np.ndarray:
+        out = np.empty((len(gens), count), dtype=np.int64)
+        for r, g in enumerate(gens):
+            out[r] = g.integers(0, n, size=count, dtype=np.int64)
+        return out
+    return IndexStream((len(gens), T), read)
+
+
+def epoch_stream(gens: Sequence[np.random.Generator], n: int, T: int) -> IndexStream:
+    """Replicate r's T indices run through the shuffles ``gens[r].permutation(n)``,
+    a fresh one per epoch of n steps, drawn as the read reaches it."""
+    left = [np.empty(0, dtype=np.int64) for _ in gens]
+
+    def read(count: int) -> np.ndarray:
+        out = np.empty((len(gens), count), dtype=np.int64)
+        for r, g in enumerate(gens):
+            at = 0
+            while at < count:
+                if not left[r].size:
+                    left[r] = g.permutation(n)
+                k = min(count - at, left[r].size)
+                out[r, at:at + k] = left[r][:k]
+                left[r] = left[r][k:]
+                at += k
+        return out
+    return IndexStream((len(gens), T), read)
+
+
+def given_stream(indices: np.ndarray) -> IndexStream:
+    """Given (R, T) index sequences, read as slices."""
+    at = 0
+
+    def read(count: int) -> np.ndarray:
+        nonlocal at
+        at += count
+        return indices[:, at - count:at]
+    return IndexStream(indices.shape, read)
 
 
 def checkpoint_steps(T: int) -> np.ndarray:
@@ -149,24 +221,46 @@ def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) 
 
 def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbour pairs that ever leave their base row, in fork order.
+    """The neighbour pairs drawn in a chunk of the streams, in order of first hit.
 
-    Returns ``(pair_r, pair_j, tau)``: the neighbour whose position is
-    ``sub_idx[pair_r[p], pair_j[p]]`` is first drawn at step ``tau[p]``
-    (1-based), and ``tau`` is nondecreasing.  A pair whose position is never
-    drawn is left out; its iterates equal its base row's at every step.
+    ``indices`` is the (R, C) chunk.  Returns ``(pair_r, pair_j, tau)``: the
+    position ``sub_idx[pair_r[p], pair_j[p]]`` is first drawn in the chunk at
+    its step ``tau[p]`` (1-based), ``tau`` is nondecreasing, and ties stay in
+    (replicate, neighbour) order.  A pair whose position the chunk never
+    draws is left out.
     """
-    R, T = indices.shape
-    first = np.full(R * n, T + 1, dtype=np.int64)
-    if T:
+    R, C = indices.shape
+    first = np.full(R * n, C + 1, dtype=np.int64)
+    if C:
         flat = (indices + n * np.arange(R, dtype=np.int64)[:, None]).ravel()
         keys, at = np.unique(flat, return_index=True)
-        first[keys] = at % T + 1
+        first[keys] = at % C + 1
     tau = first.reshape(R, n)[np.arange(R)[:, None], sub_idx]
-    pair_r, pair_j = np.nonzero(tau <= T)
+    pair_r, pair_j = np.nonzero(tau <= C)
     tau = tau[pair_r, pair_j]
     order = np.argsort(tau, kind="stable")
     return pair_r[order], pair_j[order], tau[order]
+
+
+def _add_forks(sub_idx: np.ndarray, indices: np.ndarray, n: int, start: int,
+               row_of: np.ndarray, pair_r: np.ndarray, pair_j: np.ndarray,
+               tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fork schedule ``(pair_r, pair_j, tau)`` of the earlier chunks,
+    followed by that of the chunk ``indices`` (steps start + 1 ..), less the
+    pairs already forked.
+
+    Pair p's buffer row R + p is recorded in ``row_of`` at its (replicate,
+    position).  The merged ``tau`` counts steps from the start of the stream.
+    """
+    R = indices.shape[0]
+    P = tau.shape[0]
+    new_r, new_j, new_tau = _fork_schedule(sub_idx, indices, n)
+    if P:
+        new = row_of[new_r, sub_idx[new_r, new_j]] < 0
+        new_r, new_j, new_tau = new_r[new], new_j[new], new_tau[new]
+    row_of[new_r, sub_idx[new_r, new_j]] = R + P + np.arange(new_tau.shape[0])
+    return (np.concatenate([pair_r, new_r]), np.concatenate([pair_j, new_j]),
+            np.concatenate([tau, start + new_tau]))
 
 
 def _row_table(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,7 +310,7 @@ def weighted_average(acc: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return acc / wsum if wsum > 0.0 else np.zeros_like(acc)
 
 
-def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
+def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices: IndexStream, *,
              risk_ckpt_steps: Optional[np.ndarray] = None,
              average_weights: Optional[np.ndarray] = None) -> CoreResult:
     """Run R coupled families of projected SGD trajectories for T steps.
@@ -233,7 +327,7 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     etas : (T,), or (R, T) for step sizes per replicate
         A row steps by ``etas[r, t]`` of its replicate r.
     radius : the ball every step projects onto, or None for no projection.
-    indices : (R, T) shared per-replicate index streams.
+    indices : the shared per-replicate index streams, of shape (R, T).
     risk_ckpt_steps : (C,) 1-based steps at which F_S(w_t) of the base rows
         is recorded, or None.
     average_weights : (T,) or None
@@ -254,20 +348,14 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     Xtab, x_start = _row_table(Xs)
     ytab, y_start = _row_table(ys)
 
-    if m:
-        pair_r, pair_j, tau = _fork_schedule(sub_idx, indices, n)
-    else:
-        pair_r = pair_j = tau = np.empty(0, dtype=np.int64)
-    P = tau.shape[0]
-    # buffer row -> its replicate; rows 0..R-1 are the base rows, row R + p
-    # is the p-th pair to fork
-    rep = np.concatenate([ar, pair_r])
-    # (replicate, position) -> buffer row of that neighbour, -1 if none
-    row_of = np.full((R, n), -1, dtype=np.int64)
-    if P:
-        row_of[pair_r, sub_idx[pair_r, pair_j]] = R + np.arange(P)
+    # the pairs forked so far, in fork order: buffer row R + p is pair p
+    pair_r = pair_j = tau = np.empty(0, dtype=np.int64)
+    # buffer row -> its replicate; rows 0..R-1 are the base rows
+    rep = ar
+    # (replicate, position) -> buffer row of that neighbour, -1 if none yet
+    row_of = np.full((R, n), -1, dtype=np.int64) if m else None
 
-    W = np.zeros((R + P, d), dtype=np.float64)
+    W = np.zeros((R, d), dtype=np.float64)
 
     risk_path = None
     if risk_ckpt_steps is not None:
@@ -280,70 +368,83 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     block = max(1, BLOCK_ROWS // R)
     # slot j holds w_{s+1+j} of the block of steps s+1..e
     base = np.zeros((min(block, T) + 1, R, d)) if observed else None
-    if not P:
-        # the iterates of a ``descend`` call: the slots, or W stepped in place
-        ws = list(base) if observed else [W] * (min(block, T) + 1)
+    # the iterates of a ``descend`` call while no neighbour has forked: the
+    # slots, or W stepped in place
+    ws = list(base) if observed else [W] * (min(block, T) + 1)
     k = R
-    Wa = Wb = W[:R]                            # the active rows; the base rows
-    for s in range(0, T, block):
-        e = min(s + block, T)
-        idx = indices[:, s:e].T                # (block, R)
-        xb = np.take(Xtab, idx + x_start, axis=0)  # (block, R, d)
-        yb = np.take(ytab, idx + y_start)
-        if not P:
-            # no neighbour forks: the base rows step the block in one call
-            loss.descend(ws[:e - s + 1], xb, yb,
-                         etas[:, s:e, None].swapaxes(0, 1) if per_row
-                         else etas[s:e].tolist(), radius)
-        else:
-            # rows active during each step: the base rows and every pair
-            # with tau <= t
-            active = (R + np.searchsorted(tau, np.arange(s + 1, e + 1),
-                                          side="right")).tolist()
-            # ghost swaps of the block, grouped by step: a drawn position
-            # whose neighbour exists takes the ghost example in that row
-            rows = row_of[ar, idx]
-            hit_j, hit_r = np.nonzero(rows >= 0)
-            hit_row = rows[hit_j, hit_r]
-            gx = gXs[hit_r, idx[hit_j, hit_r]]
-            gy = gys[hit_r, idx[hit_j, hit_r]]
-            cut = np.searchsorted(hit_j, np.arange(e - s + 1)).tolist()
-            # a Python float per step, or the (block, R) steps of each replicate
-            steps = etas[:, s:e].T if per_row else etas[s:e].tolist()
-            for j, eta in enumerate(steps):
-                if active[j] > k:
-                    # fork: a neighbour equals its base row until its first hit
-                    lo, k = k, active[j]
-                    W[lo:k] = W[rep[lo:k]]
-                    Wa = W[:k]
-                if observed:
-                    base[j] = Wb
-                if k > R:
-                    Xf = np.take(xb[j], rep[:k], axis=0)
-                    yf = yb[j][rep[:k]]
-                    a, b = cut[j], cut[j + 1]
-                    Xf[hit_row[a:b]] = gx[a:b]
-                    yf[hit_row[a:b]] = gy[a:b]
-                else:
-                    Xf = xb[j]
-                    yf = yb[j]
-                if per_row:
-                    eta = eta[rep[:k], None]
-                loss.descend((Wa, Wa), Xf[None], yf[None], (eta,), radius)
-        if not observed:
-            continue
+    Wa = Wb = W                                # the active rows; the base rows
+    for c, ids in indices.chunks(max(1, STREAM_STEPS // block) * block):
+        P = tau.shape[0]
+        if P < R * m:
+            pair_r, pair_j, tau = _add_forks(sub_idx, ids, n, c, row_of, pair_r, pair_j, tau)
+            if tau.shape[0] > P:
+                if observed and not P:
+                    # the base rows leave the slots for W
+                    W[...] = base[0]
+                rep = np.concatenate([ar, pair_r])
+                grown = np.empty((R + tau.shape[0], d))
+                grown[:R + P] = W
+                W, Wa, Wb = grown, grown[:k], grown[:R]
+                P = tau.shape[0]
+        for s in range(c, c + ids.shape[1], block):
+            e = min(s + block, T)
+            idx = ids[:, s - c:e - c].T        # (block, R)
+            xb = np.take(Xtab, idx + x_start, axis=0)  # (block, R, d)
+            yb = np.take(ytab, idx + y_start)
+            if not P:
+                # no neighbour has forked: the base rows step the block in one call
+                loss.descend(ws[:e - s + 1], xb, yb,
+                             etas[:, s:e, None].swapaxes(0, 1) if per_row
+                             else etas[s:e].tolist(), radius)
+            else:
+                # rows active during each step: the base rows and every pair
+                # with tau <= t
+                active = (R + np.searchsorted(tau, np.arange(s + 1, e + 1),
+                                              side="right")).tolist()
+                # ghost swaps of the block, grouped by step: a drawn position
+                # whose neighbour exists takes the ghost example in that row
+                rows = row_of[ar, idx]
+                hit_j, hit_r = np.nonzero(rows >= 0)
+                hit_row = rows[hit_j, hit_r]
+                gx = gXs[hit_r, idx[hit_j, hit_r]]
+                gy = gys[hit_r, idx[hit_j, hit_r]]
+                cut = np.searchsorted(hit_j, np.arange(e - s + 1)).tolist()
+                # a Python float per step, or the (block, R) steps of each replicate
+                steps = etas[:, s:e].T if per_row else etas[s:e].tolist()
+                for j, eta in enumerate(steps):
+                    if active[j] > k:
+                        # fork: a neighbour equals its base row until its first hit
+                        lo, k = k, active[j]
+                        W[lo:k] = W[rep[lo:k]]
+                        Wa = W[:k]
+                    if observed:
+                        base[j] = Wb
+                    if k > R:
+                        Xf = np.take(xb[j], rep[:k], axis=0)
+                        yf = yb[j][rep[:k]]
+                        a, b = cut[j], cut[j + 1]
+                        Xf[hit_row[a:b]] = gx[a:b]
+                        yf[hit_row[a:b]] = gy[a:b]
+                    else:
+                        Xf = xb[j]
+                        yf = yb[j]
+                    if per_row:
+                        eta = eta[rep[:k], None]
+                    loss.descend((Wa, Wa), Xf[None], yf[None], (eta,), radius)
+            if not observed:
+                continue
 
-        buf = base[:e - s]
-        if risk_path is not None:
-            at = _in_block(risk_ckpt_steps, s, e)
-            risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
-        if acc is not None:
-            _fold(acc, average_weights[s:e], buf)
-        if not P:
-            # w_{e+1} starts the next block; slot 0 (w_{s+1}) is overwritten
-            # only after the checkpoints and the fold have read it
-            base[0] = base[e - s]
-    if observed and not P:
+            buf = base[:e - s]
+            if risk_path is not None:
+                at = _in_block(risk_ckpt_steps, s, e)
+                risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
+            if acc is not None:
+                _fold(acc, average_weights[s:e], buf)
+            if not P:
+                # w_{e+1} starts the next block; slot 0 (w_{s+1}) is overwritten
+                # only after the checkpoints and the fold have read it
+                base[0] = base[e - s]
+    if observed and not tau.shape[0]:
         W[...] = base[0]
 
     # (R, 1 + m, d): every neighbour that never forked is its base row

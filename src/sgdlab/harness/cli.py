@@ -1,6 +1,9 @@
 """`lab` command line entry point.
 
-    lab <experiment> --config PATH [--seed U64] [--out DIR] [--threads N]
+    lab <experiment> --config PATH [--seed S] [--out DIR] [--threads N]
+
+--seed S overrides the config's master_seed with any nonnegative integer
+(there is no upper limit; every seed path takes it whole).
 
 Prints one line per gate, ``name n T measured rhs slack_sigma satisfied``
 (``-`` for a gate without n or T), after the CSV is written.

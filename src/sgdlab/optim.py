@@ -225,8 +225,9 @@ def _dataset_arrays(dataset) -> Tuple[np.ndarray, np.ndarray]:
 
 def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
          domain: Optional[Ball], reg: Optional[Regularizer], seed: int,
-         indices: np.ndarray, record_every: int) -> Trajectory:
-    """One trajectory along the (1, T) ``indices``, drawn from index seed ``seed``.
+         indices: _engine.IndexStream, record_every: int) -> Trajectory:
+    """One trajectory along the stream ``indices`` of one replicate, drawn
+    from index seed ``seed`` and read in chunks of ``_engine.STREAM_STEPS``.
 
     A plain loop over the steps of one (1, d) row.  Its gradient step, ball
     projection and averages do the engine's arithmetic, so ``final`` and the
@@ -244,8 +245,8 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
     w = np.zeros((1, features.shape[1]))
     acc_eta = np.zeros_like(w)
     acc_lin = np.zeros_like(w)
-    for t, (i, eta, lw) in enumerate(zip(indices[0].tolist(), etas.tolist(),
-                                         lin.tolist())):
+    stream = (i for _, ids in indices.chunks(_engine.STREAM_STEPS) for i in ids[0].tolist())
+    for t, (i, eta, lw) in enumerate(zip(stream, etas.tolist(), lin.tolist())):
         if t % record_every == 0:
             iterates[t // record_every] = w[0]
         x, y = features[i:i + 1], labels[i:i + 1]
@@ -278,8 +279,7 @@ def _iid_run(loss: Loss, dataset, sched: Schedule, domain: Optional[Ball],
     if not T >= 1:
         raise InvalidArgument(f"T must be >= 1, got {T}")
     features, labels = _dataset_arrays(dataset)
-    indices = _engine.index_matrix(_index_stream(rng_seed), features.shape[0], T,
-                                   replicates=1)
+    indices = _engine.iid_stream([_index_stream(rng_seed)], features.shape[0], T)
     return _run(loss, features, labels, sched, domain, reg, _index_seed(rng_seed),
                 indices, record_every)
 
@@ -314,6 +314,6 @@ def sgd_without_replacement_run(loss: Loss, dataset, sched: Schedule, epochs: in
         raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
     features, labels = _dataset_arrays(dataset)
     n = features.shape[0]
-    indices = _engine.permutation_matrix(_index_stream(rng_seed), n, epochs, replicates=1)
+    indices = _engine.epoch_stream([_index_stream(rng_seed)], n, epochs * n)
     return _run(loss, features, labels, sched, None, None, _index_seed(rng_seed), indices,
                 record_every=n)

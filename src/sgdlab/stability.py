@@ -9,13 +9,18 @@ One skeleton, ``_replicate_batches``, runs the replicates of every estimator.
 It takes the replicates' data (a family held fixed and broadcast to every
 replicate, or a chunk function that gives the stacked arrays of replicates
 lo..hi-1: datasets and ghost samples, or datasets alone when no neighbour
-runs), the neighbour positions, if any, the index streams (a function of
-the replicate number: i.i.d. keys or per-epoch permutations; or given
-sequences), the step sizes ((T,), or (R, T) when they differ between
-replicates) and the radius of the ball each step projects onto, if any.
-It runs a chunk of replicates through ``_engine.run_core`` and hands the
-result to its caller, which stores each replicate's values before the next
-chunk runs.
+runs), the neighbour positions, if any, the chunk function of the index
+streams (``streams(lo, hi)`` builds the ``_engine.IndexStream`` of
+replicates lo..hi-1: i.i.d. indices or per-epoch permutations from each
+replicate's generator, or given sequences), the step sizes ((T,), or (R, T)
+when they differ between replicates) and the radius of the ball each step
+projects onto, if any.  It runs a chunk of replicates through
+``_engine.run_core`` and hands the result to its caller, which stores each
+replicate's values before the next chunk runs.  The engine reads the
+streams in chunks of ``_engine.STREAM_STEPS`` steps and finds the forks of
+the neighbour runs chunk by chunk, so no stream is held whole; the oracle's
+sequences of a chunk of replicates are the base-n digits of their numbers,
+built when the chunk runs.
 
 The estimators return those per-replicate values and take no mean or
 standard error over replicates; the caller reduces them.  The exception is
@@ -50,8 +55,10 @@ per replicate: the base run and m neighbours), which bounds the engine's
 per-row arrays, and holds at most ``EXAMPLE_BUDGET`` examples (n per
 replicate), which bounds the stacked datasets of runs with few rows per
 replicate.  So a grid point runs in as few engine calls as memory allows,
-and each call pays the fixed cost of its steps once.  Every replicate's
-result is bitwise the same for any chunk size.
+and each call pays the fixed cost of its steps once.  With the streams read
+in chunks, what a chunk holds grows with T only in the (T,) step sizes and
+weights.  Every replicate's result is bitwise the same for any chunk size,
+of replicates or of steps.
 """
 
 from __future__ import annotations
@@ -147,10 +154,16 @@ def replicate_data(dist: Distribution, n: int, master_seed: int, ghosts: bool = 
     return chunk
 
 
-def _replicate_stream(master_seed: int, r: int, n: int, T: int) -> np.ndarray:
-    """Replicate r's (1, T) i.i.d. index stream, drawn from its seed path."""
-    rng = _engine.path_generator(master_seed, _engine.TAG_INDEX, r)
-    return _engine.index_matrix(rng, n, T, replicates=1)
+def _streams(build, n: int, T: int, path):
+    """The chunk function of the replicates' index streams.
+
+    ``streams(lo, hi)`` gives the streams of replicates lo..hi-1 from
+    ``build`` (``_engine.iid_stream`` or ``_engine.epoch_stream``), replicate
+    r's drawn from the generator of the seed path ``path(r)``.
+    """
+    def streams(lo: int, hi: int) -> _engine.IndexStream:
+        return build([_engine.path_generator(*path(r)) for r in range(lo, hi)], n, T)
+    return streams
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +193,8 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
         (X, y) when ``positions`` is None (see ``replicate_data``).
     positions: None (the base runs only), or the array of neighbour positions
         every replicate runs.
-    streams: a function of r giving replicate r's (1, T) index stream, or an
-        (R, T) array of given index sequences.
+    streams: the chunk function of the index streams: ``streams(lo, hi)``
+        gives the ``_engine.IndexStream`` of replicates lo..hi-1.
     etas: (T,), or (R, T) for step sizes per replicate.
     radius: the ball each step projects onto, or None for no projection.
 
@@ -210,15 +223,9 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
 
         sub = np.broadcast_to(given, (Rc, m)) if m else None
 
-        if isinstance(streams, np.ndarray):
-            indices = streams[lo:hi]
-        else:
-            indices = np.empty((Rc, etas.shape[-1]), dtype=np.int64)
-            for k, r in enumerate(range(lo, hi)):
-                indices[k] = streams(r)
         out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
                                etas[lo:hi] if etas.ndim == 2 else etas, radius,
-                               indices, **collect)
+                               streams(lo, hi), **collect)
         yield lo, hi, out, Xs, ys
 
 
@@ -276,13 +283,9 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     held_out = np.empty(R)
 
     data = fixed_family if fixed_family is not None else replicate_data(dist, n, master_seed)
-    if without_replacement:
-        def streams(r):
-            rng = _engine.path_generator(master_seed, _engine.TAG_PERM, r)
-            return _engine.permutation_matrix(rng, n, T // n, 1)
-    else:
-        def streams(r):
-            return _replicate_stream(master_seed, r, n, T)
+    build, tag = ((_engine.epoch_stream, _engine.TAG_PERM) if without_replacement
+                  else (_engine.iid_stream, _engine.TAG_INDEX))
+    streams = _streams(build, n, T, lambda r: (master_seed, tag, r))
 
     for lo, hi, out, Xs, ys in _replicate_batches(
             loss, R, n, sched.etas(T), _radius(domain), data, streams,
@@ -310,11 +313,9 @@ def coupled_distances(loss: Loss, data, n: int, etas: np.ndarray,
     ghost y), as in ``_replicate_batches``.  ``etas`` is (T,), or
     (replicates, T) for step sizes per replicate.
     """
-    T = etas.shape[-1]
     dists = np.empty(replicates)
-
-    def streams(r):
-        return _replicate_stream(_replicate_dataset_seed(master_seed, r), 0, n, T)
+    streams = _streams(_engine.iid_stream, n, etas.shape[-1], lambda r: (
+        _replicate_dataset_seed(master_seed, r), _engine.TAG_INDEX, 0))
 
     for lo, hi, out, _, _ in _replicate_batches(
             loss, replicates, n, etas, _radius(domain), data, streams,
@@ -327,13 +328,11 @@ def coupled_distances(loss: Loss, data, n: int, etas: np.ndarray,
 # exact enumeration
 # ---------------------------------------------------------------------------
 
-def _all_index_sequences(n: int, T: int) -> np.ndarray:
-    M = n ** T
-    seqs = np.empty((M, T), dtype=np.int64)
-    ramp = np.arange(M)
-    for t in range(T):
-        seqs[:, t] = (ramp // n ** (T - 1 - t)) % n
-    return seqs
+def _index_sequences(n: int, T: int, lo: int, hi: int) -> np.ndarray:
+    """Sequences lo..hi-1 of the n^T index sequences in lexicographic order:
+    the T base-n digits of each number, most significant first."""
+    powers = n ** np.arange(T - 1, -1, -1, dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // powers % n
 
 
 def enumeration_count(n: int, T: int) -> int:
@@ -359,7 +358,8 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     l2_seq = np.empty(M)
     for lo, hi, out, _, _ in _replicate_batches(
             loss, M, n, sched.etas(T), _radius(domain), family,
-            _all_index_sequences(n, T), np.arange(n)):
+            lambda lo, hi: _engine.given_stream(_index_sequences(n, T, lo, hi)),
+            np.arange(n)):
         l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)
     return float(l1_seq.mean()), float(l2_seq.mean())
 
@@ -385,10 +385,9 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     outs = np.empty((R, dist.dim))
     emp = np.empty(R)
 
-    def streams(r):
-        return _replicate_stream(master_seed, r, n, T)
-
     etas = sched.etas(T)
+    streams = _streams(_engine.iid_stream, n, T,
+                       lambda r: (master_seed, _engine.TAG_INDEX, r))
     for lo, hi, out, Xs, ys in _replicate_batches(
             loss, R, n, etas, _radius(domain), replicate_data(dist, n, master_seed, False),
             streams, average_weights=etas):

@@ -380,3 +380,21 @@ def test_c13_row_budget_invariance(tmp_path, monkeypatch):
             run_experiment(cfg)
             outs[budget] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert len(set(outs.values())) == 1, f"{label}: the row budget changed the output"
+
+
+# the engine reads the index streams in chunks of whole blocks of steps, and
+# every experiment writes byte-identical CSVs whatever their lengths: blocks
+# of one step read in chunks of 1, 2 and 7 steps, and one chunk of all steps
+def test_c13_stream_chunk_invariance(tmp_path, monkeypatch):
+    for label, text in _C13_CONFIGS.items():
+        outs = {}
+        for block_rows, stream_steps in ((1, 1), (1, 2), (1, 7), (2, 7),
+                                         (_engine.BLOCK_ROWS, _engine.STREAM_STEPS),
+                                         (10**6, 10**6)):
+            monkeypatch.setattr(_engine, "BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(_engine, "STREAM_STEPS", stream_steps)
+            out = tmp_path / f"{label}-b{block_rows}-c{stream_steps}"
+            cfg = parse_config(text + f"out_path = {out}\n")
+            run_experiment(cfg)
+            outs[block_rows, stream_steps] = (out / f"{cfg.experiment}.csv").read_bytes()
+        assert len(set(outs.values())) == 1, f"{label}: the stream chunks changed the output"

@@ -113,8 +113,8 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
     if permutation:
         # per-epoch shuffles, T a whole number of epochs
         key = int(rng.integers(2**63))
-        indices = _engine.permutation_matrix(
-            np.random.Generator(np.random.Philox(key=key)), n, steps, R)
+        gens = [np.random.Generator(np.random.Philox(key=key + r)) for r in range(R)]
+        indices = _engine.epoch_stream(gens, n, steps * n).read(steps * n)
     else:
         # T from 0 to 3n; with T < n most positions are never drawn
         T = int(rng.integers(0, 3 * n + 1))
@@ -134,8 +134,8 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
                            risk_ckpt_steps=ckpt, weightings=weightings)
     for weights, avg in zip(weightings + [None], want["avgs"] + [None]):
         out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                               sub, etas, POSTS[post], indices, risk_ckpt_steps=ckpt,
-                               average_weights=weights)
+                               sub, etas, POSTS[post], _engine.given_stream(indices),
+                               risk_ckpt_steps=ckpt, average_weights=weights)
         for name in ("finals", "risk_path"):
             _assert_bitwise(getattr(out, name), want[name], name)
         if weights is None:
@@ -154,16 +154,16 @@ def test_per_replicate_steps_reject_averages_and_wrong_shapes():
     for weights in (np.full((2, 4), 0.1), np.full(5, 0.1), np.full(3, 0.1)):
         with pytest.raises(InvalidArgument):
             _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
-                             np.full((2, 4), 0.1), None, indices,
+                             np.full((2, 4), 0.1), None, _engine.given_stream(indices),
                              average_weights=weights)
     for etas in (np.full((3, 4), 0.1), np.full((2, 5), 0.1), np.full(5, 0.1)):
         with pytest.raises(InvalidArgument):
             _engine.run_core(LeastSquares(), Xs, ys, None, None, None, etas, None,
-                             indices)
+                             _engine.given_stream(indices))
     # per-replicate steps with the linear weights (one average) or none are fine
     for weights in (_engine.linear_weights(4, 2), None):
         out = _engine.run_core(LeastSquares(), Xs, ys, None, None, None,
-                               np.full((2, 4), 0.1), None, indices,
+                               np.full((2, 4), 0.1), None, _engine.given_stream(indices),
                                average_weights=weights)
         assert (out.avg is None) == (weights is None)
 
@@ -187,7 +187,7 @@ def test_unhit_neighbour_equals_its_base_row():
     ys, gys = rng.normal(size=(2, 1, 4))
     indices = np.array([[0, 1, 0, 1, 1]])
     out = _engine.run_core(LeastSquares(), Xs, ys, gXs, gys, np.array([[3, 1]]),
-                           np.full(5, 0.1), None, indices)
+                           np.full(5, 0.1), None, _engine.given_stream(indices))
     np.testing.assert_array_equal(out.finals[0, 1], out.finals[0, 0])
     assert np.any(out.finals[0, 2] != out.finals[0, 0])
 
@@ -204,7 +204,7 @@ def test_block_gather_reads_broadcast_and_stacked_datasets_alike():
 
     def finals(arrays):
         return _engine.run_core(LeastSquares(), *arrays, sub, np.full(T, 0.1), None,
-                                indices).finals
+                                _engine.given_stream(indices)).finals
 
     broadcast = [np.broadcast_to(a, (R,) + a.shape) for a in (X, y, gX, gy)]
     stacked = [np.ascontiguousarray(a) for a in broadcast]
@@ -227,12 +227,17 @@ _BLOCK_CASES = [
     ("auc", "ball", 2, 8, 8, 3, False),
     ("least_squares", "none", 16, 9, 8, 0, False),  # a rate-fit's uncoupled rows
     ("least_squares", "none", 1, 5, 1, 0, False),   # averages of single numbers
+    # one neighbour per replicate, first drawn after step 7
+    ("hinge1.5", "ball", 2, 14, 2, 1, False),
+    ("auc", "ball", 2, 13, 4, 1, True),
 ]
 # the same with steps per replicate, uncoupled and coupled
 _PER_ROW_CASES = [
     ("least_squares", "none", 3, 5, 4, 0, False),
     ("hinge1", "ball", 2, 6, 3, 0, True),
     ("least_squares", "ball", 2, 5, 3, 3, False),
+    ("least_squares", "ball", 2, 12, 3, 1, False),
+    ("least_squares", "none", 2, 14, 3, 1, True),
 ]
 
 
@@ -247,21 +252,30 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
     loss = _loss(loss_kind, d, rng)
     Xs, gXs = rng.normal(size=(2, R, n, d))
     ys, gys = rng.choice([-1.0, 1.0], size=(2, R, n)) * rng.uniform(0.5, 1.5, (2, R, n))
-    if permutation:
-        key = int(rng.integers(2**63))
-        indices = _engine.permutation_matrix(
-            np.random.Generator(np.random.Philox(key=key)), n, 7, R)
-    else:
-        indices = rng.integers(0, n, size=(R, 41))
-    T = indices.shape[1]
+    key = int(rng.integers(2**63))
+    T = 7 * n if permutation else 41
+    build = _engine.epoch_stream if permutation else _engine.iid_stream
+
+    def stream():
+        # each replicate's own generator, drawn as the engine reads the stream
+        return build([np.random.Generator(np.random.Philox(key=key + r)) for r in range(R)],
+                     n, T)
+
+    # the eager loop reads all of it at once
+    indices = stream().read(T)
     sub = np.stack([rng.permutation(n)[:m] for _ in range(R)]) if m else None
     etas = rng.uniform(0.01, 0.3, size=(R, T) if per_row else T)
+    if m == 1:
+        # no neighbour forks in the first chunks of 1, 2 and 7 steps: the
+        # engine leaves the fork-free path between chunks
+        assert _engine._fork_schedule(sub, indices, n)[2][0] > 7
 
-    def run(block_steps, risk_examples, ckpt, weights):
+    def run(block_steps, stream_steps, risk_examples, ckpt, weights):
         monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
+        monkeypatch.setattr(_engine, "STREAM_STEPS", stream_steps)
         monkeypatch.setattr(_engine, "RISK_EXAMPLES", risk_examples)
         return _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
-                                sub, etas, POSTS[post], indices,
+                                sub, etas, POSTS[post], stream(),
                                 risk_ckpt_steps=ckpt, average_weights=weights)
 
     # steps per replicate weigh no average
@@ -273,12 +287,16 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
     want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
                            risk_ckpt_steps=ckpts[0], weightings=weightings)
     for ckpt in ckpts:
-        # block lengths 1, 2, 3 and 10^6 steps; checkpoint chunks of one
+        # block lengths 1, 2, 3, 7 and 10^6 steps; stream chunks of whole
+        # blocks: 1, 2, 6, 7 and 10^6 steps (7 rounds down to 6 in blocks of 2
+        # or 3, and a chunk is at least one block); checkpoint chunks of one
         # checkpoint, of two (smaller than a block of 3), and of all
-        for block_steps, risk_examples in ((10**6, 2**14), (1, 2**14), (2, 1),
-                                           (3, 2 * R * n), (3, 2**14), (10**6, 1)):
+        for block_steps, stream_steps, risk_examples in (
+                (10**6, 10**6, 2**14), (1, 10**6, 2**14), (1, 1, 2**14), (1, 2, 1),
+                (2, 1, 1), (1, 7, 2 * R * n), (7, 7, 2**14), (2, 7, 1),
+                (3, 7, 2 * R * n), (3, 10**6, 2**14), (10**6, 1, 1)):
             for weights, avg in zip(weightings + (None,), want["avgs"] + [None]):
-                got = run(block_steps, risk_examples, ckpt, weights)
+                got = run(block_steps, stream_steps, risk_examples, ckpt, weights)
                 _assert_bitwise(got.finals, want["finals"], "finals")
                 _assert_bitwise(got.risk_path,
                                 want["risk_path"][:, np.searchsorted(ckpts[0], ckpt)],
@@ -315,25 +333,67 @@ def test_runners_step_like_the_engine(loss_kind, radius, permutation):
     key = _engine.derive_seed(seed, _engine.TAG_INDEX)
     stream = np.random.Generator(np.random.Philox(key=key))
     if not permutation:
-        indices = _engine.index_matrix(stream, n, 40, replicates=1)
+        indices = stream.integers(0, n, size=(1, 40), dtype=np.int64)
         traj = sgd_run(loss, ds, sched, domain, indices.shape[1], seed)
     elif domain is None:
-        indices = _engine.permutation_matrix(stream, n, epochs, replicates=1)
+        indices = np.stack([np.concatenate([stream.permutation(n) for _ in range(epochs)])])
         traj = sgd_without_replacement_run(loss, ds, sched, epochs, seed)
     else:
         # no public runner takes epochs and a ball: call their shared loop
-        indices = _engine.permutation_matrix(stream, n, epochs, replicates=1)
+        indices = np.stack([np.concatenate([stream.permutation(n) for _ in range(epochs)])])
         traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, key,
-                          indices, record_every=n)
+                          _engine.given_stream(indices), record_every=n)
     T = indices.shape[1]
     etas = sched.etas(T)
     for weights, got in ((etas, traj.avg_eta),
                          (_engine.linear_weights(T, sched.t0), traj.avg_linear),
                          (None, None)):
         out = _engine.run_core(loss, ds.features[None], ds.labels[None], None, None,
-                               None, etas, radius, indices, average_weights=weights)
+                               None, etas, radius, _engine.given_stream(indices),
+                               average_weights=weights)
         _assert_bitwise(traj.final, out.finals[0, 0], "final")
         if weights is None:
             assert out.avg is None
         else:
             _assert_bitwise(got, out.avg[0], "avg")
+
+
+@pytest.mark.parametrize("n", [3, 5, 1000, 2**31 + 11, 2**33], ids=str)
+def test_iid_stream_chunks_are_one_draw(n):
+    # a read of c steps draws ``integers(0, n, size=c)``; below 2^32 each
+    # index takes half of a 64-bit word, and the bit generator keeps the other
+    # half for the next call, so chunks of odd length must give one draw's bits
+    T = 865
+    for seed in range(5):
+        keys = [_engine.derive_seed(seed, _engine.TAG_INDEX, r) for r in range(2)]
+        want = np.stack([np.random.Generator(np.random.Philox(key=k)).integers(
+            0, n, size=T, dtype=np.int64) for k in keys])
+        for size in (1, 7, 63, 64, T, 10**6):
+            gens = [np.random.Generator(np.random.Philox(key=k)) for k in keys]
+            got = list(_engine.iid_stream(gens, n, T).chunks(size))
+            assert [s for s, _ in got] == list(range(0, T, size))
+            assert np.concatenate([ids for _, ids in got], axis=1).tobytes() == want.tobytes()
+
+
+def test_epoch_stream_chunks_run_through_each_shuffle():
+    # replicate r's epochs are the shuffles gens[r].permutation(n) in turn,
+    # drawn as the read reaches them, whatever the chunk length
+    n, epochs = 5, 4
+    want = []
+    for r in range(3):
+        g = np.random.Generator(np.random.Philox(key=r))
+        want.append(np.concatenate([g.permutation(n) for _ in range(epochs)]))
+    want = np.stack(want)
+    for size in (1, 2, 3, n, 7, epochs * n):
+        gens = [np.random.Generator(np.random.Philox(key=r)) for r in range(3)]
+        got = np.concatenate([ids for _, ids in _engine.epoch_stream(gens, n, epochs * n)
+                              .chunks(size)], axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_given_stream_reads_slices_in_order():
+    indices = np.arange(12).reshape(2, 6)
+    stream = _engine.given_stream(indices)
+    assert stream.shape == (2, 6)
+    got = [(s, ids.tolist()) for s, ids in stream.chunks(4)]
+    assert got == [(0, [[0, 1, 2, 3], [6, 7, 8, 9]]), (4, [[4, 5], [10, 11]])]

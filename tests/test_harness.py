@@ -433,6 +433,13 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "master_seed" in err
 
 
+def test_cli_seed_has_no_upper_limit(tmp_path):
+    # --seed takes any nonnegative integer, 2^64 and beyond included
+    cfg_path = _write(tmp_path, _properties_text(tmp_path / "res", draws=20))
+    for seed in (2 ** 64, 2 ** 70 + 1):
+        assert main(["properties", "--config", cfg_path, "--seed", str(seed)]) == 0
+
+
 def test_cli_unexpected_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(cfg, gates=None):
         raise RuntimeError("boom")

@@ -168,7 +168,7 @@ def test_sgd_zero_steps_leave_zero():
     ds = _single_example_dataset([1.0, 2.0], 1.0)
     out = _engine.run_core(LeastSquares(), ds.features[None], ds.labels[None],
                            None, None, None, np.zeros(3), None,
-                           np.zeros((1, 3), dtype=np.int64))
+                           _engine.given_stream(np.zeros((1, 3), dtype=np.int64)))
     np.testing.assert_array_equal(out.finals[0, 0], [0.0, 0.0])
 
 
@@ -326,8 +326,8 @@ def test_without_replacement_hand_rolled_oracle():
     traj = sgd_without_replacement_run(loss, ds, FixedConstant(0.25), epochs=3,
                                        rng_seed=seed)
     key = _engine.derive_seed(seed, _engine.TAG_INDEX)
-    perm = _engine.permutation_matrix(
-        np.random.Generator(np.random.Philox(key=key)), n=2, epochs=3, replicates=1)[0]
+    gen = np.random.Generator(np.random.Philox(key=key))
+    perm = np.concatenate([gen.permutation(2) for _ in range(3)])
     w = 0.0
     for t, i in enumerate(perm):
         x, y = float(ds.features[i, 0]), float(ds.labels[i])
@@ -335,9 +335,10 @@ def test_without_replacement_hand_rolled_oracle():
     assert traj.final[0] == pytest.approx(w, rel=1e-15)
 
 
-def test_permutation_matrix_is_per_epoch_shuffle():
-    perms = _engine.permutation_matrix(np.random.Generator(np.random.Philox(key=123)),
-                                       n=5, epochs=4, replicates=6)
+def test_epoch_stream_is_per_epoch_shuffle():
+    gens = [np.random.Generator(np.random.Philox(key=123 + r)) for r in range(6)]
+    perms = np.concatenate([ids for _, ids in _engine.epoch_stream(gens, 5, 20).chunks(3)],
+                           axis=1)
     assert perms.shape == (6, 20)
     for r in range(6):
         for k in range(4):
@@ -347,8 +348,7 @@ def test_permutation_matrix_is_per_epoch_shuffle():
 
 def test_without_replacement_zero_etas_engine_path():
     ds = Dataset(features=np.array([[1.0], [2.0]]), labels=np.array([1.0, -1.0]))
-    indices = _engine.permutation_matrix(np.random.Generator(np.random.Philox(key=5)),
-                                         n=2, epochs=2, replicates=1)
+    indices = _engine.epoch_stream([np.random.Generator(np.random.Philox(key=5))], 2, 4)
     out = _engine.run_core(LeastSquares(), ds.features[None], ds.labels[None],
                            None, None, None, np.zeros(4), None, indices)
     np.testing.assert_array_equal(out.finals[0, 0], [0.0])

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,6 @@ from sgdlab.stability import (
     gap_from_stability,
     replicate_data,
     _replicate_dataset_seed,
-    _replicate_stream,
 )
 
 
@@ -33,6 +35,13 @@ def _dist(d=2, noise_sd=0.3, cov=0.5):
     w = np.zeros(d)
     w[0] = 1.0
     return GaussLinReg(w_star=w, cov=cov, noise_sd=noise_sd)
+
+
+def _replicate_indices(master_seed, r, n, T):
+    """Replicate r's (1, T) i.i.d. index stream, drawn at once from its seed path."""
+    key = _engine.derive_seed(master_seed, _engine.TAG_INDEX, r)
+    return np.random.Generator(np.random.Philox(key=key)).integers(
+        0, n, size=(1, T), dtype=np.int64)
 
 
 def _ls_grad(w, x, y):
@@ -91,8 +100,9 @@ def test_coupled_pair_position_validation():
     # a given position outside [0, n)
     for positions in (np.array([3]), np.array([-1])):
         with pytest.raises(InvalidArgument):
-            next(stability._replicate_batches(LeastSquares(), 1, 3, etas, None, fam,
-                                              seqs, positions))
+            next(stability._replicate_batches(
+                LeastSquares(), 1, 3, etas, None, fam,
+                lambda lo, hi: _engine.given_stream(seqs[lo:hi]), positions))
 
 
 def test_coupled_distances_key_each_stream_by_the_replicate_seed():
@@ -111,7 +121,8 @@ def test_coupled_distances_key_each_stream_by_the_replicate_seed():
             LeastSquares(), fam.base.features[None], fam.base.labels[None],
             fam.ghost.features[None], fam.ghost.labels[None], np.array([[0]]),
             etas[r], 0.5,
-            _engine.index_matrix(np.random.Generator(np.random.Philox(key=key)), n, T, 1))
+            _engine.given_stream(np.random.Generator(np.random.Philox(key=key)).integers(
+                0, n, size=(1, T), dtype=np.int64)))
         assert got[r] == np.linalg.norm(out.finals[:, 1] - out.finals[:, 0], axis=1)[0]
 
 
@@ -189,6 +200,19 @@ def test_brute_force_budget():
     fam = sample_neighbor_family(_dist(), 10, seed=0)
     with pytest.raises(ResourceLimitExceeded):
         brute_force_stability(LeastSquares(), fam, FixedConstant(0.1), None, 7)
+
+
+@pytest.mark.parametrize("n,T", [(1, 3), (2, 0), (2, 1), (2, 5), (3, 4), (5, 2)])
+def test_index_sequences_of_a_chunk_are_those_of_the_full_enumeration(n, T):
+    # sequence k of the n^T is k's base-n digits, most significant first;
+    # a chunk lo..hi-1 builds only its own rows
+    full = np.array(list(itertools.product(range(n), repeat=T)),
+                    dtype=np.int64).reshape(n ** T, T)
+    M = n ** T
+    for lo, hi in ((0, M), (0, 1), (M - 1, M), (M // 3, M // 2 + 1)):
+        got = stability._index_sequences(n, T, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tobytes() == full[lo:hi].tobytes() and got.shape == (hi - lo, T)
 
 
 def test_brute_force_respects_ball():
@@ -330,7 +354,8 @@ def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
     for r in range(R):
         ds = sample_dataset(_dist(), n, _replicate_dataset_seed(6, r))
         traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, 0,
-                          _replicate_stream(6, r, n, T), record_every=1)
+                          _engine.given_stream(_replicate_indices(6, r, n, T)),
+                          record_every=1)
         outs[r] = traj.avg_eta
         emp[r] = _engine._batch_empirical_risk(loss, traj.avg_eta[None],
                                                ds.features[None], ds.labels[None])[0]
@@ -340,6 +365,21 @@ def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
     with pytest.raises(InvalidArgument):
         estimate_generalization_gap(loss, _dist(), n, T, sched, domain, replicates=1,
                                     master_seed=6)
+
+
+def test_gap_estimator_memory_does_not_grow_with_T():
+    # 16 replicates of 65536 steps: their index streams alone are 8 MiB when
+    # drawn at once; read in chunks, the whole estimate stays under 4 MiB
+    tracemalloc.start()
+    try:
+        rep = estimate_generalization_gap(LeastSquares(), _dist(), 8, 2 ** 16,
+                                          FixedConstant(0.01), None, replicates=16,
+                                          master_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(rep.gap))
+    assert peak < 4 * 2 ** 20
 
 
 def test_gap_zero_steps_is_zero_gap():
@@ -399,12 +439,12 @@ def test_held_out_is_each_neighbour_runs_loss_at_its_left_out_example():
     want = np.empty(R)
     for r in range(R):
         family = sample_neighbor_family(dist, n, _replicate_dataset_seed(4, r))
-        stream = _replicate_stream(4, r, n, T)
+        stream = _replicate_indices(4, r, n, T)
         vals = np.empty(n)
         for i in range(n):
             ds = neighbor(family, i)
             final = optim._run(loss, ds.features, ds.labels, sched, None, None, 0,
-                               stream, record_every=1).final
+                               _engine.given_stream(stream), record_every=1).final
             z = family.base
             vals[i] = loss.batch_value(final[None], z.features[i:i + 1], z.labels[i:i + 1])[0]
         want[r] = vals.mean()
@@ -463,8 +503,8 @@ def test_epoch_estimator_hand_rolled_single_replicate():
 
     fam = sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, 0))
     key = _engine.derive_seed(master_seed, _engine.TAG_PERM, 0)
-    perm = _engine.permutation_matrix(
-        np.random.Generator(np.random.Philox(key=key)), n, epochs, 1)[0]
+    gen = np.random.Generator(np.random.Philox(key=key))
+    perm = np.concatenate([gen.permutation(n) for _ in range(epochs)])
     etas = sched.etas(n * epochs)
     dists = []
     for i in range(n):
