@@ -154,22 +154,31 @@ def iid_stream(gens: Sequence[np.random.Generator], n: int, T: int) -> IndexStre
     A read of c steps is one ``integers(0, n, size=c)`` per generator.  The
     bit generator keeps the unused half of a 64-bit word between calls, so
     consecutive reads draw the indices of one draw of T, whatever the chunk
-    lengths.
+    lengths.  The stream drops its generators once its reads reach T steps.
     """
+    gens, unread = list(gens), T
+
     def read(count: int) -> np.ndarray:
+        nonlocal unread
         out = np.empty((len(gens), count), dtype=np.int64)
         for r, g in enumerate(gens):
             out[r] = g.integers(0, n, size=count, dtype=np.int64)
+        unread -= count
+        if unread <= 0:
+            gens.clear()
         return out
     return IndexStream((len(gens), T), read)
 
 
 def epoch_stream(gens: Sequence[np.random.Generator], n: int, T: int) -> IndexStream:
     """Replicate r's T indices run through the shuffles ``gens[r].permutation(n)``,
-    a fresh one per epoch of n steps, drawn as the read reaches it."""
+    a fresh one per epoch of n steps, drawn as the read reaches it.  The
+    stream drops its generators and shuffles once its reads reach T steps."""
+    gens, unread = list(gens), T
     left = [np.empty(0, dtype=np.int64) for _ in gens]
 
     def read(count: int) -> np.ndarray:
+        nonlocal unread
         out = np.empty((len(gens), count), dtype=np.int64)
         for r, g in enumerate(gens):
             at = 0
@@ -180,6 +189,10 @@ def epoch_stream(gens: Sequence[np.random.Generator], n: int, T: int) -> IndexSt
                 out[r, at:at + k] = left[r][:k]
                 left[r] = left[r][k:]
                 at += k
+        unread -= count
+        if unread <= 0:
+            gens.clear()
+            left.clear()
         return out
     return IndexStream((len(gens), T), read)
 

@@ -17,14 +17,13 @@ Conventions shared by all calculators:
   E[F_S(w_j)^(2 alpha / (1 + alpha))], each of length T;
 - risk paths recorded at a subset of steps are expanded conservatively (an
   unrecorded step gets the max of the bracketing recorded values);
-- the parameter p defaults to n/t wherever it appears.
+- p = n/T in the l2 stability bounds (Theorems 2, D.1): (1 + p/n)^T <= e.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -140,13 +139,6 @@ def expand_risk_path(steps: np.ndarray, values: np.ndarray, T: int) -> np.ndarra
     return full
 
 
-def default_p(n: int, t: int) -> float:
-    """The bookkeeping parameter p = n/t, which keeps (1 + p/n)^t <= e."""
-    if not (n >= 1 and t >= 1):
-        raise InvalidArgument("n and t must be >= 1")
-    return n / t
-
-
 def default_gamma_smooth(L: float, emp_risk: float, l2_sq: float) -> float:
     """Balance parameter sqrt(2 L emp_risk / l2_sq) for the smooth gap bound.
 
@@ -201,13 +193,6 @@ def _growth_weights(p: float, n: int, T: int, final_exponent: int) -> np.ndarray
     return (1.0 + p / n) ** expo
 
 
-def _p_or_default(p: Optional[float], n: int, T: int) -> float:
-    p = p if p is not None else default_p(n, T)
-    if not p > 0.0:
-        raise InvalidArgument(f"p must be positive, got {p}")
-    return p
-
-
 def thm2_l1_bound(n: int, etas, L: float, sqrt_risk_path) -> float:
     """l1 on-average stability of the output iterate, smooth convex case:
 
@@ -219,8 +204,8 @@ def thm2_l1_bound(n: int, etas, L: float, sqrt_risk_path) -> float:
     return float(2.0 * math.sqrt(2.0 * L) / n * np.sum(etas * path))
 
 
-def thm2_l2_bound(n: int, etas, L: float, risk_path, p: Optional[float] = None) -> float:
-    """Squared l2 on-average stability, smooth convex case:
+def thm2_l2_bound(n: int, etas, L: float, risk_path) -> float:
+    """Squared l2 on-average stability, smooth convex case, with p = n/T:
 
         (8 (1 + 1/p) L / n) * sum_j (1 + p/n)^(T-j) eta_j^2 E[F_S(w_j)].
     """
@@ -228,14 +213,14 @@ def thm2_l2_bound(n: int, etas, L: float, risk_path, p: Optional[float] = None) 
     if not L > 0.0:
         raise InvalidArgument("positive L is required")
     T = etas.size
-    p = _p_or_default(p, n, T)
+    p = n / T
     w = _growth_weights(p, n, T, 0)
     return float(8.0 * (1.0 + 1.0 / p) * L / n * np.sum(w * etas ** 2 * path))
 
 
 def thmD1_nonsmooth_l2_bound(n: int, etas, alpha: float, c1: float, c3: float,
-                             frac_risk_path, p: Optional[float] = None) -> float:
-    """Squared l2 on-average stability for convex losses with alpha < 1:
+                             frac_risk_path) -> float:
+    """Squared l2 on-average stability for convex losses with alpha < 1, p = n/T:
 
         c3^2 sum_j (1+p/n)^(T+1-j) eta_j^(2/(1-alpha))
         + 4 (1 + 1/p) c1^2 sum_j (1+p/n)^(T-j) (eta_j^2 / n)
@@ -245,7 +230,7 @@ def thmD1_nonsmooth_l2_bound(n: int, etas, alpha: float, c1: float, c3: float,
     if not alpha < 1.0:
         raise InvalidArgument("this bound needs alpha < 1 (use thm2_l2_bound at alpha = 1)")
     T = etas.size
-    p = _p_or_default(p, n, T)
+    p = n / T
     slack = c3 ** 2 * np.sum(_growth_weights(p, n, T, 1) * etas ** (2.0 / (1.0 - alpha)))
     risk = 4.0 * (1.0 + 1.0 / p) * c1 ** 2 \
         * np.sum(_growth_weights(p, n, T, 0) * etas ** 2 / n * path)

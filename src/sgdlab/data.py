@@ -23,10 +23,12 @@ S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
 with the i-th example of S~.  This is the object the stability estimators
 couple trajectories over.
 
-Population risks here are exact, for the (loss, distribution) pairs with a
-``closed_form_risk``.  Nothing here samples a risk: for the other pairs the
-stability estimates take E F(A(S)) from their neighbour runs, each run's loss
-at the example its dataset left out.
+Population risks here are exact, for the pairs that ``_closed_form``
+declares (each once, with its risk and minimiser).  Every row product of a
+risk is a ``_rowdot``, so a row keeps its bits in any batch and memory
+order.  Nothing here samples a risk: for the other pairs the stability
+estimates take E F(A(S)) from their neighbour runs, each run's loss at the
+example its dataset left out.
 
 The exact hinge risk on the margin model (``_hinge_margin_risk``) needs the
 normal distribution function and Owen's T function.  Both are package code
@@ -363,15 +365,6 @@ def neighbor(family: NeighborFamily, i: int) -> Dataset:
 # risks
 # ---------------------------------------------------------------------------
 
-def _row_forms(W: np.ndarray, A: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
-    """w @ A @ b (b = w when None) for every row w of W.
-
-    One row at a time on purpose: a batched matmul sums in another order, so
-    a row of a batch would not keep the bytes of a single-row call.
-    """
-    return np.array([float(w @ A @ (w if b is None else b)) for w in W])
-
-
 _PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
 _SQRT1_2 = math.sqrt(0.5)
 
@@ -477,11 +470,12 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     sv2 = float(dist.w_star @ cov @ dist.w_star)
     if sv2 <= 0.0:
         raise DegenerateDataError("w_star direction carries no variance")
-    su2 = _row_forms(W, cov)
+    Wc = _rowdot(W[:, None, :], cov)   # the rows w' cov
+    su2 = _rowdot(Wc, W)
     # u == 0 a.s.: both hinge branches evaluate at margin 0
     zero = su2 <= 1e-300
     su = np.sqrt(np.where(zero, 1.0, su2))
-    rho = np.clip(_row_forms(W, cov, dist.w_star) / (su * math.sqrt(sv2)), -1.0, 1.0)
+    rho = np.clip(_rowdot(Wc, dist.w_star) / (su * math.sqrt(sv2)), -1.0, 1.0)
     parallel = np.abs(rho) >= 1.0 - 1e-12
     a = 1.0 / su
     # Phi(a) - 1/2 and phi(0) - phi(a) through erf and expm1: at small a the
@@ -510,17 +504,48 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     return np.where(zero, 1.0, risk)
 
 
-def closed_form_risk(loss: Loss, dist: Distribution):
-    """The pair's exact population risk as a function of rows W (R, d), or None.
+def _hinge_margin_argmin(dist: MarginClassif) -> Optional[np.ndarray]:
+    """The minimiser of the plain hinge risk on the margin model; None at pf = 0.
 
-    The pairs with closed forms: least squares / Gaussian linear regression,
-    the AUC surrogate / two-class Gaussian (requires matching moment
-    parameters, else it raises), and plain hinge (q = 1) / margin model
-    (through the bivariate normal, with Owen's T function).  No risk is
-    evaluated here.
+    Isotropic case only: the minimiser lies along w_star, and the risk
+    profile in the projection scale g = ||w|| * sqrt(var) is
+    h(g) = (1 - pf) (2 Phi(1/g) - 1 - 2 g (phi(0) - phi(1/g))) + pf (1 + 2 g phi(0)),
+    with h'(g) = 2 (1 - pf) (phi(1/g) - phi(0)) + 2 pf phi(0) = 0 at
+    1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h(g) ~ phi(0) / g
+    falls for ever towards its infimum 0.  The closed form stays accurate at
+    g* for every normal pf (checked against mpmath).
+    """
+    s2 = dist.cov[0, 0]
+    if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
+        raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
+    pf = dist.flip_prob
+    if pf == 0.0:
+        return None
+    if pf < sys.float_info.min:
+        # g* ~ 1 / sqrt(2 pf): for a subnormal pf, g*^2 overflows
+        raise InvalidArgument(
+            f"hinge risk minimum needs flip_prob = 0 or >= {sys.float_info.min:.6g}, "
+            f"got {pf:.6g}")
+    g_opt = 1.0 / math.sqrt(2.0 * math.log1p(pf / (1.0 - 2.0 * pf)))
+    return (g_opt / math.sqrt(s2)) * (dist.w_star / float(np.linalg.norm(dist.w_star)))
+
+
+def _closed_form(loss: Loss, dist: Distribution, need: Optional[str] = None):
+    """``(risk, argmin)`` of a pair with closed forms.  Any other pair gives
+    None, or with ``need`` raises ``InvalidArgument`` saying what is missing.
+
+    The one place that names these pairs: least squares / Gaussian linear
+    regression, the AUC surrogate / two-class Gaussian (its moment parameters
+    must match, else it raises) and plain hinge (q = 1) / margin model.
+    ``risk`` maps rows W (R, d) to their R exact risks, and ``argmin()`` is
+    the minimiser, or None where the risk only falls towards its infimum 0.
+    Nothing is evaluated here, and a new pair is one more entry.
     """
     if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
-        return lambda W: 0.5 * (_row_forms(W - dist.w_star, dist.cov) + dist.noise_sd ** 2)
+        def risk(W):
+            D = W - dist.w_star
+            return 0.5 * (_rowdot(_rowdot(D[:, None, :], dist.cov), D) + dist.noise_sd ** 2)
+        return risk, dist.w_star.copy
     if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
         if not (math.isclose(loss.p, dist.p)
                 and np.allclose(loss.mu_plus, dist.mu_plus)
@@ -529,71 +554,46 @@ def closed_form_risk(loss: Loss, dist: Distribution):
                 "the AUC surrogate's moment parameters must match the distribution")
         dmu = dist.mu_plus - dist.mu_minus
         M = dist.cov_plus + dist.cov_minus
-        return lambda W: np.array([dist.p * (1.0 - dist.p) * ((1.0 - float(v @ dmu)) ** 2
-                                                               + float(v @ M @ v))
-                                   for v in W])
+        return (lambda W: dist.p * (1.0 - dist.p) * ((1.0 - _rowdot(W, dmu)) ** 2
+                                                     + _rowdot(_rowdot(W[:, None, :], M), W)),
+                lambda: np.linalg.solve(M + np.outer(dmu, dmu), dmu))
     if isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
-        return lambda W: _hinge_margin_risk(W, dist)
+        return lambda W: _hinge_margin_risk(W, dist), lambda: _hinge_margin_argmin(dist)
+    if need is not None:
+        raise InvalidArgument(f"no closed-form {need} for ({loss.kind}, {dist.kind})")
     return None
 
 
+def closed_form_risk(loss: Loss, dist: Distribution):
+    """The risk that ``_closed_form`` declares for the pair, a function of rows
+    W (R, d), or None; no risk is evaluated here."""
+    closed = _closed_form(loss, dist)
+    return None if closed is None else closed[0]
+
+
 def population_risk(loss: Loss, dist: Distribution, w: np.ndarray):
-    """F(w) = E[f(w; z)], exact, for the pairs with a ``closed_form_risk``.
+    """F(w) = E[f(w; z)], exact, for the pairs that ``_closed_form`` declares.
 
     ``w`` is one parameter vector (d,), which gives a float, or a batch of
     rows (R, d), which gives R values.  A pair without a closed form raises
     ``InvalidArgument``; the stability estimates measure its E F(A(S)) from
     their neighbour runs instead (``StabilityReport.held_out``).
     """
-    closed = closed_form_risk(loss, dist)
-    if closed is None:
-        raise InvalidArgument(f"no closed-form population risk for ({loss.kind}, {dist.kind})")
+    risk, _ = _closed_form(loss, dist, "population risk")
     w = np.asarray(w, dtype=np.float64)
-    val = closed(np.atleast_2d(w))
+    val = risk(np.atleast_2d(w))
     return float(val[0]) if w.ndim == 1 else val
 
 
 def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Optional[np.ndarray]]:
-    """(min_w F(w), argmin) where a closed form exists.
-
-    The minimum is ``closed_form_risk`` at the argmin.  For the plain hinge
-    on the margin model without label flips the risk has no minimiser: it
-    falls towards 0 as the scale grows, so the result is the infimum with no
-    argmin, ``(0.0, None)``.
+    """(min_w F(w), argmin): the declared risk at the declared argmin of the
+    pair's ``_closed_form``.  For the plain hinge on the margin model without
+    label flips the risk has no minimiser (it falls towards 0 as the scale
+    grows), so the result is the infimum with no argmin, ``(0.0, None)``.
     """
-    if isinstance(loss, LeastSquares) and isinstance(dist, GaussLinReg):
-        w_opt = dist.w_star.copy()
-    elif isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
-        dmu = dist.mu_plus - dist.mu_minus
-        M = dist.cov_plus + dist.cov_minus
-        w_opt = np.linalg.solve(M + np.outer(dmu, dmu), dmu)
-    elif isinstance(loss, QNormHinge) and loss.q == 1.0 and isinstance(dist, MarginClassif):
-        # isotropic case only: the minimizer lies along w_star, and the risk
-        # profile in the projection scale g = ||w|| * sqrt(var) is
-        # h(g) = (1 - pf) (2 Phi(1/g) - 1 - 2 g (phi(0) - phi(1/g)))
-        #        + pf (1 + 2 g phi(0)),
-        # with h'(g) = 2 (1 - pf) (phi(1/g) - phi(0)) + 2 pf phi(0) = 0 at
-        # 1 / (2 g^2) = ln((1 - pf) / (1 - 2 pf)).  For pf = 0, h(g) ~
-        # phi(0) / g decreases for ever to its infimum 0.  The closed form
-        # stays accurate at g* for every normal pf (checked against mpmath).
-        s2 = dist.cov[0, 0]
-        if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
-            raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
-        pf = dist.flip_prob
-        if pf == 0.0:
-            return 0.0, None
-        if pf < sys.float_info.min:
-            # g* ~ 1 / sqrt(2 pf): for a subnormal pf, g*^2 overflows
-            raise InvalidArgument(
-                f"hinge risk minimum needs flip_prob = 0 or >= {sys.float_info.min:.6g}, "
-                f"got {pf:.6g}")
-        log_ratio = math.log1p(pf / (1.0 - 2.0 * pf))
-        g_opt = 1.0 / math.sqrt(2.0 * log_ratio)
-        w_unit = dist.w_star / float(np.linalg.norm(dist.w_star))
-        w_opt = (g_opt / math.sqrt(s2)) * w_unit
-    else:
-        raise InvalidArgument(f"no closed-form risk minimum for ({loss.kind}, {dist.kind})")
-    return float(closed_form_risk(loss, dist)(w_opt[None])[0]), w_opt
+    risk, argmin = _closed_form(loss, dist, "risk minimum")
+    w_opt = argmin()
+    return (0.0, None) if w_opt is None else (float(risk(w_opt[None])[0]), w_opt)
 
 
 # ---------------------------------------------------------------------------

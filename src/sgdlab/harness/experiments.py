@@ -68,6 +68,7 @@ from ..losses import (
     LeastSquares,
     QNormHinge,
     QPowerAbsolute,
+    _rowdot,
 )
 from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
@@ -511,7 +512,7 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         A = Xt @ Xs / n + lam * np.eye(dist.dim)
         W = np.linalg.solve(A, Xt @ ys[..., None] / n)[..., 0]
         emp = _engine._batch_empirical_risk(loss, W, Xs, ys)
-        sq_norms = (W[:, None] @ W[..., None])[:, 0, 0]     # the bits of w @ w
+        sq_norms = _rowdot(W, W)
         pop = population_risk(loss, dist, W)
         gaps = pop - emp
         fracs = pop + 0.5 * lam * sq_norms

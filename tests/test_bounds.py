@@ -9,7 +9,6 @@ from sgdlab.bounds import (
     chernoff_exceedance_threshold,
     default_gamma_holder,
     default_gamma_smooth,
-    default_p,
     expand_risk_path,
     gate,
     lemmaA2a_opt_bound,
@@ -159,13 +158,6 @@ def test_expand_risk_path_validation():
 # default parameters
 # ---------------------------------------------------------------------------
 
-def test_default_p():
-    assert default_p(10, 5) == 2.0
-    assert default_p(4, 16) == 0.25
-    with pytest.raises(InvalidArgument):
-        default_p(0, 1)
-
-
 def test_default_gammas():
     assert default_gamma_smooth(2.0, emp_risk=1.0, l2_sq=0.25) == pytest.approx(4.0)
     assert default_gamma_smooth(1.0, emp_risk=0.0, l2_sq=0.25) == 1.0  # floor
@@ -189,24 +181,22 @@ def test_thm2_l1_frozen():
 
 
 def test_thm2_l2_frozen():
-    assert thm2_l2_bound(1, ONE, 1.0, np.array([1.0]), p=1.0) == pytest.approx(16.0, rel=1e-15)
-    # default p = n/T gives the same here
+    # p = n/T = 1
     assert thm2_l2_bound(1, ONE, 1.0, np.array([1.0])) == pytest.approx(16.0, rel=1e-15)
     with pytest.raises(InvalidArgument):
         thm2_l2_bound(1, ONE, -1.0, np.array([1.0]))  # non-positive L
-    with pytest.raises(InvalidArgument):
-        thm2_l2_bound(1, ONE, 1.0, np.array([1.0]), p=0.0)
 
 
 def test_thm2_l2_hand_unrolled_sum():
-    T, n, L, p = 4, 3, 2.0, 0.75
+    T, n, L = 4, 3, 2.0
+    p = n / T
     etas = np.array([0.4, 0.3, 0.2, 0.1])
     path = np.array([1.0, 0.5, 0.25, 0.125])
     acc = 0.0
     for j in range(1, T + 1):
         acc += (1 + p / n) ** (T - j) * etas[j - 1] ** 2 * path[j - 1]
     expected = 8 * (1 + 1 / p) * L / n * acc
-    assert thm2_l2_bound(n, etas, L, path, p=p) == pytest.approx(expected, rel=1e-12)
+    assert thm2_l2_bound(n, etas, L, path) == pytest.approx(expected, rel=1e-12)
 
 
 def test_thmD1_frozen_alpha0():
@@ -214,8 +204,8 @@ def test_thmD1_frozen_alpha0():
     assert (consts.c1, consts.c2, consts.c3) == (2.0, 4.0, 1.0)
     eta = 0.5
     got = thmD1_nonsmooth_l2_bound(1, np.array([eta]), 0.0, consts.c1, consts.c3,
-                                   np.array([1.0]), p=1.0)
-    # T = 1, n = 1: c3^2 (1+p)^1 eta^2 + 4 (1 + 1/p) c1^2 eta^2 * 1
+                                   np.array([1.0]))
+    # T = 1, n = 1, p = n/T = 1: c3^2 (1+p)^1 eta^2 + 4 (1 + 1/p) c1^2 eta^2 * 1
     expected = 1.0 * 2.0 * eta ** 2 + 4.0 * 2.0 * 4.0 * eta ** 2
     assert got == pytest.approx(expected, rel=1e-14)
     with pytest.raises(InvalidArgument):
@@ -225,14 +215,15 @@ def test_thmD1_frozen_alpha0():
 def test_thmD1_hand_unrolled_mid_alpha():
     a, L = 0.5, 1.5
     consts = regularity_constants(a, L)
-    T, n, p = 3, 4, 2.0
+    T, n = 3, 4
+    p = n / T
     etas = np.array([0.3, 0.2, 0.1])
     path = np.array([0.9, 0.7, 0.6])
     slack = sum(consts.c3 ** 2 * (1 + p / n) ** (T + 1 - j)
                 * etas[j - 1] ** (2 / (1 - a)) for j in range(1, T + 1))
     risk = sum(4 * (1 + 1 / p) * consts.c1 ** 2 * (1 + p / n) ** (T - j)
                * etas[j - 1] ** 2 / n * path[j - 1] for j in range(1, T + 1))
-    got = thmD1_nonsmooth_l2_bound(n, etas, a, consts.c1, consts.c3, path, p=p)
+    got = thmD1_nonsmooth_l2_bound(n, etas, a, consts.c1, consts.c3, path)
     assert got == pytest.approx(slack + risk, rel=1e-12)
 
 

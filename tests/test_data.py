@@ -587,12 +587,21 @@ def test_population_risk_batch_equals_single_rows():
     lin = _lin_reg(d=3, noise_sd=0.3, cov=np.array([1.0, 0.5, 0.25]))
     mu_p, mu_m = np.array([0.5, 0.0, 0.1]), np.array([-0.5, 0.0, 0.0])
     imb = ImbalancedGauss(p=0.3, mu_plus=mu_p, mu_minus=mu_m, cov_plus=0.2, cov_minus=0.3)
-    for loss, d in ((QNormHinge(q=1.0), dist), (LeastSquares(), lin),
-                    (AucSquare(p=0.3, mu_plus=mu_p, mu_minus=mu_m), imb)):
+    # at d = 8 a batched matmul rounds some rows unlike a single-row call
+    lin8 = _lin_reg(d=8, noise_sd=0.3, cov=np.diag(np.linspace(1.0, 0.1, 8)) + 0.05)
+    for loss, d, W in ((QNormHinge(q=1.0), dist, W), (LeastSquares(), lin, W),
+                       (AucSquare(p=0.3, mu_plus=mu_p, mu_minus=mu_m), imb, W),
+                       (LeastSquares(), lin8, rng.standard_normal((64, 8)))):
         vals = population_risk(loss, d, W)
         single = [population_risk(loss, d, w) for w in W]
         assert all(isinstance(v, float) for v in single)
         np.testing.assert_array_equal(vals, single)
+        # the memory order of the rows does not move a bit: a Fortran-ordered
+        # batch, and every other row of a larger array
+        wide = np.zeros((2 * len(W), W.shape[1]))
+        wide[::2] = W
+        for view in (np.asfortranarray(W), wide[::2]):
+            np.testing.assert_array_equal(population_risk(loss, d, view), vals)
 
 
 @pytest.mark.parametrize("pf", [0.01, 0.1, 0.25, 0.49])
@@ -615,7 +624,7 @@ def test_hinge_risk_minimizer_matches_numeric_search(pf):
 
 
 def _hinge_profile_mpmath(g, pf):
-    """h(g) of population_risk_minimum's comment, with enough digits for any g."""
+    """h(g) of _hinge_margin_argmin's docstring, with enough digits for any g."""
     # phi(0) - phi(1/g) ~ phi(0) pf: resolving it takes -log10(pf) digits more
     with mpmath.workdps(40 + 2 * int(-math.log10(pf))):
         g, pf = mpmath.mpf(g), mpmath.mpf(pf)

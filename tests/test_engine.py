@@ -13,6 +13,9 @@ form for least squares, tested against the per-example mean in
 ``test_losses.py``), one checkpoint at a time.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -389,6 +392,28 @@ def test_epoch_stream_chunks_run_through_each_shuffle():
         got = np.concatenate([ids for _, ids in _engine.epoch_stream(gens, n, epochs * n)
                               .chunks(size)], axis=1)
         assert got.tobytes() == want.tobytes()
+
+
+class _WeakGenerator(np.random.Generator):
+    """A Generator that takes weak references, which the base class does not."""
+
+
+@pytest.mark.parametrize("build", [_engine.iid_stream, _engine.epoch_stream])
+def test_streams_drop_their_generators_once_read(build):
+    # a stream holds its generators (and shuffles) only until its reads reach
+    # T steps, not for as long as the stream itself lives
+    n, T = 5, 23
+    gens = [_WeakGenerator(np.random.Philox(key=r)) for r in range(3)]
+    ref = weakref.ref(gens[1])
+    stream = build(gens, n, T)
+    del gens
+    for size in (4, 9, 7):
+        stream.read(size)
+        gc.collect()
+        assert ref() is not None
+    stream.read(3)
+    gc.collect()
+    assert ref() is None
 
 
 def test_given_stream_reads_slices_in_order():
