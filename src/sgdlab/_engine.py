@@ -75,8 +75,7 @@ replicates share its call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,8 +128,7 @@ def path_generator(*path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(*path)))
 
 
-@dataclass(frozen=True)
-class IndexStream:
+class IndexStream(NamedTuple):
     """The index streams of R replicates, T steps each, read front to back.
 
     ``read(count)`` gives the (R, count) indices of every replicate's next
@@ -220,8 +218,7 @@ def checkpoint_steps(T: int) -> np.ndarray:
     return np.unique(np.linspace(1, T, MAX_CHECKPOINTS).round().astype(np.int64))
 
 
-@dataclass
-class CoreResult:
+class CoreResult(NamedTuple):
     finals: np.ndarray                     # (R, B, d) output iterates w_{T+1}
     avg: Optional[np.ndarray]              # (R, d) base row
     risk_path: Optional[np.ndarray]        # (R, C) base row F_S(w_j) at risk_ckpt_steps

@@ -23,15 +23,14 @@ Conventions shared by all calculators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One measured-vs-bound comparison.
 
     satisfied <=> measured <= rhs + 3 * stderr + roundoff, with every one of
@@ -85,8 +84,11 @@ def roundoff_allowance(closed_form: float, mean_abs_term: float, count: int) -> 
     size of the terms being subtracted; it is never a blanket tolerance.
     A mean of per-row means passes each term through the roundings of both
     sums, so its allowance is the sum of the allowances of the two levels.
+
+    A NaN term (a measurement that is NaN) gives a NaN allowance, which
+    fails the gate it widens; only a negative term is an error.
     """
-    if not mean_abs_term >= 0.0:
+    if mean_abs_term < 0.0:
         raise InvalidArgument(f"mean_abs_term must be nonnegative, got {mean_abs_term}")
     eps = float(np.finfo(np.float64).eps)
     return _pairwise_sum_depth(count) * eps * (abs(closed_form) + mean_abs_term)

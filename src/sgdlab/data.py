@@ -41,8 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,17 +56,15 @@ _OWENS_T_NODES = 20
 _EIGEN_ZERO_RATIO = 1e-10
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple("Dataset", [("features", np.ndarray), ("labels", np.ndarray)])):
     """An in-memory sample: features (n, d) and labels (n,)."""
 
-    features: np.ndarray
-    labels: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.labels.ndim != 1 \
-                or self.features.shape[0] != self.labels.shape[0]:
+    def __new__(cls, features: np.ndarray, labels: np.ndarray):
+        if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
             raise InvalidArgument("features must be (n, d) and labels (n,)")
+        return super().__new__(cls, features, labels)
 
     @property
     def n(self) -> int:
@@ -234,7 +231,14 @@ class RealizableLinReg(GaussLinReg):
 
 
 class MarginClassif(Distribution):
-    """x ~ N(0, cov) (norm-truncated), y = sign(<w_star, x>) flipped w.p. flip_prob."""
+    """x ~ N(0, cov) (norm-truncated), y = sign(<w_star, x>) flipped w.p. flip_prob.
+
+    The law depends only on the direction of w_star: sampling and the
+    closed forms read ``direction`` = w_star / ||w_star||, stored at
+    construction.  The norm is taken after scaling by the largest
+    |component|, so neither a huge nor a tiny w_star overflows or
+    underflows; a unit w_star along an axis is its own direction, bit for bit.
+    """
 
     kind = "margin_classif"
 
@@ -242,6 +246,8 @@ class MarginClassif(Distribution):
         self.w_star = np.asarray(w_star, dtype=np.float64)
         if self.w_star.ndim != 1 or not np.any(self.w_star):
             raise InvalidArgument("w_star must be a nonzero vector")
+        scaled = self.w_star / np.max(np.abs(self.w_star))
+        self.direction = scaled / np.linalg.norm(scaled)
         self.dim = self.w_star.shape[0]
         self.cov = _as_cov(cov, self.dim)
         if not 0.0 <= flip_prob < 0.5:
@@ -253,7 +259,7 @@ class MarginClassif(Distribution):
 
     def sample_batch(self, rngs, n):
         X = _truncated_gauss_rows(rngs, n, np.zeros(self.dim), self._chol, self.x_bound)
-        y = np.where(X @ self.w_star >= 0.0, 1.0, -1.0)
+        y = np.where(X @ self.direction >= 0.0, 1.0, -1.0)
         y[_uniforms(rngs, n) < self.flip_prob] *= -1.0
         return X, y
 
@@ -330,16 +336,15 @@ def sample_datasets(dist: Distribution, n: int, seeds: Sequence[int],
     return (X[:B], y[:B], X[B:], y[B:]) if ghosts else (X, y)
 
 
-@dataclass(frozen=True)
-class NeighborFamily:
+class NeighborFamily(NamedTuple("NeighborFamily", [("base", Dataset), ("ghost", Dataset)])):
     """Base sample plus an independent ghost sample of the same size."""
 
-    base: Dataset
-    ghost: Dataset
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base.features.shape != self.ghost.features.shape:
+    def __new__(cls, base: Dataset, ghost: Dataset):
+        if base.features.shape != ghost.features.shape:
             raise InvalidArgument("base and ghost samples must have identical shapes")
+        return super().__new__(cls, base, ghost)
 
 
 def sample_neighbor_family(dist: Distribution, n: int, seed: int) -> NeighborFamily:
@@ -467,7 +472,8 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     """
     pf = dist.flip_prob
     cov = dist.cov
-    sv2 = float(dist.w_star @ cov @ dist.w_star)
+    unit = dist.direction
+    sv2 = float(unit @ cov @ unit)
     if sv2 <= 0.0:
         raise DegenerateDataError("w_star direction carries no variance")
     Wc = _rowdot(W[:, None, :], cov)   # the rows w' cov
@@ -475,7 +481,7 @@ def _hinge_margin_risk(W: np.ndarray, dist: MarginClassif) -> np.ndarray:
     # u == 0 a.s.: both hinge branches evaluate at margin 0
     zero = su2 <= 1e-300
     su = np.sqrt(np.where(zero, 1.0, su2))
-    rho = np.clip(_rowdot(Wc, dist.w_star) / (su * math.sqrt(sv2)), -1.0, 1.0)
+    rho = np.clip(_rowdot(Wc, unit) / (su * math.sqrt(sv2)), -1.0, 1.0)
     parallel = np.abs(rho) >= 1.0 - 1e-12
     a = 1.0 / su
     # Phi(a) - 1/2 and phi(0) - phi(a) through erf and expm1: at small a the
@@ -527,7 +533,7 @@ def _hinge_margin_argmin(dist: MarginClassif) -> Optional[np.ndarray]:
             f"hinge risk minimum needs flip_prob = 0 or >= {sys.float_info.min:.6g}, "
             f"got {pf:.6g}")
     g_opt = 1.0 / math.sqrt(2.0 * math.log1p(pf / (1.0 - 2.0 * pf)))
-    return (g_opt / math.sqrt(s2)) * (dist.w_star / float(np.linalg.norm(dist.w_star)))
+    return (g_opt / math.sqrt(s2)) * dist.direction
 
 
 def _closed_form(loss: Loss, dist: Distribution, need: Optional[str] = None):

@@ -20,7 +20,6 @@ replicates run one after another.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -75,7 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"LAB_THREADS must be an integer, got {env_threads!r}")
         if threads is not None:
             overrides["threads"] = threads
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = cfg._replace(**overrides)
         gates: List[GateLine] = []
         code = run_experiment(cfg, gates)
     except ResourceLimitExceeded as e:

@@ -11,11 +11,9 @@ silently with defaults.  serialize_config/parse_config round-trip exactly
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +28,7 @@ T_RULES = ("equal_n", "n_squared", "n_pow")
 TARGETS = ("thm2", "thmD1", "thm6", "thm8", "propD2", "propG2", "propG1")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     experiment: str
     # [experiment]
     n_grid: Tuple[int, ...] = (2, 3)
@@ -91,12 +88,20 @@ def _parse_float(s: str) -> float:
     return v
 
 
+def _parse_list(parse, s: str) -> tuple:
+    # every list key needs at least one value: an empty one is no value at all
+    values = tuple(parse(tok.strip()) for tok in s.split(",") if tok.strip())
+    if not values:
+        raise ConfigError("expected a comma-separated list of values, got none")
+    return values
+
+
 def _parse_int_tuple(s: str) -> Tuple[int, ...]:
-    return tuple(_parse_int(tok.strip()) for tok in s.split(",") if tok.strip())
+    return _parse_list(_parse_int, s)
 
 
 def _parse_float_tuple(s: str) -> Tuple[float, ...]:
-    return tuple(_parse_float(tok.strip()) for tok in s.split(",") if tok.strip())
+    return _parse_list(_parse_float, s)
 
 
 def _parse_str(s: str) -> str:
@@ -111,7 +116,7 @@ def _show(v) -> str:
     return str(v)
 
 
-# section -> config key -> (dataclass field, parser)
+# section -> config key -> (ExperimentConfig field, parser)
 _SCHEMA = {
     "experiment": {
         "kind": ("experiment", _parse_str),
@@ -223,7 +228,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def config_hash(cfg: ExperimentConfig) -> str:
     # threads and out_path say how/where to run, not what is computed, and
     # results are thread-count invariant — keep them out of the identity
-    canon = dataclasses.replace(cfg, threads=1, out_path="out")
+    canon = cfg._replace(threads=1, out_path="out")
     return hashlib.sha256(serialize_config(canon).encode()).hexdigest()[:12]
 
 

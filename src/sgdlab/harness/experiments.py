@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -97,8 +96,7 @@ _TAG_BATTERY = 0xC4
 _TAG_UNBIASED = 0xE5
 
 
-@dataclass(frozen=True)
-class CsvRow:
+class CsvRow(NamedTuple):
     experiment: str
     config_hash: str
     seed: int
@@ -154,8 +152,7 @@ def write_csv(path: str, rows: List[CsvRow]) -> None:
                              _fmt(r.satisfied)])
 
 
-@dataclass(frozen=True)
-class GateLine:
+class GateLine(NamedTuple):
     """A gate's outcome with the grid point it was measured at."""
 
     report: BoundReport

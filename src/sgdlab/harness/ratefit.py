@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InvalidArgument
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     points: Tuple[Tuple[float, float], ...]  # (log n, log metric)
     slope: float
     intercept: float

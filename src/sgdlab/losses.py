@@ -38,8 +38,7 @@ so never negative, with no cancellation of y'y against the other terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -449,8 +448,7 @@ class AucSquare(Loss):
 # regularity constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularityConstants:
+class RegularityConstants(NamedTuple):
     """Constants derived from the Hölder regularity (alpha, L) of a loss.
 
     c1 controls the self-bounding inequality ||df(w)|| <= c1 * f(w)^(a/(1+a)).

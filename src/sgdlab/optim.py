@@ -17,8 +17,7 @@ bitwise-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,29 +30,28 @@ from .losses import Loss, project_rows
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple("Ball", [("radius", float)])):
     """Centered Euclidean ball {w : ||w||_2 <= radius}."""
 
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise InvalidArgument(f"ball radius must be positive, got {self.radius}")
+    def __new__(cls, radius: float):
+        if not radius > 0.0:
+            raise InvalidArgument(f"ball radius must be positive, got {radius}")
+        return super().__new__(cls, radius)
 
 
-@dataclass(frozen=True)
-class Regularizer:
+class Regularizer(NamedTuple("Regularizer", [("kind", str), ("strength", float)])):
     """Penalty lam * ||w||_1 or (lam/2) * ||w||_2^2, applied proximally."""
 
-    kind: str  # "l1" | "l2"
-    strength: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("l1", "l2"):
-            raise InvalidArgument(f"regularizer kind must be 'l1' or 'l2', got {self.kind!r}")
-        if not self.strength >= 0.0:
-            raise InvalidArgument(f"regularizer strength must be nonnegative, got {self.strength}")
+    def __new__(cls, kind: str, strength: float):
+        if kind not in ("l1", "l2"):
+            raise InvalidArgument(f"regularizer kind must be 'l1' or 'l2', got {kind!r}")
+        if not strength >= 0.0:
+            raise InvalidArgument(f"regularizer strength must be nonnegative, got {strength}")
+        return super().__new__(cls, kind, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +64,11 @@ class Schedule:
     Schedules are nonincreasing in t by construction (validated parameters).
     A horizon-tied schedule is a rule in T: its one step size is computed
     from the T that ``etas`` is given, so one object serves runs of any length.
+    Each schedule is an immutable record of its parameters, a NamedTuple
+    subclass that checks them in ``__new__``; ``kind`` is a class attribute.
     """
 
+    __slots__ = ()
     kind: str = "abstract"
     #: offset used by the linearly-weighted iterate average (weight t + t0 - 1)
     t0: int = 1
@@ -82,32 +83,32 @@ class Schedule:
             raise InvalidArgument(f"step count T must be a nonnegative integer, got {T}")
 
 
-@dataclass(frozen=True)
-class FixedConstant(Schedule):
+class FixedConstant(NamedTuple("FixedConstant", [("eta1", float)]), Schedule):
     """eta_t = eta1 for every step."""
 
-    eta1: float
-    kind: str = field(default="fixed_constant", init=False)
+    __slots__ = ()
+    kind = "fixed_constant"
 
-    def __post_init__(self):
-        if not self.eta1 > 0.0:
-            raise InvalidArgument(f"step size must be positive, got {self.eta1}")
+    def __new__(cls, eta1: float):
+        if not eta1 > 0.0:
+            raise InvalidArgument(f"step size must be positive, got {eta1}")
+        return super().__new__(cls, eta1)
 
     def etas(self, T):
         self._check_T(T)
         return np.full(T, self.eta1, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class HorizonConstant(Schedule):
+class HorizonConstant(NamedTuple("HorizonConstant", [("c", float)]), Schedule):
     """eta_t = c / sqrt(T), constant over a run of T steps."""
 
-    c: float
-    kind: str = field(default="horizon_constant", init=False)
+    __slots__ = ()
+    kind = "horizon_constant"
 
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise InvalidArgument(f"c must be positive, got {self.c}")
+    def __new__(cls, c: float):
+        if not c > 0.0:
+            raise InvalidArgument(f"c must be positive, got {c}")
+        return super().__new__(cls, c)
 
     def etas(self, T):
         self._check_T(T)
@@ -115,19 +116,18 @@ class HorizonConstant(Schedule):
         return np.full(T, self.c / math.sqrt(max(T, 1)), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class HorizonPoly(Schedule):
+class HorizonPoly(NamedTuple("HorizonPoly", [("c", float), ("theta", float)]), Schedule):
     """eta_t = c * T^(-theta), constant over a run of T steps."""
 
-    c: float
-    theta: float
-    kind: str = field(default="horizon_poly", init=False)
+    __slots__ = ()
+    kind = "horizon_poly"
 
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise InvalidArgument(f"c must be positive, got {self.c}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise InvalidArgument(f"theta must be in [0, 1], got {self.theta}")
+    def __new__(cls, c: float, theta: float):
+        if not c > 0.0:
+            raise InvalidArgument(f"c must be positive, got {c}")
+        if not 0.0 <= theta <= 1.0:
+            raise InvalidArgument(f"theta must be in [0, 1], got {theta}")
+        return super().__new__(cls, c, theta)
 
     def etas(self, T):
         self._check_T(T)
@@ -135,19 +135,18 @@ class HorizonPoly(Schedule):
         return np.full(T, self.c * max(T, 1) ** (-self.theta), dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class PolyDecay(Schedule):
+class PolyDecay(NamedTuple("PolyDecay", [("eta1", float), ("theta", float)]), Schedule):
     """eta_t = eta1 * t^(-theta)."""
 
-    eta1: float
-    theta: float
-    kind: str = field(default="poly_decay", init=False)
+    __slots__ = ()
+    kind = "poly_decay"
 
-    def __post_init__(self):
-        if not self.eta1 > 0.0:
-            raise InvalidArgument(f"eta1 must be positive, got {self.eta1}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise InvalidArgument(f"theta must be in [0, 1], got {self.theta}")
+    def __new__(cls, eta1: float, theta: float):
+        if not eta1 > 0.0:
+            raise InvalidArgument(f"eta1 must be positive, got {eta1}")
+        if not 0.0 <= theta <= 1.0:
+            raise InvalidArgument(f"theta must be in [0, 1], got {theta}")
+        return super().__new__(cls, eta1, theta)
 
     def etas(self, T):
         self._check_T(T)
@@ -155,19 +154,19 @@ class PolyDecay(Schedule):
         return self.eta1 * t ** (-self.theta)
 
 
-@dataclass(frozen=True)
-class StronglyConvexDecay(Schedule):
+class StronglyConvexDecay(NamedTuple("StronglyConvexDecay", [("sigma", float), ("t0", int)]),
+                          Schedule):
     """eta_t = 2 / ((t + t0) * sigma), the strongly-convex prescription."""
 
-    sigma: float
-    t0: int
-    kind: str = field(default="strongly_convex", init=False)
+    __slots__ = ()
+    kind = "strongly_convex"
 
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise InvalidArgument(f"sigma must be positive, got {self.sigma}")
-        if not self.t0 >= 0:
-            raise InvalidArgument(f"t0 must be a nonnegative integer, got {self.t0}")
+    def __new__(cls, sigma: float, t0: int):
+        if not sigma > 0.0:
+            raise InvalidArgument(f"sigma must be positive, got {sigma}")
+        if not t0 >= 0:
+            raise InvalidArgument(f"t0 must be a nonnegative integer, got {t0}")
+        return super().__new__(cls, sigma, t0)
 
     def etas(self, T):
         self._check_T(T)
@@ -186,8 +185,7 @@ def t0_for_strong_convexity(L: float, sigma: float) -> int:
 # trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Record of one SGD run.
 
     ``iterates`` holds w_t for the recorded steps t (``iterate_steps``; always

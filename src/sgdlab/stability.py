@@ -63,8 +63,8 @@ of replicates or of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+import math
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ TAG_REPLICATE = 0x9E
 BRUTE_FORCE_MAX_SEQUENCES = 1_000_000
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Per-replicate measurements of a stability estimate.
 
     ``l1[r]`` is replicate r's (1/m) sum_i ||w - w^(i)|| over its m
@@ -119,8 +118,7 @@ class StabilityReport:
     held_out: np.ndarray                    # (R,)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Per replicate, the population risk F(w_out), or an unbiased estimate
     of it, and the gap F(w_out) - F_S(w_out)."""
 
@@ -337,12 +335,23 @@ def _index_sequences(n: int, T: int, lo: int, hi: int) -> np.ndarray:
 
 def enumeration_count(n: int, T: int) -> int:
     """The n^T index sequences that full enumeration walks; raises
-    ``ResourceLimitExceeded`` beyond ``BRUTE_FORCE_MAX_SEQUENCES``."""
-    M = n ** T
-    if M > BRUTE_FORCE_MAX_SEQUENCES:
-        raise ResourceLimitExceeded(
-            f"enumeration needs {M} sequences; budget is {BRUTE_FORCE_MAX_SEQUENCES}")
-    return M
+    ``ResourceLimitExceeded`` beyond ``BRUTE_FORCE_MAX_SEQUENCES``.
+
+    n^T is formed only when T log2 n shows that it fits in 64 bits: at a
+    huge T the exact power would not fit in memory, and any count past 2^64
+    is far over the budget.
+    """
+    if n == 1:
+        return 1
+    if T * math.log2(n) > 64:
+        need = f"{n}^{T}"
+    else:
+        M = n ** T
+        if M <= BRUTE_FORCE_MAX_SEQUENCES:
+            return M
+        need = str(M)
+    raise ResourceLimitExceeded(
+        f"enumeration needs {need} sequences; budget is {BRUTE_FORCE_MAX_SEQUENCES}")
 
 
 def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,

@@ -150,6 +150,13 @@ def test_c05_generalization_gap_bounds(thm2_run, thmD1_run):
     assert _all_satisfied(rows4, "generalization_gap")
 
 
+# the config_hash column of c03 and c04 names each config's results; it
+# keeps the value it has had since these configs were fixed
+def test_c03_c04_config_hash_is_pinned(thm2_run, thmD1_run):
+    assert {r["config_hash"] for r in thm2_run[1]} == {"65142cc17878"}
+    assert {r["config_hash"] for r in thmD1_run[1]} == {"8eab22d823b4"}
+
+
 # criterion 6: realizable least squares, constant steps: excess-risk decay
 # at least n^-0.6 across n = 128 .. 4096, 100 replicates, < 15 min
 def test_c06_realizable_rate(tmp_path):

@@ -122,6 +122,10 @@ def test_gate_nonfinite_inputs_fail():
         gate("b", 1.0, 0.5, 0.1, -1e-16)
     with pytest.raises(InvalidArgument):
         roundoff_allowance(0.2, -0.1, 10)
+    # a NaN measurement gives a NaN allowance, which fails its gate
+    undefined = roundoff_allowance(0.2, nan, 10)
+    assert math.isnan(undefined)
+    assert not gate("probe", 0.0, nan, 0.0, undefined).satisfied
     with pytest.raises(InvalidArgument):
         roundoff_allowance(0.2, 0.2, 0)
 

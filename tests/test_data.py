@@ -664,6 +664,30 @@ def test_hinge_risk_without_flips_has_infimum_zero_and_no_minimizer():
     assert population_risk_minimum(QNormHinge(q=1.0), dist) == (0.0, None)
 
 
+@pytest.mark.parametrize("w_star", [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.6, -0.8, 0.3]),
+                                    np.array([3.0, 1.0, -2.0])])
+def test_margin_model_reads_only_the_direction_of_w_star(w_star):
+    # the labels are sign(<w_star, x>): scaling w_star changes no risk, and a
+    # huge or tiny w_star neither overflows nor underflows
+    loss = QNormHinge(q=1.0)
+    W = np.random.default_rng(5).standard_normal((8, w_star.size))
+
+    def risks(w):
+        dist = MarginClassif(w_star=w, cov=0.25, flip_prob=0.1)
+        val, w_min = population_risk_minimum(loss, dist)
+        return np.append(population_risk(loss, dist, W), val), w_min
+
+    risk, w_min = risks(w_star)
+    for scale in (1e200, 1e-200):
+        got, got_min = risks(scale * w_star)
+        np.testing.assert_allclose(got, risk, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got_min, w_min, rtol=1e-15, atol=0)
+    if w_star @ w_star == 1.0:
+        # a unit w_star is its own direction, so runs on it keep their bytes
+        assert MarginClassif(w_star=w_star, cov=0.25, flip_prob=0.1).direction.tobytes() \
+            == w_star.tobytes()
+
+
 def test_package_import_leaves_heavy_scipy_modules_unloaded():
     import sgdlab
     src = os.path.dirname(os.path.dirname(sgdlab.__file__))

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import re
 import subprocess
@@ -90,7 +89,7 @@ def test_parse_round_trip():
 def test_parse_repr_floats_round_trip():
     # repr-based serialization must survive awkward floats exactly
     cfg = parse_config(FULL_TEXT)
-    cfg = dataclasses.replace(cfg, eta1=0.1 + 2e-17, T_pow=1 / 3)
+    cfg = cfg._replace(eta1=0.1 + 2e-17, T_pow=1 / 3)
     again = parse_config(serialize_config(cfg))
     assert again.eta1 == cfg.eta1 and again.T_pow == cfg.T_pow
 
@@ -147,10 +146,10 @@ def test_config_hash_identity():
     h = config_hash(cfg)
     assert len(h) == 12 and int(h, 16) >= 0
     # threads / out_path are execution details, not experiment identity
-    assert config_hash(dataclasses.replace(cfg, threads=8)) == h
-    assert config_hash(dataclasses.replace(cfg, out_path="elsewhere")) == h
-    assert config_hash(dataclasses.replace(cfg, replicates=41)) != h
-    assert config_hash(dataclasses.replace(cfg, master_seed=12)) != h
+    assert config_hash(cfg._replace(threads=8)) == h
+    assert config_hash(cfg._replace(out_path="elsewhere")) == h
+    assert config_hash(cfg._replace(replicates=41)) != h
+    assert config_hash(cfg._replace(master_seed=12)) != h
 
 
 def test_validate_config_rules():
@@ -181,14 +180,14 @@ def test_validate_config_rules():
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
-            validate_config(dataclasses.replace(ok, **overrides))
+            validate_config(ok._replace(**overrides))
 
 
 def test_steps_for_rules():
     cfg = ExperimentConfig(experiment="stability-sweep")
     assert steps_for(cfg, 16) == 16
-    assert steps_for(dataclasses.replace(cfg, T_rule="n_squared"), 16) == 256
-    half = dataclasses.replace(cfg, T_rule="n_pow", T_pow=0.5)
+    assert steps_for(cfg._replace(T_rule="n_squared"), 16) == 256
+    half = cfg._replace(T_rule="n_pow", T_pow=0.5)
     assert steps_for(half, 16) == 4
     assert steps_for(half, 17) == 5  # ceil
 
@@ -242,11 +241,11 @@ def test_builders():
             # each needed field is named when it is missing
             section_of, key = config._FIELD_TO_KEY[field]
             with pytest.raises(ConfigError, match=fr"missing key '{key}' in \[{section_of}\]"):
-                build(section, dataclasses.replace(cfg, **{field: None}))
+                build(section, cfg._replace(**{field: None}))
         # every kind of a section is listed when the kind is not one of them
         message = f"unknown {section} kind 'nope'; expected one of {tuple(BUILDERS[section])}"
         with pytest.raises(ConfigError, match=re.escape(message)):
-            validate_config(dataclasses.replace(cfg, **{_KIND_FIELDS[section]: "nope"}))
+            validate_config(cfg._replace(**{_KIND_FIELDS[section]: "nope"}))
     for section, overrides in _BAD_PARAMETERS.items():
         cfg = ExperimentConfig(experiment="oracle", **overrides)
         with pytest.raises(ConfigError, match=f"bad {section} parameters"):
@@ -255,7 +254,7 @@ def test_builders():
     for kind, q in (("q_hinge", 1.0), ("q_power_abs", 2.0)):
         cfg = ExperimentConfig(experiment="oracle", loss_kind=kind)
         assert build("loss", cfg).q == q
-        assert build("loss", dataclasses.replace(cfg, loss_q=1.5)).q == 1.5
+        assert build("loss", cfg._replace(loss_q=1.5)).q == 1.5
     with pytest.raises(ConfigError, match=r"missing key 'kind' in \[schedule\]"):
         build("schedule", ExperimentConfig(experiment="oracle"))
 
@@ -845,6 +844,46 @@ def test_cli_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "bound-check" in capsys.readouterr().out
+
+
+_ORACLE_TEXT = ("[experiment]\nkind = oracle\nn_grid = 2, 3\nreplicates = 64\nmaster_seed = 1\n"
+                "[loss]\nkind = least_squares\n"
+                "[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0\ncov = 0.5\n"
+                "noise_sd = 0.3\n"
+                "[schedule]\nkind = fixed_constant\neta1 = 0.1\n")
+
+# One key of a valid config set to a bad value, and the exit code the run
+# must end in: 1 a gate failed (a NaN measurement fails its gate), 2 a
+# config error, 3 a resource limit.
+_MUTATIONS = [
+    pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "w_star", "", 2, id="thm2-empty-w_star"),
+    pytest.param(_ORACLE_TEXT, "n_grid", "", 2, id="oracle-empty-n_grid"),
+    pytest.param(_ORACLE_TEXT, "eta1", "1e300", 1, id="oracle-eta1-1e300"),
+    pytest.param(_ORACLE_TEXT, "cov", "1e300", 1, id="oracle-cov-1e300"),
+]
+
+
+@pytest.mark.parametrize("text, key, value, code", _MUTATIONS)
+def test_cli_config_mutations_end_in_their_exit_codes(tmp_path, capsys, text, key, value,
+                                                      code):
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    experiment = re.search(r"^kind = (.*)$", text, flags=re.M).group(1)
+    cfg_path = _write(tmp_path, text)
+    assert main([experiment, "--config", cfg_path, "--out", str(tmp_path / "res")]) == code
+    if code in (2, 3):
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # the records are NamedTuples: no class statement generates code at import
+    import sgdlab
+    src = os.path.dirname(os.path.dirname(sgdlab.__file__))
+    code = "import sys, sgdlab.harness.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _lab_in_fresh_process(tmp_path, argv):

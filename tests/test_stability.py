@@ -202,6 +202,20 @@ def test_brute_force_budget():
         brute_force_stability(LeastSquares(), fam, FixedConstant(0.1), None, 7)
 
 
+def test_enumeration_count_checks_the_budget_before_the_power():
+    budget = stability.BRUTE_FORCE_MAX_SEQUENCES
+    assert stability.enumeration_count(10, 6) == budget == 10 ** 6
+    assert stability.enumeration_count(1000, 2) == budget
+    assert stability.enumeration_count(2, 0) == 1
+    # n = 1 has one sequence at any T
+    assert stability.enumeration_count(1, 2 ** 62) == 1
+    with pytest.raises(ResourceLimitExceeded, match="needs 10000000 sequences"):
+        stability.enumeration_count(10, 7)
+    # 2^(2^62) is never formed: it would take 2^59 bytes
+    with pytest.raises(ResourceLimitExceeded, match=r"needs 2\^4611686018427387904 sequences"):
+        stability.enumeration_count(2, 2 ** 62)
+
+
 @pytest.mark.parametrize("n,T", [(1, 3), (2, 0), (2, 1), (2, 5), (3, 4), (5, 2)])
 def test_index_sequences_of_a_chunk_are_those_of_the_full_enumeration(n, T):
     # sequence k of the n^T is k's base-n digits, most significant first;
