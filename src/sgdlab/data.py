@@ -209,9 +209,9 @@ class GaussLinReg(Distribution):
             raise InvalidArgument("w_star must be a vector")
         self.dim = self.w_star.shape[0]
         self.cov = _as_cov(cov, self.dim)
-        if not noise_sd >= 0.0:
-            raise InvalidArgument(f"noise_sd must be nonnegative, got {noise_sd}")
         self.noise_sd = float(noise_sd)
+        if not (self.noise_sd >= 0.0 and math.isfinite(self.noise_sd * self.noise_sd)):
+            raise InvalidArgument(f"noise_sd must be >= 0 with a finite square, got {noise_sd}")
         self._chol = _chol_of(self.cov)
         self.x_bound = _checked_x_bound(x_bound, 4.0 * math.sqrt(float(np.trace(self.cov))))
         self.y_bound = self.x_bound * float(np.linalg.norm(self.w_star)) + 4.0 * self.noise_sd

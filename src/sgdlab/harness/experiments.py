@@ -77,6 +77,7 @@ from ..stability import (
     estimate_generalization_gap,
     estimate_on_average_stability,
     gap_from_stability,
+    replicate_chunks,
     replicate_data,
 )
 from .config import (
@@ -476,22 +477,26 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
     G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
-        R = cfg.replicates
-        Xs, ys = replicate_data(dist, n, cfg.master_seed, ghosts=False)(0, R)
-        etas = np.empty((R, T))
-        rhss = np.empty(R)
-        for r in range(R):
-            sigma = min_positive_eigenvalue(Dataset(features=Xs[r], labels=ys[r]))
-            t0 = t0_for_strong_convexity(L, sigma)
-            etas[r] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
-            rhss[r] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
-        # each ghost sample is its dataset with example 0 replaced by the zero example
-        gXs, gys = Xs.copy(), ys.copy()
-        gXs[:, 0] = 0.0
-        gys[:, 0] = 0.0
-        dists = coupled_distances(loss, lambda lo, hi: (Xs[lo:hi], ys[lo:hi], gXs[lo:hi],
-                                                        gys[lo:hi]),
-                                  n, etas, domain, R, cfg.master_seed)
+        draw = replicate_data(dist, n, cfg.master_seed, ghosts=False)
+        rhss = np.empty(cfg.replicates)
+
+        def data(lo, hi):
+            # each ghost is the zero example, which the engine reads only at position 0
+            Xs, ys = draw(lo, hi)
+            return Xs, ys, np.broadcast_to(0.0, Xs.shape), np.broadcast_to(0.0, ys.shape)
+
+        def etas(lo, hi, Xs, ys):
+            # sigma'_S, t0 and the step sizes of each replicate's own dataset
+            out = np.empty((hi - lo, T))
+            for k in range(hi - lo):
+                sigma = min_positive_eigenvalue(Dataset(features=Xs[k], labels=ys[k]))
+                t0 = t0_for_strong_convexity(L, sigma)
+                out[k] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
+                rhss[lo + k] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
+            return out
+
+        dists = coupled_distances(loss, data, n, T, etas, domain, cfg.replicates,
+                                  cfg.master_seed)
         em.gate_row("zero_example_stability", float(rhss.mean()), *_mean_se(dists),
                     n=n, T=T)
 
@@ -503,16 +508,17 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
     c1 = math.sqrt(2.0 * (L + lam))
     for n in cfg.n_grid:
         R = cfg.replicates
-        Xs, ys = replicate_data(dist, n, cfg.master_seed, ghosts=False)(0, R)
-        # the R ridge systems (X'X/n + lam I) w = X'y/n, solved as one stack
-        Xt = Xs.swapaxes(1, 2)
-        A = Xt @ Xs / n + lam * np.eye(dist.dim)
-        W = np.linalg.solve(A, Xt @ ys[..., None] / n)[..., 0]
-        emp = _engine._batch_empirical_risk(loss, W, Xs, ys)
-        sq_norms = _rowdot(W, W)
-        pop = population_risk(loss, dist, W)
-        gaps = pop - emp
-        fracs = pop + 0.5 * lam * sq_norms
+        draw = replicate_data(dist, n, cfg.master_seed, ghosts=False)
+        gaps, fracs = np.empty((2, R))
+        for lo, hi in replicate_chunks(R, n, 1):
+            Xs, ys = draw(lo, hi)
+            # the chunk's ridge systems (X'X/n + lam I) w = X'y/n, solved as one stack
+            Xt = Xs.swapaxes(1, 2)
+            A = Xt @ Xs / n + lam * np.eye(dist.dim)
+            W = np.linalg.solve(A, Xt @ ys[..., None] / n)[..., 0]
+            pop = population_risk(loss, dist, W)
+            gaps[lo:hi] = pop - _engine._batch_empirical_risk(loss, W, Xs, ys)
+            fracs[lo:hi] = pop + 0.5 * lam * _rowdot(W, W)
         rhs = propD2_erm_bound(c1, n, lam, _upper(fracs))
         em.gate_row("erm_gap", rhs, *_mean_se(gaps), n=n)
 
@@ -540,7 +546,7 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, c3, G, T, n,
                                      cfg.delta)
         R = cfg.replicates
-        total = coupled_distances(loss, replicate_data(dist, n, cfg.master_seed), n,
+        total = coupled_distances(loss, replicate_data(dist, n, cfg.master_seed), n, T,
                                   sched.etas(T), None, R, cfg.master_seed)
         exceed = int(np.count_nonzero(total > rhs))
         mean, se = _mean_se(total)
@@ -668,6 +674,8 @@ def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
     return target.run, (loss, dist, domain)
 
 
+# an overflow gives non-finite measurements, which fail their gates: numpy need not warn
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_experiment(cfg: ExperimentConfig,
                    gates: Optional[List[GateLine]] = None) -> int:
     """Run one experiment, write `<out_path>/<experiment>.csv`, return 0/1.

@@ -175,10 +175,13 @@ class StronglyConvexDecay(NamedTuple("StronglyConvexDecay", [("sigma", float), (
 
 
 def t0_for_strong_convexity(L: float, sigma: float) -> int:
-    """Smallest safe iteration offset ceil(4 L^2 / sigma^2) for the decay above."""
-    if not (L > 0.0 and sigma > 0.0):
-        raise InvalidArgument("L and sigma must be positive")
-    return int(math.ceil(4.0 * L * L / (sigma * sigma)))
+    """Smallest safe iteration offset ceil(4 L^2 / sigma^2) for the decay above;
+    the ratio must be a finite float (sigma^2 must not underflow to 0)."""
+    ratio = 4.0 * L * L / (sigma * sigma) if sigma * sigma > 0.0 else math.inf
+    if not (L > 0.0 and sigma > 0.0 and math.isfinite(ratio)):
+        raise InvalidArgument(f"L and sigma must be positive and 4 L^2 / sigma^2 finite, "
+                              f"got L = {L:.6g}, sigma = {sigma:.6g}")
+    return int(math.ceil(ratio))
 
 
 # ---------------------------------------------------------------------------

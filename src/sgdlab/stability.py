@@ -5,22 +5,22 @@ run on S and the runs on its replace-one neighbors S^(i) consume the same
 i_t sequence, so the measured distances are exactly the quantities the
 stability analysis controls.
 
-One skeleton, ``_replicate_batches``, runs the replicates of every estimator.
-It takes the replicates' data (a family held fixed and broadcast to every
-replicate, or a chunk function that gives the stacked arrays of replicates
-lo..hi-1: datasets and ghost samples, or datasets alone when no neighbour
-runs), the neighbour positions, if any, the chunk function of the index
-streams (``streams(lo, hi)`` builds the ``_engine.IndexStream`` of
-replicates lo..hi-1: i.i.d. indices or per-epoch permutations from each
-replicate's generator, or given sequences), the step sizes ((T,), or (R, T)
-when they differ between replicates) and the radius of the ball each step
-projects onto, if any.  It runs a chunk of replicates through
-``_engine.run_core`` and hands the result to its caller, which stores each
-replicate's values before the next chunk runs.  The engine reads the
-streams in chunks of ``_engine.STREAM_STEPS`` steps and finds the forks of
-the neighbour runs chunk by chunk, so no stream is held whole; the oracle's
-sequences of a chunk of replicates are the base-n digits of their numbers,
-built when the chunk runs.
+One skeleton, ``_replicate_batches``, runs the replicates of every estimator
+chunk by chunk.  It takes chunk functions, of (lo, hi) for replicates
+lo..hi-1: their data (stacked datasets and ghost samples, or datasets alone
+when no neighbour runs; ``replicate_data`` draws them, ``broadcast_family``
+gives one fixed family to all), their index streams (an
+``_engine.IndexStream``: i.i.d. indices or per-epoch permutations from each
+replicate's generator, or given sequences) and, where they differ between
+replicates, their step sizes, computed from the chunk's datasets; shared
+step sizes are one (T,) array.  It runs each chunk, with the neighbour
+positions, if any, and the radius of the ball each step projects onto,
+through ``_engine.run_core`` and hands the result to its caller, which
+stores each replicate's values before the next chunk runs.  The engine
+reads the streams in chunks of ``_engine.STREAM_STEPS`` steps and finds the
+forks of the neighbour runs chunk by chunk, so no stream is held whole; the
+oracle's sequences are the base-n digits of their numbers, built when the
+chunk runs.
 
 The estimators return those per-replicate values and take no mean or
 standard error over replicates; the caller reduces them.  The exception is
@@ -35,8 +35,7 @@ epochs without replacement.  ``replicate_data`` gives the chunk function of
 the replicates' data: it draws a chunk's datasets, and their ghost samples,
 in one batched pass of the distribution (``data.sample_datasets``), where
 each replicate's generators make the draws they would make alone, so a
-replicate's data do not depend on the chunk it is drawn in.  The harness
-uses it too for the replicates it runs outside the estimators.
+replicate's data do not depend on the chunk it is drawn in.
 ``coupled_distances`` keys replicate r's stream by the replicate's own seed
 instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
 r).  A stability report keeps the output and the empirical risk of each
@@ -50,15 +49,16 @@ estimate of E F(A(S)) by the replace-one identity (see ``StabilityReport``).
 neighbours, for the excess risk of the step-size-weighted average.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
-preallocated arrays.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m
-per replicate: the base run and m neighbours), which bounds the engine's
-per-row arrays, and holds at most ``EXAMPLE_BUDGET`` examples (n per
-replicate), which bounds the stacked datasets of runs with few rows per
-replicate.  So a grid point runs in as few engine calls as memory allows,
-and each call pays the fixed cost of its steps once.  With the streams read
-in chunks, what a chunk holds grows with T only in the (T,) step sizes and
-weights.  Every replicate's result is bitwise the same for any chunk size,
-of replicates or of steps.
+preallocated arrays; ``replicate_chunks`` sizes every chunk, the harness's
+too.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m per replicate:
+the base run and m neighbours), which bounds the engine's per-row arrays,
+and holds at most ``EXAMPLE_BUDGET`` examples (n per replicate), which
+bounds the stacked datasets of runs with few rows per replicate.  So a grid
+point runs in as few engine calls as memory allows, and each call pays the
+fixed cost of its steps once.  With the streams read in chunks, what a
+chunk holds grows with T only in the step sizes and weights.  Every
+replicate's result is bitwise the same for any chunk size, of replicates or
+of steps.
 """
 
 from __future__ import annotations
@@ -126,9 +126,11 @@ class GapReport(NamedTuple):
     gap: np.ndarray                         # (R,)
 
 
-def _chunk_size(rows: int, n: int) -> int:
-    """Replicates per chunk when each runs ``rows`` engine rows on n examples."""
-    return max(1, min(ROW_BUDGET // rows, EXAMPLE_BUDGET // n))
+def replicate_chunks(R: int, n: int, rows: int) -> Iterator[Tuple[int, int]]:
+    """The chunks (lo, hi) of R replicates, in order, each running ``rows`` rows on n examples."""
+    step = max(1, min(ROW_BUDGET // rows, EXAMPLE_BUDGET // n))
+    for lo in range(0, R, step):
+        yield lo, min(lo + step, R)
 
 
 def _radius(domain: Optional[Ball]) -> Optional[float]:
@@ -152,6 +154,16 @@ def replicate_data(dist: Distribution, n: int, master_seed: int, ghosts: bool = 
     return chunk
 
 
+def broadcast_family(family: NeighborFamily):
+    """The chunk function that gives every replicate the one ``family``:
+    ``chunk(lo, hi)`` broadcasts its (X, y, ghost X, ghost y) to replicates
+    lo..hi-1 without a copy."""
+    def chunk(lo: int, hi: int) -> tuple:
+        return tuple(np.broadcast_to(a, (hi - lo,) + a.shape)
+                     for a in (*family.base, *family.ghost))
+    return chunk
+
+
 def _streams(build, n: int, T: int, path):
     """The chunk function of the replicates' index streams.
 
@@ -168,16 +180,8 @@ def _streams(build, n: int, T: int, path):
 # the replicate-batch skeleton
 # ---------------------------------------------------------------------------
 
-def _arrays(data, ghosts: bool) -> tuple:
-    """(X, y, ghost X, ghost y) of a NeighborFamily, or (X, y) of a Dataset."""
-    if ghosts:
-        return (data.base.features, data.base.labels,
-                data.ghost.features, data.ghost.labels)
-    return data.features, data.labels
-
-
-def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
-                       radius: Optional[float], data, streams, positions=None,
+def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float],
+                       data, streams, positions=None,
                        **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
                                                     np.ndarray, np.ndarray]]:
     """Run R replicates chunk by chunk, in order; yield ``(lo, hi, out, Xs, ys)``.
@@ -185,45 +189,31 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas: np.ndarray,
     ``out`` is the ``run_core`` result of replicates lo..hi-1 and ``Xs, ys``
     are their base datasets.
 
-    data: a NeighborFamily held fixed for every replicate (a Dataset when
-        ``positions`` is None), or a chunk function: ``data(lo, hi)`` gives
+    data: the chunk function of the replicates' data: ``data(lo, hi)`` gives
         the stacked (X, y, ghost X, ghost y) of replicates lo..hi-1, or
-        (X, y) when ``positions`` is None (see ``replicate_data``).
+        (X, y) when ``positions`` is None.
     positions: None (the base runs only), or the array of neighbour positions
         every replicate runs.
     streams: the chunk function of the index streams: ``streams(lo, hi)``
         gives the ``_engine.IndexStream`` of replicates lo..hi-1.
-    etas: (T,), or (R, T) for step sizes per replicate.
+    etas: the (T,) step sizes of every replicate, or for step sizes per
+        replicate a function: ``etas(lo, hi, Xs, ys)`` gives the (hi - lo, T)
+        step sizes of replicates lo..hi-1 from their base datasets.
     radius: the ball each step projects onto, or None for no projection.
 
     ``collect`` goes to ``run_core``.
     """
-    if positions is None:
-        m = 0
-    else:
-        given = np.asarray(positions, dtype=np.int64)
-        m = given.shape[0]
-        if not np.all((given >= 0) & (given < n)):
-            raise InvalidArgument(f"neighbor positions must be in [0, {n}), got {given}")
-    if etas.ndim == 2 and etas.shape[0] != R:
-        raise InvalidArgument(
-            f"step sizes per replicate need {R} rows, got {etas.shape[0]}")
+    given = np.asarray(() if positions is None else positions, dtype=np.int64)
+    m = given.shape[0]
+    if not np.all((given >= 0) & (given < n)):
+        raise InvalidArgument(f"neighbor positions must be in [0, {n}), got {given}")
 
-    step = _chunk_size(1 + m, n)
-    for lo in range(0, R, step):
-        hi = min(lo + step, R)
-        Rc = hi - lo
-        if callable(data):
-            cols = data(lo, hi)
-        else:
-            cols = [np.broadcast_to(a, (Rc,) + a.shape) for a in _arrays(data, m > 0)]
-        Xs, ys, gXs, gys = cols if m else (*cols, None, None)
-
-        sub = np.broadcast_to(given, (Rc, m)) if m else None
-
+    for lo, hi in replicate_chunks(R, n, 1 + m):
+        Xs, ys, gXs, gys = data(lo, hi) if m else (*data(lo, hi), None, None)
+        sub = np.broadcast_to(given, (hi - lo, m)) if m else None
         out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
-                               etas[lo:hi] if etas.ndim == 2 else etas, radius,
-                               streams(lo, hi), **collect)
+                               etas(lo, hi, Xs, ys) if callable(etas) else etas,
+                               radius, streams(lo, hi), **collect)
         yield lo, hi, out, Xs, ys
 
 
@@ -250,11 +240,11 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     and averages ||w - w^(i)|| (and its square) over all n positions.
     The empirical risk of each base run's output and the held-out loss of its
     neighbour runs are always recorded; ``record_risks`` also records the
-    empirical risk along the path.  With ``fixed_family``
-    the datasets are held fixed and only the index stream varies (the
-    conditional expectation the enumeration oracle computes exactly).  With ``without_replacement`` the
-    runs are epoch SGD: the stream is a fresh shuffle of the n examples per
-    epoch, and T must be a whole number of epochs (T = 0 gives exactly 0).
+    empirical risk along the path.  With ``fixed_family`` the datasets are
+    held fixed and only the index stream varies (the conditional expectation
+    the enumeration oracle computes exactly).  With ``without_replacement``
+    the runs are epoch SGD: the stream is a fresh shuffle of the n examples
+    per epoch, and T must be a whole number of epochs (T = 0 gives exactly 0).
     """
     if not replicates >= 1:
         raise InvalidArgument(f"replicates must be >= 1, got {replicates}")
@@ -280,7 +270,8 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     emp_risk = np.empty(R)
     held_out = np.empty(R)
 
-    data = fixed_family if fixed_family is not None else replicate_data(dist, n, master_seed)
+    data = (broadcast_family(fixed_family) if fixed_family is not None
+            else replicate_data(dist, n, master_seed))
     build, tag = ((_engine.epoch_stream, _engine.TAG_PERM) if without_replacement
                   else (_engine.iid_stream, _engine.TAG_INDEX))
     streams = _streams(build, n, T, lambda r: (master_seed, tag, r))
@@ -299,20 +290,18 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
                            risk=risk, emp_risk=emp_risk, held_out=held_out)
 
 
-def coupled_distances(loss: Loss, data, n: int, etas: np.ndarray,
-                      domain: Optional[Ball], replicates: int, master_seed: int
-                      ) -> np.ndarray:
+def coupled_distances(loss: Loss, data, n: int, T: int, etas, domain: Optional[Ball],
+                      replicates: int, master_seed: int) -> np.ndarray:
     """||w_{T+1} - w^(0)_{T+1}|| for each replicate r = 0 .. replicates - 1.
 
     Replicate r runs SGD on its dataset and on its neighbour at position 0
     with one shared i.i.d. index stream, keyed (seed_r, index tag, 0) with
-    seed_r = (master_seed, replicate tag, r).  ``data`` is a NeighborFamily
-    held fixed or a chunk function of the replicates' (X, y, ghost X,
-    ghost y), as in ``_replicate_batches``.  ``etas`` is (T,), or
-    (replicates, T) for step sizes per replicate.
+    seed_r = (master_seed, replicate tag, r).  ``data`` is the chunk function
+    of the replicates' (X, y, ghost X, ghost y) and ``etas`` the (T,) step
+    sizes or their function per chunk, as in ``_replicate_batches``.
     """
     dists = np.empty(replicates)
-    streams = _streams(_engine.iid_stream, n, etas.shape[-1], lambda r: (
+    streams = _streams(_engine.iid_stream, n, T, lambda r: (
         _replicate_dataset_seed(master_seed, r), _engine.TAG_INDEX, 0))
 
     for lo, hi, out, _, _ in _replicate_batches(
@@ -366,7 +355,7 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     l1_seq = np.empty(M)
     l2_seq = np.empty(M)
     for lo, hi, out, _, _ in _replicate_batches(
-            loss, M, n, sched.etas(T), _radius(domain), family,
+            loss, M, n, sched.etas(T), _radius(domain), broadcast_family(family),
             lambda lo, hi: _engine.given_stream(_index_sequences(n, T, lo, hi)),
             np.arange(n)):
         l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)

@@ -389,6 +389,28 @@ def test_c13_row_budget_invariance(tmp_path, monkeypatch):
         assert len(set(outs.values())) == 1, f"{label}: the row budget changed the output"
 
 
+# next to criterion 13: every target draws its replicates' datasets chunk by
+# chunk, so no draw holds more replicates than a chunk, and each replicate is
+# drawn once
+@pytest.mark.parametrize("label", ["bound-thm8", "bound-propD2"])
+def test_c13_chunks_bound_the_draws(tmp_path, monkeypatch, label):
+    k = 3
+    monkeypatch.setattr(stability, "ROW_BUDGET", 10**6)
+    monkeypatch.setattr(stability, "EXAMPLE_BUDGET", k * 16)   # n = 16
+    draws = []
+    sample = stability.sample_datasets
+
+    def counted(dist, n, seeds, ghosts=False):
+        draws.append(len(seeds))
+        return sample(dist, n, seeds, ghosts)
+
+    monkeypatch.setattr(stability, "sample_datasets", counted)
+    cfg = parse_config(_C13_CONFIGS[label] + f"out_path = {tmp_path}\n")
+    assert run_experiment(cfg) == 0
+    assert max(draws) == k
+    assert sum(draws) == cfg.replicates
+
+
 # the engine reads the index streams in chunks of whole blocks of steps, and
 # every experiment writes byte-identical CSVs whatever their lengths: blocks
 # of one step read in chunks of 1, 2 and 7 steps, and one chunk of all steps

@@ -121,6 +121,11 @@ def test_distribution_validation():
                         mu_minus=np.array([-1.0]), cov_plus=1.0, cov_minus=1.0)
     with pytest.raises(InvalidArgument):
         GaussLinReg(w_star=np.array([1.0]), cov=-1.0, noise_sd=0.1)
+    # the closed-form risk adds noise_sd^2, which must be a finite float
+    for noise_sd in (-0.1, math.nan, math.inf, 1e300):
+        with pytest.raises(InvalidArgument):
+            GaussLinReg(w_star=np.array([1.0]), cov=1.0, noise_sd=noise_sd)
+    assert GaussLinReg(w_star=np.array([1.0]), cov=1.0, noise_sd=1e150).noise_sd == 1e150
     with pytest.raises(InvalidArgument):
         sample_dataset(_lin_reg(), 0, seed=0)
 

@@ -852,14 +852,33 @@ _ORACLE_TEXT = ("[experiment]\nkind = oracle\nn_grid = 2, 3\nreplicates = 64\nma
                 "noise_sd = 0.3\n"
                 "[schedule]\nkind = fixed_constant\neta1 = 0.1\n")
 
+_THM8_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm8\nn_grid = 16\n"
+              "replicates = 10\nmaster_seed = 1\n"
+              "[loss]\nkind = least_squares\n"
+              "[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0\ncov = 0.25\n"
+              "noise_sd = 0.25\n" + _BALL)
+_PROPD2_TEXT = ("[experiment]\nkind = bound-check\ntarget = propD2\nn_grid = 16\n"
+                "replicates = 20\nmaster_seed = 1\n"
+                "[loss]\nkind = least_squares\n"
+                "[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0\ncov = 0.125\n"
+                "noise_sd = 0.5\n[schedule]\nsigma = 1.0\n")
+
 # One key of a valid config set to a bad value, and the exit code the run
 # must end in: 1 a gate failed (a NaN measurement fails its gate), 2 a
-# config error, 3 a resource limit.
+# config error (a derived constant that overflows included), 3 a resource
+# limit.
 _MUTATIONS = [
     pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "w_star", "", 2, id="thm2-empty-w_star"),
     pytest.param(_ORACLE_TEXT, "n_grid", "", 2, id="oracle-empty-n_grid"),
     pytest.param(_ORACLE_TEXT, "eta1", "1e300", 1, id="oracle-eta1-1e300"),
     pytest.param(_ORACLE_TEXT, "cov", "1e300", 1, id="oracle-cov-1e300"),
+    # sigma'_S^2 underflows to 0, or 4 L^2 / sigma'_S^2 is inf / inf
+    pytest.param(_THM8_TEXT, "cov", "1e-320", 2, id="thm8-cov-1e-320"),
+    pytest.param(_THM8_TEXT, "cov", "1e300", 2, id="thm8-cov-1e300"),
+    # the closed-form risk adds noise_sd^2
+    pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "noise_sd", "1e300", 2,
+                 id="thm2-noise_sd-1e300"),
+    pytest.param(_PROPD2_TEXT, "noise_sd", "1e300", 2, id="propD2-noise_sd-1e300"),
 ]
 
 

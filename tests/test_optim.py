@@ -143,6 +143,11 @@ def test_t0_for_strong_convexity():
     assert t0_for_strong_convexity(1.0, 2.0) == 1
     with pytest.raises(InvalidArgument):
         t0_for_strong_convexity(1.0, 0.0)
+    # 4 L^2 / sigma^2 must be a finite float: sigma^2 underflows to 0, or
+    # both squares overflow and the ratio is inf / inf
+    for L, sigma in ((1.0, 1e-170), (1e300, 1e300), (1e200, 1.0)):
+        with pytest.raises(InvalidArgument):
+            t0_for_strong_convexity(L, sigma)
 
 
 # ---------------------------------------------------------------------------

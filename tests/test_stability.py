@@ -21,6 +21,7 @@ from sgdlab.errors import InvalidArgument, ResourceLimitExceeded
 from sgdlab.losses import LeastSquares, QNormHinge
 from sgdlab.optim import Ball, FixedConstant, PolyDecay
 from sgdlab.stability import (
+    broadcast_family,
     brute_force_stability,
     coupled_distances,
     estimate_generalization_gap,
@@ -64,7 +65,7 @@ def test_coupled_pair_identical_ghost_gives_zero():
     ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 2.0]]),
                  labels=np.array([1.0, -1.0]))
     fam = NeighborFamily(base=ds, ghost=ds)
-    dists = coupled_distances(LeastSquares(), fam, 2,
+    dists = coupled_distances(LeastSquares(), broadcast_family(fam), 2, 7,
                               FixedConstant(0.3).etas(7), None, 3, master_seed=5)
     np.testing.assert_array_equal(dists, np.zeros(3))
 
@@ -78,17 +79,18 @@ def test_coupled_pair_one_step_distance():
     g_base = _ls_grad(np.zeros(2), base.features[0], base.labels[0])
     g_ghost = _ls_grad(np.zeros(2), ghost.features[0], ghost.labels[0])
     gap = np.linalg.norm(g_base - g_ghost)
-    shared = coupled_distances(LeastSquares(), fam, 1, np.array([0.25]),
-                               None, 2, master_seed=0)
+    shared = coupled_distances(LeastSquares(), broadcast_family(fam), 1, 1,
+                               np.array([0.25]), None, 2, master_seed=0)
     np.testing.assert_allclose(shared, 0.25 * gap, rtol=1e-14)
-    per_replicate = coupled_distances(LeastSquares(), fam, 1,
-                                      np.array([[0.25], [0.5]]), None, 2, master_seed=0)
+    per_replicate = coupled_distances(LeastSquares(), broadcast_family(fam), 1, 1,
+                                      lambda lo, hi, Xs, ys: np.array([[0.25], [0.5]])[lo:hi],
+                                      None, 2, master_seed=0)
     np.testing.assert_allclose(per_replicate, [0.25 * gap, 0.5 * gap], rtol=1e-14)
 
 
 def test_coupled_pair_t0_zero_steps():
     fam = sample_neighbor_family(_dist(), 3, seed=1)
-    dists = coupled_distances(LeastSquares(), fam, 3,
+    dists = coupled_distances(LeastSquares(), broadcast_family(fam), 3, 0,
                               FixedConstant(0.1).etas(0), None, 2, master_seed=0)
     np.testing.assert_array_equal(dists, np.zeros(2))
 
@@ -101,19 +103,32 @@ def test_coupled_pair_position_validation():
     for positions in (np.array([3]), np.array([-1])):
         with pytest.raises(InvalidArgument):
             next(stability._replicate_batches(
-                LeastSquares(), 1, 3, etas, None, fam,
+                LeastSquares(), 1, 3, etas, None, broadcast_family(fam),
                 lambda lo, hi: _engine.given_stream(seqs[lo:hi]), positions))
 
 
-def test_coupled_distances_key_each_stream_by_the_replicate_seed():
+def test_coupled_distances_key_each_stream_by_the_replicate_seed(monkeypatch):
     # replicate r's stream is keyed (seed_r, index tag, 0), seed_r =
-    # (master seed, replicate tag, r); one run per replicate gives the same bits
+    # (master seed, replicate tag, r); one run per replicate gives the same bits.
+    # The step sizes per replicate come per chunk (here 3 replicates of 2
+    # rows), from the chunk's datasets
+    monkeypatch.setattr(stability, "ROW_BUDGET", 6)
     dist, n, T, master_seed = _dist(), 5, 9, 21
     etas = np.stack([FixedConstant(0.1 * (r + 1)).etas(T) for r in range(4)])
     fams = [sample_neighbor_family(dist, n, _replicate_dataset_seed(master_seed, r))
             for r in range(4)]
-    got = coupled_distances(LeastSquares(), replicate_data(dist, n, master_seed), n, etas,
-                            Ball(0.5), 4, master_seed)
+    chunks = []
+
+    def chunk_etas(lo, hi, Xs, ys):
+        chunks.append((lo, hi))
+        for k, fam in enumerate(fams[lo:hi]):
+            assert Xs[k].tobytes() == fam.base.features.tobytes()
+            assert ys[k].tobytes() == fam.base.labels.tobytes()
+        return etas[lo:hi]
+
+    got = coupled_distances(LeastSquares(), replicate_data(dist, n, master_seed), n, T,
+                            chunk_etas, Ball(0.5), 4, master_seed)
+    assert chunks == [(0, 3), (3, 4)]
     for r, fam in enumerate(fams):
         key = _engine.derive_seed(_replicate_dataset_seed(master_seed, r),
                                   _engine.TAG_INDEX, 0)
