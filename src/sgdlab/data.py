@@ -60,6 +60,7 @@ class Dataset(NamedTuple("Dataset", [("features", np.ndarray), ("labels", np.nda
     """An in-memory sample: features (n, d) and labels (n,)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, features: np.ndarray, labels: np.ndarray):
         if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.shape[0]:
@@ -340,6 +341,7 @@ class NeighborFamily(NamedTuple("NeighborFamily", [("base", Dataset), ("ghost", 
     """Base sample plus an independent ghost sample of the same size."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, base: Dataset, ghost: Dataset):
         if base.features.shape != ghost.features.shape:

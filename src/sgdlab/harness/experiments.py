@@ -61,8 +61,7 @@ from ..losses import (
     check_nonexpansive,
     check_self_bounding,
     check_smoothness_upper_bound,
-    gradient_bound_on_ball,
-    regularity_constants,
+    support_constants,
     AucSquare,
     LeastSquares,
     QNormHinge,
@@ -259,7 +258,7 @@ def battery_draws(index: int, label: str, loss, draws: int, master_seed: int):
     X = rng.standard_normal((draws, d))
     nrm = np.linalg.norm(X, axis=1)
     X *= np.minimum(1.0, x_bound / np.maximum(nrm, 1e-300))[:, None]
-    if loss.kind in ("q_hinge", "auc_square"):
+    if loss.binary_labels:
         Y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
     else:
         Y = 2.0 * rng.standard_normal(draws)
@@ -368,30 +367,8 @@ def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
 # bound checks
 # ---------------------------------------------------------------------------
 
-def _sup_holder(loss, dist) -> Tuple[float, float, float]:
-    """(x_bound, sup-over-z Hölder constant, sup-over-z gradient norm at 0).
-
-    The probe x = x_bound e_1 reaches each sup whose value depends on ||x||
-    and |y| only; the AUC surrogate's constant grows with ||x - mu_y|| and
-    takes its own sup over the ball.
-    """
-    X = dist.x_bound
-    probe = np.zeros(dist.dim)
-    probe[0] = X
-    if loss.kind in ("q_hinge", "auc_square"):
-        ys = (1.0, -1.0)
-    else:
-        ys = (dist.y_bound if dist.y_bound is not None else 1.0,)
-    if loss.kind == "auc_square":
-        L = max(loss.holder_constant_on_ball(X))
-    else:
-        L = max(loss.holder_constant(probe, y) for y in ys)
-    g0 = max(loss.grad_norm_at_zero(probe, y) for y in ys)
-    return X, L, g0
-
-
 def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    _, L, _ = _sup_holder(loss, dist)
+    L = support_constants(loss, dist).L
     for n, T, sched, theta in _grid(cfg):
         etas = sched.etas(T)
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
@@ -413,8 +390,7 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
 
 
 def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    _, L, g0 = _sup_holder(loss, dist)
-    consts = regularity_constants(loss.alpha, L, g0)
+    consts = support_constants(loss, dist)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
     for n, T, sched, theta in _grid(cfg):
         # the rhs weights step j by E[F_S(w_j)^frac_expo]; at alpha = 0 the
@@ -445,12 +421,11 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> Non
 
 
 def _check_thm6(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    X, L, _ = _sup_holder(loss, dist)
-    G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
+    consts = support_constants(loss, dist, domain)
     for n, T, sched, theta in _grid(cfg):
         rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
-        em.gate_row("l1_stability", thm6_convex_stability_bound(n, sched.etas(T), L, G),
-                    *_mean_se(rep.l1), n=n, T=T, theta=theta)
+        rhs = thm6_convex_stability_bound(n, sched.etas(T), consts.L, consts.G)
+        em.gate_row("l1_stability", rhs, *_mean_se(rep.l1), n=n, T=T, theta=theta)
     # the surrogate's expectation must reproduce the closed-form population
     # objective: Monte-Carlo check at the origin and at an interior point
     probes = [np.zeros(dist.dim)]
@@ -473,8 +448,7 @@ def _check_thm6(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
 
 
 def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    X, L, _ = _sup_holder(loss, dist)
-    G = gradient_bound_on_ball(loss, domain.radius, X, dist.y_bound)
+    consts = support_constants(loss, dist, domain)
     for n in cfg.n_grid:
         T = steps_for(cfg, n)
         draw = replicate_data(dist, n, cfg.master_seed, ghosts=False)
@@ -490,9 +464,9 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
             out = np.empty((hi - lo, T))
             for k in range(hi - lo):
                 sigma = min_positive_eigenvalue(Dataset(features=Xs[k], labels=ys[k]))
-                t0 = t0_for_strong_convexity(L, sigma)
+                t0 = t0_for_strong_convexity(consts.L, sigma)
                 out[k] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
-                rhss[lo + k] = thm8_strongly_convex_stability_bound(n, G, sigma, T, t0)
+                rhss[lo + k] = thm8_strongly_convex_stability_bound(n, consts.G, sigma, T, t0)
             return out
 
         dists = coupled_distances(loss, data, n, T, etas, domain, cfg.replicates,
@@ -503,9 +477,8 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
 
 def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     lam = cfg.sigma
-    X, L, _ = _sup_holder(loss, dist)
     # per-example objective f + (lam/2)||w||^2 is smooth with constant L + lam
-    c1 = math.sqrt(2.0 * (L + lam))
+    c1 = math.sqrt(2.0 * (support_constants(loss, dist).L + lam))
     for n in cfg.n_grid:
         R = cfg.replicates
         draw = replicate_data(dist, n, cfg.master_seed, ghosts=False)
@@ -524,26 +497,22 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
 
 
 def _check_propG2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    X, L, g0 = _sup_holder(loss, dist)
-    G = X  # hinge subgradient is -y x or 0
-    c3 = regularity_constants(loss.alpha, L, g0).c3
+    consts = support_constants(loss, dist)
     K = cfg.epochs
     for n, T, sched, theta in _grid(cfg, steps=lambda cfg, n: K * n):
         rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=False,
                          without_replacement=True)
         etas = sched.etas(T)
         per_epoch = [etas[k * n:(k + 1) * n] for k in range(K)]
-        rhs = propG2_without_replacement_bound(per_epoch, loss.alpha, c3, G, n)
+        rhs = propG2_without_replacement_bound(per_epoch, loss.alpha, consts.c3, consts.G, n)
         em.gate_row("epoch_l1_stability", rhs, *_mean_se(rep.l1),
                     n=n, T=T, theta=theta)
 
 
 def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    X, L, g0 = _sup_holder(loss, dist)
-    G = X
-    c3 = regularity_constants(loss.alpha, L, g0).c3
+    consts = support_constants(loss, dist)
     for n, T, sched, theta in _grid(cfg):
-        rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, c3, G, T, n,
+        rhs = propG1_high_prob_bound(cfg.c, theta, loss.alpha, consts.c3, consts.G, T, n,
                                      cfg.delta)
         R = cfg.replicates
         total = coupled_distances(loss, replicate_data(dist, n, cfg.master_seed), n, T,
@@ -602,11 +571,23 @@ def _risk_minimum(cfg, loss, dist) -> None:
     population_risk_minimum(loss, dist)   # F*; raises where it has no closed form
 
 
+def _finite_constants(cfg, loss, dist) -> None:
+    # the calculators square L, c1 and c3: a constant whose square overflows
+    # would end the run in an OverflowError after all of its work
+    try:
+        consts = support_constants(loss, dist, build("domain", cfg))
+    except OverflowError:   # c3, a power of L, in Python floats
+        consts = None
+    if consts is None or not all(math.isfinite(v * v) for v in consts if v is not None):
+        raise ConfigError(f"target {cfg.target} needs constants of the loss on the data's "
+                          f"support whose squares are finite, got {consts or 'an overflow'}")
+
+
 def _steps_within_2_over_L(cfg, loss, dist) -> None:
     # Theorem 2's step-size condition at every n of the grid; beyond it the
     # runs can diverge with a stderr as large as the mean, and the gates
     # would pass
-    _, L, _ = _sup_holder(loss, dist)
+    L = support_constants(loss, dist).L
     for n, T, sched, _ in _grid(cfg):
         top = float(sched.etas(T).max())
         if top > 2.0 / L:
@@ -637,14 +618,17 @@ _TARGETS = {
     "rate-fit": _Target(_run_rate_fit, None,
                         (_schedule, _risk_minimum, _THREE_POINTS, _TWO_REPLICATES)),
     "thm2": _Target(_check_thm2, False,
-                    (_SMOOTH, _CONVEX_NONNEGATIVE, _schedule, _steps_within_2_over_L,
-                     _TWO_REPLICATES)),
-    "thmD1": _Target(_check_thmD1, False, (_HOLDER, _schedule, _TWO_REPLICATES)),
-    "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form)),
-    "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES,)),
-    "propD2": _Target(_check_propD2, False, (_LEAST_SQUARES, _RIDGE, _risk_closed_form)),
-    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE, _schedule)),
-    "propG1": _Target(_check_propG1, False, (_PLAIN_HINGE, _schedule, _HORIZON_POLY)),
+                    (_SMOOTH, _CONVEX_NONNEGATIVE, _schedule, _finite_constants,
+                     _steps_within_2_over_L, _TWO_REPLICATES)),
+    "thmD1": _Target(_check_thmD1, False,
+                     (_HOLDER, _schedule, _finite_constants, _TWO_REPLICATES)),
+    "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form, _finite_constants)),
+    "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES, _finite_constants)),
+    "propD2": _Target(_check_propD2, False,
+                      (_LEAST_SQUARES, _RIDGE, _risk_closed_form, _finite_constants)),
+    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE, _schedule, _finite_constants)),
+    "propG1": _Target(_check_propG1, False,
+                      (_PLAIN_HINGE, _schedule, _HORIZON_POLY, _finite_constants)),
 }
 
 

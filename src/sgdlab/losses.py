@@ -8,8 +8,10 @@ continuity of the subgradient,
 
 with ``alpha = 1`` the smooth case and ``alpha = 0`` the bounded-subgradient
 (Lipschitz loss) case.  ``regularity_constants`` turns ``(alpha, L)`` into the
-derived constants c1/c2/c3 used by the stability bounds, and the ``check_*``
-functions verify lemma-level inequalities on concrete points to a tolerance.
+derived constants c1/c2/c3 used by the stability bounds, ``support_constants``
+gives every constant a bound is stated in as a sup over a distribution's
+support, and the ``check_*`` functions verify lemma-level inequalities on
+concrete points to a tolerance.
 The checkers, ``holder_constant`` and ``grad_norm_at_zero`` take either one
 example or a batch of rows; a single example is a batch of one.
 
@@ -118,12 +120,15 @@ class Loss:
     nonnegative : bool
         Whether f(w; z) >= 0 for all inputs (needed by the self-bounding
         inequality).
+    binary_labels : bool
+        Whether the labels are classes in {-1, +1}, not real responses.
     """
 
     kind: str = "abstract"
     alpha: float = 1.0
     convex_per_example: bool = True
     nonnegative: bool = True
+    binary_labels: bool = False
 
     def batch_value(self, W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """f(w; (x, y)) over the last axis of W and X; leading axes broadcast."""
@@ -283,6 +288,7 @@ class QNormHinge(Loss):
     kind = "q_hinge"
     convex_per_example = True
     nonnegative = True
+    binary_labels = True
 
     def __init__(self, q: float):
         if not 1.0 <= q <= 2.0:
@@ -371,6 +377,7 @@ class AucSquare(Loss):
     alpha = 1.0
     convex_per_example = False
     nonnegative = False
+    binary_labels = True
 
     def __init__(self, p: float, mu_plus: np.ndarray, mu_minus: np.ndarray):
         if not 0.0 < p < 1.0:
@@ -427,21 +434,6 @@ class AucSquare(Loss):
                         2.0 * (1.0 - p) * np.linalg.norm(X - self.mu_plus, axis=1) ** 2,
                         2.0 * p * np.linalg.norm(X - self.mu_minus, axis=1) ** 2)
         return _unbatch(quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD, batched)
-
-    def holder_constant_on_ball(self, x_bound: float) -> Tuple[float, float]:
-        """The sup of ``holder_constant`` over ||x|| <= x_bound, for y = +1
-        and for y = -1.
-
-        Every term of the constant grows with ||x||, and ||x - mu_y|| is
-        largest at x = -x_bound mu_y / ||mu_y||, where it is x_bound + ||mu_y||.
-        """
-        p = self.p
-        nD = float(np.linalg.norm(self.diff))
-        L_pos = 2.0 * (1.0 - p) * (x_bound + float(np.linalg.norm(self.mu_plus))) ** 2 \
-            + 4.0 * (1.0 - p) * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
-        L_neg = 2.0 * p * (x_bound + float(np.linalg.norm(self.mu_minus))) ** 2 \
-            + 4.0 * p * x_bound * nD + 2.0 * p * (1.0 - p) * nD * nD
-        return L_pos, L_neg
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +493,64 @@ def regularity_constants(alpha: float, L: float, g0: Optional[float] = None) -> 
         c3 = math.sqrt((1.0 - alpha) / (1.0 + alpha)) \
             * (2.0 ** (-alpha) * L) ** (1.0 / (1.0 - alpha))
     return RegularityConstants(c1=c1, c2=c2, c3=c3)
+
+
+class SupportConstants(NamedTuple):
+    """The constants of a loss on a distribution's support, w in a domain.
+
+    L and g0 are the sups over the support of ``holder_constant`` and of
+    ||df(0; z)||; c1 and c3 follow from (alpha, L, g0) by
+    ``regularity_constants`` (c3 is None at alpha = 1); G bounds
+    ||df(w; z)|| over the domain and the support, and is None where the
+    gradient is unbounded.
+    """
+
+    L: float
+    g0: float
+    c1: float
+    c3: Optional[float]
+    G: Optional[float]
+
+
+def support_constants(loss: Loss, dist, domain=None) -> SupportConstants:
+    """The ``SupportConstants`` of ``loss`` on ``dist``, w in ``domain``.
+
+    The support is ||x|| <= dist.x_bound with |y| <= dist.y_bound, or y = +-1
+    for a loss with binary labels; ``domain`` is a centered ball (its
+    ``radius``), or None for all of R^d.  The probe x = x_bound e_1 reaches
+    each sup that depends on ||x|| and |y| only.  The AUC surrogate's
+    constant grows with ||x - mu_y||, which is largest at
+    x = -x_bound mu_y / ||mu_y||, where it is x_bound + ||mu_y||.
+    """
+    if not loss.binary_labels and dist.y_bound is None:
+        raise InvalidArgument(f"the {loss.kind} loss needs a bound on |y|")
+    ys = (1.0, -1.0) if loss.binary_labels else (dist.y_bound,)
+    X, r = dist.x_bound, None if domain is None else domain.radius
+    probe = np.zeros((len(ys), dist.dim))   # x = x_bound e_1, once with each label
+    probe[:, 0] = X
+    g0 = float(loss.grad_norm_at_zero(probe, ys).max())
+    G = None
+    if isinstance(loss, AucSquare):
+        # per label: ||df(w)|| <= ||df(0)|| + L_y ||w||, with df(0; z) = 2 kappa(y) x
+        p, nD = loss.p, float(np.linalg.norm(loss.diff))
+        per_label = [(2.0 * k * X, 2.0 * k * (X + float(np.linalg.norm(mu))) ** 2
+                      + 4.0 * k * X * nD + 2.0 * p * (1.0 - p) * nD * nD)
+                     for k, mu in ((1.0 - p, loss.mu_plus), (p, loss.mu_minus))]
+        L = max(L_y for _, L_y in per_label)
+        if r is not None:
+            G = max(g0_y + L_y * r for g0_y, L_y in per_label)
+    else:
+        L = float(loss.holder_constant(probe, ys).max())
+        if isinstance(loss, LeastSquares) and r is not None:
+            G = (r * X + ys[0]) * X
+        elif isinstance(loss, (QNormHinge, QPowerAbsolute)):
+            # ||df(w; z)|| = q s^(q - 1) ||x||, s = the slack or |residual| <= |y| + ||w|| ||x||
+            if loss.q == 1.0:
+                G = X
+            elif r is not None:
+                G = loss.q * (ys[0] + r * X) ** (loss.q - 1.0) * X
+    c = regularity_constants(loss.alpha, L, g0)
+    return SupportConstants(L=L, g0=g0, c1=c.c1, c3=c.c3, G=G)
 
 
 # ---------------------------------------------------------------------------
@@ -637,37 +687,3 @@ def check_smoothness_upper_bound(loss: Loss, w: np.ndarray, w2: np.ndarray,
     rhs = loss.batch_value(W, X, Y) + _rowdot(loss.batch_grad(W, X, Y), dw) \
         + 0.5 * L * _rowdot(dw, dw)
     return _unbatch(_leq(lhs, rhs, tol), batched)
-
-
-# ---------------------------------------------------------------------------
-# analytic gradient bounds on a centered ball
-# ---------------------------------------------------------------------------
-
-def gradient_bound_on_ball(loss: Loss, radius: float, x_bound: float,
-                           y_bound: Optional[float] = None) -> float:
-    """sup ||df(w; z)|| over ||w|| <= radius, ||x|| <= x_bound (and |y| <= y_bound).
-
-    y_bound is required for the regression losses; the hinge takes y in
-    {-1, +1} and ignores it, the AUC surrogate uses its own moment parameters.
-    """
-    if radius < 0.0 or x_bound < 0.0:
-        raise InvalidArgument("radius and x_bound must be nonnegative")
-    if isinstance(loss, LeastSquares):
-        if y_bound is None:
-            raise InvalidArgument("y_bound is required for least squares")
-        return (radius * x_bound + y_bound) * x_bound
-    if isinstance(loss, QNormHinge):
-        return loss.q * (1.0 + radius * x_bound) ** (loss.q - 1.0) * x_bound
-    if isinstance(loss, QPowerAbsolute):
-        if y_bound is None:
-            raise InvalidArgument("y_bound is required for the q-power absolute loss")
-        return loss.q * (y_bound + radius * x_bound) ** (loss.q - 1.0) * x_bound
-    if isinstance(loss, AucSquare):
-        # ||df(w)|| <= ||df(0)|| + L(z) * ||w|| with df(0; z) = 2 kappa(y) x;
-        # take the worse of the two label branches
-        p = loss.p
-        L_pos, L_neg = loss.holder_constant_on_ball(x_bound)
-        g_pos = 2.0 * (1.0 - p) * x_bound + L_pos * radius
-        g_neg = 2.0 * p * x_bound + L_neg * radius
-        return max(g_pos, g_neg)
-    raise InvalidArgument(f"no gradient bound known for loss kind {loss.kind!r}")

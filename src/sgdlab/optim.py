@@ -34,6 +34,7 @@ class Ball(NamedTuple("Ball", [("radius", float)])):
     """Centered Euclidean ball {w : ||w||_2 <= radius}."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, radius: float):
         if not radius > 0.0:
@@ -45,6 +46,7 @@ class Regularizer(NamedTuple("Regularizer", [("kind", str), ("strength", float)]
     """Penalty lam * ||w||_1 or (lam/2) * ||w||_2^2, applied proximally."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, kind: str, strength: float):
         if kind not in ("l1", "l2"):
@@ -88,6 +90,7 @@ class FixedConstant(NamedTuple("FixedConstant", [("eta1", float)]), Schedule):
 
     __slots__ = ()
     kind = "fixed_constant"
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, eta1: float):
         if not eta1 > 0.0:
@@ -104,6 +107,7 @@ class HorizonConstant(NamedTuple("HorizonConstant", [("c", float)]), Schedule):
 
     __slots__ = ()
     kind = "horizon_constant"
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, c: float):
         if not c > 0.0:
@@ -121,6 +125,7 @@ class HorizonPoly(NamedTuple("HorizonPoly", [("c", float), ("theta", float)]), S
 
     __slots__ = ()
     kind = "horizon_poly"
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, c: float, theta: float):
         if not c > 0.0:
@@ -140,6 +145,7 @@ class PolyDecay(NamedTuple("PolyDecay", [("eta1", float), ("theta", float)]), Sc
 
     __slots__ = ()
     kind = "poly_decay"
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, eta1: float, theta: float):
         if not eta1 > 0.0:
@@ -160,6 +166,7 @@ class StronglyConvexDecay(NamedTuple("StronglyConvexDecay", [("sigma", float), (
 
     __slots__ = ()
     kind = "strongly_convex"
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace runs the checks too
 
     def __new__(cls, sigma: float, t0: int):
         if not sigma > 0.0:

@@ -6,6 +6,10 @@ asserted with generous headroom on the measured wall times.
 """
 
 import csv
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -427,3 +431,62 @@ def test_c13_stream_chunk_invariance(tmp_path, monkeypatch):
             run_experiment(cfg)
             outs[block_rows, stream_steps] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert len(set(outs.values())) == 1, f"{label}: the stream chunks changed the output"
+
+
+# next to criterion 13: tests/golden.json holds the sha256 of every c13 CSV
+# and of the c03 and c04 CSVs, with the numpy version they were recorded
+# with; the runs go through a fresh interpreter under one and under two
+# OpenBLAS threads, the one thread count that could move bytes
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+_GOLDEN_RUN = """\
+import hashlib, json, os, sys
+from sgdlab.harness.config import parse_config
+from sgdlab.harness.experiments import run_experiment
+texts, out = json.load(sys.stdin)
+digests = {}
+for label, text in texts.items():
+    cfg = parse_config(text + "out_path = " + os.path.join(out, label) + "\\n")
+    run_experiment(cfg)
+    with open(os.path.join(out, label, cfg.experiment + ".csv"), "rb") as fh:
+        digests[label] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def golden_digests(out, blas_threads):
+    """{label: sha256 of its CSV} for the manifest's configs, run in a new process."""
+    import sgdlab
+    src = os.path.dirname(os.path.dirname(sgdlab.__file__))
+    texts = dict(_C13_CONFIGS, c03=C3_TEXT, c04=C4_TEXT)
+    proc = subprocess.run([sys.executable, "-c", _GOLDEN_RUN],
+                          input=json.dumps([texts, str(out)]), capture_output=True,
+                          text=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   OPENBLAS_NUM_THREADS=str(blas_threads)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_golden_csv_bytes(tmp_path, blas_threads):
+    with open(_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert golden["numpy"] == np.__version__, (
+        f"tests/golden.json was recorded with numpy {golden['numpy']} and this is numpy "
+        f"{np.__version__}; its hashes hold for that version only (re-record with "
+        f"`PYTHONPATH=src python tests/test_acceptance.py` once the bytes are checked)")
+    got = golden_digests(tmp_path, blas_threads)
+    moved = sorted(label for label, digest in golden["sha256"].items()
+                   if got.get(label) != digest)
+    assert not moved, f"OPENBLAS_NUM_THREADS={blas_threads}: the bytes of {moved} moved"
+    assert sorted(got) == sorted(golden["sha256"])
+
+
+if __name__ == "__main__":
+    # record the manifest afresh, after a change whose moved bytes are accounted for
+    import tempfile
+    with tempfile.TemporaryDirectory() as out:
+        digests = golden_digests(out, 1)
+    with open(_GOLDEN, "w") as fh:
+        json.dump({"numpy": np.__version__, "sha256": digests}, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -24,7 +24,7 @@ from sgdlab.harness.config import (
 )
 from sgdlab.harness.experiments import CsvRow, run_experiment, standard_error, write_csv
 from sgdlab.harness.ratefit import fit_loglog_slope
-from sgdlab.losses import regularity_constants
+from sgdlab.losses import support_constants
 
 FULL_TEXT = """
 # exercises every section
@@ -761,8 +761,7 @@ def test_cli_thmD1_hinge_rhs_equals_the_bound_on_the_recorded_risks(tmp_path):
     rep = stability.estimate_on_average_stability(loss, dist, n, T, sched, None,
                                                   cfg.replicates, cfg.master_seed,
                                                   record_risks=True)
-    _, L, g0 = experiments._sup_holder(loss, dist)
-    consts = regularity_constants(loss.alpha, L, g0)
+    consts = support_constants(loss, dist)
     path = expand_risk_path(
         rep.risk_steps, experiments._upper(np.power(np.maximum(rep.risk, 0.0), 0.0)), T)
     rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1, consts.c3, path)
@@ -862,6 +861,14 @@ _PROPD2_TEXT = ("[experiment]\nkind = bound-check\ntarget = propD2\nn_grid = 16\
                 "[loss]\nkind = least_squares\n"
                 "[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0\ncov = 0.125\n"
                 "noise_sd = 0.5\n[schedule]\nsigma = 1.0\n")
+_THM6_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm6\nn_grid = 16\n"
+              "replicates = 16\ndraws = 2000\nmaster_seed = 1\n"
+              "[loss]\nkind = auc_square\n"
+              "[distribution]\nkind = imbalanced_gauss\np_plus = 0.3\n"
+              "mu_plus = 0.1, 0.0\nmu_minus = -0.1, 0.0\ncov_plus = 0.09\n"
+              "cov_minus = 0.09\n"
+              "[schedule]\nkind = poly_decay\neta1 = 0.1\ntheta = 0.6\n"
+              "[domain]\nkind = ball\nradius = 0.5\n")
 
 # One key of a valid config set to a bad value, and the exit code the run
 # must end in: 1 a gate failed (a NaN measurement fails its gate), 2 a
@@ -879,6 +886,14 @@ _MUTATIONS = [
     pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "noise_sd", "1e300", 2,
                  id="thm2-noise_sd-1e300"),
     pytest.param(_PROPD2_TEXT, "noise_sd", "1e300", 2, id="propD2-noise_sd-1e300"),
+    # the AUC surrogate's L on the feature ball is finite, and its square is not
+    pytest.param(_THM6_TEXT, "cov_plus", "1e300", 2, id="thm6-cov_plus-1e300"),
+    pytest.param(_THM6_TEXT, "cov_minus", "1e300", 2, id="thm6-cov_minus-1e300"),
+    pytest.param(_THM6_TEXT, "mu_plus", "1e150, 1e150", 2, id="thm6-mu_plus-1e150"),
+    pytest.param(_THM6_TEXT, "mu_minus", "1e150, 1e150", 2, id="thm6-mu_minus-1e150"),
+    # c3 = (2^-alpha L)^(1/(1 - alpha)) overflows as it is computed
+    pytest.param(_thmD1_text("res", _HOLDER_PAIRS["q_hinge"]), "cov", "1e250", 2,
+                 id="thmD1-q_hinge_1.5-cov-1e250"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from sgdlab.losses import (
     check_nonexpansive,
     check_self_bounding,
     check_smoothness_upper_bound,
-    gradient_bound_on_ball,
     project_rows,
     regularity_constants,
+    support_constants,
 )
 from sgdlab.data import GaussLinReg, ImbalancedGauss, MarginClassif
+from sgdlab.optim import Ball
 from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.harness.experiments import (
-    _sup_holder,
     applicable_checks,
     battery_draws,
     property_battery,
@@ -498,7 +499,7 @@ def test_holder_constant_is_valid_empirically():
             w = 3.0 * rng.standard_normal(d)
             w2 = 3.0 * rng.standard_normal(d)
             x = rng.standard_normal(d)
-            if loss.kind in ("q_hinge", "auc_square"):
+            if loss.binary_labels:
                 y = 1.0 if rng.random() < 0.5 else -1.0
             else:
                 y = float(rng.standard_normal())
@@ -586,7 +587,7 @@ def test_checkers_random_sweep():
             w = 2.0 * rng.standard_normal(d)
             w2 = 2.0 * rng.standard_normal(d)
             x = rng.standard_normal(d)
-            if loss.kind in ("q_hinge", "auc_square"):
+            if loss.binary_labels:
                 y = 1.0 if rng.random() < 0.5 else -1.0
             else:
                 y = float(rng.standard_normal())
@@ -767,20 +768,30 @@ def test_batched_checker_preconditions():
 # gradient bound on a ball
 # ---------------------------------------------------------------------------
 
+def _G(loss, radius, x_bound, y_bound=1.0, dim=1):
+    """G on a support given by the three fields of a distribution that
+    ``support_constants`` reads, in the ball of ``radius`` (None: no ball)."""
+    dist = SimpleNamespace(dim=dim, x_bound=x_bound, y_bound=y_bound)
+    return support_constants(loss, dist, None if radius is None else Ball(radius)).G
+
+
 def test_gradient_bound_frozen_values():
-    assert gradient_bound_on_ball(LeastSquares(), 1.0, 2.0, 3.0) == 10.0
-    assert gradient_bound_on_ball(QNormHinge(q=1.0), 5.0, 2.0) == 2.0
-    assert gradient_bound_on_ball(QNormHinge(q=2.0), 1.0, 2.0) == pytest.approx(12.0)
-    assert gradient_bound_on_ball(QPowerAbsolute(q=2.0), 1.0, 1.0, 1.0) == pytest.approx(4.0)
+    assert _G(LeastSquares(), 1.0, 2.0, 3.0) == 10.0
+    assert _G(QNormHinge(q=1.0), 5.0, 2.0) == 2.0
+    assert _G(QNormHinge(q=2.0), 1.0, 2.0) == pytest.approx(12.0)
+    assert _G(QPowerAbsolute(q=2.0), 1.0, 1.0, 1.0) == pytest.approx(4.0)
+    # without a ball only the q = 1 losses have bounded gradients, of norm ||x|| at most
+    assert _G(QNormHinge(q=1.0), None, 2.0) == 2.0
+    assert _G(QPowerAbsolute(q=1.0), None, 2.0) == 2.0
+    for loss in (LeastSquares(), QNormHinge(q=1.5), QPowerAbsolute(q=2.0), _auc_loss(d=1)):
+        assert _G(loss, None, 2.0) is None, loss.kind
 
 
 def test_gradient_bound_requires_y_bound_for_regression():
     with pytest.raises(InvalidArgument):
-        gradient_bound_on_ball(LeastSquares(), 1.0, 1.0)
+        _G(LeastSquares(), 1.0, 1.0, None)
     with pytest.raises(InvalidArgument):
-        gradient_bound_on_ball(QPowerAbsolute(q=1.5), 1.0, 1.0)
-    with pytest.raises(InvalidArgument):
-        gradient_bound_on_ball(LeastSquares(), -1.0, 1.0, 1.0)
+        _G(QPowerAbsolute(q=1.5), 1.0, 1.0, None)
 
 
 def _battery_distribution(loss, x_bound):
@@ -800,12 +811,12 @@ def test_sup_holder_dominates_the_feature_ball(label):
     loss = dict(property_battery())[label]
     x_bound, draws = 3.0, 100_000
     dist = _battery_distribution(loss, x_bound)
-    _, L, _ = _sup_holder(loss, dist)
+    L = support_constants(loss, dist).L
     rng = np.random.default_rng(606)
     X = rng.standard_normal((draws, dist.dim))
     X *= (x_bound * rng.random(draws) ** (1.0 / dist.dim)
           / np.linalg.norm(X, axis=1))[:, None]
-    if loss.kind in ("q_hinge", "auc_square"):
+    if loss.binary_labels:
         Y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
     else:
         Y = dist.y_bound * (2.0 * rng.random(draws) - 1.0)
@@ -826,18 +837,22 @@ def test_sup_holder_dominates_the_feature_ball(label):
 
 def test_gradient_bound_dominates_samples():
     rng = np.random.default_rng(404)
-    radius, x_bound, y_bound = 1.5, 2.0, 1.0
-    losses = [LeastSquares(), QNormHinge(q=1.0), QNormHinge(q=1.7),
-              QPowerAbsolute(q=1.3), _auc_loss()]
-    for loss in losses:
-        d = 3
-        G = gradient_bound_on_ball(loss, radius, x_bound, y_bound)
+    x_bound, y_bound, d = 2.0, 1.0, 3
+    # (loss, ball radius); the plain hinge without a ball gets G = x_bound,
+    # checked on w of any norm up to 1e6
+    cases = [(LeastSquares(), 1.5), (QNormHinge(q=1.0), 1.5), (QNormHinge(q=1.7), 1.5),
+             (QPowerAbsolute(q=1.3), 1.5), (_auc_loss(), 1.5), (QNormHinge(q=1.0), None)]
+    for loss, radius in cases:
+        G = _G(loss, radius, x_bound, y_bound, d)
+        if radius is None:
+            assert G == x_bound
         for _ in range(500):
+            scale = radius if radius is not None else 10.0 ** rng.uniform(0.0, 6.0)
             w = rng.standard_normal(d)
-            w *= radius * rng.random() / max(np.linalg.norm(w), 1e-12)
+            w *= scale * rng.random() / max(np.linalg.norm(w), 1e-12)
             x = rng.standard_normal(d)
             x *= x_bound * rng.random() / max(np.linalg.norm(x), 1e-12)
-            if loss.kind in ("q_hinge", "auc_square"):
+            if loss.binary_labels:
                 y = 1.0 if rng.random() < 0.5 else -1.0
             else:
                 y = float(y_bound * (2.0 * rng.random() - 1.0))

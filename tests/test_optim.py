@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sgdlab import _engine
-from sgdlab.data import Dataset
+from sgdlab.data import Dataset, NeighborFamily
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.losses import LeastSquares, QNormHinge, project_rows
@@ -26,6 +26,30 @@ from sgdlab.optim import (
 def _single_example_dataset(x, y):
     return Dataset(features=np.asarray([x], dtype=np.float64),
                    labels=np.asarray([y], dtype=np.float64))
+
+
+_DS = Dataset(features=np.zeros((3, 2)), labels=np.zeros(3))
+
+
+@pytest.mark.parametrize("record, field, bad", [
+    pytest.param(record, field, bad, id=type(record).__name__)
+    for record, field, bad in [
+        (Ball(1.0), "radius", -1.0),
+        (Regularizer("l2", 0.1), "strength", -1.0),
+        (FixedConstant(0.1), "eta1", -5.0),
+        (HorizonConstant(1.0), "c", 0.0),
+        (HorizonPoly(1.0, 0.5), "theta", 2.0),
+        (PolyDecay(0.1, 0.5), "eta1", -0.1),
+        (StronglyConvexDecay(1.0, 2), "t0", -1),
+        (_DS, "labels", np.zeros(4)),
+        (NeighborFamily(_DS, _DS), "ghost",
+         Dataset(features=np.zeros((4, 2)), labels=np.zeros(4))),
+    ]])
+def test_replace_runs_the_record_checks(record, field, bad):
+    # _replace builds its copy through _make, which each record routes
+    # through its constructor
+    with pytest.raises(InvalidArgument):
+        record._replace(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
