@@ -141,27 +141,6 @@ def expand_risk_path(steps: np.ndarray, values: np.ndarray, T: int) -> np.ndarra
     return full
 
 
-def default_gamma_smooth(L: float, emp_risk: float, l2_sq: float) -> float:
-    """Balance parameter sqrt(2 L emp_risk / l2_sq) for the smooth gap bound.
-
-    Floored at 1 so near-zero stability estimates cannot blow it up.
-    """
-    if not L > 0.0:
-        raise InvalidArgument("L must be positive")
-    if l2_sq <= 0.0 or emp_risk <= 0.0:
-        return 1.0
-    return max(1.0, math.sqrt(2.0 * L * emp_risk / l2_sq))
-
-
-def default_gamma_holder(c1: float, pop_risk_frac: float, l2_sq: float) -> float:
-    """Balance parameter c1 * sqrt(pop_risk_frac / l2_sq), floored at 1."""
-    if not c1 > 0.0:
-        raise InvalidArgument("c1 must be positive")
-    if l2_sq <= 0.0 or pop_risk_frac <= 0.0:
-        return 1.0
-    return max(1.0, c1 * math.sqrt(pop_risk_frac / l2_sq))
-
-
 # ---------------------------------------------------------------------------
 # step sizes and paths
 # ---------------------------------------------------------------------------
@@ -275,34 +254,36 @@ def thm8_strongly_convex_stability_bound(n: int, G: float, sigma: float,
 # generalization via stability
 # ---------------------------------------------------------------------------
 
-def thm1b_generalization_bound(L: float, gamma: float, l2_sq: float,
-                               emp_risk: float) -> float:
-    """Gap bound for nonnegative smooth losses:
+def thm1b_generalization_bound(L: float, l2_sq: float, emp_risk: float) -> float:
+    """Gap bound for nonnegative smooth losses, at its best gamma:
 
-        (L / gamma) * E[F_S(A(S))] + ((L + gamma) / 2) * l2_sq,
+        inf over gamma > 0 of (L / gamma) E[F_S(A(S))] + ((L + gamma) / 2) l2_sq
+        = sqrt(2 L E[F_S(A(S))]) sqrt(l2_sq) + (L / 2) l2_sq,
 
-    where l2_sq already carries the Def-5 average over neighbors.
+    where l2_sq already carries the Def-5 average over neighbors.  The bound
+    holds for every gamma, so also at the infimum, which grows with both
+    arguments.  Each root is taken before the product, so a subnormal l2_sq
+    gives a finite rhs.
     """
-    if not gamma > 0.0:
-        raise InvalidArgument("positive gamma is required")
     if not L > 0.0:
         raise InvalidArgument("positive L is required")
     if l2_sq < 0.0 or emp_risk < 0.0:
         raise InvalidArgument("l2_sq and emp_risk must be nonnegative")
-    return L / gamma * emp_risk + 0.5 * (L + gamma) * l2_sq
+    return math.sqrt(2.0 * L * emp_risk) * math.sqrt(l2_sq) + 0.5 * L * l2_sq
 
 
-def thm1c_generalization_bound(c1: float, gamma: float, l2_sq: float,
-                               pop_risk_frac: float) -> float:
-    """Gap bound for nonnegative convex losses with Hölder subgradients:
+def thm1c_generalization_bound(c1: float, l2_sq: float, pop_risk_frac: float) -> float:
+    """Gap bound for nonnegative convex losses with Hölder subgradients, at
+    its best gamma:
 
-        c1^2 / (2 gamma) * E[F^(2a/(1+a))(A(S))] + (gamma / 2) * l2_sq.
+        inf over gamma > 0 of c1^2 / (2 gamma) E[F^(2a/(1+a))(A(S))] + (gamma / 2) l2_sq
+        = c1 sqrt(E[F^(2a/(1+a))(A(S))]) sqrt(l2_sq).
     """
-    if not gamma > 0.0:
-        raise InvalidArgument("positive gamma is required")
+    if not c1 > 0.0:
+        raise InvalidArgument("positive c1 is required")
     if l2_sq < 0.0 or pop_risk_frac < 0.0:
         raise InvalidArgument("l2_sq and pop_risk_frac must be nonnegative")
-    return c1 ** 2 / (2.0 * gamma) * pop_risk_frac + 0.5 * gamma * l2_sq
+    return c1 * math.sqrt(pop_risk_frac) * math.sqrt(l2_sq)
 
 
 def propD2_erm_bound(c1: float, n: int, sigma: float, pop_risk_frac: float) -> float:

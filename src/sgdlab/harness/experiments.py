@@ -28,8 +28,6 @@ import numpy as np
 from .. import _engine
 from ..bounds import (
     BoundReport,
-    default_gamma_holder,
-    default_gamma_smooth,
     expand_risk_path,
     gate,
     propD2_erm_bound,
@@ -113,10 +111,18 @@ class CsvRow(NamedTuple):
 def standard_error(vals: np.ndarray):
     """The standard error of the mean over axis 0; 0 for fewer than two rows.
 
-    A float for (R,) values, one value per column for (R, C).
+    A float for (R,) values, one value per column for (R, C).  Each column is
+    scaled by a power of two that brings its largest |value| into [1/2, 1)
+    before its squares are summed, and the result is scaled back: the scaling
+    is exact, so values near the ends of the float range neither underflow
+    nor overflow in the squares, and the rest keep their bits.
     """
     R = vals.shape[0]
-    se = vals.std(axis=0, ddof=1) / math.sqrt(R) if R >= 2 else np.zeros(vals.shape[1:])
+    if R < 2:
+        se = np.zeros(vals.shape[1:])
+    else:
+        e = np.frexp(np.abs(vals).max(axis=0))[1]
+        se = np.ldexp(np.ldexp(vals, -e).std(axis=0, ddof=1) / math.sqrt(R), e)
     return float(se) if vals.ndim == 1 else se
 
 
@@ -381,10 +387,7 @@ def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
                     *_mean_se(rep.l2_sq), n=n, T=T, theta=theta)
         # generalization gap against the smooth-case bound, same runs
         gap = gap_from_stability(loss, dist, rep)
-        emp_hat = _upper(rep.emp_risk)
-        l2_hat = _upper(rep.l2_sq)
-        gamma = default_gamma_smooth(L, emp_hat, l2_hat)
-        rhs = thm1b_generalization_bound(L, gamma, l2_hat, emp_hat)
+        rhs = thm1b_generalization_bound(L, _upper(rep.l2_sq), _upper(rep.emp_risk))
         em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap), n=n, T=T,
                     theta=theta)
 
@@ -413,9 +416,7 @@ def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> Non
         # Without a closed form gap.pop is the held-out loss, whose mean is
         # E F(A(S)) because A(S^(i)) has the law of A(S) and is independent of z_i
         pop_frac = max(_upper(gap.pop), 0.0) ** frac_expo
-        l2_hat = _upper(rep.l2_sq)
-        gamma = default_gamma_holder(consts.c1, pop_frac, l2_hat)
-        rhs = thm1c_generalization_bound(consts.c1, gamma, l2_hat, pop_frac)
+        rhs = thm1c_generalization_bound(consts.c1, _upper(rep.l2_sq), pop_frac)
         em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap),
                     n=n, T=T, theta=theta)
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from sgdlab.bounds import (
     chernoff_exceedance_threshold,
-    default_gamma_holder,
-    default_gamma_smooth,
     expand_risk_path,
     gate,
     lemmaA2a_opt_bound,
@@ -159,22 +157,6 @@ def test_expand_risk_path_validation():
 
 
 # ---------------------------------------------------------------------------
-# default parameters
-# ---------------------------------------------------------------------------
-
-def test_default_gammas():
-    assert default_gamma_smooth(2.0, emp_risk=1.0, l2_sq=0.25) == pytest.approx(4.0)
-    assert default_gamma_smooth(1.0, emp_risk=0.0, l2_sq=0.25) == 1.0  # floor
-    assert default_gamma_smooth(1.0, emp_risk=1.0, l2_sq=0.0) == 1.0
-    assert default_gamma_holder(3.0, pop_risk_frac=4.0, l2_sq=1.0) == pytest.approx(6.0)
-    assert default_gamma_holder(1.0, pop_risk_frac=0.0, l2_sq=1.0) == 1.0
-    with pytest.raises(InvalidArgument):
-        default_gamma_smooth(0.0, 1.0, 1.0)
-    with pytest.raises(InvalidArgument):
-        default_gamma_holder(0.0, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # stability bounds: frozen single-step values
 # ---------------------------------------------------------------------------
 
@@ -263,27 +245,59 @@ def test_thm8_decreases_with_horizon_and_n():
 # ---------------------------------------------------------------------------
 
 def test_thm1b_frozen():
-    assert thm1b_generalization_bound(1.0, 1.0, l2_sq=0.0, emp_risk=1.0) == pytest.approx(1.0)
-    # full two-term evaluation
-    got = thm1b_generalization_bound(2.0, 4.0, l2_sq=0.5, emp_risk=3.0)
-    assert got == pytest.approx(2.0 / 4.0 * 3.0 + 0.5 * 6.0 * 0.5, rel=1e-15)
+    assert thm1b_generalization_bound(1.0, l2_sq=0.0, emp_risk=1.0) == 0.0
+    assert thm1b_generalization_bound(2.0, l2_sq=0.5, emp_risk=0.0) == 0.5
+    # sqrt(2 * 2 * 4) * sqrt(0.25) + 0.5 * 2 * 0.25 = 2 + 0.25
+    assert thm1b_generalization_bound(2.0, l2_sq=0.25, emp_risk=4.0) == 2.25
     with pytest.raises(InvalidArgument):
-        thm1b_generalization_bound(1.0, 0.0, 0.0, 1.0)  # non-positive gamma
+        thm1b_generalization_bound(0.0, 0.0, 1.0)  # non-positive L
     with pytest.raises(InvalidArgument):
-        thm1b_generalization_bound(0.0, 1.0, 0.0, 1.0)  # non-positive L
+        thm1b_generalization_bound(1.0, -0.1, 1.0)
     with pytest.raises(InvalidArgument):
-        thm1b_generalization_bound(1.0, 1.0, -0.1, 1.0)
+        thm1b_generalization_bound(1.0, 0.1, -1.0)
 
 
 def test_thm1c_frozen():
-    assert thm1c_generalization_bound(2.0, 2.0, l2_sq=0.0, pop_risk_frac=1.0) \
-        == pytest.approx(1.0)
-    got = thm1c_generalization_bound(2.0, 2.0, l2_sq=0.3, pop_risk_frac=0.5)
-    assert got == pytest.approx(4.0 / 4.0 * 0.5 + 1.0 * 0.3, rel=1e-15)
+    assert thm1c_generalization_bound(2.0, l2_sq=0.0, pop_risk_frac=1.0) == 0.0
+    # 3 * sqrt(4) * sqrt(0.25)
+    assert thm1c_generalization_bound(3.0, l2_sq=0.25, pop_risk_frac=4.0) == 3.0
     with pytest.raises(InvalidArgument):
-        thm1c_generalization_bound(2.0, 0.0, 0.0, 1.0)  # non-positive gamma
+        thm1c_generalization_bound(0.0, 0.1, 1.0)  # non-positive c1
     with pytest.raises(InvalidArgument):
-        thm1c_generalization_bound(2.0, 2.0, -0.1, 1.0)
+        thm1c_generalization_bound(2.0, -0.1, 1.0)
+    with pytest.raises(InvalidArgument):
+        thm1c_generalization_bound(2.0, 0.1, -1.0)
+
+
+def _thm1b_at(gamma, L, l2_sq, emp_risk):
+    return L / gamma * emp_risk + 0.5 * (L + gamma) * l2_sq
+
+
+def _thm1c_at(gamma, c1, l2_sq, pop_risk_frac):
+    return c1 ** 2 / (2.0 * gamma) * pop_risk_frac + 0.5 * gamma * l2_sq
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-12, 1e3), st.floats(1e-6, 1e3))
+def test_gap_bounds_are_the_two_term_forms_at_their_best_gamma(scale, l2_sq, risk):
+    # the two-term forms hold for every gamma > 0: the rhs is at most each of
+    # them on a grid, and equals them at the minimizing gamma within a few ulp
+    grid = np.geomspace(1e-8, 1e8, 161)
+    smooth = thm1b_generalization_bound(scale, l2_sq, risk)
+    holder = thm1c_generalization_bound(scale, l2_sq, risk)
+    tol = 8 * np.finfo(np.float64).eps
+    assert np.all(smooth <= _thm1b_at(grid, scale, l2_sq, risk) * (1 + tol))
+    assert np.all(holder <= _thm1c_at(grid, scale, l2_sq, risk) * (1 + tol))
+    best = math.sqrt(2.0 * scale * risk / l2_sq)
+    assert smooth == pytest.approx(_thm1b_at(best, scale, l2_sq, risk), rel=tol, abs=0.0)
+    best = scale * math.sqrt(risk / l2_sq)
+    assert holder == pytest.approx(_thm1c_at(best, scale, l2_sq, risk), rel=tol, abs=0.0)
+
+
+def test_gap_bounds_stay_finite_when_l2_sq_underflows():
+    # the minimizing gamma, sqrt(2 L F / l2_sq), is inf at l2_sq = 1e-320
+    assert 0.0 < thm1b_generalization_bound(1.0, 1e-320, 0.5) < 1e-159
+    assert 0.0 < thm1c_generalization_bound(1.0, 1e-320, 0.5) < 1e-159
 
 
 def test_propD2_frozen():

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -295,6 +296,37 @@ def test_standard_error():
     assert got.shape == (3,)
     for c in range(3):
         assert got[c] == standard_error(mat[:, c].copy())
+
+
+def _unscaled_standard_error(vals):
+    """The standard error as it reads without the power-of-two scaling."""
+    return vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+@pytest.mark.parametrize("shape", [(16,), (16, 5)])
+def test_standard_error_scales_by_powers_of_two_bit_for_bit(power, shape):
+    # at 2^-600 the squares underflow to 0, at 2^600 they overflow to inf;
+    # the stderr still scales with the values, and of normal-sized values
+    # it keeps the bits it has without the scaling
+    vals = np.random.default_rng(3).standard_normal(shape)
+    base = standard_error(vals)
+    np.testing.assert_array_equal(base, _unscaled_standard_error(vals))
+    got = standard_error(np.ldexp(vals, power))
+    assert np.all(got > 0.0) and np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, np.ldexp(base, power))
+
+
+def test_standard_error_of_non_finite_and_equal_values():
+    nan, inf = math.nan, math.inf
+    cols = [[1.0, nan, 2.0, 3.0], [1.0, inf, 2.0, 3.0], [-inf, inf, 0.0, 1.0],
+            [inf, inf, inf, inf], [0.25] * 4, [0.0] * 4, [-1e-300] * 4]
+    mat = np.array(cols).T
+    with np.errstate(invalid="ignore"):
+        want = _unscaled_standard_error(mat)
+        np.testing.assert_array_equal(standard_error(mat), want)
+        for c, col in enumerate(cols):
+            np.testing.assert_array_equal(standard_error(np.array(col)), want[c])
 
 
 # ---------------------------------------------------------------------------
@@ -870,11 +902,19 @@ _THM6_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm6\nn_grid = 16\n"
               "[schedule]\nkind = poly_decay\neta1 = 0.1\ntheta = 0.6\n"
               "[domain]\nkind = ball\nradius = 0.5\n")
 
-# One key of a valid config set to a bad value, and the exit code the run
-# must end in: 1 a gate failed (a NaN measurement fails its gate), 2 a
-# config error (a derived constant that overflows included), 3 a resource
-# limit.
+# One key of a valid config set to a bad or extreme value, and the exit code
+# the run must end in: 0 every gate passed (measurements that underflow
+# included), 1 a gate failed (a NaN measurement fails its gate), 2 a config
+# error (a derived constant that overflows included), 3 a resource limit.
 _MUTATIONS = [
+    # l2^2 underflows to a subnormal, and the squares of the oracle's values
+    # underflow in their standard error
+    pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "eta1", "1e-160", 0,
+                 id="thm2-eta1-1e-160"),
+    pytest.param(_thmD1_text("res", _PAIRS["hinge"]), "c", "1e-160", 0,
+                 id="thmD1-hinge-c-1e-160"),
+    pytest.param(_ORACLE_TEXT, "eta1", "1e-160", 0, id="oracle-eta1-1e-160"),
+    pytest.param(_ORACLE_TEXT, "eta1", "1e-100", 0, id="oracle-eta1-1e-100"),
     pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "w_star", "", 2, id="thm2-empty-w_star"),
     pytest.param(_ORACLE_TEXT, "n_grid", "", 2, id="oracle-empty-n_grid"),
     pytest.param(_ORACLE_TEXT, "eta1", "1e300", 1, id="oracle-eta1-1e300"),
