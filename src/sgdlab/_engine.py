@@ -34,27 +34,27 @@ computes each row from that row alone.
 Steps run in blocks of at most ``BLOCK_ROWS // R`` steps, and a block
 gathers the examples of all its steps at once, with one ``np.take`` from
 the rows of all replicates' datasets (a dataset broadcast to every
-replicate is read in place).  The base iterates w_t of a
-block land in a (block + 1, R, d) observation buffer, and what is observed
-on the base rows (one weighted average and the empirical risk at
-checkpoints) is computed from it once per block, in per-row arithmetic, so
-the bits do not depend on the block length.  The average is the one whose
-weights the caller passes (the step sizes, or the linear weights
-t + t0 - 1), of the base rows only; a caller that reads no average passes
-none and pays for none.
+replicate is read in place).  The current rows, the base rows first, live
+in one buffer W.  The base iterates w_t of a block are also copied into a
+(block, R, d) observation buffer, and what is observed on the base rows
+(one weighted average and the empirical risk at checkpoints) is computed
+from it once per block, in per-row arithmetic, so the bits do not depend on
+the block length.  The average is the one whose weights the caller passes
+(the step sizes, or the linear weights t + t0 - 1), of the base rows only;
+a caller that reads no average passes none and pays for none.
 
 - While no neighbour forks up to the end of the chunk read last (no
-  neighbours, or none drawn yet), the block is one ``descend`` call whose
-  iterates are the buffer's slots: slot j holds w_{s+1+j}, the steps write
-  slots 1.., and the last slot carries over to slot 0 once the block's
-  checkpoints and average have read the buffer.  With nothing to observe
-  the rows step in place.
+  neighbours, or none drawn yet), the block is one ``descend`` call.  With
+  something to observe, w_{s+1} is copied from the base rows into slot 0,
+  the steps write w_{s+2}.. into slots 1.. and the last step writes
+  w_{e+1} back into the base rows.  With nothing to observe the rows step
+  in place.
 - Otherwise a step loop forks, swaps in ghost examples, copies the base
-  rows into the buffer and calls ``descend`` for one step on the active
-  rows.  Once neighbours have forked, a step gathers the example of each
-  active row from its replicate's block of examples with ``np.take`` (the
-  same copy as fancy indexing, several times faster on (rows, d) features)
-  and swaps in the ghost examples that step draws.
+  rows into the observation buffer and calls ``descend`` for one step on
+  the active rows.  Once neighbours have forked, a step gathers the example
+  of each active row from its replicate's block of examples with
+  ``np.take`` (the same copy as fancy indexing, several times faster on
+  (rows, d) features) and swaps in the ghost examples that step draws.
 
 The empirical risk F_S(w_j) at checkpoints comes from the loss's
 ``risk_evaluator``, set up once per call: for least squares it is
@@ -100,10 +100,6 @@ BLOCK_ROWS = 1024
 #: MiB, 1024 to 51.4 MiB, and 8192 did not lower it; c08 peaks at 45 MiB
 #: (90 MiB with whole streams).
 STREAM_STEPS = 4096
-#: (iterate, example) pairs per empirical-risk evaluation at checkpoints,
-#: c * R * n <= this, for a loss that averages over the examples (least
-#: squares evaluates from its QR factors and needs no bound)
-RISK_EXAMPLES = 2 ** 14
 #: empirical-risk checkpoints per run at most (see ``checkpoint_steps``)
 MAX_CHECKPOINTS = 512
 
@@ -229,48 +225,31 @@ def _batch_empirical_risk(loss, Wb: np.ndarray, Xs: np.ndarray, ys: np.ndarray) 
     return loss.batch_value(Wb[:, None], Xs, ys).mean(axis=1)
 
 
-def _fork_schedule(sub_idx: np.ndarray, indices: np.ndarray, n: int
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neighbour pairs drawn in a chunk of the streams, in order of first hit.
-
-    ``indices`` is the (R, C) chunk.  Returns ``(pair_r, pair_j, tau)``: the
-    position ``sub_idx[pair_r[p], pair_j[p]]`` is first drawn in the chunk at
-    its step ``tau[p]`` (1-based), ``tau`` is nondecreasing, and ties stay in
-    (replicate, neighbour) order.  A pair whose position the chunk never
-    draws is left out.
-    """
-    R, C = indices.shape
-    first = np.full(R * n, C + 1, dtype=np.int64)
-    if C:
-        flat = (indices + n * np.arange(R, dtype=np.int64)[:, None]).ravel()
-        keys, at = np.unique(flat, return_index=True)
-        first[keys] = at % C + 1
-    tau = first.reshape(R, n)[np.arange(R)[:, None], sub_idx]
-    pair_r, pair_j = np.nonzero(tau <= C)
-    tau = tau[pair_r, pair_j]
-    order = np.argsort(tau, kind="stable")
-    return pair_r[order], pair_j[order], tau[order]
-
-
 def _add_forks(sub_idx: np.ndarray, indices: np.ndarray, n: int, start: int,
                row_of: np.ndarray, pair_r: np.ndarray, pair_j: np.ndarray,
                tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fork schedule ``(pair_r, pair_j, tau)`` of the earlier chunks,
-    followed by that of the chunk ``indices`` (steps start + 1 ..), less the
-    pairs already forked.
+    followed by the pairs first drawn in the chunk ``indices`` (the (R, C)
+    indices of steps start + 1 ..) that have no row yet.
 
-    Pair p's buffer row R + p is recorded in ``row_of`` at its (replicate,
-    position).  The merged ``tau`` counts steps from the start of the stream.
+    The position ``sub_idx[pair_r[p], pair_j[p]]`` is first drawn at step
+    ``tau[p]``, counted from the start of the stream; ``tau`` is
+    nondecreasing, ties in (replicate, neighbour) order.  Pair p's buffer
+    row R + p is recorded in ``row_of`` at its (replicate, position).
     """
-    R = indices.shape[0]
-    P = tau.shape[0]
-    new_r, new_j, new_tau = _fork_schedule(sub_idx, indices, n)
-    if P:
-        new = row_of[new_r, sub_idx[new_r, new_j]] < 0
-        new_r, new_j, new_tau = new_r[new], new_j[new], new_tau[new]
-    row_of[new_r, sub_idx[new_r, new_j]] = R + P + np.arange(new_tau.shape[0])
+    R, C = indices.shape
+    first = np.full(R * n, C + 1, dtype=np.int64)
+    keys, at = np.unique((indices + n * np.arange(R, dtype=np.int64)[:, None]).ravel(),
+                         return_index=True)
+    first[keys] = at % C + 1
+    cols = (np.arange(R)[:, None], sub_idx)
+    first = first.reshape(R, n)[cols]
+    new_r, new_j = np.nonzero((first <= C) & (row_of[cols] < 0))
+    order = np.argsort(first[new_r, new_j], kind="stable")
+    new_r, new_j = new_r[order], new_j[order]
+    row_of[new_r, sub_idx[new_r, new_j]] = R + tau.shape[0] + np.arange(new_r.shape[0])
     return (np.concatenate([pair_r, new_r]), np.concatenate([pair_j, new_j]),
-            np.concatenate([tau, start + new_tau]))
+            np.concatenate([tau, start + first[new_r, new_j]]))
 
 
 def _row_table(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -371,16 +350,14 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices: IndexStream
     if risk_ckpt_steps is not None:
         risk_ckpt_steps = np.asarray(risk_ckpt_steps, dtype=np.int64)
         risk_path = np.empty((R, risk_ckpt_steps.shape[0]), dtype=np.float64)
-        risks = loss.risk_evaluator(Xs, ys, RISK_EXAMPLES)
+        risks = loss.risk_evaluator(Xs, ys)
     acc = np.zeros((R, d)) if average_weights is not None else None
     observed = risk_path is not None or acc is not None
 
     block = max(1, BLOCK_ROWS // R)
     # slot j holds w_{s+1+j} of the block of steps s+1..e
-    base = np.zeros((min(block, T) + 1, R, d)) if observed else None
-    # the iterates of a ``descend`` call while no neighbour has forked: the
-    # slots, or W stepped in place
-    ws = list(base) if observed else [W] * (min(block, T) + 1)
+    base = np.empty((min(block, T), R, d)) if observed else None
+    slots = list(base) if observed else None
     k = R
     Wa = Wb = W                                # the active rows; the base rows
     for c, ids in indices.chunks(max(1, STREAM_STEPS // block) * block):
@@ -388,9 +365,6 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices: IndexStream
         if P < R * m:
             pair_r, pair_j, tau = _add_forks(sub_idx, ids, n, c, row_of, pair_r, pair_j, tau)
             if tau.shape[0] > P:
-                if observed and not P:
-                    # the base rows leave the slots for W
-                    W[...] = base[0]
                 rep = np.concatenate([ar, pair_r])
                 grown = np.empty((R + tau.shape[0], d))
                 grown[:R + P] = W
@@ -402,8 +376,13 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices: IndexStream
             xb = np.take(Xtab, idx + x_start, axis=0)  # (block, R, d)
             yb = np.take(ytab, idx + y_start)
             if not P:
-                # no neighbour has forked: the base rows step the block in one call
-                loss.descend(ws[:e - s + 1], xb, yb,
+                # no neighbour has forked: the base rows step the block in one
+                # call, in place, or from a copy of w_{s+1} through the slots
+                ws = [Wb] * (e - s + 1)
+                if observed:
+                    base[0] = Wb
+                    ws = slots[:e - s] + [Wb]
+                loss.descend(ws, xb, yb,
                              etas[:, s:e, None].swapaxes(0, 1) if per_row
                              else etas[s:e].tolist(), radius)
             else:
@@ -441,21 +420,11 @@ def run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices: IndexStream
                     if per_row:
                         eta = eta[rep[:k], None]
                     loss.descend((Wa, Wa), Xf[None], yf[None], (eta,), radius)
-            if not observed:
-                continue
-
-            buf = base[:e - s]
             if risk_path is not None:
                 at = _in_block(risk_ckpt_steps, s, e)
-                risk_path[:, at] = risks(buf[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
+                risk_path[:, at] = risks(base[risk_ckpt_steps[at] - s - 1].swapaxes(0, 1))
             if acc is not None:
-                _fold(acc, average_weights[s:e], buf)
-            if not P:
-                # w_{e+1} starts the next block; slot 0 (w_{s+1}) is overwritten
-                # only after the checkpoints and the fold have read it
-                base[0] = base[e - s]
-    if observed and not tau.shape[0]:
-        W[...] = base[0]
+                _fold(acc, average_weights[s:e], base[:e - s])
 
     # (R, 1 + m, d): every neighbour that never forked is its base row
     finals = np.repeat(W[:R, None, :], 1 + m, axis=1)

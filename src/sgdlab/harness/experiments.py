@@ -51,7 +51,7 @@ from ..data import (
     sample_neighbor_family,
     Dataset,
 )
-from ..errors import ConfigError, PreconditionViolation
+from ..errors import ConfigError, PreconditionViolation, ResourceLimitExceeded
 from ..losses import (
     check_cocoercivity,
     check_expansiveness_slack,
@@ -92,6 +92,12 @@ CSV_HEADER = ("experiment", "config_hash", "seed", "n", "T", "theta",
 # derivation tags private to the harness (distinct from the engine's)
 _TAG_BATTERY = 0xC4
 _TAG_UNBIASED = 0xE5
+
+#: elements a configured size may ask for: the size times the width of the
+#: rows it counts.  2^32 float64 elements are 32 GiB, past the memory of the
+#: machines the lab is run on; a larger size would not fail before the run
+#: but midway, in a numpy allocation, as an internal error.
+MAX_ELEMENTS = 2 ** 32
 
 
 class CsvRow(NamedTuple):
@@ -637,14 +643,34 @@ _TARGETS = {
 # entry point
 # ---------------------------------------------------------------------------
 
+def _check_sizes(cfg: ExperimentConfig, d: int) -> None:
+    """Raise ``ResourceLimitExceeded`` when a configured size needs an array
+    of more than ``MAX_ELEMENTS`` elements on d-dimensional data.
+
+    A run keeps an iterate and a risk path of up to ``MAX_CHECKPOINTS``
+    values per replicate, a (d,) row per example and per neighbour at each
+    n, one step size per step, and a (d,) row per draw.
+    """
+    sizes = [("replicates", cfg.replicates, max(d, _engine.MAX_CHECKPOINTS)),
+             ("draws", cfg.draws, d)]
+    for n in cfg.n_grid:
+        sizes += [("n", n, d), ("T", steps_for(cfg, n), 1), ("epochs * n", cfg.epochs * n, 1)]
+    for what, size, width in sizes:
+        if size * width > MAX_ELEMENTS:
+            raise ResourceLimitExceeded(f"{what} = {size} needs arrays of {size * width} "
+                                        f"elements; the budget is {MAX_ELEMENTS}")
+
+
 def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
     """The configured runner and its arguments after (cfg, emitter).
 
-    Builds the loss, distribution and domain once and checks every need of
-    the run's ``_TARGETS`` entry; none of them runs the engine, and none but
-    rate-fit's closed-form F* evaluates a population risk.
+    Checks the configured sizes, builds the loss, distribution and domain
+    once and checks every need of the run's ``_TARGETS`` entry; none of them
+    runs the engine, and none but rate-fit's closed-form F* evaluates a
+    population risk.
     """
     if cfg.experiment == "properties":
+        _check_sizes(cfg, _BATTERY_MU.shape[0])
         return _run_properties, ()
     target = _TARGETS[cfg.target if cfg.experiment == "bound-check" else cfg.experiment]
     if target.ball is not None and target.ball != (cfg.domain_kind == "ball"):
@@ -654,6 +680,7 @@ def _prepare(cfg: ExperimentConfig) -> Tuple[Callable[..., None], tuple]:
         raise ConfigError(f"target {cfg.target} runs without projection; "
                           f"a ball domain is used only by {balls}")
     loss, dist, domain = (build(s, cfg) for s in ("loss", "distribution", "domain"))
+    _check_sizes(cfg, dist.dim)
     for need in target.needs:
         need(cfg, loss, dist)
     return target.run, (loss, dist, domain)

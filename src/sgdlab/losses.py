@@ -23,7 +23,8 @@ flat (rows, d) call.  Both give the same bits whatever the memory order of W
 and X: every row dot goes through ``_rowdot``.
 
 The trajectory engine steps through ``descend``, one call per block of
-steps: ws[j + 1] = P(ws[j] - etas[j] * batch_grad(ws[j], X[j], y[j])), with P
+steps, and so do the single-trajectory runners of ``optim``, one call per
+step: ws[j + 1] = P(ws[j] - etas[j] * batch_grad(ws[j], X[j], y[j])), with P
 the projection onto a centered ball (``project_rows``) or the identity.  The
 base class runs exactly that loop, so every loss has the kernel.  Least
 squares overrides it with a loop over two buffers allocated once per call,
@@ -55,6 +56,10 @@ Example = Tuple[np.ndarray, float]
 
 #: default checker tolerance: absolute plus relative to the dominant term
 DEFAULT_TOL = 1e-9
+#: (iterate, example) pairs per evaluation of the generic ``risk_evaluator``,
+#: c * R * n <= this for c iterates of R replicates on n examples (least
+#: squares evaluates from its QR factors and needs no bound)
+RISK_EXAMPLES = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +163,18 @@ class Loss:
             if radius is not None:
                 project_rows(nxt, radius)
 
-    def risk_evaluator(self, Xs: np.ndarray, ys: np.ndarray, max_examples: int):
+    def risk_evaluator(self, Xs: np.ndarray, ys: np.ndarray):
         """The empirical risk on each replicate's dataset, as a function of iterates.
 
         Xs, ys are (R, n, d), (R, n) (broadcast views are fine).  Returns a
         function mapping (R, c, d) iterates to their (R, c) risks F_S(w), the
         mean of ``batch_value`` over the n examples, evaluated on at most
-        ``max_examples`` (iterate, example) pairs at once.  An entry has the
+        ``RISK_EXAMPLES`` (iterate, example) pairs at once.  An entry has the
         bits of a call with its replicate alone and one iterate, whatever the
         memory order of the iterates.
         """
         R, n = ys.shape
-        chunk = max(1, max_examples // (R * n))
+        chunk = max(1, RISK_EXAMPLES // (R * n))
 
         def risks(W: np.ndarray) -> np.ndarray:
             out = np.empty(W.shape[:2])
@@ -246,12 +251,12 @@ class LeastSquares(Loss):
             if radius is not None:
                 project_rows(nxt, radius)
 
-    def risk_evaluator(self, Xs, ys, max_examples):
+    def risk_evaluator(self, Xs, ys):
         """F_S(w) = ||R [w; -1]||^2 / (2n), with R the triangular factor of [X | y].
 
         [X | y] = Q R, so ||[X | y] [w; -1]|| = ||R [w; -1]||.  One QR per
         replicate costs O(n d^2); each iterate then costs O(d^2), not O(n d),
-        and needs no chunking (``max_examples`` is not used).
+        and needs no chunking.
 
         The contractions are row dots (``_rowdot``), not a BLAS matmul, which
         rounds a row differently depending on the batch it sits in.

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _engine
 from .errors import InvalidArgument
-from .losses import Loss, project_rows
+from .losses import Loss
 
 # ---------------------------------------------------------------------------
 # domains and regularizers
@@ -237,9 +237,10 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
     """One trajectory along the stream ``indices`` of one replicate, drawn
     from index seed ``seed`` and read in chunks of ``_engine.STREAM_STEPS``.
 
-    A plain loop over the steps of one (1, d) row.  Its gradient step, ball
-    projection and averages do the engine's arithmetic, so ``final`` and the
-    averages equal those of ``_engine.run_core`` bit for bit.
+    A plain loop over the steps of one (1, d) row.  Each step is one call of
+    the engine's step kernel, ``Loss.descend``, then the prox of ``reg``, and
+    the averages do the engine's arithmetic, so without a regularizer
+    ``final`` and the averages equal those of ``_engine.run_core`` bit for bit.
     """
     if not record_every >= 1:
         raise InvalidArgument(f"record_every must be >= 1, got {record_every}")
@@ -253,6 +254,7 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
     w = np.zeros((1, features.shape[1]))
     acc_eta = np.zeros_like(w)
     acc_lin = np.zeros_like(w)
+    radius = None if domain is None else domain.radius
     stream = (i for _, ids in indices.chunks(_engine.STREAM_STEPS) for i in ids[0].tolist())
     for t, (i, eta, lw) in enumerate(zip(stream, etas.tolist(), lin.tolist())):
         if t % record_every == 0:
@@ -261,10 +263,8 @@ def _run(loss: Loss, features: np.ndarray, labels: np.ndarray, sched: Schedule,
         per_step_risk[t] = loss.batch_value(w, x, y)[0]
         acc_eta += eta * w
         acc_lin += lw * w
-        w -= eta * loss.batch_grad(w, x, y)
-        if domain is not None:
-            project_rows(w, domain.radius)
-        elif reg is not None and reg.kind == "l2":
+        loss.descend((w, w), x[None], y[None], (eta,), radius)
+        if reg is not None and reg.kind == "l2":
             w *= 1.0 / (1.0 + eta * reg.strength)
         elif reg is not None:
             np.multiply(np.sign(w), np.maximum(np.abs(w) - eta * reg.strength, 0.0), out=w)

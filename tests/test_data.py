@@ -316,7 +316,7 @@ def _empirical_risks(loss, ds, w):
     iterate's risk), and the loss's ``risk_evaluator`` (the checkpoints)."""
     X, y, W = ds.features[None], ds.labels[None], np.asarray(w)[None]
     return (float(_engine._batch_empirical_risk(loss, W, X, y)[0]),
-            float(loss.risk_evaluator(X, y, _engine.RISK_EXAMPLES)(W[:, None])[0, 0]))
+            float(loss.risk_evaluator(X, y)(W[:, None])[0, 0]))
 
 
 def test_empirical_risk_hand_value():

@@ -39,7 +39,7 @@ def _eager_run_core(loss, Xs, ys, gXs, gys, sub_idx, etas, radius, indices, *,
     accs = [np.zeros((R, B, d)) for _ in weightings]
     risk_path = np.empty((R, len(risk_ckpt_steps)))
     ckpt = {int(t): k for k, t in enumerate(risk_ckpt_steps)}
-    risks = loss.risk_evaluator(Xs, ys, _engine.RISK_EXAMPLES)
+    risks = loss.risk_evaluator(Xs, ys)
     ar = np.arange(R)
     for t in range(1, T + 1):
         # one step for all, or each replicate's own step
@@ -146,6 +146,10 @@ def test_lazy_forking_matches_eager_loop(loss_kind, post, R, n, d, steps,
         else:
             # the engine keeps the average of the base rows only
             _assert_bitwise(out.avg, avg[:, 0], "avg")
+    # nothing observed: the rows step in place
+    out = _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None, sub, etas,
+                           POSTS[post], _engine.given_stream(indices))
+    _assert_bitwise(out.finals, want["finals"], "finals")
 
 
 def test_per_replicate_steps_reject_averages_and_wrong_shapes():
@@ -171,17 +175,33 @@ def test_per_replicate_steps_reject_averages_and_wrong_shapes():
         assert (out.avg is None) == (weights is None)
 
 
+def _first_forks(sub, indices, n):
+    """``_add_forks`` on the first chunk of a stream, from empty state:
+    ``(row_of, pair_r, pair_j, tau)``."""
+    none = np.empty(0, dtype=np.int64)
+    row_of = np.full((sub.shape[0], n), -1, dtype=np.int64)
+    return (row_of,) + _engine._add_forks(sub, indices, n, 0, row_of, none, none, none)
+
+
 def test_fork_schedule_sorts_first_hits_and_drops_unhit_pairs():
-    indices = np.array([[2, 0, 2, 1],
-                        [3, 3, 3, 3]])
     sub = np.array([[1, 2, 3],
                     [0, 3, 1]])
-    pair_r, pair_j, tau = _engine._fork_schedule(sub, indices, n=4)
-    # replicate 0: position 2 at step 1, position 1 at step 4, 3 never;
-    # replicate 1: position 3 at step 1, positions 0 and 1 never
-    got = sorted(zip(tau.tolist(), pair_r.tolist(), pair_j.tolist()))
+    # steps 1..4: replicate 0 draws position 2 at step 1 and 1 at step 4,
+    # never 3; replicate 1 draws 3 at step 1, never 0 or 1
+    row_of, pair_r, pair_j, tau = _first_forks(sub, np.array([[2, 0, 2, 1],
+                                                              [3, 3, 3, 3]]), n=4)
+    got = list(zip(tau.tolist(), pair_r.tolist(), pair_j.tolist()))
     assert got == [(1, 0, 1), (1, 1, 1), (4, 0, 0)]
-    assert np.all(np.diff(tau) >= 0)
+    # steps 5..7: replicate 0 draws 2 and 1 again, already forked, and 3 at
+    # step 6; replicate 1 draws 3 again, 1 at step 6 and 0 at step 7
+    pair_r, pair_j, tau = _engine._add_forks(sub, np.array([[2, 3, 1],
+                                                            [3, 1, 0]]), 4, 4, row_of,
+                                             pair_r, pair_j, tau)
+    got = list(zip(tau.tolist(), pair_r.tolist(), pair_j.tolist()))
+    assert got == [(1, 0, 1), (1, 1, 1), (4, 0, 0), (6, 0, 2), (6, 1, 2), (7, 1, 0)]
+    # pair p has buffer row R + p, after the R = 2 base rows
+    assert row_of.tolist() == [[-1, 4, 2, 5],
+                               [7, 6, -1, 3]]
 
 
 def test_unhit_neighbour_equals_its_base_row():
@@ -271,22 +291,23 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
     if m == 1:
         # no neighbour forks in the first chunks of 1, 2 and 7 steps: the
         # engine leaves the fork-free path between chunks
-        assert _engine._fork_schedule(sub, indices, n)[2][0] > 7
+        assert _first_forks(sub, indices, n)[3][0] > 7
 
     def run(block_steps, stream_steps, risk_examples, ckpt, weights):
         monkeypatch.setattr(_engine, "BLOCK_ROWS", block_steps * R)
         monkeypatch.setattr(_engine, "STREAM_STEPS", stream_steps)
-        monkeypatch.setattr(_engine, "RISK_EXAMPLES", risk_examples)
+        monkeypatch.setattr("sgdlab.losses.RISK_EXAMPLES", risk_examples)
         return _engine.run_core(loss, Xs, ys, gXs if m else None, gys if m else None,
                                 sub, etas, POSTS[post], stream(),
                                 risk_ckpt_steps=ckpt, average_weights=weights)
 
     # steps per replicate weigh no average
     weightings = ((() if per_row else (etas,)) + (_engine.linear_weights(T, 4),))
-    # a checkpoint at every step, and a sparse set that skips whole blocks
+    # a checkpoint at every step, a sparse set that skips whole blocks, and
+    # none: with no average either, the rows step in place
     dense = _engine.checkpoint_steps(T)
     monkeypatch.setattr(_engine, "MAX_CHECKPOINTS", 6)
-    ckpts = (dense, _engine.checkpoint_steps(T))
+    ckpts = (dense, _engine.checkpoint_steps(T), None)
     want = _eager_run_core(loss, Xs, ys, gXs, gys, sub, etas, POSTS[post], indices,
                            risk_ckpt_steps=ckpts[0], weightings=weightings)
     for ckpt in ckpts:
@@ -301,9 +322,12 @@ def test_block_length_does_not_change_any_output(monkeypatch, loss_kind, post, R
             for weights, avg in zip(weightings + (None,), want["avgs"] + [None]):
                 got = run(block_steps, stream_steps, risk_examples, ckpt, weights)
                 _assert_bitwise(got.finals, want["finals"], "finals")
-                _assert_bitwise(got.risk_path,
-                                want["risk_path"][:, np.searchsorted(ckpts[0], ckpt)],
-                                "risk_path")
+                if ckpt is None:
+                    assert got.risk_path is None
+                else:
+                    _assert_bitwise(got.risk_path,
+                                    want["risk_path"][:, np.searchsorted(dense, ckpt)],
+                                    "risk_path")
                 if weights is None:
                     assert got.avg is None
                 else:
@@ -324,8 +348,9 @@ def test_path_generator_is_the_derived_key_stream():
 @pytest.mark.parametrize("radius", [None, 0.3], ids=["none", "ball"])
 @pytest.mark.parametrize("loss_kind", ["least_squares", "hinge1", "hinge1.5", "auc"])
 def test_runners_step_like_the_engine(loss_kind, radius, permutation):
-    # the single-trajectory runners keep a step loop of their own; on the same
-    # index matrix and step sizes it must give the engine's bits
+    # the single-trajectory runners step one row at a time through the
+    # engine's kernel and keep averages of their own; on the same index
+    # matrix and step sizes they must give the engine's bits
     n, d, seed, epochs = 7, 3, 5, 4
     rng = np.random.default_rng(17)
     loss = _loss(loss_kind, d, rng)

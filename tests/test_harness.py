@@ -901,6 +901,8 @@ _THM6_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm6\nn_grid = 16\n"
               "cov_minus = 0.09\n"
               "[schedule]\nkind = poly_decay\neta1 = 0.1\ntheta = 0.6\n"
               "[domain]\nkind = ball\nradius = 0.5\n")
+_PROPG2_TEXT = ("[experiment]\nkind = bound-check\ntarget = propG2\nn_grid = 8\n"
+                "replicates = 10\nepochs = 2\nmaster_seed = 1\n" + _PAIRS["hinge"] + _POLY)
 
 # One key of a valid config set to a bad or extreme value, and the exit code
 # the run must end in: 0 every gate passed (measurements that underflow
@@ -934,6 +936,11 @@ _MUTATIONS = [
     # c3 = (2^-alpha L)^(1/(1 - alpha)) overflows as it is computed
     pytest.param(_thmD1_text("res", _HOLDER_PAIRS["q_hinge"]), "cov", "1e250", 2,
                  id="thmD1-q_hinge_1.5-cov-1e250"),
+    # sizes no run can hold end before the output directory is made
+    pytest.param(_PROPD2_TEXT, "replicates", str(2 ** 63), 3, id="propD2-replicates-2^63"),
+    pytest.param(_PROPD2_TEXT, "n_grid", str(2 ** 63), 3, id="propD2-n_grid-2^63"),
+    pytest.param(_THM6_TEXT, "draws", str(2 ** 63), 3, id="thm6-draws-2^63"),
+    pytest.param(_PROPG2_TEXT, "epochs", str(2 ** 63), 3, id="propG2-epochs-2^63"),
 ]
 
 
@@ -947,6 +954,8 @@ def test_cli_config_mutations_end_in_their_exit_codes(tmp_path, capsys, text, ke
     assert main([experiment, "--config", cfg_path, "--out", str(tmp_path / "res")]) == code
     if code in (2, 3):
         assert len(capsys.readouterr().err.splitlines()) == 1
+    if code == 3:
+        assert not (tmp_path / "res").exists()
 
 
 def test_cli_import_leaves_dataclasses_unloaded():

@@ -368,7 +368,7 @@ def test_least_squares_qr_risk_matches_per_example_mean(n, d):
     X = rng.normal(size=(R, n, d))
     y = rng.normal(size=(R, n))
     W = rng.normal(scale=2.0, size=(R, c, d))
-    got = loss.risk_evaluator(X, y, 2 ** 14)(W)
+    got = loss.risk_evaluator(X, y)(W)
     want = _per_example_mean(loss, W, X, y)
     assert got.shape == (R, c)
     assert np.all(np.abs(got - want) <= _qr_risk_allowance(W, X, y))
@@ -383,8 +383,8 @@ def test_least_squares_qr_risk_on_broadcast_fixed_family():
     X0, y0 = rng.normal(size=(n, d)), rng.normal(size=n)
     X, y = np.broadcast_to(X0, (R, n, d)), np.broadcast_to(y0, (R, n))
     W = rng.normal(size=(R, 6, d))
-    got = loss.risk_evaluator(X, y, 2 ** 14)(W)
-    assert got.tobytes() == loss.risk_evaluator(X.copy(), y.copy(), 2 ** 14)(W).tobytes()
+    got = loss.risk_evaluator(X, y)(W)
+    assert got.tobytes() == loss.risk_evaluator(X.copy(), y.copy())(W).tobytes()
     want = _per_example_mean(loss, W, X, y)
     assert np.all(np.abs(got - want) <= _qr_risk_allowance(W, X, y))
 
@@ -399,13 +399,13 @@ def test_least_squares_qr_risk_is_nonnegative_on_realizable_data(n, d):
     X = rng.normal(size=(R, n, d))
     w_star = rng.normal(size=(R, 1, d))
     y = np.einsum("rnd,rd->rn", X, w_star[:, 0])
-    got = loss.risk_evaluator(X, y, 2 ** 14)(w_star)
+    got = loss.risk_evaluator(X, y)(w_star)
     assert np.all(got >= 0.0)
     assert np.all(got <= _qr_risk_allowance(w_star, X, y))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
-def test_risk_evaluator_bits_do_not_depend_on_the_batch(d):
+def test_risk_evaluator_bits_do_not_depend_on_the_batch(monkeypatch, d):
     # a replicate's risks are the same alone or among others, and for one
     # checkpoint or many; the engine hands over (c, R, d) buffers swapped to
     # (R, c, d)
@@ -414,14 +414,19 @@ def test_risk_evaluator_bits_do_not_depend_on_the_batch(d):
     X = rng.normal(size=(R, n, d))
     y = rng.choice([-1.0, 1.0], size=(R, n)) * rng.uniform(0.5, 1.5, size=(R, n))
     W = rng.normal(size=(c, R, d)).swapaxes(0, 1)
+
+    def evaluator(X, y, budget):
+        monkeypatch.setattr("sgdlab.losses.RISK_EXAMPLES", budget)
+        return loss.risk_evaluator(X, y)
+
     for loss in _all_losses(d, rng):
         # a budget of 2 n examples: the averaging losses take two iterates at a time
-        full = loss.risk_evaluator(X, y, 2 * n)(W)
-        assert full.tobytes() == loss.risk_evaluator(X, y, 2 ** 14)(W).tobytes()
+        full = evaluator(X, y, 2 * n)(W)
+        assert full.tobytes() == evaluator(X, y, 2 ** 14)(W).tobytes()
         for layout in (np.ascontiguousarray(W), np.asfortranarray(W)):
-            assert full.tobytes() == loss.risk_evaluator(X, y, 1)(layout).tobytes()
+            assert full.tobytes() == evaluator(X, y, 1)(layout).tobytes()
         for r in range(R):
-            alone = loss.risk_evaluator(X[r:r + 1], y[r:r + 1], 2 ** 14)
+            alone = evaluator(X[r:r + 1], y[r:r + 1], 2 ** 14)
             assert alone(W[r:r + 1]).tobytes() == full[r:r + 1].tobytes(), (loss.kind, r)
             for j in range(c):
                 one = alone(W[r:r + 1, j:j + 1])
