@@ -51,6 +51,9 @@ GAUSS_8D = ("[distribution]\nkind = gauss_lin_reg\n"
 MARGIN_4D = ("[distribution]\nkind = margin_classif\n"
              "w_star = 1.0, 0.0, 0.0, 0.0\ncov = 0.25\nflip_prob = 0.1\n")
 
+GAUSS_4D = ("[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.0, 0.0, 0.0\n"
+            "cov = 0.25\nnoise_sd = 0.25\n")
+
 HINGE = "[loss]\nkind = q_hinge\nq = 1.0\n"
 
 C3_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm2\nn_grid = 64, 256\n"
@@ -337,6 +340,21 @@ _C13_CONFIGS = {
                     "replicates = 16\nmaster_seed = 1\n" + HINGE + MARGIN_4D +
                     "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n"
                     "[experiment]\n"),
+    "bound-thmD1-q_hinge_1.5": ("[experiment]\nkind = bound-check\ntarget = thmD1\n"
+                                "n_grid = 16\nreplicates = 16\nmaster_seed = 1\n"
+                                "[loss]\nkind = q_hinge\nq = 1.5\n" + MARGIN_4D +
+                                "[schedule]\nkind = horizon_poly\nc = 1.0\ntheta = 0.75\n"
+                                "[experiment]\n"),
+    "bound-thmD1-q_power_abs_1.5": ("[experiment]\nkind = bound-check\ntarget = thmD1\n"
+                                    "n_grid = 16\nreplicates = 16\nmaster_seed = 1\n"
+                                    "[loss]\nkind = q_power_abs\nq = 1.5\n" + GAUSS_4D +
+                                    "[schedule]\nkind = horizon_poly\nc = 1.0\n"
+                                    "theta = 0.75\n[experiment]\n"),
+    "bound-thm2-q_power_abs_2": ("[experiment]\nkind = bound-check\ntarget = thm2\n"
+                                 "n_grid = 16\nreplicates = 16\nmaster_seed = 1\n"
+                                 "[loss]\nkind = q_power_abs\nq = 2.0\n" + GAUSS_4D +
+                                 "[schedule]\nkind = fixed_constant\neta1 = 0.001\n"
+                                 "[experiment]\n"),
     "bound-thm6": ("[experiment]\nkind = bound-check\ntarget = thm6\nn_grid = 16\n"
                    "replicates = 16\ndraws = 2000\nmaster_seed = 1\n"
                    "[loss]\nkind = auc_square\n"
@@ -483,10 +501,19 @@ def test_golden_csv_bytes(tmp_path, blas_threads):
 
 
 if __name__ == "__main__":
-    # record the manifest afresh, after a change whose moved bytes are accounted for
+    # record the manifest afresh, after a change whose moved bytes are accounted for,
+    # and print the labels it adds, moves and drops against the old manifest
     import tempfile
     with tempfile.TemporaryDirectory() as out:
         digests = golden_digests(out, 1)
+    old = {}
+    if os.path.exists(_GOLDEN):
+        with open(_GOLDEN) as fh:
+            old = json.load(fh)["sha256"]
+    for what, labels in (("added", set(digests) - set(old)),
+                         ("moved", {k for k in set(digests) & set(old) if digests[k] != old[k]}),
+                         ("dropped", set(old) - set(digests))):
+        print(f"{what}: {' '.join(sorted(labels)) or '-'}")
     with open(_GOLDEN, "w") as fh:
         json.dump({"numpy": np.__version__, "sha256": digests}, fh, indent=1, sort_keys=True)
         fh.write("\n")
