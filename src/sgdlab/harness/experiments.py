@@ -10,7 +10,9 @@ Five experiment kinds:
 - rate-fit: excess risk of the averaged iterate over an n grid plus a
   log-log slope fit;
 - bound-check: measured quantities gated against the closed-form right-hand
-  sides (select with `target`).
+  sides (select with `target`).  The targets that run replace-one
+  neighbours (thm2, thmD1, thm6, propG2) share one runner, which takes the
+  l2 and gap bounds from the loss's alpha.
 
 Every row carries the master seed and a hash of the canonical config; float
 cells use 17 significant digits so reruns are byte-comparable.
@@ -19,6 +21,7 @@ cells use 17 significant digits so reruns are byte-comparable.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from typing import Callable, List, NamedTuple, Optional, Tuple
@@ -339,19 +342,11 @@ def _run_oracle(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
 # stability sweep / rate fit
 # ---------------------------------------------------------------------------
 
-def _stability(cfg, loss, dist, n, T, sched, domain, record_risks,
-               without_replacement=False):
-    """The configured on-average stability estimate at one grid point."""
-    return estimate_on_average_stability(loss, dist, n, T, sched, domain,
-                                         cfg.replicates, cfg.master_seed,
-                                         record_risks=record_risks,
-                                         without_replacement=without_replacement)
-
-
 def _run_stability_sweep(cfg: ExperimentConfig, em: _Emitter, loss, dist,
                          domain) -> None:
     for n, T, sched, theta in _grid(cfg):
-        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
+        rep = estimate_on_average_stability(loss, dist, n, T, sched, domain, cfg.replicates,
+                                            cfg.master_seed, record_risks=False)
         for metric, vals in (("l1_stability", rep.l1), ("l2_sq_stability", rep.l2_sq),
                              ("final_emp_risk", rep.emp_risk)):
             mean, se = _mean_se(vals)
@@ -379,60 +374,72 @@ def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
 # bound checks
 # ---------------------------------------------------------------------------
 
-def _check_thm2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    L = support_constants(loss, dist).L
-    for n, T, sched, theta in _grid(cfg):
-        etas = sched.etas(T)
-        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=True)
-        risk_path = expand_risk_path(rep.risk_steps, _upper(rep.risk), T)
-        sqrt_risk_path = expand_risk_path(
-            rep.risk_steps, _upper(np.sqrt(np.maximum(rep.risk, 0.0))), T)
-        em.gate_row("l1_stability", thm2_l1_bound(n, etas, L, sqrt_risk_path),
-                    *_mean_se(rep.l1), n=n, T=T, theta=theta)
-        em.gate_row("l2_sq_stability", thm2_l2_bound(n, etas, L, risk_path),
-                    *_mean_se(rep.l2_sq), n=n, T=T, theta=theta)
-        # generalization gap against the smooth-case bound, same runs
-        gap = gap_from_stability(loss, dist, rep)
-        rhs = thm1b_generalization_bound(L, _upper(rep.l2_sq), _upper(rep.emp_risk))
-        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap), n=n, T=T,
-                    theta=theta)
+def _replace_one(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain, *,
+                 l1=None, l2: bool = False, epochs: bool = False) -> None:
+    """Gate the on-average stability of replace-one neighbours over the n grid.
 
-
-def _check_thmD1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    consts = support_constants(loss, dist)
+    ``l1(n, etas, consts, loss, path)`` gives the name and rhs of an l1 gate;
+    ``path(f)`` is the mean plus stderr of f(max(F_S(w_j), 0)), j = 1..T.
+    ``l2`` adds the l2^2 and gap gates of the same runs (Theorems 2 and 1(b)
+    at alpha = 1, D.1 and 1(c) below); ``epochs`` runs ``cfg.epochs`` epochs
+    without replacement.
+    """
+    consts = support_constants(loss, dist, domain)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
-    for n, T, sched, theta in _grid(cfg):
-        # the rhs weights step j by E[F_S(w_j)^frac_expo]; at alpha = 0 the
+    steps = (lambda cfg, n: cfg.epochs * n) if epochs else steps_for
+    for n, T, sched, theta in _grid(cfg, steps):
+        etas = sched.etas(T)
+        # the l2 rhs weights step j by E[F_S(w_j)^frac_expo]; at alpha = 0 the
         # exponent is 0, every F^0 is 1 (0 and NaN included), and the mean
         # plus stderr of ones is exactly 1, so the runs record no risk path
-        rep = _stability(cfg, loss, dist, n, T, sched, None,
-                         record_risks=frac_expo > 0.0)
-        if frac_expo > 0.0:
-            frac_risk = np.power(np.maximum(rep.risk, 0.0), frac_expo)
-            frac_risk_path = expand_risk_path(rep.risk_steps, _upper(frac_risk), T)
-        else:
-            frac_risk_path = np.ones(T)
-        rhs = thmD1_nonsmooth_l2_bound(n, sched.etas(T), loss.alpha, consts.c1,
-                                       consts.c3, frac_risk_path)
-        em.gate_row("l2_sq_stability", rhs, *_mean_se(rep.l2_sq),
-                    n=n, T=T, theta=theta)
+        rep = estimate_on_average_stability(loss, dist, n, T, sched, domain, cfg.replicates,
+                                            cfg.master_seed,
+                                            record_risks=l2 and frac_expo > 0.0,
+                                            without_replacement=epochs)
+
+        def path(f):
+            return expand_risk_path(rep.risk_steps, _upper(f(np.maximum(rep.risk, 0.0))), T)
+
+        at = dict(n=n, T=T, theta=theta)
+        if l1 is not None:
+            em.gate_row(*l1(n, etas, consts, loss, path), *_mean_se(rep.l1), **at)
+        if not l2:
+            continue
+        frac_path = path(lambda F: np.power(F, frac_expo)) if frac_expo > 0.0 else np.ones(T)
         gap = gap_from_stability(loss, dist, rep)
-        # E[F^frac] <= (E F)^frac by concavity, so (E F + stderr)^frac is
-        # conservative for the rhs; at alpha = 0 the exponent is 0 and it is 1.
-        # Without a closed form gap.pop is the held-out loss, whose mean is
-        # E F(A(S)) because A(S^(i)) has the law of A(S) and is independent of z_i
-        pop_frac = max(_upper(gap.pop), 0.0) ** frac_expo
-        rhs = thm1c_generalization_bound(consts.c1, _upper(rep.l2_sq), pop_frac)
-        em.gate_row("generalization_gap", rhs, *_mean_se(gap.gap),
-                    n=n, T=T, theta=theta)
+        if loss.alpha == 1.0:
+            l2_rhs = thm2_l2_bound(n, etas, consts.L, frac_path)
+            gap_rhs = thm1b_generalization_bound(consts.L, _upper(rep.l2_sq),
+                                                 _upper(rep.emp_risk))
+        else:
+            l2_rhs = thmD1_nonsmooth_l2_bound(n, etas, loss.alpha, consts.c1, consts.c3,
+                                              frac_path)
+            # E[F^frac] <= (E F)^frac by concavity, so (E F + stderr)^frac is
+            # conservative for the rhs.  Without a closed form gap.pop is the
+            # held-out loss, whose mean is E F(A(S)) because A(S^(i)) has the
+            # law of A(S) and is independent of z_i
+            gap_rhs = thm1c_generalization_bound(consts.c1, _upper(rep.l2_sq),
+                                                 max(_upper(gap.pop), 0.0) ** frac_expo)
+        em.gate_row("l2_sq_stability", l2_rhs, *_mean_se(rep.l2_sq), **at)
+        em.gate_row("generalization_gap", gap_rhs, *_mean_se(gap.gap), **at)
+
+
+def _thm2_l1(n, etas, consts, loss, path):
+    return "l1_stability", thm2_l1_bound(n, etas, consts.L, path(np.sqrt))
+
+
+def _thm6_l1(n, etas, consts, loss, path):
+    return "l1_stability", thm6_convex_stability_bound(n, etas, consts.L, consts.G)
+
+
+def _propG2_l1(n, etas, consts, loss, path):
+    # epoch k runs steps k n + 1 .. (k + 1) n
+    return "epoch_l1_stability", propG2_without_replacement_bound(
+        etas.reshape(-1, n), loss.alpha, consts.c3, consts.G, n)
 
 
 def _check_thm6(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    consts = support_constants(loss, dist, domain)
-    for n, T, sched, theta in _grid(cfg):
-        rep = _stability(cfg, loss, dist, n, T, sched, domain, record_risks=False)
-        rhs = thm6_convex_stability_bound(n, sched.etas(T), consts.L, consts.G)
-        em.gate_row("l1_stability", rhs, *_mean_se(rep.l1), n=n, T=T, theta=theta)
+    _replace_one(cfg, em, loss, dist, domain, l1=_thm6_l1)
     # the surrogate's expectation must reproduce the closed-form population
     # objective: Monte-Carlo check at the origin and at an interior point
     probes = [np.zeros(dist.dim)]
@@ -501,19 +508,6 @@ def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
             fracs[lo:hi] = pop + 0.5 * lam * _rowdot(W, W)
         rhs = propD2_erm_bound(c1, n, lam, _upper(fracs))
         em.gate_row("erm_gap", rhs, *_mean_se(gaps), n=n)
-
-
-def _check_propG2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
-    consts = support_constants(loss, dist)
-    K = cfg.epochs
-    for n, T, sched, theta in _grid(cfg, steps=lambda cfg, n: K * n):
-        rep = _stability(cfg, loss, dist, n, T, sched, None, record_risks=False,
-                         without_replacement=True)
-        etas = sched.etas(T)
-        per_epoch = [etas[k * n:(k + 1) * n] for k in range(K)]
-        rhs = propG2_without_replacement_bound(per_epoch, loss.alpha, consts.c3, consts.G, n)
-        em.gate_row("epoch_l1_stability", rhs, *_mean_se(rep.l1),
-                    n=n, T=T, theta=theta)
 
 
 def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
@@ -624,16 +618,17 @@ _TARGETS = {
     "stability-sweep": _Target(_run_stability_sweep, None, (_schedule,)),
     "rate-fit": _Target(_run_rate_fit, None,
                         (_schedule, _risk_minimum, _THREE_POINTS, _TWO_REPLICATES)),
-    "thm2": _Target(_check_thm2, False,
+    "thm2": _Target(functools.partial(_replace_one, l1=_thm2_l1, l2=True), False,
                     (_SMOOTH, _CONVEX_NONNEGATIVE, _schedule, _finite_constants,
                      _steps_within_2_over_L, _TWO_REPLICATES)),
-    "thmD1": _Target(_check_thmD1, False,
+    "thmD1": _Target(functools.partial(_replace_one, l2=True), False,
                      (_HOLDER, _schedule, _finite_constants, _TWO_REPLICATES)),
     "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form, _finite_constants)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES, _finite_constants)),
     "propD2": _Target(_check_propD2, False,
                       (_LEAST_SQUARES, _RIDGE, _risk_closed_form, _finite_constants)),
-    "propG2": _Target(_check_propG2, False, (_PLAIN_HINGE, _schedule, _finite_constants)),
+    "propG2": _Target(functools.partial(_replace_one, l1=_propG2_l1, epochs=True), False,
+                      (_PLAIN_HINGE, _schedule, _finite_constants)),
     "propG1": _Target(_check_propG1, False,
                       (_PLAIN_HINGE, _schedule, _HORIZON_POLY, _finite_constants)),
 }
