@@ -489,10 +489,14 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
                     n=n, T=T)
 
 
+def _ridge_c1(cfg, loss, dist) -> float:
+    # per-example objective f + (lam/2)||w||^2 is smooth with constant L + lam
+    return math.sqrt(2.0 * (support_constants(loss, dist).L + cfg.sigma))
+
+
 def _check_propD2(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None:
     lam = cfg.sigma
-    # per-example objective f + (lam/2)||w||^2 is smooth with constant L + lam
-    c1 = math.sqrt(2.0 * (support_constants(loss, dist).L + lam))
+    c1 = _ridge_c1(cfg, loss, dist)
     for n in cfg.n_grid:
         R = cfg.replicates
         draw = replicate_data(dist, n, cfg.master_seed, ghosts=False)
@@ -597,6 +601,28 @@ def _steps_within_2_over_L(cfg, loss, dist) -> None:
                 f"reaches {top:.6g} at n = {n}")
 
 
+def _finite_bound(cfg, what: str, n: int, value: float) -> None:
+    # a bound that depends on the config alone and is not finite says nothing,
+    # and its gate would fail on finite measurements after all of the run's work
+    if not math.isfinite(value):
+        raise ConfigError(f"target {cfg.target} needs a finite {what} at every n, "
+                          f"and it is {value} at n = {n}")
+
+
+def _finite_thm6_bound(cfg, loss, dist) -> None:
+    consts = support_constants(loss, dist, build("domain", cfg))
+    for n, T, sched, _ in _grid(cfg):
+        _, rhs = _thm6_l1(n, sched.etas(T), consts, loss, None)
+        _finite_bound(cfg, "l1 bound", n, rhs)
+
+
+def _finite_propD2_factor(cfg, loss, dist) -> None:
+    c1 = _ridge_c1(cfg, loss, dist)
+    for n in cfg.n_grid:
+        _finite_bound(cfg, "factor 2 c1^2 / (n sigma)", n,
+                      propD2_erm_bound(c1, n, cfg.sigma, 1.0))
+
+
 def _risk_closed_form(cfg, loss, dist) -> None:
     if closed_form_risk(loss, dist) is None:
         raise ConfigError(f"target {cfg.target} needs a closed-form population "
@@ -623,10 +649,12 @@ _TARGETS = {
                      _steps_within_2_over_L, _TWO_REPLICATES)),
     "thmD1": _Target(functools.partial(_replace_one, l2=True), False,
                      (_HOLDER, _schedule, _finite_constants, _TWO_REPLICATES)),
-    "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form, _finite_constants)),
+    "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form, _finite_constants,
+                                        _finite_thm6_bound)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES, _finite_constants)),
     "propD2": _Target(_check_propD2, False,
-                      (_LEAST_SQUARES, _RIDGE, _risk_closed_form, _finite_constants)),
+                      (_LEAST_SQUARES, _RIDGE, _risk_closed_form, _finite_constants,
+                       _finite_propD2_factor)),
     "propG2": _Target(functools.partial(_replace_one, l1=_propG2_l1, epochs=True), False,
                       (_PLAIN_HINGE, _schedule, _finite_constants)),
     "propG1": _Target(_check_propG1, False,

@@ -218,8 +218,17 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float]
 
 
 def _distance_means(out: _engine.CoreResult) -> Tuple[np.ndarray, np.ndarray]:
-    """Per replicate, the means of ||w - w^(i)|| and of its square over the neighbours."""
-    norms = np.linalg.norm(out.finals[:, 1:] - out.finals[:, :1], axis=2)
+    """Per replicate, the means of ||w - w^(i)|| and of its square over the neighbours.
+
+    Each difference is scaled by the power of two that brings its largest
+    |component| into [1/2, 1) before the norm squares its components, and
+    the norm is scaled back: the scaling is exact, so a distance near the
+    top of the float range does not overflow in the squares, and the rest
+    keep their bits.
+    """
+    diff = out.finals[:, 1:] - out.finals[:, :1]
+    e = np.frexp(np.abs(diff).max(axis=2))[1]
+    norms = np.ldexp(np.linalg.norm(np.ldexp(diff, -e[..., None], out=diff), axis=2), e)
     return norms.mean(axis=1), (norms ** 2).mean(axis=1)
 
 

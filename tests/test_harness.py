@@ -903,6 +903,8 @@ _THM6_TEXT = ("[experiment]\nkind = bound-check\ntarget = thm6\nn_grid = 16\n"
               "[domain]\nkind = ball\nradius = 0.5\n")
 _PROPG2_TEXT = ("[experiment]\nkind = bound-check\ntarget = propG2\nn_grid = 8\n"
                 "replicates = 10\nepochs = 2\nmaster_seed = 1\n" + _PAIRS["hinge"] + _POLY)
+_PROPG1_TEXT = ("[experiment]\nkind = bound-check\ntarget = propG1\nn_grid = 8\n"
+                "replicates = 20\ndelta = 0.1\nmaster_seed = 1\n" + _PAIRS["hinge"] + _POLY)
 
 # One key of a valid config set to a bad or extreme value, and the exit code
 # the run must end in: 0 every gate passed (measurements that underflow
@@ -917,6 +919,9 @@ _MUTATIONS = [
                  id="thmD1-hinge-c-1e-160"),
     pytest.param(_ORACLE_TEXT, "eta1", "1e-160", 0, id="oracle-eta1-1e-160"),
     pytest.param(_ORACLE_TEXT, "eta1", "1e-100", 0, id="oracle-eta1-1e-100"),
+    # distances of about 1e299, whose components' squares overflow
+    pytest.param(_PROPG2_TEXT, "c", "1e300", 0, id="propG2-c-1e300"),
+    pytest.param(_PROPG1_TEXT, "c", "1e300", 0, id="propG1-c-1e300"),
     pytest.param(_THM2_TEXT + "eta1 = 0.015625\n", "w_star", "", 2, id="thm2-empty-w_star"),
     pytest.param(_ORACLE_TEXT, "n_grid", "", 2, id="oracle-empty-n_grid"),
     pytest.param(_ORACLE_TEXT, "eta1", "1e300", 1, id="oracle-eta1-1e300"),
@@ -933,6 +938,13 @@ _MUTATIONS = [
     pytest.param(_THM6_TEXT, "cov_minus", "1e300", 2, id="thm6-cov_minus-1e300"),
     pytest.param(_THM6_TEXT, "mu_plus", "1e150, 1e150", 2, id="thm6-mu_plus-1e150"),
     pytest.param(_THM6_TEXT, "mu_minus", "1e150, 1e150", 2, id="thm6-mu_minus-1e150"),
+    # C_T = prod_j (1 + L^2 eta_j^2) in thm6's bound overflows, and so does
+    # propD2's factor 2 c1^2 / (n sigma)
+    pytest.param(_THM6_TEXT, "eta1", "1e300", 2, id="thm6-eta1-1e300"),
+    pytest.param(_THM6_TEXT, "eta1", str(2 ** 63), 2, id="thm6-eta1-2^63"),
+    pytest.param(_THM6_TEXT, "cov_plus", str(2 ** 63), 2, id="thm6-cov_plus-2^63"),
+    pytest.param(_THM6_TEXT, "cov_minus", str(2 ** 63), 2, id="thm6-cov_minus-2^63"),
+    pytest.param(_PROPD2_TEXT, "sigma", "1e-320", 2, id="propD2-sigma-1e-320"),
     # c3 = (2^-alpha L)^(1/(1 - alpha)) overflows as it is computed
     pytest.param(_thmD1_text("res", _HOLDER_PAIRS["q_hinge"]), "cov", "1e250", 2,
                  id="thmD1-q_hinge_1.5-cov-1e250"),
