@@ -389,7 +389,8 @@ def _replace_one(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain, *,
     steps = (lambda cfg, n: cfg.epochs * n) if epochs else steps_for
     for n, T, sched, theta in _grid(cfg, steps):
         etas = sched.etas(T)
-        # the l2 rhs weights step j by E[F_S(w_j)^frac_expo]; at alpha = 0 the
+        # the l2 rhs weights step j by E[F_S(w_j)^frac_expo], which is
+        # E F_S(w_j) at alpha = 1, where F^1 is exactly F.  At alpha = 0 the
         # exponent is 0, every F^0 is 1 (0 and NaN included), and the mean
         # plus stderr of ones is exactly 1, so the runs record no risk path
         rep = estimate_on_average_stability(loss, dist, n, T, sched, domain, cfg.replicates,
