@@ -524,7 +524,8 @@ def _hinge_margin_argmin(dist: MarginClassif) -> Optional[np.ndarray]:
     g* for every normal pf (checked against mpmath).
     """
     s2 = dist.cov[0, 0]
-    if not np.allclose(dist.cov, s2 * np.eye(dist.dim)):
+    # exact: a tolerance would tie the decision to the units of the features
+    if not np.array_equal(dist.cov, s2 * np.eye(dist.dim)):
         raise InvalidArgument("hinge risk minimum needs an isotropic covariance")
     pf = dist.flip_prob
     if pf == 0.0:
@@ -555,9 +556,8 @@ def _closed_form(loss: Loss, dist: Distribution, need: Optional[str] = None):
             return 0.5 * (_rowdot(_rowdot(D[:, None, :], dist.cov), D) + dist.noise_sd ** 2)
         return risk, dist.w_star.copy
     if isinstance(loss, AucSquare) and isinstance(dist, ImbalancedGauss):
-        if not (math.isclose(loss.p, dist.p)
-                and np.allclose(loss.mu_plus, dist.mu_plus)
-                and np.allclose(loss.mu_minus, dist.mu_minus)):
+        if not (loss.p == dist.p and np.array_equal(loss.mu_plus, dist.mu_plus)
+                and np.array_equal(loss.mu_minus, dist.mu_minus)):
             raise InvalidArgument(
                 "the AUC surrogate's moment parameters must match the distribution")
         dmu = dist.mu_plus - dist.mu_minus

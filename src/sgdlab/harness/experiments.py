@@ -56,6 +56,7 @@ from ..data import (
 )
 from ..errors import ConfigError, PreconditionViolation, ResourceLimitExceeded
 from ..losses import (
+    CHECK_PRECONDITIONS,
     check_cocoercivity,
     check_expansiveness_slack,
     check_gradient_monotonicity,
@@ -235,27 +236,25 @@ def property_battery():
     ]
 
 
+# each checker as (loss, w, w2, X, y, eta) -> one bool per row; a runner looks its
+# checker up here when it runs, so a wrapper of the name (bench/tracing.py's) sees it
+_CHECK_RUNNERS = {
+    "self_bounding": lambda l, w, w2, X, y, eta: check_self_bounding(l, w, X, y),
+    "gradient_monotonicity":
+        lambda l, w, w2, X, y, eta: check_gradient_monotonicity(l, w, w2, X, y),
+    "cocoercivity": lambda l, w, w2, X, y, eta: check_cocoercivity(l, w, w2, X, y),
+    "nonexpansive": lambda l, w, w2, X, y, eta: check_nonexpansive(l, w, w2, X, y, eta),
+    "expansiveness_slack":
+        lambda l, w, w2, X, y, eta: check_expansiveness_slack(l, w, w2, X, y, eta),
+    "smoothness_upper_bound":
+        lambda l, w, w2, X, y, eta: check_smoothness_upper_bound(l, w, w2, X, y),
+}
+
+
 def applicable_checks(loss):
-    """(name, runner) pairs valid for this loss's convexity/regularity."""
-    checks = []
-    if loss.nonnegative:
-        checks.append(("self_bounding",
-                       lambda l, w, w2, z, eta: check_self_bounding(l, w, z)))
-    if loss.convex_per_example:
-        checks.append(("gradient_monotonicity",
-                       lambda l, w, w2, z, eta: check_gradient_monotonicity(l, w, w2, z)))
-        checks.append(("cocoercivity",
-                       lambda l, w, w2, z, eta: check_cocoercivity(l, w, w2, z)))
-        if loss.alpha == 1.0:
-            checks.append(("nonexpansive",
-                           lambda l, w, w2, z, eta: check_nonexpansive(l, w, w2, z, eta)))
-        else:
-            checks.append(("expansiveness_slack",
-                           lambda l, w, w2, z, eta: check_expansiveness_slack(l, w, w2, z, eta)))
-    if loss.alpha == 1.0:
-        checks.append(("smoothness_upper_bound",
-                       lambda l, w, w2, z, eta: check_smoothness_upper_bound(l, w, w2, z)))
-    return checks
+    """(name, runner) of each checker whose ``CHECK_PRECONDITIONS`` entry the loss meets."""
+    return [(name, _CHECK_RUNNERS[name])
+            for name, (_, holds) in CHECK_PRECONDITIONS.items() if holds(loss)]
 
 
 def battery_draws(index: int, label: str, loss, draws: int, master_seed: int):
@@ -295,7 +294,7 @@ def run_property_battery(draws: int, master_seed: int):
         W, W2, X, Y, U = battery_draws(bi, label, loss, draws, master_seed)
         for name, fn in applicable_checks(loss):
             eta = U * 2.0 / loss.holder_constant(X, Y) if name == "nonexpansive" else U
-            ok = fn(loss, W, W2, (X, Y), eta)
+            ok = fn(loss, W, W2, X, Y, eta)
             results.append((name, label, draws, draws - int(np.count_nonzero(ok))))
     return results
 
@@ -558,6 +557,14 @@ _HORIZON_POLY = _rule(lambda cfg, loss: cfg.sched_kind == "horizon_poly",
                       "a horizon_poly schedule (constant steps c * T^(-theta))")
 # the gap estimates take a standard error, which needs two replicates
 _TWO_REPLICATES = _rule(lambda cfg, loss: cfg.replicates >= 2, "at least 2 replicates")
+# thm6's unbiasedness probes: a probe sample without the rare class lacks its
+# term of the objective, and the sample's own stderr cannot show that.  It
+# happens with probability about exp(-draws p), and 6 expected draws keep it
+# below e^-6 = 0.25%, the false-fail rate that a two-sided 3-sigma gate allows
+_PROBE_CLASSES = _rule(lambda cfg, loss: cfg.p_plus is None
+                       or cfg.draws * min(cfg.p_plus, 1.0 - cfg.p_plus) >= 6.0,
+                       "draws * min(p_plus, 1 - p_plus) >= 6, so that each unbiasedness "
+                       "probe draws the rare class")
 # a log-log line through two points fits them exactly and has no residual
 _THREE_POINTS = _rule(lambda cfg, loss: len(cfg.n_grid) >= 3,
                       "at least 3 n values in n_grid to fit a slope")
@@ -651,7 +658,7 @@ _TARGETS = {
     "thmD1": _Target(functools.partial(_replace_one, l2=True), False,
                      (_HOLDER, _schedule, _finite_constants, _TWO_REPLICATES)),
     "thm6": _Target(_check_thm6, True, (_schedule, _risk_closed_form, _finite_constants,
-                                        _finite_thm6_bound)),
+                                        _finite_thm6_bound, _PROBE_CLASSES)),
     "thm8": _Target(_check_thm8, True, (_LEAST_SQUARES, _finite_constants)),
     "propD2": _Target(_check_propD2, False,
                       (_LEAST_SQUARES, _RIDGE, _risk_closed_form, _finite_constants,

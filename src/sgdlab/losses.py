@@ -12,8 +12,9 @@ derived constants c1/c2/c3 used by the stability bounds, ``support_constants``
 gives every constant a bound is stated in as a sup over a distribution's
 support, and the ``check_*`` functions verify lemma-level inequalities on
 concrete points to a tolerance.
-The checkers, ``holder_constant`` and ``grad_norm_at_zero`` take either one
-example or a batch of rows; a single example is a batch of one.
+The checkers, ``holder_constant`` and ``grad_norm_at_zero`` take rows:
+features X (B, d) and labels y (B,), with one value per row.  What each
+checker needs of the loss is stated once, in ``CHECK_PRECONDITIONS``.
 
 Batch variants (``batch_value`` / ``batch_grad``) evaluate one example per row
 for a whole family of parameter rows at once.  ``batch_value`` also takes
@@ -41,7 +42,7 @@ so never negative, with no cancellation of y'y against the other terms.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,8 +53,6 @@ except ImportError:  # numpy < 2
 
 from .errors import InvalidArgument, PreconditionViolation
 
-Example = Tuple[np.ndarray, float]
-
 #: default checker tolerance: absolute plus relative to the dominant term
 DEFAULT_TOL = 1e-9
 #: (iterate, example) pairs per evaluation of the generic ``risk_evaluator``,
@@ -63,23 +62,17 @@ RISK_EXAMPLES = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
-# one example or a batch of rows
+# rows
 # ---------------------------------------------------------------------------
 
-def _batch(z: Example, *ws):
-    """(batched, X, y, *W): the example(s) as rows, each w broadcast to them."""
-    x, y = z
-    X = np.asarray(x, dtype=np.float64)
-    batched = X.ndim == 2
-    X = np.atleast_2d(X)
+def _batch(X: np.ndarray, y: np.ndarray, *ws):
+    """(X, y, *W) as float64 rows, each w broadcast to the rows of X (B, d)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise InvalidArgument(f"features must be rows of shape (B, d), got shape {X.shape}")
     Y = np.broadcast_to(np.asarray(y, dtype=np.float64), X.shape[:1])
-    return (batched, X, Y) + tuple(
-        np.broadcast_to(np.asarray(w, dtype=np.float64), X.shape) for w in ws)
-
-
-def _unbatch(v: np.ndarray, batched: bool):
-    # one value per row, or a Python scalar for a single example
-    return v if batched else v[0].item()
+    return (X, Y) + tuple(np.broadcast_to(np.asarray(w, dtype=np.float64), X.shape)
+                          for w in ws)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,34 +178,15 @@ class Loss:
 
         return risks
 
-    # -- scalar convenience wrappers -------------------------------------
-
-    def value(self, w: np.ndarray, x: np.ndarray, y: float) -> float:
-        w = np.asarray(w, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        return float(self.batch_value(w[None, :], x[None, :], np.asarray([y]))[0])
-
-    def subgradient(self, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-        w = np.asarray(w, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        return self.batch_grad(w[None, :], x[None, :], np.asarray([y]))[0]
-
-    def holder_constant(self, x: np.ndarray, y: float) -> float:
-        """Valid Hölder constant of w -> df(w; (x, y)) for one example.
-
-        x of shape (d,) with a scalar y gives a float; rows x of shape (B, d)
-        with y of shape (B,) give one constant per row.
-        """
+    def holder_constant(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """A valid Hölder constant of w -> df(w; (x, y)) for each row of X (B, d)
+        and y (B,)."""
         raise NotImplementedError
 
-    def grad_norm_at_zero(self, x: np.ndarray, y: float) -> float:
-        """||df(0; z)||, the g0 ingredient of c1 in the alpha = 0 case.
-
-        Shapes as for ``holder_constant``.
-        """
-        batched, X, Y = _batch((x, y))
-        g = self.batch_grad(np.zeros_like(X), X, Y)
-        return _unbatch(np.linalg.norm(g, axis=1), batched)
+    def grad_norm_at_zero(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """||df(0; z)|| of each row, the g0 ingredient of c1 in the alpha = 0 case."""
+        X, Y = _batch(X, y)
+        return np.linalg.norm(self.batch_grad(np.zeros_like(X), X, Y), axis=1)
 
 
 class LeastSquares(Loss):
@@ -277,9 +251,9 @@ class LeastSquares(Loss):
 
         return risks
 
-    def holder_constant(self, x, y):
-        batched, X, _ = _batch((x, y))
-        return _unbatch(_rowdot(X, X), batched)
+    def holder_constant(self, X, y):
+        X, _ = _batch(X, y)
+        return _rowdot(X, X)
 
 
 class QNormHinge(Loss):
@@ -315,11 +289,11 @@ class QNormHinge(Loss):
         coef = np.where(active, self.q * np.maximum(slack, 0.0) ** (self.q - 1.0), 0.0)
         return (-coef * y)[:, None] * X
 
-    def holder_constant(self, x, y):
+    def holder_constant(self, X, y):
         # one-sided clipping of the margin is 1-Lipschitz, so the textbook
         # constant q * ||x||^q is valid (and tight as the margin crosses 1)
-        batched, X, _ = _batch((x, y))
-        return _unbatch(self.q * np.linalg.norm(X, axis=1) ** self.q, batched)
+        X, _ = _batch(X, y)
+        return self.q * np.linalg.norm(X, axis=1) ** self.q
 
 
 class QPowerAbsolute(Loss):
@@ -352,10 +326,9 @@ class QPowerAbsolute(Loss):
         coef = np.where(r != 0.0, self.q * np.sign(r) * np.abs(r) ** (self.q - 1.0), 0.0)
         return (-coef)[:, None] * X
 
-    def holder_constant(self, x, y):
-        batched, X, _ = _batch((x, y))
-        nx = np.linalg.norm(X, axis=1)
-        return _unbatch(2.0 ** (2.0 - self.q) * self.q * nx ** self.q, batched)
+    def holder_constant(self, X, y):
+        X, _ = _batch(X, y)
+        return 2.0 ** (2.0 - self.q) * self.q * np.linalg.norm(X, axis=1) ** self.q
 
 
 class AucSquare(Loss):
@@ -427,10 +400,10 @@ class AucSquare(Loss):
         )
         return grad
 
-    def holder_constant(self, x, y):
+    def holder_constant(self, X, y):
         # f(.; z) is an exact quadratic; bound the spectral norm of its
         # (constant) Hessian by the triangle inequality over its four terms
-        batched, X, Y = _batch((x, y))
+        X, Y = _batch(X, y)
         p = self.p
         nx = np.linalg.norm(X, axis=1)
         nD = float(np.linalg.norm(self.diff))
@@ -438,7 +411,7 @@ class AucSquare(Loss):
         quad = np.where(Y > 0.0,
                         2.0 * (1.0 - p) * np.linalg.norm(X - self.mu_plus, axis=1) ** 2,
                         2.0 * p * np.linalg.norm(X - self.mu_minus, axis=1) ** 2)
-        return _unbatch(quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD, batched)
+        return quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +534,32 @@ def support_constants(loss: Loss, dist, domain=None) -> SupportConstants:
 # ---------------------------------------------------------------------------
 # inequality checkers
 #
-# Each checker takes z = (x, y) as one example (x of shape (d,), scalar y)
-# and returns a bool, or as a batch (x of shape (B, d), y of shape (B,)) and
-# returns one bool per row.  w, w2 and eta broadcast against the rows.  A
-# precondition that fails on any row raises.
+# Each checker takes rows, features X (B, d) and labels y (B,), broadcasts w,
+# w2 and eta against them and returns one bool per row.  A loss that misses
+# the checker's entry in CHECK_PRECONDITIONS raises PreconditionViolation,
+# and so does a step past 2/L on any row of the non-expansiveness check.
 # ---------------------------------------------------------------------------
+
+#: checker name -> (what it needs of the loss, whether a loss meets that), in
+#: the order the properties battery runs the checkers
+CHECK_PRECONDITIONS = {
+    "self_bounding": ("a nonnegative loss", lambda loss: loss.nonnegative),
+    "gradient_monotonicity": ("a convex loss", lambda loss: loss.convex_per_example),
+    "cocoercivity": ("a convex loss", lambda loss: loss.convex_per_example),
+    "nonexpansive": ("a convex smooth loss",
+                     lambda loss: loss.convex_per_example and loss.alpha == 1.0),
+    "expansiveness_slack": ("a convex loss with alpha < 1",
+                            lambda loss: loss.convex_per_example and loss.alpha < 1.0),
+    "smoothness_upper_bound": ("a smooth loss (alpha = 1)", lambda loss: loss.alpha == 1.0),
+}
+
+
+def _require(name: str, loss: Loss) -> None:
+    need, holds = CHECK_PRECONDITIONS[name]
+    if not holds(loss):
+        raise PreconditionViolation(f"the {name} check requires {need}, not {loss.kind} "
+                                    f"with alpha = {loss.alpha}")
+
 
 def _leq(lhs, rhs, tol: float):
     # absolute tol plus the same tol relative to the dominant term
@@ -584,32 +578,27 @@ def _step_gap(loss: Loss, W, W2, X, Y, eta) -> np.ndarray:
     return (W - e * loss.batch_grad(W, X, Y)) - (W2 - e * loss.batch_grad(W2, X, Y))
 
 
-def check_self_bounding(loss: Loss, w: np.ndarray, z: Example, tol: float = DEFAULT_TOL) -> bool:
-    """||df(w; z)|| <= c1 * f(w; z)^(alpha/(1+alpha)).  Needs f >= 0."""
-    if not loss.nonnegative:
-        raise PreconditionViolation(
-            f"self-bounding requires a nonnegative loss, not {loss.kind}")
-    batched, X, Y, W = _batch(z, w)
+def check_self_bounding(loss: Loss, w, X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """||df(w; z)|| <= c1 * f(w; z)^(alpha/(1+alpha))."""
+    _require("self_bounding", loss)
+    X, Y, W = _batch(X, y, w)
     c = _per_example_constants(loss, X, Y)
     g = np.linalg.norm(loss.batch_grad(W, X, Y), axis=1)
     f = np.maximum(loss.batch_value(W, X, Y), 0.0)  # guard tiny negative round-off
     expo = loss.alpha / (1.0 + loss.alpha)
-    return _unbatch(_leq(g, c.c1 * f ** expo, tol), batched)
+    return _leq(g, c.c1 * f ** expo, tol)
 
 
-def check_gradient_monotonicity(loss: Loss, w: np.ndarray, w2: np.ndarray,
-                                z: Example, tol: float = DEFAULT_TOL) -> bool:
-    """<w - w2, df(w) - df(w2)> >= 0 for convex-per-example losses."""
-    if not loss.convex_per_example:
-        raise PreconditionViolation(
-            f"gradient monotonicity requires a convex loss, not {loss.kind}")
-    batched, X, Y, W, W2 = _batch(z, w, w2)
+def check_gradient_monotonicity(loss: Loss, w, w2, X, y,
+                                tol: float = DEFAULT_TOL) -> np.ndarray:
+    """<w - w2, df(w) - df(w2)> >= 0."""
+    _require("gradient_monotonicity", loss)
+    X, Y, W, W2 = _batch(X, y, w, w2)
     dg = loss.batch_grad(W, X, Y) - loss.batch_grad(W2, X, Y)
-    return _unbatch(_leq(0.0, _rowdot(W - W2, dg), tol), batched)
+    return _leq(0.0, _rowdot(W - W2, dg), tol)
 
 
-def check_cocoercivity(loss: Loss, w: np.ndarray, w2: np.ndarray,
-                       z: Example, tol: float = DEFAULT_TOL) -> bool:
+def check_cocoercivity(loss: Loss, w, w2, X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hölder co-coercivity of a convex loss.
 
     For alpha > 0:
@@ -618,29 +607,24 @@ def check_cocoercivity(loss: Loss, w: np.ndarray, w2: np.ndarray,
     At alpha = 0 the right-hand side degenerates and the inequality reduces to
     plain gradient monotonicity.
     """
-    if not loss.convex_per_example:
-        raise PreconditionViolation(
-            f"co-coercivity requires a convex loss, not {loss.kind}")
+    _require("cocoercivity", loss)
     a = loss.alpha
-    batched, X, Y, W, W2 = _batch(z, w, w2)
+    X, Y, W, W2 = _batch(X, y, w, w2)
     dg = loss.batch_grad(W, X, Y) - loss.batch_grad(W2, X, Y)
     inner = _rowdot(W - W2, dg)
     if a == 0.0:
-        return _unbatch(_leq(0.0, inner, tol), batched)
+        return _leq(0.0, inner, tol)
     L = loss.holder_constant(X, Y)
     if not np.all(L > 0.0):
         raise InvalidArgument(f"L must be positive, got {L.min()}")
     rhs = 2.0 * L ** (-1.0 / a) * a / (1.0 + a) * np.linalg.norm(dg, axis=1) ** ((1.0 + a) / a)
-    return _unbatch(_leq(rhs, inner, tol), batched)
+    return _leq(rhs, inner, tol)
 
 
-def check_nonexpansive(loss: Loss, w: np.ndarray, w2: np.ndarray, z: Example,
-                       eta: float, tol: float = DEFAULT_TOL) -> bool:
-    """Gradient step with eta <= 2/L is 1-Lipschitz for convex smooth losses."""
-    if not (loss.convex_per_example and loss.alpha == 1.0):
-        raise PreconditionViolation(
-            f"non-expansiveness requires a convex smooth loss, not {loss.kind}")
-    batched, X, Y, W, W2 = _batch(z, w, w2)
+def check_nonexpansive(loss: Loss, w, w2, X, y, eta, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A gradient step with eta <= 2/L is 1-Lipschitz."""
+    _require("nonexpansive", loss)
+    X, Y, W, W2 = _batch(X, y, w, w2)
     eta = np.broadcast_to(np.asarray(eta, dtype=np.float64), Y.shape)
     with np.errstate(divide="ignore"):
         limit = 2.0 / loss.holder_constant(X, Y)
@@ -650,22 +634,17 @@ def check_nonexpansive(loss: Loss, w: np.ndarray, w2: np.ndarray, z: Example,
         raise PreconditionViolation(
             f"step size {eta[k]} exceeds 2/L = {limit[k]} for example {k}")
     after = _step_gap(loss, W, W2, X, Y, eta)
-    return _unbatch(_leq(np.linalg.norm(after, axis=1), np.linalg.norm(W - W2, axis=1), tol),
-                    batched)
+    return _leq(np.linalg.norm(after, axis=1), np.linalg.norm(W - W2, axis=1), tol)
 
 
-def check_expansiveness_slack(loss: Loss, w: np.ndarray, w2: np.ndarray, z: Example,
-                              eta: float, tol: float = DEFAULT_TOL) -> bool:
-    """Squared expansion of a gradient step for convex alpha < 1 losses.
+def check_expansiveness_slack(loss: Loss, w, w2, X, y, eta,
+                              tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Squared expansion of a gradient step.
 
     ||(w - eta df(w)) - (w2 - eta df(w2))||^2 <= ||w - w2||^2 + c3^2 eta^(2/(1-alpha)).
     """
-    if not loss.convex_per_example:
-        raise PreconditionViolation(
-            f"expansiveness slack requires a convex loss, not {loss.kind}")
-    if loss.alpha >= 1.0:
-        raise PreconditionViolation("expansiveness slack is stated for alpha < 1")
-    batched, X, Y, W, W2 = _batch(z, w, w2)
+    _require("expansiveness_slack", loss)
+    X, Y, W, W2 = _batch(X, y, w, w2)
     eta = np.broadcast_to(np.asarray(eta, dtype=np.float64), Y.shape)
     if np.any(eta < 0.0):
         raise InvalidArgument(f"step size must be nonnegative, got {eta.min()}")
@@ -673,22 +652,18 @@ def check_expansiveness_slack(loss: Loss, w: np.ndarray, w2: np.ndarray, z: Exam
     after = _step_gap(loss, W, W2, X, Y, eta)
     dw = W - W2
     rhs = _rowdot(dw, dw) + c.c3 ** 2 * eta ** (2.0 / (1.0 - loss.alpha))
-    return _unbatch(_leq(_rowdot(after, after), rhs, tol), batched)
+    return _leq(_rowdot(after, after), rhs, tol)
 
 
-def check_smoothness_upper_bound(loss: Loss, w: np.ndarray, w2: np.ndarray,
-                                 z: Example, tol: float = DEFAULT_TOL) -> bool:
-    """Quadratic upper bound f(w2) <= f(w) + <df(w), w2 - w> + L/2 ||w2 - w||^2.
-
-    Valid for any loss with a Lipschitz gradient (alpha = 1), convex or not.
-    """
-    if loss.alpha != 1.0:
-        raise PreconditionViolation(
-            f"the quadratic upper bound requires a smooth loss, not alpha = {loss.alpha}")
-    batched, X, Y, W, W2 = _batch(z, w, w2)
+def check_smoothness_upper_bound(loss: Loss, w, w2, X, y,
+                                 tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Quadratic upper bound f(w2) <= f(w) + <df(w), w2 - w> + L/2 ||w2 - w||^2,
+    convex or not."""
+    _require("smoothness_upper_bound", loss)
+    X, Y, W, W2 = _batch(X, y, w, w2)
     L = loss.holder_constant(X, Y)
     dw = W2 - W
     lhs = loss.batch_value(W2, X, Y)
     rhs = loss.batch_value(W, X, Y) + _rowdot(loss.batch_grad(W, X, Y), dw) \
         + 0.5 * L * _rowdot(dw, dw)
-    return _unbatch(_leq(lhs, rhs, tol), batched)
+    return _leq(lhs, rhs, tol)

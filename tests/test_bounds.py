@@ -481,3 +481,93 @@ def test_expand_risk_path_dominates_checkpoints(T, salt):
     # everything in between is bounded by the recorded max
     assert np.all(full <= vals.max() + 1e-15)
     assert np.all(full >= vals.min() - 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# changes of units
+# ---------------------------------------------------------------------------
+
+def _units(alpha):
+    """The unit of each quantity as powers (a, b) of a length and a loss value.
+
+    w is a length and f a loss value, so a step eta is length^2 / value, a
+    Hölder constant value / length^(1 + alpha), and c1, c2 and c3 follow from
+    the inequalities that define them (``regularity_constants``).
+    """
+    units = {"eta": (2, -1), "L": (-1 - alpha, 1), "G": (-1, 1), "sigma": (-2, 1),
+             "c1": (-1, 1 / (1 + alpha)), "risk": (0, 1), "sqrt_risk": (0, 0.5),
+             "frac_risk": (0, 2 * alpha / (1 + alpha)), "w_sq": (2, 0), "l2_sq": (2, 0),
+             "l1": (1, 0), "value": (0, 1)}
+    if alpha < 1.0:
+        units["c2"] = (4 - 2 * (3 - alpha) / (1 - alpha), (3 - alpha) / (1 - alpha) - 1)
+        units["c3"] = (1 - 2 / (1 - alpha), 1 / (1 - alpha))
+    return units
+
+
+_N, _ETAS = 16, np.linspace(0.3, 0.05, 12)
+_PATH = np.linspace(0.9, 0.2, 12)
+_EPOCHS = _ETAS.reshape(3, 4)
+
+# calculator -> (alpha, unit of its value, its value from u(unit, base value))
+_SCALE_CASES = {
+    "thm2_l1": (1.0, "l1", lambda u: thm2_l1_bound(
+        _N, u("eta", _ETAS), u("L", 1.7), u("sqrt_risk", _PATH))),
+    "thm2_l2": (1.0, "l2_sq", lambda u: thm2_l2_bound(
+        _N, u("eta", _ETAS), u("L", 1.7), u("risk", _PATH))),
+    "thmD1_alpha0": (0.0, "l2_sq", lambda u: thmD1_nonsmooth_l2_bound(
+        _N, u("eta", _ETAS), 0.0, u("c1", 2.3), u("c3", 1.1), u("frac_risk", _PATH))),
+    "thmD1_alpha0.5": (0.5, "l2_sq", lambda u: thmD1_nonsmooth_l2_bound(
+        _N, u("eta", _ETAS), 0.5, u("c1", 2.3), u("c3", 1.1), u("frac_risk", _PATH))),
+    "thm6": (1.0, "l1", lambda u: thm6_convex_stability_bound(
+        _N, u("eta", _ETAS), u("L", 1.7), u("G", 0.8))),
+    "thm8": (1.0, "l1", lambda u: thm8_strongly_convex_stability_bound(
+        _N, u("G", 0.8), u("sigma", 0.3), 40, 7)),
+    "thm1b": (1.0, "value", lambda u: thm1b_generalization_bound(
+        u("L", 1.7), u("l2_sq", 0.02), u("risk", 0.4))),
+    "thm1c_alpha0": (0.0, "value", lambda u: thm1c_generalization_bound(
+        u("c1", 2.3), u("l2_sq", 0.02), u("frac_risk", 0.4))),
+    "thm1c_alpha0.5": (0.5, "value", lambda u: thm1c_generalization_bound(
+        u("c1", 2.3), u("l2_sq", 0.02), u("frac_risk", 0.4))),
+    "propD2": (1.0, "value", lambda u: propD2_erm_bound(
+        u("c1", 2.3), _N, u("sigma", 0.3), u("frac_risk", 0.4))),
+    "propG1_alpha0": (0.0, "l1", lambda u: propG1_high_prob_bound(
+        u("eta", 0.7), 0.75, 0.0, u("c3", 1.1), u("G", 0.8), 40, _N, 0.1)),
+    "propG1_alpha0.5": (0.5, "l1", lambda u: propG1_high_prob_bound(
+        u("eta", 0.7), 0.75, 0.5, u("c3", 1.1), u("G", 0.8), 40, _N, 0.1)),
+    "propG2_alpha0": (0.0, "l1", lambda u: propG2_without_replacement_bound(
+        u("eta", _EPOCHS), 0.0, u("c3", 1.1), u("G", 0.8), 4)),
+    "propG2_alpha0.5": (0.5, "l1", lambda u: propG2_without_replacement_bound(
+        u("eta", _EPOCHS), 0.5, u("c3", 1.1), u("G", 0.8), 4)),
+    "lemmaA2a": (1.0, "value", lambda u: lemmaA2a_opt_bound(
+        u("eta", _ETAS), u("G", 0.8), u("w_sq", 2.5))),
+    # steps up to 0.3, within 1 / (2 L) = 0.5 in every unit
+    "lemmaA2c": (1.0, "l2_sq", lambda u: lemmaA2c_weighted_opt_bound(
+        u("eta", _ETAS), u("L", 1.0), u("w_sq", 2.5), u("risk", 0.4))),
+    # at an interior alpha Lemma A.2(d) raises scaled sums to powers such as
+    # 1/3, which no float holds exactly, so its exact test is at alpha = 0
+    "lemmaA2d_alpha0": (0.0, "l2_sq", lambda u: lemmaA2d_holder_opt_bound(
+        u("eta", _ETAS), 0.0, u("c1", 2.3), u("c2", 5.29), u("w_sq", 2.5), u("risk", 0.4))),
+}
+
+
+@pytest.mark.parametrize("case", list(_SCALE_CASES))
+@given(length=st.integers(-10, 10), value=st.integers(-2, 2))
+@settings(max_examples=25, deadline=None)
+def test_calculators_are_exactly_scale_covariant(case, length, value):
+    # lengths times 2^length and loss values times 2^(6 value) move every
+    # argument and the bound by their powers of two, exactly: a wrong power
+    # of a unit in a calculator moves the bound by another power.  Every
+    # power of a scaled argument inside these calculators is an integer, or a
+    # square root of an even power, so no rounding differs.
+    alpha, out, calc = _SCALE_CASES[case]
+    units = _units(alpha)
+
+    def power(unit):
+        a, b = units[unit]
+        e = a * length + b * 6 * value
+        assert abs(e - round(e)) < 1e-9, (unit, e)
+        return int(round(e))
+
+    base = calc(lambda unit, v: v)
+    got = calc(lambda unit, v: np.ldexp(v, power(unit)))
+    assert got == math.ldexp(base, power(out)), (base, got)

@@ -428,6 +428,26 @@ def test_population_risk_minimum_hinge_isotropic_only():
         population_risk_minimum(loss, aniso)
 
 
+def test_closed_form_conditions_do_not_depend_on_units():
+    # isotropy and the AUC moment match are compared exactly: at the 1e-9
+    # scale an absolute tolerance of 1e-8 would call any two values equal
+    loss = QNormHinge(q=1.0)
+    tiny = MarginClassif(w_star=np.array([1.0, 0.0]), cov=1e-9, flip_prob=0.1)
+    val, w_min = population_risk_minimum(loss, tiny)
+    assert np.isfinite(val) and w_min[1] == 0.0
+    aniso = MarginClassif(w_star=np.array([1.0, 0.0]), cov=np.array([1e-9, 4e-9]),
+                          flip_prob=0.1)
+    with pytest.raises(InvalidArgument, match="isotropic covariance"):
+        population_risk_minimum(loss, aniso)
+    mu = np.array([1e-9, 0.0])
+    dist = ImbalancedGauss(p=0.3, mu_plus=mu, mu_minus=-mu, cov_plus=1e-18, cov_minus=1e-18)
+    auc = AucSquare(p=0.3, mu_plus=2.0 * mu, mu_minus=-mu)
+    with pytest.raises(InvalidArgument, match="moment parameters must match"):
+        population_risk(auc, dist, np.zeros(2))
+    assert np.isfinite(population_risk(AucSquare(p=0.3, mu_plus=mu, mu_minus=-mu), dist,
+                                       np.zeros(2)))
+
+
 # ---------------------------------------------------------------------------
 # Phi, erf and Owen's T against scipy.special
 # ---------------------------------------------------------------------------

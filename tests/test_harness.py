@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sgdlab.harness.config import (
     ExperimentConfig,
     build,
     config_hash,
+    load_config,
     parse_config,
     serialize_config,
     steps_for,
@@ -140,6 +142,24 @@ def test_readme_example_config_parses():
     assert cfg.T_rule == "equal_n" and cfg.cov == (0.125,)
     assert (cfg.loss_kind, cfg.sched_kind, cfg.domain_kind) == \
         ("least_squares", "fixed_constant", "none")
+
+
+_BENCH_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "bench" / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", _BENCH_CONFIGS, ids=lambda p: p.stem)
+def test_benchmark_configs_pass_every_rule(monkeypatch, path):
+    # each benchmark workload's config parses and meets every rule of its
+    # run, without running it: a dropped key or kind fails here first
+    def fail(*args, **kwargs):
+        raise AssertionError("the engine ran while the rules were checked")
+
+    monkeypatch.setattr(_engine, "run_core", fail)
+    cfg = load_config(str(path))
+    validate_config(cfg)
+    runner, parts = experiments._prepare(cfg)
+    assert callable(runner)
 
 
 def test_config_hash_identity():
@@ -589,6 +609,9 @@ _VIOLATIONS = {
     "thmD1-holder": ("thmD1", "lsq", _POLY, "needs a non-smooth loss"),
     "thm6-ball": ("thm6", "hinge", _POLY, "needs a ball domain"),
     "thm6-risk": ("thm6", "q_hinge_1.5", _POLY + _BALL, "closed-form population risk"),
+    "thm6-probe-draws": ("thm6", "auc", _POLY + _BALL,
+                         "target thm6 needs draws * min(p_plus, 1 - p_plus) >= 6",
+                         {"draws": "19"}),
     "thm8-lsq": ("thm8", "hinge", _BALL, "needs least squares"),
     "thm8-ball": ("thm8", "lsq", "", "needs a ball domain"),
     "propD2-lsq": ("propD2", "hinge", "[schedule]\nsigma = 0.1\n", "needs least squares"),
@@ -945,6 +968,9 @@ _MUTATIONS = [
     pytest.param(_THM6_TEXT, "cov_plus", str(2 ** 63), 2, id="thm6-cov_plus-2^63"),
     pytest.param(_THM6_TEXT, "cov_minus", str(2 ** 63), 2, id="thm6-cov_minus-2^63"),
     pytest.param(_PROPD2_TEXT, "sigma", "1e-320", 2, id="propD2-sigma-1e-320"),
+    # 0.2 and 2e-317 positive draws expected: a probe sample would hold none
+    pytest.param(_THM6_TEXT, "p_plus", "1e-4", 2, id="thm6-p_plus-1e-4"),
+    pytest.param(_THM6_TEXT, "p_plus", "1e-320", 2, id="thm6-p_plus-1e-320"),
     # c3 = (2^-alpha L)^(1/(1 - alpha)) overflows as it is computed
     pytest.param(_thmD1_text("res", _HOLDER_PAIRS["q_hinge"]), "cov", "1e250", 2,
                  id="thmD1-q_hinge_1.5-cov-1e250"),

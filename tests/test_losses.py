@@ -8,6 +8,7 @@ import pytest
 from sgdlab.bounds import _pairwise_sum_depth
 from sgdlab.errors import ConfigError, InvalidArgument, PreconditionViolation
 from sgdlab.losses import (
+    CHECK_PRECONDITIONS,
     AucSquare,
     LeastSquares,
     QNormHinge,
@@ -35,14 +36,14 @@ from sgdlab.harness.experiments import (
 RNG = np.random.default_rng(20240901)
 
 
-def _fd_gradient(loss, w, x, y, h=1e-6):
-    """Central finite differences of w -> f(w; (x, y))."""
-    g = np.zeros_like(w)
-    for j in range(w.shape[0]):
-        e = np.zeros_like(w)
-        e[j] = h
-        g[j] = (loss.value(w + e, x, y) - loss.value(w - e, x, y)) / (2 * h)
-    return g
+def _fd_gradient(loss, W, X, y, h=1e-6):
+    """Central finite differences of w -> f(w; (x, y)), one row per example."""
+    G = np.zeros_like(W)
+    for j in range(W.shape[1]):
+        E = np.zeros_like(W)
+        E[:, j] = h
+        G[:, j] = (loss.batch_value(W + E, X, y) - loss.batch_value(W - E, X, y)) / (2 * h)
+    return G
 
 
 def _auc_loss(d=3):
@@ -57,72 +58,70 @@ def _auc_loss(d=3):
 
 def test_least_squares_value():
     loss = LeastSquares()
-    assert loss.value(np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1.0) == 0.5
+    assert loss.batch_value(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]),
+                            np.array([1.0])).tolist() == [0.5]
 
 
 def test_hinge_value_at_zero():
     loss = QNormHinge(q=1.0)
-    assert loss.value(np.zeros(2), np.array([3.0, 4.0]), 1.0) == 1.0
+    assert loss.batch_value(np.zeros((1, 2)), np.array([[3.0, 4.0]]),
+                            np.array([1.0])).tolist() == [1.0]
 
 
 def test_qpower_exact_fit():
     loss = QPowerAbsolute(q=2.0)
-    assert loss.value(np.array([1.0]), np.array([1.0]), 1.0) == 0.0
+    assert loss.batch_value(np.ones((1, 1)), np.ones((1, 1)), np.ones(1)).tolist() == [0.0]
 
 
 def test_least_squares_subgradient():
     loss = LeastSquares()
-    g = loss.subgradient(np.zeros(2), np.array([1.0, 0.0]), 1.0)
-    np.testing.assert_array_equal(g, [-1.0, 0.0])
+    g = loss.batch_grad(np.zeros((1, 2)), np.array([[1.0, 0.0]]), np.array([1.0]))
+    np.testing.assert_array_equal(g, [[-1.0, 0.0]])
 
 
 def test_hinge_subgradient_active():
     loss = QNormHinge(q=1.0)
-    g = loss.subgradient(np.zeros(2), np.array([1.0, 1.0]), 1.0)
-    np.testing.assert_array_equal(g, [-1.0, -1.0])
+    g = loss.batch_grad(np.zeros((1, 2)), np.array([[1.0, 1.0]]), np.array([1.0]))
+    np.testing.assert_array_equal(g, [[-1.0, -1.0]])
 
 
 def test_hinge_subgradient_at_kink_is_zero():
     # margin exactly 1 -> slack 0; we take the zero element of the
     # subdifferential so the update is deterministic
     loss = QNormHinge(q=1.0)
-    g = loss.subgradient(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
-    np.testing.assert_array_equal(g, [0.0, 0.0])
+    e1 = np.array([[1.0, 0.0]])
+    np.testing.assert_array_equal(loss.batch_grad(e1, e1, np.array([1.0])), [[0.0, 0.0]])
 
 
 def test_qpower_subgradient_at_zero_residual():
     loss = QPowerAbsolute(q=1.5)
-    g = loss.subgradient(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)
-    np.testing.assert_array_equal(g, [0.0, 0.0])
+    e1 = np.array([[1.0, 0.0]])
+    np.testing.assert_array_equal(loss.batch_grad(e1, e1, np.array([1.0])), [[0.0, 0.0]])
 
 
 def test_auc_value_at_origin():
     # at w = 0 every term but the constant p(1-p) vanishes
     loss = _auc_loss()
-    for y in (1.0, -1.0):
-        x = RNG.standard_normal(3)
-        assert loss.value(np.zeros(3), x, y) == pytest.approx(0.3 * 0.7, abs=1e-15)
+    X = RNG.standard_normal((2, 3))
+    vals = loss.batch_value(np.zeros((2, 3)), X, np.array([1.0, -1.0]))
+    np.testing.assert_allclose(vals, 0.3 * 0.7, rtol=0.0, atol=1e-15)
 
 
 def test_auc_gradient_at_origin():
     loss = _auc_loss()
     x = np.array([0.5, -1.0, 2.0])
-    g_pos = loss.subgradient(np.zeros(3), x, 1.0)
-    np.testing.assert_allclose(g_pos, 2.0 * (-(1.0 - 0.3)) * x, atol=1e-14)
-    g_neg = loss.subgradient(np.zeros(3), x, -1.0)
-    np.testing.assert_allclose(g_neg, 2.0 * 0.3 * x, atol=1e-14)
+    g = loss.batch_grad(np.zeros((2, 3)), np.array([x, x]), np.array([1.0, -1.0]))
+    np.testing.assert_allclose(g[0], 2.0 * (-(1.0 - 0.3)) * x, atol=1e-14)
+    np.testing.assert_allclose(g[1], 2.0 * 0.3 * x, atol=1e-14)
 
 
 def test_auc_may_be_negative():
     # individual per-example values are indefinite quadratics
     loss = _auc_loss()
-    vals = []
-    for _ in range(200):
-        w = 2.0 * RNG.standard_normal(3)
-        x = RNG.standard_normal(3)
-        y = 1.0 if RNG.random() < 0.5 else -1.0
-        vals.append(loss.value(w, x, y))
-    assert min(vals) < 0.0
+    W = 2.0 * RNG.standard_normal((200, 3))
+    X = RNG.standard_normal((200, 3))
+    y = np.where(RNG.random(200) < 0.5, 1.0, -1.0)
+    assert loss.batch_value(W, X, y).min() < 0.0
 
 
 @pytest.mark.parametrize("loss,ys", [
@@ -135,49 +134,33 @@ def test_auc_may_be_negative():
 ])
 def test_finite_difference_gradients(loss, ys):
     rng = np.random.default_rng(7)
-    checked = 0
-    for _ in range(40):
-        d = 3
-        w = 2.0 * rng.standard_normal(d)
-        x = rng.standard_normal(d)
-        y = float(rng.choice(ys)) if ys is not None else float(rng.standard_normal())
-        # stay away from the kink set where the loss is not differentiable
-        if isinstance(loss, QNormHinge) and abs(1.0 - y * float(w @ x)) < 1e-3:
-            continue
-        if isinstance(loss, QPowerAbsolute) and abs(y - float(w @ x)) < 1e-3:
-            continue
-        g = loss.subgradient(w, x, y)
-        fd = _fd_gradient(loss, w, x, y)
-        np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-5)
-        checked += 1
-    assert checked >= 30
+    draws, d = 40, 3
+    W = 2.0 * rng.standard_normal((draws, d))
+    X = rng.standard_normal((draws, d))
+    y = rng.choice(ys, draws) if ys is not None else rng.standard_normal(draws)
+    # stay away from the kink set where the loss is not differentiable
+    keep = np.ones(draws, dtype=bool)
+    if isinstance(loss, QNormHinge):
+        keep = np.abs(1.0 - y * _rowdot(W, X)) >= 1e-3
+    if isinstance(loss, QPowerAbsolute):
+        keep = np.abs(y - _rowdot(W, X)) >= 1e-3
+    W, X, y = W[keep], X[keep], y[keep]
+    np.testing.assert_allclose(loss.batch_grad(W, X, y), _fd_gradient(loss, W, X, y),
+                               rtol=1e-4, atol=1e-5)
+    assert y.size >= 30
 
 
 def test_q_hinge_q1_fd_gradient_away_from_kink():
     # q = 1 has a piecewise-linear loss; the gradient is exact off the kink
     loss = QNormHinge(q=1.0)
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        w = rng.standard_normal(3)
-        x = rng.standard_normal(3)
-        y = 1.0 if rng.random() < 0.5 else -1.0
-        if abs(1.0 - y * float(w @ x)) < 1e-2:
-            continue
-        np.testing.assert_allclose(loss.subgradient(w, x, y),
-                                   _fd_gradient(loss, w, x, y), atol=1e-6)
-
-
-def test_batch_matches_scalar_paths():
-    loss = QPowerAbsolute(q=1.5)
-    W = RNG.standard_normal((6, 3))
-    X = RNG.standard_normal((6, 3))
-    y = RNG.standard_normal(6)
-    vals = loss.batch_value(W, X, y)
-    grads = loss.batch_grad(W, X, y)
-    for k in range(6):
-        assert vals[k] == pytest.approx(loss.value(W[k], X[k], float(y[k])), rel=1e-14)
-        np.testing.assert_allclose(grads[k], loss.subgradient(W[k], X[k], float(y[k])),
-                                   rtol=1e-14, atol=0)
+    W = rng.standard_normal((20, 3))
+    X = rng.standard_normal((20, 3))
+    y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+    keep = np.abs(1.0 - y * _rowdot(W, X)) >= 1e-2
+    W, X, y = W[keep], X[keep], y[keep]
+    np.testing.assert_allclose(loss.batch_grad(W, X, y), _fd_gradient(loss, W, X, y),
+                               atol=1e-6)
 
 
 def _all_losses(d, rng):
@@ -498,20 +481,18 @@ def test_holder_constant_is_valid_empirically():
     losses = [LeastSquares(), QNormHinge(q=1.0), QNormHinge(q=1.5),
               QPowerAbsolute(q=1.5), QPowerAbsolute(q=2.0), _auc_loss()]
     rng = np.random.default_rng(99)
+    draws, d = 300, 3
     for loss in losses:
-        d = 3
-        for _ in range(300):
-            w = 3.0 * rng.standard_normal(d)
-            w2 = 3.0 * rng.standard_normal(d)
-            x = rng.standard_normal(d)
-            if loss.binary_labels:
-                y = 1.0 if rng.random() < 0.5 else -1.0
-            else:
-                y = float(rng.standard_normal())
-            L = loss.holder_constant(x, y)
-            lhs = float(np.linalg.norm(loss.subgradient(w, x, y) - loss.subgradient(w2, x, y)))
-            rhs = L * float(np.linalg.norm(w - w2)) ** loss.alpha
-            assert lhs <= rhs * (1 + 1e-9) + 1e-12, (loss.kind, lhs, rhs)
+        W = 3.0 * rng.standard_normal((draws, d))
+        W2 = 3.0 * rng.standard_normal((draws, d))
+        X = rng.standard_normal((draws, d))
+        if loss.binary_labels:
+            y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
+        else:
+            y = rng.standard_normal(draws)
+        lhs = np.linalg.norm(loss.batch_grad(W, X, y) - loss.batch_grad(W2, X, y), axis=1)
+        rhs = loss.holder_constant(X, y) * np.linalg.norm(W - W2, axis=1) ** loss.alpha
+        assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12), loss.kind
 
 
 # ---------------------------------------------------------------------------
@@ -521,63 +502,37 @@ def test_holder_constant_is_valid_empirically():
 def test_self_bounding_equality_case():
     loss = LeastSquares()
     # ||grad|| = 1 and sqrt(2L) f^0.5 = sqrt(2) sqrt(0.5) = 1: equality holds
-    assert check_self_bounding(loss, np.zeros(1), (np.array([1.0]), 1.0))
+    assert check_self_bounding(loss, np.zeros(1), np.ones((1, 1)), np.ones(1)).tolist() == [True]
 
 
 def test_self_bounding_at_minimizer():
     loss = QPowerAbsolute(q=2.0)
-    assert check_self_bounding(loss, np.array([1.0]), (np.array([1.0]), 1.0))
+    assert check_self_bounding(loss, np.ones(1), np.ones((1, 1)), np.ones(1)).tolist() == [True]
 
 
 def test_checkers_trivial_cases():
     loss = LeastSquares()
     w = np.array([1.0, -2.0])
-    z = (np.array([0.5, 0.5]), 1.0)
-    assert check_gradient_monotonicity(loss, w, w, z)
-    assert check_cocoercivity(loss, w, w, z)
-    assert check_nonexpansive(loss, w, w + 1.0, z, eta=0.0)
-    assert check_smoothness_upper_bound(loss, w, w, z)
+    X, y = np.array([[0.5, 0.5]]), np.ones(1)
+    assert check_gradient_monotonicity(loss, w, w, X, y).all()
+    assert check_cocoercivity(loss, w, w, X, y).all()
+    assert check_nonexpansive(loss, w, w + 1.0, X, y, eta=0.0).all()
+    assert check_smoothness_upper_bound(loss, w, w, X, y).all()
     hinge = QNormHinge(q=1.5)
-    assert check_expansiveness_slack(hinge, w, w + 1.0, (np.array([1.0, 0.0]), 1.0), eta=0.0)
-
-
-def test_checker_preconditions():
-    ls = LeastSquares()
-    hinge15 = QNormHinge(q=1.5)
-    auc = _auc_loss()
-    w = np.zeros(3)
-    z3 = (np.array([1.0, 0.0, 0.0]), 1.0)
-    z2 = (np.array([1.0, 0.0]), 1.0)
-    with pytest.raises(PreconditionViolation):
-        check_self_bounding(auc, w, z3)  # not nonnegative
-    with pytest.raises(PreconditionViolation):
-        check_gradient_monotonicity(auc, w, w, z3)
-    with pytest.raises(PreconditionViolation):
-        check_nonexpansive(hinge15, np.zeros(2), np.zeros(2), z2, eta=0.1)
-    with pytest.raises(PreconditionViolation):
-        # eta beyond 2/L for this example
-        check_nonexpansive(ls, np.zeros(2), np.ones(2), z2, eta=2.1)
-    with pytest.raises(PreconditionViolation):
-        check_expansiveness_slack(ls, np.zeros(2), np.ones(2), z2, eta=0.1)
-    with pytest.raises(PreconditionViolation):
-        check_smoothness_upper_bound(hinge15, np.zeros(2), np.ones(2), z2)
-    with pytest.raises(InvalidArgument):
-        check_expansiveness_slack(hinge15, np.zeros(2), np.ones(2), z2, eta=-0.5)
+    assert check_expansiveness_slack(hinge, w, w + 1.0, np.array([[1.0, 0.0]]), y,
+                                     eta=0.0).all()
 
 
 def test_nonexpansive_at_exact_boundary_step():
     # eta = 2/L is the largest admissible step and must still pass
     loss = LeastSquares()
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        x = rng.standard_normal(2)
-        if float(x @ x) < 1e-6:
-            continue
-        z = (x, float(rng.standard_normal()))
-        eta = 2.0 / loss.holder_constant(x, z[1])
-        w = 2.0 * rng.standard_normal(2)
-        w2 = 2.0 * rng.standard_normal(2)
-        assert check_nonexpansive(loss, w, w2, z, eta)
+    X = rng.standard_normal((100, 2))
+    X = X[_rowdot(X, X) >= 1e-6]
+    y = rng.standard_normal(len(X))
+    W = 2.0 * rng.standard_normal(X.shape)
+    W2 = 2.0 * rng.standard_normal(X.shape)
+    assert check_nonexpansive(loss, W, W2, X, y, 2.0 / loss.holder_constant(X, y)).all()
 
 
 def test_checkers_random_sweep():
@@ -586,30 +541,19 @@ def test_checkers_random_sweep():
     losses = [LeastSquares(), QNormHinge(q=1.0), QNormHinge(q=1.5),
               QPowerAbsolute(q=1.5), QPowerAbsolute(q=2.0), _auc_loss()]
     rng = np.random.default_rng(31337)
+    draws, d = 250, 3
     for loss in losses:
-        d = 3
-        for _ in range(250):
-            w = 2.0 * rng.standard_normal(d)
-            w2 = 2.0 * rng.standard_normal(d)
-            x = rng.standard_normal(d)
-            if loss.binary_labels:
-                y = 1.0 if rng.random() < 0.5 else -1.0
-            else:
-                y = float(rng.standard_normal())
-            z = (x, y)
-            eta = float(rng.random())
-            if loss.nonnegative:
-                assert check_self_bounding(loss, w, z)
-            if loss.convex_per_example:
-                assert check_gradient_monotonicity(loss, w, w2, z)
-                assert check_cocoercivity(loss, w, w2, z)
-                if loss.alpha == 1.0:
-                    eta_n = eta * 2.0 / loss.holder_constant(x, y)
-                    assert check_nonexpansive(loss, w, w2, z, eta_n)
-                else:
-                    assert check_expansiveness_slack(loss, w, w2, z, eta)
-            if loss.alpha == 1.0:
-                assert check_smoothness_upper_bound(loss, w, w2, z)
+        W = 2.0 * rng.standard_normal((draws, d))
+        W2 = 2.0 * rng.standard_normal((draws, d))
+        X = rng.standard_normal((draws, d))
+        if loss.binary_labels:
+            y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
+        else:
+            y = rng.standard_normal(draws)
+        U = rng.random(draws)
+        for name, run in applicable_checks(loss):
+            eta = U * 2.0 / loss.holder_constant(X, y) if name == "nonexpansive" else U
+            assert run(loss, W, W2, X, y, eta).all(), (name, loss.kind)
 
 
 def _ref_holder(loss, x, y):
@@ -632,52 +576,68 @@ def _ref_holder(loss, x, y):
     return quad + 4.0 * kap * nx * nD + 2.0 * p * (1.0 - p) * nD * nD
 
 
-def _ref_check(name, loss, w, w2, x, y, eta, tol):
-    """One checker's inequality for one example, from single-example
-    values and subgradients and scalar arithmetic."""
+def _ref_grad_norm_at_zero(loss, x, y):
+    """||df(0; (x, y))|| of one example, from the scalar formula of each kind."""
+    nx = math.sqrt(sum(v * v for v in x))
+    if loss.kind == "least_squares":
+        return abs(y) * nx
+    if loss.kind == "q_hinge":   # slack 1 at w = 0, |y| = 1
+        return loss.q * nx
+    if loss.kind == "q_power_abs":
+        return loss.q * abs(y) ** (loss.q - 1.0) * nx if y != 0.0 else 0.0
+    assert loss.kind == "auc_square"   # df(0; z) = 2 kappa(y) x
+    return 2.0 * (loss.p if y < 0.0 else 1.0 - loss.p) * nx
+
+
+def _ref_checks(name, loss, W, W2, X, Y, eta, tol):
+    """One checker's inequality on each row, in scalar arithmetic from the
+    rows' values and subgradients."""
     def leq(lhs, rhs):
         return lhs <= rhs + tol * (1.0 + max(abs(lhs), abs(rhs)))
 
     a = loss.alpha
-    L = _ref_holder(loss, x, y)
-    g0 = float(np.linalg.norm(loss.subgradient(np.zeros_like(x), x, y)))
-    c = regularity_constants(a, L, g0 if a == 0.0 else None)
-    g, g2 = loss.subgradient(w, x, y), loss.subgradient(w2, x, y)
-    dw, dg = w - w2, g - g2
-    after = dw - eta * dg
-    if name == "self_bounding":
-        f = max(loss.value(w, x, y), 0.0)
-        return leq(float(np.linalg.norm(g)), c.c1 * f ** (a / (1.0 + a)))
-    if name == "gradient_monotonicity" or (name == "cocoercivity" and a == 0.0):
-        return leq(0.0, float(dw @ dg))
-    if name == "cocoercivity":
-        rhs = 2.0 * L ** (-1.0 / a) * a / (1.0 + a) \
-            * float(np.linalg.norm(dg)) ** ((1.0 + a) / a)
-        return leq(rhs, float(dw @ dg))
-    if name == "nonexpansive":
-        return leq(float(np.linalg.norm(after)), float(np.linalg.norm(dw)))
-    if name == "expansiveness_slack":
-        return leq(float(after @ after),
-                   float(dw @ dw) + c.c3 ** 2 * eta ** (2.0 / (1.0 - a)))
-    assert name == "smoothness_upper_bound"
-    d = w2 - w
-    return leq(loss.value(w2, x, y),
-               loss.value(w, x, y) + float(g @ d) + 0.5 * L * float(d @ d))
+    F, F2 = loss.batch_value(W, X, Y), loss.batch_value(W2, X, Y)
+    G, G2 = loss.batch_grad(W, X, Y), loss.batch_grad(W2, X, Y)
+
+    def row(k):
+        L = _ref_holder(loss, X[k], Y[k])
+        g0 = _ref_grad_norm_at_zero(loss, X[k], Y[k])
+        c = regularity_constants(a, L, g0 if a == 0.0 else None)
+        dw, dg = W[k] - W2[k], G[k] - G2[k]
+        after = dw - eta[k] * dg
+        if name == "self_bounding":
+            return leq(float(np.linalg.norm(G[k])), c.c1 * max(F[k], 0.0) ** (a / (1.0 + a)))
+        if name == "gradient_monotonicity" or (name == "cocoercivity" and a == 0.0):
+            return leq(0.0, float(dw @ dg))
+        if name == "cocoercivity":
+            rhs = 2.0 * L ** (-1.0 / a) * a / (1.0 + a) \
+                * float(np.linalg.norm(dg)) ** ((1.0 + a) / a)
+            return leq(rhs, float(dw @ dg))
+        if name == "nonexpansive":
+            return leq(float(np.linalg.norm(after)), float(np.linalg.norm(dw)))
+        if name == "expansiveness_slack":
+            return leq(float(after @ after),
+                       float(dw @ dw) + c.c3 ** 2 * eta[k] ** (2.0 / (1.0 - a)))
+        assert name == "smoothness_upper_bound"
+        d = W2[k] - W[k]
+        return leq(F2[k], F[k] + float(G[k] @ d) + 0.5 * L * float(d @ d))
+
+    return [bool(row(k)) for k in range(len(Y))]
 
 
-def _check(name, loss, w, w2, z, eta, tol):
+def _check(name, loss, W, W2, X, Y, eta, tol):
     if name == "self_bounding":
-        return check_self_bounding(loss, w, z, tol)
+        return check_self_bounding(loss, W, X, Y, tol)
     if name == "gradient_monotonicity":
-        return check_gradient_monotonicity(loss, w, w2, z, tol)
+        return check_gradient_monotonicity(loss, W, W2, X, Y, tol)
     if name == "cocoercivity":
-        return check_cocoercivity(loss, w, w2, z, tol)
+        return check_cocoercivity(loss, W, W2, X, Y, tol)
     if name == "nonexpansive":
-        return check_nonexpansive(loss, w, w2, z, eta, tol)
+        return check_nonexpansive(loss, W, W2, X, Y, eta, tol)
     if name == "expansiveness_slack":
-        return check_expansiveness_slack(loss, w, w2, z, eta, tol)
+        return check_expansiveness_slack(loss, W, W2, X, Y, eta, tol)
     assert name == "smoothness_upper_bound"
-    return check_smoothness_upper_bound(loss, w, w2, z, tol)
+    return check_smoothness_upper_bound(loss, W, W2, X, Y, tol)
 
 
 # a negative tolerance demands slack, so some rows fail and the comparison
@@ -690,16 +650,10 @@ def test_batched_checkers_match_per_row_formulas(tol):
         W, W2, X, Y, U = battery_draws(bi, label, loss, draws, master_seed=0)
         for name, _ in applicable_checks(loss):
             eta = U * 2.0 / loss.holder_constant(X, Y) if name == "nonexpansive" else U
-            batch = _check(name, loss, W, W2, (X, Y), eta, tol)
+            batch = _check(name, loss, W, W2, X, Y, eta, tol)
             assert batch.shape == (draws,) and batch.dtype == bool
-            ref = [_ref_check(name, loss, W[k], W2[k], X[k], float(Y[k]), float(eta[k]), tol)
-                   for k in range(draws)]
+            ref = _ref_checks(name, loss, W, W2, X, Y, eta, tol)
             assert batch.tolist() == ref, (name, label)
-            # a single example is a batch of one and gives a bool
-            rows = [_check(name, loss, W[k], W2[k], (X[k], float(Y[k])), float(eta[k]), tol)
-                    for k in range(draws)]
-            assert all(type(r) is bool for r in rows)
-            assert rows == ref, (name, label)
             outcomes.update(ref)
     assert outcomes == ({True} if tol > 0 else {True, False})
 
@@ -707,16 +661,12 @@ def test_batched_checkers_match_per_row_formulas(tol):
 def test_batched_holder_constants_match_per_row_formulas():
     for bi, (label, loss) in enumerate(property_battery()):
         _, _, X, Y, _ = battery_draws(bi, label, loss, 50, master_seed=3)
-        ref_L = [_ref_holder(loss, X[k], float(Y[k])) for k in range(len(Y))]
-        ref_g0 = [float(np.linalg.norm(loss.subgradient(np.zeros_like(X[k]), X[k], float(Y[k]))))
-                  for k in range(len(Y))]
-        for fn, ref in ((loss.holder_constant, ref_L), (loss.grad_norm_at_zero, ref_g0)):
-            rows = [fn(X[k], float(Y[k])) for k in range(len(Y))]
-            assert all(type(r) is float for r in rows)
+        for fn, ref in ((loss.holder_constant, _ref_holder),
+                        (loss.grad_norm_at_zero, _ref_grad_norm_at_zero)):
             # vectorised norms and powers may round the last bits differently
             # from scalar ones, so equal up to a few ulp
-            np.testing.assert_allclose(fn(X, Y), ref, rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(rows, ref, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(fn(X, Y), [ref(loss, x, y) for x, y in zip(X, Y)],
+                                       rtol=1e-15, atol=0.0)
 
 
 def test_batched_nonexpansive_rejects_any_step_over_two_over_L():
@@ -725,48 +675,78 @@ def test_batched_nonexpansive_rejects_any_step_over_two_over_L():
     Y = np.array([0.5, -1.0, 2.0])
     W, W2 = np.zeros((3, 2)), np.ones((3, 2))
     eta = 2.0 / loss.holder_constant(X, Y)  # every row at its boundary
-    assert check_nonexpansive(loss, W, W2, (X, Y), eta).all()
+    assert check_nonexpansive(loss, W, W2, X, Y, eta).all()
     for k in range(3):
         over = eta.copy()
         over[k] = np.nextafter(over[k], np.inf)
         with pytest.raises(PreconditionViolation):
-            check_nonexpansive(loss, W, W2, (X, Y), over)
+            check_nonexpansive(loss, W, W2, X, Y, over)
     with pytest.raises(PreconditionViolation):
-        check_nonexpansive(loss, W, W2, (X, Y), 0.6)  # scalar eta, over on row 1
+        check_nonexpansive(loss, W, W2, X, Y, 0.6)  # scalar eta, over on row 1
+
+
+# the checkers each loss meets the precondition of, in table order
+_APPLIES = {
+    "least_squares": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                      "nonexpansive", "smoothness_upper_bound"],
+    "q_hinge_1.0": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                    "expansiveness_slack"],
+    "q_hinge_1.5": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                    "expansiveness_slack"],
+    "q_hinge_2.0": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                    "nonexpansive", "smoothness_upper_bound"],
+    "q_power_abs_1.0": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                        "expansiveness_slack"],
+    "q_power_abs_1.5": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                        "expansiveness_slack"],
+    "q_power_abs_2.0": ["self_bounding", "gradient_monotonicity", "cocoercivity",
+                        "nonexpansive", "smoothness_upper_bound"],
+    "auc_square": ["smoothness_upper_bound"],
+}
+_TABLE_LOSSES = dict(property_battery(), **{"q_hinge_2.0": QNormHinge(2.0),
+                                            "q_power_abs_1.0": QPowerAbsolute(1.0)})
+
+
+@pytest.mark.parametrize("label", sorted(_TABLE_LOSSES))
+def test_checkers_raise_exactly_where_their_precondition_fails(label):
+    # every checker raises PreconditionViolation on a loss that misses its
+    # CHECK_PRECONDITIONS entry and runs on the others, and applicable_checks
+    # lists the ones that run, in table order
+    loss = _TABLE_LOSSES[label]
+    d = loss.mu_plus.size if loss.kind == "auc_square" else 2
+    X, y = np.tile(np.eye(d)[0], (4, 1)), np.ones(4)
+    W, W2 = np.zeros((4, d)), np.full((4, d), 0.5)
+    assert [name for name, _ in applicable_checks(loss)] == _APPLIES[label]
+    for name in CHECK_PRECONDITIONS:
+        if name in _APPLIES[label]:
+            assert _check(name, loss, W, W2, X, y, 0.1, 1e-9).tolist() == [True] * 4, name
+        else:
+            with pytest.raises(PreconditionViolation, match=f"the {name} check requires"):
+                _check(name, loss, W, W2, X, y, 0.1, 1e-9)
 
 
 def test_batched_checker_preconditions():
+    # what the checkers check of their rows: a step of the expansiveness
+    # check is nonnegative, and a Hölder constant positive
     ls = LeastSquares()
     hinge15 = QNormHinge(q=1.5)
-    auc = _auc_loss()
-    W3 = np.zeros((4, 3))
-    z3 = (np.tile([1.0, 0.0, 0.0], (4, 1)), np.ones(4))
     W2 = np.zeros((4, 2))
-    z2 = (np.tile([1.0, 0.0], (4, 1)), np.ones(4))
-    with pytest.raises(PreconditionViolation):
-        check_self_bounding(auc, W3, z3)
-    with pytest.raises(PreconditionViolation):
-        check_gradient_monotonicity(auc, W3, W3, z3)
-    with pytest.raises(PreconditionViolation):
-        check_cocoercivity(auc, W3, W3, z3)
-    with pytest.raises(PreconditionViolation):
-        check_nonexpansive(hinge15, W2, W2, z2, eta=0.1)
-    with pytest.raises(PreconditionViolation):
-        check_expansiveness_slack(ls, W2, W2 + 1.0, z2, eta=0.1)
-    with pytest.raises(PreconditionViolation):
-        check_smoothness_upper_bound(hinge15, W2, W2 + 1.0, z2)
+    X2, y = np.tile([1.0, 0.0], (4, 1)), np.ones(4)
     with pytest.raises(InvalidArgument):
         # one negative step among valid ones
-        check_expansiveness_slack(hinge15, W2, W2 + 1.0, z2,
+        check_expansiveness_slack(hinge15, W2, W2 + 1.0, X2, y,
                                   eta=np.array([0.1, 0.2, -0.5, 0.3]))
     # a zero feature row has no positive Hölder constant
-    z0 = (np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+    X0, y0 = np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2)
     with pytest.raises(InvalidArgument):
-        check_self_bounding(hinge15, W2[:2], z0)
+        check_self_bounding(hinge15, W2[:2], X0, y0)
     with pytest.raises(InvalidArgument):
-        check_cocoercivity(hinge15, W2[:2], W2[:2] + 1.0, z0)
+        check_cocoercivity(hinge15, W2[:2], W2[:2] + 1.0, X0, y0)
     with pytest.raises(InvalidArgument):
-        check_cocoercivity(ls, W2[:2], W2[:2] + 1.0, z0)
+        check_cocoercivity(ls, W2[:2], W2[:2] + 1.0, X0, y0)
+    # features are rows
+    with pytest.raises(InvalidArgument, match="rows of shape"):
+        check_self_bounding(ls, np.zeros(2), np.ones(2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +816,8 @@ def test_sup_holder_dominates_the_feature_ball(label):
     # ulp or two (AUC at its extreme point: 15.150800000000004 vs 15.1508)
     top = L * (1.0 + 4.0 * np.finfo(np.float64).eps)
     assert np.max(loss.holder_constant(X, Y)) <= top
-    for x, y in extremes:
-        assert loss.holder_constant(x, y) <= top, (x, y)
+    Xe, Ye = (np.array(v) for v in zip(*extremes))
+    assert np.all(loss.holder_constant(Xe, Ye) <= top), extremes
 
 
 def test_gradient_bound_dominates_samples():
@@ -851,15 +831,15 @@ def test_gradient_bound_dominates_samples():
         G = _G(loss, radius, x_bound, y_bound, d)
         if radius is None:
             assert G == x_bound
-        for _ in range(500):
-            scale = radius if radius is not None else 10.0 ** rng.uniform(0.0, 6.0)
-            w = rng.standard_normal(d)
-            w *= scale * rng.random() / max(np.linalg.norm(w), 1e-12)
-            x = rng.standard_normal(d)
-            x *= x_bound * rng.random() / max(np.linalg.norm(x), 1e-12)
-            if loss.binary_labels:
-                y = 1.0 if rng.random() < 0.5 else -1.0
-            else:
-                y = float(y_bound * (2.0 * rng.random() - 1.0))
-            g = float(np.linalg.norm(loss.subgradient(w, x, y)))
-            assert g <= G * (1 + 1e-12), (loss.kind, g, G)
+        draws = 500
+        scale = radius if radius is not None else 10.0 ** rng.uniform(0.0, 6.0, draws)
+        W = rng.standard_normal((draws, d))
+        W *= (scale * rng.random(draws) / np.maximum(np.linalg.norm(W, axis=1), 1e-12))[:, None]
+        X = rng.standard_normal((draws, d))
+        X *= (x_bound * rng.random(draws) / np.maximum(np.linalg.norm(X, axis=1), 1e-12))[:, None]
+        if loss.binary_labels:
+            y = np.where(rng.random(draws) < 0.5, 1.0, -1.0)
+        else:
+            y = y_bound * (2.0 * rng.random(draws) - 1.0)
+        g = np.linalg.norm(loss.batch_grad(W, X, y), axis=1)
+        assert np.all(g <= G * (1 + 1e-12)), (loss.kind, g.max(), G)
