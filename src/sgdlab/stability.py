@@ -15,8 +15,9 @@ replicate's generator, or given sequences) and, where they differ between
 replicates, their step sizes, computed from the chunk's datasets; shared
 step sizes are one (T,) array.  It runs each chunk, with the neighbour
 positions, if any, and the radius of the ball each step projects onto,
-through ``_engine.run_core`` and hands the result to its caller, which
-stores each replicate's values before the next chunk runs.  The engine
+through ``_engine.run_core``, hands the result to the estimator's reduction
+and stores the per-replicate arrays it returns, in replicate order, before
+the next chunk runs; the estimator unpacks the stacks.  The engine
 reads the streams in chunks of ``_engine.STREAM_STEPS`` steps and finds the
 forks of the neighbour runs chunk by chunk, so no stream is held whole; the
 oracle's sequences are the base-n digits of their numbers, built when the
@@ -49,7 +50,7 @@ estimate of E F(A(S)) by the replace-one identity (see ``StabilityReport``).
 neighbours, for the excess risk of the step-size-weighted average.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
-preallocated arrays; ``replicate_chunks`` sizes every chunk, the harness's
+the skeleton's stacks; ``replicate_chunks`` sizes every chunk, the harness's
 too.  A chunk runs at most ``ROW_BUDGET`` engine rows (1 + m per replicate:
 the base run and m neighbours), which bounds the engine's per-row arrays,
 and holds at most ``EXAMPLE_BUDGET`` examples (n per replicate), which
@@ -181,14 +182,15 @@ def _streams(build, n: int, T: int, path):
 # ---------------------------------------------------------------------------
 
 def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float],
-                       data, streams, positions=None,
-                       **collect) -> Iterator[Tuple[int, int, _engine.CoreResult,
-                                                    np.ndarray, np.ndarray]]:
-    """Run R replicates chunk by chunk, in order; yield ``(lo, hi, out, Xs, ys)``.
+                       data, streams, reduce, positions=None, **collect) -> tuple:
+    """Run R replicates chunk by chunk, in order; return the stacks of ``reduce``.
 
-    ``out`` is the ``run_core`` result of replicates lo..hi-1 and ``Xs, ys``
-    are their base datasets.
-
+    reduce: ``reduce(out, Xs, ys)`` gets the ``run_core`` result ``out`` of
+        replicates lo..hi-1 and their base datasets ``Xs, ys``, and returns a
+        tuple of arrays indexed by replicate first, or None in place of an
+        array.  Each array's stack over all R replicates is allocated from
+        the first chunk's shapes and filled chunk by chunk in replicate
+        order; a None stays None.
     data: the chunk function of the replicates' data: ``data(lo, hi)`` gives
         the stacked (X, y, ghost X, ghost y) of replicates lo..hi-1, or
         (X, y) when ``positions`` is None.
@@ -208,13 +210,21 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float]
     if not np.all((given >= 0) & (given < n)):
         raise InvalidArgument(f"neighbor positions must be in [0, {n}), got {given}")
 
+    stacks = None
     for lo, hi in replicate_chunks(R, n, 1 + m):
         Xs, ys, gXs, gys = data(lo, hi) if m else (*data(lo, hi), None, None)
         sub = np.broadcast_to(given, (hi - lo, m)) if m else None
         out = _engine.run_core(loss, Xs, ys, gXs, gys, sub,
                                etas(lo, hi, Xs, ys) if callable(etas) else etas,
                                radius, streams(lo, hi), **collect)
-        yield lo, hi, out, Xs, ys
+        parts = reduce(out, Xs, ys)
+        if stacks is None:
+            stacks = tuple(None if a is None else np.empty((R,) + a.shape[1:], a.dtype)
+                           for a in parts)
+        for stack, a in zip(stacks, parts):
+            if stack is not None:
+                stack[lo:hi] = a
+    return stacks
 
 
 def _distance_means(out: _engine.CoreResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,17 +277,8 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     if fixed_family is not None and fixed_family.base.n != n:
         raise InvalidArgument("fixed family size differs from n")
 
-    R = replicates
     # no steps -> no risk path to record (the output is w_1 = 0)
     ckpt = _engine.checkpoint_steps(T) if (record_risks and T >= 1) else None
-
-    d = fixed_family.base.dim if fixed_family is not None else dist.dim
-    l1 = np.empty(R)
-    l2_sq = np.empty(R)
-    finals = np.empty((R, d))
-    risk = np.empty((R, ckpt.shape[0])) if ckpt is not None else None
-    emp_risk = np.empty(R)
-    held_out = np.empty(R)
 
     data = (broadcast_family(fixed_family) if fixed_family is not None
             else replicate_data(dist, n, master_seed))
@@ -285,16 +286,16 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
                   else (_engine.iid_stream, _engine.TAG_INDEX))
     streams = _streams(build, n, T, lambda r: (master_seed, tag, r))
 
-    for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, sched.etas(T), _radius(domain), data, streams,
-            np.arange(n), risk_ckpt_steps=ckpt):
-        l1[lo:hi], l2_sq[lo:hi] = _distance_means(out)
-        finals[lo:hi] = out.finals[:, 0]
-        if risk is not None:
-            risk[lo:hi] = out.risk_path
-        emp_risk[lo:hi] = _engine._batch_empirical_risk(loss, out.finals[:, 0], Xs, ys)
+    def reduce(out, Xs, ys):
+        base = out.finals[:, 0]
         # neighbour row 1 + i replaced position i, so it meets example i
-        held_out[lo:hi] = loss.batch_value(out.finals[:, 1:], Xs, ys).mean(axis=1)
+        return (*_distance_means(out), base, out.risk_path,
+                _engine._batch_empirical_risk(loss, base, Xs, ys),
+                loss.batch_value(out.finals[:, 1:], Xs, ys).mean(axis=1))
+
+    l1, l2_sq, finals, risk, emp_risk, held_out = _replicate_batches(
+        loss, replicates, n, sched.etas(T), _radius(domain), data, streams, reduce,
+        np.arange(n), risk_ckpt_steps=ckpt)
     return StabilityReport(l1=l1, l2_sq=l2_sq, finals=finals, risk_steps=ckpt,
                            risk=risk, emp_risk=emp_risk, held_out=held_out)
 
@@ -309,15 +310,11 @@ def coupled_distances(loss: Loss, data, n: int, T: int, etas, domain: Optional[B
     of the replicates' (X, y, ghost X, ghost y) and ``etas`` the (T,) step
     sizes or their function per chunk, as in ``_replicate_batches``.
     """
-    dists = np.empty(replicates)
     streams = _streams(_engine.iid_stream, n, T, lambda r: (
         _replicate_dataset_seed(master_seed, r), _engine.TAG_INDEX, 0))
-
-    for lo, hi, out, _, _ in _replicate_batches(
-            loss, replicates, n, etas, _radius(domain), data, streams,
-            np.zeros(1, dtype=np.int64)):
-        dists[lo:hi] = _distance_means(out)[0]
-    return dists
+    return _replicate_batches(loss, replicates, n, etas, _radius(domain), data, streams,
+                              lambda out, Xs, ys: _distance_means(out)[:1],
+                              np.zeros(1, dtype=np.int64))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +358,10 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
     """
     n = family.base.n
     M = enumeration_count(n, T)
-    l1_seq = np.empty(M)
-    l2_seq = np.empty(M)
-    for lo, hi, out, _, _ in _replicate_batches(
-            loss, M, n, sched.etas(T), _radius(domain), broadcast_family(family),
-            lambda lo, hi: _engine.given_stream(_index_sequences(n, T, lo, hi)),
-            np.arange(n)):
-        l1_seq[lo:hi], l2_seq[lo:hi] = _distance_means(out)
+    l1_seq, l2_seq = _replicate_batches(
+        loss, M, n, sched.etas(T), _radius(domain), broadcast_family(family),
+        lambda lo, hi: _engine.given_stream(_index_sequences(n, T, lo, hi)),
+        lambda out, Xs, ys: _distance_means(out), np.arange(n))
     return float(l1_seq.mean()), float(l2_seq.mean())
 
 
@@ -388,18 +382,16 @@ def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
     if not replicates >= 2:
         raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
 
-    R = replicates
-    outs = np.empty((R, dist.dim))
-    emp = np.empty(R)
-
     etas = sched.etas(T)
     streams = _streams(_engine.iid_stream, n, T,
                        lambda r: (master_seed, _engine.TAG_INDEX, r))
-    for lo, hi, out, Xs, ys in _replicate_batches(
-            loss, R, n, etas, _radius(domain), replicate_data(dist, n, master_seed, False),
-            streams, average_weights=etas):
-        outs[lo:hi] = out.avg
-        emp[lo:hi] = _engine._batch_empirical_risk(loss, out.avg, Xs, ys)
+
+    def reduce(out, Xs, ys):
+        return out.avg, _engine._batch_empirical_risk(loss, out.avg, Xs, ys)
+
+    outs, emp = _replicate_batches(
+        loss, replicates, n, etas, _radius(domain), replicate_data(dist, n, master_seed, False),
+        streams, reduce, average_weights=etas)
     pop = population_risk(loss, dist, outs)
     return GapReport(pop=pop, gap=pop - emp)
 

@@ -95,16 +95,22 @@ def test_coupled_pair_t0_zero_steps():
     np.testing.assert_array_equal(dists, np.zeros(2))
 
 
-def test_coupled_pair_position_validation():
+def test_coupled_pair_position_validation(monkeypatch):
     fam = sample_neighbor_family(_dist(), 3, seed=1)
     etas = FixedConstant(0.1).etas(2)
     seqs = np.zeros((1, 2), dtype=np.int64)
-    # a given position outside [0, n)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the engine ran before the positions were checked")
+
+    monkeypatch.setattr(stability._engine, "run_core", no_run)
+    # a given position outside [0, n) raises before any engine call
     for positions in (np.array([3]), np.array([-1])):
         with pytest.raises(InvalidArgument):
-            next(stability._replicate_batches(
+            stability._replicate_batches(
                 LeastSquares(), 1, 3, etas, None, broadcast_family(fam),
-                lambda lo, hi: _engine.given_stream(seqs[lo:hi]), positions))
+                lambda lo, hi: _engine.given_stream(seqs[lo:hi]),
+                lambda out, Xs, ys: (out.finals,), positions)
 
 
 def test_coupled_distances_key_each_stream_by_the_replicate_seed(monkeypatch):
