@@ -15,8 +15,9 @@ labels.  Each generator draws what it would draw alone, in the same order
 (its normals, then its own resample rounds for rows outside the ball, then
 its label noise or flips), and the arithmetic (the covariance transform,
 the norm test, the labels) runs once on the stack, so each sample keeps the
-bits of a lone draw.  ``sample`` is the batch of one generator, and
-``sample_datasets`` draws the samples of many seeds in one batch.
+bits of a lone draw.  ``sample_datasets`` draws the samples of many seeds
+in one batch; it is the one path that draws a sample from a seed, and
+``sample_dataset`` is its batch of one.
 
 A ``NeighborFamily`` carries a base sample S and an independent ghost sample
 S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
@@ -186,14 +187,10 @@ class Distribution:
                      n: int) -> Tuple[np.ndarray, np.ndarray]:
         """One sample of n examples per generator: features (B, n, d), labels (B, n).
 
-        Generator b makes the draws of a lone ``sample(n, rngs[b])``, in the
+        Generator b makes the draws it would make in a batch of one, in the
         same order, and sample b keeps its bits whatever else is in the batch.
         """
         raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> Dataset:
-        X, y = self.sample_batch([rng], n)
-        return Dataset(features=X[0], labels=y[0])
 
 
 class GaussLinReg(Distribution):
@@ -311,11 +308,10 @@ class ImbalancedGauss(Distribution):
 # ---------------------------------------------------------------------------
 
 def sample_dataset(dist: Distribution, n: int, seed: int) -> Dataset:
-    """Draw n examples with a counter-based generator keyed by (seed, data tag)."""
-    if not n >= 1:
-        raise InvalidArgument(f"n must be >= 1, got {n}")
-    rng = _engine.path_generator(seed, _engine.TAG_DATA)
-    return dist.sample(n, rng)
+    """Draw n examples with a counter-based generator keyed by (seed, data tag):
+    the batch of one of ``sample_datasets``."""
+    X, y = sample_datasets(dist, n, [seed])
+    return Dataset(features=X[0], labels=y[0])
 
 
 def sample_datasets(dist: Distribution, n: int, seeds: Sequence[int],
