@@ -336,7 +336,9 @@ def lemmaA2c_weighted_opt_bound(etas, L: float, w_star_norm_sq: float,
     if not L > 0.0:
         raise InvalidArgument("positive L is required")
     _require_nonincreasing(etas)
-    if np.any(etas > 1.0 / (2.0 * L) + 1e-15):
+    # eta_t L against 1/2, so the test does not depend on units; 2 eps
+    # admits eta_t = 1/(2L) as rounded
+    if np.any(etas * L > 0.5 + 2.0 * np.finfo(np.float64).eps):
         raise PreconditionViolation("steps must satisfy eta_t <= 1/(2L)")
     s2 = float(np.sum(etas ** 2))
     return (0.5 + L * float(etas[0])) * w_star_norm_sq + 2.0 * L * s2 * risk_at_opt
@@ -414,11 +416,16 @@ def propG2_without_replacement_bound(etas_per_epoch, alpha: float, c3: float,
 
 def chernoff_exceedance_threshold(mu: float, delta_tail: float) -> float:
     """Multiplicative Chernoff threshold: a Binomial-type count with mean mu
-    stays below (1 + d~) mu with probability >= 1 - delta_tail, where
-    d~ = sqrt(3 log(1/delta_tail) / mu)."""
+    reaches (1 + d) mu with probability at most delta_tail.
+
+    The tail P(X >= (1 + d) mu) <= exp(-d^2 mu / (2 + d)) holds for every
+    d > 0 (the form exp(-d^2 mu / 3) needs d <= 1); setting it to delta_tail
+    gives d = (l + sqrt(l^2 + 8 mu l)) / (2 mu) with l = log(1/delta_tail).
+    The threshold is taken as mu + d mu, so a tiny mu does not overflow d.
+    """
     if not mu > 0.0:
         raise InvalidArgument(f"mu must be positive, got {mu}")
     if not 0.0 < delta_tail <= 1.0:
         raise InvalidArgument(f"delta_tail must be in (0, 1], got {delta_tail}")
-    d = math.sqrt(3.0 * math.log(1.0 / delta_tail) / mu)
-    return (1.0 + d) * mu
+    ell = math.log(1.0 / delta_tail)
+    return mu + 0.5 * (ell + math.sqrt(ell * ell + 8.0 * mu * ell))

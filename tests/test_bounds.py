@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,6 +345,20 @@ def test_lemmaA2c_frozen():
     assert ok == pytest.approx((0.5 + 0.5) * 2.0 + 2 * 1 * 0.25 * 0.5, rel=1e-14)
 
 
+def test_lemmaA2c_step_cap_does_not_depend_on_units():
+    # eta = 1e-16 at L = 1e20 is 20,000 times the cap 1/(2L), as eta = 1 at
+    # L = 1e4 is: both violate the precondition
+    for eta, L in ((1e-16, 1e20), (1.0, 1e4)):
+        with pytest.raises(PreconditionViolation):
+            lemmaA2c_weighted_opt_bound(np.array([eta]), L=L, w_star_norm_sq=1.0,
+                                        risk_at_opt=0.0)
+    # eta = 1/(2L), rounded, is allowed at L = 3 2^k, where 1/(6 2^k) is inexact
+    for k in (-300, -40, -1, 0, 1, 40, 300):
+        L = math.ldexp(3.0, k)
+        lemmaA2c_weighted_opt_bound(np.array([1.0 / (2.0 * L)]), L=L, w_star_norm_sq=1.0,
+                                    risk_at_opt=0.0)
+
+
 def test_lemmaA2d_frozen_alpha0():
     consts = regularity_constants(0.0, 1.0, g0=1.0)
     # alpha = 0: the bracket power is 0, so the bound collapses to c1^2 * s2
@@ -420,10 +435,26 @@ def test_propG2_frozen():
 def test_chernoff_frozen():
     assert chernoff_exceedance_threshold(3.0, math.exp(-1.0)) == pytest.approx(6.0)
     assert chernoff_exceedance_threshold(5.0, 1.0) == pytest.approx(5.0)
+    # a subnormal mean gives a finite threshold, about log(1/delta_tail)
+    assert chernoff_exceedance_threshold(1e-320, 1e-4) == pytest.approx(math.log(1e4))
     with pytest.raises(InvalidArgument):
         chernoff_exceedance_threshold(0.0, 0.5)
     with pytest.raises(InvalidArgument):
         chernoff_exceedance_threshold(1.0, 0.0)
+
+
+# (R, delta, delta_tail): the threshold of mu = delta R, for Binomial(R, delta)
+# counts, from a single draw to many and from tails near 1/3 to 1e-4
+_CHERNOFF_GRID = [(R, delta, tail) for R in (1, 3, 20, 1000) for delta in (0.01, 0.1, 0.45)
+                  for tail in (0.3, 1e-2, 1.35e-3, 1e-4)]
+
+
+@pytest.mark.parametrize("R, delta, tail", _CHERNOFF_GRID)
+def test_chernoff_threshold_bounds_the_binomial_tail(R, delta, tail):
+    # a count above the threshold has probability at most delta_tail, also
+    # where the threshold is more than twice the mean (d > 1)
+    thr = chernoff_exceedance_threshold(delta * R, tail)
+    assert scipy.stats.binom.sf(math.floor(thr), R, delta) <= tail
 
 
 def test_chernoff_binomial_simulation():
