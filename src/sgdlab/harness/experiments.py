@@ -31,6 +31,7 @@ import numpy as np
 from .. import _engine
 from ..bounds import (
     BoundReport,
+    chernoff_exceedance_threshold,
     expand_risk_path,
     gate,
     propD2_erm_bound,
@@ -102,6 +103,10 @@ _TAG_UNBIASED = 0xE5
 #: machines the lab is run on; a larger size would not fail before the run
 #: but midway, in a numpy allocation, as an internal error.
 MAX_ELEMENTS = 2 ** 32
+
+#: the chance that propG1's exceedance gate fails a true theorem by luck: the
+#: one-sided 3-sigma normal tail that the other bound gates allow
+EXCEEDANCE_TAIL = 0.00135
 
 
 class CsvRow(NamedTuple):
@@ -526,8 +531,11 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         mean, se = _mean_se(total)
         em.row("coupled_distance_mean", mean, n=n, T=T, theta=theta, stderr=se,
                bound_rhs=rhs)
-        em.gate_row("exceedance_fraction", cfg.delta, exceed / R, 0.0,
-                    n=n, T=T, theta=theta)
+        # the count is Binomial(R, p) with p <= delta when the theorem holds;
+        # a Chernoff threshold of delta R gives the noise allowance
+        em.gate_row("exceedance_fraction",
+                    chernoff_exceedance_threshold(cfg.delta * R, EXCEEDANCE_TAIL) / R,
+                    exceed / R, 0.0, n=n, T=T, theta=theta)
 
 
 # ---------------------------------------------------------------------------
