@@ -7,6 +7,7 @@ asserted with generous headroom on the measured wall times.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -449,6 +450,65 @@ def test_c13_stream_chunk_invariance(tmp_path, monkeypatch):
             run_experiment(cfg)
             outs[block_rows, stream_steps] = (out / f"{cfg.experiment}.csv").read_bytes()
         assert len(set(outs.values())) == 1, f"{label}: the stream chunks changed the output"
+
+
+# next to criterion 13: a change of units moves both sides of every gate by
+# its exact power of two.  The twin of a config scales every feature by 2
+# (cov and class covariances x4, noise_sd and class means x2) and the steps
+# (eta1, c) by 1/4.  Least squares and q_power_abs at q = 2 then run the
+# same iterates, with loss values x4 (so propD2's ridge sigma is x4 too);
+# the hinge and the AUC surrogate run iterates halved, ball radius with
+# them, and keep their loss values.  A metric of units (iterate length a,
+# loss value b) then moves by 2^(a i + b v), with (i, v) the run's scales,
+# in its value, stderr and rhs cells alike.
+# bound-thmD1-q_power_abs_1.5 is left out: its loss is homogeneous of degree
+# 1.5 in the residual, so no power-of-two step scaling keeps its iterates.
+_METRIC_UNITS = {"l1_stability": (1, 0), "epoch_l1_stability": (1, 0),
+                 "zero_example_stability": (1, 0), "coupled_distance_mean": (1, 0),
+                 "l2_sq_stability": (2, 0), "generalization_gap": (0, 1), "erm_gap": (0, 1),
+                 "unbiasedness_probe_0": (0, 1), "unbiasedness_probe_1": (0, 1),
+                 "exceedance_fraction": (0, 0)}
+_TWIN_LABELS = [label for label in _C13_CONFIGS
+                if label.startswith("bound-") and label != "bound-thmD1-q_power_abs_1.5"]
+
+
+def _twin(cfg):
+    """The config with features x2 and steps x1/4, and the (iterate, loss value)
+    powers of two its runs move by."""
+    same_iterates = cfg.loss_kind in ("least_squares", "q_power_abs")
+    i, v = (0, 2) if same_iterates else (-1, 0)
+
+    def times(x, k):
+        return None if x is None else (tuple(math.ldexp(a, k) for a in x)
+                                       if isinstance(x, tuple) else math.ldexp(x, k))
+
+    return cfg._replace(
+        cov=times(cfg.cov, 2), cov_plus=times(cfg.cov_plus, 2),
+        cov_minus=times(cfg.cov_minus, 2), noise_sd=times(cfg.noise_sd, 1),
+        mu_plus=times(cfg.mu_plus, 1), mu_minus=times(cfg.mu_minus, 1),
+        eta1=times(cfg.eta1, -2), c=times(cfg.c, -2), sigma=times(cfg.sigma, v),
+        radius=times(cfg.radius, i)), i, v
+
+
+@pytest.mark.parametrize("label", _TWIN_LABELS)
+def test_gates_are_exactly_scale_covariant(tmp_path, label):
+    cfg = parse_config(_C13_CONFIGS[label] + f"out_path = {tmp_path / 'base'}\n")
+    twin, i, v = _twin(cfg._replace(out_path=str(tmp_path / "twin")))
+    rows = {}
+    for c in (cfg, twin):
+        run_experiment(c)
+        with open(f"{c.out_path}/{c.experiment}.csv") as fh:
+            rows[c.out_path] = list(csv.DictReader(fh))
+    base, scaled = rows[cfg.out_path], rows[twin.out_path]
+    assert [r["metric"] for r in base] == [r["metric"] for r in scaled]
+    for b, t in zip(base, scaled):
+        a, u = _METRIC_UNITS[b["metric"]]
+        k = a * i + u * v
+        for cell in ("value", "stderr", "bound_rhs"):
+            want = "" if b[cell] == "" else math.ldexp(float(b[cell]), k)
+            got = "" if t[cell] == "" else float(t[cell])
+            assert got == want, (b["metric"], cell, b[cell], t[cell], k)
+        assert t["satisfied"] == b["satisfied"], b["metric"]
 
 
 # next to criterion 13: tests/golden.json holds the sha256 of every c13 CSV
