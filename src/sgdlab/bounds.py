@@ -336,8 +336,7 @@ def lemmaA2c_weighted_opt_bound(etas, L: float, w_star_norm_sq: float,
     if not L > 0.0:
         raise InvalidArgument("positive L is required")
     _require_nonincreasing(etas)
-    # eta_t L against 1/2, so the test does not depend on units; 2 eps
-    # admits eta_t = 1/(2L) as rounded
+    # relative to the cap, so units do not matter; 2 eps admits 1/(2L) as rounded
     if np.any(etas * L > 0.5 + 2.0 * np.finfo(np.float64).eps):
         raise PreconditionViolation("steps must satisfy eta_t <= 1/(2L)")
     s2 = float(np.sum(etas ** 2))
@@ -416,12 +415,9 @@ def propG2_without_replacement_bound(etas_per_epoch, alpha: float, c3: float,
 
 def chernoff_exceedance_threshold(mu: float, delta_tail: float) -> float:
     """Multiplicative Chernoff threshold: a Binomial-type count with mean mu
-    reaches (1 + d) mu with probability at most delta_tail.
-
-    The tail P(X >= (1 + d) mu) <= exp(-d^2 mu / (2 + d)) holds for every
-    d > 0 (the form exp(-d^2 mu / 3) needs d <= 1); setting it to delta_tail
-    gives d = (l + sqrt(l^2 + 8 mu l)) / (2 mu) with l = log(1/delta_tail).
-    The threshold is taken as mu + d mu, so a tiny mu does not overflow d.
+    reaches (1 + d) mu with probability at most delta_tail, by the tail
+    exp(-d^2 mu / (2 + d)), which holds for every d > 0.  Solved for d,
+    d mu = (l + sqrt(l^2 + 8 mu l)) / 2 with l = log(1/delta_tail).
     """
     if not mu > 0.0:
         raise InvalidArgument(f"mu must be positive, got {mu}")

@@ -15,9 +15,8 @@ labels.  Each generator draws what it would draw alone, in the same order
 (its normals, then its own resample rounds for rows outside the ball, then
 its label noise or flips), and the arithmetic (the covariance transform,
 the norm test, the labels) runs once on the stack, so each sample keeps the
-bits of a lone draw.  ``sample_datasets`` draws the samples of many seeds
-in one batch; it is the one path that draws a sample from a seed, and
-``sample_dataset`` is its batch of one.
+bits of a lone draw.  ``sample_datasets``, the one path from seeds to
+samples, draws those of many seeds in one batch, ``sample_dataset`` one.
 
 A ``NeighborFamily`` carries a base sample S and an independent ghost sample
 S~ of the same size; the i-th neighbor dataset replaces the i-th example of S
@@ -308,8 +307,7 @@ class ImbalancedGauss(Distribution):
 # ---------------------------------------------------------------------------
 
 def sample_dataset(dist: Distribution, n: int, seed: int) -> Dataset:
-    """Draw n examples with a counter-based generator keyed by (seed, data tag):
-    the batch of one of ``sample_datasets``."""
+    """The n examples keyed by (seed, data tag): a batch of one of ``sample_datasets``."""
     X, y = sample_datasets(dist, n, [seed])
     return Dataset(features=X[0], labels=y[0])
 

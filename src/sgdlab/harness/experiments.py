@@ -531,8 +531,7 @@ def _check_propG1(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
         mean, se = _mean_se(total)
         em.row("coupled_distance_mean", mean, n=n, T=T, theta=theta, stderr=se,
                bound_rhs=rhs)
-        # the count is Binomial(R, p) with p <= delta when the theorem holds;
-        # a Chernoff threshold of delta R gives the noise allowance
+        # under the theorem the count is Binomial(R, p <= delta): allow its noise
         em.gate_row("exceedance_fraction",
                     chernoff_exceedance_threshold(cfg.delta * R, EXCEEDANCE_TAIL) / R,
                     exceed / R, 0.0, n=n, T=T, theta=theta)

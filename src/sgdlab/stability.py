@@ -15,9 +15,8 @@ replicate's generator, or given sequences) and, where they differ between
 replicates, their step sizes, computed from the chunk's datasets; shared
 step sizes are one (T,) array.  It runs each chunk, with the neighbour
 positions, if any, and the radius of the ball each step projects onto,
-through ``_engine.run_core``, hands the result to the estimator's reduction
-and stores the per-replicate arrays it returns, in replicate order, before
-the next chunk runs; the estimator unpacks the stacks.  The engine
+through ``_engine.run_core`` and stores, in replicate order, the
+per-replicate arrays that the estimator's reduction makes of it.  The engine
 reads the streams in chunks of ``_engine.STREAM_STEPS`` steps and finds the
 forks of the neighbour runs chunk by chunk, so no stream is held whole; the
 oracle's sequences are the base-n digits of their numbers, built when the
@@ -186,11 +185,9 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float]
     """Run R replicates chunk by chunk, in order; return the stacks of ``reduce``.
 
     reduce: ``reduce(out, Xs, ys)`` gets the ``run_core`` result ``out`` of
-        replicates lo..hi-1 and their base datasets ``Xs, ys``, and returns a
-        tuple of arrays indexed by replicate first, or None in place of an
-        array.  Each array's stack over all R replicates is allocated from
-        the first chunk's shapes and filled chunk by chunk in replicate
-        order; a None stays None.
+        replicates lo..hi-1 and their base datasets, and returns a tuple of
+        arrays indexed by replicate first (or None, which stays None).  Each
+        array's stack over all R replicates takes the first chunk's shapes.
     data: the chunk function of the replicates' data: ``data(lo, hi)`` gives
         the stacked (X, y, ghost X, ghost y) of replicates lo..hi-1, or
         (X, y) when ``positions`` is None.
