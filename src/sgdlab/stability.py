@@ -310,7 +310,7 @@ def coupled_distances(loss: Loss, data, n: int, T: int, etas, domain: Optional[B
     streams = _streams(_engine.iid_stream, n, T, lambda r: (
         _replicate_dataset_seed(master_seed, r), _engine.TAG_INDEX, 0))
     return _replicate_batches(loss, replicates, n, etas, _radius(domain), data, streams,
-                              lambda out, Xs, ys: _distance_means(out)[:1],
+                              lambda out, Xs, ys: (_distance_means(out)[0],),
                               np.zeros(1, dtype=np.int64))[0]
 
 

@@ -494,12 +494,13 @@ def _twin(cfg):
 def test_gates_are_exactly_scale_covariant(tmp_path, label):
     cfg = parse_config(_C13_CONFIGS[label] + f"out_path = {tmp_path / 'base'}\n")
     twin, i, v = _twin(cfg._replace(out_path=str(tmp_path / "twin")))
-    rows = {}
-    for c in (cfg, twin):
+
+    def rows(c):
         run_experiment(c)
         with open(f"{c.out_path}/{c.experiment}.csv") as fh:
-            rows[c.out_path] = list(csv.DictReader(fh))
-    base, scaled = rows[cfg.out_path], rows[twin.out_path]
+            return list(csv.DictReader(fh))
+
+    base, scaled = rows(cfg), rows(twin)
     assert [r["metric"] for r in base] == [r["metric"] for r in scaled]
     for b, t in zip(base, scaled):
         a, u = _METRIC_UNITS[b["metric"]]
