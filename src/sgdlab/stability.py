@@ -202,6 +202,8 @@ def _replicate_batches(loss: Loss, R: int, n: int, etas, radius: Optional[float]
 
     ``collect`` goes to ``run_core``.
     """
+    if not R >= 1:
+        raise InvalidArgument(f"replicates must be >= 1, got {R}")
     given = np.asarray(() if positions is None else positions, dtype=np.int64)
     m = given.shape[0]
     if not np.all((given >= 0) & (given < n)):
@@ -262,8 +264,6 @@ def estimate_on_average_stability(loss: Loss, dist: Optional[Distribution], n: i
     the runs are epoch SGD: the stream is a fresh shuffle of the n examples
     per epoch, and T must be a whole number of epochs (T = 0 gives exactly 0).
     """
-    if not replicates >= 1:
-        raise InvalidArgument(f"replicates must be >= 1, got {replicates}")
     if not (n >= 1 and T >= 0):
         raise InvalidArgument("n must be >= 1 and T >= 0")
     if without_replacement and T % n:

@@ -281,6 +281,11 @@ def test_estimator_argument_validation():
     args = (LeastSquares(), _dist(), 4, 2, FixedConstant(0.1), None)
     with pytest.raises(InvalidArgument):
         estimate_on_average_stability(*args, 0, master_seed=0)
+    # the skeleton takes its stack shapes from the first chunk, so it needs one
+    fam = sample_neighbor_family(_dist(), 4, seed=1)
+    with pytest.raises(InvalidArgument):
+        coupled_distances(LeastSquares(), broadcast_family(fam), 4, 2,
+                          FixedConstant(0.1).etas(2), None, 0, master_seed=0)
 
 
 def test_estimator_determinism_and_seed_sensitivity():
