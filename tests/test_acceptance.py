@@ -512,11 +512,24 @@ def test_gates_are_exactly_scale_covariant(tmp_path, label):
         assert t["satisfied"] == b["satisfied"], b["metric"]
 
 
-# next to criterion 13: tests/golden.json holds the sha256 of every c13 CSV
-# and of the c03 and c04 CSVs, with the numpy version they were recorded
-# with; the runs go through a fresh interpreter under one and under two
-# OpenBLAS threads, the one thread count that could move bytes
+# next to criterion 13: tests/golden.json holds the sha256 of every c13 CSV,
+# of the c03 and c04 CSVs and of the benchmark workloads' CSVs at their own
+# master seed, with the numpy version they were recorded with; the runs go
+# through a fresh interpreter under one and under two OpenBLAS threads, the
+# one thread count that could move bytes
 _GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+_BENCH_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "bench", "configs")
+
+
+def _bench_texts():
+    """{bench-<workload>: its config text}, which ends in its [experiment] section."""
+    texts = {}
+    for name in sorted(os.listdir(_BENCH_CONFIGS)):
+        if name.endswith(".ini"):
+            with open(os.path.join(_BENCH_CONFIGS, name)) as fh:
+                texts[f"bench-{name[:-4]}"] = fh.read() + "[experiment]\n"
+    return texts
 _GOLDEN_RUN = """\
 import hashlib, json, os, sys
 from sgdlab.harness.config import parse_config
@@ -536,7 +549,7 @@ def golden_digests(out, blas_threads):
     """{label: sha256 of its CSV} for the manifest's configs, run in a new process."""
     import sgdlab
     src = os.path.dirname(os.path.dirname(sgdlab.__file__))
-    texts = dict(_C13_CONFIGS, c03=C3_TEXT, c04=C4_TEXT)
+    texts = dict(_C13_CONFIGS, c03=C3_TEXT, c04=C4_TEXT, **_bench_texts())
     proc = subprocess.run([sys.executable, "-c", _GOLDEN_RUN],
                           input=json.dumps([texts, str(out)]), capture_output=True,
                           text=True, timeout=600,
