@@ -73,12 +73,11 @@ from ..losses import (
 )
 from ..optim import t0_for_strong_convexity, StronglyConvexDecay
 from ..stability import (
+    averaged_iterates,
     brute_force_stability,
     coupled_distances,
     enumeration_count,
-    estimate_generalization_gap,
     estimate_on_average_stability,
-    gap_from_stability,
     replicate_chunks,
     replicate_data,
 )
@@ -361,9 +360,9 @@ def _run_rate_fit(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> No
     f_star, _ = population_risk_minimum(loss, dist)
     points = []
     for n, T, sched, theta in _grid(cfg):
-        rep = estimate_generalization_gap(loss, dist, n, T, sched, domain,
-                                          cfg.replicates, cfg.master_seed)
-        excess, excess_se = _mean_se(rep.pop - f_star)
+        avg = averaged_iterates(loss, dist, n, T, sched, domain, cfg.replicates,
+                                cfg.master_seed)
+        excess, excess_se = _mean_se(population_risk(loss, dist, avg) - f_star)
         em.row("excess_risk", excess, n=n, T=T, theta=theta, stderr=excess_se)
         points.append((n, excess))
     fit = fit_loglog_slope(points)
@@ -386,7 +385,9 @@ def _replace_one(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain, *,
     ``path(f)`` is the mean plus stderr of f(max(F_S(w_j), 0)), j = 1..T.
     ``l2`` adds the l2^2 and gap gates of the same runs (Theorems 2 and 1(b)
     at alpha = 1, D.1 and 1(c) below); ``epochs`` runs ``cfg.epochs`` epochs
-    without replacement.
+    without replacement.  The gap gate measures pop - F_S(w_{T+1}) of the
+    base runs, with pop the population risk at each base output where the
+    pair has a closed form, and the neighbour runs' held-out loss elsewhere.
     """
     consts = support_constants(loss, dist, domain)
     frac_expo = 2.0 * loss.alpha / (1.0 + loss.alpha)
@@ -411,7 +412,10 @@ def _replace_one(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain, *,
         if not l2:
             continue
         frac_path = path(lambda F: np.power(F, frac_expo)) if frac_expo > 0.0 else np.ones(T)
-        gap = gap_from_stability(loss, dist, rep)
+        # the held-out loss has mean E F(A(S)): A(S^(i)) has the law of A(S)
+        # and is independent of z_i
+        pop = (rep.held_out if closed_form_risk(loss, dist) is None
+               else population_risk(loss, dist, rep.finals))
         if loss.alpha == 1.0:
             l2_rhs = thm2_l2_bound(n, etas, consts.L, frac_path)
             gap_rhs = thm1b_generalization_bound(consts.L, _upper(rep.l2_sq),
@@ -420,13 +424,11 @@ def _replace_one(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain, *,
             l2_rhs = thmD1_nonsmooth_l2_bound(n, etas, loss.alpha, consts.c1, consts.c3,
                                               frac_path)
             # E[F^frac] <= (E F)^frac by concavity, so (E F + stderr)^frac is
-            # conservative for the rhs.  Without a closed form gap.pop is the
-            # held-out loss, whose mean is E F(A(S)) because A(S^(i)) has the
-            # law of A(S) and is independent of z_i
+            # conservative for the rhs
             gap_rhs = thm1c_generalization_bound(consts.c1, _upper(rep.l2_sq),
-                                                 max(_upper(gap.pop), 0.0) ** frac_expo)
+                                                 max(_upper(pop), 0.0) ** frac_expo)
         em.gate_row("l2_sq_stability", l2_rhs, *_mean_se(rep.l2_sq), **at)
-        em.gate_row("generalization_gap", gap_rhs, *_mean_se(gap.gap), **at)
+        em.gate_row("generalization_gap", gap_rhs, *_mean_se(pop - rep.emp_risk), **at)
 
 
 def _thm2_l1(n, etas, consts, loss, path):

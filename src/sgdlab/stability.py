@@ -1,4 +1,4 @@
-"""Monte-Carlo estimators of on-average model stability and generalization gaps.
+"""Monte-Carlo estimators of on-average model stability.
 
 All estimators couple trajectories through common random index streams: the
 run on S and the runs on its replace-one neighbors S^(i) consume the same
@@ -40,13 +40,13 @@ replicate's data do not depend on the chunk it is drawn in.
 instead: (seed_r, index tag, 0) with seed_r = (master_seed, replicate tag,
 r).  A stability report keeps the output and the empirical risk of each
 replicate's base run, and the mean loss of each neighbour run at the example
-it left out, so ``gap_from_stability`` measures the generalization gap on the
-very runs whose stability was measured, without running them again.  Where
-the (loss, distribution) pair has a closed-form population risk the gap takes
-it at the base outputs; elsewhere it takes the held-out loss, an unbiased
-estimate of E F(A(S)) by the replace-one identity (see ``StabilityReport``).
-``estimate_generalization_gap`` runs the same base trajectories, without
-neighbours, for the excess risk of the step-size-weighted average.
+it left out, an unbiased estimate of E F(A(S)) by the replace-one identity
+(see ``StabilityReport``), so the generalization gap can be measured on the
+very runs whose stability was measured, without running them again.
+``averaged_iterates`` runs the same base trajectories, without neighbours,
+for their step-size-weighted averages.  The module measures trajectories
+only: no estimator evaluates a population risk, which the caller takes where
+the (loss, distribution) pair has one.
 
 Work runs in chunks of whole replicates, in replicate order, and lands in
 the skeleton's stacks; ``replicate_chunks`` sizes every chunk, the harness's
@@ -69,8 +69,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _engine
-from .data import (Distribution, NeighborFamily, closed_form_risk, population_risk,
-                   sample_datasets)
+from .data import Distribution, NeighborFamily, sample_datasets
 from .errors import InvalidArgument, ResourceLimitExceeded
 from .losses import Loss
 from .optim import Ball, Schedule
@@ -116,14 +115,6 @@ class StabilityReport(NamedTuple):
     risk: Optional[np.ndarray]              # (R, C)
     emp_risk: np.ndarray                    # (R,)
     held_out: np.ndarray                    # (R,)
-
-
-class GapReport(NamedTuple):
-    """Per replicate, the population risk F(w_out), or an unbiased estimate
-    of it, and the gap F(w_out) - F_S(w_out)."""
-
-    pop: np.ndarray                         # (R,)
-    gap: np.ndarray                         # (R,)
 
 
 def replicate_chunks(R: int, n: int, rows: int) -> Iterator[Tuple[int, int]]:
@@ -363,47 +354,21 @@ def brute_force_stability(loss: Loss, family: NeighborFamily, sched: Schedule,
 
 
 # ---------------------------------------------------------------------------
-# generalization gap
+# averaged iterates
 # ---------------------------------------------------------------------------
 
-def estimate_generalization_gap(loss: Loss, dist: Distribution, n: int, T: int,
-                                sched: Schedule, domain: Optional[Ball],
-                                replicates: int, master_seed: int) -> GapReport:
-    """Per replicate, F(w_out) and F(w_out) - F_S(w_out), where w_out is the
-    step-size-weighted average of w_1 .. w_T.
+def averaged_iterates(loss: Loss, dist: Distribution, n: int, T: int, sched: Schedule,
+                      domain: Optional[Ball], replicates: int, master_seed: int
+                      ) -> np.ndarray:
+    """The (replicates, d) step-size-weighted averages of w_1 .. w_T, one per replicate.
 
     Runs the base trajectories of ``estimate_on_average_stability`` (same
-    datasets and index streams) without neighbours.  Needs the pair's
-    closed-form population risk.
+    datasets and index streams) without neighbours.  At T = 0 every average
+    is 0.
     """
-    if not replicates >= 2:
-        raise InvalidArgument(f"need at least 2 replicates, got {replicates}")
-
     etas = sched.etas(T)
     streams = _streams(_engine.iid_stream, n, T,
                        lambda r: (master_seed, _engine.TAG_INDEX, r))
-
-    def reduce(out, Xs, ys):
-        return out.avg, _engine._batch_empirical_risk(loss, out.avg, Xs, ys)
-
-    outs, emp = _replicate_batches(
+    return _replicate_batches(
         loss, replicates, n, etas, _radius(domain), replicate_data(dist, n, master_seed, False),
-        streams, reduce, average_weights=etas)
-    pop = population_risk(loss, dist, outs)
-    return GapReport(pop=pop, gap=pop - emp)
-
-
-def gap_from_stability(loss: Loss, dist: Distribution, rep: StabilityReport) -> GapReport:
-    """The generalization gap of the base runs of a stability estimate.
-
-    The output is w_{T+1}.  Where the pair has a closed-form population risk,
-    ``pop`` is F at each base output, which is exact; elsewhere it is the
-    report's ``held_out``, whose mean is E F(A(S)) (see ``StabilityReport``).
-    """
-    if not rep.finals.shape[0] >= 2:
-        raise InvalidArgument(f"need at least 2 replicates, got {rep.finals.shape[0]}")
-    if closed_form_risk(loss, dist) is None:
-        pop = rep.held_out
-    else:
-        pop = population_risk(loss, dist, rep.finals)
-    return GapReport(pop=pop, gap=pop - rep.emp_risk)
+        streams, lambda out, Xs, ys: (out.avg,), average_weights=etas)[0]

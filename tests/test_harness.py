@@ -10,6 +10,7 @@ import pytest
 
 from sgdlab import _engine, stability
 from sgdlab.bounds import expand_risk_path, thmD1_nonsmooth_l2_bound
+from sgdlab.data import population_risk
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness import config, experiments
 from sgdlab.harness.cli import main
@@ -653,7 +654,6 @@ def test_cli_target_rules_are_checked_before_any_run(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(_engine, "run_core", fail)
     monkeypatch.setattr(experiments, "population_risk", fail)
-    monkeypatch.setattr(stability, "population_risk", fail)
     target, pair, rest, message, *changes = _VIOLATIONS[case]
     out = tmp_path / "res"
     text = (f"[experiment]\nkind = bound-check\ntarget = {target}\n"
@@ -727,21 +727,9 @@ _HOLDER_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("target, pair, schedule", [
-    ("thmD1", _HOLDER_PAIRS["q_hinge"], _POLY),
-    ("thmD1", _HOLDER_PAIRS["q_power_abs"], _POLY),
-    ("thm2", _PAIRS["power_2"], _SMALL_STEP),
-], ids=["thmD1-q_hinge", "thmD1-q_power_abs", "thm2-q_power_abs"])
-def test_cli_gap_without_closed_form_risk_uses_the_neighbour_runs(tmp_path, monkeypatch,
-                                                                  target, pair, schedule):
-    # with no closed-form population risk the gap gate takes E F(A(S)) from
-    # the held-out loss of the neighbour runs, and no population risk is
-    # evaluated
-    def fail(*args, **kwargs):
-        raise AssertionError("a population risk was evaluated")
-
-    monkeypatch.setattr(experiments, "population_risk", fail)
-    monkeypatch.setattr(stability, "population_risk", fail)
+def _gap_run(tmp_path, target, pair, schedule):
+    """Run a bound-check at n = T = 16 through the CLI; return its gap row and
+    a stability report of the same runs with the loss and distribution."""
     out = tmp_path / "res"
     text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 16\n"
             f"T_rule = equal_n\nreplicates = 20\nout_path = {out}\n" + pair + schedule)
@@ -756,9 +744,37 @@ def test_cli_gap_without_closed_form_risk_uses_the_neighbour_runs(tmp_path, monk
     rep = stability.estimate_on_average_stability(loss, dist, 16, 16, sched, None,
                                                   cfg.replicates, cfg.master_seed,
                                                   record_risks=False)
-    diff = rep.held_out - rep.emp_risk
+    return gap, loss, dist, rep
+
+
+def _assert_gap_row(gap, diff):
     assert float(gap[7]) == float(diff.mean())
     assert float(gap[8]) == standard_error(diff)
+
+
+@pytest.mark.parametrize("target, pair, schedule", [
+    ("thmD1", _HOLDER_PAIRS["q_hinge"], _POLY),
+    ("thmD1", _HOLDER_PAIRS["q_power_abs"], _POLY),
+    ("thm2", _PAIRS["power_2"], _SMALL_STEP),
+], ids=["thmD1-q_hinge", "thmD1-q_power_abs", "thm2-q_power_abs"])
+def test_cli_gap_without_closed_form_risk_uses_the_neighbour_runs(tmp_path, monkeypatch,
+                                                                  target, pair, schedule):
+    # with no closed-form population risk the gap gate takes E F(A(S)) from
+    # the held-out loss of the neighbour runs, and no population risk is
+    # evaluated
+    def fail(*args, **kwargs):
+        raise AssertionError("a population risk was evaluated")
+
+    monkeypatch.setattr(experiments, "population_risk", fail)
+    gap, loss, dist, rep = _gap_run(tmp_path, target, pair, schedule)
+    _assert_gap_row(gap, rep.held_out - rep.emp_risk)
+
+
+def test_cli_gap_with_closed_form_risk_takes_it_at_the_base_outputs(tmp_path):
+    # least squares on Gaussian regression has a closed-form population
+    # risk, which the gap gate takes at each base output w_{T+1}
+    gap, loss, dist, rep = _gap_run(tmp_path, "thm2", _PAIRS["lsq"], _SMALL_STEP)
+    _assert_gap_row(gap, population_risk(loss, dist, rep.finals) - rep.emp_risk)
 
 
 def test_cli_rejects_the_removed_keys(tmp_path, capsys):

@@ -10,7 +10,6 @@ from sgdlab.data import (
     GaussLinReg,
     MarginClassif,
     NeighborFamily,
-    closed_form_risk,
     neighbor,
     population_risk,
     population_risk_minimum,
@@ -21,12 +20,11 @@ from sgdlab.errors import InvalidArgument, ResourceLimitExceeded
 from sgdlab.losses import LeastSquares, QNormHinge
 from sgdlab.optim import Ball, FixedConstant, PolyDecay
 from sgdlab.stability import (
+    averaged_iterates,
     broadcast_family,
     brute_force_stability,
     coupled_distances,
-    estimate_generalization_gap,
     estimate_on_average_stability,
-    gap_from_stability,
     replicate_data,
     _replicate_dataset_seed,
 )
@@ -354,8 +352,8 @@ def test_chunks_run_a_grid_point_in_as_few_engine_calls_as_the_budgets_allow(mon
     # base runs alone at n = 4096: the example budget holds 2^18 / 4096 = 64
     # datasets per chunk
     sizes.clear()
-    estimate_generalization_gap(LeastSquares(), _dist(), 4096, 4, FixedConstant(0.1),
-                                None, replicates=100, master_seed=0)
+    averaged_iterates(LeastSquares(), _dist(), 4096, 4, FixedConstant(0.1), None,
+                      replicates=100, master_seed=0)
     assert sizes == [64, 36]
 
 
@@ -366,19 +364,19 @@ def test_estimator_requires_source_of_data():
 
 
 # ---------------------------------------------------------------------------
-# generalization gap
+# averaged iterates and the generalization gap
 # ---------------------------------------------------------------------------
 
 def test_gap_determinism_and_fields():
     args = (LeastSquares(), _dist(), 8, 8, FixedConstant(0.1), None)
-    rep = estimate_generalization_gap(*args, replicates=16, master_seed=3)
-    rep2 = estimate_generalization_gap(*args, replicates=16, master_seed=3)
-    assert rep.pop.tobytes() == rep2.pop.tobytes()
-    assert rep.gap.tobytes() == rep2.gap.tobytes()
-    assert rep.pop.shape == rep.gap.shape == (16,)
+    avg = averaged_iterates(*args, replicates=16, master_seed=3)
+    avg2 = averaged_iterates(*args, replicates=16, master_seed=3)
+    assert avg.tobytes() == avg2.tobytes()
+    assert avg.shape == (16, 2)
     # no output beats the risk minimum 0.5 noise_sd^2
     f_star, _ = population_risk_minimum(LeastSquares(), _dist())
-    assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop >= f_star)
+    pop = population_risk(LeastSquares(), _dist(), avg)
+    assert np.all(np.isfinite(pop)) and np.all(pop >= f_star)
 
 
 def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
@@ -387,49 +385,36 @@ def test_gap_estimator_takes_the_eta_average_of_the_base_runs():
     # single-trajectory runner computes it
     loss, sched, domain = LeastSquares(), PolyDecay(eta1=0.3, theta=0.6), Ball(radius=0.5)
     n, T, R = 7, 9, 4
-    rep = estimate_generalization_gap(loss, _dist(), n, T, sched, domain,
-                                      replicates=R, master_seed=6)
-    outs = np.empty((R, 2))
-    emp = np.empty(R)
+    avg = averaged_iterates(loss, _dist(), n, T, sched, domain, replicates=R, master_seed=6)
+    want = np.empty((R, 2))
     for r in range(R):
         ds = sample_dataset(_dist(), n, _replicate_dataset_seed(6, r))
-        traj = optim._run(loss, ds.features, ds.labels, sched, domain, None, 0,
-                          _engine.given_stream(_replicate_indices(6, r, n, T)),
-                          record_every=1)
-        outs[r] = traj.avg_eta
-        emp[r] = _engine._batch_empirical_risk(loss, traj.avg_eta[None],
-                                               ds.features[None], ds.labels[None])[0]
-    pop = population_risk(loss, _dist(), outs)
-    np.testing.assert_array_equal(rep.pop, pop)
-    np.testing.assert_array_equal(rep.gap, pop - emp)
-    with pytest.raises(InvalidArgument):
-        estimate_generalization_gap(loss, _dist(), n, T, sched, domain, replicates=1,
-                                    master_seed=6)
+        want[r] = optim._run(loss, ds.features, ds.labels, sched, domain, None, 0,
+                             _engine.given_stream(_replicate_indices(6, r, n, T)),
+                             record_every=1).avg_eta
+    np.testing.assert_array_equal(avg, want)
 
 
 def test_gap_estimator_memory_does_not_grow_with_T():
     # 16 replicates of 65536 steps: their index streams alone are 8 MiB when
-    # drawn at once; read in chunks, the whole estimate stays under 4 MiB
+    # drawn at once; read in chunks, the whole run stays under 4 MiB
     tracemalloc.start()
     try:
-        rep = estimate_generalization_gap(LeastSquares(), _dist(), 8, 2 ** 16,
-                                          FixedConstant(0.01), None, replicates=16,
-                                          master_seed=0)
+        avg = averaged_iterates(LeastSquares(), _dist(), 8, 2 ** 16, FixedConstant(0.01),
+                                None, replicates=16, master_seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.all(np.isfinite(rep.gap))
+    assert np.all(np.isfinite(avg))
     assert peak < 4 * 2 ** 20
 
 
 def test_gap_zero_steps_is_zero_gap():
-    # w = 0 regardless of the data: population and empirical risks agree in
-    # expectation and the gap is 0 up to sampling noise in F_S(0)
-    rep = estimate_generalization_gap(LeastSquares(), _dist(), 64, 0,
-                                      FixedConstant(0.1), None, replicates=64,
-                                      master_seed=5)
-    se = rep.gap.std(ddof=1) / np.sqrt(rep.gap.shape[0])
-    assert abs(rep.gap.mean()) <= 4 * se + 1e-12
+    # with no steps every output is w = 0 whatever the data, so its gap is 0
+    # in expectation
+    avg = averaged_iterates(LeastSquares(), _dist(), 64, 0, FixedConstant(0.1), None,
+                            replicates=64, master_seed=5)
+    assert avg.shape == (64, 2) and not np.any(avg)
 
 
 def test_gap_runs_without_risk_minimum():
@@ -440,32 +425,11 @@ def test_gap_runs_without_risk_minimum():
         population_risk_minimum(loss, _dist())
     with pytest.raises(InvalidArgument):
         population_risk(loss, _dist(), np.zeros(2))
-    with pytest.raises(InvalidArgument):
-        estimate_generalization_gap(loss, _dist(), 6, 6, FixedConstant(0.05), None,
-                                    replicates=4, master_seed=2)
     stab = estimate_on_average_stability(loss, _dist(), 6, 6, FixedConstant(0.05), None,
                                          4, master_seed=2)
-    rep = gap_from_stability(loss, _dist(), stab)
-    assert rep.pop.shape == rep.gap.shape == (4,)
-    assert np.all(np.isfinite(rep.pop)) and np.all(rep.pop > 0.0)
-    assert np.all(np.isfinite(rep.gap))
-
-
-@pytest.mark.parametrize("loss,radius", [(LeastSquares(), None), (QNormHinge(q=1.5), 3)],
-                         ids=["closed_form", "held_out"])
-def test_gap_from_stability_takes_the_closed_form_or_the_held_out_loss(loss, radius):
-    # pop is F at each base output where the pair has a closed form, and the
-    # neighbour runs' held-out loss elsewhere; gap is pop - F_S
-    domain = None if radius is None else Ball(radius=float(radius))
-    stab = estimate_on_average_stability(loss, _dist(), 7, 9, FixedConstant(0.1), domain,
-                                         6, master_seed=8)
-    got = gap_from_stability(loss, _dist(), stab)
-    if closed_form_risk(loss, _dist()) is None:
-        want = stab.held_out
-    else:
-        want = population_risk(loss, _dist(), stab.finals)
-    assert got.pop.tobytes() == want.tobytes()
-    assert got.gap.tobytes() == (want - stab.emp_risk).tobytes()
+    assert stab.held_out.shape == stab.emp_risk.shape == (4,)
+    assert np.all(np.isfinite(stab.held_out)) and np.all(stab.held_out > 0.0)
+    assert np.all(np.isfinite(stab.held_out - stab.emp_risk))
 
 
 def test_held_out_is_each_neighbour_runs_loss_at_its_left_out_example():
@@ -503,21 +467,15 @@ def test_held_out_is_unbiased_for_the_population_risk():
     assert abs(diff.mean()) <= 3.0 * se
 
 
-def test_gap_from_stability_needs_two_replicates_not_the_risk_path():
+def test_emp_risk_is_recorded_with_or_without_the_risk_path():
     sched = FixedConstant(0.1)
     path = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
                                          3, master_seed=1)
     no_path = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
                                             3, master_seed=1, record_risks=False)
     # the output's empirical risk is recorded either way, to the last bit
+    assert no_path.risk is None and path.risk is not None
     assert no_path.emp_risk.tobytes() == path.emp_risk.tobytes()
-    got = gap_from_stability(LeastSquares(), _dist(), no_path)
-    want = gap_from_stability(LeastSquares(), _dist(), path)
-    assert got.gap.tobytes() == want.gap.tobytes()
-    one = estimate_on_average_stability(LeastSquares(), _dist(), 4, 4, sched, None,
-                                        1, master_seed=1)
-    with pytest.raises(InvalidArgument):
-        gap_from_stability(LeastSquares(), _dist(), one)
 
 
 # ---------------------------------------------------------------------------
