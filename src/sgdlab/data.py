@@ -602,13 +602,13 @@ def population_risk_minimum(loss: Loss, dist: Distribution) -> Tuple[float, Opti
 # spectra
 # ---------------------------------------------------------------------------
 
-def min_positive_eigenvalue(ds: Dataset) -> float:
-    """Smallest positive eigenvalue of C_S = (1/n) sum_i x_i x_i^T.
+def min_positive_eigenvalue(X: np.ndarray) -> float:
+    """Smallest positive eigenvalue of C_S = (1/n) sum_i x_i x_i^T of the (n, d) features X.
 
     Eigenvalues below ``_EIGEN_ZERO_RATIO`` times the largest count as zero.
-    If all are zero (e.g. an all-zeros dataset) the data is degenerate.
+    If all are zero (e.g. all-zero features) the data is degenerate.
     """
-    C = ds.features.T @ ds.features / ds.n
+    C = X.T @ X / X.shape[0]
     evals = np.linalg.eigvalsh(C)
     lmax = float(evals[-1])
     if lmax <= 0.0:

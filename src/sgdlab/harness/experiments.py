@@ -4,7 +4,7 @@ Five experiment kinds:
 
 - properties: run the inequality checkers over a battery of loss instances,
   each checker on all draws in one batched call (one CSV row per
-  checker/loss pair, value = failed draws);
+  checker/loss pair, value = failed draws, gated at 0);
 - oracle: Monte-Carlo stability vs exact enumeration on tiny (n, T);
 - stability-sweep: measure l1/l2 on-average stability over an n grid;
 - rate-fit: excess risk of the averaged iterate over an n grid plus a
@@ -53,7 +53,6 @@ from ..data import (
     population_risk_minimum,
     sample_dataset,
     sample_neighbor_family,
-    Dataset,
 )
 from ..errors import ConfigError, PreconditionViolation, ResourceLimitExceeded
 from ..losses import (
@@ -200,9 +199,12 @@ class _Emitter:
                                 self.cfg.master_seed, n, T, theta, metric,
                                 float(value), stderr, bound_rhs, satisfied))
 
-    def gate_row(self, name: str, rhs: float, measured: float, stderr: float,
+    def gate_row(self, name: str, rhs: float, measured: float, stderr: Optional[float],
                  *, n=None, T=None, theta=None, roundoff=0.0) -> bool:
-        rep = gate(name, rhs, measured, stderr, roundoff)
+        """Gate ``measured`` against ``rhs`` and write its row and line.  A
+        ``stderr`` of None, for an exact count, gates as 0 and leaves the
+        row's stderr cell empty."""
+        rep = gate(name, rhs, measured, stderr or 0.0, roundoff)
         self.gates.append(GateLine(rep, n, T))
         self.row(name, rep.measured, n=n, T=T, theta=theta, stderr=stderr,
                  bound_rhs=rep.rhs, satisfied=rep.satisfied)
@@ -305,8 +307,7 @@ def run_property_battery(draws: int, master_seed: int):
 
 def _run_properties(cfg: ExperimentConfig, em: _Emitter) -> None:
     for name, label, draws, failures in run_property_battery(cfg.draws, cfg.master_seed):
-        em.row(f"{name}:{label}", float(failures), bound_rhs=0.0,
-               satisfied=(failures == 0))
+        em.gate_row(f"{name}:{label}", 0.0, float(failures), None)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +485,7 @@ def _check_thm8(cfg: ExperimentConfig, em: _Emitter, loss, dist, domain) -> None
             # sigma'_S, t0 and the step sizes of each replicate's own dataset
             out = np.empty((hi - lo, T))
             for k in range(hi - lo):
-                sigma = min_positive_eigenvalue(Dataset(features=Xs[k], labels=ys[k]))
+                sigma = min_positive_eigenvalue(Xs[k])
                 t0 = t0_for_strong_convexity(consts.L, sigma)
                 out[k] = StronglyConvexDecay(sigma=sigma, t0=t0).etas(T)
                 rhss[lo + k] = thm8_strongly_convex_stability_bound(n, consts.G, sigma, T, t0)

@@ -11,7 +11,7 @@ with ``alpha = 1`` the smooth case and ``alpha = 0`` the bounded-subgradient
 derived constants c1/c2/c3 used by the stability bounds, ``support_constants``
 gives every constant a bound is stated in as a sup over a distribution's
 support, and the ``check_*`` functions verify lemma-level inequalities on
-concrete points to a tolerance.
+concrete points to the tolerance ``DEFAULT_TOL``.
 The checkers, ``holder_constant`` and ``grad_norm_at_zero`` take rows:
 features X (B, d) and labels y (B,), with one value per row.  What each
 checker needs of the loss is stated once, in ``CHECK_PRECONDITIONS``.
@@ -53,7 +53,7 @@ except ImportError:  # numpy < 2
 
 from .errors import InvalidArgument, PreconditionViolation
 
-#: default checker tolerance: absolute plus relative to the dominant term
+#: the checkers' tolerance: absolute plus relative to the dominant term
 DEFAULT_TOL = 1e-9
 #: (iterate, example) pairs per evaluation of the generic ``risk_evaluator``,
 #: c * R * n <= this for c iterates of R replicates on n examples (least
@@ -561,9 +561,9 @@ def _require(name: str, loss: Loss) -> None:
                                     f"with alpha = {loss.alpha}")
 
 
-def _leq(lhs, rhs, tol: float):
-    # absolute tol plus the same tol relative to the dominant term
-    return lhs <= rhs + tol * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+def _leq(lhs, rhs):
+    # absolute DEFAULT_TOL plus the same tolerance relative to the dominant term
+    return lhs <= rhs + DEFAULT_TOL * (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def _per_example_constants(loss: Loss, X: np.ndarray, Y: np.ndarray) -> RegularityConstants:
@@ -578,7 +578,7 @@ def _step_gap(loss: Loss, W, W2, X, Y, eta) -> np.ndarray:
     return (W - e * loss.batch_grad(W, X, Y)) - (W2 - e * loss.batch_grad(W2, X, Y))
 
 
-def check_self_bounding(loss: Loss, w, X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_self_bounding(loss: Loss, w, X, y) -> np.ndarray:
     """||df(w; z)|| <= c1 * f(w; z)^(alpha/(1+alpha))."""
     _require("self_bounding", loss)
     X, Y, W = _batch(X, y, w)
@@ -586,19 +586,18 @@ def check_self_bounding(loss: Loss, w, X, y, tol: float = DEFAULT_TOL) -> np.nda
     g = np.linalg.norm(loss.batch_grad(W, X, Y), axis=1)
     f = np.maximum(loss.batch_value(W, X, Y), 0.0)  # guard tiny negative round-off
     expo = loss.alpha / (1.0 + loss.alpha)
-    return _leq(g, c.c1 * f ** expo, tol)
+    return _leq(g, c.c1 * f ** expo)
 
 
-def check_gradient_monotonicity(loss: Loss, w, w2, X, y,
-                                tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_gradient_monotonicity(loss: Loss, w, w2, X, y) -> np.ndarray:
     """<w - w2, df(w) - df(w2)> >= 0."""
     _require("gradient_monotonicity", loss)
     X, Y, W, W2 = _batch(X, y, w, w2)
     dg = loss.batch_grad(W, X, Y) - loss.batch_grad(W2, X, Y)
-    return _leq(0.0, _rowdot(W - W2, dg), tol)
+    return _leq(0.0, _rowdot(W - W2, dg))
 
 
-def check_cocoercivity(loss: Loss, w, w2, X, y, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_cocoercivity(loss: Loss, w, w2, X, y) -> np.ndarray:
     """Hölder co-coercivity of a convex loss.
 
     For alpha > 0:
@@ -613,15 +612,15 @@ def check_cocoercivity(loss: Loss, w, w2, X, y, tol: float = DEFAULT_TOL) -> np.
     dg = loss.batch_grad(W, X, Y) - loss.batch_grad(W2, X, Y)
     inner = _rowdot(W - W2, dg)
     if a == 0.0:
-        return _leq(0.0, inner, tol)
+        return _leq(0.0, inner)
     L = loss.holder_constant(X, Y)
     if not np.all(L > 0.0):
         raise InvalidArgument(f"L must be positive, got {L.min()}")
     rhs = 2.0 * L ** (-1.0 / a) * a / (1.0 + a) * np.linalg.norm(dg, axis=1) ** ((1.0 + a) / a)
-    return _leq(rhs, inner, tol)
+    return _leq(rhs, inner)
 
 
-def check_nonexpansive(loss: Loss, w, w2, X, y, eta, tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_nonexpansive(loss: Loss, w, w2, X, y, eta) -> np.ndarray:
     """A gradient step with eta <= 2/L is 1-Lipschitz."""
     _require("nonexpansive", loss)
     X, Y, W, W2 = _batch(X, y, w, w2)
@@ -634,11 +633,10 @@ def check_nonexpansive(loss: Loss, w, w2, X, y, eta, tol: float = DEFAULT_TOL) -
         raise PreconditionViolation(
             f"step size {eta[k]} exceeds 2/L = {limit[k]} for example {k}")
     after = _step_gap(loss, W, W2, X, Y, eta)
-    return _leq(np.linalg.norm(after, axis=1), np.linalg.norm(W - W2, axis=1), tol)
+    return _leq(np.linalg.norm(after, axis=1), np.linalg.norm(W - W2, axis=1))
 
 
-def check_expansiveness_slack(loss: Loss, w, w2, X, y, eta,
-                              tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_expansiveness_slack(loss: Loss, w, w2, X, y, eta) -> np.ndarray:
     """Squared expansion of a gradient step.
 
     ||(w - eta df(w)) - (w2 - eta df(w2))||^2 <= ||w - w2||^2 + c3^2 eta^(2/(1-alpha)).
@@ -652,11 +650,10 @@ def check_expansiveness_slack(loss: Loss, w, w2, X, y, eta,
     after = _step_gap(loss, W, W2, X, Y, eta)
     dw = W - W2
     rhs = _rowdot(dw, dw) + c.c3 ** 2 * eta ** (2.0 / (1.0 - loss.alpha))
-    return _leq(_rowdot(after, after), rhs, tol)
+    return _leq(_rowdot(after, after), rhs)
 
 
-def check_smoothness_upper_bound(loss: Loss, w, w2, X, y,
-                                 tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_smoothness_upper_bound(loss: Loss, w, w2, X, y) -> np.ndarray:
     """Quadratic upper bound f(w2) <= f(w) + <df(w), w2 - w> + L/2 ||w2 - w||^2,
     convex or not."""
     _require("smoothness_upper_bound", loss)
@@ -666,4 +663,4 @@ def check_smoothness_upper_bound(loss: Loss, w, w2, X, y,
     lhs = loss.batch_value(W2, X, Y)
     rhs = loss.batch_value(W, X, Y) + _rowdot(loss.batch_grad(W, X, Y), dw) \
         + 0.5 * L * _rowdot(dw, dw)
-    return _leq(lhs, rhs, tol)
+    return _leq(lhs, rhs)

@@ -729,37 +729,32 @@ def test_package_import_leaves_heavy_scipy_modules_unloaded():
 
 def test_min_positive_eigenvalue_basis_vectors():
     n = 4
-    ds = Dataset(features=np.eye(n), labels=np.zeros(n))
     # second-moment matrix is I/n
-    assert min_positive_eigenvalue(ds) == pytest.approx(1.0 / n, rel=1e-12)
+    assert min_positive_eigenvalue(np.eye(n)) == pytest.approx(1.0 / n, rel=1e-12)
 
 
 def test_min_positive_eigenvalue_single_unit_vector():
-    ds = Dataset(features=np.array([[1.0, 0.0]]), labels=np.zeros(1))
-    assert min_positive_eigenvalue(ds) == pytest.approx(1.0, rel=1e-12)
+    assert min_positive_eigenvalue(np.array([[1.0, 0.0]])) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_min_positive_eigenvalue_row_order_invariant():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((10, 3))
-    ds = Dataset(features=X, labels=np.zeros(10))
     perm = rng.permutation(10)
-    ds2 = Dataset(features=X[perm], labels=np.zeros(10))
-    assert min_positive_eigenvalue(ds) == pytest.approx(
-        min_positive_eigenvalue(ds2), rel=1e-12)
+    assert min_positive_eigenvalue(X) == pytest.approx(
+        min_positive_eigenvalue(X[perm]), rel=1e-12)
 
 
 def test_min_positive_eigenvalue_concentrates():
     dist = _lin_reg(d=3, cov=0.5)
     ds = sample_dataset(dist, 20000, seed=6)
     # for isotropic cov the smallest eigenvalue of E[x x'] is ~0.5
-    assert min_positive_eigenvalue(ds) == pytest.approx(0.5, rel=0.2)
+    assert min_positive_eigenvalue(ds.features) == pytest.approx(0.5, rel=0.2)
 
 
 def test_min_positive_eigenvalue_degenerate():
-    ds = Dataset(features=np.zeros((3, 2)), labels=np.zeros(3))
     with pytest.raises(DegenerateDataError):
-        min_positive_eigenvalue(ds)
+        min_positive_eigenvalue(np.zeros((3, 2)))
 
 
 def test_dataset_validation():

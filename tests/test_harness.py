@@ -877,24 +877,32 @@ def test_cli_rate_fit_with_subnormal_flip_prob_exits_2(tmp_path, capsys):
 
 
 def test_cli_prints_one_line_per_gate(tmp_path, capsys):
-    out, ref = tmp_path / "cli", tmp_path / "ref"
-    text = _THM2_TEXT + "eta1 = 0.015625\n[experiment]\n"
-    assert main(["bound-check", "--config", _write(tmp_path, text),
-                 "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    rows = [r for r in (out / "bound-check.csv").read_text().splitlines()[1:]
-            if r.split(",")[10] != ""]
-    assert len(lines) == len(rows) == 6
-    for line, row in zip(lines, rows):
-        name, n, T, measured, rhs, slack, satisfied = line.split()
-        cells = row.split(",")
-        assert [name, n, T, satisfied] == [cells[6], cells[3], cells[4], cells[10]]
-        assert float(measured) == pytest.approx(float(cells[7]), rel=1e-5)
-        assert float(rhs) == pytest.approx(float(cells[9]), rel=1e-5)
-        assert float(slack) > 0.0
-    # printing leaves the CSV bytes as run_experiment writes them
-    run_experiment(parse_config(text + f"out_path = {ref}\n"))
-    assert (out / "bound-check.csv").read_bytes() == (ref / "bound-check.csv").read_bytes()
+    # every experiment kind prints one line per CSV row with a satisfied
+    # cell, in CSV order, with the slack of bounds.gate's rule; printing
+    # leaves the CSV bytes as run_experiment writes them
+    from test_acceptance import _C13_CONFIGS
+    for label, text in _C13_CONFIGS.items():
+        out, ref = tmp_path / label / "cli", tmp_path / label / "ref"
+        cfg = parse_config(text + f"out_path = {ref}\n")
+        assert main([cfg.experiment, "--config", _write(tmp_path, text, f"{label}.ini"),
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        csv_path = f"{cfg.experiment}.csv"
+        rows = [r.split(",") for r in (out / csv_path).read_text().splitlines()[1:]]
+        rows = [cells for cells in rows if cells[10] != ""]
+        assert len(lines) == len(rows), label
+        for line, cells in zip(lines, rows):
+            name, n, T, measured, rhs, slack, satisfied = line.split()
+            assert [name, n, T, satisfied] == [cells[6], cells[3] or "-", cells[4] or "-",
+                                               cells[10]], label
+            value, se, bound = float(cells[7]), float(cells[8] or 0.0), float(cells[9])
+            assert float(measured) == pytest.approx(value, rel=1e-5)
+            assert float(rhs) == pytest.approx(bound, rel=1e-5)
+            want = ((bound - value) / se if se > 0.0
+                    else math.inf if value <= bound else -math.inf)
+            assert float(slack) == pytest.approx(want, rel=1e-2), (label, name)
+        run_experiment(cfg)
+        assert (out / csv_path).read_bytes() == (ref / csv_path).read_bytes(), label
 
 
 @pytest.mark.parametrize("argv,message", [

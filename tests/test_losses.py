@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sgdlab import losses
 from sgdlab.bounds import _pairwise_sum_depth
 from sgdlab.errors import ConfigError, InvalidArgument, PreconditionViolation
 from sgdlab.losses import (
@@ -28,6 +29,7 @@ from sgdlab.data import GaussLinReg, ImbalancedGauss, MarginClassif
 from sgdlab.optim import Ball
 from sgdlab.harness.config import ExperimentConfig, build, validate_config
 from sgdlab.harness.experiments import (
+    _CHECK_RUNNERS,
     applicable_checks,
     battery_draws,
     property_battery,
@@ -625,32 +627,18 @@ def _ref_checks(name, loss, W, W2, X, Y, eta, tol):
     return [bool(row(k)) for k in range(len(Y))]
 
 
-def _check(name, loss, W, W2, X, Y, eta, tol):
-    if name == "self_bounding":
-        return check_self_bounding(loss, W, X, Y, tol)
-    if name == "gradient_monotonicity":
-        return check_gradient_monotonicity(loss, W, W2, X, Y, tol)
-    if name == "cocoercivity":
-        return check_cocoercivity(loss, W, W2, X, Y, tol)
-    if name == "nonexpansive":
-        return check_nonexpansive(loss, W, W2, X, Y, eta, tol)
-    if name == "expansiveness_slack":
-        return check_expansiveness_slack(loss, W, W2, X, Y, eta, tol)
-    assert name == "smoothness_upper_bound"
-    return check_smoothness_upper_bound(loss, W, W2, X, Y, tol)
-
-
 # a negative tolerance demands slack, so some rows fail and the comparison
 # covers both outcomes
 @pytest.mark.parametrize("tol", [1e-9, -0.05])
-def test_batched_checkers_match_per_row_formulas(tol):
+def test_batched_checkers_match_per_row_formulas(monkeypatch, tol):
+    monkeypatch.setattr(losses, "DEFAULT_TOL", tol)
     draws = 400
     outcomes = set()
     for bi, (label, loss) in enumerate(property_battery()):
         W, W2, X, Y, U = battery_draws(bi, label, loss, draws, master_seed=0)
-        for name, _ in applicable_checks(loss):
+        for name, fn in applicable_checks(loss):
             eta = U * 2.0 / loss.holder_constant(X, Y) if name == "nonexpansive" else U
-            batch = _check(name, loss, W, W2, X, Y, eta, tol)
+            batch = fn(loss, W, W2, X, Y, eta)
             assert batch.shape == (draws,) and batch.dtype == bool
             ref = _ref_checks(name, loss, W, W2, X, Y, eta, tol)
             assert batch.tolist() == ref, (name, label)
@@ -719,10 +707,10 @@ def test_checkers_raise_exactly_where_their_precondition_fails(label):
     assert [name for name, _ in applicable_checks(loss)] == _APPLIES[label]
     for name in CHECK_PRECONDITIONS:
         if name in _APPLIES[label]:
-            assert _check(name, loss, W, W2, X, y, 0.1, 1e-9).tolist() == [True] * 4, name
+            assert _CHECK_RUNNERS[name](loss, W, W2, X, y, 0.1).tolist() == [True] * 4, name
         else:
             with pytest.raises(PreconditionViolation, match=f"the {name} check requires"):
-                _check(name, loss, W, W2, X, y, 0.1, 1e-9)
+                _CHECK_RUNNERS[name](loss, W, W2, X, y, 0.1)
 
 
 def test_batched_checker_preconditions():
