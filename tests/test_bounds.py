@@ -232,6 +232,8 @@ def test_thm8_frozen():
         thm8_strongly_convex_stability_bound(0, G=1.0, sigma=1.0, t=1, t0=0)
     with pytest.raises(InvalidArgument):
         thm8_strongly_convex_stability_bound(100, G=1.0, sigma=0.0, t=1, t0=0)
+    with pytest.raises(InvalidArgument, match="nonnegative G"):
+        thm8_strongly_convex_stability_bound(100, G=-1.0, sigma=1.0, t=1, t0=0)
 
 
 def test_thm8_decreases_with_horizon_and_n():
@@ -402,6 +404,8 @@ def test_propG1_frozen_shape():
         propG1_high_prob_bound(c, theta, a, c3, G=1.0, t=10, n=8, delta=1.0)
     with pytest.raises(InvalidArgument):
         propG1_high_prob_bound(c, theta, a, 0.0, G=1.0, t=10, n=8, delta=0.1)
+    with pytest.raises(InvalidArgument, match="invalid inputs"):
+        propG1_high_prob_bound(0.0, theta, a, c3, G=1.0, t=10, n=8, delta=0.1)
 
 
 def test_propG1_hand_value():
@@ -430,6 +434,8 @@ def test_propG2_frozen():
         propG2_without_replacement_bound([[0.1]], 1.0, 1.0, 1.0, 1)  # alpha = 1
     with pytest.raises(InvalidArgument):
         propG2_without_replacement_bound([[0.1]], 0.0, 0.0, 1.0, 1)  # c3 = 0
+    with pytest.raises(InvalidArgument, match="invalid inputs"):
+        propG2_without_replacement_bound([[0.1]], 0.0, 1.0, -1.0, 1)  # G < 0
 
 
 def test_chernoff_frozen():

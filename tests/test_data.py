@@ -121,6 +121,15 @@ def test_distribution_validation():
                         mu_minus=np.array([-1.0]), cov_plus=1.0, cov_minus=1.0)
     with pytest.raises(InvalidArgument):
         GaussLinReg(w_star=np.array([1.0]), cov=-1.0, noise_sd=0.1)
+    with pytest.raises(InvalidArgument, match="length-2 diagonal"):
+        GaussLinReg(w_star=np.array([1.0, 0.0]), cov=np.ones(3), noise_sd=0.1)
+    with pytest.raises(InvalidArgument, match="covariance entries must be finite"):
+        GaussLinReg(w_star=np.array([1.0, 0.0]), cov=np.array([1.0, math.inf]), noise_sd=0.1)
+    with pytest.raises(InvalidArgument, match="w_star must be a vector"):
+        GaussLinReg(w_star=np.eye(2), cov=1.0, noise_sd=0.1)
+    with pytest.raises(InvalidArgument, match="class means"):
+        ImbalancedGauss(p=0.5, mu_plus=np.array([1.0, 0.0]), mu_minus=np.array([-1.0]),
+                        cov_plus=1.0, cov_minus=1.0)
     # the closed-form risk adds noise_sd^2, which must be a finite float
     for noise_sd in (-0.1, math.nan, math.inf, 1e300):
         with pytest.raises(InvalidArgument):

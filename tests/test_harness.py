@@ -10,7 +10,7 @@ import pytest
 
 from sgdlab import _engine, stability
 from sgdlab.bounds import expand_risk_path, thmD1_nonsmooth_l2_bound
-from sgdlab.data import population_risk
+from sgdlab.data import GaussLinReg, population_risk, sample_dataset
 from sgdlab.errors import ConfigError, InvalidArgument
 from sgdlab.harness import config, experiments
 from sgdlab.harness.cli import main
@@ -111,6 +111,8 @@ def test_parse_error_line_numbers():
         parse_config("[experiment]\njust words\n")
     with pytest.raises(ConfigError, match="line 3.*integer"):
         parse_config("[experiment]\nkind = properties\ndraws = many\n")
+    with pytest.raises(ConfigError, match="line 2: eta1: expected a number"):
+        parse_config("[schedule]\neta1 = fast\n[experiment]\nkind = properties\n")
     with pytest.raises(ConfigError, match="kind"):
         parse_config("[loss]\nkind = least_squares\n")  # missing experiment kind
 
@@ -199,6 +201,7 @@ def test_validate_config_rules():
         dict(delta=1.0),
         dict(epochs=0),
         dict(master_seed=-1),
+        dict(experiment="sweep"),
     ]
     for overrides in bad:
         with pytest.raises(ConfigError):
@@ -279,6 +282,19 @@ def test_builders():
         assert build("loss", cfg._replace(loss_q=1.5)).q == 1.5
     with pytest.raises(ConfigError, match=r"missing key 'kind' in \[schedule\]"):
         build("schedule", ExperimentConfig(experiment="oracle"))
+
+
+def test_config_cov_list_is_a_diagonal():
+    # cov = a, b builds the diagonal covariance, and draws the bits of the
+    # distribution built from that diagonal directly
+    cfg = parse_config("[distribution]\nkind = gauss_lin_reg\nw_star = 1.0, 0.5\n"
+                       "cov = 0.25, 0.5\nnoise_sd = 0.25\n[experiment]\nkind = oracle\n")
+    dist = build("distribution", cfg)
+    assert np.array_equal(dist.cov, np.diag([0.25, 0.5]))
+    want = GaussLinReg(w_star=np.array([1.0, 0.5]), cov=np.array([0.25, 0.5]), noise_sd=0.25)
+    got, ref = sample_dataset(dist, 16, seed=3), sample_dataset(want, 16, seed=3)
+    assert got.features.tobytes() == ref.features.tobytes()
+    assert got.labels.tobytes() == ref.labels.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,8 @@ def test_schedule_validation():
         HorizonConstant(c=-1.0)
     with pytest.raises(InvalidArgument):
         HorizonPoly(c=1.0, theta=1.5)
+    with pytest.raises(InvalidArgument, match="c must be positive"):
+        HorizonPoly(c=0.0, theta=0.5)
     with pytest.raises(InvalidArgument):
         PolyDecay(eta1=1.0, theta=-0.1)
     with pytest.raises(InvalidArgument):
