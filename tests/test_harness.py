@@ -29,6 +29,7 @@ from sgdlab.harness.config import (
 from sgdlab.harness.experiments import CsvRow, run_experiment, standard_error, write_csv
 from sgdlab.harness.ratefit import fit_loglog_slope
 from sgdlab.losses import support_constants
+from test_acceptance import _C13_CONFIGS
 
 FULL_TEXT = """
 # exercises every section
@@ -896,7 +897,6 @@ def test_cli_prints_one_line_per_gate(tmp_path, capsys):
     # every experiment kind prints one line per CSV row with a satisfied
     # cell, in CSV order, with the slack of bounds.gate's rule; printing
     # leaves the CSV bytes as run_experiment writes them
-    from test_acceptance import _C13_CONFIGS
     for label, text in _C13_CONFIGS.items():
         out, ref = tmp_path / label / "cli", tmp_path / label / "ref"
         cfg = parse_config(text + f"out_path = {ref}\n")
