@@ -744,9 +744,10 @@ _HOLDER_PAIRS = {
 }
 
 
-def _gap_run(tmp_path, target, pair, schedule):
-    """Run a bound-check at n = T = 16 through the CLI; return its gap row and
-    a stability report of the same runs with the loss and distribution."""
+def _assert_gap_row(tmp_path, target, pair, schedule, pop):
+    """Run a bound-check at n = T = 16 through the CLI, and check that its gap
+    row is the mean and stderr of pop(loss, dist, rep) - F_S over replicates,
+    with rep a stability report of the same runs."""
     out = tmp_path / "res"
     text = (f"[experiment]\nkind = bound-check\ntarget = {target}\nn_grid = 16\n"
             f"T_rule = equal_n\nreplicates = 20\nout_path = {out}\n" + pair + schedule)
@@ -761,10 +762,7 @@ def _gap_run(tmp_path, target, pair, schedule):
     rep = stability.estimate_on_average_stability(loss, dist, 16, 16, sched, None,
                                                   cfg.replicates, cfg.master_seed,
                                                   record_risks=False)
-    return gap, loss, dist, rep
-
-
-def _assert_gap_row(gap, diff):
+    diff = pop(loss, dist, rep) - rep.emp_risk
     assert float(gap[7]) == float(diff.mean())
     assert float(gap[8]) == standard_error(diff)
 
@@ -783,15 +781,14 @@ def test_cli_gap_without_closed_form_risk_uses_the_neighbour_runs(tmp_path, monk
         raise AssertionError("a population risk was evaluated")
 
     monkeypatch.setattr(experiments, "population_risk", fail)
-    gap, loss, dist, rep = _gap_run(tmp_path, target, pair, schedule)
-    _assert_gap_row(gap, rep.held_out - rep.emp_risk)
+    _assert_gap_row(tmp_path, target, pair, schedule, lambda loss, dist, rep: rep.held_out)
 
 
 def test_cli_gap_with_closed_form_risk_takes_it_at_the_base_outputs(tmp_path):
     # least squares on Gaussian regression has a closed-form population
     # risk, which the gap gate takes at each base output w_{T+1}
-    gap, loss, dist, rep = _gap_run(tmp_path, "thm2", _PAIRS["lsq"], _SMALL_STEP)
-    _assert_gap_row(gap, population_risk(loss, dist, rep.finals) - rep.emp_risk)
+    _assert_gap_row(tmp_path, "thm2", _PAIRS["lsq"], _SMALL_STEP,
+                    lambda loss, dist, rep: population_risk(loss, dist, rep.finals))
 
 
 def test_cli_rejects_the_removed_keys(tmp_path, capsys):

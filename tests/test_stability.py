@@ -283,11 +283,11 @@ def test_estimator_argument_validation():
         with pytest.raises(InvalidArgument, match="n must be >= 1 and T >= 0"):
             estimate_on_average_stability(LeastSquares(), _dist(), n, T, FixedConstant(0.1),
                                           None, 2, master_seed=0)
-    # the skeleton takes its stack shapes from the first chunk, so it needs one
     fam = sample_neighbor_family(_dist(), 4, seed=1)
     with pytest.raises(InvalidArgument, match="fixed family size differs from n"):
         estimate_on_average_stability(LeastSquares(), None, 5, 2, FixedConstant(0.1), None,
                                       2, master_seed=0, fixed_family=fam)
+    # the skeleton takes its stack shapes from the first chunk, so it needs one
     with pytest.raises(InvalidArgument):
         coupled_distances(LeastSquares(), broadcast_family(fam), 4, 2,
                           FixedConstant(0.1).etas(2), None, 0, master_seed=0)
